@@ -18,27 +18,28 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .diffusion import DiffusionParams, ensemble_observable, parse_field_initial
-from .dualspin import ZBDistribution, evolve_dual_replay, parity, parity_overlap, simulate_dual_fresh
+from .dualspin import (ZBDistribution, dual_sizes_fresh, evolve_dual_replay, parity, parity_overlap,
+                       simulate_dual_fresh)
 from .exact import (MAX_EXACT_SITES, build_generator_dual, build_generator_from_events,
                     build_generator_np, feynman_kac_check)
-from .harness import RunConfig, load_config_file, parallel_map, resolve_seed, write_csv, write_json
-from .kernel import Kernel, complete_kernel, explicit_kernel, torus_kernel
+from .harness import RunConfig, load_config_file, replicate_map, resolve_seed, write_csv, write_json
+from .kernel import Kernel, complete_kernel, config_indicator, explicit_kernel, torus_kernel
 from .lattice import Stencil, Torus
 from .meanfield import density_rhs, equilibrium, integrate_ode, meanfield_comparator
 from .momdual import coexistence_probe, extinction_probe, generator_duality_battery, moment_duality_mc
 from .rng import derive_stream
 from .spin import EventTable, NPParams, parse_initial, replay_forward, sample_event_log, simulate_gillespie
-from .stats import MCEstimate, two_sample_z
-from .walkers import BCRW, CRW, DBARW, simulate_walker
-from .stats import wilson_lower
+from .stats import MCEstimate, two_sample_z, wilson_lower
+from .walkers import BCRW, CRW, DBARW, WALKER_BATCH, walker_samples
 
-CHUNK = 256  # replicates per worker task; fixed so scheduling cannot reorder results
+CHUNK = 256  # spin replicates per chunk (one derived stream each); fixed for determinism
 
 
 # -- config plumbing -----------------------------------------------------------
@@ -114,80 +115,34 @@ def _build_diffusion(cfg: RunConfig) -> DiffusionParams:
     )
 
 
-def _chunks(reps: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + CHUNK, reps)) for lo in range(0, reps, CHUNK)]
-
-
 # -- chunk workers (module level so process pools can pickle them) -------------
 
 
-def _spin_chunk(payload):
-    p, k, init_spec, horizon, grid, seed, lo, hi = payload
-    dens = np.empty((hi - lo, len(grid)))
-    terminal = np.empty(hi - lo)
-    for i, r in enumerate(range(lo, hi)):
-        eta0 = parse_initial(init_spec, k.n, derive_stream(seed, "spin-init", r))
-        traj = simulate_gillespie(p, k, eta0, horizon, derive_stream(seed, "spin-run", r))
-        ts, ds = traj.density_path()
-        idx = np.searchsorted(ts, grid, side="right") - 1
-        dens[i] = ds[idx]
+def _spin_chunk(p, k, init_spec, horizon, grid, size, rng):
+    dens = np.empty((size, len(grid)))
+    terminal = np.empty(size)
+    for i in range(size):
+        eta0 = parse_initial(init_spec, k.n, rng)
+        ts, ds = simulate_gillespie(p, k, eta0, horizon, rng).density_path()
+        dens[i] = ds[np.searchsorted(ts, grid, side="right") - 1]
         terminal[i] = ds[-1]
-    return lo, dens, terminal
+    return dens, terminal
 
 
-def _dual_chunk(payload):
-    p, k, B, grid, seed, lo, hi = payload
-    table = EventTable.build(p, k)
-    horizon = max(grid)
-    sizes = np.empty((hi - lo, len(grid)), dtype=np.int64)
-    for i, r in enumerate(range(lo, hi)):
-        rng = derive_stream(seed, "dual-run", r)
-        snaps = simulate_dual_fresh(p, k, B, horizon, rng, record=list(grid), table=table)
-        sizes[i] = [int(cfg.sum()) for _, cfg in snaps]
-    return lo, sizes
-
-
-def _parity_chunk(payload):
-    p, k, A, B, horizon, seed, lo, hi = payload
-    table = EventTable.build(p, k)
+def _parity_chunk(p, k, A, B, horizon, table, size, rng):
     grid = [horizon / 2.0, horizon]
-    n = hi - lo
-    fwd = np.empty((n, len(grid)), dtype=np.int64)
-    dual = np.empty((n, len(grid)), dtype=np.int64)
-    dualmc = np.empty(n, dtype=np.int64)
-    from .kernel import config_indicator
-
+    fwd = np.empty((size, len(grid)), dtype=np.int64)
+    dual = np.empty((size, len(grid)), dtype=np.int64)
+    dualmc = np.empty(size, dtype=np.int64)
     etaA = config_indicator(k.n, A)
-    for i, r in enumerate(range(lo, hi)):
-        log = sample_event_log(p, k, horizon, derive_stream(seed, "parity-log", r), table=table)
+    for i in range(size):
+        log = sample_event_log(p, k, horizon, rng, table=table)
         for j, t in enumerate(grid):
             fwd[i, j] = parity(replay_forward(etaA, log, t), B)
             dual[i, j] = parity_overlap(evolve_dual_replay(B, log, t, k.n), etaA)
-        rngd = derive_stream(seed, "parity-dual", r)
-        (_, xi), = simulate_dual_fresh(p, k, B, horizon, rngd, record=[horizon], table=table)
+        (_, xi), = simulate_dual_fresh(p, k, B, horizon, rng, record=[horizon], table=table)
         dualmc[i] = parity_overlap(xi, etaA)
-    return lo, fwd, dual, dualmc
-
-
-def _walker_chunk(payload):
-    kind, xi0, torus, stencil, grid, cap, seed, lo, hi = payload
-    n = hi - lo
-    sizes = np.empty((n, len(grid)), dtype=np.int64)
-    occupied = np.empty((n, len(grid)), dtype=np.int64)
-    alive = np.empty(n)
-    capped = np.zeros(n)
-    for i, r in enumerate(range(lo, hi)):
-        rng = derive_stream(seed, "walker-run", r)
-        run = simulate_walker(kind, xi0, torus, stencil, max(grid), rng, cap=cap,
-                              grid=grid, keep_snapshots=True)
-        sizes[i] = run.sizes
-        occupied[i] = [len(s) for s in run.snapshots]
-        if run.cap_time is not None:
-            capped[i] = 1.0
-            alive[i] = 1.0
-        else:
-            alive[i] = 0.0 if run.extinction_time is not None else 1.0
-    return lo, sizes, occupied, alive, capped
+    return fwd, dual, dualmc
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -199,12 +154,8 @@ def cmd_spin_run(cfg: RunConfig) -> dict:
     horizon = cfg.opt("run", "t", 10.0, float)
     grid = _parse_grid(cfg.opt("run", "grid", "")) or [horizon * j / 20.0 for j in range(21)]
     init_spec = cfg.opt("run", "init", "bernoulli:0.5")
-    parts = parallel_map(_spin_chunk,
-                         [(p, k, init_spec, horizon, grid, cfg.seed, lo, hi)
-                          for lo, hi in _chunks(cfg.reps)], cfg.threads)
-    parts.sort(key=lambda x: x[0])
-    dens = np.concatenate([d for _, d, _ in parts])
-    terminal = np.concatenate([t for _, _, t in parts])
+    dens, terminal = replicate_map(partial(_spin_chunk, p, k, init_spec, horizon, grid),
+                                   cfg.reps, cfg.seed, "spin-run", CHUNK, cfg.threads)
     rows = [(r, t, dens[r, j]) for r in range(cfg.reps) for j, t in enumerate(grid)]
     if cfg.out:
         write_csv(Path(cfg.out) / "spin_density.csv", ["replicate", "time", "density"], rows)
@@ -219,11 +170,8 @@ def cmd_dual_run(cfg: RunConfig) -> dict:
     grid = _parse_grid(cfg.opt("run", "grid", "")) or [horizon]
     B = _parse_sites(cfg.opt("run", "b"))
     cap = cfg.opt("run", "cap", 10, int)
-    parts = parallel_map(_dual_chunk,
-                         [(p, k, B, grid, cfg.seed, lo, hi) for lo, hi in _chunks(cfg.reps)],
-                         cfg.threads)
-    parts.sort(key=lambda x: x[0])
-    sizes = np.concatenate([s for _, s in parts])
+    work = partial(dual_sizes_fresh, p, k, B, grid, table=EventTable.build(p, k))
+    sizes = replicate_map(work, cfg.reps, cfg.seed, "dual-run", CHUNK, cfg.threads)
     if cfg.out:
         write_csv(Path(cfg.out) / "dual_sizes.csv", ["replicate", "t", "size"],
                   [(r, t, int(sizes[r, j])) for r in range(cfg.reps) for j, t in enumerate(grid)])
@@ -249,13 +197,8 @@ def cmd_parity_check(cfg: RunConfig) -> dict:
     horizon = cfg.opt("run", "t", 5.0, float)
     A = _parse_sites(cfg.opt("run", "a"))
     B = _parse_sites(cfg.opt("run", "b"))
-    parts = parallel_map(_parity_chunk,
-                         [(p, k, A, B, horizon, cfg.seed, lo, hi) for lo, hi in _chunks(cfg.reps)],
-                         cfg.threads)
-    parts.sort(key=lambda x: x[0])
-    fwd = np.concatenate([f for _, f, _, _ in parts])
-    dual = np.concatenate([d for _, _, d, _ in parts])
-    dualmc = np.concatenate([m for _, _, _, m in parts])
+    work = partial(_parity_chunk, p, k, A, B, horizon, EventTable.build(p, k))
+    fwd, dual, dualmc = replicate_map(work, cfg.reps, cfg.seed, "parity-check", CHUNK, cfg.threads)
     grid = [horizon / 2.0, horizon]
     if cfg.out:
         rows = [(r, t, int(fwd[r, j]), int(dual[r, j]))
@@ -389,14 +332,9 @@ def cmd_walker_run(cfg: RunConfig) -> dict:
     horizon = cfg.opt("run", "t", 10.0, float)
     grid = _parse_grid(cfg.opt("run", "grid", "")) or [horizon]
     cap = cfg.opt("run", "cap", 100000, int)
-    parts = parallel_map(_walker_chunk,
-                         [(kind, xi0, torus, stencil, grid, cap, cfg.seed, lo, hi)
-                          for lo, hi in _chunks(cfg.reps)], cfg.threads)
-    parts.sort(key=lambda x: x[0])
-    sizes = np.concatenate([s for _, s, _, _, _ in parts])
-    occupied = np.concatenate([o for _, _, o, _, _ in parts])
-    alive = np.concatenate([a for _, _, _, a, _ in parts])
-    capped = np.concatenate([c for _, _, _, _, c in parts])
+    sizes, occupied, alive, capped = replicate_map(
+        partial(walker_samples, kind, xi0, torus, stencil, grid, cap),
+        cfg.reps, cfg.seed, "walker-run", WALKER_BATCH, cfg.threads)
     if cfg.out:
         rows = [(r, t, int(sizes[r, j]), int(occupied[r, j]))
                 for r in range(cfg.reps) for j, t in enumerate(grid)]

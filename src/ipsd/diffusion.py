@@ -24,11 +24,12 @@ check it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
+from .harness import replicate_map
 from .lattice import Stencil, Torus
-from .rng import derive_stream
 
 __all__ = [
     "DiffusionParams",
@@ -44,7 +45,7 @@ __all__ = [
     "parse_field_initial",
 ]
 
-ENSEMBLE_BATCH = 4096  # replicates per derived stream; fixed so results never depend on threading
+ENSEMBLE_BATCH = 4096  # replicates per chunk (one derived stream each); fixed for determinism
 
 
 @dataclass(frozen=True)
@@ -142,39 +143,37 @@ def simulate_field(params: DiffusionParams, p0: np.ndarray, grid,
     return out
 
 
+def _ensemble_chunk(params: DiffusionParams, p0: np.ndarray, grid, observable,
+                    size: int, rng: np.random.Generator) -> np.ndarray:
+    """Observable values of ``size`` replicates stepped together; shape (size, len(grid))."""
+    out = np.empty((size, len(grid)))
+    fields = np.broadcast_to(p0, (size,) + p0.shape).copy()
+    t = 0.0
+    for gi, target in enumerate(grid):
+        while t < target - 1e-12:
+            h = min(params.dt, target - t)
+            fields = em_step(fields, params.with_dt(h) if h != params.dt else params, rng)
+            t += h
+        out[:, gi] = observable(fields)
+    return out
+
+
 def ensemble_observable(params: DiffusionParams, p0: np.ndarray, grid, observable,
                         reps: int, master_seed: int, role: str,
                         batch: int = ENSEMBLE_BATCH) -> np.ndarray:
     """Observable values for ``reps`` independent replicates at each grid time.
 
-    Replicates are simulated in fixed-size batches, one derived stream per
-    batch, so the output is a pure function of (params, p0, grid, reps,
-    master_seed, role) regardless of how callers schedule the batches.
+    Replicates are stepped together in chunks of ``batch`` through
+    :func:`ipsd.harness.replicate_map`, one derived stream per chunk, so the
+    output is a pure function of (params, p0, grid, reps, master_seed, role).
     ``observable(fields)`` maps a (b, *shape) array to a (b,) array.
     Returns an array of shape (len(grid), reps).
     """
-    grid = sorted(grid)
-    shape = params.torus.shape
     p0 = np.asarray(p0, dtype=np.float64)
-    if p0.shape != shape:
+    if p0.shape != params.torus.shape:
         raise ValueError("initial field shape does not match the torus")
-    out = np.empty((len(grid), reps))
-    start = 0
-    bi = 0
-    while start < reps:
-        b = min(batch, reps - start)
-        rng = derive_stream(master_seed, role, bi)
-        fields = np.broadcast_to(p0, (b,) + shape).copy()
-        t = 0.0
-        for gi, target in enumerate(grid):
-            while t < target - 1e-12:
-                h = min(params.dt, target - t)
-                fields = em_step(fields, params.with_dt(h) if h != params.dt else params, rng)
-                t += h
-            out[gi, start:start + b] = observable(fields)
-        start += b
-        bi += 1
-    return out
+    work = partial(_ensemble_chunk, params, p0, sorted(grid), observable)
+    return np.ascontiguousarray(replicate_map(work, reps, master_seed, role, batch).T)
 
 
 def heterozygosity_stat(params: DiffusionParams, p0: np.ndarray, kappa: float, x0,

@@ -125,9 +125,10 @@ def simulate_dual_fresh(p: NPParams, k: Kernel, B, horizon: float,
 
 
 def dual_sizes_fresh(p: NPParams, k: Kernel, B, grid, reps: int,
-                     rng: np.random.Generator) -> np.ndarray:
+                     rng: np.random.Generator, table: EventTable | None = None) -> np.ndarray:
     """|xi_t| for fresh duals at each grid time; shape (reps, len(grid))."""
-    table = EventTable.build(p, k)
+    if table is None:
+        table = EventTable.build(p, k)
     horizon = max(grid)
     sizes = np.empty((reps, len(grid)), dtype=np.int64)
     for r in range(reps):
@@ -208,7 +209,7 @@ def bernoulli_parity_identity(p: NPParams, k: Kernel, B, t: float, reps: int,
 # -- dual-size distribution and the limit formula -----------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ZBDistribution:
     """Distribution of a dual size |xi|: finite atoms plus an overflow atom.
 

@@ -46,7 +46,7 @@ __all__ = [
 MAX_EXACT_SITES = 12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DenseGenerator:
     """Dense CTMC generator over bit-encoded configurations.
 
@@ -292,24 +292,25 @@ class MeasureComparison:
     detail: str
 
 
-def _odd_masses(nu: np.ndarray, n: int) -> np.ndarray:
+def _walsh_hadamard(v: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of a length-2^n vector (a new array)."""
+    out = np.array(v, dtype=np.float64)
+    h = 1
+    while h < len(out):
+        pairs = out.reshape(-1, 2, h)  # a view: butterflies of span h
+        pairs[:, 0], pairs[:, 1] = pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]
+        h *= 2
+    return out
+
+
+def _odd_masses(nu: np.ndarray) -> np.ndarray:
     """nu{<1_B, .> odd} for every B, indexed by the bitmask of B.
 
     Computed from the Walsh-Hadamard transform: the character sum
     hat(nu)(B) = sum_s (-1)^{<1_B,s>} nu(s) equals total - 2 * odd_mass(B).
     """
-    wht = nu.astype(np.float64).copy()
-    h = 1
-    size = 1 << n
-    while h < size:
-        for lo in range(0, size, h * 2):
-            a = wht[lo:lo + h].copy()
-            b = wht[lo + h:lo + 2 * h].copy()
-            wht[lo:lo + h] = a + b
-            wht[lo + h:lo + 2 * h] = a - b
-        h *= 2
     total = float(nu.sum())
-    return (total - wht) / 2.0
+    return (total - _walsh_hadamard(nu)) / 2.0
 
 
 def measure_determination_check(nu1: np.ndarray, nu2: np.ndarray, n: int,
@@ -332,8 +333,8 @@ def measure_determination_check(nu1: np.ndarray, nu2: np.ndarray, n: int,
     t1, t2 = float(nu1.sum()), float(nu2.sum())
     if abs(t1 - t2) > tol:
         return MeasureComparison(False, None, f"total masses differ: {t1!r} vs {t2!r}")
-    odd1 = _odd_masses(nu1, n)
-    odd2 = _odd_masses(nu2, n)
+    odd1 = _odd_masses(nu1)
+    odd2 = _odd_masses(nu2)
     gaps = np.abs(odd1 - odd2)
     if gaps.max() > tol:
         bad = [b for b in range(size) if gaps[b] > tol]
@@ -345,16 +346,7 @@ def measure_determination_check(nu1: np.ndarray, nu2: np.ndarray, n: int,
     # inclusion-exclusion reconstruction: invert the character transform and
     # confirm it reproduces both inputs.
     hat = t1 - 2.0 * odd1
-    recon = hat.copy()
-    h = 1
-    while h < size:
-        for lo in range(0, size, h * 2):
-            a = recon[lo:lo + h].copy()
-            b = recon[lo + h:lo + 2 * h].copy()
-            recon[lo:lo + h] = a + b
-            recon[lo + h:lo + 2 * h] = a - b
-        h *= 2
-    recon /= size
+    recon = _walsh_hadamard(hat) / size
     err = max(float(np.abs(recon - nu1).max()), float(np.abs(recon - nu2).max()))
     if err > max(tol, 1e-9 * max(1.0, t1)):
         return MeasureComparison(False, None,

@@ -5,11 +5,12 @@ Conventions enforced here:
 * A master seed is mandatory.  Resolution order: ``--seed`` flag, then the
   ``seed`` key of the config file, then the ``IPSD_SEED`` environment
   variable; there is no wall-clock fallback.
-* Every replicate (or fixed-size batch of replicates) draws from a stream
-  derived by :func:`ipsd.rng.derive_stream`, so results are a pure
-  function of (config, seed) and independent of worker count.
-* Replicate work may be distributed over processes; aggregation sorts by
-  replicate index before any reduction.
+* Every Monte Carlo ensemble runs through :func:`replicate_map`: its
+  replicates are split into fixed chunks of a size set by the engine, chunk
+  c draws from ``derive_stream(seed, role, c)`` and from no other stream,
+  and the per-chunk results are concatenated in chunk order.  Results are
+  therefore a pure function of (config, seed) and independent of worker
+  count.
 * CSV floats carry 17 significant digits; JSON reports embed the config
   echo and the package version, and never embed wall-clock times or the
   worker count.
@@ -30,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .rng import derive_stream
 from .stats import MCEstimate
 
 __all__ = [
@@ -38,6 +40,7 @@ __all__ = [
     "load_config_file",
     "resolve_seed",
     "parallel_map",
+    "replicate_map",
     "format_float",
     "write_csv",
     "write_json",
@@ -127,6 +130,32 @@ def parallel_map(fn, items, threads: int):
         return [fn(it) for it in items]
     with ProcessPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
+
+
+def _run_chunk(task):
+    work, seed, role, index, size = task
+    return work(size, derive_stream(seed, role, index))
+
+
+def replicate_map(work, reps: int, seed: int, role: str, chunk: int, threads: int = 1):
+    """Run ``reps`` replicates of ``work`` in fixed chunks, one stream per chunk.
+
+    ``work(size, rng)`` simulates ``size`` replicates in turn from ``rng``
+    and returns an array, or a tuple of arrays, whose first axis is the
+    replicate axis.  Chunk c holds replicates [c*chunk, (c+1)*chunk) and
+    draws from ``derive_stream(seed, role, c)`` alone; chunks run through
+    :func:`parallel_map` and their results are concatenated on the
+    replicate axis in chunk order, so the output is the same for any
+    ``threads``.  ``work`` must be picklable when threads > 1.
+    """
+    if reps < 1 or chunk < 1:
+        raise ValueError("reps and chunk size must be positive")
+    tasks = [(work, seed, role, c, min(chunk, reps - lo))
+             for c, lo in enumerate(range(0, reps, chunk))]
+    parts = parallel_map(_run_chunk, tasks, threads)
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(col) for col in zip(*parts))
+    return np.concatenate(parts)
 
 
 def format_float(x) -> str:

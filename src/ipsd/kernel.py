@@ -13,7 +13,7 @@ flip invalidates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -33,7 +33,7 @@ __all__ = [
 _ROWSUM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Kernel:
     """Finite probability kernel q on sites 0..n-1 (zero trace, rows sum to 1).
 
@@ -50,7 +50,7 @@ class Kernel:
     in_indptr: np.ndarray
     in_indices: np.ndarray
     in_weights: np.ndarray
-    shape: tuple[int, ...] | None = field(default=None, compare=False)
+    shape: tuple[int, ...] | None = None
 
     def out_edges(self, x: int) -> tuple[np.ndarray, np.ndarray]:
         """Neighbor indices and weights of site x (the support of q(x, .))."""

@@ -24,14 +24,17 @@ mandatory dt-halving repeat on the diffusion side.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .diffusion import DiffusionParams, ensemble_observable, sigma_of_p
+from .harness import replicate_map
 from .lattice import Stencil, Torus
 from .rng import derive_stream
 from .stats import MCEstimate, two_sample_z, wilson_lower, wilson_upper
-from .walkers import BCRW, CRW, DBARW, DEFAULT_CAP, WalkerKind, simulate_walker, walker_rates, apply_transition, survival_probability
+from .walkers import (BCRW, CRW, DBARW, DEFAULT_CAP, WALKER_BATCH, WalkerKind, apply_transition,
+                      survival_probability, walker_rates, walker_samples)
 
 __all__ = [
     "moment_eval",
@@ -43,8 +46,6 @@ __all__ = [
     "coexistence_probe",
     "extinction_probe",
 ]
-
-WALKER_BATCH = 1024  # replicates per derived dual stream (fixed for determinism)
 
 
 def moment_eval(vals: np.ndarray, counts: dict[int, int]) -> float:
@@ -214,31 +215,6 @@ def _moment_observable(counts: dict[int, int], transform=None):
     return obs
 
 
-def _dual_walker_moments(kind: WalkerKind, xi0: dict[int, int], v0_flat: np.ndarray,
-                         grid, reps: int, master_seed: int, role: str, torus: Torus,
-                         stencil: Stencil, cap: int) -> tuple[np.ndarray, int]:
-    """H(v0, xi_t) samples at each grid time, shape (len(grid), reps)."""
-    grid = sorted(grid)
-    horizon = max(grid)
-    out = np.empty((len(grid), reps))
-    capped = 0
-    start = 0
-    bi = 0
-    while start < reps:
-        b = min(WALKER_BATCH, reps - start)
-        rng = derive_stream(master_seed, role, bi)
-        for r in range(b):
-            run = simulate_walker(kind, xi0, torus, stencil, horizon, rng,
-                                  cap=cap, grid=grid, keep_snapshots=True)
-            if run.cap_time is not None:
-                capped += 1
-            for gi in range(len(grid)):
-                out[gi, start + r] = moment_eval(v0_flat, run.snapshots[gi])
-        start += b
-        bi += 1
-    return out, capped
-
-
 def moment_duality_mc(params: DiffusionParams, p0: np.ndarray, xi0: dict[int, int],
                       grid, reps: int, master_seed: int, regime: str = "auto",
                       cap: int = DEFAULT_CAP, halving: bool = True) -> list[dict]:
@@ -287,15 +263,17 @@ def moment_duality_mc(params: DiffusionParams, p0: np.ndarray, xi0: dict[int, in
     if halving:
         fwd_half = ensemble_observable(params.with_dt(params.dt / 2.0), p0, grid, obs,
                                        reps, master_seed, "momdual-fwd-half")
-    dual, capped = _dual_walker_moments(kind, xi0, v0_flat, grid, reps, master_seed,
-                                        "momdual-dual", params.torus, params.stencil, cap)
+    work = partial(walker_samples, kind, xi0, params.torus, params.stencil, grid, cap,
+                   observe=partial(moment_eval, v0_flat))
+    _, dual, _, capped = replicate_map(work, reps, master_seed, "momdual-dual", WALKER_BATCH)
+    dual = np.ascontiguousarray(dual.T)
 
     rows = []
     for gi, t in enumerate(grid):
         f = MCEstimate.from_samples(fwd[gi])
         d = MCEstimate.from_samples(dual[gi])
         row = {"t": float(t), "regime": regime, "forward": f, "dual": d,
-               "z": two_sample_z(f, d), "cap_fraction": capped / reps}
+               "z": two_sample_z(f, d), "cap_fraction": float(capped.mean())}
         if fwd_half is not None:
             fh = MCEstimate.from_samples(fwd_half[gi])
             row["forward_half"] = fh
@@ -350,9 +328,8 @@ def coexistence_probe(s: float, torus: Torus, stencil: Stencil, master_seed: int
     sig2 = MCEstimate.from_samples((1.0 - 2.0 * vals) ** 2)
     bound = (1.0 - 2.0 * kappa) ** 2 * het.mean + (1.0 - het.mean)
 
-    rng = derive_stream(master_seed, "coexist-surv")
     surv = survival_probability(DBARW(branch_rate=s / 2.0), {0: 2}, torus, stencil,
-                                horizon_surv, reps_surv, rng, cap=cap)
+                                horizon_surv, reps_surv, master_seed, "coexist-surv", cap=cap)
     surv_lcb = wilson_lower(surv["successes"], reps_surv, 0.99)
     surv_ucb = wilson_upper(surv["successes"], reps_surv, 0.99)
 
@@ -393,25 +370,10 @@ def extinction_probe(s: float, mu: float, torus: Torus, stencil: Stencil,
     fwd = ensemble_observable(params, p0, grid, _moment_observable(xi0), reps_fwd,
                               master_seed, "extinct-fwd")
 
-    kind = BCRW(s=s, mu=mu)
-    base = 1.0 - eps
-    horizon = max(grid)
-    sizes = np.empty((len(grid), reps_dual))
-    capped = 0
-    start = 0
-    bi = 0
-    while start < reps_dual:
-        b = min(WALKER_BATCH, reps_dual - start)
-        rng = derive_stream(master_seed, "extinct-dual", bi)
-        for r in range(b):
-            run = simulate_walker(kind, xi0, torus, stencil, horizon, rng, cap=cap, grid=grid)
-            if run.cap_time is not None:
-                capped += 1
-            sizes[:, start + r] = run.sizes
-        start += b
-        bi += 1
+    work = partial(walker_samples, BCRW(s=s, mu=mu), xi0, torus, stencil, grid, cap)
+    sizes, _, _, capped = replicate_map(work, reps_dual, master_seed, "extinct-dual", WALKER_BATCH)
     with np.errstate(under="ignore"):
-        dual_vals = base ** sizes
+        dual_vals = (1.0 - eps) ** np.ascontiguousarray(sizes.T, dtype=np.float64)
 
     rows = []
     below = True
@@ -426,4 +388,4 @@ def extinction_probe(s: float, mu: float, torus: Torus, stencil: Stencil,
     dmeans = [r["dual_bound"].mean for r in rows]
     fdec = all(b < a for a, b in zip(fmeans, fmeans[1:]))
     ddec = all(b < a for a, b in zip(dmeans, dmeans[1:]))
-    return ExtinctionReport(tuple(rows), below, fdec, ddec, capped / reps_dual)
+    return ExtinctionReport(tuple(rows), below, fdec, ddec, float(capped.mean()))

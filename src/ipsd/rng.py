@@ -1,7 +1,8 @@
 """Deterministic random stream derivation.
 
 Every stochastic routine in the package draws from a stream derived from a
-single master seed, a short role tag, and a replicate (or batch) index:
+single master seed, a short role tag, and an index (the chunk index of
+:func:`ipsd.harness.replicate_map` for Monte Carlo ensembles, else 0):
 
     digest = SHA-256( "{master_seed}:{role}:{index}" as UTF-8 )
     stream = PCG64( SeedSequence(eight 32-bit words of the digest) )

@@ -25,7 +25,7 @@ Both updates are linear over GF(2), which is what makes the transposed
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +43,6 @@ __all__ = [
     "apply_event_forward",
     "replay_forward",
     "replay_forward_batch",
-    "evolve_graphical",
     "simulate_gillespie",
     "parse_initial",
 ]
@@ -143,7 +142,7 @@ class UpdateEvent:
         return self.z is None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EventLog:
     """Columnar Poisson event log on [0, horizon], times strictly increasing.
 
@@ -176,7 +175,7 @@ class EventLog:
         return bisect.bisect_right(self.times, t)  # type: ignore[arg-type]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EventTable:
     """Enumerated event types of the symmetric graphical construction.
 
@@ -288,15 +287,10 @@ def replay_forward_batch(cols0: np.ndarray, log: EventLog, t: float) -> np.ndarr
     return out
 
 
-def evolve_graphical(A, log: EventLog, t: float, n: int) -> np.ndarray:
-    """State at time t of the graphical construction started from 1_A."""
-    return replay_forward(config_indicator(n, A), log, t)
-
-
 # -- Gillespie ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpinTrajectory:
     """Flip-instant trajectory: initial configuration plus (time, site) flips.
 

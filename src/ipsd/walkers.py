@@ -21,10 +21,12 @@ an unbounded-growth proxy and reported separately from genuine survival.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from .harness import replicate_map
 from .lattice import Stencil, Torus
 from .stats import MCEstimate
 
@@ -38,10 +40,12 @@ __all__ = [
     "apply_transition",
     "WalkerRun",
     "simulate_walker",
+    "walker_samples",
     "survival_probability",
 ]
 
 DEFAULT_CAP = 100_000
+WALKER_BATCH = 1024  # replicates per chunk (one derived stream each); fixed for determinism
 
 
 @dataclass(frozen=True)
@@ -279,8 +283,33 @@ def simulate_walker(kind: WalkerKind, xi0: dict[int, int], torus: Torus, stencil
                      dict(counts), extinction_time, cap_time, n_events, parity_changed)
 
 
+def walker_samples(kind: WalkerKind, xi0: dict[int, int], torus: Torus, stencil: Stencil,
+                   grid, cap: int, size: int, rng: np.random.Generator,
+                   observe=len) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``size`` walker runs to max(grid), drawn in turn from one stream.
+
+    Returns (sizes, observed, alive, capped): total counts and
+    ``observe(counts)`` at each grid time, shape (size, len(grid)), and per
+    run 0/1 flags for alive at the horizon (a cap hit counts as alive) and
+    for a cap hit.  This is the chunk worker of every walker ensemble.
+    """
+    grid = sorted(grid)
+    sizes = np.empty((size, len(grid)), dtype=np.int64)
+    observed = np.empty((size, len(grid)))
+    alive = np.empty(size)
+    capped = np.empty(size)
+    for r in range(size):
+        run = simulate_walker(kind, xi0, torus, stencil, grid[-1], rng, cap=cap,
+                              grid=grid, keep_snapshots=True)
+        sizes[r] = run.sizes
+        observed[r] = [observe(snap) for snap in run.snapshots]
+        capped[r] = run.cap_time is not None
+        alive[r] = run.cap_time is not None or run.extinction_time is None
+    return sizes, observed, alive, capped
+
+
 def survival_probability(kind: WalkerKind, xi0: dict[int, int], torus: Torus, stencil: Stencil,
-                         horizon: float, reps: int, rng: np.random.Generator,
+                         horizon: float, reps: int, master_seed: int, role: str,
                          cap: int = DEFAULT_CAP) -> dict:
     """P(|xi| >= 1 at the horizon) over independent replicates.
 
@@ -288,15 +317,8 @@ def survival_probability(kind: WalkerKind, xi0: dict[int, int], torus: Torus, st
     (the process was alive when truncated); the cap-hit fraction is
     reported alongside so that proxy is visible.
     """
-    alive = np.zeros(reps)
-    capped = 0
-    for r in range(reps):
-        run = simulate_walker(kind, xi0, torus, stencil, horizon, rng, cap=cap)
-        if run.cap_time is not None:
-            capped += 1
-            alive[r] = 1.0
-        else:
-            alive[r] = 1.0 if run.extinction_time is None else 0.0
+    work = partial(walker_samples, kind, xi0, torus, stencil, [horizon], cap)
+    _, _, alive, capped = replicate_map(work, reps, master_seed, role, WALKER_BATCH)
     return {"survival": MCEstimate.from_samples(alive),
             "successes": int(alive.sum()),
-            "cap_fraction": capped / reps}
+            "cap_fraction": float(capped.mean())}

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from ipsd.cli import _merge_config, build_parser, main
+from ipsd.cli import CHUNK, _merge_config, build_parser, main
+from ipsd.spin import EventTable
 
 
 def test_parser_rejects_unknown_subcommand():
@@ -103,6 +104,25 @@ def test_dual_run_end_to_end(tmp_path):
     assert (out / "dual_survival.csv").read_text().splitlines()[0] == "t,estimate,stderr,reps"
     # annihilation-only duals never die
     assert all(row["survival"]["mean"] == 1.0 for row in report["rows"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["dual-run", "--set", "run.B=0,3", "--set", "run.grid=0.5"],
+    ["parity-check", "--set", "run.A=0,2", "--set", "run.B=1"],
+])
+def test_event_table_built_once_per_command(tmp_path, monkeypatch, argv):
+    builds = []
+    build = EventTable.build.__func__
+
+    def counting(cls, p, k):
+        builds.append(k.n)
+        return build(cls, p, k)
+
+    monkeypatch.setattr(EventTable, "build", classmethod(counting))
+    main(argv + ["--seed", "4", "--reps", str(CHUNK + 20), "--out", str(tmp_path),
+                 "--set", "kernel.d=1", "--set", "kernel.L=4", "--set", "params.alpha=0.3",
+                 "--set", "run.T=0.5"])
+    assert builds == [4]
 
 
 def test_thread_determinism_cli(tmp_path):

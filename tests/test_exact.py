@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ipsd.exact import (MAX_EXACT_SITES, build_generator_dual, build_generator_from_events,
+from ipsd.exact import (MAX_EXACT_SITES, _walsh_hadamard, build_generator_dual, build_generator_from_events,
                         build_generator_np, config_to_state, feynman_kac_check,
                         measure_determination_check, parity_deviation,
                         parity_deviation_enum, parity_vector, semigroup_apply,
@@ -124,6 +124,23 @@ def test_parity_deviation_random_match():
 def test_parity_deviation_enum_guard():
     with pytest.raises(ValueError):
         parity_deviation_enum(np.full(MAX_EXACT_SITES + 1, 0.5))
+
+
+def test_walsh_hadamard_matches_loop_and_character_sums():
+    rng = np.random.default_rng(3)
+    for n in range(5):
+        v = rng.random(1 << n)
+        ref = v.copy()  # the in-place butterfly loop, one block at a time
+        h = 1
+        while h < len(ref):
+            for lo in range(0, len(ref), 2 * h):
+                a, b = ref[lo:lo + h].copy(), ref[lo + h:lo + 2 * h].copy()
+                ref[lo:lo + h], ref[lo + h:lo + 2 * h] = a + b, a - b
+            h *= 2
+        assert np.array_equal(_walsh_hadamard(v), ref)
+        chars = [sum((-1) ** bin(b & s).count("1") * v[s] for s in range(1 << n))
+                 for b in range(1 << n)]
+        assert np.allclose(ref, chars, atol=1e-12)
 
 
 def test_measure_determination_equal():

@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
+from ipsd.dualspin import ZBDistribution
+from ipsd.exact import build_generator_np
 from ipsd.kernel import (Kernel, complete_kernel, config_all, config_bernoulli,
                          config_indicator, explicit_kernel, frequency_of_ones,
                          local_frequency, torus_kernel)
+from ipsd.rng import derive_stream
+from ipsd.spin import EventTable, NPParams, sample_event_log, simulate_gillespie
 
 
 def test_torus_d1_neighbors():
@@ -129,3 +133,24 @@ def test_dense_guard():
     big = torus_kernel(2, 10)  # 100 sites: dense() refuses
     with pytest.raises(ValueError):
         big.dense()
+
+
+
+_P = NPParams.symmetric(0.3)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: torus_kernel(1, 4),
+    lambda: sample_event_log(_P, torus_kernel(1, 4), 1.0, derive_stream(1, "eq-log")),
+    lambda: EventTable.build(_P, torus_kernel(1, 4)),
+    lambda: build_generator_np(_P, torus_kernel(1, 3)),
+    lambda: simulate_gillespie(_P, torus_kernel(1, 4), config_all(4, 1), 1.0,
+                               derive_stream(1, "eq-traj")),
+    lambda: ZBDistribution([0, 2], [0.5, 0.5]),
+], ids=["Kernel", "EventLog", "EventTable", "DenseGenerator", "SpinTrajectory", "ZBDistribution"])
+def test_array_dataclasses_compare_by_identity(make):
+    # value equality over ndarray fields would raise; these compare and hash by identity
+    a, b = make(), make()
+    assert a == a and not (a == b) and a != b
+    assert hash(a) == hash(a)
+    assert len({a, b}) == 2

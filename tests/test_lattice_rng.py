@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ipsd.harness import (RunConfig, format_float, load_config_file, parallel_map,
-                          resolve_seed, write_csv, write_json)
+                          replicate_map, resolve_seed, write_csv, write_json)
 from ipsd.lattice import Stencil, Torus
 from ipsd.rng import derive_seed_words, derive_stream
 from ipsd.stats import MCEstimate, two_sample_z, wilson_lower, wilson_upper
@@ -200,6 +200,37 @@ def test_parallel_map_matches_serial():
 
 def _square(x):
     return x * x
+
+
+def _draws(size, rng):
+    u = rng.random(size)
+    return u, (u < 0.5).astype(np.int64)
+
+
+def test_replicate_map_chunk_streams_and_order():
+    # chunk c holds replicates [4c, 4c+4) and draws from derive_stream(seed, role, c) alone
+    u, flags = replicate_map(_draws, 10, 5, "role", 4)
+    expected = np.concatenate([derive_stream(5, "role", c).random(n)
+                               for c, n in enumerate((4, 4, 2))])
+    assert np.array_equal(u, expected)
+    assert np.array_equal(flags, (expected < 0.5).astype(np.int64))
+    # a lone chunk draws from the index-0 stream, i.e. derive_stream's default
+    assert np.array_equal(replicate_map(lambda n, rng: rng.random(n), 3, 5, "role", 4),
+                          derive_stream(5, "role").random(3))
+
+
+def test_replicate_map_same_for_any_threads():
+    serial = replicate_map(_draws, 23, 8, "threads", 5, threads=1)
+    pooled = replicate_map(_draws, 23, 8, "threads", 5, threads=3)
+    for a, b in zip(serial, pooled):
+        assert np.array_equal(a, b)
+
+
+def test_replicate_map_rejects_empty_work():
+    with pytest.raises(ValueError):
+        replicate_map(_draws, 0, 1, "r", 4)
+    with pytest.raises(ValueError):
+        replicate_map(_draws, 4, 1, "r", 0)
 
 
 def test_format_float_roundtrip():

@@ -1,5 +1,7 @@
 """Spin-flip rates, the event-log construction, and the forward chain."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -278,3 +280,13 @@ def test_parse_initial_forms():
         parse_initial("bernoulli:1.5", 4, rng)
     with pytest.raises(ValueError):
         parse_initial("nonsense", 4, rng)
+
+
+def test_spin_run_config_documents_accepted_initial_forms():
+    ini = Path(__file__).resolve().parents[1] / "configs" / "spin-run.ini"
+    line = next(ln for ln in ini.read_text().splitlines() if "initial condition:" in ln)
+    forms = [tok.strip() for tok in line.split("initial condition:", 1)[1].split("|")]
+    assert len(forms) == 4
+    rng = derive_stream(8, "test-init-doc")
+    for form in forms:
+        assert parse_initial(form, 16, rng).shape == (16,)

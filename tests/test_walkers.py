@@ -168,7 +168,7 @@ def test_extinction_time_recorded():
 def test_survival_probability_counts_cap_as_alive():
     torus, stencil = _geom(L=4)
     out = survival_probability(DBARW(branch_rate=4.0), {0: 2}, torus, stencil,
-                               horizon=30.0, reps=40, rng=derive_stream(79, "walk-surv"),
+                               horizon=30.0, reps=40, master_seed=79, role="walk-surv",
                                cap=25)
     # every capped run counts as alive, so survival dominates the cap rate;
     # with this branch rate a solid fraction caps rather than persisting
