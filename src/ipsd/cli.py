@@ -50,7 +50,8 @@ def _parse_sites(spec: str) -> list[int]:
 
 
 def _parse_grid(spec: str) -> list[float]:
-    return [float(tok) for tok in str(spec).split(",") if tok.strip() != ""]
+    """Comma-separated numbers, sorted: the engines record on the sorted grid."""
+    return sorted(float(tok) for tok in str(spec).split(",") if tok.strip() != "")
 
 
 def _parse_counts(spec: str) -> dict[int, int]:

@@ -9,14 +9,23 @@ Storage is CSR-like (flat index/weight arrays plus row pointers) so that
 per-site frequency sums vectorize; the reverse (in-neighbor) structure is
 kept alongside because Gillespie updates need to know whose frequencies a
 flip invalidates.
+
+Every builder hands one array builder, ``_build``, its edges as three
+arrays (source, target, weight).  ``_build`` validates them (zero trace,
+targets in range, positive weights, rows summing to 1, no duplicate edge,
+irreducibility) and sorts them into both CSR structures.  The torus
+geometry is :class:`ipsd.lattice.Torus`: :func:`torus_kernel` takes its
+edges from the nearest-neighbor move table, the same table the walkers and
+diffusions migrate along.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
+
+from .lattice import Stencil, Torus
 
 __all__ = [
     "Kernel",
@@ -78,46 +87,44 @@ class Kernel:
         return mat
 
 
-def _build(n: int, rows: list[list[tuple[int, float]]], shape=None) -> Kernel:
-    """Assemble + validate a Kernel from per-site (neighbor, weight) lists."""
+def _build(n: int, src, dst, w, shape=None) -> Kernel:
+    """Validate the edge arrays (x, y, q(x, y)) and assemble a Kernel."""
     if n < 2:
         raise ValueError("kernel needs at least two sites")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    idx_parts, w_parts = [], []
-    for x, row in enumerate(rows):
-        for y, w in row:
-            if y == x:
-                raise ValueError(f"self-loop at site {x}: kernel trace must be zero")
-            if not (0 <= y < n):
-                raise ValueError(f"edge target {y} out of range")
-            if w <= 0:
-                raise ValueError("kernel weights must be positive")
-        row_sorted = sorted(row)
-        idx_parts.append(np.array([y for y, _ in row_sorted], dtype=np.int64))
-        w_parts.append(np.array([w for _, w in row_sorted]))
-        if abs(w_parts[-1].sum() - 1.0) > _ROWSUM_TOL:
-            raise ValueError(f"row {x} of kernel sums to {w_parts[-1].sum()!r}, not 1")
-        if len(set(idx_parts[-1].tolist())) != len(idx_parts[-1]):
-            raise ValueError(f"duplicate edge in row {x}")
-        indptr[x + 1] = indptr[x] + len(row_sorted)
-    indices = np.concatenate(idx_parts) if idx_parts else np.zeros(0, dtype=np.int64)
-    weights = np.concatenate(w_parts) if w_parts else np.zeros(0)
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    w = np.asarray(w, dtype=np.float64)
+    bad = (src < 0) | (src >= n)
+    if bad.any():
+        raise ValueError(f"edge source {src[bad][0]} out of range")
+    loops = src == dst
+    if loops.any():
+        raise ValueError(f"self-loop at site {src[loops][0]}: kernel trace must be zero")
+    bad = (dst < 0) | (dst >= n)
+    if bad.any():
+        raise ValueError(f"edge target {dst[bad][0]} out of range")
+    if (w <= 0).any():
+        raise ValueError("kernel weights must be positive")
 
-    # reverse structure
-    in_rows: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for x in range(n):
-        lo, hi = indptr[x], indptr[x + 1]
-        for y, w in zip(indices[lo:hi], weights[lo:hi]):
-            in_rows[y].append((x, w))
+    order = np.argsort(src * n + dst, kind="stable")
+    src, indices, weights = src[order], dst[order], w[order]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    off = np.abs(np.bincount(src, weights=weights, minlength=n) - 1.0) > _ROWSUM_TOL
+    if off.any():
+        x = int(np.argmax(off))
+        raise ValueError(f"row {x} of kernel sums to "
+                         f"{weights[indptr[x]:indptr[x + 1]].sum()!r}, not 1")
+    dup = (np.diff(indices) == 0) & (np.diff(src) == 0)
+    if dup.any():
+        raise ValueError(f"duplicate edge in row {src[1:][dup][0]}")
+
+    # reverse structure: a stable sort on the target keeps each in-row in source order
+    rev = np.argsort(indices, kind="stable")
+    in_indices = src[rev]
+    in_weights = weights[rev]
     in_indptr = np.zeros(n + 1, dtype=np.int64)
-    ii_parts, iw_parts = [], []
-    for y, row in enumerate(in_rows):
-        row.sort()
-        ii_parts.append(np.array([x for x, _ in row], dtype=np.int64))
-        iw_parts.append(np.array([w for _, w in row]))
-        in_indptr[y + 1] = in_indptr[y] + len(row)
-    in_indices = np.concatenate(ii_parts) if ii_parts else np.zeros(0, dtype=np.int64)
-    in_weights = np.concatenate(iw_parts) if iw_parts else np.zeros(0)
+    np.cumsum(np.bincount(indices, minlength=n), out=in_indptr[1:])
 
     k = Kernel(n, indptr, indices, weights, in_indptr, in_indices, in_weights, shape)
     if not _strongly_connected(k):
@@ -125,64 +132,61 @@ def _build(n: int, rows: list[list[tuple[int, float]]], shape=None) -> Kernel:
     return k
 
 
+def _reaches_all(n: int, indptr: np.ndarray, indices: np.ndarray) -> bool:
+    """Frontier BFS from site 0 over a CSR adjacency."""
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        lo = indptr[frontier]
+        lengths = indptr[frontier + 1] - lo
+        # positions lo[i] .. lo[i] + lengths[i] - 1 of every frontier row, concatenated
+        pos = np.arange(lengths.sum()) + np.repeat(lo - (np.cumsum(lengths) - lengths), lengths)
+        nbr = indices[pos]
+        frontier = np.unique(nbr[~seen[nbr]])
+        seen[frontier] = True
+    return bool(seen.all())
+
+
 def _strongly_connected(k: Kernel) -> bool:
     # BFS along out-edges and along in-edges; both must reach every site.
-    for edges in (k.out_edges, k.in_edges):
-        seen = np.zeros(k.n, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            x = stack.pop()
-            for y in edges(x)[0]:
-                if not seen[y]:
-                    seen[y] = True
-                    stack.append(int(y))
-        if not seen.all():
-            return False
-    return True
+    return (_reaches_all(k.n, k.indptr, k.indices)
+            and _reaches_all(k.n, k.in_indptr, k.in_indices))
 
 
 def torus_kernel(d: int, L: int) -> Kernel:
     """Uniform nearest-neighbor kernel on the d-dimensional torus (Z/LZ)^d.
 
-    Each site puts weight 1/(2d) on each of its 2d lattice neighbors.
+    Each site puts weight 1/(2d) on each of its 2d lattice neighbors; on
+    L = 2 the two neighbors along an axis coincide and their weights merge.
     Sites are flattened in row-major order, so site (c_0, .., c_{d-1})
     gets index sum(c_i * L^(d-1-i)).
     """
-    if d < 1 or L < 2:
-        raise ValueError("torus needs d >= 1 and L >= 2")
-    n = L**d
-    coords = list(product(range(L), repeat=d))
-    index = {c: i for i, c in enumerate(coords)}
-    w = 1.0 / (2 * d)
-    rows = []
-    for c in coords:
-        acc: dict[int, float] = {}
-        for axis in range(d):
-            for step in (1, -1):
-                cc = list(c)
-                cc[axis] = (cc[axis] + step) % L
-                j = index[tuple(cc)]
-                acc[j] = acc.get(j, 0.0) + w
-        rows.append(list(acc.items()))
-    return _build(n, rows, shape=(L,) * d)
+    torus = Torus(d, L)
+    stencil = Stencil.nearest_neighbor(d, 1.0)
+    table = torus.move_table(stencil)
+    n, m = table.shape
+    pairs, slot = np.unique(np.arange(n).repeat(m) * n + table.ravel(), return_inverse=True)
+    w = np.bincount(slot, weights=np.tile(stencil.weights, n))
+    return _build(n, pairs // n, pairs % n, w, shape=torus.shape)
 
 
 def complete_kernel(N: int) -> Kernel:
     """Uniform kernel on the complete graph: q(x, y) = 1/(N-1) for y != x."""
     if N < 2:
         raise ValueError("complete kernel needs N >= 2")
-    w = 1.0 / (N - 1)
-    rows = [[(y, w) for y in range(N) if y != x] for x in range(N)]
-    return _build(N, rows, shape=None)
+    src = np.arange(N, dtype=np.int64).repeat(N - 1)
+    dst = np.tile(np.arange(N - 1, dtype=np.int64), N)
+    dst += dst >= src   # skip the diagonal
+    return _build(N, src, dst, np.full(N * (N - 1), 1.0 / (N - 1)))
 
 
 def explicit_kernel(n: int, edges: list[tuple[int, int, float]]) -> Kernel:
     """Kernel from an explicit weighted edge list [(x, y, q(x,y)), ...]."""
-    rows: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for x, y, w in edges:
-        rows[x].append((int(y), float(w)))
-    return _build(n, rows, shape=None)
+    src = [int(x) for x, _, _ in edges]
+    dst = [int(y) for _, y, _ in edges]
+    w = [float(q) for _, _, q in edges]
+    return _build(n, src, dst, w)
 
 
 # -- configurations ---------------------------------------------------------

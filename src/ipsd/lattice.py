@@ -5,13 +5,14 @@ set of lattice displacements with nonnegative rate weights, translated
 over a d-dimensional torus.  ``m(x, y) = weight(y - x)`` in torus
 arithmetic.  This module keeps the displacement table and the flat-index
 move tables in one place so both sides of a moment duality are guaranteed
-to use identical rates.
+to use identical rates.  :func:`ipsd.kernel.torus_kernel` takes the spin
+system's torus from the same nearest-neighbor move table.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -103,12 +104,20 @@ class Torus:
         return tuple(reversed(out))
 
     def move_table(self, stencil: Stencil) -> np.ndarray:
-        """(n_sites, n_displacements) flat indices of x + disp on the torus."""
+        """(n_sites, n_displacements) flat indices of x + disp on the torus.
+
+        One read-only table per (torus, stencil), shared by every caller.
+        """
         if stencil.dim != self.d:
             raise ValueError("stencil dimension does not match the torus")
-        table = np.empty((self.n_sites, len(stencil.displacements)), dtype=np.int64)
-        for x in range(self.n_sites):
-            c = self.coords(x)
-            for j, disp in enumerate(stencil.displacements):
-                table[x, j] = self.index(tuple(ci + di for ci, di in zip(c, disp)))
-        return table
+        return _move_table(self, stencil)
+
+
+@functools.lru_cache(maxsize=64)
+def _move_table(torus: Torus, stencil: Stencil) -> np.ndarray:
+    coords = np.indices(torus.shape).reshape(torus.d, -1, 1)        # (d, n, 1)
+    disps = np.array(stencil.displacements, dtype=np.int64).T[:, None, :]  # (d, 1, k)
+    table = np.ravel_multi_index(tuple((coords + disps) % torus.L), torus.shape)
+    table = table.astype(np.int64, copy=False)
+    table.flags.writeable = False
+    return table

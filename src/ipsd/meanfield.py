@@ -66,13 +66,19 @@ def lv_rhs(N0: float, N1: float, p: LVParams) -> tuple[float, float]:
 
 
 def density_rhs(p0, lam: float, a01: float, a10: float):
-    """dp0/dt of the reduced frequency ODE (vectorized in p0)."""
-    p0 = np.asarray(p0, dtype=np.float64)
+    """dp0/dt of the reduced frequency ODE (vectorized in p0).
+
+    A Python float is evaluated in float arithmetic and returns a float;
+    IEEE arithmetic rounds each operation the same way in both.
+    """
+    scalar = isinstance(p0, float)
+    if not scalar:
+        p0 = np.asarray(p0, dtype=np.float64)
     A = 1.0 - lam * a01
     B = lam - a10
     F = p0 * (1.0 - p0) * (A - p0 * (A + B))
     out = F / (lam * (1.0 - p0) + p0)
-    return float(out) if out.ndim == 0 else out
+    return float(out) if scalar or out.ndim == 0 else out
 
 
 def equilibrium(lam: float, a01: float, a10: float) -> float:
@@ -92,29 +98,38 @@ def integrate_ode(rhs, x0, horizon: float, dt: float = 1e-3,
                   self_check: bool = False, check_tol: float = 1e-8):
     """Fixed-step RK4 integration of dx/dt = rhs(x), vectorized in x.
 
-    Returns (times, states) including t=0; the last step is shortened to
-    land exactly on the horizon.  With ``self_check`` the terminal state is
-    recomputed at half the step and must agree within ``check_tol``.
+    Returns (times, states) including t=0; states has shape
+    (steps + 1,) + shape of x0.  The last step is shortened to land exactly
+    on the horizon.  A state with one component is stepped as a Python
+    float, so ``rhs`` then receives and returns floats; the states are the
+    same bits as on 1-element arrays.  With ``self_check`` the terminal
+    state is recomputed at half the step and must agree within
+    ``check_tol``.
     """
     if dt <= 0 or horizon < 0:
         raise ValueError("need dt > 0 and horizon >= 0")
+    x_init, f = np.array(x0, dtype=np.float64), rhs
+    if x_init.size == 1:
+        x_init = x_init.item()
+    else:
+        f = lambda x: np.asarray(rhs(x))
 
     def run(step):
-        x = np.array(x0, dtype=np.float64)
+        x = x_init
         t = 0.0
         ts = [0.0]
-        xs = [x.copy()]
+        xs = [x]
         while t < horizon - 1e-15:
             h = min(step, horizon - t)
-            k1 = np.asarray(rhs(x))
-            k2 = np.asarray(rhs(x + 0.5 * h * k1))
-            k3 = np.asarray(rhs(x + 0.5 * h * k2))
-            k4 = np.asarray(rhs(x + h * k3))
+            k1 = f(x)
+            k2 = f(x + 0.5 * h * k1)
+            k3 = f(x + 0.5 * h * k2)
+            k4 = f(x + h * k3)
             x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             t += h
             ts.append(t)
-            xs.append(x.copy())
-        return np.array(ts), np.array(xs)
+            xs.append(x)
+        return np.array(ts), np.array(xs).reshape((len(xs),) + np.shape(x0))
 
     ts, xs = run(dt)
     if self_check:

@@ -36,6 +36,7 @@ __all__ = [
     "UpdateEvent",
     "EventLog",
     "EventTable",
+    "MAX_TABLE_ROWS",
     "SpinTrajectory",
     "flip_rate",
     "flip_rates_all",
@@ -175,48 +176,64 @@ class EventLog:
         return bisect.bisect_right(self.times, t)  # type: ignore[arg-type]
 
 
+MAX_TABLE_ROWS = 1 << 24
+
+
 @dataclass(frozen=True, eq=False)
 class EventTable:
     """Enumerated event types of the symmetric graphical construction.
 
     One row per event type: annihilation rows carry (x, y, z) with y < z and
     rate (1-alpha) q(x,y) q(x,z); voter rows carry (x, y, -1) and rate
-    alpha q(x,y).  ``total_rate`` is the Poisson intensity of the full field.
+    alpha q(x,y).  Rows are grouped by focal site x, annihilation rows
+    first.  ``total_rate`` is the Poisson intensity of the full field and
+    ``cdf`` the cumulative type distribution, normalised as
+    ``Generator.choice`` normalises ``p = rates / total_rate``.
     """
 
     xa: np.ndarray
     ya: np.ndarray
     za: np.ndarray
     rates: np.ndarray
-
-    @property
-    def total_rate(self) -> float:
-        return float(self.rates.sum())
+    total_rate: float
+    cdf: np.ndarray
 
     @classmethod
     def build(cls, p: NPParams, k: Kernel) -> "EventTable":
+        """Table of every event type; more than MAX_TABLE_ROWS rows is refused."""
         if not p.is_symmetric:
             raise ValueError("the graphical construction covers the symmetric model only")
         alpha = p.alpha
-        xs, ys, zs, rs = [], [], [], []
-        for x in range(k.n):
-            nbr, w = k.out_edges(x)
-            m = len(nbr)
-            if alpha < 1.0:
-                for i in range(m):
-                    for j in range(i + 1, m):
-                        xs.append(x)
-                        ys.append(int(nbr[i]))
-                        zs.append(int(nbr[j]))
-                        rs.append((1.0 - alpha) * float(w[i]) * float(w[j]))
-            if alpha > 0.0:
-                for i in range(m):
-                    xs.append(x)
-                    ys.append(int(nbr[i]))
-                    zs.append(-1)
-                    rs.append(alpha * float(w[i]))
-        return cls(np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64),
-                   np.array(zs, dtype=np.int64), np.array(rs))
+        deg = np.diff(k.indptr)
+        rows = int((deg * (deg - 1) // 2).sum()) + (len(k.indices) if alpha > 0.0 else 0)
+        if rows > MAX_TABLE_ROWS:
+            raise ValueError(f"event table of a {k.n}-site kernel with maximum degree "
+                             f"{int(deg.max())} would have {rows} rows, "
+                             f"more than {MAX_TABLE_ROWS}")
+        src = np.repeat(np.arange(k.n, dtype=np.int64), deg)
+        # edge e pairs with the later edges of its row: the rows for x run
+        # over (i, j), i < j, in CSR order, i outer
+        later = k.indptr[1:][src] - np.arange(len(src)) - 1
+        i = np.repeat(np.arange(len(src)), later)
+        j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(later) - later, later)
+        xs = [src[i]]
+        ys = [k.indices[i]]
+        zs = [k.indices[j]]
+        rs = [(1.0 - alpha) * k.weights[i] * k.weights[j]]
+        if alpha > 0.0:
+            xs.append(src)
+            ys.append(k.indices)
+            zs.append(np.full(len(src), -1, dtype=np.int64))
+            rs.append(alpha * k.weights)
+        xa = np.concatenate(xs)
+        order = np.argsort(xa, kind="stable")
+        rates = np.concatenate(rs)[order]
+        total = float(rates.sum())
+        cdf = (rates / total).cumsum()
+        if len(cdf):
+            cdf /= cdf[-1]
+        return cls(xa[order], np.concatenate(ys)[order], np.concatenate(zs)[order],
+                   rates, total, cdf)
 
 
 def sample_event_log(p: NPParams, k: Kernel, horizon: float, rng: np.random.Generator,
@@ -224,8 +241,10 @@ def sample_event_log(p: NPParams, k: Kernel, horizon: float, rng: np.random.Gene
     """Sample a Poisson event log on [0, horizon] by superposition.
 
     Event count is Poisson(total_rate * horizon), times are sorted uniforms,
-    and types are iid proportional to their rates.  Ties in the sorted times
-    (probability zero, but floats) are resolved by redrawing.
+    and types are iid proportional to their rates, drawn by inverting the
+    table's cdf (the draws ``rng.choice(..., p=rates / total_rate)`` makes).
+    Ties in the sorted times (probability zero, but floats) are resolved by
+    redrawing.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
@@ -236,8 +255,7 @@ def sample_event_log(p: NPParams, k: Kernel, horizon: float, rng: np.random.Gene
     times = np.sort(rng.random(count) * horizon)
     while count > 1 and not (np.diff(times) > 0).all():
         times = np.sort(rng.random(count) * horizon)
-    probs = table.rates / total if count else None
-    which = rng.choice(len(table.rates), size=count, p=probs) if count else np.zeros(0, dtype=np.int64)
+    which = table.cdf.searchsorted(rng.random(count), side="right")
     return EventLog(horizon, times, table.xa[which], table.ya[which], table.za[which])
 
 

@@ -125,6 +125,29 @@ def test_event_table_built_once_per_command(tmp_path, monkeypatch, argv):
     assert builds == [4]
 
 
+@pytest.mark.parametrize("argv, csv, times", [
+    (["dual-run", "--reps", "40", "--set", "kernel.d=1", "--set", "kernel.L=10",
+      "--set", "params.alpha=0.3", "--set", "run.B=0,3", "--set", "run.grid=8,0.001"],
+     "dual_sizes.csv", [0.001, 8.0]),
+    (["walker-run", "--reps", "40", "--set", "walker.kind=dbarw", "--set", "walker.branch_rate=0.5",
+      "--set", "lattice.d=1", "--set", "lattice.L=6", "--set", "run.xi0=0:2",
+      "--set", "run.grid=5,0.01", "--set", "run.cap=200"],
+     "walker_sizes.csv", [0.01, 5.0]),
+])
+def test_unsorted_grid_is_recorded_in_time_order(tmp_path, argv, csv, times):
+    # the engines record at the sorted grid; the rows must carry those times
+    main(argv + ["--seed", "1", "--out", str(tmp_path)])
+    paths = {}
+    for line in (tmp_path / csv).read_text().splitlines()[1:]:
+        rep, t, size = line.split(",")[:3]
+        paths.setdefault(rep, []).append((float(t), int(size)))
+    assert len(paths) == 40
+    for path in paths.values():
+        assert [t for t, _ in path] == times
+        # the empty dual and the extinct walker system are absorbing
+        assert not any(a == 0 and b > 0 for (_, a), (_, b) in zip(path, path[1:]))
+
+
 def test_thread_determinism_cli(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     base = ["walker-run", "--seed", "9", "--reps", "50",

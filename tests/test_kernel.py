@@ -1,11 +1,13 @@
 """Interaction-kernel construction and the local frequency helpers."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
 from ipsd.dualspin import ZBDistribution
 from ipsd.exact import build_generator_np
-from ipsd.kernel import (Kernel, complete_kernel, config_all, config_bernoulli,
+from ipsd.kernel import (_ROWSUM_TOL, Kernel, complete_kernel, config_all, config_bernoulli,
                          config_indicator, explicit_kernel, frequency_of_ones,
                          local_frequency, torus_kernel)
 from ipsd.rng import derive_stream
@@ -154,3 +156,112 @@ def test_array_dataclasses_compare_by_identity(make):
     assert a == a and not (a == b) and a != b
     assert hash(a) == hash(a)
     assert len({a, b}) == 2
+
+
+# -- array builder against the per-site loop it replaced ------------------------
+
+
+def _loop_kernel_arrays(n, rows):
+    """Reference: the six CSR arrays built one row at a time from (y, w) lists."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    idx_parts, w_parts = [], []
+    for x, row in enumerate(rows):
+        row_sorted = sorted(row)
+        idx_parts.append(np.array([y for y, _ in row_sorted], dtype=np.int64))
+        w_parts.append(np.array([w for _, w in row_sorted]))
+        assert abs(w_parts[-1].sum() - 1.0) <= _ROWSUM_TOL
+        indptr[x + 1] = indptr[x] + len(row_sorted)
+    indices, weights = np.concatenate(idx_parts), np.concatenate(w_parts)
+    in_rows = [[] for _ in range(n)]
+    for x in range(n):
+        for y, w in zip(indices[indptr[x]:indptr[x + 1]], weights[indptr[x]:indptr[x + 1]]):
+            in_rows[y].append((x, w))
+    in_indptr = np.zeros(n + 1, dtype=np.int64)
+    ii_parts, iw_parts = [], []
+    for y, row in enumerate(in_rows):
+        row.sort()
+        ii_parts.append(np.array([x for x, _ in row], dtype=np.int64))
+        iw_parts.append(np.array([w for _, w in row]))
+        in_indptr[y + 1] = in_indptr[y] + len(row)
+    return (indptr, indices, weights, in_indptr, np.concatenate(ii_parts),
+            np.concatenate(iw_parts))
+
+
+def _loop_torus_rows(d, L):
+    coords = list(product(range(L), repeat=d))
+    index = {c: i for i, c in enumerate(coords)}
+    w = 1.0 / (2 * d)
+    rows = []
+    for c in coords:
+        acc = {}
+        for axis in range(d):
+            for step in (1, -1):
+                cc = list(c)
+                cc[axis] = (cc[axis] + step) % L
+                j = index[tuple(cc)]
+                acc[j] = acc.get(j, 0.0) + w
+        rows.append(list(acc.items()))
+    return rows
+
+
+def _loop_complete_rows(N):
+    w = 1.0 / (N - 1)
+    return [[(y, w) for y in range(N) if y != x] for x in range(N)]
+
+
+_EXPLICIT = [
+    (3, [(0, 2, 0.25), (0, 1, 0.75), (1, 0, 1.0), (2, 1, 0.5), (2, 0, 0.5)]),
+    (4, [(0, 1, 1.0), (1, 2, 0.3), (1, 0, 0.7), (2, 3, 1.0), (3, 0, 0.1), (3, 2, 0.9)]),
+]
+
+
+def _explicit_rows(n, edges):
+    rows = [[] for _ in range(n)]
+    for x, y, w in edges:
+        rows[x].append((y, w))
+    return rows
+
+
+REFERENCE_KERNELS = (
+    [(f"torus-{d}-{L}", lambda d=d, L=L: torus_kernel(d, L),
+      lambda d=d, L=L: (L ** d, _loop_torus_rows(d, L), (L,) * d))
+     for d in (1, 2, 3) for L in (2, 3, 5)]
+    + [(f"complete-{N}", lambda N=N: complete_kernel(N),
+        lambda N=N: (N, _loop_complete_rows(N), None))
+       for N in list(range(2, 13)) + [60]]
+    + [(f"explicit-{i}", lambda n=n, e=e: explicit_kernel(n, e),
+        lambda n=n, e=e: (n, _explicit_rows(n, e), None))
+       for i, (n, e) in enumerate(_EXPLICIT)]
+)
+
+
+@pytest.mark.parametrize("build, reference", [(b, r) for _, b, r in REFERENCE_KERNELS],
+                         ids=[name for name, _, _ in REFERENCE_KERNELS])
+def test_kernel_arrays_match_loop_builder(build, reference):
+    k = build()
+    n, rows, shape = reference()
+    assert k.n == n and k.shape == shape
+    got = (k.indptr, k.indices, k.weights, k.in_indptr, k.in_indices, k.in_weights)
+    for a, b in zip(got, _loop_kernel_arrays(n, rows)):
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: explicit_kernel(1, []), "at least two sites"),
+    (lambda: explicit_kernel(2, [(0, 0, 1.0), (1, 0, 1.0)]), "self-loop at site 0"),
+    (lambda: explicit_kernel(2, [(0, 2, 1.0), (1, 0, 1.0)]), "edge target 2 out of range"),
+    (lambda: explicit_kernel(2, [(0, 1, 1.0), (2, 0, 1.0)]), "edge source 2 out of range"),
+    (lambda: explicit_kernel(2, [(0, 1, -1.0), (1, 0, 1.0)]), "weights must be positive"),
+    (lambda: explicit_kernel(2, [(0, 1, 0.5), (1, 0, 1.0)]), "row 0 of kernel sums to"),
+    (lambda: explicit_kernel(3, [(0, 1, 1.0), (1, 0, 1.0)]), "row 2 of kernel sums to"),
+    (lambda: explicit_kernel(2, [(0, 1, 0.5), (0, 1, 0.5), (1, 0, 1.0)]), "duplicate edge in row 0"),
+    (lambda: explicit_kernel(3, [(0, 1, 1.0), (1, 0, 1.0), (2, 0, 1.0)]), "not irreducible"),
+    (lambda: explicit_kernel(3, [(0, 1, 1.0), (1, 0, 1.0), (2, 1, 1.0)]), "not irreducible"),
+    (lambda: torus_kernel(0, 3), "torus needs d >= 1 and L >= 2"),
+    (lambda: torus_kernel(1, 1), "torus needs d >= 1 and L >= 2"),
+    (lambda: complete_kernel(1), "complete kernel needs N >= 2"),
+])
+def test_kernel_builder_rejections(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()

@@ -48,6 +48,32 @@ def test_move_table_wraps():
     assert sorted(table[8]) == [2, 5, 6, 7]
 
 
+def _loop_move_table(torus, stencil):
+    """Reference: the per-site coordinate loop move_table replaced."""
+    table = np.empty((torus.n_sites, len(stencil.displacements)), dtype=np.int64)
+    for x in range(torus.n_sites):
+        c = torus.coords(x)
+        for j, disp in enumerate(stencil.displacements):
+            table[x, j] = torus.index(tuple(ci + di for ci, di in zip(c, disp)))
+    return table
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("L", [2, 3, 5])
+def test_move_table_matches_loop_and_is_shared(d, L):
+    t = Torus(d, L)
+    long_range = Stencil(tuple(tuple(s * (a == i) for a in range(d))
+                               for i in range(d) for s in (2, -3)), (0.5,) * (2 * d))
+    for st in (Stencil.nearest_neighbor(d, 1.0), long_range):
+        table = t.move_table(st)
+        ref = _loop_move_table(t, st)
+        assert table.dtype == ref.dtype and table.shape == ref.shape
+        assert np.array_equal(table, ref)
+        assert Torus(d, L).move_table(st) is table   # one table per (torus, stencil)
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
+
+
 def test_stencil_parse_and_totals():
     st = Stencil.parse("nn:2.0", 2)
     assert st.dim == 2 and len(st.displacements) == 4

@@ -80,6 +80,65 @@ def test_integrate_ode_self_check_raises_on_instability():
         integrate_ode(lambda x: -50.0 * x, [1.0], 10.0, dt=0.5, self_check=True)
 
 
+def _loop_rk4(rhs, x0, horizon, step):
+    """Reference: RK4 on numpy arrays, as integrate_ode ran before its float path."""
+    x = np.array(x0, dtype=np.float64)
+    t = 0.0
+    ts, xs = [0.0], [x.copy()]
+    while t < horizon - 1e-15:
+        h = min(step, horizon - t)
+        k1 = np.asarray(rhs(x))
+        k2 = np.asarray(rhs(x + 0.5 * h * k1))
+        k3 = np.asarray(rhs(x + 0.5 * h * k2))
+        k4 = np.asarray(rhs(x + h * k3))
+        x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        t += h
+        ts.append(t)
+        xs.append(x.copy())
+    return np.array(ts), np.array(xs)
+
+
+@pytest.mark.parametrize("rhs", [
+    lambda x: density_rhs(x, 1.0, 0.5, 0.5),
+    lambda x: density_rhs(x, 1.3, 0.2, 0.6),
+    lambda x: -x,
+], ids=["density-symmetric", "density-asymmetric", "decay"])
+@pytest.mark.parametrize("horizon, dt", [(3.0, 1e-3), (0.55, 0.1), (150.0, 0.05)])
+def test_integrate_ode_float_path_matches_array_loop(rhs, horizon, dt):
+    # a 1-component state is stepped as a Python float; the states must be
+    # the bits the array loop gives, the shortened last step (0.55) included
+    ts, xs = integrate_ode(rhs, [0.3], horizon, dt=dt)
+    ref_ts, ref_xs = _loop_rk4(rhs, [0.3], horizon, dt)
+    assert ts.tobytes() == ref_ts.tobytes()
+    assert xs.shape == ref_xs.shape == (len(ref_ts), 1) and xs.dtype == ref_xs.dtype
+    assert xs.tobytes() == ref_xs.tobytes()
+    # self_check compares against the half step and passes or raises as the loop says
+    gap = abs(ref_xs[-1, 0] - _loop_rk4(rhs, [0.3], horizon, dt / 2.0)[1][-1, 0])
+    if gap <= 1e-8:
+        assert integrate_ode(rhs, [0.3], horizon, dt=dt, self_check=True)[1].tobytes() == xs.tobytes()
+    else:
+        with pytest.raises(ArithmeticError):
+            integrate_ode(rhs, [0.3], horizon, dt=dt, self_check=True)
+
+
+def test_integrate_ode_state_shapes():
+    ts, xs = integrate_ode(lambda x: -x, 0.7, 1.0, dt=0.3)
+    assert xs.shape == (len(ts),)
+    assert xs.tobytes() == _loop_rk4(lambda x: -x, 0.7, 1.0, 0.3)[1].tobytes()
+    ts, xs = integrate_ode(lambda x: -x, [0.7, 0.2], 1.0, dt=0.3)
+    assert xs.shape == (len(ts), 2)
+    assert xs.tobytes() == _loop_rk4(lambda x: -x, [0.7, 0.2], 1.0, 0.3)[1].tobytes()
+
+
+def test_density_rhs_float_matches_array():
+    grid = np.linspace(0.0, 1.0, 101)
+    vec = density_rhs(grid, 1.3, 0.2, 0.6)
+    for p0, v in zip(grid.tolist(), vec):
+        out = density_rhs(p0, 1.3, 0.2, 0.6)
+        assert type(out) is float and out == v
+        assert density_rhs(np.float64(p0), 1.3, 0.2, 0.6) == v
+
+
 def test_density_ode_converges_to_equilibrium():
     # linearized decay rate at the fixed point is 0.15 for these values, so
     # T = 150 leaves a residual of order exp(-20)

@@ -1,13 +1,15 @@
 """Spin-flip rates, the event-log construction, and the forward chain."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ipsd.exact import build_generator_np, semigroup_apply, state_to_config
-from ipsd.kernel import complete_kernel, config_all, config_indicator, torus_kernel
-from ipsd.spin import (EventTable, NPParams, UpdateEvent, apply_event_forward,
+from ipsd.kernel import (complete_kernel, config_all, config_indicator, explicit_kernel,
+                         torus_kernel)
+from ipsd.spin import (MAX_TABLE_ROWS, EventTable, NPParams, UpdateEvent, apply_event_forward,
                        flip_rate, flip_rates_all, parse_initial, replay_forward,
                        replay_forward_batch, sample_event_log, simulate_gillespie)
 from ipsd.rng import derive_stream
@@ -127,6 +129,79 @@ def test_event_table_rejects_asymmetric():
     k = torus_kernel(1, 4)
     with pytest.raises(ValueError):
         EventTable.build(NPParams(lam=2.0, alpha01=0.2, alpha10=0.2), k)
+
+
+def _loop_event_table(p, k):
+    """Reference: the per-site double loop that enumerated the event rows."""
+    alpha = p.alpha
+    xs, ys, zs, rs = [], [], [], []
+    for x in range(k.n):
+        nbr, w = k.out_edges(x)
+        m = len(nbr)
+        for i in range(m):
+            for j in range(i + 1, m):
+                xs.append(x)
+                ys.append(int(nbr[i]))
+                zs.append(int(nbr[j]))
+                rs.append((1.0 - alpha) * float(w[i]) * float(w[j]))
+        if alpha > 0.0:
+            for i in range(m):
+                xs.append(x)
+                ys.append(int(nbr[i]))
+                zs.append(-1)
+                rs.append(alpha * float(w[i]))
+    return (np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64),
+            np.array(zs, dtype=np.int64), np.array(rs))
+
+
+_TABLE_KERNELS = (
+    [(f"torus-{d}-{L}", lambda d=d, L=L: torus_kernel(d, L)) for d in (1, 2, 3) for L in (2, 3, 5)]
+    + [(f"complete-{N}", lambda N=N: complete_kernel(N)) for N in list(range(2, 13)) + [60]]
+    + [("explicit-0", lambda: explicit_kernel(
+           3, [(0, 2, 0.25), (0, 1, 0.75), (1, 0, 1.0), (2, 1, 0.5), (2, 0, 0.5)])),
+       ("explicit-1", lambda: explicit_kernel(
+           4, [(0, 1, 1.0), (1, 2, 0.3), (1, 0, 0.7), (2, 3, 1.0), (3, 0, 0.1), (3, 2, 0.9)]))]
+)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.7])
+@pytest.mark.parametrize("make", [m for _, m in _TABLE_KERNELS], ids=[n for n, _ in _TABLE_KERNELS])
+def test_event_table_matches_loop(make, alpha):
+    p, k = NPParams.symmetric(alpha), make()
+    table = EventTable.build(p, k)
+    ref = _loop_event_table(p, k)
+    for got, want in zip((table.xa, table.ya, table.za, table.rates), ref):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    assert table.total_rate == float(ref[3].sum())
+
+
+@pytest.mark.parametrize("count", [0, 1, 500])
+def test_event_cdf_draws_match_rng_choice(count):
+    # sample_event_log inverts the table's cdf; this pins that the inversion
+    # draws what Generator.choice(p=rates/total) draws and uses the same stream
+    table = EventTable.build(NPParams.symmetric(0.3), complete_kernel(12))
+    a, b = derive_stream(5, "cdf", count), derive_stream(5, "cdf", count)
+    want = a.choice(len(table.rates), size=count, p=table.rates / table.total_rate)
+    got = table.cdf.searchsorted(b.random(count), side="right")
+    assert np.array_equal(got, want)
+    assert a.random() == b.random()
+
+
+def test_event_table_rejects_oversized_kernel_before_allocating():
+    # complete_kernel(400) would need 400 * (399*398/2 + 399) = 31 920 000 rows
+    # (1.3 GB of columns); the row count is checked before any of it exists
+    k = complete_kernel(400)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="400-site kernel with maximum degree 399 "
+                                             "would have 31920000 rows"):
+            EventTable.build(NPParams.symmetric(0.3), k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert 31_920_000 > MAX_TABLE_ROWS
 
 
 def test_sample_event_log_basic():
