@@ -226,31 +226,26 @@ def cmd_exact_check(cfg: RunConfig) -> dict:
     for tok in spec.split(","):
         bits = tok.strip().split(":")
         if bits[0] == "torus":
-            kernels.append((tok.strip(), torus_kernel(int(bits[1]), int(bits[2]))))
+            n, build = int(bits[2]) ** int(bits[1]), partial(torus_kernel, int(bits[1]), int(bits[2]))
         elif bits[0] == "complete":
-            kernels.append((tok.strip(), complete_kernel(int(bits[1]))))
+            n, build = int(bits[1]), partial(complete_kernel, int(bits[1]))
         else:
             raise ValueError(f"unknown kernel spec {tok!r}")
+        if n > MAX_EXACT_SITES:  # checked for every kernel before any generator is built
+            raise ValueError(f"kernel {tok.strip()} has {n} sites; exact checks allow at most "
+                             f"{MAX_EXACT_SITES}")
+        kernels.append((tok.strip(), build()))
     battery = []
     max_gap = 0.0
     max_res = 0.0
-    rng = derive_stream(cfg.seed, "exact-check")
     for name, k in kernels:
-        if k.n > MAX_EXACT_SITES:
-            raise ValueError(f"kernel {name} too large for exact checks")
         for alpha in alphas:
             p = NPParams.symmetric(alpha)
             g_np = build_generator_np(p, k)
             g_ev = build_generator_from_events(p, k)
             gap = float(np.abs(g_np.matrix - g_ev.matrix).max())
             g_dual = build_generator_dual(p, k)
-            res = 0.0
-            n_pairs = min(64, 4 ** k.n)
-            for _ in range(n_pairs):
-                A = [x for x in range(k.n) if rng.random() < 0.5]
-                B = [x for x in range(k.n) if rng.random() < 0.5]
-                for t in tgrid:
-                    res = max(res, feynman_kac_check(p, k, t, A, B, g_np, g_dual))
+            res = max((feynman_kac_check(g_np, g_dual, t) for t in tgrid), default=0.0)
             battery.append({"kernel": name, "alpha": alpha,
                             "generator_gap": gap, "fk_residual": res})
             max_gap = max(max_gap, gap)
@@ -294,13 +289,13 @@ def cmd_diffusion_run(cfg: RunConfig) -> dict:
     init = cfg.opt("run", "init", "const:0.5")
     kappa = cfg.opt("run", "kappa", 0.1, float)
     site = cfg.opt("run", "site", 0, int)
+    if not 0 <= site < params.torus.n_sites:
+        raise ValueError(f"run.site must lie in [0, {params.torus.n_sites}), got {site}")
     p0 = parse_field_initial(init, params.torus, derive_stream(cfg.seed, "diffusion-init"))
-
-    flat_idx = site
 
     def obs_stack(fields):
         flat = fields.reshape(fields.shape[0], -1)
-        return flat[:, flat_idx]
+        return flat[:, site]
 
     site_vals = ensemble_observable(params, p0, grid, obs_stack, cfg.reps, cfg.seed, "diffusion-site")
     mean_vals = ensemble_observable(params, p0, grid, lambda f: f.reshape(f.shape[0], -1).mean(axis=1),

@@ -270,6 +270,7 @@ def evug_statistic(p: NPParams, k: Kernel, B, grid, cap: int, reps: int,
     The statistic separates eventual unboundedness from genuine survival:
     mass escaping past ``cap`` is reported through the survival column.
     """
+    grid = sorted(grid)  # the dual records at the sorted grid
     sizes = dual_sizes_fresh(p, k, B, grid, reps, rng)
     rows = []
     for j, t in enumerate(grid):

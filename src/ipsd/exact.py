@@ -12,9 +12,13 @@ live here:
 
 Their agreement, and the Feynman-Kac interchange between the first and the
 third, are the machine-checkable oracles the stochastic modules are tested
-against.  Also here: the parity-deviation product identity with its
-brute-force companion, and determination of a measure from its parity
-functionals via character inversion.
+against.  :func:`feynman_kac_check` checks the interchange on every (A, B)
+pair at once, as one matrix identity on :func:`parity_matrix`; it costs two
+semigroup applications to a 2^n x 2^n matrix, so each series term is a
+dense 2^n x 2^n product (README gives times at n = 10 and 11).  Also here:
+the parity-deviation product identity with its brute-force companion, and
+determination of a measure from its parity functionals via character
+inversion.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ __all__ = [
     "build_generator_from_events",
     "build_generator_dual",
     "semigroup_apply",
-    "parity_vector",
+    "parity_matrix",
     "feynman_kac_check",
     "parity_deviation",
     "parity_deviation_enum",
@@ -202,43 +206,31 @@ def _uniformized(G: np.ndarray, t: float, v: np.ndarray, tail: float) -> np.ndar
     return acc
 
 
-def parity_vector(n: int, B) -> np.ndarray:
-    """phi_B over all 2^n states: phi_B[s] = <1_B, s> mod 2."""
-    mask = 0
-    for x in B:
-        mask |= 1 << x
-    states = np.arange(1 << n, dtype=np.uint64)
-    overlap = states & np.uint64(mask)
-    out = np.zeros(1 << n)
-    for s in range(1 << n):
-        out[s] = bin(int(overlap[s])).count("1") & 1
-    return out
+def parity_matrix(n: int) -> np.ndarray:
+    """Every parity observable at once: PHI[s, b] = <1_b, s> mod 2.
 
-
-def feynman_kac_check(p: NPParams, k: Kernel, t: float, A, B,
-                      gen_fwd: DenseGenerator | None = None,
-                      gen_dual: DenseGenerator | None = None) -> float:
-    """|P_t phi_B (1_A) - Q_t phi_A (1_B)| for the forward/dual semigroups.
-
-    Both sides evaluate the same parity observable, once through the forward
-    generator at state 1_A and once through the dual generator at state 1_B.
-    The two matrix exponentials are independent computations; the residual
-    should vanish to solver precision.
+    Column b is phi_B over all 2^n states for the site set B with bitmask b;
+    the matrix is symmetric.  Built by doubling: the top site splits PHI into
+    four blocks, and the parity flips only where both indices hold it.
     """
-    n = k.n
-    if gen_fwd is None:
-        gen_fwd = build_generator_np(p, k)
-    if gen_dual is None:
-        gen_dual = build_generator_dual(p, k)
-    maskA = 0
-    for x in A:
-        maskA |= 1 << x
-    maskB = 0
-    for x in B:
-        maskB |= 1 << x
-    fwd = semigroup_apply(gen_fwd, t, parity_vector(n, B))[maskA]
-    dual = semigroup_apply(gen_dual, t, parity_vector(n, A))[maskB]
-    return abs(float(fwd) - float(dual))
+    phi = np.zeros((1, 1))
+    for _ in range(n):
+        phi = np.block([[phi, phi], [phi, 1.0 - phi]])
+    return phi
+
+
+def feynman_kac_check(gen_fwd: DenseGenerator, gen_dual: DenseGenerator, t: float) -> float:
+    """max over all (A, B) of |P_t phi_B (1_A) - Q_t phi_A (1_B)|.
+
+    P_t PHI holds E_A[phi_B(eta_t)] at [A, B], and Q_t PHI holds
+    E_B[phi_A(xi_t)] at [B, A], so the duality for every pair at once is
+    P_t PHI = (Q_t PHI)^T.  The two matrix exponentials are independent
+    computations; the residual should vanish to solver precision.
+    """
+    phi = parity_matrix(gen_fwd.n_sites)
+    fwd = semigroup_apply(gen_fwd, t, phi)
+    dual = semigroup_apply(gen_dual, t, phi)
+    return float(np.abs(fwd - dual.T).max())
 
 
 # -- parity deviation ----------------------------------------------------------

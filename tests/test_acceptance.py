@@ -25,7 +25,7 @@ from ipsd.meanfield import equilibrium, density_rhs, integrate_ode, meanfield_co
 from ipsd.momdual import (coexistence_probe, extinction_probe,
                           generator_duality_battery, moment_duality_mc)
 from ipsd.rng import derive_stream
-from ipsd.spin import (NPParams, flip_rates_all, replay_forward, replay_forward_batch,
+from ipsd.spin import (EventTable, NPParams, flip_rates_all, replay_forward, replay_forward_batch,
                        sample_event_log)
 from ipsd.stats import MCEstimate
 from ipsd.walkers import BCRW, CRW, DBARW, simulate_walker
@@ -60,8 +60,10 @@ def test_criterion_01_pathwise_parity_duality():
                  for _ in range(n_pairs)]
         a_cols = np.stack([config_indicator(k.n, A) for A, _ in pairs], axis=1)
         b_cols = np.stack([config_indicator(k.n, B) for _, B in pairs], axis=1)
+        table = EventTable.build(p, k)
         for i in range(n_logs):
-            log = sample_event_log(p, k, horizon, derive_stream(MASTER, f"c1-log-{alpha}", i))
+            log = sample_event_log(p, k, horizon, derive_stream(MASTER, f"c1-log-{alpha}", i),
+                                   table=table)
             for t in t_grid:
                 eta = replay_forward_batch(a_cols, log, t)
                 xi = replay_dual_batch(b_cols, log, t)
@@ -152,9 +154,10 @@ def test_criterion_05_bernoulli_invariance():
     b_cols = np.stack([config_indicator(k.n, B) for B in b_sets], axis=1)
     hits = np.zeros((len(t_grid), 10), dtype=np.int64)
     dead_duals = 0
+    table = EventTable.build(p, k)
     for i in range(reps):
         rng = derive_stream(MASTER, "c5-rep", i)
-        log = sample_event_log(p, k, max(t_grid), rng)
+        log = sample_event_log(p, k, max(t_grid), rng, table=table)
         eta0 = (rng.random(k.n) < 0.5).astype(np.uint8)
         for ti, t in enumerate(t_grid):
             eta = replay_forward(eta0, log, t)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from ipsd import cli
 from ipsd.cli import CHUNK, _merge_config, build_parser, main
 from ipsd.spin import EventTable
 
@@ -175,3 +176,46 @@ def test_sweep_end_to_end(tmp_path):
     rows = (out / "sweep.csv").read_text().splitlines()
     assert rows[0] == "value,metric,metric_value"
     assert any("equilibrium" in r for r in rows[1:])
+
+
+EXACT_SMALL = ["--set", "run.kernels=torus:1:4,complete:3", "--set", "run.alphas=0.3,0.7",
+               "--set", "run.tgrid=0.1,1,5"]
+
+
+def test_exact_check_report_does_not_depend_on_seed(tmp_path):
+    reports = []
+    for seed in ("1", "2"):
+        main(["exact-check", "--seed", seed, "--out", str(tmp_path / seed)] + EXACT_SMALL)
+        reports.append(json.loads((tmp_path / seed / "exact-check.json").read_text()))
+    keys = ("battery", "max_generator_gap", "max_fk_residual")
+    assert [reports[0][key] for key in keys] == [reports[1][key] for key in keys]
+    assert len(reports[0]["battery"]) == 4
+    assert reports[0]["max_fk_residual"] <= 1e-9
+
+
+def test_exact_check_rejects_an_oversized_kernel_before_any_generator(tmp_path, monkeypatch):
+    built = []
+    for name in ("build_generator_np", "build_generator_from_events", "build_generator_dual"):
+        monkeypatch.setattr(cli, name, lambda p, k, name=name: built.append(name))
+    with pytest.raises(ValueError, match="torus:2:4 has 16 sites"):
+        main(["exact-check", "--seed", "1", "--out", str(tmp_path),
+              "--set", "run.kernels=torus:1:4,torus:2:4"])
+    assert built == []
+
+
+@pytest.mark.parametrize("site", [-1, 8, 16])
+def test_diffusion_run_rejects_a_site_off_the_torus(tmp_path, monkeypatch, site):
+    def never(*args, **kwargs):
+        raise AssertionError("simulated before checking run.site")
+
+    monkeypatch.setattr(cli, "ensemble_observable", never)
+    with pytest.raises(ValueError, match=r"run.site must lie in \[0, 8\)"):
+        main(["diffusion-run", "--seed", "1", "--reps", "4", "--out", str(tmp_path),
+              "--set", "lattice.d=1", "--set", "lattice.L=8", "--set", f"run.site={site}"])
+
+
+def test_diffusion_run_reports_the_last_site(tmp_path):
+    main(["diffusion-run", "--seed", "1", "--reps", "4", "--out", str(tmp_path),
+          "--set", "lattice.d=1", "--set", "lattice.L=8", "--set", "run.site=7",
+          "--set", "model.dt=0.01", "--set", "run.T=0.1", "--set", "run.grid=0.1"])
+    assert json.loads((tmp_path / "diffusion-run.json").read_text())["site"] == 7

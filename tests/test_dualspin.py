@@ -194,3 +194,16 @@ def test_evug_statistic_rows():
     assert [r["t"] for r in rows] == [1.0, 2.0]
     for r in rows:
         assert 0.0 <= r["window"].mean <= r["survival"].mean <= 1.0
+
+
+def test_evug_statistic_labels_an_unsorted_grid_in_time_order():
+    # the dual records at the sorted grid, so the rows must carry those times
+    p = NPParams.symmetric(0.3)
+    k = torus_kernel(1, 10)
+    args = dict(cap=12, reps=400)
+    unsorted = evug_statistic(p, k, [0, 3], [8.0, 0.001], rng=derive_stream(1, "x"), **args)
+    ordered = evug_statistic(p, k, [0, 3], [0.001, 8.0], rng=derive_stream(1, "x"), **args)
+    assert unsorted == ordered
+    assert [r["t"] for r in unsorted] == [0.001, 8.0]
+    # the empty dual is absorbing: survival cannot grow with time
+    assert unsorted[0]["survival"].mean >= unsorted[1]["survival"].mean

@@ -6,7 +6,7 @@ import pytest
 from ipsd.exact import (MAX_EXACT_SITES, _walsh_hadamard, build_generator_dual, build_generator_from_events,
                         build_generator_np, config_to_state, feynman_kac_check,
                         measure_determination_check, parity_deviation,
-                        parity_deviation_enum, parity_vector, semigroup_apply,
+                        parity_deviation_enum, parity_matrix, semigroup_apply,
                         state_to_config)
 from ipsd.kernel import complete_kernel, explicit_kernel, torus_kernel
 from ipsd.spin import NPParams
@@ -91,19 +91,68 @@ def test_semigroup_chapman_kolmogorov():
         assert P.min() > -1e-13
 
 
-def test_parity_vector_oracle():
-    v = parity_vector(2, [0])
-    # states 0,1,2,3 -> parity of the occupancy at site 0: 0,1,0,1
-    assert list(v) == [0, 1, 0, 1]
-    v2 = parity_vector(2, [0, 1])
-    assert list(v2) == [0, 1, 1, 0]
+def test_parity_matrix_oracle():
+    phi = parity_matrix(2)
+    # column b is phi_B for the site set with bitmask b, over states 0,1,2,3
+    assert list(phi[:, 0b01]) == [0, 1, 0, 1]  # B = {0}: the occupancy at site 0
+    assert list(phi[:, 0b11]) == [0, 1, 1, 0]  # B = {0, 1}
+    for n in range(6):
+        phi = parity_matrix(n)
+        states = range(1 << n)
+        assert np.array_equal(phi, [[bin(s & b).count("1") & 1 for b in states] for s in states])
+        assert np.array_equal(phi, phi.T)
+
+
+def _sites(mask: int, n: int) -> list[int]:
+    return [x for x in range(n) if (mask >> x) & 1]
+
+
+def _fk_residual_per_pair(gen_fwd, gen_dual, t, A, B) -> float:
+    """The per-pair route: |P_t phi_B (1_A) - Q_t phi_A (1_B)| from two single vectors."""
+    def phi(sites):
+        mask = sum(1 << x for x in sites)
+        return np.array([bin(s & mask).count("1") & 1 for s in range(1 << gen_fwd.n_sites)],
+                        dtype=float)
+
+    maskA = sum(1 << x for x in A)
+    maskB = sum(1 << x for x in B)
+    fwd = semigroup_apply(gen_fwd, t, phi(B))[maskA]
+    dual = semigroup_apply(gen_dual, t, phi(A))[maskB]
+    return abs(float(fwd) - float(dual))
 
 
 def test_feynman_kac_tiny():
     p = NPParams.symmetric(0.35)
     k = torus_kernel(1, 4)
+    gf, gd = build_generator_np(p, k), build_generator_dual(p, k)
     for t in (0.3, 1.1):
-        assert feynman_kac_check(p, k, t, [0, 2], [1]) < 1e-10
+        assert feynman_kac_check(gf, gd, t) < 1e-10
+
+
+@pytest.mark.parametrize("k", [torus_kernel(1, 3), torus_kernel(1, 4),
+                               complete_kernel(3), complete_kernel(4)],
+                         ids=["torus:1:3", "torus:1:4", "complete:3", "complete:4"])
+def test_feynman_kac_all_pairs_matches_per_pair_route(k):
+    for alpha in (0.0, 0.3, 0.7):
+        p = NPParams.symmetric(alpha)
+        gf, gd = build_generator_np(p, k), build_generator_dual(p, k)
+        for t in (0.1, 1.0):
+            per_pair = max(_fk_residual_per_pair(gf, gd, t, _sites(a, k.n), _sites(b, k.n))
+                           for a in range(1 << k.n) for b in range(1 << k.n))
+            assert abs(feynman_kac_check(gf, gd, t) - per_pair) < 1e-13
+
+
+def test_feynman_kac_check_detects_a_wrong_dual():
+    # power: the forward generator is not its own dual, and the dual of
+    # another alpha is not the dual either
+    for k in (torus_kernel(1, 3), torus_kernel(1, 4), complete_kernel(3), complete_kernel(4)):
+        for alpha in (0.0, 0.3, 0.7):
+            p = NPParams.symmetric(alpha)
+            gf = build_generator_np(p, k)
+            wrong_alpha = build_generator_dual(NPParams.symmetric(alpha + 0.1), k)
+            for t in (0.1, 1.0):
+                assert feynman_kac_check(gf, gf, t) >= 1e-2
+                assert feynman_kac_check(gf, wrong_alpha, t) >= 1e-2
 
 
 def test_parity_deviation_hand_value():
