@@ -218,34 +218,49 @@ def cmd_parity_check(cfg: RunConfig) -> dict:
             "passed": violations == 0 and abs(z) < 4.0}
 
 
+def _parse_exact_kernel(tok: str) -> tuple[int, partial]:
+    """Site count and builder of one exact-check kernel token (torus:d:L or complete:n)."""
+    kind, *sizes = tok.split(":")
+    try:
+        dims = [int(size) for size in sizes]
+    except ValueError:
+        dims = []
+    if kind == "torus" and len(dims) == 2:
+        d, side = dims
+        return side ** d, partial(torus_kernel, d, side)
+    if kind == "complete" and len(dims) == 1:
+        return dims[0], partial(complete_kernel, dims[0])
+    raise ValueError(f"bad run.kernels token {tok!r}: expected torus:d:L or complete:n "
+                     f"with integer sizes")
+
+
 def cmd_exact_check(cfg: RunConfig) -> dict:
     alphas = _parse_grid(cfg.opt("run", "alphas", "0,0.3,0.7"))
     tgrid = _parse_grid(cfg.opt("run", "tgrid", "0.1,1,5"))
-    kernels = []
     spec = cfg.opt("run", "kernels", "torus:1:3,torus:1:4,complete:3,complete:4")
-    for tok in spec.split(","):
-        bits = tok.strip().split(":")
-        if bits[0] == "torus":
-            n, build = int(bits[2]) ** int(bits[1]), partial(torus_kernel, int(bits[1]), int(bits[2]))
-        elif bits[0] == "complete":
-            n, build = int(bits[1]), partial(complete_kernel, int(bits[1]))
-        else:
-            raise ValueError(f"unknown kernel spec {tok!r}")
+    tokens = [tok.strip() for tok in spec.split(",") if tok.strip()]
+    for key, values in (("run.alphas", alphas), ("run.tgrid", tgrid), ("run.kernels", tokens)):
+        if not values:
+            raise ValueError(f"{key} is empty; exact-check needs at least one value")
+    kernels = []
+    for tok in tokens:
+        n, build = _parse_exact_kernel(tok)
         if n > MAX_EXACT_SITES:  # checked for every kernel before any generator is built
-            raise ValueError(f"kernel {tok.strip()} has {n} sites; exact checks allow at most "
+            raise ValueError(f"kernel {tok} has {n} sites; exact checks allow at most "
                              f"{MAX_EXACT_SITES}")
-        kernels.append((tok.strip(), build()))
+        kernels.append((tok, build()))
     battery = []
     max_gap = 0.0
     max_res = 0.0
     for name, k in kernels:
         for alpha in alphas:
             p = NPParams.symmetric(alpha)
+            table = EventTable.build(p, k)
             g_np = build_generator_np(p, k)
-            g_ev = build_generator_from_events(p, k)
+            g_ev = build_generator_from_events(p, k, table=table)
             gap = float(np.abs(g_np.matrix - g_ev.matrix).max())
-            g_dual = build_generator_dual(p, k)
-            res = max((feynman_kac_check(g_np, g_dual, t) for t in tgrid), default=0.0)
+            g_dual = build_generator_dual(p, k, table=table)
+            res = max(feynman_kac_check(g_np, g_dual, t) for t in tgrid)
             battery.append({"kernel": name, "alpha": alpha,
                             "generator_gap": gap, "fk_residual": res})
             max_gap = max(max_gap, gap)
@@ -279,6 +294,7 @@ def cmd_meanfield(cfg: RunConfig) -> dict:
                                    1.0 - p0, cfg.opt("run", "compare_t", 3.0, float),
                                    cfg.reps, derive_stream(cfg.seed, "meanfield-compare"))
         payload["comparator_median_sup"] = rep.median
+        payload["comparator_jumps"] = rep.jumps
     return payload
 
 

@@ -130,11 +130,13 @@ def _dual_event_target(s: int, x: int, y: int, z: int) -> int:
     return s ^ (1 << y) ^ (1 << z)
 
 
-def _generator_from_targets(p: NPParams, k: Kernel, target_fn) -> DenseGenerator:
+def _generator_from_targets(p: NPParams, k: Kernel, target_fn,
+                            table: EventTable | None) -> DenseGenerator:
     n = k.n
     if n > MAX_EXACT_SITES:
         raise ValueError(f"exact machinery restricted to {MAX_EXACT_SITES} sites")
-    table = EventTable.build(p, k)
+    if table is None:
+        table = EventTable.build(p, k)
     size = 1 << n
     G = np.zeros((size, size))
     for x, y, z, r in zip(table.xa, table.ya, table.za, table.rates):
@@ -146,18 +148,21 @@ def _generator_from_targets(p: NPParams, k: Kernel, target_fn) -> DenseGenerator
     return DenseGenerator(n, G)
 
 
-def build_generator_from_events(p: NPParams, k: Kernel) -> DenseGenerator:
+def build_generator_from_events(p: NPParams, k: Kernel,
+                                table: EventTable | None = None) -> DenseGenerator:
     """Generator accumulated from the graphical construction's event types.
 
     Must agree with :func:`build_generator_np` to 1e-12 for symmetric
     parameters; that agreement is the correctness proof of the event rates.
+    ``table`` may be passed in when the caller already built it for (p, k).
     """
-    return _generator_from_targets(p, k, _event_target)
+    return _generator_from_targets(p, k, _event_target, table)
 
 
-def build_generator_dual(p: NPParams, k: Kernel) -> DenseGenerator:
+def build_generator_dual(p: NPParams, k: Kernel,
+                         table: EventTable | None = None) -> DenseGenerator:
     """Generator of the fresh dual chain (transposed updates, same rates)."""
-    return _generator_from_targets(p, k, _dual_event_target)
+    return _generator_from_targets(p, k, _dual_event_target, table)
 
 
 def semigroup_apply(gen: DenseGenerator, t: float, v: np.ndarray,

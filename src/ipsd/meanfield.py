@@ -9,8 +9,11 @@ well-mixed population, to a single ODE for the frequency p0 of type 0::
 
 Inside the coexistence window (0 <= a10 < lam, 0 <= a01 < 1/lam) the unique
 interior equilibrium is p0* = (1 - lam a01) / ((1 - lam a01) + (lam - a10)).
-An exact Gillespie run on the complete graph converges to this flow as the
-number of vertices grows; :func:`meanfield_comparator` measures the gap.
+The spin system on the complete graph converges to this flow as the number
+of vertices grows; :func:`meanfield_comparator` measures the gap.  It runs
+the lumped chain of the number of ones, which is exact because sites are
+exchangeable on the complete graph, at O(1) per jump and without an
+O(N^2) kernel.
 The density fluctuates around the ODE path at the CLT scale, so the gap
 shrinks like N^{-1/2} in the number of vertices N and is never below a
 fixed bound at every N.
@@ -22,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import complete_kernel, config_indicator
-from .spin import NPParams, simulate_gillespie
+from .spin import NPParams, complete_count_rates, simulate_complete_counts
 
 __all__ = [
     "LVParams",
@@ -142,42 +144,54 @@ def integrate_ode(rhs, x0, horizon: float, dt: float = 1e-3,
 
 @dataclass(frozen=True)
 class ComparatorReport:
-    """Sup-distances between stochastic density paths and the ODE flow."""
+    """Sup-distances between stochastic density paths and the ODE flow.
+
+    ``jumps`` is the number of count-chain jumps over all replicates.
+    """
 
     sup_distances: np.ndarray
     median: float
     ode_times: np.ndarray
     ode_path: np.ndarray
+    jumps: int
 
 
 def meanfield_comparator(n_vertices: int, p: NPParams, density0: float, horizon: float,
                          reps: int, rng: np.random.Generator, dt: float = 1e-3) -> ComparatorReport:
-    """Compare complete-graph Gillespie density paths with the frequency ODE.
+    """Compare complete-graph density paths with the frequency ODE.
 
-    ``density0`` is the initial density of ones; the first round(N * density0)
-    sites start occupied (site labels are exchangeable on the complete
-    graph).  Each replicate's piecewise-constant density-of-ones path is
-    compared in sup norm against 1 - p0(t), the ODE solution's density of
-    ones, on the merged time grid.
+    ``density0`` is the initial density of ones; the chain starts from
+    round(N * density0) ones.  Each replicate is an exact path of the count
+    chain (:func:`ipsd.spin.simulate_complete_counts`), all drawn in turn
+    from ``rng``.  Its piecewise-constant density-of-ones path is compared
+    in sup norm against 1 - p0(t), the ODE solution's density of ones, on
+    the merged time grid.
     """
+    if n_vertices < 2:
+        raise ValueError(f"the comparator needs at least 2 vertices, got {n_vertices}")
+    if reps < 1:
+        raise ValueError(f"the comparator needs at least 1 replicate, got {reps}")
+    if horizon < 0:
+        raise ValueError(f"the comparator horizon must be nonnegative, got {horizon}")
     if not (0.0 <= density0 <= 1.0):
         raise ValueError("density0 must lie in [0,1]")
-    k = complete_kernel(n_vertices)
     ones = int(round(n_vertices * density0))
-    eta0 = config_indicator(n_vertices, range(ones))
+    rates = complete_count_rates(p, n_vertices)
 
     rhs = lambda x: density_rhs(x, p.lam, p.alpha01, p.alpha10)
     ts, xs = integrate_ode(rhs, [1.0 - density0], horizon, dt=dt)
     ode_ones = 1.0 - xs[:, 0]
 
     sups = np.empty(reps)
+    jumps = 0
     for r in range(reps):
-        traj = simulate_gillespie(p, k, eta0, horizon, rng)
-        jt, jd = traj.density_path()
+        jt, counts = simulate_complete_counts(p, n_vertices, ones, horizon, rng, rates=rates)
+        jumps += len(jt) - 1
+        jd = counts / n_vertices
         # evaluate the step function on the ODE grid and the ODE on the jump grid
         idx = np.searchsorted(jt, ts, side="right") - 1
         gap_on_grid = np.abs(jd[idx] - ode_ones)
         ode_at_jumps = 1.0 - np.interp(jt, ts, xs[:, 0])
         gap_at_jumps = np.abs(jd - ode_at_jumps)
         sups[r] = max(float(gap_on_grid.max()), float(gap_at_jumps.max()))
-    return ComparatorReport(sups, float(np.median(sups)), ts, ode_ones)
+    return ComparatorReport(sups, float(np.median(sups)), ts, ode_ones, jumps)

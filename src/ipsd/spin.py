@@ -20,6 +20,10 @@ construction used here: a Poisson field of update events, each either
 
 Both updates are linear over GF(2), which is what makes the transposed
 (replayed) process in :mod:`ipsd.dualspin` an exact pathwise dual.
+
+On the complete graph the sites are exchangeable, so the number of ones is
+itself a birth-death chain; :func:`simulate_complete_counts` runs it at
+O(1) per jump without building the O(n^2) kernel.
 """
 
 from __future__ import annotations
@@ -45,6 +49,8 @@ __all__ = [
     "replay_forward",
     "replay_forward_batch",
     "simulate_gillespie",
+    "complete_count_rates",
+    "simulate_complete_counts",
     "parse_initial",
 ]
 
@@ -392,6 +398,58 @@ def simulate_gillespie(p: NPParams, k: Kernel, eta0: np.ndarray, horizon: float,
         sites.append(x)
     return SpinTrajectory(eta0.astype(np.uint8).copy(), np.array(times),
                           np.array(sites, dtype=np.int64), horizon)
+
+
+def complete_count_rates(p: NPParams, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Jump rates of the number of ones k = 0..n on the n-vertex complete graph.
+
+    Sites are exchangeable there, so k is itself a birth-death chain
+    (lumpability): each of the n - k zeros sees f1 = k/(n-1), each of the
+    k ones sees f1 = (k-1)/(n-1).  Returns (up, down) with up[n] = down[0] = 0.
+    """
+    if n < 2:
+        raise ValueError(f"the complete graph needs at least 2 vertices, got {n}")
+    j = np.arange(n)
+    f1 = j / (n - 1)  # seen by a zero when k = j and by a one when k = j + 1
+    up = np.zeros(n + 1)
+    down = np.zeros(n + 1)
+    up[:-1] = (n - j) * flip_rates_all(p, 0, f1)
+    down[1:] = (j + 1) * flip_rates_all(p, 1, f1)
+    return up, down
+
+
+def simulate_complete_counts(p: NPParams, n: int, k0: int, horizon: float,
+                             rng: np.random.Generator,
+                             rates: tuple[np.ndarray, np.ndarray] | None = None
+                             ) -> tuple[np.ndarray, np.ndarray]:
+    """Exact simulation of the count of ones on the n-vertex complete graph.
+
+    The count chain of :func:`complete_count_rates` (pass them as ``rates``
+    to reuse them): each jump draws its holding time, then goes up with
+    probability up[k] / (up[k] + down[k]).  O(1) per jump, O(n) memory.
+    Returns (times, counts) with times[0] = 0; counts[i] holds until
+    times[i+1].  Stops early at an absorbing count.
+    """
+    if not 0 <= k0 <= n:
+        raise ValueError(f"initial count must lie in [0, {n}], got {k0}")
+    up, down = complete_count_rates(p, n) if rates is None else rates
+    # memoryview indexing yields Python floats without boxing all n + 1 rates
+    up_k = memoryview(up)
+    total_k = memoryview(up + down)
+    k = k0
+    t = 0.0
+    times, counts = [0.0], [k0]
+    while True:
+        total = total_k[k]
+        if total <= 0.0:
+            break
+        t += rng.exponential(1.0 / total)
+        if t > horizon:
+            break
+        k += 1 if rng.random() * total < up_k[k] else -1
+        times.append(t)
+        counts.append(k)
+    return np.array(times), np.array(counts, dtype=np.int64)
 
 
 def parse_initial(spec: str, n: int, rng: np.random.Generator | None = None) -> np.ndarray:

@@ -84,6 +84,15 @@ def test_parity_check_end_to_end(tmp_path):
     assert report["violations"] == 0
 
 
+def test_meanfield_reports_comparator_jumps(tmp_path):
+    main(["meanfield", "--seed", "3", "--reps", "4", "--out", str(tmp_path),
+          "--set", "params.alpha=0.5", "--set", "run.T=1", "--set", "run.compare_n=50",
+          "--set", "run.compare_t=1"])
+    report = json.loads((tmp_path / "meanfield.json").read_text())
+    assert isinstance(report["comparator_jumps"], int) and report["comparator_jumps"] > 0
+    assert 0.0 < report["comparator_median_sup"] < 1.0
+
+
 def test_meanfield_end_to_end(tmp_path):
     out = tmp_path / "res"
     main(["meanfield", "--seed", "1", "--out", str(out),
@@ -219,3 +228,33 @@ def test_diffusion_run_reports_the_last_site(tmp_path):
           "--set", "lattice.d=1", "--set", "lattice.L=8", "--set", "run.site=7",
           "--set", "model.dt=0.01", "--set", "run.T=0.1", "--set", "run.grid=0.1"])
     assert json.loads((tmp_path / "diffusion-run.json").read_text())["site"] == 7
+
+
+@pytest.mark.parametrize("key", ["run.tgrid", "run.alphas", "run.kernels"])
+def test_exact_check_rejects_an_empty_list(tmp_path, key):
+    # an empty list would leave nothing to check and report residual 0.0
+    with pytest.raises(ValueError, match=rf"{key} is empty"):
+        main(["exact-check", "--seed", "1", "--out", str(tmp_path),
+              "--set", "run.kernels=complete:3", "--set", f"{key}="])
+    assert not (tmp_path / "exact-check.json").exists()
+
+
+@pytest.mark.parametrize("token", ["torus:1", "complete:", "torus:a:3", "complete:3:1",
+                                   "torus:1:4:2", "ring:4"])
+def test_exact_check_names_a_malformed_kernel_token(tmp_path, token):
+    with pytest.raises(ValueError, match=f"bad run.kernels token '{token}'"):
+        main(["exact-check", "--seed", "1", "--out", str(tmp_path),
+              "--set", f"run.kernels=complete:3,{token}"])
+
+
+def test_exact_check_builds_one_event_table_per_alpha_and_kernel(tmp_path, monkeypatch):
+    builds = []
+    build = EventTable.build.__func__
+
+    def counting(cls, p, k):
+        builds.append((p.alpha, k.n))
+        return build(cls, p, k)
+
+    monkeypatch.setattr(EventTable, "build", classmethod(counting))
+    main(["exact-check", "--seed", "1", "--out", str(tmp_path)] + EXACT_SMALL)
+    assert builds == [(0.3, 4), (0.7, 4), (0.3, 3), (0.7, 3)]

@@ -9,7 +9,7 @@ from ipsd.exact import (MAX_EXACT_SITES, _walsh_hadamard, build_generator_dual, 
                         parity_deviation_enum, parity_matrix, semigroup_apply,
                         state_to_config)
 from ipsd.kernel import complete_kernel, explicit_kernel, torus_kernel
-from ipsd.spin import NPParams
+from ipsd.spin import EventTable, NPParams
 
 
 def test_state_config_roundtrip():
@@ -44,6 +44,16 @@ def test_generator_routes_agree_small():
         a = build_generator_np(p, k).matrix
         b = build_generator_from_events(p, k).matrix
         assert np.abs(a - b).max() < 1e-12
+
+
+@pytest.mark.parametrize("k", [torus_kernel(1, 4), complete_kernel(5), torus_kernel(2, 3)],
+                         ids=["ring4", "complete5", "torus3x3"])
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.7])
+def test_generators_from_a_prebuilt_table_are_bit_identical(k, alpha):
+    p = NPParams.symmetric(alpha)
+    table = EventTable.build(p, k)
+    for build in (build_generator_from_events, build_generator_dual):
+        assert build(p, k, table=table).matrix.tobytes() == build(p, k).matrix.tobytes()
 
 
 def test_generator_dual_same_event_rates():

@@ -1,12 +1,14 @@
 """Density ODE, its closed-form equilibrium, and the finite-system comparator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ipsd.meanfield import (LVParams, density_rhs, equilibrium, integrate_ode,
                             lv_rhs, meanfield_comparator)
 from ipsd.rng import derive_stream
-from ipsd.spin import NPParams
+from ipsd.spin import NPParams, simulate_complete_counts
 
 
 def test_equilibrium_hand_values():
@@ -156,3 +158,42 @@ def test_comparator_smoke():
                                derive_stream(31, "mf-test"), dt=0.01)
     assert 0.0 <= rep.median < 0.2
     assert len(rep.sup_distances) == 40
+
+
+def test_comparator_counts_its_jumps():
+    # one count-chain path per replicate, drawn in turn from the caller's stream
+    p = NPParams.symmetric(0.5)
+    rep = meanfield_comparator(60, p, 0.3, 1.0, 5, derive_stream(32, "mf-jumps"), dt=0.01)
+    rng = derive_stream(32, "mf-jumps")
+    paths = [simulate_complete_counts(p, 60, 18, 1.0, rng) for _ in range(5)]
+    assert rep.jumps == sum(len(times) - 1 for times, _ in paths) > 0
+    again = meanfield_comparator(60, p, 0.3, 1.0, 5, derive_stream(32, "mf-jumps"), dt=0.01)
+    assert again.jumps == rep.jumps
+    assert again.sup_distances.tobytes() == rep.sup_distances.tobytes()
+
+
+@pytest.mark.parametrize("n_vertices, reps, horizon, message", [
+    (1, 5, 1.0, "at least 2 vertices, got 1"),
+    (0, 5, 1.0, "at least 2 vertices, got 0"),
+    (50, 0, 1.0, "at least 1 replicate, got 0"),
+    (50, 5, -0.5, "horizon must be nonnegative, got -0.5"),
+])
+def test_comparator_rejects_bad_inputs(n_vertices, reps, horizon, message):
+    with pytest.raises(ValueError, match=message):
+        meanfield_comparator(n_vertices, NPParams.symmetric(0.5), 0.3, horizon, reps,
+                             derive_stream(33, "mf-bad"))
+
+
+def test_comparator_keeps_no_quadratic_structure():
+    # N = 10^5 would need 10^10 kernel edges; the count chain holds O(N) rates,
+    # about 80 bytes per vertex while they are computed (8.3 MiB peak here)
+    tracemalloc.start()
+    try:
+        rep = meanfield_comparator(100_000, NPParams.symmetric(0.5), 0.3, 0.5, 1,
+                                   derive_stream(34, "mf-big"), dt=0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.jumps > 10_000
+    assert rep.median < 0.01
+    assert peak < 16 << 20, peak

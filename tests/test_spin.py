@@ -10,8 +10,9 @@ from ipsd.exact import build_generator_np, semigroup_apply, state_to_config
 from ipsd.kernel import (complete_kernel, config_all, config_indicator, explicit_kernel,
                          torus_kernel)
 from ipsd.spin import (MAX_TABLE_ROWS, EventTable, NPParams, UpdateEvent, apply_event_forward,
-                       flip_rate, flip_rates_all, parse_initial, replay_forward,
-                       replay_forward_batch, sample_event_log, simulate_gillespie)
+                       complete_count_rates, flip_rate, flip_rates_all, parse_initial,
+                       replay_forward, replay_forward_batch, sample_event_log,
+                       simulate_complete_counts, simulate_gillespie)
 from ipsd.rng import derive_stream
 
 
@@ -342,6 +343,96 @@ def test_gillespie_matches_exact_semigroup():
     freq = counts / reps
     sigma = np.sqrt(np.maximum(dist * (1 - dist), 1e-12) / reps)
     assert np.all(np.abs(freq - dist) < 5 * sigma + 1e-9)
+
+
+# -- lumped count chain on the complete graph --------------------------------------
+
+LUMP_PARAMS = [NPParams.symmetric(0.0), NPParams.symmetric(0.3),
+               NPParams(lam=1.5, alpha01=0.3, alpha10=0.6),
+               NPParams(lam=2.5, alpha01=1.2, alpha10=0.1)]
+
+
+def _popcount_projection(n):
+    """PI[s, j] = 1 when state s holds j ones."""
+    ones = np.array([bin(s).count("1") for s in range(1 << n)])
+    return (ones[:, None] == np.arange(n + 1)).astype(float)
+
+
+def _count_generator(p, n):
+    up, down = complete_count_rates(p, n)
+    L = np.diag(up[:-1], 1) + np.diag(down[1:], -1)
+    return L - np.diag(L.sum(axis=1))
+
+
+@pytest.mark.parametrize("p", LUMP_PARAMS, ids=["alpha0", "alpha0.3", "lam1.5", "lam2.5"])
+def test_count_chain_lumps_the_site_generator(p):
+    # Kemeny-Snell lumpability on the complete graph: G PI = PI L, with G the
+    # site-level generator and L the birth-death generator of the count
+    for n in range(2, 11):
+        G = build_generator_np(p, complete_kernel(n)).matrix
+        PI = _popcount_projection(n)
+        assert np.abs(G @ PI - PI @ _count_generator(p, n)).max() < 1e-12, n
+
+
+def test_count_chain_rates_vanish_at_the_ends():
+    for p in LUMP_PARAMS:
+        up, down = complete_count_rates(p, 7)
+        assert up.shape == down.shape == (8,)
+        assert up[-1] == 0.0 and down[0] == 0.0 and (up >= 0).all() and (down >= 0).all()
+    # the site rates' denominator 1 + (lam-1) f1 vanishes at f1 = -1/(N-1) for
+    # lam = N and at f1 = N/(N-1) for lam = 1/N; no count rate evaluates there
+    for lam in (3.0, 1.0 / 3.0):
+        up, down = complete_count_rates(NPParams(lam=lam, alpha01=0.5, alpha10=0.5), 3)
+        assert np.isfinite(up).all() and np.isfinite(down).all()
+    with pytest.raises(ValueError, match="at least 2 vertices"):
+        complete_count_rates(NPParams.symmetric(0.3), 1)
+
+
+def _chi2_sf_even(x, df):
+    """Survival function of the chi-square law with an even number of degrees of freedom."""
+    m = df // 2
+    term, acc = 1.0, 1.0
+    for i in range(1, m):
+        term *= (x / 2.0) / i
+        acc += term
+    return float(np.exp(-x / 2.0) * acc)
+
+
+def test_count_chain_law_matches_exact_semigroup():
+    # law of k_t at N = 6 from 4000 paths against exp(tG) applied to the
+    # popcount-class indicators; 7 classes, so 6 degrees of freedom
+    n, k0, t, reps = 6, 2, 0.8, 4000
+    p = NPParams(lam=1.5, alpha01=0.3, alpha10=0.6)
+    gen = build_generator_np(p, complete_kernel(n))
+    law = semigroup_apply(gen, t, _popcount_projection(n))[(1 << k0) - 1]
+    assert abs(law.sum() - 1.0) < 1e-12
+    rng = derive_stream(9, "test-count-law")
+    rates = complete_count_rates(p, n)
+    counts = np.zeros(n + 1)
+    for _ in range(reps):
+        times, ks = simulate_complete_counts(p, n, k0, t, rng, rates=rates)
+        counts[ks[-1]] += 1
+    expected = reps * law
+    assert expected.min() >= 5
+    stat = float(((counts - expected) ** 2 / expected).sum())
+    assert _chi2_sf_even(stat, n) > 1e-3, (stat, counts, expected)
+    assert _chi2_sf_even(12.5916, 6) == pytest.approx(0.05, abs=1e-5)  # table value
+
+
+def test_count_chain_path_shape():
+    p = NPParams.symmetric(0.4)
+    times, ks = simulate_complete_counts(p, 30, 9, 2.0, derive_stream(10, "test-count"))
+    assert times[0] == 0.0 and ks[0] == 9 and len(times) == len(ks) > 1
+    assert np.all(np.diff(times) > 0) and times[-1] <= 2.0
+    assert np.all(np.abs(np.diff(ks)) == 1) and ks.min() >= 0 and ks.max() <= 30
+    # absorbing counts stay put and draw nothing
+    for k0 in (0, 30):
+        rng = derive_stream(10, "test-count-abs")
+        times, ks = simulate_complete_counts(p, 30, k0, 2.0, rng)
+        assert list(times) == [0.0] and list(ks) == [k0]
+        assert rng.random() == derive_stream(10, "test-count-abs").random()
+    with pytest.raises(ValueError, match="initial count"):
+        simulate_complete_counts(p, 30, 31, 2.0, derive_stream(10, "x"))
 
 
 def test_parse_initial_forms():
