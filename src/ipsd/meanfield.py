@@ -176,7 +176,7 @@ def meanfield_comparator(n_vertices: int, p: NPParams, density0: float, horizon:
     if not (0.0 <= density0 <= 1.0):
         raise ValueError("density0 must lie in [0,1]")
     ones = int(round(n_vertices * density0))
-    rates = complete_count_rates(p, n_vertices)
+    up, down = complete_count_rates(p, n_vertices)
 
     rhs = lambda x: density_rhs(x, p.lam, p.alpha01, p.alpha10)
     ts, xs = integrate_ode(rhs, [1.0 - density0], horizon, dt=dt)
@@ -185,7 +185,7 @@ def meanfield_comparator(n_vertices: int, p: NPParams, density0: float, horizon:
     sups = np.empty(reps)
     jumps = 0
     for r in range(reps):
-        jt, counts = simulate_complete_counts(p, n_vertices, ones, horizon, rng, rates=rates)
+        jt, counts = simulate_complete_counts(up, down, ones, horizon, rng)
         jumps += len(jt) - 1
         jd = counts / n_vertices
         # evaluate the step function on the ODE grid and the ODE on the jump grid

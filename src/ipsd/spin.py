@@ -418,21 +418,20 @@ def complete_count_rates(p: NPParams, n: int) -> tuple[np.ndarray, np.ndarray]:
     return up, down
 
 
-def simulate_complete_counts(p: NPParams, n: int, k0: int, horizon: float,
-                             rng: np.random.Generator,
-                             rates: tuple[np.ndarray, np.ndarray] | None = None
-                             ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact simulation of the count of ones on the n-vertex complete graph.
+def simulate_complete_counts(up: np.ndarray, down: np.ndarray, k0: int, horizon: float,
+                             rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Exact simulation of the count of ones on the complete graph.
 
-    The count chain of :func:`complete_count_rates` (pass them as ``rates``
-    to reuse them): each jump draws its holding time, then goes up with
-    probability up[k] / (up[k] + down[k]).  O(1) per jump, O(n) memory.
+    ``up`` and ``down`` are the count chain's rates from
+    :func:`complete_count_rates`; the graph has n = len(up) - 1 vertices.
+    Each jump draws its holding time, then goes up with probability
+    up[k] / (up[k] + down[k]).  O(1) per jump, O(n) memory.
     Returns (times, counts) with times[0] = 0; counts[i] holds until
     times[i+1].  Stops early at an absorbing count.
     """
+    n = len(up) - 1
     if not 0 <= k0 <= n:
         raise ValueError(f"initial count must lie in [0, {n}], got {k0}")
-    up, down = complete_count_rates(p, n) if rates is None else rates
     # memoryview indexing yields Python floats without boxing all n + 1 rates
     up_k = memoryview(up)
     total_k = memoryview(up + down)

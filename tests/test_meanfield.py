@@ -8,7 +8,7 @@ import pytest
 from ipsd.meanfield import (LVParams, density_rhs, equilibrium, integrate_ode,
                             lv_rhs, meanfield_comparator)
 from ipsd.rng import derive_stream
-from ipsd.spin import NPParams, simulate_complete_counts
+from ipsd.spin import NPParams, complete_count_rates, simulate_complete_counts
 
 
 def test_equilibrium_hand_values():
@@ -165,7 +165,8 @@ def test_comparator_counts_its_jumps():
     p = NPParams.symmetric(0.5)
     rep = meanfield_comparator(60, p, 0.3, 1.0, 5, derive_stream(32, "mf-jumps"), dt=0.01)
     rng = derive_stream(32, "mf-jumps")
-    paths = [simulate_complete_counts(p, 60, 18, 1.0, rng) for _ in range(5)]
+    up, down = complete_count_rates(p, 60)
+    paths = [simulate_complete_counts(up, down, 18, 1.0, rng) for _ in range(5)]
     assert rep.jumps == sum(len(times) - 1 for times, _ in paths) > 0
     again = meanfield_comparator(60, p, 0.3, 1.0, 5, derive_stream(32, "mf-jumps"), dt=0.01)
     assert again.jumps == rep.jumps

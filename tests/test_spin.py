@@ -407,10 +407,10 @@ def test_count_chain_law_matches_exact_semigroup():
     law = semigroup_apply(gen, t, _popcount_projection(n))[(1 << k0) - 1]
     assert abs(law.sum() - 1.0) < 1e-12
     rng = derive_stream(9, "test-count-law")
-    rates = complete_count_rates(p, n)
+    up, down = complete_count_rates(p, n)
     counts = np.zeros(n + 1)
     for _ in range(reps):
-        times, ks = simulate_complete_counts(p, n, k0, t, rng, rates=rates)
+        times, ks = simulate_complete_counts(up, down, k0, t, rng)
         counts[ks[-1]] += 1
     expected = reps * law
     assert expected.min() >= 5
@@ -420,19 +420,19 @@ def test_count_chain_law_matches_exact_semigroup():
 
 
 def test_count_chain_path_shape():
-    p = NPParams.symmetric(0.4)
-    times, ks = simulate_complete_counts(p, 30, 9, 2.0, derive_stream(10, "test-count"))
+    up, down = complete_count_rates(NPParams.symmetric(0.4), 30)
+    times, ks = simulate_complete_counts(up, down, 9, 2.0, derive_stream(10, "test-count"))
     assert times[0] == 0.0 and ks[0] == 9 and len(times) == len(ks) > 1
     assert np.all(np.diff(times) > 0) and times[-1] <= 2.0
     assert np.all(np.abs(np.diff(ks)) == 1) and ks.min() >= 0 and ks.max() <= 30
     # absorbing counts stay put and draw nothing
     for k0 in (0, 30):
         rng = derive_stream(10, "test-count-abs")
-        times, ks = simulate_complete_counts(p, 30, k0, 2.0, rng)
+        times, ks = simulate_complete_counts(up, down, k0, 2.0, rng)
         assert list(times) == [0.0] and list(ks) == [k0]
         assert rng.random() == derive_stream(10, "test-count-abs").random()
     with pytest.raises(ValueError, match="initial count"):
-        simulate_complete_counts(p, 30, 31, 2.0, derive_stream(10, "x"))
+        simulate_complete_counts(up, down, 31, 2.0, derive_stream(10, "x"))
 
 
 def test_parse_initial_forms():
