@@ -17,6 +17,7 @@ configuration and seed: worker count and wall clock never enter them.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from functools import partial
 from pathlib import Path
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .diffusion import DiffusionParams, ensemble_observable, parse_field_initial
-from .dualspin import (ZBDistribution, dual_sizes_fresh, evolve_dual_replay, parity, parity_overlap,
+from .dualspin import (ZBDistribution, dual_sizes_fresh, parity, parity_overlap, replay_dual,
                        simulate_dual_fresh)
 from .exact import (MAX_EXACT_SITES, build_generator_dual, build_generator_from_events,
                     build_generator_np, feynman_kac_check)
@@ -136,14 +137,21 @@ def _parity_chunk(p, k, A, B, horizon, table, size, rng):
     dual = np.empty((size, len(grid)), dtype=np.int64)
     dualmc = np.empty(size, dtype=np.int64)
     etaA = config_indicator(k.n, A)
+    indB = config_indicator(k.n, B)
     for i in range(size):
         log = sample_event_log(p, k, horizon, rng, table=table)
         for j, t in enumerate(grid):
             fwd[i, j] = parity(replay_forward(etaA, log, t), B)
-            dual[i, j] = parity_overlap(evolve_dual_replay(B, log, t, k.n), etaA)
+            dual[i, j] = parity_overlap(replay_dual(indB, log, t), etaA)
         (_, xi), = simulate_dual_fresh(p, k, B, horizon, rng, record=[horizon], table=table)
         dualmc[i] = parity_overlap(xi, etaA)
     return fwd, dual, dualmc
+
+
+def _site_and_mean(site, fields):
+    """Focal-site value and spatial mean of each field in a batch; shape (b, 2)."""
+    flat = fields.reshape(fields.shape[0], -1)
+    return np.stack([flat[:, site], flat.mean(axis=1)], axis=1)
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -269,29 +277,24 @@ def cmd_exact_check(cfg: RunConfig) -> dict:
 
 
 def cmd_meanfield(cfg: RunConfig) -> dict:
-    lam = cfg.opt("params", "lam", 1.0, float)
-    a01 = cfg.opt("params", "alpha01", 0.0, float)
-    a10 = cfg.opt("params", "alpha10", 0.0, float)
-    if "alpha" in cfg.options.get("params", {}):
-        lam, a01, a10 = 1.0, cfg.opt("params", "alpha", cast=float), cfg.opt("params", "alpha", cast=float)
+    p = _build_params(cfg)
     p0 = cfg.opt("run", "p0", 0.5, float)
     horizon = cfg.opt("run", "t", 50.0, float)
     dt = cfg.opt("run", "dt", 1e-3, float)
     stride = cfg.opt("run", "stride", 100, int)
-    ts, xs = integrate_ode(lambda x: density_rhs(x, lam, a01, a10), [p0], horizon,
+    ts, xs = integrate_ode(lambda x: density_rhs(x, p.lam, p.alpha01, p.alpha10), [p0], horizon,
                            dt=dt, self_check=True)
     if cfg.out:
         rows = [(ts[i], xs[i, 0]) for i in range(0, len(ts), stride)]
         if rows[-1][0] != ts[-1]:
             rows.append((ts[-1], xs[-1, 0]))
         write_csv(Path(cfg.out) / "meanfield_path.csv", ["t", "p0"], rows)
-    eq = equilibrium(lam, a01, a10)
+    eq = equilibrium(p.lam, p.alpha01, p.alpha10)
     payload = {"equilibrium": eq, "terminal": float(xs[-1, 0]),
                "terminal_gap": abs(float(xs[-1, 0]) - eq)}
     n_vertices = cfg.opt("run", "compare_n", 0, int)
     if n_vertices:
-        rep = meanfield_comparator(n_vertices, NPParams(lam=lam, alpha01=a01, alpha10=a10),
-                                   1.0 - p0, cfg.opt("run", "compare_t", 3.0, float),
+        rep = meanfield_comparator(n_vertices, p, 1.0 - p0, cfg.opt("run", "compare_t", 3.0, float),
                                    cfg.reps, derive_stream(cfg.seed, "meanfield-compare"))
         payload["comparator_median_sup"] = rep.median
         payload["comparator_jumps"] = rep.jumps
@@ -304,23 +307,20 @@ def cmd_diffusion_run(cfg: RunConfig) -> dict:
     grid = _parse_grid(cfg.opt("run", "grid", "")) or [horizon * j / 10.0 for j in range(1, 11)]
     init = cfg.opt("run", "init", "const:0.5")
     kappa = cfg.opt("run", "kappa", 0.1, float)
+    if not 0.0 < kappa < 0.5:
+        raise ValueError(f"run.kappa must lie in (0, 1/2), got {kappa}")
     site = cfg.opt("run", "site", 0, int)
     if not 0 <= site < params.torus.n_sites:
         raise ValueError(f"run.site must lie in [0, {params.torus.n_sites}), got {site}")
     p0 = parse_field_initial(init, params.torus, derive_stream(cfg.seed, "diffusion-init"))
-
-    def obs_stack(fields):
-        flat = fields.reshape(fields.shape[0], -1)
-        return flat[:, site]
-
-    site_vals = ensemble_observable(params, p0, grid, obs_stack, cfg.reps, cfg.seed, "diffusion-site")
-    mean_vals = ensemble_observable(params, p0, grid, lambda f: f.reshape(f.shape[0], -1).mean(axis=1),
-                                    cfg.reps, cfg.seed, "diffusion-mean")
+    vals = ensemble_observable(params, p0, grid, partial(_site_and_mean, site),
+                               cfg.reps, cfg.seed, "diffusion-site")
     rows = []
     report = []
     for j, t in enumerate(sorted(grid)):
-        het = float(((site_vals[j] > kappa) & (site_vals[j] < 1.0 - kappa)).mean())
-        rows.append((t, float(mean_vals[j].mean()), float(site_vals[j].var(ddof=1)), het))
+        site_vals, mean_vals = vals[j]
+        het = float(((site_vals > kappa) & (site_vals < 1.0 - kappa)).mean())
+        rows.append((t, float(mean_vals.mean()), float(site_vals.var(ddof=1)), het))
         report.append({"t": t, "mean_p": rows[-1][1], "var_p": rows[-1][2], "het_stat": het})
     if cfg.out:
         write_csv(Path(cfg.out) / "diffusion_summary.csv",
@@ -443,30 +443,51 @@ _COMMANDS = {
 
 
 def cmd_sweep(cfg: RunConfig) -> dict:
-    """Repeat a subcommand while varying one config key over a value list."""
+    """Repeat a subcommand over the Cartesian product of value lists.
+
+    ``vary`` names one or more section.key entries, comma-separated;
+    ``values`` holds one comma-separated list per key, the lists separated
+    by ";".  Points run in row-major order of ``vary`` (the last key varies
+    fastest) and are labelled by their values joined with ";".
+    """
     target = cfg.opt("sweep", "over")
     if target not in _COMMANDS:
         raise ValueError(f"sweep target must be one of {sorted(_COMMANDS)}")
-    vary = cfg.opt("sweep", "vary")  # "section.key"
-    values = [tok.strip() for tok in cfg.opt("sweep", "values").split(",") if tok.strip()]
-    section, key = vary.split(".", 1)
+    vary = cfg.opt("sweep", "vary")
+    names = [tok.strip() for tok in vary.split(",")]
+    for name in names:
+        if "." not in name:
+            raise ValueError(f"sweep.vary entry {name!r} is not of the form section.key")
+    lists = [[tok.strip() for tok in chunk.split(",") if tok.strip()]
+             for chunk in cfg.opt("sweep", "values").split(";")]
+    if len(lists) != len(names):
+        raise ValueError(f"sweep.values has {len(lists)} value lists for {len(names)} "
+                         f"sweep.vary keys")
+    if not all(lists):
+        raise ValueError("sweep.values has an empty value list")
     reports = []
     csv_rows = []
-    for val in values:
+    for point in itertools.product(*lists):
+        label = ";".join(point)
         sub_options = {s: dict(kv) for s, kv in cfg.options.items()}
-        sub_options.setdefault(section, {})[key] = val
-        sub_out = Path(cfg.out) / f"{vary.replace('.', '_')}={val}" if cfg.out else None
+        for name, val in zip(names, point):
+            section, key = name.split(".", 1)
+            # lower-cased as config files and --set store keys
+            sub_options.setdefault(section, {})[key.lower()] = val
+        subdir = ",".join(f"{name.replace('.', '_')}={val}" for name, val in zip(names, point))
+        sub_out = Path(cfg.out) / subdir if cfg.out else None
         sub = RunConfig(subcommand=target, seed=cfg.seed, reps=cfg.reps,
                         out=sub_out, threads=cfg.threads, options=sub_options)
         payload = _COMMANDS[target](sub)
         if sub_out:
             write_json(sub_out / f"{target}.json", payload, sub)
-        reports.append({"value": val, "report": payload})
+        reports.append({"value": label, "report": payload})
         for path, num in _numeric_leaves(payload):
-            csv_rows.append((val, path, num))
+            csv_rows.append((label, path, num))
     if cfg.out:
         write_csv(Path(cfg.out) / "sweep.csv", ["value", "metric", "metric_value"], csv_rows)
-    return {"over": target, "vary": vary, "values": values, "reports": reports}
+    return {"over": target, "vary": vary, "values": [r["value"] for r in reports],
+            "reports": reports}
 
 
 def _numeric_leaves(obj, prefix=""):

@@ -34,14 +34,11 @@ from .lattice import Stencil, Torus
 __all__ = [
     "DiffusionParams",
     "drift_field",
-    "drift",
     "em_step",
     "sigma_of_p",
     "p_of_sigma",
     "mirror_params",
-    "simulate_field",
     "ensemble_observable",
-    "heterozygosity_stat",
     "parse_field_initial",
 ]
 
@@ -88,14 +85,6 @@ def drift_field(field: np.ndarray, params: DiffusionParams) -> np.ndarray:
     return out
 
 
-def drift(field: np.ndarray, params: DiffusionParams, x) -> float:
-    """Drift at one site (x is a flat index or coordinate tuple)."""
-    full = drift_field(field, params)
-    if np.isscalar(x) or isinstance(x, (int, np.integer)):
-        return float(full.reshape(-1)[int(x)])
-    return float(full[tuple(x)])
-
-
 def em_step(field: np.ndarray, params: DiffusionParams, rng: np.random.Generator) -> np.ndarray:
     """One Euler-Maruyama step: drift, clamped noise, projection to [0,1]."""
     var = np.maximum(field * (1.0 - field) / params.noise_n, 0.0)
@@ -121,41 +110,25 @@ def mirror_params(params: DiffusionParams) -> DiffusionParams:
                    mu=params.mu / (params.mu - 1.0))
 
 
-def simulate_field(params: DiffusionParams, p0: np.ndarray, grid,
-                   rng: np.random.Generator) -> list[tuple[float, np.ndarray]]:
-    """Single-replicate trajectory, recorded at the sorted grid times.
-
-    Steps land on each grid time exactly (a shortened step if needed), so
-    recorded values are at the requested times rather than the nearest
-    step boundary.
-    """
-    field = np.array(p0, dtype=np.float64)
-    if field.shape != params.torus.shape:
-        raise ValueError("initial field shape does not match the torus")
-    out = []
-    t = 0.0
-    for target in sorted(grid):
-        while t < target - 1e-12:
-            h = min(params.dt, target - t)
-            field = em_step(field, params.with_dt(h) if h != params.dt else params, rng)
-            t += h
-        out.append((target, field.copy()))
-    return out
-
-
 def _ensemble_chunk(params: DiffusionParams, p0: np.ndarray, grid, observable,
                     size: int, rng: np.random.Generator) -> np.ndarray:
-    """Observable values of ``size`` replicates stepped together; shape (size, len(grid))."""
-    out = np.empty((size, len(grid)))
+    """Observable values of ``size`` replicates stepped together along the sorted grid.
+
+    Steps land on each grid time exactly (a shortened step if needed), so
+    values are recorded at the requested times rather than the nearest step
+    boundary.  The per-time results are stacked on axis 1: shape
+    (size, len(grid)) for a (b,) observable, (size, len(grid), m) for (b, m).
+    """
     fields = np.broadcast_to(p0, (size,) + p0.shape).copy()
     t = 0.0
-    for gi, target in enumerate(grid):
+    out = []
+    for target in grid:
         while t < target - 1e-12:
             h = min(params.dt, target - t)
             fields = em_step(fields, params.with_dt(h) if h != params.dt else params, rng)
             t += h
-        out[:, gi] = observable(fields)
-    return out
+        out.append(observable(fields))
+    return np.stack(out, axis=1)
 
 
 def ensemble_observable(params: DiffusionParams, p0: np.ndarray, grid, observable,
@@ -166,36 +139,16 @@ def ensemble_observable(params: DiffusionParams, p0: np.ndarray, grid, observabl
     Replicates are stepped together in chunks of ``batch`` through
     :func:`ipsd.harness.replicate_map`, one derived stream per chunk, so the
     output is a pure function of (params, p0, grid, reps, master_seed, role).
-    ``observable(fields)`` maps a (b, *shape) array to a (b,) array.
-    Returns an array of shape (len(grid), reps).
+    ``observable(fields)`` maps a (b, *shape) array to a (b,) or (b, m) array.
+    Returns an array of shape (len(grid), reps) or (len(grid), m, reps): the
+    replicate axis comes last.
     """
     p0 = np.asarray(p0, dtype=np.float64)
     if p0.shape != params.torus.shape:
         raise ValueError("initial field shape does not match the torus")
     work = partial(_ensemble_chunk, params, p0, sorted(grid), observable)
-    return np.ascontiguousarray(replicate_map(work, reps, master_seed, role, batch).T)
-
-
-def heterozygosity_stat(params: DiffusionParams, p0: np.ndarray, kappa: float, x0,
-                        grid, reps: int, master_seed: int,
-                        role: str = "heterozygosity") -> list[dict]:
-    """P(kappa < p_t(x0) < 1 - kappa) along the grid, with standard errors."""
-    if not (0.0 < kappa < 0.5):
-        raise ValueError("kappa must lie in (0, 1/2)")
-    flat = int(x0) if np.isscalar(x0) or isinstance(x0, (int, np.integer)) else params.torus.index(x0)
-    idx = np.unravel_index(flat, params.torus.shape)
-
-    def obs(fields):
-        vals = fields[(slice(None),) + idx]
-        return ((vals > kappa) & (vals < 1.0 - kappa)).astype(np.float64)
-
-    vals = ensemble_observable(params, p0, grid, obs, reps, master_seed, role)
-    from .stats import MCEstimate
-    rows = []
-    for gi, t in enumerate(sorted(grid)):
-        est = MCEstimate.from_samples(vals[gi])
-        rows.append({"t": float(t), "inside": est, "successes": int(vals[gi].sum())})
-    return rows
+    vals = replicate_map(work, reps, master_seed, role, batch)
+    return np.ascontiguousarray(np.moveaxis(vals, 0, -1))
 
 
 def parse_field_initial(spec: str, torus: Torus, rng: np.random.Generator | None = None) -> np.ndarray:

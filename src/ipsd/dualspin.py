@@ -32,7 +32,6 @@ __all__ = [
     "apply_event_dual",
     "replay_dual",
     "replay_dual_batch",
-    "evolve_dual_replay",
     "simulate_dual_fresh",
     "dual_sizes_fresh",
     "parity",
@@ -92,11 +91,6 @@ def replay_dual_batch(cols0: np.ndarray, log: EventLog, t: float) -> np.ndarray:
     out = np.array(cols0, dtype=np.uint8, copy=True)
     _fold_dual(out, log, reversed(range(log.count_up_to(t))))
     return out
-
-
-def evolve_dual_replay(B, log: EventLog, t: float, n: int) -> np.ndarray:
-    """Reverse-replay dual started from 1_B against a given forward log."""
-    return replay_dual(config_indicator(n, B), log, t)
 
 
 def simulate_dual_fresh(p: NPParams, k: Kernel, B, horizon: float,

@@ -314,6 +314,8 @@ def coexistence_probe(s: float, torus: Torus, stencil: Stencil, master_seed: int
     """
     if s <= 0:
         raise ValueError("the coexistence probe is for s > 0")
+    if not 0.0 < kappa < 0.5:
+        raise ValueError(f"kappa must lie in (0, 1/2), got {kappa}")
     params = DiffusionParams(torus=torus, stencil=stencil, s=s, mu=2.0, dt=dt)
     p0 = np.full(torus.shape, 0.5)
 

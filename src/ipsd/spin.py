@@ -113,12 +113,18 @@ def flip_rate(p: NPParams, k: Kernel, eta: np.ndarray, x: int, f1: float | None 
     return (f1 + p.alpha10 * f0) * f0 / denom
 
 
-def flip_rates_all(p: NPParams, eta: np.ndarray, f1: np.ndarray) -> np.ndarray:
-    """Vectorized flip rates for every site given the f1 vector."""
+def _branch_rates(p: NPParams, f1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flip rates (up, down) of a zero and of a one that see a frequency f1 of ones."""
     f0 = 1.0 - f1
     denom = p.lam * f1 + f0
     up = (f0 + p.alpha01 * f1) * (p.lam * f1) / denom
     down = (f1 + p.alpha10 * f0) * f0 / denom
+    return up, down
+
+
+def flip_rates_all(p: NPParams, eta: np.ndarray, f1: np.ndarray) -> np.ndarray:
+    """Vectorized flip rates for every site given the f1 vector."""
+    up, down = _branch_rates(p, f1)
     return np.where(eta == 0, up, down)
 
 
@@ -411,10 +417,11 @@ def complete_count_rates(p: NPParams, n: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"the complete graph needs at least 2 vertices, got {n}")
     j = np.arange(n)
     f1 = j / (n - 1)  # seen by a zero when k = j and by a one when k = j + 1
+    up_rate, down_rate = _branch_rates(p, f1)
     up = np.zeros(n + 1)
     down = np.zeros(n + 1)
-    up[:-1] = (n - j) * flip_rates_all(p, 0, f1)
-    down[1:] = (j + 1) * flip_rates_all(p, 1, f1)
+    up[:-1] = (n - j) * up_rate
+    down[1:] = (j + 1) * down_rate
     return up, down
 
 

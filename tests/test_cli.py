@@ -6,6 +6,7 @@ import pytest
 
 from ipsd import cli
 from ipsd.cli import CHUNK, _merge_config, build_parser, main
+from ipsd.diffusion import ensemble_observable
 from ipsd.spin import EventTable
 
 
@@ -187,6 +188,49 @@ def test_sweep_end_to_end(tmp_path):
     assert any("equilibrium" in r for r in rows[1:])
 
 
+def test_sweep_runs_the_product_of_its_value_lists_in_row_major_order(tmp_path):
+    out = tmp_path / "res"
+    main(["sweep", "--seed", "2", "--out", str(out),
+          "--set", "sweep.over=meanfield", "--set", "sweep.vary=params.alpha01,params.alpha10",
+          "--set", "sweep.values=0.2,0.4;0.1,0.3", "--set", "params.lam=1.0", "--set", "run.T=1"])
+    report = json.loads((out / "sweep.json").read_text())
+    points = [("0.2", "0.1"), ("0.2", "0.3"), ("0.4", "0.1"), ("0.4", "0.3")]
+    assert report["values"] == [r["value"] for r in report["reports"]] == [
+        f"{a};{b}" for a, b in points]
+    for (a01, a10), entry in zip(points, report["reports"]):
+        assert entry["report"]["equilibrium"] == pytest.approx((1 - float(a01)) / (
+            2 - float(a01) - float(a10)))
+        sub = json.loads((out / f"params_alpha01={a01},params_alpha10={a10}"
+                          / "meanfield.json").read_text())
+        assert sub["config"]["options"]["params"]["alpha01"] == a01
+        assert sub["config"]["options"]["params"]["alpha10"] == a10
+    rows = (out / "sweep.csv").read_text().splitlines()
+    assert rows[0] == "value,metric,metric_value"
+    assert rows[1].startswith("0.2;0.1,")
+
+
+def test_sweep_sets_a_key_given_in_upper_case(tmp_path):
+    # config files and --set store keys in lower case, so run.T must set run.t
+    main(["sweep", "--seed", "2", "--out", str(tmp_path), "--set", "sweep.over=meanfield",
+          "--set", "sweep.vary=run.T", "--set", "sweep.values=1,2", "--set", "params.alpha=0.3"])
+    for horizon in ("1", "2"):
+        last = (tmp_path / f"run_T={horizon}" / "meanfield_path.csv").read_text().splitlines()[-1]
+        assert float(last.split(",")[0]) == float(horizon)
+
+
+@pytest.mark.parametrize("vary, values, message", [
+    ("alpha01", "0.2,0.4", r"sweep.vary entry 'alpha01' is not of the form section.key"),
+    ("params.alpha01", " , ", r"sweep.values has an empty value list"),
+    ("params.alpha01,params.alpha10", "0.2,0.4", r"sweep.values has 1 value lists for 2 sweep.vary"),
+    ("params.alpha01", "0.2;0.4", r"sweep.values has 2 value lists for 1 sweep.vary"),
+])
+def test_sweep_rejects_a_malformed_grid(tmp_path, vary, values, message):
+    with pytest.raises(ValueError, match=message):
+        main(["sweep", "--seed", "2", "--out", str(tmp_path), "--set", "sweep.over=meanfield",
+              "--set", f"sweep.vary={vary}", "--set", f"sweep.values={values}"])
+    assert not any(tmp_path.iterdir())
+
+
 EXACT_SMALL = ["--set", "run.kernels=torus:1:4,complete:3", "--set", "run.alphas=0.3,0.7",
                "--set", "run.tgrid=0.1,1,5"]
 
@@ -221,6 +265,33 @@ def test_diffusion_run_rejects_a_site_off_the_torus(tmp_path, monkeypatch, site)
     with pytest.raises(ValueError, match=r"run.site must lie in \[0, 8\)"):
         main(["diffusion-run", "--seed", "1", "--reps", "4", "--out", str(tmp_path),
               "--set", "lattice.d=1", "--set", "lattice.L=8", "--set", f"run.site={site}"])
+
+
+@pytest.mark.parametrize("kappa", ["0", "0.5", "0.6"])
+def test_diffusion_run_rejects_kappa_outside_the_open_half_interval(tmp_path, monkeypatch, kappa):
+    def never(*args, **kwargs):
+        raise AssertionError("simulated before checking run.kappa")
+
+    monkeypatch.setattr(cli, "ensemble_observable", never)
+    with pytest.raises(ValueError, match=r"run.kappa must lie in \(0, 1/2\)"):
+        main(["diffusion-run", "--seed", "1", "--reps", "4", "--out", str(tmp_path),
+              "--set", f"run.kappa={kappa}"])
+
+
+def test_diffusion_run_records_site_and_mean_from_one_ensemble(tmp_path, monkeypatch):
+    roles = []
+
+    def spy(*args, **kwargs):
+        roles.append(args[6])
+        return ensemble_observable(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ensemble_observable", spy)
+    main(["diffusion-run", "--seed", "1", "--reps", "6", "--out", str(tmp_path),
+          "--set", "lattice.d=1", "--set", "lattice.L=4", "--set", "model.dt=0.01",
+          "--set", "run.T=0.1", "--set", "run.grid=0.05,0.1"])
+    assert roles == ["diffusion-site"]
+    lines = (tmp_path / "diffusion_summary.csv").read_text().splitlines()
+    assert lines[0] == "t,mean_p,var_p,het_stat" and len(lines) == 3
 
 
 def test_diffusion_run_reports_the_last_site(tmp_path):

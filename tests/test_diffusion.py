@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from ipsd.diffusion import (DiffusionParams, drift, drift_field, em_step,
-                            ensemble_observable, heterozygosity_stat, mirror_params,
-                            p_of_sigma, parse_field_initial, sigma_of_p, simulate_field)
+from ipsd.diffusion import (DiffusionParams, _ensemble_chunk, drift_field, em_step,
+                            ensemble_observable, mirror_params, p_of_sigma,
+                            parse_field_initial, sigma_of_p)
 from ipsd.lattice import Stencil, Torus
 from ipsd.rng import derive_stream
 
@@ -26,7 +26,6 @@ def test_drift_field_hand_values():
         mig = 0.5 * (field[(x - 1) % 4] + field[(x + 1) % 4]) - field[x]
         sel = 2.0 * field[x] * (1 - field[x]) * (1 - 0.5 * field[x])
         assert out[x] == pytest.approx(mig + sel, abs=1e-15)
-    assert drift(field, p, 2) == pytest.approx(out[2])
 
 
 def test_drift_field_batch_axes():
@@ -93,27 +92,39 @@ class _NegatedNormals:
         return -self._rng.standard_normal(shape)
 
 
+def _flat_fields(fields):
+    return fields.reshape(fields.shape[0], -1).copy()
+
+
 def test_mirror_symmetry_pathwise():
     # 1 - p under (s, mu) evolves exactly like p under the mirrored
-    # parameters when the Brownian increments are negated.
+    # parameters when the Brownian increments are negated; checked on the
+    # ensemble engine every command runs, three replicates at once.
     params = _params(L=8, s=1.3, mu=-0.4, dt=1e-3)
-    rng = derive_stream(63, "mirror-a")
     p0 = derive_stream(64, "mirror-init").random(8)
     grid = [0.05, 0.1, 0.2]
-    path_p = simulate_field(params, p0, grid, derive_stream(65, "mirror-noise"))
-    path_q = simulate_field(mirror_params(params), 1.0 - p0, grid,
-                            _NegatedNormals(derive_stream(65, "mirror-noise")))
-    for (t1, f), (t2, g) in zip(path_p, path_q):
-        assert t1 == t2
-        assert np.abs((1.0 - f) - g).max() < 1e-10
+    path_p = _ensemble_chunk(params, p0, grid, _flat_fields, 3, derive_stream(65, "mirror-noise"))
+    path_q = _ensemble_chunk(mirror_params(params), 1.0 - p0, grid, _flat_fields, 3,
+                             _NegatedNormals(derive_stream(65, "mirror-noise")))
+    assert path_p.shape == path_q.shape == (3, len(grid), 8)
+    assert np.abs((1.0 - path_p) - path_q).max() < 1e-10
 
 
-def test_simulate_field_grid_exact():
-    params = _params(dt=1e-3)
-    out = simulate_field(params, np.full(4, 0.5), [0.0105, 0.02], derive_stream(66, "grid"))
-    assert [t for t, _ in out] == [0.0105, 0.02]
-    for _, f in out:
-        assert f.shape == (4,)
+def test_ensemble_chunk_grid_exact():
+    # a grid time off the dt lattice is reached with one shortened step, so
+    # the value recorded at 0.0105 is ten full steps plus one of the remainder
+    params = _params(s=0.5, mu=2.0, dt=1e-3)
+    p0 = np.full(4, 0.5)
+    out = _ensemble_chunk(params, p0, [0.0105, 0.02], _flat_fields, 2, derive_stream(66, "grid"))
+    assert out.shape == (2, 2, 4)
+    rng = derive_stream(66, "grid")
+    field = np.tile(p0, (2, 1))
+    t = 0.0
+    for _ in range(10):
+        field = em_step(field, params, rng)
+        t += params.dt
+    field = em_step(field, params.with_dt(0.0105 - t), rng)
+    assert np.array_equal(out[:, 0], field)
 
 
 def test_ensemble_observable_batching():
@@ -128,6 +139,13 @@ def test_ensemble_observable_batching():
     # deterministic in the seed
     again = ensemble_observable(params, p0, [0.05], obs, 50, 9, "batch-test", batch=32)
     assert np.array_equal(small, again)
+    # a (b, m) observable gives shape (len(grid), m, reps): column j holds
+    # the values of the j-th (b,) observable on the same replicates
+    pair = lambda f: np.stack([obs(f), f[:, 0]], axis=1)
+    both = ensemble_observable(params, p0, [0.05, 0.1], pair, 50, 9, "batch-test", batch=32)
+    assert both.shape == (2, 2, 50)
+    assert np.array_equal(both[:, 0], ensemble_observable(params, p0, [0.05, 0.1], obs, 50, 9,
+                                                          "batch-test", batch=32))
 
 
 def test_ensemble_neutral_mean_is_martingale():
@@ -140,17 +158,6 @@ def test_ensemble_neutral_mean_is_martingale():
     m = vals[0].mean()
     se = vals[0].std(ddof=1) / np.sqrt(4000)
     assert abs(m - 0.3) < 4 * se + 1e-4
-
-
-def test_heterozygosity_stat_rows():
-    params = _params(L=4, dt=2e-3)
-    rows = heterozygosity_stat(params, np.full(4, 0.5), 0.1, 0, [0.1, 0.3], 200, 11)
-    assert [r["t"] for r in rows] == [0.1, 0.3]
-    for r in rows:
-        assert 0.0 <= r["inside"].mean <= 1.0
-        assert r["successes"] <= 200
-    with pytest.raises(ValueError):
-        heterozygosity_stat(params, np.full(4, 0.5), 0.6, 0, [0.1], 10, 11)
 
 
 def test_parse_field_initial():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ipsd.dualspin import (ZBDistribution, apply_event_dual, bernoulli_parity_identity,
-                           dual_sizes_fresh, evolve_dual_replay, evug_statistic,
+                           dual_sizes_fresh, evug_statistic,
                            limit_formula, parity, parity_duality_mc, parity_overlap,
                            replay_dual, replay_dual_batch, simulate_dual_fresh)
 from ipsd.kernel import config_indicator, torus_kernel
@@ -90,7 +90,7 @@ def test_pathwise_duality_exhaustive_small():
                 etaA = config_indicator(4, A)
                 eta_t = replay_forward(etaA, log, t)
                 for B in subsets:
-                    xi_t = evolve_dual_replay(B, log, t, 4)
+                    xi_t = replay_dual(config_indicator(4, B), log, t)
                     assert parity(eta_t, B) == parity_overlap(xi_t, etaA)
 
 

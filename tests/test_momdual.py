@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from ipsd import momdual
 from ipsd.lattice import Stencil, Torus
-from ipsd.momdual import (extinction_probe, gen_p_on_H, gen_sigma_on_H, gen_walker_on_H,
+from ipsd.momdual import (coexistence_probe, extinction_probe, gen_p_on_H, gen_sigma_on_H, gen_walker_on_H,
                           generator_duality_battery, moment_duality_mc, moment_eval)
 from ipsd.diffusion import DiffusionParams
 from ipsd.walkers import BCRW, CRW, DBARW
@@ -120,3 +121,14 @@ def test_extinction_probe_validates_eps():
         extinction_probe(s=-1.0, mu=-0.5, torus=torus, stencil=stencil,
                          p0_value=0.7, xi0={0: 1}, eps=0.3, grid=[1.0],
                          reps_fwd=10, reps_dual=10, master_seed=0)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.5, 0.6])
+def test_coexistence_probe_rejects_kappa_outside_the_open_half_interval(monkeypatch, kappa):
+    def never(*args, **kwargs):
+        raise AssertionError("simulated before checking kappa")
+
+    monkeypatch.setattr(momdual, "ensemble_observable", never)
+    torus, stencil = _geom()
+    with pytest.raises(ValueError, match=r"kappa must lie in \(0, 1/2\)"):
+        coexistence_probe(2.0, torus, stencil, master_seed=0, kappa=kappa)

@@ -388,6 +388,17 @@ def test_count_chain_rates_vanish_at_the_ends():
         complete_count_rates(NPParams.symmetric(0.3), 1)
 
 
+@pytest.mark.parametrize("p", LUMP_PARAMS, ids=["alpha0", "alpha0.3", "lam1.5", "lam2.5"])
+def test_count_chain_rates_equal_the_site_rates_bit_for_bit(p):
+    # each of the n - j zeros (j + 1 ones) flips at the site rate for f1 = j/(n-1)
+    for n in range(2, 11):
+        j = np.arange(n)
+        f1 = j / (n - 1)
+        up, down = complete_count_rates(p, n)
+        assert np.array_equal(up[:-1], (n - j) * flip_rates_all(p, 0, f1)), n
+        assert np.array_equal(down[1:], (j + 1) * flip_rates_all(p, 1, f1)), n
+
+
 def _chi2_sf_even(x, df):
     """Survival function of the chi-square law with an even number of degrees of freedom."""
     m = df // 2
