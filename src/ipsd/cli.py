@@ -38,7 +38,7 @@ from .momdual import coexistence_probe, extinction_probe, generator_duality_batt
 from .rng import derive_stream
 from .spin import EventTable, NPParams, parse_initial, replay_forward, sample_event_log, simulate_gillespie
 from .stats import MCEstimate, two_sample_z, wilson_lower
-from .walkers import BCRW, CRW, DBARW, WALKER_BATCH, walker_samples
+from .walkers import BCRW, CRW, DBARW, walker_ensemble
 
 CHUNK = 256  # spin replicates per chunk (one derived stream each); fixed for determinism
 
@@ -56,17 +56,17 @@ def _parse_grid(spec: str) -> list[float]:
 
 
 def _parse_counts(spec: str) -> dict[int, int]:
-    """Particle placement string: "site:count,site:count" (count default 1)."""
+    """Particle placement string for run.xi0: "site:count,site:count" (count default 1)."""
     out: dict[int, int] = {}
     for tok in str(spec).split(","):
         tok = tok.strip()
         if not tok:
             continue
-        if ":" in tok:
-            site, cnt = tok.split(":", 1)
-            out[int(site)] = out.get(int(site), 0) + int(cnt)
-        else:
-            out[int(tok)] = out.get(int(tok), 0) + 1
+        site, cnt = tok.split(":", 1) if ":" in tok else (tok, "1")
+        count = int(cnt)
+        if count <= 0:
+            raise ValueError(f"run.xi0 token {tok!r} has a nonpositive count")
+        out[int(site)] = out.get(int(site), 0) + count
     return out
 
 
@@ -91,6 +91,10 @@ def _build_kernel(cfg: RunConfig) -> Kernel:
 def _build_params(cfg: RunConfig) -> NPParams:
     sec = cfg.options.get("params", {})
     if "alpha" in sec:
+        for key in ("lam", "alpha01", "alpha10"):
+            if key in sec:
+                raise ValueError(f"params.alpha and params.{key} are both set; "
+                                 f"params.alpha fixes the symmetric model, so set one or the other")
         return NPParams.symmetric(float(sec["alpha"]))
     return NPParams(lam=float(sec.get("lam", 1.0)),
                     alpha01=float(sec.get("alpha01", 0.0)),
@@ -344,17 +348,17 @@ def cmd_walker_run(cfg: RunConfig) -> dict:
     horizon = cfg.opt("run", "t", 10.0, float)
     grid = _parse_grid(cfg.opt("run", "grid", "")) or [horizon]
     cap = cfg.opt("run", "cap", 100000, int)
-    sizes, occupied, alive, capped = replicate_map(
-        partial(walker_samples, kind, xi0, torus, stencil, grid, cap),
-        cfg.reps, cfg.seed, "walker-run", WALKER_BATCH, cfg.threads)
+    runs = walker_ensemble(kind, xi0, torus, stencil, grid, cap, cfg.reps, cfg.seed,
+                           "walker-run", cfg.threads)
     if cfg.out:
-        rows = [(r, t, int(sizes[r, j]), int(occupied[r, j]))
+        rows = [(r, t, int(runs.sizes[r, j]), int(runs.observed[r, j]))
                 for r in range(cfg.reps) for j, t in enumerate(grid)]
         write_csv(Path(cfg.out) / "walker_sizes.csv",
                   ["replicate", "t", "total", "occupied_sites"], rows)
-    surv = MCEstimate.from_samples(alive)
-    return {"survival": surv, "survival_lcb99": wilson_lower(int(alive.sum()), cfg.reps, 0.99),
-            "cap_fraction": float(capped.mean()), "kind": kind_name}
+    surv = MCEstimate.from_samples(runs.alive)
+    return {"survival": surv, "survival_lcb99": wilson_lower(int(runs.alive.sum()), cfg.reps, 0.99),
+            "cap_fraction": float(runs.capped.mean()), "kind": kind_name,
+            "walker_events": int(runs.events.sum())}
 
 
 def cmd_moment_check(cfg: RunConfig) -> dict:
@@ -375,7 +379,8 @@ def cmd_moment_check(cfg: RunConfig) -> dict:
                                         params.torus, params.stencil, cfg.seed)
     else:
         gap = None
-    return {"rows": rows, "passed": ok, "generator_gap": gap}
+    return {"rows": rows, "passed": ok, "generator_gap": gap,
+            "walker_events": rows[0]["walker_events"]}
 
 
 def cmd_coexist_probe(cfg: RunConfig) -> dict:
@@ -397,6 +402,7 @@ def cmd_coexist_probe(cfg: RunConfig) -> dict:
         "cap_fraction": rep.cap_fraction,
         "sigma_sq": rep.sigma_sq, "sigma_sq_bound": rep.sigma_sq_bound,
         "inconsistent": rep.inconsistent,
+        "walker_events": rep.walker_events,
         "passed": rep.het_lcb99 > 0.0 and rep.survival_lcb99 > 0.0 and not rep.inconsistent,
     }
 
@@ -424,6 +430,7 @@ def cmd_extinct_probe(cfg: RunConfig) -> dict:
         "forward_decreasing": rep.forward_decreasing,
         "dual_decreasing": rep.dual_decreasing,
         "cap_fraction": rep.cap_fraction,
+        "walker_events": rep.walker_events,
         "passed": rep.forward_below_bound and rep.forward_decreasing and rep.dual_decreasing,
     }
 

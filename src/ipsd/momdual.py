@@ -29,15 +29,15 @@ from functools import partial
 import numpy as np
 
 from .diffusion import DiffusionParams, ensemble_observable, sigma_of_p
-from .harness import replicate_map
 from .lattice import Stencil, Torus
 from .rng import derive_stream
 from .stats import MCEstimate, two_sample_z, wilson_lower, wilson_upper
-from .walkers import (BCRW, CRW, DBARW, DEFAULT_CAP, WALKER_BATCH, WalkerKind, apply_transition,
-                      survival_probability, walker_rates, walker_samples)
+from .walkers import (BCRW, CRW, DBARW, DEFAULT_CAP, WalkerKind, apply_transition,
+                      survival_probability, walker_ensemble, walker_rates)
 
 __all__ = [
     "moment_eval",
+    "moment_product",
     "gen_sigma_on_H",
     "gen_p_on_H",
     "gen_walker_on_H",
@@ -58,6 +58,12 @@ def moment_eval(vals: np.ndarray, counts: dict[int, int]) -> float:
         if c:
             out *= float(flat[x]) ** int(c)
     return out
+
+
+def moment_product(vals: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """H(vals, xi) for each row xi of a count matrix; vals^0 = 1 on empty sites."""
+    flat = np.asarray(vals, dtype=np.float64).reshape(-1)
+    return np.prod(flat ** counts, axis=1)
 
 
 def _rest_products(flat: np.ndarray, items: list[tuple[int, int]]) -> list[float]:
@@ -263,17 +269,18 @@ def moment_duality_mc(params: DiffusionParams, p0: np.ndarray, xi0: dict[int, in
     if halving:
         fwd_half = ensemble_observable(params.with_dt(params.dt / 2.0), p0, grid, obs,
                                        reps, master_seed, "momdual-fwd-half")
-    work = partial(walker_samples, kind, xi0, params.torus, params.stencil, grid, cap,
-                   observe=partial(moment_eval, v0_flat))
-    _, dual, _, capped = replicate_map(work, reps, master_seed, "momdual-dual", WALKER_BATCH)
-    dual = np.ascontiguousarray(dual.T)
+    runs = walker_ensemble(kind, xi0, params.torus, params.stencil, grid, cap, reps,
+                           master_seed, "momdual-dual", observe=partial(moment_product, v0_flat))
+    dual = np.ascontiguousarray(runs.observed.T)
+    walker_events = int(runs.events.sum())
 
     rows = []
     for gi, t in enumerate(grid):
         f = MCEstimate.from_samples(fwd[gi])
         d = MCEstimate.from_samples(dual[gi])
         row = {"t": float(t), "regime": regime, "forward": f, "dual": d,
-               "z": two_sample_z(f, d), "cap_fraction": float(capped.mean())}
+               "z": two_sample_z(f, d), "cap_fraction": float(runs.capped.mean()),
+               "walker_events": walker_events}
         if fwd_half is not None:
             fh = MCEstimate.from_samples(fwd_half[gi])
             row["forward_half"] = fh
@@ -296,6 +303,7 @@ class CoexistenceReport:
     sigma_sq: MCEstimate
     sigma_sq_bound: float
     inconsistent: bool
+    walker_events: int
 
 
 def coexistence_probe(s: float, torus: Torus, stencil: Stencil, master_seed: int,
@@ -337,7 +345,8 @@ def coexistence_probe(s: float, torus: Torus, stencil: Stencil, master_seed: int
 
     inconsistent = het_lcb > 0.0 and surv_ucb < 0.01
     return CoexistenceReport(het, het_lcb, surv["survival"], surv_lcb,
-                             surv["cap_fraction"], sig2, float(bound), inconsistent)
+                             surv["cap_fraction"], sig2, float(bound), inconsistent,
+                             surv["walker_events"])
 
 
 @dataclass(frozen=True)
@@ -347,6 +356,7 @@ class ExtinctionReport:
     forward_decreasing: bool
     dual_decreasing: bool
     cap_fraction: float
+    walker_events: int
 
 
 def extinction_probe(s: float, mu: float, torus: Torus, stencil: Stencil,
@@ -372,10 +382,10 @@ def extinction_probe(s: float, mu: float, torus: Torus, stencil: Stencil,
     fwd = ensemble_observable(params, p0, grid, _moment_observable(xi0), reps_fwd,
                               master_seed, "extinct-fwd")
 
-    work = partial(walker_samples, BCRW(s=s, mu=mu), xi0, torus, stencil, grid, cap)
-    sizes, _, _, capped = replicate_map(work, reps_dual, master_seed, "extinct-dual", WALKER_BATCH)
+    runs = walker_ensemble(BCRW(s=s, mu=mu), xi0, torus, stencil, grid, cap, reps_dual,
+                           master_seed, "extinct-dual")
     with np.errstate(under="ignore"):
-        dual_vals = (1.0 - eps) ** np.ascontiguousarray(sizes.T, dtype=np.float64)
+        dual_vals = (1.0 - eps) ** np.ascontiguousarray(runs.sizes.T, dtype=np.float64)
 
     rows = []
     below = True
@@ -390,4 +400,5 @@ def extinction_probe(s: float, mu: float, torus: Torus, stencil: Stencil,
     dmeans = [r["dual_bound"].mean for r in rows]
     fdec = all(b < a for a, b in zip(fmeans, fmeans[1:]))
     ddec = all(b < a for a, b in zip(dmeans, dmeans[1:]))
-    return ExtinctionReport(tuple(rows), below, fdec, ddec, float(capped.mean()))
+    return ExtinctionReport(tuple(rows), below, fdec, ddec, float(runs.capped.mean()),
+                            int(runs.events.sum()))

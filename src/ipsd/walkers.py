@@ -17,12 +17,16 @@ to x + disp at rate count(x) * weight(disp)) and react only within a site:
 Simulation is exact Gillespie over the occupied sites, stopped at the
 horizon, at extinction, or at a total-count cap.  A cap hit is recorded as
 an unbounded-growth proxy and reported separately from genuine survival.
+:func:`simulate_walker` runs one walker; :func:`walker_samples`, the chunk
+worker of every ensemble, steps many in lockstep as the rows of a count
+matrix and finishes the last few with :func:`simulate_walker`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,12 +44,19 @@ __all__ = [
     "apply_transition",
     "WalkerRun",
     "simulate_walker",
+    "occupied_sites",
+    "WalkerSamples",
     "walker_samples",
+    "walker_ensemble",
     "survival_probability",
 ]
 
 DEFAULT_CAP = 100_000
 WALKER_BATCH = 1024  # replicates per chunk (one derived stream each); fixed for determinism
+# Once at most this many rows of a chunk are active, they finish in the scalar
+# loop: for so few rows it costs no more than lockstep steps (measured; see README).
+LOCKSTEP_MAX_HANDOFF = 14
+MAX_CHUNK_CELLS = 1 << 24  # reps x sites x grid points of one chunk's snapshot array
 
 
 @dataclass(frozen=True)
@@ -283,29 +294,196 @@ def simulate_walker(kind: WalkerKind, xi0: dict[int, int], torus: Torus, stencil
                      dict(counts), extinction_time, cap_time, n_events, parity_changed)
 
 
+def occupied_sites(counts: np.ndarray) -> np.ndarray:
+    """Number of occupied sites in each row of a count matrix."""
+    return np.count_nonzero(counts, axis=1)
+
+
+class WalkerSamples(NamedTuple):
+    """Per-replicate results of a walker ensemble, replicates on the first axis.
+
+    ``sizes`` and ``observed`` hold the total count and ``observe(counts)``
+    at each grid time.  ``alive`` is 1 for a run alive at the horizon (a cap
+    hit counts as alive), ``capped`` 1 for a cap hit, ``events`` the run's
+    event count and ``handed`` 1 for a run finished by the scalar loop.  The
+    last four are the engine's counters; like every field they depend only
+    on the inputs and the stream.
+    """
+
+    sizes: np.ndarray
+    observed: np.ndarray
+    alive: np.ndarray
+    capped: np.ndarray
+    events: np.ndarray
+    handed: np.ndarray
+
+
+def _start_row(xi0: dict[int, int], torus: Torus, grid: list, cap: int, size: int) -> np.ndarray:
+    """The initial count row, after the checks simulate_walker makes and a size bound."""
+    if not grid:
+        raise ValueError("the walker grid is empty")
+    if grid[-1] < 0:
+        raise ValueError("horizon must be nonnegative")
+    n = torus.n_sites
+    cells = size * n * len(grid)
+    if cells > MAX_CHUNK_CELLS:
+        raise ValueError(f"a walker chunk of {size} reps x {n} sites x {len(grid)} grid points "
+                         f"needs {cells} snapshot cells; the limit is {MAX_CHUNK_CELLS}")
+    row = np.zeros(n, dtype=np.int64)
+    for x, c in xi0.items():
+        if c > 0:
+            if not (0 <= x < n):
+                raise ValueError(f"site {x} outside the torus")
+            row[x] += c
+    if row.sum() > cap:
+        raise ValueError("initial state already exceeds the cap")
+    return row
+
+
+def _fill_rest(out: WalkerSamples, snaps, ids, gi, total, counts) -> None:
+    """Record each retiring row's current state at every grid time it has not reached."""
+    for g in range(snaps.shape[1]):
+        sel = gi <= g
+        out.sizes[ids[sel], g] = total[sel]
+        snaps[ids[sel], g] = counts[sel]
+
+
+def _lockstep(kind: WalkerKind, start: np.ndarray, stencil: Stencil, table: np.ndarray,
+              grid: list, cap: int, rng: np.random.Generator, out: WalkerSamples,
+              snaps: np.ndarray):
+    """Step the runs of one chunk together until at most LOCKSTEP_MAX_HANDOFF remain.
+
+    Writes the retired runs into ``out`` and ``snaps``; returns the
+    replicate ids, count rows, times and next grid indices of the runs
+    still active, and the number of steps taken (one event per active run).
+    """
+    size, n = len(out.sizes), len(start)
+    b1, b2, pair_delta = per_particle_rates(kind)
+    move_total = stencil.total_rate
+    # The rate matrix holds twice each site's event rate, c (c + k2): a site
+    # with c walkers has rate c (ppr + (c - 1)/2), ppr being the per-walker
+    # rate of migration and branching.
+    k2 = 2.0 * (move_total + b1 + b2) - 1.0
+    wsum = np.cumsum(stencil.weights)
+    wtot = wsum[-1]
+    # move codes: 0 migrate, 1 single offspring, 2 double offspring, 3 pair, 4 none
+    # (the clock passed the horizon); a site with c walkers picks code k with
+    # weight edges[k] - edges[k-1] out of twice its per-walker rate, c + k2
+    edges = 2.0 * np.array([move_total, move_total + b1, move_total + b1 + b2])
+    site_delta = np.array([-1, 1, 2, pair_delta, 0])
+    total_delta = np.array([0, 1, 2, pair_delta, 0])
+    horizon = grid[-1]
+    # a row records grid time g once its clock passes g, with the scalar loop's 1e-15 slack
+    gate = np.append(np.asarray(grid, dtype=np.float64) + 1e-15, np.inf)
+
+    ids = np.arange(size)
+    counts = np.tile(start, (size, 1))
+    rates = counts * (counts + k2)
+    total = counts.sum(axis=1)
+    t = np.zeros(size)
+    gi = np.zeros(size, dtype=np.intp)
+    base, cf, rf = np.arange(size) * n, counts.reshape(-1), rates.reshape(-1)  # flat views
+    steps = 0
+    with np.errstate(divide="ignore"):  # a row without moves gets an infinite clock
+        while len(ids) > LOCKSTEP_MAX_HANDOFF:
+            m = len(ids)
+            cum = np.cumsum(rates, axis=1)
+            tot = cum[:, -1]
+            t_next = t + rng.exponential(2.0, m) / tot  # tot is twice the row's rate
+            passed = gate[gi] < t_next
+            while np.count_nonzero(passed):
+                r = np.flatnonzero(passed)
+                out.sizes[ids[r], gi[r]] = total[r]
+                snaps[ids[r], gi[r]] = counts[r]
+                gi[r] += 1
+                passed[r] = gate[gi[r]] < t_next[r]
+            done = t_next > horizon
+            n_done = np.count_nonzero(done)
+            # 1 - u lies in (0, 1], so the first cumsum entry reaching (1 - u) * total
+            # has a positive weight: no empty site and no zero-weight displacement
+            u = 1.0 - rng.random((3, m))
+            x = np.argmax(cum >= (u[0] * tot)[:, None], axis=1)
+            fx = base + x
+            c = cf[fx]
+            move = np.searchsorted(edges, u[1] * (c + k2), side="right")
+            if n_done:
+                move[done] = 4
+            c += site_delta[move]
+            cf[fx] = c
+            rf[fx] = c * (c + k2)
+            # every row reads its migration target; only migrating rows add the walker
+            fy = base + table[x, np.searchsorted(wsum, u[2] * wtot)]
+            cy = cf[fy] + (move == 0)
+            cf[fy] = cy
+            rf[fy] = cy * (cy + k2)
+            total += total_delta[move]
+            t = t_next
+            steps += 1
+            if n_done or total.min() == 0 or total.max() > cap:
+                retire = done | (total > cap) | (total == 0)
+                r = np.flatnonzero(retire)
+                _fill_rest(out, snaps, ids[r], gi[r], total[r], counts[r])
+                out.capped[ids[r]] = total[r] > cap
+                out.alive[ids[r]] = total[r] > 0
+                out.events[ids[r]] = steps - done[r]
+                keep = ~retire
+                ids, counts, rates, total, t, gi = (a[keep] for a in (ids, counts, rates, total, t, gi))
+                base, cf, rf = base[:len(ids)], counts.reshape(-1), rates.reshape(-1)
+    return ids, counts, t, gi, steps
+
+
 def walker_samples(kind: WalkerKind, xi0: dict[int, int], torus: Torus, stencil: Stencil,
                    grid, cap: int, size: int, rng: np.random.Generator,
-                   observe=len) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``size`` walker runs to max(grid), drawn in turn from one stream.
+                   observe=occupied_sites) -> WalkerSamples:
+    """``size`` walker runs to max(grid), stepped in lockstep from one stream.
 
-    Returns (sizes, observed, alive, capped): total counts and
-    ``observe(counts)`` at each grid time, shape (size, len(grid)), and per
-    run 0/1 flags for alive at the horizon (a cap hit counts as alive) and
-    for a cap hit.  This is the chunk worker of every walker ensemble.
+    This is the chunk worker of every walker ensemble.  The runs are the
+    rows of an integer count matrix with a matching site-rate matrix.  Each
+    step, every active row draws its own exponential clock, records its
+    counts at the grid times its clock passes, picks a site by its row
+    cumsum of rates and then the move, with the rates :func:`simulate_walker`
+    uses for one run.  A row retires at the horizon, at extinction, or past
+    the cap (the over-cap counts are carried forward), and retired rows
+    leave the arrays.  Once at most ``LOCKSTEP_MAX_HANDOFF`` rows remain,
+    each continues in row order through :func:`simulate_walker` from its
+    current counts over the rest of the grid, which is exact by the Markov
+    property; a chunk that small from the start draws exactly as that loop
+    run in turn.  ``observe`` maps a count matrix to one value per row.
     """
     grid = sorted(grid)
-    sizes = np.empty((size, len(grid)), dtype=np.int64)
-    observed = np.empty((size, len(grid)))
-    alive = np.empty(size)
-    capped = np.empty(size)
-    for r in range(size):
-        run = simulate_walker(kind, xi0, torus, stencil, grid[-1], rng, cap=cap,
-                              grid=grid, keep_snapshots=True)
-        sizes[r] = run.sizes
-        observed[r] = [observe(snap) for snap in run.snapshots]
-        capped[r] = run.cap_time is not None
-        alive[r] = run.cap_time is not None or run.extinction_time is None
-    return sizes, observed, alive, capped
+    start = _start_row(xi0, torus, grid, cap, size)
+    n, n_grid, horizon = torus.n_sites, len(grid), grid[-1]
+    out = WalkerSamples(np.zeros((size, n_grid), dtype=np.int64), None, np.ones(size),
+                        np.zeros(size), np.zeros(size, dtype=np.int64), np.zeros(size))
+    snaps = np.zeros((size, n_grid, n), dtype=np.int64)
+    if start.sum() == 0:  # the empty start is already extinct
+        out.alive[:] = 0.0
+        ids, steps = [], 0
+    else:
+        ids, counts, t, gi, steps = _lockstep(kind, start, stencil, torus.move_table(stencil),
+                                              grid, cap, rng, out, snaps)
+    for k, r in enumerate(ids):  # the scalar tail, in row order
+        g0 = gi[k]
+        state = xi0 if steps == 0 else {int(x): int(c) for x, c in enumerate(counts[k]) if c}
+        run = simulate_walker(kind, state, torus, stencil, horizon - t[k], rng, cap=cap,
+                              grid=[g - t[k] for g in grid[g0:]], keep_snapshots=True)
+        out.sizes[r, g0:] = run.sizes
+        for g, snap in enumerate(run.snapshots, g0):
+            snaps[r, g, list(snap)] = list(snap.values())
+        out.capped[r] = run.cap_time is not None
+        out.alive[r] = run.cap_time is not None or run.extinction_time is None
+        out.events[r] = steps + run.n_events
+        out.handed[r] = 1.0
+    observed = np.asarray(observe(snaps.reshape(size * n_grid, n)), dtype=np.float64)
+    return out._replace(observed=observed.reshape(size, n_grid))
+
+
+def walker_ensemble(kind: WalkerKind, xi0: dict[int, int], torus: Torus, stencil: Stencil,
+                    grid, cap: int, reps: int, master_seed: int, role: str, threads: int = 1,
+                    observe=occupied_sites) -> WalkerSamples:
+    """``reps`` walker runs in WALKER_BATCH chunks, one derived stream per chunk."""
+    work = partial(walker_samples, kind, xi0, torus, stencil, grid, cap, observe=observe)
+    return WalkerSamples(*replicate_map(work, reps, master_seed, role, WALKER_BATCH, threads))
 
 
 def survival_probability(kind: WalkerKind, xi0: dict[int, int], torus: Torus, stencil: Stencil,
@@ -317,8 +495,8 @@ def survival_probability(kind: WalkerKind, xi0: dict[int, int], torus: Torus, st
     (the process was alive when truncated); the cap-hit fraction is
     reported alongside so that proxy is visible.
     """
-    work = partial(walker_samples, kind, xi0, torus, stencil, [horizon], cap)
-    _, _, alive, capped = replicate_map(work, reps, master_seed, role, WALKER_BATCH)
-    return {"survival": MCEstimate.from_samples(alive),
-            "successes": int(alive.sum()),
-            "cap_fraction": float(capped.mean())}
+    runs = walker_ensemble(kind, xi0, torus, stencil, [horizon], cap, reps, master_seed, role)
+    return {"survival": MCEstimate.from_samples(runs.alive),
+            "successes": int(runs.alive.sum()),
+            "cap_fraction": float(runs.capped.mean()),
+            "walker_events": int(runs.events.sum())}

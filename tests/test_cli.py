@@ -329,3 +329,58 @@ def test_exact_check_builds_one_event_table_per_alpha_and_kernel(tmp_path, monke
     monkeypatch.setattr(EventTable, "build", classmethod(counting))
     main(["exact-check", "--seed", "1", "--out", str(tmp_path)] + EXACT_SMALL)
     assert builds == [(0.3, 4), (0.7, 4), (0.3, 3), (0.7, 3)]
+
+
+def test_params_alpha_with_an_asymmetric_key_is_refused(tmp_path):
+    for key in ("alpha01", "alpha10", "lam"):
+        with pytest.raises(ValueError, match=f"params.alpha and params.{key} are both set"):
+            main(["meanfield", "--seed", "1", "--out", str(tmp_path), "--set", "params.alpha=0.3",
+                  "--set", f"params.{key}=0.6"])
+
+
+XI0_COMMANDS = [
+    ["walker-run", "--set", "walker.kind=crw", "--set", "run.t=1"],
+    ["moment-check", "--set", "model.s=1", "--set", "model.mu=2"],
+    ["extinct-probe", "--set", "model.s=-1", "--set", "model.mu=-0.5"],
+]
+
+
+@pytest.mark.parametrize("argv", XI0_COMMANDS, ids=[a[0] for a in XI0_COMMANDS])
+@pytest.mark.parametrize("token", ["0:-2", "3:0"])
+def test_xi0_with_a_nonpositive_count_is_refused_before_any_simulation(tmp_path, monkeypatch,
+                                                                       argv, token):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before the xi0 check")
+
+    monkeypatch.setattr(cli, "walker_ensemble", no_simulation)
+    monkeypatch.setattr(cli, "moment_duality_mc", no_simulation)
+    monkeypatch.setattr(cli, "extinction_probe", no_simulation)
+    with pytest.raises(ValueError, match=f"run.xi0 token '{token}'"):
+        main(argv + ["--seed", "1", "--reps", "5", "--out", str(tmp_path),
+                     "--set", f"run.xi0=1,{token}"])
+
+
+WALKER_COMMANDS = [
+    ["walker-run", "--reps", "1100", "--set", "walker.kind=dbarw", "--set", "walker.branch_rate=0.5",
+     "--set", "lattice.L=6", "--set", "run.xi0=0:2", "--set", "run.t=1", "--set", "run.grid=0.5,1",
+     "--set", "run.cap=50"],
+    ["moment-check", "--reps", "64", "--set", "lattice.L=4", "--set", "model.s=1",
+     "--set", "model.mu=2", "--set", "run.grid=0.1"],
+    ["coexist-probe", "--set", "model.s=5", "--set", "lattice.L=4", "--set", "run.t_het=0.2",
+     "--set", "run.t_surv=1", "--set", "run.reps_het=16", "--set", "run.reps_surv=20",
+     "--set", "run.cap=60"],
+    ["extinct-probe", "--set", "model.s=-1", "--set", "model.mu=-0.5", "--set", "lattice.L=4",
+     "--set", "run.grid=0.5,1", "--set", "run.reps_fwd=32", "--set", "run.reps_dual=40"],
+]
+
+
+@pytest.mark.parametrize("argv", WALKER_COMMANDS, ids=[a[0] for a in WALKER_COMMANDS])
+def test_walker_events_are_reported_and_do_not_depend_on_threads(tmp_path, argv):
+    reports = []
+    for threads in ("1", "2", "1"):
+        out = tmp_path / f"run{len(reports)}"
+        main(argv + ["--seed", "17", "--threads", threads, "--out", str(out)])
+        reports.append((out / f"{argv[0]}.json").read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+    events = json.loads(reports[0])["walker_events"]
+    assert isinstance(events, int) and events > 0

@@ -1,12 +1,19 @@
 """Interacting random-walk duals: rates, transitions, invariants."""
 
+import math
+from functools import partial
+
 import numpy as np
 import pytest
 
+from ipsd.exact import _uniformized
+from ipsd.harness import replicate_map
 from ipsd.lattice import Stencil, Torus
+from ipsd.momdual import moment_eval, moment_product
 from ipsd.rng import derive_stream
-from ipsd.walkers import (BCRW, CRW, DBARW, apply_transition, per_particle_rates,
-                          simulate_walker, survival_probability, walker_rates)
+from ipsd.walkers import (BCRW, CRW, DBARW, LOCKSTEP_MAX_HANDOFF, MAX_CHUNK_CELLS, WalkerSamples,
+                          apply_transition, occupied_sites, per_particle_rates, simulate_walker,
+                          survival_probability, walker_ensemble, walker_rates, walker_samples)
 
 
 def _geom(d=1, L=4, rate=1.0):
@@ -188,3 +195,208 @@ def test_walker_input_validation():
         simulate_walker(CRW(), {99: 1}, torus, stencil, 1.0, derive_stream(80, "v"))
     with pytest.raises(ValueError):  # initial mass beyond the cap
         simulate_walker(CRW(), {0: 50}, torus, stencil, 1.0, derive_stream(80, "v"), cap=10)
+
+
+# -- the lockstep engine -------------------------------------------------------------
+
+
+def _chi2_sf(x, df):
+    """Survival function of the chi-square law, from the series of the lower incomplete gamma."""
+    a, h = df / 2.0, x / 2.0
+    if h <= 0.0:
+        return 1.0
+    term = acc = 1.0 / a
+    k = 0
+    while term > 1e-17 * acc:
+        k += 1
+        term *= h / (a + k)
+        acc += term
+    return max(0.0, 1.0 - math.exp(a * math.log(h) - h - math.lgamma(a)) * acc)
+
+
+def _chi2_gof(observed, probs, reps):
+    """Chi-square goodness of fit, tail cells pooled until each expects at least 5."""
+    cells_o, cells_e, o, e = [], [], 0.0, 0.0
+    for ob, pr in zip(observed, probs):
+        o, e = o + ob, e + reps * pr
+        if e >= 5.0:
+            cells_o.append(o)
+            cells_e.append(e)
+            o = e = 0.0
+    cells_o[-1] += o
+    cells_e[-1] += e
+    cells_o, cells_e = np.array(cells_o), np.array(cells_e)
+    stat = float(((cells_o - cells_e) ** 2 / cells_e).sum())
+    return stat, len(cells_o) - 1
+
+
+def _truncated_chain(kind, xi0, torus, stencil, cap):
+    """Dense generator over the states reachable from xi0; over-cap states absorb."""
+    key = lambda counts: tuple(sorted(counts.items()))
+    states, index, edges = [key(xi0)], {key(xi0): 0}, []
+    for i, state in enumerate(states):  # states grows while it is walked
+        counts = dict(state)
+        if sum(counts.values()) > cap:
+            continue
+        for transition, rate in walker_rates(kind, counts, torus, stencil):
+            target = key(apply_transition(kind, counts, transition))
+            if target not in index:
+                index[target] = len(states)
+                states.append(target)
+            edges.append((i, index[target], rate))
+    gen = np.zeros((len(states), len(states)))
+    for i, j, rate in edges:
+        gen[i, j] += rate
+        gen[i, i] -= rate
+    return gen, np.array([sum(c for _, c in s) for s in states])
+
+
+def test_chi2_sf_matches_table_values():
+    assert _chi2_sf(3.841458820694124, 1) == pytest.approx(0.05, abs=1e-9)
+    assert _chi2_sf(11.070497693516351, 5) == pytest.approx(0.05, abs=1e-9)
+    assert _chi2_sf(23.20925115125254, 10) == pytest.approx(0.01, abs=1e-9)
+
+
+@pytest.mark.parametrize("kind,xi0,L,cap,rate", [
+    (CRW(), {0: 1, 1: 1, 2: 1}, 3, 100, 1.0),
+    (DBARW(branch_rate=0.5), {0: 2}, 3, 6, 1.0),
+    (BCRW(s=-1.0, mu=-0.5), {0: 1}, 2, 6, 0.7),
+], ids=["crw", "dbarw", "bcrw"])
+def test_lockstep_size_law_matches_the_truncated_exact_chain(kind, xi0, L, cap, rate):
+    torus, stencil = _geom(L=L, rate=rate)
+    grid, reps = [0.3, 1.0], 4000
+    runs = walker_ensemble(kind, xi0, torus, stencil, grid, cap, reps, 91, "lockstep-law")
+    assert runs.handed.sum() < reps  # the lockstep engine did the work
+    gen, totals = _truncated_chain(kind, xi0, torus, stencil, cap)
+    start = np.zeros(len(totals))
+    start[0] = 1.0
+    for j, t in enumerate(grid):
+        law = _uniformized(gen.T, t, start, 1e-14)  # the law of the state at time t
+        size_law = np.bincount(totals, weights=law)
+        assert abs(size_law.sum() - 1.0) < 1e-12
+        observed = np.bincount(runs.sizes[:, j], minlength=len(size_law))
+        assert len(observed) == len(size_law)  # no size the chain cannot reach
+        stat, df = _chi2_gof(observed, size_law, reps)
+        assert df >= 1 and _chi2_sf(stat, df) > 1e-3, (t, stat, df, observed, reps * size_law)
+
+
+def test_lockstep_matches_scalar_walker_two_sample():
+    torus, stencil = _geom(L=4)
+    kind, xi0, grid, cap, reps = DBARW(branch_rate=1.0), {0: 2, 1: 1}, [0.5, 1.5], 40, 3000
+    lock = walker_ensemble(kind, xi0, torus, stencil, grid, cap, reps, 92, "lockstep-2s")
+    rng = derive_stream(92, "scalar-2s")
+    scalar = np.array([simulate_walker(kind, xi0, torus, stencil, grid[-1], rng, cap=cap,
+                                       grid=grid).sizes for _ in range(reps)])
+    for j in range(len(grid)):
+        a = np.bincount(lock.sizes[:, j], minlength=cap + 3)
+        b = np.bincount(scalar[:, j], minlength=cap + 3)
+        keep = (a + b) >= 10  # pool the sparse sizes into one cell
+        a = np.append(a[keep], a[~keep].sum())
+        b = np.append(b[keep], b[~keep].sum())
+        a, b = a[a + b > 0], b[a + b > 0]
+        stat = float(((a - b) ** 2 / (a + b)).sum())  # homogeneity chi-square, equal sample sizes
+        assert len(a) >= 3 and _chi2_sf(stat, len(a) - 1) > 1e-3, (j, stat, a, b)
+
+
+def test_lockstep_dbarw_parity_holds_on_every_row():
+    torus, stencil = _geom(L=6)
+    for xi0, parity in (({0: 2}, 0), ({0: 1, 3: 2}, 1)):
+        runs = walker_samples(DBARW(branch_rate=1.0), xi0, torus, stencil, [0.5, 1, 2, 4], 20,
+                              2000, derive_stream(93, "lockstep-parity"))
+        assert runs.handed.sum() <= LOCKSTEP_MAX_HANDOFF
+        assert runs.capped.sum() > 0  # over-cap totals keep the parity too
+        assert np.all(runs.sizes % 2 == parity)
+        if parity:
+            assert runs.alive.all() and runs.sizes.min() >= 1
+
+
+def test_lockstep_rows_record_their_own_counts():
+    torus, stencil = _geom(L=6)
+    runs = walker_samples(CRW(), {0: 3, 2: 2}, torus, stencil, [0.2, 1, 3], 100, 300,
+                          derive_stream(94, "lockstep-obs"))
+    assert runs.observed.shape == runs.sizes.shape == (300, 3)
+    assert np.all(runs.observed >= 1) and np.all(runs.observed <= np.minimum(runs.sizes, 6))
+    assert np.all(np.diff(runs.sizes, axis=1) <= 0)  # coalescence never adds a walker
+    assert runs.alive.all() and not runs.capped.any()
+
+
+def test_chunk_at_most_handoff_draws_as_the_scalar_loop_in_turn():
+    torus, stencil = _geom(L=5)
+    kind, xi0, grid, cap = BCRW(s=-1.0, mu=-0.5), {3: 1, 0: 2}, [0.5, 2.0], 30
+    runs = walker_samples(kind, xi0, torus, stencil, grid, cap, LOCKSTEP_MAX_HANDOFF,
+                          derive_stream(95, "handoff-bits"))
+    rng = derive_stream(95, "handoff-bits")
+    for r in range(LOCKSTEP_MAX_HANDOFF):
+        run = simulate_walker(kind, xi0, torus, stencil, grid[-1], rng, cap=cap, grid=grid,
+                              keep_snapshots=True)
+        assert np.array_equal(runs.sizes[r], run.sizes)
+        assert list(runs.observed[r]) == [len(snap) for snap in run.snapshots]
+        assert runs.events[r] == run.n_events and runs.capped[r] == (run.cap_time is not None)
+    assert runs.handed.all()
+
+
+def test_handoff_just_above_and_below_the_threshold_gives_one_law():
+    # coalescence alone (no migration): every event removes one walker, so the
+    # events of a run add up to its initial total minus its final one
+    torus, stencil = _geom(L=3, rate=0.0)
+    xi0, grid = {0: 4, 1: 3, 2: 2}, [0.2, 0.6]
+    laws = []
+    for size in (LOCKSTEP_MAX_HANDOFF, LOCKSTEP_MAX_HANDOFF + 1):
+        runs = WalkerSamples(*replicate_map(
+            partial(walker_samples, CRW(), xi0, torus, stencil, grid, 100),
+            250 * size, 96, f"handoff-{size}", size))
+        assert np.array_equal(runs.events, 9 - runs.sizes[:, -1])
+        if size == LOCKSTEP_MAX_HANDOFF:
+            assert runs.handed.all()
+        else:
+            assert 0 < runs.handed.sum() < len(runs.handed)
+        laws.append(np.bincount(runs.sizes[:, -1], minlength=10)[3:] / len(runs.sizes))
+    a, b = laws
+    n_a, n_b = 250 * LOCKSTEP_MAX_HANDOFF, 250 * (LOCKSTEP_MAX_HANDOFF + 1)
+    pooled = (a * n_a + b * n_b) / (n_a + n_b)
+    keep = pooled * min(n_a, n_b) >= 5
+    stat = float((((a - b) ** 2 / (pooled * (1.0 / n_a + 1.0 / n_b)))[keep]).sum())
+    assert _chi2_sf(stat, int(keep.sum()) - 1) > 1e-3, (stat, a, b)
+
+
+def test_count_matrix_observables_equal_the_dict_forms():
+    rng = np.random.default_rng(97)
+    counts = rng.integers(0, 4, size=(200, 9)) * (rng.random((200, 9)) < 0.5)
+    counts[0] = 0  # the empty configuration: no site, empty product
+    for vals in (rng.uniform(-1.0, 1.0, 9), rng.uniform(0.0, 1.0, 9)):
+        vals[2] = 0.0
+        got = moment_product(vals, counts)
+        for row, h in zip(counts, got):
+            as_dict = {x: int(c) for x, c in enumerate(row) if c}
+            want = moment_eval(vals, as_dict)
+            assert h == want or abs(h - want) <= 1e-14 * abs(want), (row, h, want)
+    dicts = [{x: int(c) for x, c in enumerate(row) if c} for row in counts]
+    assert list(occupied_sites(counts)) == [len(d) for d in dicts]
+
+
+def _untouched(call):
+    """Assert that ``call(rng)`` raises ValueError before it draws from rng."""
+    rng = derive_stream(98, "checks")
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError) as err:
+        call(rng)
+    assert rng.bit_generator.state == before
+    return str(err.value)
+
+
+def test_walker_samples_checks_its_inputs_before_any_draw():
+    torus, stencil = _geom()
+    kind = DBARW(branch_rate=0.5)
+    msg = _untouched(lambda rng: walker_samples(kind, {9: 1}, torus, stencil, [1.0], 10, 20, rng))
+    assert "site 9 outside the torus" in msg
+    msg = _untouched(lambda rng: walker_samples(kind, {0: 12}, torus, stencil, [1.0], 10, 20, rng))
+    assert "exceeds the cap" in msg
+    msg = _untouched(lambda rng: walker_samples(kind, {0: 2}, torus, stencil, [-1.0], 10, 20, rng))
+    assert "horizon must be nonnegative" in msg
+
+
+def test_walker_samples_refuses_an_oversized_chunk():
+    big = Torus(1, 1 << 13)  # 8192 sites x 4 grid points x 1024 reps = 2^25 cells
+    msg = _untouched(lambda rng: walker_samples(CRW(), {0: 2}, big, Stencil.nearest_neighbor(1),
+                                                [1, 2, 3, 4], 10, 1024, rng))
+    assert "1024 reps x 8192 sites x 4 grid points" in msg and str(MAX_CHUNK_CELLS) in msg
