@@ -26,33 +26,37 @@ import numpy as np
 
 from . import __version__
 from .diffusion import DiffusionParams, ensemble_observable, parse_field_initial
-from .dualspin import (ZBDistribution, dual_sizes_fresh, parity, parity_overlap, replay_dual,
-                       simulate_dual_fresh)
+from .dualspin import ZBDistribution, evug_statistic, parity_duality_mc
 from .exact import (MAX_EXACT_SITES, build_generator_dual, build_generator_from_events,
                     build_generator_np, feynman_kac_check)
 from .harness import RunConfig, load_config_file, replicate_map, resolve_seed, write_csv, write_json
-from .kernel import Kernel, complete_kernel, config_indicator, explicit_kernel, torus_kernel
+from .kernel import Kernel, complete_kernel, explicit_kernel, torus_kernel
 from .lattice import Stencil, Torus
 from .meanfield import density_rhs, equilibrium, integrate_ode, meanfield_comparator
 from .momdual import coexistence_probe, extinction_probe, generator_duality_battery, moment_duality_mc
 from .rng import derive_stream
-from .spin import EventTable, NPParams, parse_initial, replay_forward, sample_event_log, simulate_gillespie
-from .stats import MCEstimate, two_sample_z, wilson_lower
+from .spin import SPIN_CHUNK, EventTable, NPParams, parse_initial, simulate_gillespie
+from .stats import MCEstimate, wilson_lower
 from .walkers import BCRW, CRW, DBARW, walker_ensemble
-
-CHUNK = 256  # spin replicates per chunk (one derived stream each); fixed for determinism
 
 
 # -- config plumbing -----------------------------------------------------------
 
 
-def _parse_sites(spec: str) -> list[int]:
-    return [int(tok) for tok in str(spec).split(",") if tok.strip() != ""]
+def _parse_sites(cfg: RunConfig, key: str) -> list[int]:
+    """Site set [run] key: comma-separated distinct nonnegative integers."""
+    sites = [int(tok) for tok in cfg.opt("run", key).split(",") if tok.strip() != ""]
+    if min(sites, default=0) < 0 or len(set(sites)) < len(sites):
+        raise ValueError(f"run.{key} must list distinct nonnegative sites, got {sites}")
+    return sites
 
 
-def _parse_grid(spec: str) -> list[float]:
-    """Comma-separated numbers, sorted: the engines record on the sorted grid."""
-    return sorted(float(tok) for tok in str(spec).split(",") if tok.strip() != "")
+def _parse_grid(cfg: RunConfig, key: str, default: str = "") -> list[float]:
+    """Nonnegative numbers of [run] key, sorted: the engines record on the sorted grid."""
+    grid = sorted(float(tok) for tok in cfg.opt("run", key, default).split(",") if tok.strip())
+    if grid and grid[0] < 0:
+        raise ValueError(f"run.{key} has a negative entry {grid[0]}")
+    return grid
 
 
 def _parse_counts(spec: str) -> dict[int, int]:
@@ -135,23 +139,6 @@ def _spin_chunk(p, k, init_spec, horizon, grid, size, rng):
     return dens, terminal
 
 
-def _parity_chunk(p, k, A, B, horizon, table, size, rng):
-    grid = [horizon / 2.0, horizon]
-    fwd = np.empty((size, len(grid)), dtype=np.int64)
-    dual = np.empty((size, len(grid)), dtype=np.int64)
-    dualmc = np.empty(size, dtype=np.int64)
-    etaA = config_indicator(k.n, A)
-    indB = config_indicator(k.n, B)
-    for i in range(size):
-        log = sample_event_log(p, k, horizon, rng, table=table)
-        for j, t in enumerate(grid):
-            fwd[i, j] = parity(replay_forward(etaA, log, t), B)
-            dual[i, j] = parity_overlap(replay_dual(indB, log, t), etaA)
-        (_, xi), = simulate_dual_fresh(p, k, B, horizon, rng, record=[horizon], table=table)
-        dualmc[i] = parity_overlap(xi, etaA)
-    return fwd, dual, dualmc
-
-
 def _site_and_mean(site, fields):
     """Focal-site value and spatial mean of each field in a batch; shape (b, 2)."""
     flat = fields.reshape(fields.shape[0], -1)
@@ -165,10 +152,10 @@ def cmd_spin_run(cfg: RunConfig) -> dict:
     p = _build_params(cfg)
     k = _build_kernel(cfg)
     horizon = cfg.opt("run", "t", 10.0, float)
-    grid = _parse_grid(cfg.opt("run", "grid", "")) or [horizon * j / 20.0 for j in range(21)]
+    grid = _parse_grid(cfg, "grid") or [horizon * j / 20.0 for j in range(21)]
     init_spec = cfg.opt("run", "init", "bernoulli:0.5")
     dens, terminal = replicate_map(partial(_spin_chunk, p, k, init_spec, horizon, grid),
-                                   cfg.reps, cfg.seed, "spin-run", CHUNK, cfg.threads)
+                                   cfg.reps, cfg.seed, "spin-run", SPIN_CHUNK, cfg.threads)
     rows = [(r, t, dens[r, j]) for r in range(cfg.reps) for j, t in enumerate(grid)]
     if cfg.out:
         write_csv(Path(cfg.out) / "spin_density.csv", ["replicate", "time", "density"], rows)
@@ -180,26 +167,18 @@ def cmd_dual_run(cfg: RunConfig) -> dict:
     p = _build_params(cfg)
     k = _build_kernel(cfg)
     horizon = cfg.opt("run", "t", 10.0, float)
-    grid = _parse_grid(cfg.opt("run", "grid", "")) or [horizon]
-    B = _parse_sites(cfg.opt("run", "b"))
+    grid = _parse_grid(cfg, "grid") or [horizon]
+    B = _parse_sites(cfg, "b")
     cap = cfg.opt("run", "cap", 10, int)
-    work = partial(dual_sizes_fresh, p, k, B, grid, table=EventTable.build(p, k))
-    sizes = replicate_map(work, cfg.reps, cfg.seed, "dual-run", CHUNK, cfg.threads)
+    sizes, rows = evug_statistic(p, k, B, grid, cap, cfg.reps, cfg.seed, "dual-run", cfg.threads)
     if cfg.out:
         write_csv(Path(cfg.out) / "dual_sizes.csv", ["replicate", "t", "size"],
                   [(r, t, int(sizes[r, j])) for r in range(cfg.reps) for j, t in enumerate(grid)])
-    table_rows = []
-    report_rows = []
-    for j, t in enumerate(grid):
-        col = sizes[:, j]
-        alive = MCEstimate.from_samples((col >= 1).astype(float))
-        window = MCEstimate.from_samples(((col >= 1) & (col <= cap)).astype(float))
-        table_rows.append((t, alive.mean, alive.stderr, alive.reps))
-        report_rows.append({"t": t, "survival": alive, "window": window})
-    if cfg.out:
-        write_csv(Path(cfg.out) / "dual_survival.csv", ["t", "estimate", "stderr", "reps"], table_rows)
+        write_csv(Path(cfg.out) / "dual_survival.csv", ["t", "estimate", "stderr", "reps"],
+                  [(row["t"], row["survival"].mean, row["survival"].stderr, row["survival"].reps)
+                   for row in rows])
     zb = ZBDistribution.from_samples(sizes[:, -1], cap=cap)
-    return {"rows": report_rows, "cap": cap,
+    return {"rows": rows, "cap": cap,
             "terminal_size_atoms": {int(s): float(q) for s, q in zip(zb.sizes, zb.probs)},
             "terminal_overflow_mass": zb.infinite_mass}
 
@@ -208,26 +187,19 @@ def cmd_parity_check(cfg: RunConfig) -> dict:
     p = _build_params(cfg)
     k = _build_kernel(cfg)
     horizon = cfg.opt("run", "t", 5.0, float)
-    A = _parse_sites(cfg.opt("run", "a"))
-    B = _parse_sites(cfg.opt("run", "b"))
-    work = partial(_parity_chunk, p, k, A, B, horizon, EventTable.build(p, k))
-    fwd, dual, dualmc = replicate_map(work, cfg.reps, cfg.seed, "parity-check", CHUNK, cfg.threads)
-    grid = [horizon / 2.0, horizon]
+    A = _parse_sites(cfg, "a")
+    B = _parse_sites(cfg, "b")
+    mc = parity_duality_mc(p, k, A, B, horizon, cfg.reps, cfg.seed, "parity-check", cfg.threads)
     if cfg.out:
+        fwd, dual = mc["pathwise_forward"], mc["pathwise_dual"]
         rows = [(r, t, int(fwd[r, j]), int(dual[r, j]))
-                for r in range(cfg.reps) for j, t in enumerate(grid)]
+                for r in range(cfg.reps) for j, t in enumerate([horizon / 2.0, horizon])]
         write_csv(Path(cfg.out) / "parity_pathwise.csv",
                   ["replicate", "t", "parity_forward", "parity_dual"], rows)
-    violations = int((fwd != dual).sum())
-    f_est = MCEstimate.from_samples(fwd[:, -1].astype(float))
-    d_est = MCEstimate.from_samples(dualmc.astype(float))
-    z = two_sample_z(f_est, d_est)
-    if cfg.out:
         write_csv(Path(cfg.out) / "parity_mc.csv", ["t", "estimate", "stderr", "reps"],
-                  [(horizon, f_est.mean, f_est.stderr, f_est.reps),
-                   (horizon, d_est.mean, d_est.stderr, d_est.reps)])
-    return {"violations": violations, "forward": f_est, "dual_chain": d_est, "z": z,
-            "passed": violations == 0 and abs(z) < 4.0}
+                  [(horizon, est.mean, est.stderr, est.reps) for est in (mc["forward"], mc["dual"])])
+    return {"violations": mc["violations"], "forward": mc["forward"], "dual_chain": mc["dual"],
+            "z": mc["z"], "passed": mc["violations"] == 0 and abs(mc["z"]) < 4.0}
 
 
 def _parse_exact_kernel(tok: str) -> tuple[int, partial]:
@@ -247,8 +219,8 @@ def _parse_exact_kernel(tok: str) -> tuple[int, partial]:
 
 
 def cmd_exact_check(cfg: RunConfig) -> dict:
-    alphas = _parse_grid(cfg.opt("run", "alphas", "0,0.3,0.7"))
-    tgrid = _parse_grid(cfg.opt("run", "tgrid", "0.1,1,5"))
+    alphas = _parse_grid(cfg, "alphas", "0,0.3,0.7")
+    tgrid = _parse_grid(cfg, "tgrid", "0.1,1,5")
     spec = cfg.opt("run", "kernels", "torus:1:3,torus:1:4,complete:3,complete:4")
     tokens = [tok.strip() for tok in spec.split(",") if tok.strip()]
     for key, values in (("run.alphas", alphas), ("run.tgrid", tgrid), ("run.kernels", tokens)):
@@ -308,7 +280,7 @@ def cmd_meanfield(cfg: RunConfig) -> dict:
 def cmd_diffusion_run(cfg: RunConfig) -> dict:
     params = _build_diffusion(cfg)
     horizon = cfg.opt("run", "t", 1.0, float)
-    grid = _parse_grid(cfg.opt("run", "grid", "")) or [horizon * j / 10.0 for j in range(1, 11)]
+    grid = _parse_grid(cfg, "grid") or [horizon * j / 10.0 for j in range(1, 11)]
     init = cfg.opt("run", "init", "const:0.5")
     kappa = cfg.opt("run", "kappa", 0.1, float)
     if not 0.0 < kappa < 0.5:
@@ -346,7 +318,7 @@ def cmd_walker_run(cfg: RunConfig) -> dict:
         raise ValueError(f"unknown walker kind {kind_name!r}")
     xi0 = _parse_counts(cfg.opt("run", "xi0"))
     horizon = cfg.opt("run", "t", 10.0, float)
-    grid = _parse_grid(cfg.opt("run", "grid", "")) or [horizon]
+    grid = _parse_grid(cfg, "grid") or [horizon]
     cap = cfg.opt("run", "cap", 100000, int)
     runs = walker_ensemble(kind, xi0, torus, stencil, grid, cap, cfg.reps, cfg.seed,
                            "walker-run", cfg.threads)
@@ -364,7 +336,7 @@ def cmd_walker_run(cfg: RunConfig) -> dict:
 def cmd_moment_check(cfg: RunConfig) -> dict:
     params = _build_diffusion(cfg)
     regime = cfg.opt("run", "regime", "auto")
-    grid = _parse_grid(cfg.opt("run", "grid", "0.25,0.5"))
+    grid = _parse_grid(cfg, "grid", "0.25,0.5")
     xi0 = _parse_counts(cfg.opt("run", "xi0", "0:2"))
     p0_val = cfg.opt("run", "p0", 0.5, float)
     cap = cfg.opt("run", "cap", 100000, int)
@@ -418,7 +390,7 @@ def cmd_extinct_probe(cfg: RunConfig) -> dict:
         # default margin 0.1: tight margins make the bound comparison sensitive
         # to the Euler scheme's boundary bias at late grid times (see README)
         eps=cfg.opt("run", "eps", 0.1, float),
-        grid=_parse_grid(cfg.opt("run", "grid", "1,2,5,10")),
+        grid=_parse_grid(cfg, "grid", "1,2,5,10"),
         reps_fwd=cfg.opt("run", "reps_fwd", max(2, cfg.reps), int),
         reps_dual=cfg.opt("run", "reps_dual", max(2, cfg.reps), int),
         master_seed=cfg.seed,

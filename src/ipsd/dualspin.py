@@ -16,16 +16,24 @@ holds exactly, log by log.  Run against a fresh log of its own (in forward
 time order), the same update rule is a continuous-time chain with the same
 jump rates, which gives the distributional parity duality checked by
 :func:`parity_duality_mc`.
+
+The ensembles :func:`parity_duality_mc`, :func:`evug_statistic` and
+:func:`bernoulli_parity_identity` take a master seed and a role and run a
+chunk worker through :func:`ipsd.harness.replicate_map`, ``SPIN_CHUNK``
+replicates per stream, so each result is the same for any worker count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from .harness import replicate_map
 from .kernel import Kernel, config_bernoulli, config_indicator
-from .spin import EventLog, EventTable, NPParams, UpdateEvent, sample_event_log, replay_forward
+from .spin import (SPIN_CHUNK, EventLog, EventTable, NPParams, UpdateEvent, replay_forward,
+                   sample_event_log)
 from .stats import MCEstimate, two_sample_z
 
 __all__ = [
@@ -34,7 +42,6 @@ __all__ = [
     "replay_dual_batch",
     "simulate_dual_fresh",
     "dual_sizes_fresh",
-    "parity",
     "parity_overlap",
     "parity_duality_mc",
     "bernoulli_parity_identity",
@@ -60,7 +67,7 @@ def _fold_dual(cols: np.ndarray, log: EventLog, order) -> None:
     """In place: apply transposed updates over column-stacked duals.
 
     ``order`` is an iterable of event indices; reversed(range(k)) replays a
-    log prefix backwards, range(len(log)) runs a fresh dual forwards.
+    log prefix backwards, range(lo, hi) runs a stretch of a fresh dual forwards.
     """
     xa, ya, za = log.xa, log.ya, log.za
     for i in order:
@@ -83,14 +90,8 @@ def replay_dual(xi0: np.ndarray, log: EventLog, t: float) -> np.ndarray:
 
 
 def replay_dual_batch(cols0: np.ndarray, log: EventLog, t: float) -> np.ndarray:
-    """replay_dual over column-stacked dual configurations.
-
-    ``cols0`` has shape (n_sites, m); column j evolves as if passed to
-    replay_dual on its own, but all m columns share one reverse pass.
-    """
-    out = np.array(cols0, dtype=np.uint8, copy=True)
-    _fold_dual(out, log, reversed(range(log.count_up_to(t))))
-    return out
+    """replay_dual over column-stacked configurations of shape (n_sites, m)."""
+    return replay_dual(np.asarray(cols0, dtype=np.uint8), log, t)
 
 
 def simulate_dual_fresh(p: NPParams, k: Kernel, B, horizon: float,
@@ -99,22 +100,18 @@ def simulate_dual_fresh(p: NPParams, k: Kernel, B, horizon: float,
     """Fresh dual chain from 1_B: own event log, transposed updates, forward order.
 
     Returns a list of (time, configuration) pairs at the requested record
-    times (default: just the horizon).  Record times must be sorted.
+    times (default: just the horizon), each after every event up to it.
     """
     grid = sorted(record) if record is not None else [horizon]
     log = sample_event_log(p, k, horizon, rng, table=table)
     xi = config_indicator(k.n, B)
     out = []
-    gi = 0
-    for i in range(len(log)):
-        t = log.times[i]
-        while gi < len(grid) and grid[gi] < t:
-            out.append((grid[gi], xi.copy()))
-            gi += 1
-        _fold_dual(xi, log, (i,))
-    while gi < len(grid):
-        out.append((grid[gi], xi.copy()))
-        gi += 1
+    done = 0
+    for g in grid:
+        upto = log.count_up_to(g)
+        _fold_dual(xi, log, range(done, upto))
+        done = upto
+        out.append((g, xi.copy()))
     return out
 
 
@@ -134,70 +131,75 @@ def dual_sizes_fresh(p: NPParams, k: Kernel, B, grid, reps: int,
 # -- parity -------------------------------------------------------------------
 
 
-def parity(cfg: np.ndarray, B) -> int:
-    """<1_B, cfg> mod 2 for a site subset B."""
-    total = 0
-    for x in B:
-        total += int(cfg[x])
-    return total & 1
-
-
 def parity_overlap(a: np.ndarray, b: np.ndarray) -> int:
     """<a, b> mod 2 for two 0/1 configurations."""
     return int(np.bitwise_and(a, b).sum()) & 1
 
 
-def parity_duality_mc(p: NPParams, k: Kernel, A, B, t: float, reps: int,
-                      rng: np.random.Generator) -> dict:
-    """Two independent ensembles for both sides of the parity duality.
-
-    Forward side: P(<1_B, eta_t^A> odd) from fresh logs run over 1_A.
-    Dual side: P(<xi_t^B, 1_A> odd) from fresh dual chains.  Returns both
-    estimates and their two-sample z score.
-    """
-    table = EventTable.build(p, k)
+def _parity_chunk(p, k, A, B, horizon, table, size, rng):
+    grid = [horizon / 2.0, horizon]
+    fwd = np.empty((size, len(grid)), dtype=np.int64)
+    dual = np.empty((size, len(grid)), dtype=np.int64)
+    dualmc = np.empty(size, dtype=np.int64)
     etaA = config_indicator(k.n, A)
-    fwd = np.empty(reps)
-    for r in range(reps):
+    indB = config_indicator(k.n, B)
+    for i in range(size):
+        log = sample_event_log(p, k, horizon, rng, table=table)
+        for j, t in enumerate(grid):
+            fwd[i, j] = parity_overlap(replay_forward(etaA, log, t), indB)
+            dual[i, j] = parity_overlap(replay_dual(indB, log, t), etaA)
+        (_, xi), = simulate_dual_fresh(p, k, B, horizon, rng, record=[horizon], table=table)
+        dualmc[i] = parity_overlap(xi, etaA)
+    return fwd, dual, dualmc
+
+
+def parity_duality_mc(p: NPParams, k: Kernel, A, B, t: float, reps: int, master_seed: int,
+                      role: str, threads: int = 1) -> dict:
+    """Pathwise and distributional parity duality from one ensemble.
+
+    Each replicate samples one log on [0, t] and records, at t/2 and t, the
+    forward parity <1_B, eta^A> and the replayed dual's <xi^B, 1_A>
+    (``pathwise_forward``, ``pathwise_dual``; they differ in ``violations``
+    entries), then runs a fresh dual chain to t (``fresh_dual``).  The
+    ``forward`` and ``dual`` estimates of P(odd) at t are compared by ``z``.
+    """
+    work = partial(_parity_chunk, p, k, A, B, t, EventTable.build(p, k))
+    fwd, dual, fresh = replicate_map(work, reps, master_seed, role, SPIN_CHUNK, threads)
+    lhs = MCEstimate.from_samples(fwd[:, -1].astype(float))
+    rhs = MCEstimate.from_samples(fresh.astype(float))
+    return {"pathwise_forward": fwd, "pathwise_dual": dual, "fresh_dual": fresh,
+            "violations": int((fwd != dual).sum()),
+            "forward": lhs, "dual": rhs, "z": two_sample_z(lhs, rhs)}
+
+
+def _bernoulli_chunk(p, k, B, t, table, size, rng):
+    indB = config_indicator(k.n, B)
+    direct = np.empty(size)
+    alive = np.empty(size)
+    for i in range(size):
+        eta0 = config_bernoulli(k.n, 0.5, rng)
         log = sample_event_log(p, k, t, rng, table=table)
-        fwd[r] = parity(replay_forward(etaA, log, t), B)
-    dual = np.empty(reps)
-    indA = config_indicator(k.n, A)
-    for r in range(reps):
+        direct[i] = parity_overlap(replay_forward(eta0, log, t), indB)
         (_, xi), = simulate_dual_fresh(p, k, B, t, rng, record=[t], table=table)
-        dual[r] = parity_overlap(xi, indA)
-    lhs = MCEstimate.from_samples(fwd)
-    rhs = MCEstimate.from_samples(dual)
-    return {"forward": lhs, "dual": rhs, "z": two_sample_z(lhs, rhs)}
+        alive[i] = 1.0 if xi.any() else 0.0
+    return direct, alive
 
 
 def bernoulli_parity_identity(p: NPParams, k: Kernel, B, t: float, reps: int,
-                              rng: np.random.Generator) -> dict:
+                              master_seed: int, role: str) -> dict:
     """Check P_{Bernoulli(1/2)}(<1_B, eta_t> odd) against half the dual survival.
 
-    Forward replicates start from iid fair-coin configurations; dual
-    replicates are fresh chains from 1_B whose survival indicator feeds the
+    Each replicate runs the forward flow from an iid fair-coin configuration
+    and a fresh dual chain from 1_B, whose survival indicator feeds the
     identity  P = (1/2) P(xi_t != 0).  At alpha = 0 the dual never dies, so
     both sides must sit at 1/2.
     """
-    table = EventTable.build(p, k)
-    fwd = np.empty(reps)
-    for r in range(reps):
-        eta0 = config_bernoulli(k.n, 0.5, rng)
-        log = sample_event_log(p, k, t, rng, table=table)
-        fwd[r] = parity(replay_forward(eta0, log, t), B)
-    alive = np.empty(reps)
-    for r in range(reps):
-        (_, xi), = simulate_dual_fresh(p, k, B, t, rng, record=[t], table=table)
-        alive[r] = 1.0 if xi.any() else 0.0
+    work = partial(_bernoulli_chunk, p, k, B, t, EventTable.build(p, k))
+    fwd, alive = replicate_map(work, reps, master_seed, role, SPIN_CHUNK)
     direct = MCEstimate.from_samples(fwd)
     half_survival = MCEstimate.from_samples(alive / 2.0)
-    return {
-        "direct": direct,
-        "half_survival": half_survival,
-        "survival_fraction": float(alive.mean()),
-        "z": two_sample_z(direct, half_survival),
-    }
+    return {"direct": direct, "half_survival": half_survival,
+            "survival_fraction": float(alive.mean()), "z": two_sample_z(direct, half_survival)}
 
 
 # -- dual-size distribution and the limit formula -----------------------------
@@ -257,19 +259,22 @@ def limit_formula(u: float, zb: ZBDistribution) -> float:
     return 0.5 * acc
 
 
-def evug_statistic(p: NPParams, k: Kernel, B, grid, cap: int, reps: int,
-                   rng: np.random.Generator) -> list[dict]:
-    """P(1 <= |xi_t| <= cap) and survival along a time grid, with stderr.
+def evug_statistic(p: NPParams, k: Kernel, B, grid, cap: int, reps: int, master_seed: int,
+                   role: str, threads: int = 1) -> tuple[np.ndarray, list[dict]]:
+    """Fresh dual sizes along a time grid, with P(1 <= |xi_t| <= cap) and survival.
 
-    The statistic separates eventual unboundedness from genuine survival:
-    mass escaping past ``cap`` is reported through the survival column.
+    Returns the (reps, len(grid)) size array, recorded at the sorted grid,
+    and one row per grid time with the window and survival estimates.  The
+    statistic separates eventual unboundedness from genuine survival: mass
+    escaping past ``cap`` is reported through the survival column.
     """
-    grid = sorted(grid)  # the dual records at the sorted grid
-    sizes = dual_sizes_fresh(p, k, B, grid, reps, rng)
+    grid = sorted(grid)
+    work = partial(dual_sizes_fresh, p, k, B, grid, table=EventTable.build(p, k))
+    sizes = replicate_map(work, reps, master_seed, role, SPIN_CHUNK, threads)
     rows = []
     for j, t in enumerate(grid):
-        col = sizes[:, j]
-        window = MCEstimate.from_samples(((col >= 1) & (col <= cap)).astype(float))
-        alive = MCEstimate.from_samples((col >= 1).astype(float))
-        rows.append({"t": float(t), "window": window, "survival": alive})
-    return rows
+        alive = sizes[:, j] >= 1
+        window = MCEstimate.from_samples((alive & (sizes[:, j] <= cap)).astype(float))
+        rows.append({"t": float(t), "window": window,
+                     "survival": MCEstimate.from_samples(alive.astype(float))})
+    return sizes, rows

@@ -41,6 +41,7 @@ __all__ = [
     "EventLog",
     "EventTable",
     "MAX_TABLE_ROWS",
+    "SPIN_CHUNK",
     "SpinTrajectory",
     "flip_rate",
     "flip_rates_all",
@@ -189,6 +190,8 @@ class EventLog:
 
 
 MAX_TABLE_ROWS = 1 << 24
+# spin replicates per replicate_map chunk (one derived stream each); fixed for determinism
+SPIN_CHUNK = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,14 +310,8 @@ def replay_forward(eta0: np.ndarray, log: EventLog, t: float) -> np.ndarray:
 
 
 def replay_forward_batch(cols0: np.ndarray, log: EventLog, t: float) -> np.ndarray:
-    """replay_forward over column-stacked initial configurations.
-
-    ``cols0`` has shape (n_sites, m); column j evolves as if passed to
-    replay_forward on its own, but all m columns share one pass over the log.
-    """
-    out = np.array(cols0, dtype=np.uint8, copy=True)
-    _fold_forward(out, log, log.count_up_to(t))
-    return out
+    """replay_forward over column-stacked configurations of shape (n_sites, m)."""
+    return replay_forward(np.asarray(cols0, dtype=np.uint8), log, t)
 
 
 # -- Gillespie ----------------------------------------------------------------

@@ -1,13 +1,14 @@
 """End-to-end command-line runs on small workloads."""
 
+import hashlib
 import json
 
 import pytest
 
 from ipsd import cli
-from ipsd.cli import CHUNK, _merge_config, build_parser, main
+from ipsd.cli import _merge_config, build_parser, main
 from ipsd.diffusion import ensemble_observable
-from ipsd.spin import EventTable
+from ipsd.spin import SPIN_CHUNK, EventTable
 
 
 def test_parser_rejects_unknown_subcommand():
@@ -130,7 +131,7 @@ def test_event_table_built_once_per_command(tmp_path, monkeypatch, argv):
         return build(cls, p, k)
 
     monkeypatch.setattr(EventTable, "build", classmethod(counting))
-    main(argv + ["--seed", "4", "--reps", str(CHUNK + 20), "--out", str(tmp_path),
+    main(argv + ["--seed", "4", "--reps", str(SPIN_CHUNK + 20), "--out", str(tmp_path),
                  "--set", "kernel.d=1", "--set", "kernel.L=4", "--set", "params.alpha=0.3",
                  "--set", "run.T=0.5"])
     assert builds == [4]
@@ -169,6 +170,70 @@ def test_thread_determinism_cli(tmp_path):
     main(base + ["--out", str(b), "--threads", "3"])
     for name in ("walker_sizes.csv", "walker-run.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_dual_run_output_does_not_depend_on_threads(tmp_path):
+    base = ["dual-run", "--seed", "9", "--reps", str(SPIN_CHUNK + 44),
+            "--set", "kernel.d=1", "--set", "kernel.L=8", "--set", "params.alpha=0.4",
+            "--set", "run.B=0,3", "--set", "run.T=3", "--set", "run.grid=1,3"]
+    main(base + ["--out", str(tmp_path / "a"), "--threads", "1"])
+    main(base + ["--out", str(tmp_path / "b"), "--threads", "2"])
+    for name in ("dual_sizes.csv", "dual_survival.csv", "dual-run.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+# SHA-256 of every --out file at 300 reps (two chunks): a change of draws fails here
+SPIN_DUAL_DIGESTS = [
+    (["dual-run", "--set", "kernel.d=1", "--set", "kernel.L=8", "--set", "params.alpha=0.4",
+      "--set", "run.B=0,3", "--set", "run.T=3", "--set", "run.grid=1,3", "--set", "run.cap=6"],
+     {"dual-run.json": "09c5dd8c23d4ef465b1beacbeaae7958b8a97e8fd1133065130dcbe52f00dfc4",
+      "dual_sizes.csv": "9c35ed321adef8a470e6652b644d16d2f0d88b54c6422332e83178c10a127711",
+      "dual_survival.csv": "b3dedc28a210fc3eb555864e01cb17378ade559142bad5671159d3d2916a1ff9"}),
+    (["parity-check", "--set", "kernel.d=2", "--set", "kernel.L=3", "--set", "params.alpha=0.3",
+      "--set", "run.A=0,4", "--set", "run.B=1,5,8", "--set", "run.T=2"],
+     {"parity-check.json": "0104a61195970e2bbc2645e98500bf3632cc4db1f8fc9fba66f5ef2955cd0491",
+      "parity_mc.csv": "fdc8f07786fc0bf30ddee6faa4870663cc2d7bea9cc05da56e7a8ae36bdb9a20",
+      "parity_pathwise.csv": "cf95582988ff557020489376f9bd9057291861d53fc13893427fe07cd6194a22"}),
+]
+
+
+@pytest.mark.parametrize("argv, digests", SPIN_DUAL_DIGESTS,
+                         ids=[argv[0] for argv, _ in SPIN_DUAL_DIGESTS])
+def test_spin_dual_outputs_match_pinned_digests(tmp_path, argv, digests):
+    main(argv + ["--seed", "7", "--reps", "300", "--out", str(tmp_path)])
+    assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in tmp_path.iterdir()} == digests
+
+
+@pytest.mark.parametrize("argv", [
+    ["parity-check", "--set", "run.A=0,2"],
+    ["dual-run", "--set", "run.grid=0.5"],
+])
+@pytest.mark.parametrize("sites", ["3,3,4", "1,-2"])
+def test_a_repeated_or_negative_site_in_run_b_is_refused_before_any_draw(tmp_path, monkeypatch,
+                                                                        argv, sites):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before the site check")
+
+    monkeypatch.setattr(cli, "parity_duality_mc", no_simulation)
+    monkeypatch.setattr(cli, "evug_statistic", no_simulation)
+    with pytest.raises(ValueError, match="run.b must list distinct nonnegative sites"):
+        main(argv + ["--seed", "3", "--reps", "5", "--out", str(tmp_path),
+                     "--set", "kernel.d=1", "--set", "kernel.L=6", "--set", "params.alpha=0.3",
+                     "--set", f"run.b={sites}"])
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["spin-run", "--set", "kernel.d=1", "--set", "kernel.L=6", "--set", "run.T=1",
+      "--set", "run.grid=-1,0,1"], "run.grid"),
+    (["exact-check", "--set", "run.kernels=complete:3", "--set", "run.tgrid=0.1,-5"], "run.tgrid"),
+])
+def test_a_negative_grid_time_is_refused(tmp_path, argv, key):
+    with pytest.raises(ValueError, match=f"{key} has a negative entry"):
+        main(argv + ["--seed", "3", "--reps", "2", "--out", str(tmp_path),
+                     "--set", "params.alpha=0.3"])
+    assert not any(tmp_path.iterdir())
 
 
 def test_sweep_end_to_end(tmp_path):

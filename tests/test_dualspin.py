@@ -5,7 +5,7 @@ import pytest
 
 from ipsd.dualspin import (ZBDistribution, apply_event_dual, bernoulli_parity_identity,
                            dual_sizes_fresh, evug_statistic,
-                           limit_formula, parity, parity_duality_mc, parity_overlap,
+                           limit_formula, parity_duality_mc, parity_overlap,
                            replay_dual, replay_dual_batch, simulate_dual_fresh)
 from ipsd.kernel import config_indicator, torus_kernel
 from ipsd.rng import derive_stream
@@ -14,10 +14,10 @@ from ipsd.spin import EventLog, NPParams, UpdateEvent, replay_forward, sample_ev
 
 def test_parity_helpers():
     cfg = np.array([1, 0, 1, 1], dtype=np.uint8)
-    assert parity(cfg, [0]) == 1
-    assert parity(cfg, [0, 2]) == 0
-    assert parity(cfg, [0, 1, 3]) == 0
-    assert parity(cfg, []) == 0
+    assert parity_overlap(cfg, config_indicator(4, [0])) == 1
+    assert parity_overlap(cfg, config_indicator(4, [0, 2])) == 0
+    assert parity_overlap(cfg, config_indicator(4, [0, 1, 3])) == 0
+    assert parity_overlap(cfg, config_indicator(4, [])) == 0
     other = np.array([1, 1, 0, 1], dtype=np.uint8)
     assert parity_overlap(cfg, other) == 0  # overlap {0,3}: even
     assert parity_overlap(cfg, np.array([0, 0, 1, 1], dtype=np.uint8)) == 0
@@ -90,8 +90,9 @@ def test_pathwise_duality_exhaustive_small():
                 etaA = config_indicator(4, A)
                 eta_t = replay_forward(etaA, log, t)
                 for B in subsets:
-                    xi_t = replay_dual(config_indicator(4, B), log, t)
-                    assert parity(eta_t, B) == parity_overlap(xi_t, etaA)
+                    indB = config_indicator(4, B)
+                    xi_t = replay_dual(indB, log, t)
+                    assert parity_overlap(eta_t, indB) == parity_overlap(xi_t, etaA)
 
 
 def test_annihilation_only_dual_never_dies():
@@ -119,8 +120,8 @@ def test_dual_sizes_fresh_grid():
 def test_parity_duality_mc_two_sample():
     p = NPParams.symmetric(0.6)
     k = torus_kernel(1, 5)
-    rng = derive_stream(15, "dual-mc")
-    out = parity_duality_mc(p, k, [0, 1], [2], 2.0, 3000, rng)
+    out = parity_duality_mc(p, k, [0, 1], [2], 2.0, 3000, 15, "dual-mc")
+    assert out["violations"] == 0 and out["pathwise_forward"].shape == (3000, 2)
     assert abs(out["z"]) < 4.0
     assert 0.0 <= out["forward"].mean <= 1.0
     assert 0.0 <= out["dual"].mean <= 1.0
@@ -132,10 +133,19 @@ def test_bernoulli_half_identity_mc():
     # direct estimate must sit near 1/2 and the survival fraction at 1.
     p = NPParams.symmetric(0.0)
     k = torus_kernel(2, 3)
-    rng = derive_stream(16, "dual-bern")
-    out = bernoulli_parity_identity(p, k, [0, 4, 7], 2.0, 4000, rng)
+    out = bernoulli_parity_identity(p, k, [0, 4, 7], 2.0, 4000, 16, "dual-bern")
     assert out["survival_fraction"] == 1.0
     assert abs(out["direct"].mean - 0.5) < 3.5 * out["direct"].stderr
+    assert abs(out["z"]) < 4.0
+
+
+def test_bernoulli_half_identity_where_the_dual_can_die():
+    # At alpha = 0.7 voter events let the dual from B = {0, 1} die, so the
+    # identity P(odd) = (1/2) P(xi_t != 0) is checked below one half.
+    p = NPParams.symmetric(0.7)
+    k = torus_kernel(2, 3)
+    out = bernoulli_parity_identity(p, k, [0, 1], 2.0, 4000, 16, "dual-bern-dies")
+    assert out["survival_fraction"] < 0.9
     assert abs(out["z"]) < 4.0
 
 
@@ -189,8 +199,8 @@ def test_limit_formula_zero_size_atom():
 def test_evug_statistic_rows():
     p = NPParams.symmetric(0.2)
     k = torus_kernel(1, 6)
-    rng = derive_stream(17, "dual-evug")
-    rows = evug_statistic(p, k, [0, 3], [1.0, 2.0], cap=8, reps=200, rng=rng)
+    _, rows = evug_statistic(p, k, [0, 3], [1.0, 2.0], cap=8, reps=200, master_seed=17,
+                             role="dual-evug")
     assert [r["t"] for r in rows] == [1.0, 2.0]
     for r in rows:
         assert 0.0 <= r["window"].mean <= r["survival"].mean <= 1.0
@@ -200,10 +210,11 @@ def test_evug_statistic_labels_an_unsorted_grid_in_time_order():
     # the dual records at the sorted grid, so the rows must carry those times
     p = NPParams.symmetric(0.3)
     k = torus_kernel(1, 10)
-    args = dict(cap=12, reps=400)
-    unsorted = evug_statistic(p, k, [0, 3], [8.0, 0.001], rng=derive_stream(1, "x"), **args)
-    ordered = evug_statistic(p, k, [0, 3], [0.001, 8.0], rng=derive_stream(1, "x"), **args)
+    args = dict(cap=12, reps=400, master_seed=1, role="x")
+    unsorted_sizes, unsorted = evug_statistic(p, k, [0, 3], [8.0, 0.001], **args)
+    ordered_sizes, ordered = evug_statistic(p, k, [0, 3], [0.001, 8.0], **args)
     assert unsorted == ordered
+    assert np.array_equal(unsorted_sizes, ordered_sizes)
     assert [r["t"] for r in unsorted] == [0.001, 8.0]
     # the empty dual is absorbing: survival cannot grow with time
     assert unsorted[0]["survival"].mean >= unsorted[1]["survival"].mean

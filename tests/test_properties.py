@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ipsd.diffusion import DiffusionParams, mirror_params, p_of_sigma, sigma_of_p
-from ipsd.dualspin import parity, parity_overlap, replay_dual
+from ipsd.dualspin import parity_overlap, replay_dual
 from ipsd.kernel import (complete_kernel, config_bernoulli, config_indicator,
                          local_frequency, torus_kernel)
 from ipsd.lattice import Stencil, Torus
@@ -68,7 +68,7 @@ def test_pathwise_duality_property(k, alpha, seed, horizon):
         B = _subset(rng.integers(2 ** 31), k.n)
         t = float(rng.uniform(0, horizon))
         etaA = config_indicator(k.n, A)
-        lhs = parity(replay_forward(etaA, log, t), B)
+        lhs = parity_overlap(replay_forward(etaA, log, t), config_indicator(k.n, B))
         rhs = parity_overlap(replay_dual(config_indicator(k.n, B), log, t), etaA)
         assert lhs == rhs
 
