@@ -43,11 +43,11 @@ from .walkers import BCRW, CRW, DBARW, walker_ensemble
 # -- config plumbing -----------------------------------------------------------
 
 
-def _parse_sites(cfg: RunConfig, key: str) -> list[int]:
-    """Site set [run] key: comma-separated distinct nonnegative integers."""
+def _parse_sites(cfg: RunConfig, key: str, n_sites: int) -> list[int]:
+    """Site set [run] key: comma-separated distinct integers in [0, n_sites)."""
     sites = [int(tok) for tok in cfg.opt("run", key).split(",") if tok.strip() != ""]
-    if min(sites, default=0) < 0 or len(set(sites)) < len(sites):
-        raise ValueError(f"run.{key} must list distinct nonnegative sites, got {sites}")
+    if not all(0 <= x < n_sites for x in sites) or len(set(sites)) < len(sites):
+        raise ValueError(f"run.{key} must list distinct nonnegative sites < {n_sites}, got {sites}")
     return sites
 
 
@@ -59,18 +59,19 @@ def _parse_grid(cfg: RunConfig, key: str, default: str = "") -> list[float]:
     return grid
 
 
-def _parse_counts(spec: str) -> dict[int, int]:
-    """Particle placement string for run.xi0: "site:count,site:count" (count default 1)."""
+def _parse_counts(cfg: RunConfig, n_sites: int, default: str | None = None) -> dict[int, int]:
+    """Particles of [run] xi0, "site:count,..." (count default 1), on sites [0, n_sites)."""
     out: dict[int, int] = {}
-    for tok in str(spec).split(","):
+    for tok in cfg.opt("run", "xi0", default).split(","):
         tok = tok.strip()
         if not tok:
             continue
-        site, cnt = tok.split(":", 1) if ":" in tok else (tok, "1")
-        count = int(cnt)
+        site, count = map(int, tok.split(":", 1) if ":" in tok else (tok, "1"))
         if count <= 0:
             raise ValueError(f"run.xi0 token {tok!r} has a nonpositive count")
-        out[int(site)] = out.get(int(site), 0) + count
+        if not 0 <= site < n_sites:
+            raise ValueError(f"run.xi0 token {tok!r} names a site outside [0, {n_sites})")
+        out[site] = out.get(site, 0) + count
     return out
 
 
@@ -168,7 +169,7 @@ def cmd_dual_run(cfg: RunConfig) -> dict:
     k = _build_kernel(cfg)
     horizon = cfg.opt("run", "t", 10.0, float)
     grid = _parse_grid(cfg, "grid") or [horizon]
-    B = _parse_sites(cfg, "b")
+    B = _parse_sites(cfg, "b", k.n)
     cap = cfg.opt("run", "cap", 10, int)
     sizes, rows = evug_statistic(p, k, B, grid, cap, cfg.reps, cfg.seed, "dual-run", cfg.threads)
     if cfg.out:
@@ -187,8 +188,8 @@ def cmd_parity_check(cfg: RunConfig) -> dict:
     p = _build_params(cfg)
     k = _build_kernel(cfg)
     horizon = cfg.opt("run", "t", 5.0, float)
-    A = _parse_sites(cfg, "a")
-    B = _parse_sites(cfg, "b")
+    A = _parse_sites(cfg, "a", k.n)
+    B = _parse_sites(cfg, "b", k.n)
     mc = parity_duality_mc(p, k, A, B, horizon, cfg.reps, cfg.seed, "parity-check", cfg.threads)
     if cfg.out:
         fwd, dual = mc["pathwise_forward"], mc["pathwise_dual"]
@@ -290,7 +291,7 @@ def cmd_diffusion_run(cfg: RunConfig) -> dict:
         raise ValueError(f"run.site must lie in [0, {params.torus.n_sites}), got {site}")
     p0 = parse_field_initial(init, params.torus, derive_stream(cfg.seed, "diffusion-init"))
     vals = ensemble_observable(params, p0, grid, partial(_site_and_mean, site),
-                               cfg.reps, cfg.seed, "diffusion-site")
+                               cfg.reps, cfg.seed, "diffusion-site", cfg.threads)
     rows = []
     report = []
     for j, t in enumerate(sorted(grid)):
@@ -316,7 +317,7 @@ def cmd_walker_run(cfg: RunConfig) -> dict:
         kind = BCRW(s=cfg.opt("walker", "s", cast=float), mu=cfg.opt("walker", "mu", cast=float))
     else:
         raise ValueError(f"unknown walker kind {kind_name!r}")
-    xi0 = _parse_counts(cfg.opt("run", "xi0"))
+    xi0 = _parse_counts(cfg, torus.n_sites)
     horizon = cfg.opt("run", "t", 10.0, float)
     grid = _parse_grid(cfg, "grid") or [horizon]
     cap = cfg.opt("run", "cap", 100000, int)
@@ -337,12 +338,13 @@ def cmd_moment_check(cfg: RunConfig) -> dict:
     params = _build_diffusion(cfg)
     regime = cfg.opt("run", "regime", "auto")
     grid = _parse_grid(cfg, "grid", "0.25,0.5")
-    xi0 = _parse_counts(cfg.opt("run", "xi0", "0:2"))
+    xi0 = _parse_counts(cfg, params.torus.n_sites, "0:2")
     p0_val = cfg.opt("run", "p0", 0.5, float)
     cap = cfg.opt("run", "cap", 100000, int)
     p0 = np.full(params.torus.shape, p0_val)
-    rows = moment_duality_mc(params, p0, xi0, grid, cfg.reps, cfg.seed, regime=regime, cap=cap)
-    ok = all(abs(r["z"]) < 4.0 and abs(r.get("z_half", 0.0)) < 4.0 for r in rows)
+    rows = moment_duality_mc(params, p0, xi0, grid, cfg.reps, cfg.seed, regime=regime, cap=cap,
+                             threads=cfg.threads)
+    ok = all(abs(r["z"]) < 4.0 and abs(r["z_half"]) < 4.0 for r in rows)
     if regime in ("dbarw", "auto") and params.mu == 2.0:
         gap = generator_duality_battery("dbarw", [params.s], 200, params.torus,
                                         params.stencil, cfg.seed)
@@ -367,7 +369,7 @@ def cmd_coexist_probe(cfg: RunConfig) -> dict:
         reps_het=cfg.opt("run", "reps_het", max(2, cfg.reps), int),
         reps_surv=cfg.opt("run", "reps_surv", max(2, cfg.reps), int),
         cap=cfg.opt("run", "cap", 2000, int),
-        dt=cfg.opt("model", "dt", 1e-3, float))
+        dt=cfg.opt("model", "dt", 1e-3, float), threads=cfg.threads)
     return {
         "heterozygosity": rep.heterozygosity, "het_lcb99": rep.het_lcb99,
         "survival": rep.survival, "survival_lcb99": rep.survival_lcb99,
@@ -386,7 +388,7 @@ def cmd_extinct_probe(cfg: RunConfig) -> dict:
         s=cfg.opt("model", "s", cast=float), mu=cfg.opt("model", "mu", cast=float),
         torus=torus, stencil=stencil,
         p0_value=cfg.opt("run", "p0", 0.5, float),
-        xi0=_parse_counts(cfg.opt("run", "xi0", "0")),
+        xi0=_parse_counts(cfg, torus.n_sites, "0"),
         # default margin 0.1: tight margins make the bound comparison sensitive
         # to the Euler scheme's boundary bias at late grid times (see README)
         eps=cfg.opt("run", "eps", 0.1, float),
@@ -395,7 +397,7 @@ def cmd_extinct_probe(cfg: RunConfig) -> dict:
         reps_dual=cfg.opt("run", "reps_dual", max(2, cfg.reps), int),
         master_seed=cfg.seed,
         cap=cfg.opt("run", "cap", 400, int),
-        dt=cfg.opt("model", "dt", 1e-3, float))
+        dt=cfg.opt("model", "dt", 1e-3, float), threads=cfg.threads)
     return {
         "rows": list(rep.rows),
         "forward_below_bound": rep.forward_below_bound,

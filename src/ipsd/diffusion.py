@@ -132,22 +132,22 @@ def _ensemble_chunk(params: DiffusionParams, p0: np.ndarray, grid, observable,
 
 
 def ensemble_observable(params: DiffusionParams, p0: np.ndarray, grid, observable,
-                        reps: int, master_seed: int, role: str,
-                        batch: int = ENSEMBLE_BATCH) -> np.ndarray:
+                        reps: int, master_seed: int, role: str, threads: int = 1) -> np.ndarray:
     """Observable values for ``reps`` independent replicates at each grid time.
 
-    Replicates are stepped together in chunks of ``batch`` through
+    Replicates are stepped together in chunks of ENSEMBLE_BATCH through
     :func:`ipsd.harness.replicate_map`, one derived stream per chunk, so the
-    output is a pure function of (params, p0, grid, reps, master_seed, role).
-    ``observable(fields)`` maps a (b, *shape) array to a (b,) or (b, m) array.
-    Returns an array of shape (len(grid), reps) or (len(grid), m, reps): the
-    replicate axis comes last.
+    output is a pure function of (params, p0, grid, reps, master_seed, role)
+    for any ``threads``.  ``observable(fields)``, picklable when threads > 1,
+    maps a (b, *shape) array to a (b,) or (b, m) array.  Returns an array of
+    shape (len(grid), reps) or (len(grid), m, reps): the replicate axis
+    comes last.
     """
     p0 = np.asarray(p0, dtype=np.float64)
     if p0.shape != params.torus.shape:
         raise ValueError("initial field shape does not match the torus")
     work = partial(_ensemble_chunk, params, p0, sorted(grid), observable)
-    vals = replicate_map(work, reps, master_seed, role, batch)
+    vals = replicate_map(work, reps, master_seed, role, ENSEMBLE_BATCH, threads)
     return np.ascontiguousarray(np.moveaxis(vals, 0, -1))
 
 

@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 MAX_EXACT_SITES = 12
+SEMIGROUP_TAIL = 1e-14  # Poisson mass left out of the uniformization series
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,22 +166,21 @@ def build_generator_dual(p: NPParams, k: Kernel,
     return _generator_from_targets(p, k, _dual_event_target, table)
 
 
-def semigroup_apply(gen: DenseGenerator, t: float, v: np.ndarray,
-                    tail: float = 1e-14, self_check: bool = True) -> np.ndarray:
-    """exp(t G) v by uniformization, with an optional halved-step self-check.
+def semigroup_apply(gen: DenseGenerator, t: float, v: np.ndarray) -> np.ndarray:
+    """exp(t G) v by uniformization, checked against two halved steps.
 
     Uniformization constant is max |diagonal| * 1.01; the Poisson series is
-    truncated once its mass reaches 1 - tail.  With ``self_check`` the
-    result is recomputed as two half steps and must agree to 1e-10
-    relative error.
+    truncated once its mass reaches 1 - SEMIGROUP_TAIL.  For t > 0 the
+    result is always recomputed as two half steps, which must agree to
+    1e-10 relative error, or ArithmeticError is raised.
     """
     if t < 0:
         raise ValueError("time must be nonnegative")
     v = np.asarray(v, dtype=np.float64)
-    out = _uniformized(gen.matrix, t, v, tail)
-    if self_check and t > 0:
-        half = _uniformized(gen.matrix, t / 2.0, v, tail)
-        two_step = _uniformized(gen.matrix, t / 2.0, half, tail)
+    out = _uniformized(gen.matrix, t, v)
+    if t > 0:
+        half = _uniformized(gen.matrix, t / 2.0, v)
+        two_step = _uniformized(gen.matrix, t / 2.0, half)
         scale = max(1.0, float(np.abs(out).max()))
         err = float(np.abs(out - two_step).max()) / scale
         if err > 1e-10:
@@ -188,7 +188,7 @@ def semigroup_apply(gen: DenseGenerator, t: float, v: np.ndarray,
     return out
 
 
-def _uniformized(G: np.ndarray, t: float, v: np.ndarray, tail: float) -> np.ndarray:
+def _uniformized(G: np.ndarray, t: float, v: np.ndarray) -> np.ndarray:
     lam = float(np.abs(np.diag(G)).max()) * 1.01
     if lam == 0.0 or t == 0.0:
         return v.copy()
@@ -204,7 +204,7 @@ def _uniformized(G: np.ndarray, t: float, v: np.ndarray, tail: float) -> np.ndar
         weight *= mu / kk
         acc = acc + weight * term
         covered += weight
-        if covered >= 1.0 - tail and kk > mu:
+        if covered >= 1.0 - SEMIGROUP_TAIL and kk > mu:
             break
     else:
         raise ArithmeticError("uniformization series failed to converge")

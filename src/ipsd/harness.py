@@ -123,12 +123,13 @@ def parallel_map(fn, items, threads: int):
     """Map ``fn`` over ``items`` deterministically, optionally over processes.
 
     Results come back in item order regardless of scheduling.  ``fn`` must
-    be picklable (module level) when threads > 1.
+    be picklable (module level) when threads > 1.  At most one worker per
+    item is started, since ``fork`` starts them all at the first submit.
     """
     items = list(items)
     if threads <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=min(threads, len(items))) as pool:
         return list(pool.map(fn, items))
 
 

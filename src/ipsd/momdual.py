@@ -38,6 +38,7 @@ from .walkers import (BCRW, CRW, DBARW, DEFAULT_CAP, WalkerKind, apply_transitio
 __all__ = [
     "moment_eval",
     "moment_product",
+    "field_moment",
     "gen_sigma_on_H",
     "gen_p_on_H",
     "gen_walker_on_H",
@@ -46,6 +47,8 @@ __all__ = [
     "coexistence_probe",
     "extinction_probe",
 ]
+
+BATTERY_MAX_TOTAL = 6  # walkers in one random particle configuration of the battery
 
 
 def moment_eval(vals: np.ndarray, counts: dict[int, int]) -> float:
@@ -64,6 +67,23 @@ def moment_product(vals: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """H(vals, xi) for each row xi of a count matrix; vals^0 = 1 on empty sites."""
     flat = np.asarray(vals, dtype=np.float64).reshape(-1)
     return np.prod(flat ** counts, axis=1)
+
+
+def field_moment(xi: dict[int, int], fields: np.ndarray, transform=None) -> np.ndarray:
+    """H(v, xi) per field of a batch, with v = transform(field) or the field itself.
+
+    Multiplies ``v[:, x] ** c`` (c a Python int) over the occupied sites in
+    sorted order; :func:`moment_product`'s array power differs in the last
+    bit at c = 2, where numpy squares.  Module level, so pools can pickle it.
+    """
+    vals = fields.reshape(fields.shape[0], -1)
+    if transform is not None:
+        vals = transform(vals)
+    out = np.ones(fields.shape[0])
+    for x, c in sorted(xi.items()):
+        if c > 0:
+            out *= vals[:, x] ** int(c)
+    return out
 
 
 def _rest_products(flat: np.ndarray, items: list[tuple[int, int]]) -> list[float]:
@@ -155,8 +175,8 @@ def gen_walker_on_H(vals: np.ndarray, counts: dict[int, int], kind: WalkerKind,
     return total
 
 
-def _random_counts(rng: np.random.Generator, n_sites: int, max_total: int) -> dict[int, int]:
-    total = int(rng.integers(1, max_total + 1))
+def _random_counts(rng: np.random.Generator, n_sites: int) -> dict[int, int]:
+    total = int(rng.integers(1, BATTERY_MAX_TOTAL + 1))
     sites = rng.integers(0, n_sites, size=total)
     counts: dict[int, int] = {}
     for x in sites:
@@ -165,20 +185,21 @@ def _random_counts(rng: np.random.Generator, n_sites: int, max_total: int) -> di
 
 
 def generator_duality_battery(regime: str, param_list, n_pairs: int, torus: Torus,
-                              stencil: Stencil, seed: int, max_total: int = 6) -> float:
+                              stencil: Stencil, seed: int) -> float:
     """Max |closed form - walker route| over random (field, particle) pairs.
 
     ``regime`` is "dbarw" (sigma fields in [-1,1], DBARW with branch rate
     s/2, param_list holds s values) or "bcrw" (p fields in [0,1], BCRW,
-    param_list holds (s, mu) pairs).  Fields get exact zeros (and exact
-    endpoint values) sprinkled in to exercise the polynomial forms.
+    param_list holds (s, mu) pairs).  Each pair places 1 to
+    BATTERY_MAX_TOTAL walkers; fields get exact zeros (and exact endpoint
+    values) sprinkled in to exercise the polynomial forms.
     """
     rng = derive_stream(seed, f"genbattery-{regime}")
     n = torus.n_sites
     worst = 0.0
     for i in range(n_pairs):
         par = param_list[i % len(param_list)]
-        counts = _random_counts(rng, n, max_total)
+        counts = _random_counts(rng, n)
         if regime == "dbarw":
             field = rng.uniform(-1.0, 1.0, size=n)
         elif regime == "bcrw":
@@ -205,32 +226,16 @@ def generator_duality_battery(regime: str, param_list, n_pairs: int, torus: Toru
 # -- Monte Carlo duality -------------------------------------------------------
 
 
-def _moment_observable(counts: dict[int, int], transform=None):
-    """Vectorized H(., counts) over a batch of fields (flattened site axes)."""
-    items = sorted((x, c) for x, c in counts.items() if c > 0)
-
-    def obs(fields: np.ndarray) -> np.ndarray:
-        vals = fields.reshape(fields.shape[0], -1)
-        if transform is not None:
-            vals = transform(vals)
-        out = np.ones(fields.shape[0])
-        for x, c in items:
-            out *= vals[:, x] ** c
-        return out
-
-    return obs
-
-
 def moment_duality_mc(params: DiffusionParams, p0: np.ndarray, xi0: dict[int, int],
                       grid, reps: int, master_seed: int, regime: str = "auto",
-                      cap: int = DEFAULT_CAP, halving: bool = True) -> list[dict]:
+                      cap: int = DEFAULT_CAP, threads: int = 1) -> list[dict]:
     """Both sides of the moment duality along a time grid, with z scores.
 
     Forward side: E[H(v_t, xi_0)] from the diffusion ensemble, where v is
     sigma = 1 - 2p for the mu = 2 pairing and p itself otherwise.  Dual
     side: E[H(v_0, xi_t)] from walker replicates.  The forward run is
-    repeated at dt/2 (``halving``) and both runs are z-tested against the
-    dual and against each other.
+    always repeated at dt/2, and both runs are z-tested against the dual
+    and against each other.  ``threads`` reaches all three ensembles.
     """
     if regime == "auto":
         if params.mu == 2.0:
@@ -242,35 +247,31 @@ def moment_duality_mc(params: DiffusionParams, p0: np.ndarray, xi0: dict[int, in
     grid = sorted(grid)
     p0 = np.asarray(p0, dtype=np.float64)
 
+    transform = None
     if regime == "dbarw":
         if params.mu != 2.0:
             raise ValueError("the DBARW pairing needs mu = 2")
         kind: WalkerKind = DBARW(branch_rate=params.s / 2.0)
-        transform = lambda v: 1.0 - 2.0 * v
-        v0_flat = sigma_of_p(p0).reshape(-1)
+        transform = sigma_of_p
     elif regime == "crw":
         if params.s != 0.0:
             raise ValueError("the CRW pairing needs s = 0")
         kind = CRW()
-        transform = None
-        v0_flat = p0.reshape(-1)
     elif regime == "bcrw":
         if params.s > 0 or not (-1.0 <= params.mu <= 0.0):
             raise ValueError("the BCRW pairing needs s <= 0 and mu in [-1, 0]")
         kind = BCRW(s=params.s, mu=params.mu)
-        transform = None
-        v0_flat = p0.reshape(-1)
     else:
         raise ValueError(f"unknown regime {regime!r}")
+    v0_flat = (p0 if transform is None else transform(p0)).reshape(-1)
 
-    obs = _moment_observable(xi0, transform)
-    fwd = ensemble_observable(params, p0, grid, obs, reps, master_seed, "momdual-fwd")
-    fwd_half = None
-    if halving:
-        fwd_half = ensemble_observable(params.with_dt(params.dt / 2.0), p0, grid, obs,
-                                       reps, master_seed, "momdual-fwd-half")
+    obs = partial(field_moment, xi0, transform=transform)
+    fwd = ensemble_observable(params, p0, grid, obs, reps, master_seed, "momdual-fwd", threads)
+    fwd_half = ensemble_observable(params.with_dt(params.dt / 2.0), p0, grid, obs,
+                                   reps, master_seed, "momdual-fwd-half", threads)
     runs = walker_ensemble(kind, xi0, params.torus, params.stencil, grid, cap, reps,
-                           master_seed, "momdual-dual", observe=partial(moment_product, v0_flat))
+                           master_seed, "momdual-dual", threads,
+                           observe=partial(moment_product, v0_flat))
     dual = np.ascontiguousarray(runs.observed.T)
     walker_events = int(runs.events.sum())
 
@@ -278,15 +279,11 @@ def moment_duality_mc(params: DiffusionParams, p0: np.ndarray, xi0: dict[int, in
     for gi, t in enumerate(grid):
         f = MCEstimate.from_samples(fwd[gi])
         d = MCEstimate.from_samples(dual[gi])
-        row = {"t": float(t), "regime": regime, "forward": f, "dual": d,
-               "z": two_sample_z(f, d), "cap_fraction": float(runs.capped.mean()),
-               "walker_events": walker_events}
-        if fwd_half is not None:
-            fh = MCEstimate.from_samples(fwd_half[gi])
-            row["forward_half"] = fh
-            row["z_half"] = two_sample_z(fh, d)
-            row["z_steps"] = two_sample_z(f, fh)
-        rows.append(row)
+        fh = MCEstimate.from_samples(fwd_half[gi])
+        rows.append({"t": float(t), "regime": regime, "forward": f, "dual": d,
+                     "z": two_sample_z(f, d), "cap_fraction": float(runs.capped.mean()),
+                     "walker_events": walker_events, "forward_half": fh,
+                     "z_half": two_sample_z(fh, d), "z_steps": two_sample_z(f, fh)})
     return rows
 
 
@@ -309,7 +306,7 @@ class CoexistenceReport:
 def coexistence_probe(s: float, torus: Torus, stencil: Stencil, master_seed: int,
                       t_het: float = 10.0, horizon_surv: float = 50.0,
                       kappa: float = 0.1, reps_het: int = 800, reps_surv: int = 500,
-                      cap: int = 2000, dt: float = 1e-3) -> CoexistenceReport:
+                      cap: int = 2000, dt: float = 1e-3, threads: int = 1) -> CoexistenceReport:
     """Coexistence-side diagnostics at mu = 2 (balancing selection).
 
     (i) Diffusion heterozygosity P(kappa < p_t(0) < 1 - kappa) started flat
@@ -326,12 +323,8 @@ def coexistence_probe(s: float, torus: Torus, stencil: Stencil, master_seed: int
         raise ValueError(f"kappa must lie in (0, 1/2), got {kappa}")
     params = DiffusionParams(torus=torus, stencil=stencil, s=s, mu=2.0, dt=dt)
     p0 = np.full(torus.shape, 0.5)
-
-    def obs_site0(fields):
-        return fields.reshape(fields.shape[0], -1)[:, 0]
-
-    vals = ensemble_observable(params, p0, [t_het], obs_site0, reps_het,
-                               master_seed, "coexist-het")[0]
+    vals = ensemble_observable(params, p0, [t_het], partial(field_moment, {0: 1}), reps_het,
+                               master_seed, "coexist-het", threads)[0]
     inside = ((vals > kappa) & (vals < 1.0 - kappa)).astype(float)
     het = MCEstimate.from_samples(inside)
     het_lcb = wilson_lower(int(inside.sum()), reps_het, 0.99)
@@ -339,7 +332,8 @@ def coexistence_probe(s: float, torus: Torus, stencil: Stencil, master_seed: int
     bound = (1.0 - 2.0 * kappa) ** 2 * het.mean + (1.0 - het.mean)
 
     surv = survival_probability(DBARW(branch_rate=s / 2.0), {0: 2}, torus, stencil,
-                                horizon_surv, reps_surv, master_seed, "coexist-surv", cap=cap)
+                                horizon_surv, reps_surv, master_seed, "coexist-surv", threads,
+                                cap=cap)
     surv_lcb = wilson_lower(surv["successes"], reps_surv, 0.99)
     surv_ucb = wilson_upper(surv["successes"], reps_surv, 0.99)
 
@@ -362,7 +356,7 @@ class ExtinctionReport:
 def extinction_probe(s: float, mu: float, torus: Torus, stencil: Stencil,
                      p0_value: float, xi0: dict[int, int], eps: float, grid,
                      reps_fwd: int, reps_dual: int, master_seed: int,
-                     cap: int = 400, dt: float = 1e-3) -> ExtinctionReport:
+                     cap: int = 400, dt: float = 1e-3, threads: int = 1) -> ExtinctionReport:
     """Extinction-side diagnostics for s < 0, mu in [-1, 0].
 
     Forward: E[prod_x p_t(x)^{xi0(x)}] from a flat start p0 < 1 - eps.
@@ -379,11 +373,11 @@ def extinction_probe(s: float, mu: float, torus: Torus, stencil: Stencil,
     params = DiffusionParams(torus=torus, stencil=stencil, s=s, mu=mu, dt=dt)
     p0 = np.full(torus.shape, p0_value)
 
-    fwd = ensemble_observable(params, p0, grid, _moment_observable(xi0), reps_fwd,
-                              master_seed, "extinct-fwd")
+    fwd = ensemble_observable(params, p0, grid, partial(field_moment, xi0), reps_fwd,
+                              master_seed, "extinct-fwd", threads)
 
     runs = walker_ensemble(BCRW(s=s, mu=mu), xi0, torus, stencil, grid, cap, reps_dual,
-                           master_seed, "extinct-dual")
+                           master_seed, "extinct-dual", threads)
     with np.errstate(under="ignore"):
         dual_vals = (1.0 - eps) ** np.ascontiguousarray(runs.sizes.T, dtype=np.float64)
 

@@ -488,14 +488,15 @@ def walker_ensemble(kind: WalkerKind, xi0: dict[int, int], torus: Torus, stencil
 
 def survival_probability(kind: WalkerKind, xi0: dict[int, int], torus: Torus, stencil: Stencil,
                          horizon: float, reps: int, master_seed: int, role: str,
-                         cap: int = DEFAULT_CAP) -> dict:
+                         threads: int = 1, cap: int = DEFAULT_CAP) -> dict:
     """P(|xi| >= 1 at the horizon) over independent replicates.
 
     A replicate that hits the cap before the horizon is counted as alive
     (the process was alive when truncated); the cap-hit fraction is
     reported alongside so that proxy is visible.
     """
-    runs = walker_ensemble(kind, xi0, torus, stencil, [horizon], cap, reps, master_seed, role)
+    runs = walker_ensemble(kind, xi0, torus, stencil, [horizon], cap, reps, master_seed, role,
+                           threads)
     return {"survival": MCEstimate.from_samples(runs.alive),
             "successes": int(runs.alive.sum()),
             "cap_fraction": float(runs.capped.mean()),

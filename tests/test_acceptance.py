@@ -342,7 +342,7 @@ def test_criterion_09_moment_duality_mc():
     details = []
     for si, (label, params, p0) in enumerate(settings):
         rows = moment_duality_mc(params, p0, xi0, grid, reps=reps,
-                                 master_seed=MASTER + 10 * si, halving=True)
+                                 master_seed=MASTER + 10 * si)
         for row in rows:
             worst_z = max(worst_z, abs(row["z"]), abs(row["z_half"]))
             worst_steps = max(worst_steps, abs(row["z_steps"]))

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from ipsd import cli
+from ipsd import cli, harness, momdual
 from ipsd.cli import _merge_config, build_parser, main
 from ipsd.diffusion import ensemble_observable
 from ipsd.spin import SPIN_CHUNK, EventTable
@@ -224,6 +224,30 @@ def test_a_repeated_or_negative_site_in_run_b_is_refused_before_any_draw(tmp_pat
     assert not any(tmp_path.iterdir())
 
 
+def _forbid_building_and_drawing(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("built an event table or drew before the input check")
+
+    monkeypatch.setattr(EventTable, "build", classmethod(never))
+    for module in (harness, cli, momdual):
+        monkeypatch.setattr(module, "derive_stream", never)
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["parity-check", "--set", "run.A=0,2", "--set", "run.B=1,12"], "run.b"),
+    (["parity-check", "--set", "run.A=0,6", "--set", "run.B=1"], "run.a"),
+    (["dual-run", "--set", "run.B=0,12"], "run.b"),
+    (["dual-run", "--set", "run.B=6"], "run.b"),
+])
+def test_a_site_off_the_kernel_is_refused_by_key_before_any_build_or_draw(tmp_path, monkeypatch,
+                                                                          argv, key):
+    _forbid_building_and_drawing(monkeypatch)
+    with pytest.raises(ValueError, match=f"{key} must list distinct nonnegative sites < 6"):
+        main(argv + ["--seed", "3", "--reps", "5", "--out", str(tmp_path),
+                     "--set", "kernel.d=1", "--set", "kernel.L=6", "--set", "params.alpha=0.3"])
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv, key", [
     (["spin-run", "--set", "kernel.d=1", "--set", "kernel.L=6", "--set", "run.T=1",
       "--set", "run.grid=-1,0,1"], "run.grid"),
@@ -423,6 +447,17 @@ def test_xi0_with_a_nonpositive_count_is_refused_before_any_simulation(tmp_path,
     with pytest.raises(ValueError, match=f"run.xi0 token '{token}'"):
         main(argv + ["--seed", "1", "--reps", "5", "--out", str(tmp_path),
                      "--set", f"run.xi0=1,{token}"])
+
+
+@pytest.mark.parametrize("argv", XI0_COMMANDS, ids=[a[0] for a in XI0_COMMANDS])
+@pytest.mark.parametrize("site", ["-1", "4", "9"])
+def test_xi0_off_the_torus_is_refused_by_key_before_any_draw(tmp_path, monkeypatch, argv, site):
+    _forbid_building_and_drawing(monkeypatch)
+    message = rf"run.xi0 token '{site}:2' names a site outside \[0, 4\)"
+    with pytest.raises(ValueError, match=message):
+        main(argv + ["--seed", "1", "--reps", "5", "--out", str(tmp_path), "--set", "lattice.L=4",
+                     "--set", f"run.xi0=0,{site}:2"])
+    assert not any(tmp_path.iterdir())
 
 
 WALKER_COMMANDS = [

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ipsd import diffusion
 from ipsd.diffusion import (DiffusionParams, _ensemble_chunk, drift_field, em_step,
                             ensemble_observable, mirror_params, p_of_sigma,
                             parse_field_initial, sigma_of_p)
@@ -127,25 +128,27 @@ def test_ensemble_chunk_grid_exact():
     assert np.array_equal(out[:, 0], field)
 
 
-def test_ensemble_observable_batching():
+def test_ensemble_observable_batching(monkeypatch):
     # the first full batch is identical whether or not more replicates follow,
-    # so results never depend on how the total is scheduled
+    # so results never depend on how the total is scheduled; the chunk size
+    # is read from ENSEMBLE_BATCH at call time
+    monkeypatch.setattr(diffusion, "ENSEMBLE_BATCH", 32)
     params = _params(L=4, s=0.5, mu=2.0, dt=5e-3)
     p0 = np.full(4, 0.5)
     obs = lambda f: f.reshape(f.shape[0], -1).mean(axis=1)
-    small = ensemble_observable(params, p0, [0.05], obs, 50, 9, "batch-test", batch=32)
-    large = ensemble_observable(params, p0, [0.05], obs, 80, 9, "batch-test", batch=32)
+    small = ensemble_observable(params, p0, [0.05], obs, 50, 9, "batch-test")
+    large = ensemble_observable(params, p0, [0.05], obs, 80, 9, "batch-test")
     assert np.array_equal(small[0, :32], large[0, :32])
     # deterministic in the seed
-    again = ensemble_observable(params, p0, [0.05], obs, 50, 9, "batch-test", batch=32)
+    again = ensemble_observable(params, p0, [0.05], obs, 50, 9, "batch-test")
     assert np.array_equal(small, again)
     # a (b, m) observable gives shape (len(grid), m, reps): column j holds
     # the values of the j-th (b,) observable on the same replicates
     pair = lambda f: np.stack([obs(f), f[:, 0]], axis=1)
-    both = ensemble_observable(params, p0, [0.05, 0.1], pair, 50, 9, "batch-test", batch=32)
+    both = ensemble_observable(params, p0, [0.05, 0.1], pair, 50, 9, "batch-test")
     assert both.shape == (2, 2, 50)
     assert np.array_equal(both[:, 0], ensemble_observable(params, p0, [0.05, 0.1], obs, 50, 9,
-                                                          "batch-test", batch=32))
+                                                          "batch-test"))
 
 
 def test_ensemble_neutral_mean_is_martingale():

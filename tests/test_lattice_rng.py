@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from ipsd import harness
 from ipsd.harness import (RunConfig, format_float, load_config_file, parallel_map,
                           replicate_map, resolve_seed, write_csv, write_json)
 from ipsd.lattice import Stencil, Torus
@@ -250,6 +251,30 @@ def test_replicate_map_same_for_any_threads():
     pooled = replicate_map(_draws, 23, 8, "threads", 5, threads=3)
     for a, b in zip(serial, pooled):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("threads, items, pools", [(64, 3, [3]), (2, 5, [2]), (4, 1, []), (1, 5, [])])
+def test_parallel_map_starts_at_most_one_worker_per_item(monkeypatch, threads, items, pools):
+    started = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, maps in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, seq):
+            return map(fn, seq)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    assert parallel_map(lambda x: x * x, range(items), threads) == [x * x for x in range(items)]
+    assert started == pools
 
 
 def test_replicate_map_rejects_empty_work():

@@ -1,13 +1,17 @@
 """Moment duality: closed-form generator action vs the walker route."""
 
+import pickle
+from functools import partial
+
 import numpy as np
 import pytest
 
-from ipsd import momdual
+from ipsd import harness, momdual
 from ipsd.lattice import Stencil, Torus
-from ipsd.momdual import (coexistence_probe, extinction_probe, gen_p_on_H, gen_sigma_on_H, gen_walker_on_H,
-                          generator_duality_battery, moment_duality_mc, moment_eval)
-from ipsd.diffusion import DiffusionParams
+from ipsd.momdual import (coexistence_probe, extinction_probe, field_moment, gen_p_on_H,
+                          gen_sigma_on_H, gen_walker_on_H, generator_duality_battery,
+                          moment_duality_mc, moment_eval)
+from ipsd.diffusion import DiffusionParams, sigma_of_p
 from ipsd.walkers import BCRW, CRW, DBARW
 
 
@@ -103,16 +107,61 @@ def test_moment_duality_mc_neutral_quick():
 def test_moment_duality_mc_regime_inference():
     torus, stencil = _geom(L=4)
     params = DiffusionParams(torus=torus, stencil=stencil, s=1.0, mu=2.0, dt=5e-3)
-    rows = moment_duality_mc(params, np.full(4, 0.5), {0: 2}, [0.1], 400, 5,
-                             regime="auto", halving=False)
+    rows = moment_duality_mc(params, np.full(4, 0.5), {0: 2}, [0.1], 400, 5, regime="auto")
     assert rows[0]["regime"] == "dbarw"
     params2 = DiffusionParams(torus=torus, stencil=stencil, s=-1.0, mu=-0.5, dt=5e-3)
-    rows2 = moment_duality_mc(params2, np.full(4, 0.5), {0: 1}, [0.1], 400, 5,
-                              regime="auto", halving=False)
+    rows2 = moment_duality_mc(params2, np.full(4, 0.5), {0: 1}, [0.1], 400, 5, regime="auto")
     assert rows2[0]["regime"] == "bcrw"
     params3 = DiffusionParams(torus=torus, stencil=stencil, s=0.4, mu=0.3, dt=5e-3)
     with pytest.raises(ValueError):  # no dual family covers this corner
         moment_duality_mc(params3, np.full(4, 0.5), {0: 1}, [0.1], 400, 5, regime="auto")
+
+
+def _closure_moment(xi, sigma, fields):
+    """The observable moment_duality_mc built as a closure before field_moment existed."""
+    vals = fields.reshape(fields.shape[0], -1)
+    if sigma:
+        vals = 1.0 - 2.0 * vals
+    out = np.ones(fields.shape[0])
+    for x, c in sorted((x, c) for x, c in xi.items() if c > 0):
+        out *= vals[:, x] ** c
+    return out
+
+
+@pytest.mark.parametrize("xi", [{0: 2}, {0: 1}, {3: 2, 0: 1}, {5: 3, 1: 4, 2: 0}, {0: 5, 7: 2}])
+@pytest.mark.parametrize("sigma", [False, True])
+def test_field_moment_keeps_the_closure_bits_and_pickles(xi, sigma):
+    rng = np.random.default_rng(3)
+    fields = rng.random((600, 2, 4))
+    fields[fields < 0.05] = 0.0
+    obs = partial(field_moment, xi, transform=sigma_of_p if sigma else None)
+    got = pickle.loads(pickle.dumps(obs))(fields)
+    assert got.tobytes() == _closure_moment(xi, sigma, fields).tobytes()
+
+
+def test_field_moment_at_one_particle_is_the_site_value():
+    # the coexistence probe's heterozygosity reads p_t(0) through xi = {0: 1}
+    fields = np.random.default_rng(4).random((50, 6))
+    assert field_moment({0: 1}, fields).tobytes() == fields[:, 0].tobytes()
+
+
+def test_moment_check_and_probes_hand_threads_to_every_ensemble(monkeypatch):
+    seen = []
+
+    def serial(fn, items, threads):
+        seen.append(threads)
+        return [fn(item) for item in items]
+
+    monkeypatch.setattr(harness, "parallel_map", serial)
+    torus, stencil = _geom(L=4)
+    params = DiffusionParams(torus=torus, stencil=stencil, s=1.0, mu=2.0, dt=0.01)
+    moment_duality_mc(params, np.full(4, 0.5), {0: 2}, [0.02], 20, 5, threads=3)
+    assert seen == [3, 3, 3]  # forward, forward at dt/2, walkers
+    coexistence_probe(2.0, torus, stencil, master_seed=1, t_het=0.02, horizon_surv=0.05,
+                      reps_het=8, reps_surv=8, cap=40, dt=0.01, threads=3)
+    extinction_probe(-1.0, -0.5, torus, stencil, p0_value=0.5, xi0={0: 1}, eps=0.1,
+                     grid=[0.02], reps_fwd=8, reps_dual=8, master_seed=1, dt=0.01, threads=3)
+    assert seen == [3] * 7
 
 
 def test_extinction_probe_validates_eps():

@@ -271,7 +271,7 @@ def test_lockstep_size_law_matches_the_truncated_exact_chain(kind, xi0, L, cap, 
     start = np.zeros(len(totals))
     start[0] = 1.0
     for j, t in enumerate(grid):
-        law = _uniformized(gen.T, t, start, 1e-14)  # the law of the state at time t
+        law = _uniformized(gen.T, t, start)  # the law of the state at time t
         size_law = np.bincount(totals, weights=law)
         assert abs(size_law.sum() - 1.0) < 1e-12
         observed = np.bincount(runs.sizes[:, j], minlength=len(size_law))
