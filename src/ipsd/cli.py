@@ -130,14 +130,11 @@ def _build_diffusion(cfg: RunConfig) -> DiffusionParams:
 
 
 def _spin_chunk(p, k, init_spec, horizon, grid, size, rng):
-    dens = np.empty((size, len(grid)))
-    terminal = np.empty(size)
-    for i in range(size):
-        eta0 = parse_initial(init_spec, k.n, rng)
-        ts, ds = simulate_gillespie(p, k, eta0, horizon, rng).density_path()
-        dens[i] = ds[np.searchsorted(ts, grid, side="right") - 1]
-        terminal[i] = ds[-1]
-    return dens, terminal
+    """Grid densities, terminal density and flip count of each run, from one engine call."""
+    eta0 = np.stack([parse_initial(init_spec, k.n, rng) for _ in range(size)])
+    traj = simulate_gillespie(p, k, eta0, horizon, rng)
+    dens = traj.density_at([*grid, horizon])
+    return dens[:, :-1], dens[:, -1], np.bincount(traj.rows, minlength=size)
 
 
 def _site_and_mean(site, fields):
@@ -153,15 +150,18 @@ def cmd_spin_run(cfg: RunConfig) -> dict:
     p = _build_params(cfg)
     k = _build_kernel(cfg)
     horizon = cfg.opt("run", "t", 10.0, float)
+    if not 0.0 <= horizon < np.inf:
+        raise ValueError(f"run.t must be finite and nonnegative, got {horizon}")
     grid = _parse_grid(cfg, "grid") or [horizon * j / 20.0 for j in range(21)]
     init_spec = cfg.opt("run", "init", "bernoulli:0.5")
-    dens, terminal = replicate_map(partial(_spin_chunk, p, k, init_spec, horizon, grid),
-                                   cfg.reps, cfg.seed, "spin-run", SPIN_CHUNK, cfg.threads)
+    dens, terminal, flips = replicate_map(partial(_spin_chunk, p, k, init_spec, horizon, grid),
+                                          cfg.reps, cfg.seed, "spin-run", SPIN_CHUNK, cfg.threads)
     rows = [(r, t, dens[r, j]) for r in range(cfg.reps) for j, t in enumerate(grid)]
     if cfg.out:
         write_csv(Path(cfg.out) / "spin_density.csv", ["replicate", "time", "density"], rows)
     est = MCEstimate.from_samples(terminal)
-    return {"terminal_density": est, "kernel_sites": k.n, "horizon": horizon}
+    return {"terminal_density": est, "kernel_sites": k.n, "horizon": horizon,
+            "flips": int(flips.sum())}
 
 
 def cmd_dual_run(cfg: RunConfig) -> dict:

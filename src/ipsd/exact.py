@@ -23,6 +23,7 @@ inversion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,7 @@ __all__ = [
 
 MAX_EXACT_SITES = 12
 SEMIGROUP_TAIL = 1e-14  # Poisson mass left out of the uniformization series
+MAX_UNIFORM_MU = 500.0  # largest lam t of one series; exp(-lam t) stays a normal float
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,7 +172,8 @@ def semigroup_apply(gen: DenseGenerator, t: float, v: np.ndarray) -> np.ndarray:
     """exp(t G) v by uniformization, checked against two halved steps.
 
     Uniformization constant is max |diagonal| * 1.01; the Poisson series is
-    truncated once its mass reaches 1 - SEMIGROUP_TAIL.  For t > 0 the
+    truncated once its mass reaches 1 - SEMIGROUP_TAIL, and a horizon with
+    lam t > MAX_UNIFORM_MU runs as equal shorter steps.  For t > 0 the
     result is always recomputed as two half steps, which must agree to
     1e-10 relative error, or ArithmeticError is raised.
     """
@@ -189,11 +192,25 @@ def semigroup_apply(gen: DenseGenerator, t: float, v: np.ndarray) -> np.ndarray:
 
 
 def _uniformized(G: np.ndarray, t: float, v: np.ndarray) -> np.ndarray:
+    """exp(t G) v as a Poisson series in P = I + G / lam.
+
+    The series starts from the weight exp(-lam t), which underflows past
+    lam t of about 745; a longer step is split into the fewest equal steps
+    with lam t / steps <= MAX_UNIFORM_MU, by the semigroup property.
+    """
     lam = float(np.abs(np.diag(G)).max()) * 1.01
     if lam == 0.0 or t == 0.0:
         return v.copy()
     P = np.eye(G.shape[0]) + G / lam
-    mu = lam * t
+    steps = math.ceil(lam * t / MAX_UNIFORM_MU)
+    mu = lam * t / steps
+    for _ in range(steps):
+        v = _poisson_series(P, mu, v)
+    return v
+
+
+def _poisson_series(P: np.ndarray, mu: float, v: np.ndarray) -> np.ndarray:
+    """sum_k e^{-mu} mu^k / k! P^k v, truncated once its mass reaches 1 - SEMIGROUP_TAIL."""
     weight = np.exp(-mu)
     acc = weight * v
     term = v

@@ -227,9 +227,13 @@ def local_frequency(k: Kernel, eta: np.ndarray, x: int, value: int) -> float:
 
 
 def frequency_of_ones(k: Kernel, eta: np.ndarray) -> np.ndarray:
-    """Vector of f_1(x) over all sites (f_0 = 1 - f_1 since rows sum to 1)."""
-    vals = eta[k.indices].astype(np.float64)
+    """f_1(x) over all sites (f_0 = 1 - f_1 since rows sum to 1).
+
+    ``eta`` is one configuration of shape (n,) or a stack of shape (..., n);
+    the result has its shape.
+    """
+    vals = eta[..., k.indices].astype(np.float64)
     contrib = k.weights * vals
-    out = np.add.reduceat(contrib, k.indptr[:-1])
-    out[k.indptr[:-1] == k.indptr[1:]] = 0.0
+    out = np.add.reduceat(contrib, k.indptr[:-1], axis=-1)
+    out[..., k.indptr[:-1] == k.indptr[1:]] = 0.0
     return out

@@ -32,7 +32,7 @@ from .diffusion import DiffusionParams, ensemble_observable, sigma_of_p
 from .lattice import Stencil, Torus
 from .rng import derive_stream
 from .stats import MCEstimate, two_sample_z, wilson_lower, wilson_upper
-from .walkers import (BCRW, CRW, DBARW, DEFAULT_CAP, WalkerKind, apply_transition,
+from .walkers import (BCRW, CRW, DBARW, DEFAULT_CAP, WalkerKind, apply_transition, count_row,
                       survival_probability, walker_ensemble, walker_rates)
 
 __all__ = [
@@ -236,7 +236,9 @@ def moment_duality_mc(params: DiffusionParams, p0: np.ndarray, xi0: dict[int, in
     side: E[H(v_0, xi_t)] from walker replicates.  The forward run is
     always repeated at dt/2, and both runs are z-tested against the dual
     and against each other.  ``threads`` reaches all three ensembles.
+    An ``xi0`` site off the torus is refused before anything is simulated.
     """
+    count_row(xi0, params.torus)
     if regime == "auto":
         if params.mu == 2.0:
             regime = "dbarw"
@@ -363,8 +365,10 @@ def extinction_probe(s: float, mu: float, torus: Torus, stencil: Stencil,
     Dual bound: E[(1 - eps)^{|xi_t|}] from the BCRW started at xi0 (a cap
     hit carries its over-cap size forward, contributing essentially zero).
     Checks the bound within 3 combined standard errors and that both point
-    estimates decrease along the grid.
+    estimates decrease along the grid.  An ``xi0`` site off the torus is
+    refused before anything is simulated.
     """
+    count_row(xi0, torus)
     if s >= 0 or not (-1.0 <= mu <= 0.0):
         raise ValueError("the extinction probe needs s < 0 and mu in [-1, 0]")
     if not (0.0 < eps < 1.0) or p0_value >= 1.0 - eps:

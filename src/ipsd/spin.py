@@ -21,9 +21,13 @@ construction used here: a Poisson field of update events, each either
 Both updates are linear over GF(2), which is what makes the transposed
 (replayed) process in :mod:`ipsd.dualspin` an exact pathwise dual.
 
-On the complete graph the sites are exchangeable, so the number of ones is
-itself a birth-death chain; :func:`simulate_complete_counts` runs it at
-O(1) per jump without building the O(n^2) kernel.
+The forward chain itself runs in :func:`simulate_gillespie`, which steps
+many replicate runs at once as the rows of a (replicates x sites) matrix
+of states, local frequencies and flip rates; each step flips one site in
+every active row.  On the complete graph the sites are exchangeable, so
+the number of ones is itself a birth-death chain;
+:func:`simulate_complete_counts` runs it at O(1) per jump without building
+the O(n^2) kernel.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ __all__ = [
     "EventTable",
     "MAX_TABLE_ROWS",
     "SPIN_CHUNK",
+    "CELLS",
     "SpinTrajectory",
     "flip_rate",
     "flip_rates_all",
@@ -316,91 +321,150 @@ def replay_forward_batch(cols0: np.ndarray, log: EventLog, t: float) -> np.ndarr
 
 # -- Gillespie ----------------------------------------------------------------
 
+# rows x sites cells of one lockstep slice; bounds the engine's memory on big kernels
+CELLS = 1 << 22
+
 
 @dataclass(frozen=True, eq=False)
 class SpinTrajectory:
-    """Flip-instant trajectory: initial configuration plus (time, site) flips.
+    """Flip record of R runs: initial configurations plus (row, time, site) flips.
 
-    Configurations at flip instants are reconstructed on demand, which keeps
-    long runs on big graphs storable.
+    ``initial`` has shape (R, n).  The flips are ordered by row and, within
+    a row, by time; ``ups`` is True where a flip set its site to 1.
+    Configurations and densities are reconstructed on demand, which keeps
+    long runs on big graphs storable.  ``len`` counts flips over all rows.
     """
 
     initial: np.ndarray
+    rows: np.ndarray
     times: np.ndarray
     sites: np.ndarray
+    ups: np.ndarray
     horizon: float
 
     def __len__(self) -> int:
         return len(self.times)
 
-    def configs(self):
-        """Yield (time, configuration) at 0 and after every flip."""
-        eta = self.initial.copy()
-        yield 0.0, eta.copy()
-        for t, x in zip(self.times, self.sites):
-            eta[x] ^= 1
-            yield float(t), eta.copy()
-
     def config_at(self, t: float) -> np.ndarray:
-        eta = self.initial.copy()
-        upto = int(np.searchsorted(self.times, t, side="right"))
-        for x in self.sites[:upto]:
-            eta[x] ^= 1
-        return eta
+        """Configuration of every row at time t, shape (R, n)."""
+        reps, n = self.initial.shape
+        upto = self.times <= t
+        flips = np.bincount(self.rows[upto] * n + self.sites[upto], minlength=reps * n)
+        return self.initial ^ (flips & 1).astype(np.uint8).reshape(reps, n)
 
-    def density_path(self) -> tuple[np.ndarray, np.ndarray]:
-        """Piecewise-constant density of ones: value at times[i] holds until times[i+1]."""
-        n = len(self.initial)
-        dens = np.empty(len(self.times) + 1)
-        dens[0] = self.initial.sum() / n
-        if len(self.times):
-            # a site's flip direction depends on its value at flip time, so walk it
-            steps = np.empty(len(self.times))
-            eta = self.initial.copy()
-            for i, x in enumerate(self.sites):
-                steps[i] = -1.0 if eta[x] == 1 else 1.0
-                eta[x] ^= 1
-            dens[1:] = dens[0] + np.cumsum(steps) / n
-        ts = np.concatenate(([0.0], self.times))
-        return ts, dens
+    def density_path(self, row: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """Piecewise-constant density of ones of one row: value at ts[i] holds until ts[i+1]."""
+        n = self.initial.shape[1]
+        lo, hi = np.searchsorted(self.rows, [row, row + 1])
+        dens = np.empty(hi - lo + 1)
+        dens[0] = self.initial[row].sum() / n
+        dens[1:] = dens[0] + np.cumsum(np.where(self.ups[lo:hi], 1.0, -1.0)) / n
+        return np.concatenate(([0.0], self.times[lo:hi])), dens
+
+    def density_at(self, grid) -> np.ndarray:
+        """Density of ones of every row at each grid time, shape (R, len(grid))."""
+        reps, n = self.initial.shape
+        steps = np.where(self.ups, 1.0, -1.0)
+        out = np.empty((reps, len(grid)))
+        out[:] = (self.initial.sum(axis=1) / n)[:, None]
+        for j, t in enumerate(grid):
+            upto = self.times <= t
+            out[:, j] += np.bincount(self.rows[upto], weights=steps[upto], minlength=reps) / n
+        return out
+
+
+def _touch_table(k: Kernel) -> tuple[np.ndarray, np.ndarray]:
+    """The sites a flip at y touches, padded to one width, with their weights q(x, y).
+
+    Row y lists every x with q(x, y) > 0, then y itself at weight 0, then
+    the scratch column n at weight 0.  The engine's state has that extra
+    column, where f1 and the flip rate stay 0, so kernels with unequal
+    in-degree step as one matrix.
+    """
+    deg = np.diff(k.in_indptr)
+    sites = np.full((k.n, int(deg.max()) + 1), k.n, dtype=np.int64)
+    weights = np.zeros(sites.shape)
+    y = np.repeat(np.arange(k.n), deg)
+    col = np.arange(len(y)) - k.in_indptr[y]
+    sites[y, col] = k.in_indices
+    weights[y, col] = k.in_weights
+    sites[np.arange(k.n), deg] = np.arange(k.n)
+    return sites, weights
+
+
+def _lockstep(p: NPParams, k: Kernel, touch: tuple[np.ndarray, np.ndarray], eta: np.ndarray,
+              horizon: float, rng: np.random.Generator) -> list[tuple]:
+    """Run the rows of ``eta`` (m, n) together to the horizon.
+
+    Returns one (rows, times, sites, ups) record per step, over the rows
+    that flipped in that step.
+    """
+    m, n = eta.shape
+    nbr, wts = touch
+    state = np.zeros((m, n + 1), dtype=np.uint8)
+    state[:, :n] = eta
+    f1 = np.zeros((m, n + 1))
+    f1[:, :n] = frequency_of_ones(k, eta)
+    rates = flip_rates_all(p, state, f1)
+    ids = np.arange(m)
+    t = np.zeros(m)
+    base = np.arange(m) * (n + 1)
+    record = []
+    with np.errstate(divide="ignore"):  # a row with total rate 0 retires on an infinite clock
+        while len(ids):
+            cum = np.cumsum(rates, axis=1)
+            tot = cum[:, -1]
+            t = t + rng.standard_exponential(len(ids)) / tot
+            live = (t <= horizon) & (tot > 0.0)
+            if not live.all():
+                ids, state, f1, rates, t, cum, tot = (
+                    a[live] for a in (ids, state, f1, rates, t, cum, tot))
+                if not len(ids):
+                    break
+            # 1 - u lies in (0, 1], so the first cumsum entry reaching (1 - u) * tot
+            # has a positive rate
+            x = np.argmax(cum >= ((1.0 - rng.random(len(ids))) * tot)[:, None], axis=1)
+            flat = base[:len(ids)]
+            sf, ff, rf = state.reshape(-1), f1.reshape(-1), rates.reshape(-1)
+            up = sf[flat + x] ^ 1
+            sf[flat + x] = up
+            touched = flat[:, None] + nbr[x]
+            ff[touched] += (2.0 * up - 1.0)[:, None] * wts[x]
+            rf[touched] = flip_rates_all(p, sf[touched], ff[touched])
+            record.append((ids, t, x, up))
+    return record
 
 
 def simulate_gillespie(p: NPParams, k: Kernel, eta0: np.ndarray, horizon: float,
                        rng: np.random.Generator) -> SpinTrajectory:
-    """Exact event-driven simulation of the spin system to the horizon.
+    """Exact event-driven simulation of R runs of the spin system to the horizon.
 
-    Maintains the f1 vector incrementally: flipping site y only invalidates
-    f1 at in-neighbors of y, so each step costs O(deg) plus one rate refresh.
-    Stops early when every rate is zero (absorbing configuration).
+    ``eta0`` holds one starting configuration per row, shape (R, n); a 1-d
+    ``eta0`` is one row.  The rows step in lockstep, in slices of at most
+    ``max(1, CELLS // n)`` rows drawn in turn from ``rng``.  Each step, every
+    active row draws one standard exponential for its clock; a row whose
+    clock passes the horizon, or whose total rate is 0, retires.  Every
+    remaining row then draws one uniform, inverted on its row cumsum of
+    rates, to pick the site that flips.  The flip changes f1 only at the
+    in-neighbours of that site, so each step refreshes O(max in-degree)
+    entries per row.
     """
-    if len(eta0) != k.n:
+    eta0 = np.atleast_2d(np.asarray(eta0)).astype(np.uint8)
+    if eta0.shape[1] != k.n:
         raise ValueError("configuration size does not match kernel")
-    eta = eta0.astype(np.uint8).copy()
-    f1 = frequency_of_ones(k, eta)
-    rates = flip_rates_all(p, eta, f1)
-    t = 0.0
-    times, sites = [], []
-    while True:
-        total = float(rates.sum())
-        if total <= 0.0:
-            break
-        t += rng.exponential(1.0 / total)
-        if t > horizon:
-            break
-        u = rng.random() * total
-        cum = np.cumsum(rates)
-        x = int(np.searchsorted(cum, u, side="right"))
-        x = min(x, k.n - 1)
-        delta = -1.0 if eta[x] == 1 else 1.0
-        eta[x] ^= 1
-        src, w = k.in_edges(x)
-        f1[src] += delta * w
-        touched = np.append(src, x)
-        rates[touched] = flip_rates_all(p, eta[touched], f1[touched])
-        times.append(t)
-        sites.append(x)
-    return SpinTrajectory(eta0.astype(np.uint8).copy(), np.array(times),
-                          np.array(sites, dtype=np.int64), horizon)
+    if not 0.0 <= horizon < np.inf:
+        raise ValueError("horizon must be finite and nonnegative")
+    touch = _touch_table(k)
+    size = max(1, CELLS // k.n)
+    record = []
+    for lo in range(0, len(eta0), size):
+        steps = _lockstep(p, k, touch, eta0[lo:lo + size], horizon, rng)
+        record += [(ids + lo, *rest) for ids, *rest in steps]
+    rows, times, sites, ups = (np.concatenate([step[i] for step in record])
+                               if record else np.zeros(0) for i in range(4))
+    order = np.argsort(rows, kind="stable")  # steps are in time order within each row
+    return SpinTrajectory(eta0, rows[order].astype(np.int64), times[order],
+                          sites[order].astype(np.int64), ups[order].astype(bool), horizon)
 
 
 def complete_count_rates(p: NPParams, n: int) -> tuple[np.ndarray, np.ndarray]:

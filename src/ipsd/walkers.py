@@ -45,6 +45,7 @@ __all__ = [
     "WalkerRun",
     "simulate_walker",
     "occupied_sites",
+    "count_row",
     "WalkerSamples",
     "walker_samples",
     "walker_ensemble",
@@ -318,6 +319,17 @@ class WalkerSamples(NamedTuple):
     handed: np.ndarray
 
 
+def count_row(xi0: dict[int, int], torus: Torus) -> np.ndarray:
+    """Walkers per site of xi0; an occupied site outside the torus is refused."""
+    row = np.zeros(torus.n_sites, dtype=np.int64)
+    for x, c in xi0.items():
+        if c > 0:
+            if not (0 <= x < torus.n_sites):
+                raise ValueError(f"site {x} outside the torus")
+            row[x] += c
+    return row
+
+
 def _start_row(xi0: dict[int, int], torus: Torus, grid: list, cap: int, size: int) -> np.ndarray:
     """The initial count row, after the checks simulate_walker makes and a size bound."""
     if not grid:
@@ -329,12 +341,7 @@ def _start_row(xi0: dict[int, int], torus: Torus, grid: list, cap: int, size: in
     if cells > MAX_CHUNK_CELLS:
         raise ValueError(f"a walker chunk of {size} reps x {n} sites x {len(grid)} grid points "
                          f"needs {cells} snapshot cells; the limit is {MAX_CHUNK_CELLS}")
-    row = np.zeros(n, dtype=np.int64)
-    for x, c in xi0.items():
-        if c > 0:
-            if not (0 <= x < n):
-                raise ValueError(f"site {x} outside the torus")
-            row[x] += c
+    row = count_row(xi0, torus)
     if row.sum() > cap:
         raise ValueError("initial state already exceeds the cap")
     return row

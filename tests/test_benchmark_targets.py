@@ -12,13 +12,17 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ipsd.dualspin import replay_dual, replay_dual_batch
+from ipsd.kernel import torus_kernel
 from ipsd.lattice import Torus
 from ipsd.meanfield import integrate_ode
 from ipsd.momdual import generator_duality_battery
-from ipsd.spin import EventTable, replay_forward, replay_forward_batch
+from ipsd.rng import derive_stream
+from ipsd.spin import (EventTable, NPParams, replay_forward, replay_forward_batch,
+                       simulate_gillespie)
 
 _TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
 
@@ -31,10 +35,15 @@ def _resolves(module_name: str, attr: str) -> bool:
     return callable(getattr(module, attr, None))
 
 
-def test_every_tracing_target_resolves():
+def _tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", _TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_tracing_target_resolves():
+    tracing = _tracing()
     assert len(tracing.TARGETS) > 30
     missing = [f"{mod}.{attr}" for _, mod, attr, _ in tracing.TARGETS if not _resolves(mod, attr)]
     assert missing == []
@@ -57,3 +66,15 @@ POSITIONS = [
 def test_parameters_the_tracer_reads_by_position_stay_in_place(fn, positions):
     names = list(inspect.signature(fn).parameters)
     assert {name: names.index(name) for name in positions if name in names} == positions
+
+
+def test_the_flip_count_the_tracer_reads_sums_every_row():
+    # spin.flips and spin.us_per_flip divide by this count; one engine call runs many rows
+    count = next(fn for _, _, attr, fn in _tracing().TARGETS if attr == "simulate_gillespie")
+    k = torus_kernel(2, 3)
+    rng = derive_stream(3, "tracer-flips")
+    eta0 = (rng.random((5, k.n)) < 0.5).astype(np.uint8)
+    traj = simulate_gillespie(NPParams.symmetric(0.3), k, eta0, 2.0, rng)
+    per_row = [len(traj.density_path(r)[0]) - 1 for r in range(5)]
+    assert min(per_row) > 0
+    assert count((), {}, traj) == {"flips": sum(per_row)}

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,8 @@ from ipsd import cli, harness, momdual
 from ipsd.cli import _merge_config, build_parser, main
 from ipsd.diffusion import ensemble_observable
 from ipsd.spin import SPIN_CHUNK, EventTable
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_parser_rejects_unknown_subcommand():
@@ -61,6 +64,7 @@ def test_spin_run_end_to_end(tmp_path):
     report = json.loads((out / "spin-run.json").read_text())
     assert report["config"]["seed"] == 3
     assert 0.0 <= report["terminal_density"]["mean"] <= 1.0
+    assert type(report["flips"]) is int and report["flips"] > 0
 
 
 def test_walker_run_end_to_end(tmp_path):
@@ -257,6 +261,22 @@ def test_a_negative_grid_time_is_refused(tmp_path, argv, key):
     with pytest.raises(ValueError, match=f"{key} has a negative entry"):
         main(argv + ["--seed", "3", "--reps", "2", "--out", str(tmp_path),
                      "--set", "params.alpha=0.3"])
+    assert not any(tmp_path.iterdir())
+
+
+def test_exact_check_reaches_long_horizons(tmp_path):
+    # the dual generator at alpha 0.7 has lam t of about 939 at t = 400
+    main(["exact-check", "--config", str(CONFIGS / "exact-check.ini"), "--out", str(tmp_path),
+          "--set", "run.kernels=torus:1:3", "--set", "run.tgrid=400"])
+    report = json.loads((tmp_path / "exact-check.json").read_text())
+    assert report["max_fk_residual"] < 1e-9 and report["max_generator_gap"] < 1e-12
+
+
+@pytest.mark.parametrize("horizon", ["-1", "inf", "nan"])
+def test_spin_run_refuses_a_negative_or_infinite_horizon_by_key(tmp_path, horizon):
+    with pytest.raises(ValueError, match="run.t must be finite and nonnegative"):
+        main(["spin-run", "--seed", "3", "--reps", "2", "--out", str(tmp_path),
+              "--set", "kernel.d=1", "--set", "kernel.L=6", "--set", f"run.T={horizon}"])
     assert not any(tmp_path.iterdir())
 
 

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from ipsd.exact import (MAX_EXACT_SITES, _walsh_hadamard, build_generator_dual, build_generator_from_events,
-                        build_generator_np, config_to_state, feynman_kac_check,
+from ipsd.exact import (MAX_EXACT_SITES, MAX_UNIFORM_MU, DenseGenerator, _poisson_series,
+                        _uniformized, _walsh_hadamard, build_generator_dual,
+                        build_generator_from_events, build_generator_np, config_to_state,
+                        feynman_kac_check,
                         measure_determination_check, parity_deviation,
                         parity_deviation_enum, parity_matrix, semigroup_apply,
                         state_to_config)
@@ -99,6 +101,33 @@ def test_semigroup_chapman_kolmogorov():
     for P in (P1, P2, P3):
         assert np.allclose(P.sum(axis=1), 1.0, atol=1e-12)
         assert P.min() > -1e-13
+
+
+@pytest.mark.parametrize("t", [1.0, 720.0, 800.0, 1000.0])
+def test_semigroup_two_state_chain_at_long_horizons(t):
+    # exp(-lam t) underflows past lam t of about 745; the long horizons run in steps
+    gen = DenseGenerator(1, np.array([[-1.0, 1.0], [1.0, -1.0]]))
+    P = semigroup_apply(gen, t, np.eye(2))
+    decay = np.exp(-2.0 * t) / 2.0
+    assert np.abs(P - [[0.5 + decay, 0.5 - decay], [0.5 - decay, 0.5 + decay]]).max() < 1e-12
+
+
+def test_uniformization_steps_agree_with_one_series():
+    G = build_generator_np(NPParams.symmetric(0.7), torus_kernel(1, 3)).matrix
+    lam = float(np.abs(np.diag(G)).max()) * 1.01
+    P = np.eye(8) + G / lam
+    v = np.eye(8)
+    t = MAX_UNIFORM_MU / lam  # the longest horizon one series covers
+    assert np.array_equal(_uniformized(G, t, v), _poisson_series(P, lam * t, v))
+    # 1.2 MAX_UNIFORM_MU: two steps, against one series that still converges there
+    assert np.abs(_uniformized(G, 1.2 * t, v) - _poisson_series(P, 1.2 * lam * t, v)).max() < 1e-12
+
+
+def test_semigroup_at_t_1000_is_ten_steps_of_t_100():
+    gen = build_generator_dual(NPParams.symmetric(0.7), torus_kernel(1, 3))
+    step = semigroup_apply(gen, 100.0, np.eye(8))
+    assert np.abs(semigroup_apply(gen, 1000.0, np.eye(8))
+                  - np.linalg.matrix_power(step, 10)).max() < 1e-9
 
 
 def test_parity_matrix_oracle():

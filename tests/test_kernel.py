@@ -81,6 +81,10 @@ def test_frequency_of_ones_matches_scalar_helper():
     assert f1[1] == 1.0
     # site 5 has neighbors {4,0}: only 0 occupied
     assert f1[5] == 0.5
+    # a stack of configurations gives each row's vector, bit for bit
+    stack = np.stack([eta, config_indicator(6, [5]), config_indicator(6, [])])
+    assert np.array_equal(frequency_of_ones(k, stack),
+                          [frequency_of_ones(k, row) for row in stack])
 
 
 def test_explicit_kernel_roundtrip():

@@ -181,3 +181,29 @@ def test_coexistence_probe_rejects_kappa_outside_the_open_half_interval(monkeypa
     torus, stencil = _geom()
     with pytest.raises(ValueError, match=r"kappa must lie in \(0, 1/2\)"):
         coexistence_probe(2.0, torus, stencil, master_seed=0, kappa=kappa)
+
+
+def _forbid_simulation(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("simulated before checking xi0")
+
+    monkeypatch.setattr(momdual, "ensemble_observable", never)
+    monkeypatch.setattr(momdual, "walker_ensemble", never)
+
+
+@pytest.mark.parametrize("site", [9, -1])
+def test_moment_duality_mc_refuses_an_off_torus_site_before_simulating(monkeypatch, site):
+    _forbid_simulation(monkeypatch)
+    torus, stencil = _geom(L=8)
+    params = DiffusionParams(torus=torus, stencil=stencil, s=0.0, mu=0.0, dt=0.01)
+    with pytest.raises(ValueError, match=f"site {site} outside the torus"):
+        moment_duality_mc(params, np.full(8, 0.5), {site: 2}, [0.05], 20, 1)
+
+
+@pytest.mark.parametrize("site", [4, -2])
+def test_extinction_probe_refuses_an_off_torus_site_before_simulating(monkeypatch, site):
+    _forbid_simulation(monkeypatch)
+    torus, stencil = _geom()
+    with pytest.raises(ValueError, match=f"site {site} outside the torus"):
+        extinction_probe(-1.0, -0.5, torus, stencil, p0_value=0.5, xi0={0: 1, site: 1}, eps=0.1,
+                         grid=[0.02], reps_fwd=8, reps_dual=8, master_seed=1)

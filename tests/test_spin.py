@@ -6,14 +6,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ipsd.exact import build_generator_np, semigroup_apply, state_to_config
+from ipsd import spin
+from ipsd.exact import build_generator_np, config_to_state, semigroup_apply, state_to_config
 from ipsd.kernel import (complete_kernel, config_all, config_indicator, explicit_kernel,
-                         torus_kernel)
+                         frequency_of_ones, torus_kernel)
 from ipsd.spin import (MAX_TABLE_ROWS, EventTable, NPParams, UpdateEvent, apply_event_forward,
                        complete_count_rates, flip_rate, flip_rates_all, parse_initial,
                        replay_forward, replay_forward_batch, sample_event_log,
                        simulate_complete_counts, simulate_gillespie)
 from ipsd.rng import derive_stream
+from ipsd.stats import MCEstimate, two_sample_z
+from test_walkers import _chi2_gof, _chi2_sf
 
 
 # -- parameters ----------------------------------------------------------------
@@ -295,29 +298,145 @@ def test_replay_forward_batch_matches_columns():
 # -- Gillespie chain ---------------------------------------------------------------
 
 
+def _reference_gillespie(p, k, eta0, horizon, rng):
+    """One run of the per-flip loop the engine replaced; returns (terminal, flips)."""
+    eta = eta0.astype(np.uint8).copy()
+    f1 = frequency_of_ones(k, eta)
+    rates = flip_rates_all(p, eta, f1)
+    t, flips = 0.0, 0
+    while True:
+        total = float(rates.sum())
+        if total <= 0.0:
+            break
+        t += rng.exponential(1.0 / total)
+        if t > horizon:
+            break
+        u = rng.random() * total
+        x = min(int(np.searchsorted(np.cumsum(rates), u, side="right")), k.n - 1)
+        delta = -1.0 if eta[x] == 1 else 1.0
+        eta[x] ^= 1
+        src, w = k.in_edges(x)
+        f1[src] += delta * w
+        touched = np.append(src, x)
+        rates[touched] = flip_rates_all(p, eta[touched], f1[touched])
+        flips += 1
+    return eta, flips
+
+
+# in-degrees 3, 1, 1, 1: the touch table pads three rows
+UNEVEN = explicit_kernel(4, [(0, 1, 0.5), (0, 2, 0.5), (1, 0, 1.0), (2, 0, 0.5), (2, 3, 0.5),
+                             (3, 0, 1.0)])
+
+
+def _terminal_law_pvalue(p, k, eta0, t, terminal):
+    law = semigroup_apply(build_generator_np(p, k), t, np.eye(1 << k.n))[config_to_state(eta0)]
+    observed = np.bincount([config_to_state(eta) for eta in terminal], minlength=1 << k.n)
+    return _chi2_sf(*_chi2_gof(observed, law, len(terminal)))
+
+
+@pytest.mark.parametrize("p", [NPParams.symmetric(0.0), NPParams.symmetric(0.3),
+                               NPParams(lam=1.5, alpha01=0.3, alpha10=0.6)],
+                         ids=["alpha0", "alpha0.3", "lam1.5"])
+@pytest.mark.parametrize("k", [torus_kernel(1, 4), complete_kernel(3), UNEVEN],
+                         ids=["torus4", "complete3", "uneven4"])
+def test_terminal_law_matches_exact_semigroup(k, p):
+    eta0 = config_indicator(k.n, [0, 1])
+    traj = simulate_gillespie(p, k, np.tile(eta0, (40_000, 1)), 0.7, derive_stream(11, "law"))
+    assert _terminal_law_pvalue(p, k, eta0, 0.7, traj.config_at(0.7)) > 1e-3
+
+
+def test_rows_in_slices_keep_the_law(monkeypatch):
+    slices = []
+    lockstep = spin._lockstep
+
+    def spy(p, k, touch, eta, horizon, rng):
+        slices.append(len(eta))
+        return lockstep(p, k, touch, eta, horizon, rng)
+
+    monkeypatch.setattr(spin, "_lockstep", spy)
+    monkeypatch.setattr(spin, "CELLS", 7 * UNEVEN.n + 1)  # slices of 7 rows
+    p = NPParams(lam=1.5, alpha01=0.3, alpha10=0.6)
+    eta0 = config_indicator(UNEVEN.n, [2])
+    traj = simulate_gillespie(p, UNEVEN, np.tile(eta0, (6001, 1)), 0.7, derive_stream(12, "sl"))
+    assert slices == [7] * 857 + [2]
+    assert traj.initial.shape == (6001, 4) and np.all(np.diff(traj.rows) >= 0)
+    assert _terminal_law_pvalue(p, UNEVEN, eta0, 0.7, traj.config_at(0.7)) > 1e-3
+
+
+def test_terminal_density_and_flip_count_match_the_per_flip_loop():
+    p = NPParams.symmetric(0.3)
+    k = torus_kernel(2, 3)
+    reps, horizon = 2000, 1.5
+    rng = derive_stream(13, "ref-start")
+    starts = (rng.random((reps, k.n)) < 0.3).astype(np.uint8)
+    traj = simulate_gillespie(p, k, starts, horizon, derive_stream(13, "engine"))
+    ref_rng = derive_stream(13, "reference")
+    runs = [_reference_gillespie(p, k, eta, horizon, ref_rng) for eta in starts]
+    engine = (traj.config_at(horizon).mean(axis=1), np.bincount(traj.rows, minlength=reps))
+    reference = (np.array([eta.mean() for eta, _ in runs]), np.array([f for _, f in runs]))
+    for a, b in zip(engine, reference):
+        assert abs(two_sample_z(MCEstimate.from_samples(a), MCEstimate.from_samples(b))) < 4.0
+
+
 def test_gillespie_absorbing():
-    p = NPParams.symmetric(0.4)
+    # all0 and all1 rows retire with no flip and draw no uniform
     k = torus_kernel(1, 5)
-    traj = simulate_gillespie(p, k, config_all(5, 1), 10.0, derive_stream(4, "test-g"))
-    assert len(traj.times) == 0
-    ts, ds = traj.density_path()
-    assert list(ts) == [0.0] and list(ds) == [1.0]
+    for value in (0, 1):
+        rng = derive_stream(4, "test-g")
+        traj = simulate_gillespie(NPParams.symmetric(0.4), k, np.full((7, 5), value), 10.0, rng)
+        assert len(traj) == 0 and traj.initial.shape == (7, 5)
+        expected = derive_stream(4, "test-g")
+        expected.standard_exponential(7)  # one clock per row, then every row retires
+        assert rng.random() == expected.random()
+        ts, ds = traj.density_path(3)
+        assert list(ts) == [0.0] and list(ds) == [float(value)]
+
+
+def test_horizon_zero_keeps_every_start():
+    k = torus_kernel(2, 3)
+    rng = derive_stream(4, "h0")
+    eta0 = (rng.random((5, k.n)) < 0.5).astype(np.uint8)
+    traj = simulate_gillespie(NPParams.symmetric(0.3), k, eta0, 0.0, rng)
+    assert len(traj) == 0 and np.array_equal(traj.config_at(0.0), eta0)
+    assert np.array_equal(traj.density_at([0.0, 1.0])[:, 1], eta0.mean(axis=1))
+
+
+def test_a_one_dimensional_start_is_one_row_and_bad_inputs_are_refused():
+    k = torus_kernel(1, 4)
+    traj = simulate_gillespie(NPParams.symmetric(0.3), k, config_indicator(4, [1]), 2.0,
+                              derive_stream(5, "one"))
+    assert traj.initial.shape == (1, 4) and set(traj.rows) <= {0}
+    with pytest.raises(ValueError, match="does not match"):
+        simulate_gillespie(NPParams.symmetric(0.3), k, np.zeros((2, 5)), 1.0, derive_stream(5, "x"))
+    for horizon in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="horizon"):
+            simulate_gillespie(NPParams.symmetric(0.3), k, np.zeros(4), horizon,
+                               derive_stream(5, "x"))
 
 
 def test_gillespie_density_path_consistency():
     p = NPParams.symmetric(0.3)
     k = torus_kernel(2, 3)
     rng = derive_stream(5, "test-g2")
-    eta0 = parse_initial("bernoulli:0.5", k.n, rng)
+    eta0 = (rng.random((6, k.n)) < 0.5).astype(np.uint8)
     traj = simulate_gillespie(p, k, eta0, 3.0, rng)
-    ts, ds = traj.density_path()
-    assert ts[0] == 0.0 and ds[0] == eta0.mean()
-    assert np.all(np.diff(ts) > 0)
-    # each flip changes the density by exactly 1/n
-    assert np.allclose(np.abs(np.diff(ds)), 1.0 / k.n)
-    # config_at at the horizon agrees with the last recorded configuration
-    last_t, last_cfg = list(traj.configs())[-1]
-    assert np.array_equal(traj.config_at(3.0), last_cfg)
+    assert np.all(np.diff(traj.rows) >= 0) and np.all(traj.times <= 3.0)
+    grid = [0.0, 0.4, 1.7, 3.0]
+    dens = traj.density_at(grid)
+    for r in range(6):
+        ts, ds = traj.density_path(r)
+        assert ts[0] == 0.0 and ds[0] == eta0[r].mean()
+        assert np.all(np.diff(ts) > 0)
+        # each flip changes the density by exactly 1/n
+        assert np.allclose(np.abs(np.diff(ds)), 1.0 / k.n)
+        assert np.array_equal(dens[r], ds[np.searchsorted(ts, grid, side="right") - 1])
+        # walking the row's flips from its start reaches config_at's configuration
+        eta = eta0[r].copy()
+        for x, up in zip(traj.sites[traj.rows == r], traj.ups[traj.rows == r]):
+            assert eta[x] == (not up)
+            eta[x] ^= 1
+        assert np.array_equal(traj.config_at(3.0)[r], eta)
+        assert ds[-1] == pytest.approx(eta.mean(), abs=1e-12)
 
 
 def test_gillespie_matches_exact_semigroup():
@@ -327,19 +446,13 @@ def test_gillespie_matches_exact_semigroup():
     p = NPParams.symmetric(0.4)
     k = complete_kernel(3)
     gen = build_generator_np(p, k)
-    e0 = np.zeros(8)
-    from ipsd.exact import config_to_state
-
     eta0 = config_indicator(3, [0])
-    e0[config_to_state(eta0)] = 1.0
     probs = semigroup_apply(gen, 0.7, np.eye(8))  # row s -> distribution at t
     dist = probs[config_to_state(eta0)]
     reps = 4000
     rng = derive_stream(6, "test-g3")
-    counts = np.zeros(8)
-    for _ in range(reps):
-        traj = simulate_gillespie(p, k, eta0, 0.7, rng)
-        counts[config_to_state(traj.config_at(0.7))] += 1
+    traj = simulate_gillespie(p, k, np.tile(eta0, (reps, 1)), 0.7, rng)
+    counts = np.bincount([config_to_state(eta) for eta in traj.config_at(0.7)], minlength=8)
     freq = counts / reps
     sigma = np.sqrt(np.maximum(dist * (1 - dist), 1e-12) / reps)
     assert np.all(np.abs(freq - dist) < 5 * sigma + 1e-9)
