@@ -153,6 +153,8 @@ def cmd_spin_run(cfg: RunConfig) -> dict:
     if not 0.0 <= horizon < np.inf:
         raise ValueError(f"run.t must be finite and nonnegative, got {horizon}")
     grid = _parse_grid(cfg, "grid") or [horizon * j / 20.0 for j in range(21)]
+    if grid[-1] > horizon:
+        raise ValueError(f"run.grid entry {grid[-1]} is past run.t = {horizon}")
     init_spec = cfg.opt("run", "init", "bernoulli:0.5")
     dens, terminal, flips = replicate_map(partial(_spin_chunk, p, k, init_spec, horizon, grid),
                                           cfg.reps, cfg.seed, "spin-run", SPIN_CHUNK, cfg.threads)

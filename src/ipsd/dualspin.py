@@ -15,7 +15,7 @@ produces xi = (Id + J_1^T) ... (Id + J_N^T) 1_B, and the pathwise identity
 holds exactly, log by log.  Run against a fresh log of its own (in forward
 time order), the same update rule is a continuous-time chain with the same
 jump rates, which gives the distributional parity duality checked by
-:func:`parity_duality_mc`.
+:func:`parity_duality_mc`; :func:`simulate_dual_fresh` runs that chain.
 
 The ensembles :func:`parity_duality_mc`, :func:`evug_statistic` and
 :func:`bernoulli_parity_identity` take a master seed and a role and run a
@@ -32,12 +32,10 @@ import numpy as np
 
 from .harness import replicate_map
 from .kernel import Kernel, config_bernoulli, config_indicator
-from .spin import (SPIN_CHUNK, EventLog, EventTable, NPParams, UpdateEvent, replay_forward,
-                   sample_event_log)
+from .spin import SPIN_CHUNK, EventLog, EventTable, NPParams, replay_forward, sample_event_log
 from .stats import MCEstimate, two_sample_z
 
 __all__ = [
-    "apply_event_dual",
     "replay_dual",
     "replay_dual_batch",
     "simulate_dual_fresh",
@@ -49,18 +47,6 @@ __all__ = [
     "limit_formula",
     "evug_statistic",
 ]
-
-
-def apply_event_dual(xi: np.ndarray, e: UpdateEvent) -> np.ndarray:
-    """Apply the transpose of one forward update, returning a new config."""
-    out = xi.copy()
-    if e.is_voter:
-        out[e.y] = out[e.y] ^ out[e.x]
-        out[e.x] = 0
-    else:
-        out[e.y] = out[e.y] ^ out[e.x]
-        out[e.z] = out[e.z] ^ out[e.x]
-    return out
 
 
 def _fold_dual(cols: np.ndarray, log: EventLog, order) -> None:
@@ -94,37 +80,34 @@ def replay_dual_batch(cols0: np.ndarray, log: EventLog, t: float) -> np.ndarray:
     return replay_dual(np.asarray(cols0, dtype=np.uint8), log, t)
 
 
-def simulate_dual_fresh(p: NPParams, k: Kernel, B, horizon: float,
-                        rng: np.random.Generator, record: list | None = None,
-                        table: EventTable | None = None):
+def simulate_dual_fresh(p: NPParams, k: Kernel, B, grid, rng: np.random.Generator,
+                        table: EventTable | None = None) -> np.ndarray:
     """Fresh dual chain from 1_B: own event log, transposed updates, forward order.
 
-    Returns a list of (time, configuration) pairs at the requested record
-    times (default: just the horizon), each after every event up to it.
+    Samples one log on [0, max(grid)] and returns the dual at each sorted
+    grid time, after every event up to it: shape (len(grid), n), uint8.
     """
-    grid = sorted(record) if record is not None else [horizon]
-    log = sample_event_log(p, k, horizon, rng, table=table)
+    grid = sorted(grid)
+    log = sample_event_log(p, k, grid[-1], rng, table=table)
     xi = config_indicator(k.n, B)
-    out = []
+    out = np.empty((len(grid), k.n), dtype=np.uint8)
     done = 0
-    for g in grid:
+    for j, g in enumerate(grid):
         upto = log.count_up_to(g)
         _fold_dual(xi, log, range(done, upto))
         done = upto
-        out.append((g, xi.copy()))
+        out[j] = xi
     return out
 
 
 def dual_sizes_fresh(p: NPParams, k: Kernel, B, grid, reps: int,
                      rng: np.random.Generator, table: EventTable | None = None) -> np.ndarray:
-    """|xi_t| for fresh duals at each grid time; shape (reps, len(grid))."""
+    """|xi_t| for fresh duals at each sorted grid time; shape (reps, len(grid))."""
     if table is None:
         table = EventTable.build(p, k)
-    horizon = max(grid)
     sizes = np.empty((reps, len(grid)), dtype=np.int64)
     for r in range(reps):
-        snaps = simulate_dual_fresh(p, k, B, horizon, rng, record=list(grid), table=table)
-        sizes[r] = [int(cfg.sum()) for _, cfg in snaps]
+        sizes[r] = simulate_dual_fresh(p, k, B, grid, rng, table=table).sum(axis=1)
     return sizes
 
 
@@ -148,7 +131,7 @@ def _parity_chunk(p, k, A, B, horizon, table, size, rng):
         for j, t in enumerate(grid):
             fwd[i, j] = parity_overlap(replay_forward(etaA, log, t), indB)
             dual[i, j] = parity_overlap(replay_dual(indB, log, t), etaA)
-        (_, xi), = simulate_dual_fresh(p, k, B, horizon, rng, record=[horizon], table=table)
+        xi = simulate_dual_fresh(p, k, B, [horizon], rng, table=table)[-1]
         dualmc[i] = parity_overlap(xi, etaA)
     return fwd, dual, dualmc
 
@@ -180,7 +163,7 @@ def _bernoulli_chunk(p, k, B, t, table, size, rng):
         eta0 = config_bernoulli(k.n, 0.5, rng)
         log = sample_event_log(p, k, t, rng, table=table)
         direct[i] = parity_overlap(replay_forward(eta0, log, t), indB)
-        (_, xi), = simulate_dual_fresh(p, k, B, t, rng, record=[t], table=table)
+        xi = simulate_dual_fresh(p, k, B, [t], rng, table=table)[-1]
         alive[i] = 1.0 if xi.any() else 0.0
     return direct, alive
 

@@ -79,10 +79,7 @@ class RunConfig:
             if default is None:
                 raise KeyError(f"missing config key [{section}] {key}")
             return default
-        raw = sec[key]
-        if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
-        return cast(raw)
+        return cast(sec[key])
 
     def echo(self) -> dict:
         """Config echo for reports: everything that determines the output."""

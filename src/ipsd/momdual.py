@@ -100,6 +100,29 @@ def _rest_products(flat: np.ndarray, items: list[tuple[int, int]]) -> list[float
     return rests
 
 
+def _gen_on_H(field, counts, torus, stencil, reactions) -> float:
+    """Migration on H plus each ``reactions(v, c, v**c, v**(c-1))`` term times rest, per site."""
+    flat = np.asarray(field).reshape(-1)
+    items = [(x, c) for x, c in sorted(counts.items()) if c > 0]
+    if not items:
+        return 0.0
+    rests = _rest_products(flat, items)
+    table = torus.move_table(stencil)
+    total = 0.0
+    for (x, c), rest in zip(items, rests):
+        vx = float(flat[x])
+        pow_c = vx**c
+        pow_cm1 = vx ** (c - 1)
+        mig = 0.0
+        for j, w in enumerate(stencil.weights):
+            if w > 0:  # a move onto x itself reads flat[x], which is vx
+                mig += w * (float(flat[table[x, j]]) * pow_cm1 - pow_c)
+        total += c * mig * rest
+        for term in reactions(vx, c, pow_c, pow_cm1):
+            total += term * rest
+    return total
+
+
 def gen_sigma_on_H(sigma: np.ndarray, counts: dict[int, int], s: float,
                    torus: Torus, stencil: Stencil) -> float:
     """Action of the sigma-diffusion generator (mu = 2 pairing) on H.
@@ -107,29 +130,12 @@ def gen_sigma_on_H(sigma: np.ndarray, counts: dict[int, int], s: float,
     All terms are evaluated as polynomials in sigma(x), so sigma(x) = 0 is
     handled exactly (never a 0/0).
     """
-    flat = np.asarray(sigma).reshape(-1)
-    items = [(x, c) for x, c in sorted(counts.items()) if c > 0]
-    if not items:
-        return 0.0
-    rests = _rest_products(flat, items)
-    table = torus.move_table(stencil)
-    disp_w = stencil.weights
-    total = 0.0
-    for (x, c), rest in zip(items, rests):
-        sx = float(flat[x])
-        pow_c = sx**c
-        pow_cm1 = sx ** (c - 1)
-        mig = 0.0
-        for j, w in enumerate(disp_w):
-            if w > 0:
-                y = int(table[x, j])
-                sy_pow = float(flat[y]) if y != x else sx
-                mig += w * (sy_pow * pow_cm1 - pow_c)
-        total += c * mig * rest
-        total += 0.5 * s * c * (sx ** (c + 2) - pow_c) * rest
+    def reactions(sx, c, pow_c, pow_cm1):
+        yield 0.5 * s * c * (sx ** (c + 2) - pow_c)
         if c >= 2:
-            total += 0.5 * c * (c - 1) * (sx ** (c - 2) - pow_c) * rest
-    return total
+            yield 0.5 * c * (c - 1) * (sx ** (c - 2) - pow_c)
+
+    return _gen_on_H(sigma, counts, torus, stencil, reactions)
 
 
 def gen_p_on_H(p: np.ndarray, counts: dict[int, int], s: float, mu: float,
@@ -139,29 +145,13 @@ def gen_p_on_H(p: np.ndarray, counts: dict[int, int], s: float, mu: float,
         raise ValueError("this pairing needs s <= 0")
     if not (-1.0 <= mu <= 0.0):
         raise ValueError("this pairing needs mu in [-1, 0]")
-    flat = np.asarray(p).reshape(-1)
-    items = [(x, c) for x, c in sorted(counts.items()) if c > 0]
-    if not items:
-        return 0.0
-    rests = _rest_products(flat, items)
-    table = torus.move_table(stencil)
-    disp_w = stencil.weights
-    total = 0.0
-    for (x, c), rest in zip(items, rests):
-        px = float(flat[x])
-        pow_c = px**c
-        pow_cm1 = px ** (c - 1)
-        mig = 0.0
-        for j, w in enumerate(disp_w):
-            if w > 0:
-                y = int(table[x, j])
-                py = float(flat[y]) if y != x else px
-                mig += w * (py * pow_cm1 - pow_c)
-        total += c * mig * rest
-        total += s * c * (pow_c - (mu + 1.0) * px ** (c + 1) + mu * px ** (c + 2)) * rest
+
+    def reactions(px, c, pow_c, pow_cm1):
+        yield s * c * (pow_c - (mu + 1.0) * px ** (c + 1) + mu * px ** (c + 2))
         if c >= 2:
-            total += 0.5 * c * (c - 1) * (pow_cm1 - pow_c) * rest
-    return total
+            yield 0.5 * c * (c - 1) * (pow_cm1 - pow_c)
+
+    return _gen_on_H(p, counts, torus, stencil, reactions)
 
 
 def gen_walker_on_H(vals: np.ndarray, counts: dict[int, int], kind: WalkerKind,

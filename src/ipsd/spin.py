@@ -20,6 +20,8 @@ construction used here: a Poisson field of update events, each either
 
 Both updates are linear over GF(2), which is what makes the transposed
 (replayed) process in :mod:`ipsd.dualspin` an exact pathwise dual.
+A sampled field is an :class:`EventLog` of columns (times, x, y, z), the
+one form an event takes; :func:`replay_forward` runs it in time order.
 
 The forward chain itself runs in :func:`simulate_gillespie`, which steps
 many replicate runs at once as the rows of a (replicates x sites) matrix
@@ -41,7 +43,6 @@ from .kernel import Kernel, config_all, config_bernoulli, config_indicator, freq
 
 __all__ = [
     "NPParams",
-    "UpdateEvent",
     "EventLog",
     "EventTable",
     "MAX_TABLE_ROWS",
@@ -51,7 +52,6 @@ __all__ = [
     "flip_rate",
     "flip_rates_all",
     "sample_event_log",
-    "apply_event_forward",
     "replay_forward",
     "replay_forward_batch",
     "simulate_gillespie",
@@ -101,15 +101,10 @@ class NPParams:
         return self.alpha01
 
 
-def flip_rate(p: NPParams, k: Kernel, eta: np.ndarray, x: int, f1: float | None = None) -> float:
-    """Rate at which site x flips its current value under configuration eta.
-
-    ``f1`` may be passed in when the caller already knows the local
-    frequency of ones at x; otherwise it is computed from the kernel.
-    """
-    if f1 is None:
-        nbr, w = k.out_edges(x)
-        f1 = float(w @ (eta[nbr] != 0))
+def flip_rate(p: NPParams, k: Kernel, eta: np.ndarray, x: int) -> float:
+    """Rate at which site x flips its current value under configuration eta."""
+    nbr, w = k.out_edges(x)
+    f1 = float(w @ (eta[nbr] != 0))
     f0 = 1.0 - f1
     denom = p.lam * f1 + f0
     if denom <= 0.0:  # unreachable for lam > 0 since f0 + f1 = 1; kept as guard
@@ -134,38 +129,15 @@ def flip_rates_all(p: NPParams, eta: np.ndarray, f1: np.ndarray) -> np.ndarray:
     return np.where(eta == 0, up, down)
 
 
-# -- update events and logs --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class UpdateEvent:
-    """One graphical-construction event.
-
-    Annihilation event: focal ``x`` with unordered sources ``{y, z}``
-    (y != z, both != x), update eta(x) += eta(y) + eta(z) mod 2.
-    Voter event: focal ``x`` with source ``y``, update eta(x) = eta(y);
-    ``z`` is None in that case.
-    """
-
-    time: float
-    x: int
-    y: int
-    z: int | None = None
-
-    def __post_init__(self):
-        if self.y == self.x or (self.z is not None and (self.z == self.x or self.z == self.y)):
-            raise ValueError("event sources must be distinct from the focal site and each other")
-
-    @property
-    def is_voter(self) -> bool:
-        return self.z is None
+# -- event logs --------------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
 class EventLog:
     """Columnar Poisson event log on [0, horizon], times strictly increasing.
 
-    ``za`` holds -1 for voter events.  Iterate to get UpdateEvent views.
+    Event i has focal site ``xa[i]``, source ``ya[i]`` and second source
+    ``za[i]``, which is -1 for a voter event.
     """
 
     horizon: float
@@ -182,12 +154,6 @@ class EventLog:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    def __iter__(self):
-        for i in range(len(self.times)):
-            z = int(self.za[i])
-            yield UpdateEvent(float(self.times[i]), int(self.xa[i]), int(self.ya[i]),
-                              None if z < 0 else z)
 
     def count_up_to(self, t: float) -> int:
         """Number of events with time <= t."""
@@ -279,16 +245,6 @@ def sample_event_log(p: NPParams, k: Kernel, horizon: float, rng: np.random.Gene
     return EventLog(horizon, times, table.xa[which], table.ya[which], table.za[which])
 
 
-def apply_event_forward(eta: np.ndarray, e: UpdateEvent) -> np.ndarray:
-    """Apply one event to a configuration, returning a new configuration."""
-    out = eta.copy()
-    if e.is_voter:
-        out[e.x] = out[e.y]
-    else:
-        out[e.x] = out[e.x] ^ out[e.y] ^ out[e.z]
-    return out
-
-
 def _fold_forward(cols: np.ndarray, log: EventLog, upto: int) -> None:
     """In place: run the first ``upto`` log events over column-stacked states.
 
@@ -296,7 +252,7 @@ def _fold_forward(cols: np.ndarray, log: EventLog, upto: int) -> None:
     focal row only, so the same loop serves single configurations and
     batched indicator columns.
     """
-    times, xa, ya, za = log.times, log.xa, log.ya, log.za
+    xa, ya, za = log.xa, log.ya, log.za
     for i in range(upto):
         x = xa[i]
         y = ya[i]

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ipsd import dualspin
 from ipsd.dualspin import replay_dual, replay_dual_batch
 from ipsd.kernel import torus_kernel
 from ipsd.lattice import Torus
@@ -78,3 +79,21 @@ def test_the_flip_count_the_tracer_reads_sums_every_row():
     per_row = [len(traj.density_path(r)[0]) - 1 for r in range(5)]
     assert min(per_row) > 0
     assert count((), {}, traj) == {"flips": sum(per_row)}
+
+
+def test_the_fresh_dual_unit_cost_is_measured():
+    # dualspin.fresh_us_per_event counts only the log that simulate_dual_fresh samples itself
+    importlib.import_module("ipsd.cli")  # the tracer rebinds names in every loaded module
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        xi = dualspin.simulate_dual_fresh(NPParams.symmetric(0.3), torus_kernel(1, 6), [0, 3],
+                                          [1.0, 4.0], derive_stream(5, "tracer-fresh"))
+    finally:
+        tracer.uninstall()
+    assert xi.shape == (2, 6)
+    names = [span[1] for span in tracer.spans]
+    assert names.count("simulate_dual_fresh") == 1 and names.count("sample_event_log") == 1
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert metrics["dualspin.fresh_us_per_event"] > 0

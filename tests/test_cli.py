@@ -272,11 +272,24 @@ def test_exact_check_reaches_long_horizons(tmp_path):
     assert report["max_fk_residual"] < 1e-9 and report["max_generator_gap"] < 1e-12
 
 
-@pytest.mark.parametrize("horizon", ["-1", "inf", "nan"])
-def test_spin_run_refuses_a_negative_or_infinite_horizon_by_key(tmp_path, horizon):
-    with pytest.raises(ValueError, match="run.t must be finite and nonnegative"):
+_BAD_HORIZON = "run.t must be finite and nonnegative"
+
+
+@pytest.mark.parametrize("sets, message", [
+    pytest.param(["run.T=-1"], _BAD_HORIZON, id="-1"),
+    pytest.param(["run.T=inf"], _BAD_HORIZON, id="inf"),
+    pytest.param(["run.T=nan"], _BAD_HORIZON, id="nan"),
+    # a grid time past the horizon would report the frozen state at run.t
+    pytest.param(["run.T=2", "run.grid=0,1,5,50"], "run.grid entry 50.0 is past run.t = 2.0",
+                 id="grid-past-t"),
+])
+def test_spin_run_refuses_a_negative_or_infinite_horizon_by_key(tmp_path, monkeypatch, sets,
+                                                                message):
+    _forbid_building_and_drawing(monkeypatch)
+    with pytest.raises(ValueError, match=message):
         main(["spin-run", "--seed", "3", "--reps", "2", "--out", str(tmp_path),
-              "--set", "kernel.d=1", "--set", "kernel.L=6", "--set", f"run.T={horizon}"])
+              "--set", "kernel.d=1", "--set", "kernel.L=6"]
+             + [arg for kv in sets for arg in ("--set", kv)])
     assert not any(tmp_path.iterdir())
 
 

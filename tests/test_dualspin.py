@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from ipsd.dualspin import (ZBDistribution, apply_event_dual, bernoulli_parity_identity,
-                           dual_sizes_fresh, evug_statistic,
-                           limit_formula, parity_duality_mc, parity_overlap,
+from ipsd.dualspin import (ZBDistribution, bernoulli_parity_identity, dual_sizes_fresh,
+                           evug_statistic, limit_formula, parity_duality_mc, parity_overlap,
                            replay_dual, replay_dual_batch, simulate_dual_fresh)
+from ipsd.exact import _dual_event_target
 from ipsd.kernel import config_indicator, torus_kernel
 from ipsd.rng import derive_stream
-from ipsd.spin import EventLog, NPParams, UpdateEvent, replay_forward, sample_event_log
+from ipsd.spin import EventLog, NPParams, replay_forward, sample_event_log
+from test_spin import _one_event, _state_after
 
 
 def test_parity_helpers():
@@ -24,18 +25,19 @@ def test_parity_helpers():
     assert parity_overlap(cfg, np.array([0, 0, 0, 1], dtype=np.uint8)) == 1
 
 
-def test_apply_event_dual_hand_cases():
+def test_one_event_dual_hand_cases():
     # annihilation event (x; y, z): both y and z flip by the bit at x.
     xi = np.array([1, 0, 0, 1], dtype=np.uint8)
-    out = apply_event_dual(xi.copy(), UpdateEvent(time=1.0, x=0, y=1, z=2))
+    out = replay_dual(xi, _one_event(0, 1, 2), 1.0)
     assert list(out) == [1, 1, 1, 1]
-    out = apply_event_dual(xi.copy(), UpdateEvent(time=1.0, x=1, y=0, z=2))
+    out = replay_dual(xi, _one_event(1, 0, 2), 1.0)
     assert list(out) == [1, 0, 0, 1]  # bit at x=1 is 0: no-op
     # voter event (x; y): y flips by the bit at x, then x clears.
-    out = apply_event_dual(xi.copy(), UpdateEvent(time=1.0, x=0, y=1, z=None))
+    out = replay_dual(xi, _one_event(0, 1), 1.0)
     assert list(out) == [0, 1, 0, 1]
-    out = apply_event_dual(xi.copy(), UpdateEvent(time=1.0, x=0, y=3, z=None))
+    out = replay_dual(xi, _one_event(0, 3), 1.0)
     assert list(out) == [0, 0, 0, 0]  # coalescence: 3 flips off, x clears
+    assert list(xi) == [1, 0, 0, 1]  # input untouched
 
 
 def test_dual_size_parity_is_conserved():
@@ -45,8 +47,7 @@ def test_dual_size_parity_is_conserved():
     k = torus_kernel(2, 3)
     rng = derive_stream(11, "dual-parity")
     for B, want in [([0], 1), ([0, 4], 0), ([1, 2, 5], 1)]:
-        snaps = simulate_dual_fresh(p, k, B, 6.0, rng, record=[1.5, 3.0, 6.0])
-        for _, xi in snaps:
+        for xi in simulate_dual_fresh(p, k, B, [1.5, 3.0, 6.0], rng):
             assert int(xi.sum()) % 2 == want
 
 
@@ -102,9 +103,23 @@ def test_annihilation_only_dual_never_dies():
     k = torus_kernel(2, 4)
     rng = derive_stream(13, "dual-alive")
     for _ in range(10):
-        snaps = simulate_dual_fresh(p, k, [3, 7], 25.0, rng, record=[25.0])
-        (_, xi), = snaps
+        xi = simulate_dual_fresh(p, k, [3, 7], [25.0], rng)[-1]
         assert int(xi.sum()) >= 1
+
+
+def test_simulate_dual_fresh_records_the_sorted_grid_on_one_log():
+    # the rows are the transposed updates of one log on [0, max(grid)], run
+    # forwards to each sorted grid time; the same stream gives the same log
+    p = NPParams.symmetric(0.4)
+    k = torus_kernel(1, 6)
+    got = simulate_dual_fresh(p, k, [0, 3], [2.0, 0.5, 1.0], derive_stream(17, "fresh-grid"))
+    log = sample_event_log(p, k, 2.0, derive_stream(17, "fresh-grid"))
+    assert got.shape == (3, 6) and got.dtype == np.uint8
+    assert len(log) > 0
+    for row, t in zip(got, [0.5, 1.0, 2.0]):
+        want = _state_after(config_indicator(6, [0, 3]), log, 0, log.count_up_to(t),
+                            _dual_event_target)
+        assert np.array_equal(row, want)
 
 
 def test_dual_sizes_fresh_grid():

@@ -189,7 +189,6 @@ def test_runconfig_validation():
 def test_runconfig_opt_casting():
     cfg = _mk_cfg()
     assert cfg.opt("run", "t", cast=float) == 5.0
-    assert cfg.opt("run", "flag", cast=bool) is True
     assert cfg.opt("run", "missing", 7, int) == 7
     with pytest.raises(KeyError):
         cfg.opt("run", "missing")

@@ -6,14 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from ipsd.diffusion import DiffusionParams, mirror_params, p_of_sigma, sigma_of_p
 from ipsd.dualspin import parity_overlap, replay_dual
+from ipsd.exact import _event_target, config_to_state
 from ipsd.kernel import (complete_kernel, config_bernoulli, config_indicator,
                          local_frequency, torus_kernel)
 from ipsd.lattice import Stencil, Torus
 from ipsd.rng import derive_stream
-from ipsd.spin import (NPParams, UpdateEvent, apply_event_forward, flip_rate,
-                       replay_forward, sample_event_log)
+from ipsd.spin import NPParams, flip_rate, replay_forward, sample_event_log
 from ipsd.stats import MCEstimate, wilson_lower, wilson_upper
 from ipsd.walkers import BCRW, CRW, DBARW, apply_transition, simulate_walker, walker_rates
+from test_spin import _one_event
 
 
 # strategies -----------------------------------------------------------------
@@ -79,11 +80,13 @@ def test_event_locality(k, alpha, seed):
     """A forward event changes at most the focal site; a replay is causal."""
     p = NPParams.symmetric(alpha)
     log = sample_event_log(p, k, 1.0, derive_stream(seed, "prop-local"))
-    eta = config_bernoulli(k.n, 0.5, np.random.default_rng(seed))
-    for ev in log:
-        out = apply_event_forward(eta.copy(), ev)
+    eta0 = config_bernoulli(k.n, 0.5, np.random.default_rng(seed))
+    eta = eta0
+    for t, x, y, z in zip(log.times, log.xa.tolist(), log.ya.tolist(), log.za.tolist()):
+        out = replay_forward(eta0, log, t)  # the prefix ending with this event
         changed = np.flatnonzero(out != eta)
-        assert set(changed.tolist()) <= {ev.x}
+        assert set(changed.tolist()) <= {x}
+        assert config_to_state(out) == _event_target(config_to_state(eta), x, y, z)
         eta = out
 
 
@@ -216,6 +219,7 @@ def test_annihilation_event_is_involution(seed):
     # applying the same annihilation event twice restores the configuration
     rng = np.random.default_rng(seed)
     eta = config_bernoulli(6, 0.5, rng)
-    ev = UpdateEvent(time=1.0, x=0, y=2, z=4)
-    twice = apply_event_forward(apply_event_forward(eta.copy(), ev), ev)
-    assert np.array_equal(twice, eta)
+    log = _one_event(0, 2, 4)
+    once = replay_forward(eta, log, 1.0)
+    assert config_to_state(once) == _event_target(config_to_state(eta), 0, 2, 4)
+    assert np.array_equal(replay_forward(once, log, 1.0), eta)

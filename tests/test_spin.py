@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from ipsd import spin
-from ipsd.exact import build_generator_np, config_to_state, semigroup_apply, state_to_config
+from ipsd.exact import (_event_target, build_generator_np, config_to_state, semigroup_apply,
+                        state_to_config)
 from ipsd.kernel import (complete_kernel, config_all, config_indicator, explicit_kernel,
                          frequency_of_ones, torus_kernel)
-from ipsd.spin import (MAX_TABLE_ROWS, EventTable, NPParams, UpdateEvent, apply_event_forward,
-                       complete_count_rates, flip_rate, flip_rates_all, parse_initial,
-                       replay_forward, replay_forward_batch, sample_event_log,
-                       simulate_complete_counts, simulate_gillespie)
+from ipsd.spin import (MAX_TABLE_ROWS, EventLog, EventTable, NPParams, complete_count_rates,
+                       flip_rate, flip_rates_all, parse_initial, replay_forward,
+                       replay_forward_batch, sample_event_log, simulate_complete_counts,
+                       simulate_gillespie)
 from ipsd.rng import derive_stream
 from ipsd.stats import MCEstimate, two_sample_z
 from test_walkers import _chi2_gof, _chi2_sf
@@ -215,10 +216,11 @@ def test_sample_event_log_basic():
     assert log.horizon == 10.0
     assert np.all(np.diff(log.times) > 0)
     assert np.all((log.times > 0) & (log.times < 10.0))
-    for ev in log:
-        assert isinstance(ev, UpdateEvent)
-        if not ev.is_voter:
-            assert ev.y != ev.z and ev.x not in (ev.y, ev.z)
+    annihilation = log.za >= 0
+    assert np.all(log.za[~annihilation] == -1)
+    assert np.all(log.xa != log.ya)
+    assert np.all(log.xa[annihilation] != log.za[annihilation])
+    assert np.all(log.ya[annihilation] != log.za[annihilation])
 
 
 def test_sample_event_log_count_statistics():
@@ -231,26 +233,28 @@ def test_sample_event_log_count_statistics():
     assert abs(np.mean(counts) - 19.0) < 5 * np.sqrt(19.0 / 400)
 
 
-def test_apply_event_forward_hand_cases():
+def _one_event(x, y, z=-1):
+    """Log holding one event at t = 0.5; z = -1 makes it a voter event."""
+    return EventLog(1.0, np.array([0.5]), np.array([x]), np.array([y]), np.array([z]))
+
+
+def _state_after(eta0, log, lo, hi, target=_event_target):
+    """Events lo..hi-1 of the log applied in order by a bit-encoded target of exact.py."""
+    s = config_to_state(eta0)
+    for i in range(lo, hi):
+        s = target(s, int(log.xa[i]), int(log.ya[i]), int(log.za[i]))
+    return state_to_config(s, len(eta0))
+
+
+def test_one_event_forward_hand_cases():
     eta = np.array([1, 0, 1, 0], dtype=np.uint8)
-    voter = UpdateEvent(time=0.5, x=0, y=1, z=None)
-    out = apply_event_forward(eta.copy(), voter)
+    out = replay_forward(eta, _one_event(0, 1), 1.0)
     assert list(out) == [0, 0, 1, 0]  # x copies y
-    annih = UpdateEvent(time=0.7, x=3, y=0, z=2)
-    out = apply_event_forward(eta.copy(), annih)
+    out = replay_forward(eta, _one_event(3, 0, 2), 1.0)
     assert list(out) == [1, 0, 1, 0]  # eta(3) += eta(0)+eta(2) mod 2 = 0+1+1
-    annih2 = UpdateEvent(time=0.9, x=3, y=1, z=2)
-    out = apply_event_forward(eta.copy(), annih2)
+    out = replay_forward(eta, _one_event(3, 1, 2), 1.0)
     assert list(out) == [1, 0, 1, 1]  # 0+0+1 = 1
-
-
-def test_update_event_validation():
-    with pytest.raises(ValueError):
-        UpdateEvent(time=1.0, x=0, y=0, z=None)  # voter self-copy
-    with pytest.raises(ValueError):
-        UpdateEvent(time=1.0, x=0, y=1, z=1)  # annihilation pair must differ
-    with pytest.raises(ValueError):
-        UpdateEvent(time=1.0, x=0, y=0, z=2)  # x must avoid {y,z}
+    assert list(eta) == [1, 0, 1, 0]  # input untouched
 
 
 def test_replay_forward_matches_stepwise():
@@ -259,9 +263,7 @@ def test_replay_forward_matches_stepwise():
     rng = derive_stream(2, "test-replay")
     log = sample_event_log(p, k, 4.0, rng)
     eta0 = parse_initial("bernoulli:0.5", k.n, rng)
-    manual = eta0.copy()
-    for ev in log:
-        manual = apply_event_forward(manual, ev)
+    manual = _state_after(eta0, log, 0, len(log))
     assert np.array_equal(replay_forward(eta0, log, 4.0), manual)
     assert np.array_equal(replay_forward(eta0, log, 0.0), eta0)
 
@@ -274,11 +276,7 @@ def test_replay_forward_prefix_consistency():
     eta0 = config_indicator(6, [0, 3])
     # replaying to t then continuing is the same as replaying to the horizon
     mid = replay_forward(eta0, log, 2.5)
-    n_mid = log.count_up_to(2.5)
-    rest = mid.copy()
-    for i, ev in enumerate(log):
-        if i >= n_mid:
-            rest = apply_event_forward(rest, ev)
+    rest = _state_after(mid, log, log.count_up_to(2.5), len(log))
     assert np.array_equal(rest, replay_forward(eta0, log, 5.0))
 
 
