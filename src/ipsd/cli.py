@@ -51,12 +51,27 @@ def _parse_sites(cfg: RunConfig, key: str, n_sites: int) -> list[int]:
     return sites
 
 
-def _parse_grid(cfg: RunConfig, key: str, default: str = "") -> list[float]:
-    """Nonnegative numbers of [run] key, sorted: the engines record on the sorted grid."""
+def _parse_grid(cfg: RunConfig, key: str, default: str = "",
+                horizon: float | None = None) -> list[float]:
+    """Nonnegative numbers of [run] key, sorted: the engines record on the sorted grid.
+
+    With a ``horizon``, an entry past it is refused: the run would otherwise
+    go on to the last grid time and leave ``run.t`` unused.
+    """
     grid = sorted(float(tok) for tok in cfg.opt("run", key, default).split(",") if tok.strip())
     if grid and grid[0] < 0:
         raise ValueError(f"run.{key} has a negative entry {grid[0]}")
+    if horizon is not None and grid and grid[-1] > horizon:
+        raise ValueError(f"run.{key} entry {grid[-1]} is past run.t = {horizon}")
     return grid
+
+
+def _parse_horizon(cfg: RunConfig, default: float) -> float:
+    """run.t, which must be finite and nonnegative."""
+    horizon = cfg.opt("run", "t", default, float)
+    if not 0.0 <= horizon < np.inf:
+        raise ValueError(f"run.t must be finite and nonnegative, got {horizon}")
+    return horizon
 
 
 def _parse_counts(cfg: RunConfig, n_sites: int, default: str | None = None) -> dict[int, int]:
@@ -149,12 +164,8 @@ def _site_and_mean(site, fields):
 def cmd_spin_run(cfg: RunConfig) -> dict:
     p = _build_params(cfg)
     k = _build_kernel(cfg)
-    horizon = cfg.opt("run", "t", 10.0, float)
-    if not 0.0 <= horizon < np.inf:
-        raise ValueError(f"run.t must be finite and nonnegative, got {horizon}")
-    grid = _parse_grid(cfg, "grid") or [horizon * j / 20.0 for j in range(21)]
-    if grid[-1] > horizon:
-        raise ValueError(f"run.grid entry {grid[-1]} is past run.t = {horizon}")
+    horizon = _parse_horizon(cfg, 10.0)
+    grid = _parse_grid(cfg, "grid", horizon=horizon) or [horizon * j / 20.0 for j in range(21)]
     init_spec = cfg.opt("run", "init", "bernoulli:0.5")
     dens, terminal, flips = replicate_map(partial(_spin_chunk, p, k, init_spec, horizon, grid),
                                           cfg.reps, cfg.seed, "spin-run", SPIN_CHUNK, cfg.threads)
@@ -169,8 +180,8 @@ def cmd_spin_run(cfg: RunConfig) -> dict:
 def cmd_dual_run(cfg: RunConfig) -> dict:
     p = _build_params(cfg)
     k = _build_kernel(cfg)
-    horizon = cfg.opt("run", "t", 10.0, float)
-    grid = _parse_grid(cfg, "grid") or [horizon]
+    horizon = _parse_horizon(cfg, 10.0)
+    grid = _parse_grid(cfg, "grid", horizon=horizon) or [horizon]
     B = _parse_sites(cfg, "b", k.n)
     cap = cfg.opt("run", "cap", 10, int)
     sizes, rows = evug_statistic(p, k, B, grid, cap, cfg.reps, cfg.seed, "dual-run", cfg.threads)
@@ -282,8 +293,8 @@ def cmd_meanfield(cfg: RunConfig) -> dict:
 
 def cmd_diffusion_run(cfg: RunConfig) -> dict:
     params = _build_diffusion(cfg)
-    horizon = cfg.opt("run", "t", 1.0, float)
-    grid = _parse_grid(cfg, "grid") or [horizon * j / 10.0 for j in range(1, 11)]
+    horizon = _parse_horizon(cfg, 1.0)
+    grid = _parse_grid(cfg, "grid", horizon=horizon) or [horizon * j / 10.0 for j in range(1, 11)]
     init = cfg.opt("run", "init", "const:0.5")
     kappa = cfg.opt("run", "kappa", 0.1, float)
     if not 0.0 < kappa < 0.5:
@@ -320,8 +331,8 @@ def cmd_walker_run(cfg: RunConfig) -> dict:
     else:
         raise ValueError(f"unknown walker kind {kind_name!r}")
     xi0 = _parse_counts(cfg, torus.n_sites)
-    horizon = cfg.opt("run", "t", 10.0, float)
-    grid = _parse_grid(cfg, "grid") or [horizon]
+    horizon = _parse_horizon(cfg, 10.0)
+    grid = _parse_grid(cfg, "grid", horizon=horizon) or [horizon]
     cap = cfg.opt("run", "cap", 100000, int)
     runs = walker_ensemble(kind, xi0, torus, stencil, grid, cap, cfg.reps, cfg.seed,
                            "walker-run", cfg.threads)

@@ -12,10 +12,12 @@ produces xi = (Id + J_1^T) ... (Id + J_N^T) 1_B, and the pathwise identity
 
     <1_B, eta_t^A>  =  <xi_t^{t,B}, 1_A>   (mod 2)
 
-holds exactly, log by log.  Run against a fresh log of its own (in forward
-time order), the same update rule is a continuous-time chain with the same
-jump rates, which gives the distributional parity duality checked by
-:func:`parity_duality_mc`; :func:`simulate_dual_fresh` runs that chain.
+holds exactly, log by log.  The replay folds the log over site rows packed
+into Python ints, as :func:`ipsd.spin.replay_forward` does.  Run against a
+fresh log of its own (in forward time order), the same update rule is a
+continuous-time chain with the same jump rates, which gives the
+distributional parity duality checked by :func:`parity_duality_mc`;
+:func:`simulate_dual_fresh` runs that chain.
 
 The ensembles :func:`parity_duality_mc`, :func:`evug_statistic` and
 :func:`bernoulli_parity_identity` take a master seed and a role and run a
@@ -32,7 +34,8 @@ import numpy as np
 
 from .harness import replicate_map
 from .kernel import Kernel, config_bernoulli, config_indicator
-from .spin import SPIN_CHUNK, EventLog, EventTable, NPParams, replay_forward, sample_event_log
+from .spin import (SPIN_CHUNK, EventLog, EventTable, NPParams, _pack_rows, _unpack_rows,
+                   replay_forward, sample_event_log)
 from .stats import MCEstimate, two_sample_z
 
 __all__ = [
@@ -49,30 +52,34 @@ __all__ = [
 ]
 
 
-def _fold_dual(cols: np.ndarray, log: EventLog, order) -> None:
-    """In place: apply transposed updates over column-stacked duals.
+def _fold_dual(rows: list[int], log: EventLog, lo: int, hi: int, step: int) -> None:
+    """In place: apply the transposed updates of events lo..hi-1 to packed site rows.
 
-    ``order`` is an iterable of event indices; reversed(range(k)) replays a
-    log prefix backwards, range(lo, hi) runs a stretch of a fresh dual forwards.
+    ``step`` -1 replays the stretch backwards (a log prefix, for
+    :func:`replay_dual`); 1 runs it forwards (a fresh dual).  An event reads
+    its focal row first and skips when it is 0: XOR with 0 and zeroing a 0
+    change nothing, and fresh duals are sparse.
     """
-    xa, ya, za = log.xa, log.ya, log.za
-    for i in order:
-        x = xa[i]
-        y = ya[i]
-        z = za[i]
-        if z < 0:
-            cols[y] = cols[y] ^ cols[x]
-            cols[x] = 0
-        else:
-            cols[y] = cols[y] ^ cols[x]
-            cols[z] = cols[z] ^ cols[x]
+    xs, ys, zs = (col[lo:hi][::step].tolist() for col in (log.xa, log.ya, log.za))
+    for x, y, z in zip(xs, ys, zs):
+        if rows[x]:
+            rows[y] ^= rows[x]
+            if z < 0:
+                rows[x] = 0
+            else:
+                rows[z] ^= rows[x]
 
 
 def replay_dual(xi0: np.ndarray, log: EventLog, t: float) -> np.ndarray:
-    """Dual state from running the events with time <= t in reverse order."""
-    out = xi0.copy()
-    _fold_dual(out, log, reversed(range(log.count_up_to(t))))
-    return out
+    """Dual state from running the events with time <= t in reverse order.
+
+    ``xi0`` is one configuration or an (n_sites, m) stack of 0/1 columns, as
+    for :func:`ipsd.spin.replay_forward`; returns a fresh array of its
+    shape and dtype.
+    """
+    rows = _pack_rows(xi0)
+    _fold_dual(rows, log, 0, log.count_up_to(t), -1)
+    return _unpack_rows(rows, xi0)
 
 
 def replay_dual_batch(cols0: np.ndarray, log: EventLog, t: float) -> np.ndarray:
@@ -86,17 +93,19 @@ def simulate_dual_fresh(p: NPParams, k: Kernel, B, grid, rng: np.random.Generato
 
     Samples one log on [0, max(grid)] and returns the dual at each sorted
     grid time, after every event up to it: shape (len(grid), n), uint8.
+    The dual's site rows are packed once and folded one grid stretch at a
+    time; each stretch is copied out into its output row.
     """
     grid = sorted(grid)
     log = sample_event_log(p, k, grid[-1], rng, table=table)
-    xi = config_indicator(k.n, B)
+    rows = _pack_rows(config_indicator(k.n, B))
     out = np.empty((len(grid), k.n), dtype=np.uint8)
     done = 0
     for j, g in enumerate(grid):
         upto = log.count_up_to(g)
-        _fold_dual(xi, log, range(done, upto))
+        _fold_dual(rows, log, done, upto, 1)
         done = upto
-        out[j] = xi
+        out[j] = rows
     return out
 
 

@@ -21,7 +21,9 @@ construction used here: a Poisson field of update events, each either
 Both updates are linear over GF(2), which is what makes the transposed
 (replayed) process in :mod:`ipsd.dualspin` an exact pathwise dual.
 A sampled field is an :class:`EventLog` of columns (times, x, y, z), the
-one form an event takes; :func:`replay_forward` runs it in time order.
+one form an event takes; :func:`replay_forward` runs it in time order
+over the site rows packed into Python ints (bit j of row x is column j),
+so an event costs one or two int XORs.
 
 The forward chain itself runs in :func:`simulate_gillespie`, which steps
 many replicate runs at once as the rows of a (replicates x sites) matrix
@@ -35,6 +37,7 @@ the O(n^2) kernel.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,29 +248,62 @@ def sample_event_log(p: NPParams, k: Kernel, horizon: float, rng: np.random.Gene
     return EventLog(horizon, times, table.xa[which], table.ya[which], table.za[which])
 
 
-def _fold_forward(cols: np.ndarray, log: EventLog, upto: int) -> None:
-    """In place: run the first ``upto`` log events over column-stacked states.
+def _pack_rows(cols: np.ndarray) -> list[int]:
+    """Site rows of a configuration as Python ints, for the replay folds.
 
-    ``cols`` has shape (n_sites,) or (n_sites, m); each event touches the
-    focal row only, so the same loop serves single configurations and
-    batched indicator columns.
+    A 1-d configuration is the one-column case: its list of values.  Row x
+    of an (n_sites, m) stack becomes the int whose bit j is ``cols[x, j]``;
+    packing would map any nonzero entry to 1, so other entries are refused.
     """
-    xa, ya, za = log.xa, log.ya, log.za
-    for i in range(upto):
-        x = xa[i]
-        y = ya[i]
-        z = za[i]
+    if cols.ndim == 1:
+        return cols.tolist()
+    ones = cols == 1
+    if np.count_nonzero(ones) != np.count_nonzero(cols):
+        bad = cols[~ones & (cols != 0)][0]
+        raise ValueError(f"column-stacked replay takes 0/1 entries, got {bad}")
+    packed = np.packbits(ones.reshape(len(cols), -1), axis=1, bitorder="little")
+    width = packed.shape[1]
+    raw = packed.tobytes()
+    return [int.from_bytes(raw[i * width:(i + 1) * width], "little") for i in range(len(cols))]
+
+
+def _unpack_rows(rows: list[int], like: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_pack_rows`: a fresh array of ``like``'s shape and dtype."""
+    if like.ndim == 1:
+        return np.array(rows, dtype=like.dtype)
+    m = math.prod(like.shape[1:])
+    width = (m + 7) // 8
+    raw = b"".join([row.to_bytes(width, "little") for row in rows])
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), width)
+    bits = np.unpackbits(packed, axis=1, count=m, bitorder="little")
+    return bits.astype(like.dtype).reshape(like.shape)
+
+
+def _fold_forward(rows: list[int], log: EventLog, upto: int) -> None:
+    """In place: run the first ``upto`` log events over packed site rows.
+
+    Each event touches the focal row only: a voter event copies its source
+    row, an annihilation event XORs both source rows in, so one int
+    operation updates every packed column at once.
+    """
+    xs, ys, zs = (col[:upto].tolist() for col in (log.xa, log.ya, log.za))
+    for x, y, z in zip(xs, ys, zs):
         if z < 0:
-            cols[x] = cols[y]
+            rows[x] = rows[y]
         else:
-            cols[x] = cols[x] ^ cols[y] ^ cols[z]
+            rows[x] ^= rows[y] ^ rows[z]
 
 
 def replay_forward(eta0: np.ndarray, log: EventLog, t: float) -> np.ndarray:
-    """Configuration at time t obtained by running log events over eta0."""
-    out = eta0.copy()
-    _fold_forward(out, log, log.count_up_to(t))
-    return out
+    """Configuration at time t obtained by running log events over eta0.
+
+    ``eta0`` is one configuration of shape (n_sites,) or a stack of shape
+    (n_sites, m) whose columns replay together; a stack holds 0/1 entries
+    only.  Returns a fresh array of eta0's shape and dtype.
+    """
+    rows = _pack_rows(eta0)
+    _fold_forward(rows, log, log.count_up_to(t))
+    return _unpack_rows(rows, eta0)
 
 
 def replay_forward_batch(cols0: np.ndarray, log: EventLog, t: float) -> np.ndarray:

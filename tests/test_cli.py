@@ -293,6 +293,30 @@ def test_spin_run_refuses_a_negative_or_infinite_horizon_by_key(tmp_path, monkey
     assert not any(tmp_path.iterdir())
 
 
+# dual-run, walker-run and diffusion-run share spin-run's checks of run.t and run.grid
+GRID_COMMANDS = [
+    pytest.param(["dual-run", "--set", "kernel.d=1", "--set", "kernel.L=6", "--set", "run.B=0,3"],
+                 id="dual-run"),
+    pytest.param(["walker-run", "--set", "lattice.L=6", "--set", "run.xi0=0:2"], id="walker-run"),
+    pytest.param(["diffusion-run", "--set", "lattice.L=4"], id="diffusion-run"),
+]
+
+
+@pytest.mark.parametrize("sets, message", [
+    pytest.param(["run.T=3", "run.grid=1,5"], "run.grid entry 5.0 is past run.t = 3.0",
+                 id="grid-past-t"),
+    pytest.param(["run.T=inf"], _BAD_HORIZON, id="inf"),
+])
+@pytest.mark.parametrize("argv", GRID_COMMANDS)
+def test_grid_commands_refuse_a_bad_horizon_or_grid_by_key_before_any_draw(tmp_path, monkeypatch,
+                                                                           argv, sets, message):
+    _forbid_building_and_drawing(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        main(argv + ["--seed", "3", "--reps", "2", "--out", str(tmp_path)]
+             + [arg for kv in sets for arg in ("--set", kv)])
+    assert not any(tmp_path.iterdir())
+
+
 def test_sweep_end_to_end(tmp_path):
     out = tmp_path / "res"
     main(["sweep", "--seed", "2", "--out", str(out),

@@ -1,5 +1,6 @@
 """The shipped configs: each loads and names a subcommand, and each scan runs."""
 
+import hashlib
 import itertools
 import json
 from pathlib import Path
@@ -125,3 +126,25 @@ def test_config_output_is_byte_identical_at_one_and_two_threads(tmp_path, monkey
     # at --threads 2 every ensemble got the flag and spans two chunks or more
     assert bool(calls) == (name not in NO_ENSEMBLE)
     assert all(threads == 2 and chunks >= 2 for chunks, threads in calls)
+
+
+# SHA-256 of every --out file of the replay-driven configs at --seed 13 and
+# 300 reps (two chunks): a replay change that moves one bit of output fails here
+REPLAY_DIGESTS = {
+    "dual-run": {
+        "dual-run.json": "3f5a59b760c9fd05a94382ec9e327fa78078a9e192d83d698a114a2bb7a91467",
+        "dual_sizes.csv": "33a6985a6242d8ffc934ab4f5418d104158c0dc520b7d804c76cb750ab37194c",
+        "dual_survival.csv": "4152e736acfb4b4f7f39d4e9ba7a4eb7db791587fd10de6c3622654814ec4dc6"},
+    "parity-check": {
+        "parity-check.json": "15bd893eb80b963c1585c1ecea70281272e76d0619dcae87046074340540244c",
+        "parity_mc.csv": "47334314144c8f8ea1e9ee118d62366dcc773962275e4122626611b2cf420c31",
+        "parity_pathwise.csv": "d35d8a14cc6818385cc0ff40374682cd1e517ee7e7a2ed0a42fe1b7082c5cd41"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPLAY_DIGESTS))
+def test_replay_driven_config_outputs_match_pinned_digests(tmp_path, name):
+    main([name, "--config", str(CONFIGS / f"{name}.ini"), "--seed", "13", "--reps", "300",
+          "--out", str(tmp_path)])
+    assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in tmp_path.iterdir()} == REPLAY_DIGESTS[name]

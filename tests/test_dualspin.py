@@ -7,7 +7,7 @@ from ipsd.dualspin import (ZBDistribution, bernoulli_parity_identity, dual_sizes
                            evug_statistic, limit_formula, parity_duality_mc, parity_overlap,
                            replay_dual, replay_dual_batch, simulate_dual_fresh)
 from ipsd.exact import _dual_event_target
-from ipsd.kernel import config_indicator, torus_kernel
+from ipsd.kernel import complete_kernel, config_indicator, explicit_kernel, torus_kernel
 from ipsd.rng import derive_stream
 from ipsd.spin import EventLog, NPParams, replay_forward, sample_event_log
 from test_spin import _one_event, _state_after
@@ -120,6 +120,114 @@ def test_simulate_dual_fresh_records_the_sorted_grid_on_one_log():
         want = _state_after(config_indicator(6, [0, 3]), log, 0, log.count_up_to(t),
                             _dual_event_target)
         assert np.array_equal(row, want)
+
+
+# -- same bits as the per-event loops ------------------------------------------------
+
+
+def _reference_fold_forward(cols, log, upto):
+    """In place: the per-event numpy loop the packed forward fold replaced."""
+    xa, ya, za = log.xa, log.ya, log.za
+    for i in range(upto):
+        x = xa[i]
+        y = ya[i]
+        z = za[i]
+        if z < 0:
+            cols[x] = cols[y]
+        else:
+            cols[x] = cols[x] ^ cols[y] ^ cols[z]
+
+
+def _reference_fold_dual(cols, log, order):
+    """In place: the per-event numpy loop the packed dual fold replaced."""
+    xa, ya, za = log.xa, log.ya, log.za
+    for i in order:
+        x = xa[i]
+        y = ya[i]
+        z = za[i]
+        if z < 0:
+            cols[y] = cols[y] ^ cols[x]
+            cols[x] = 0
+        else:
+            cols[y] = cols[y] ^ cols[x]
+            cols[z] = cols[z] ^ cols[x]
+
+
+# rows of unequal length: degrees 2, 3, 4, 1 and 2
+_UNEQUAL = [(0, 1, 0.5), (0, 2, 0.5), (1, 0, 0.2), (1, 2, 0.3), (1, 3, 0.5),
+            (2, 0, 0.1), (2, 1, 0.2), (2, 3, 0.3), (2, 4, 0.4), (3, 4, 1.0),
+            (4, 0, 0.6), (4, 3, 0.4)]
+FOLD_KERNELS = [pytest.param(torus_kernel(2, 4), id="torus-2-4"),
+                pytest.param(complete_kernel(5), id="complete-5"),
+                pytest.param(explicit_kernel(5, _UNEQUAL), id="explicit-unequal")]
+# None is a single configuration; the rest are (n, m) stacks, past one and two 64-bit words
+FOLD_COLUMNS = [None, 1, 20, 64, 65, 130]
+
+
+def _fold_log(p, k, seed):
+    log = sample_event_log(p, k, 8.0, derive_stream(seed, "fold-log"))
+    voters = int((log.za < 0).sum())
+    assert 0 < len(log) - voters and (voters > 0) == (p.alpha > 0)
+    return log
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.7])
+@pytest.mark.parametrize("k", FOLD_KERNELS)
+def test_packed_replays_give_the_reference_bits(k, alpha):
+    log = _fold_log(NPParams.symmetric(alpha), k, 31)
+    # no event, a prefix ending on an event, the whole log, past the horizon
+    times = [0.0, float(log.times[len(log) // 2]), log.horizon, log.horizon + 1.0]
+    rng = derive_stream(32, "fold-start")
+    for m in FOLD_COLUMNS:
+        start = rng.integers(0, 2, k.n if m is None else (k.n, m), dtype=np.uint8)
+        for t in times:
+            upto = log.count_up_to(t)
+            want = start.copy()
+            _reference_fold_forward(want, log, upto)
+            assert np.array_equal(replay_forward(start, log, t), want)
+            want = start.copy()
+            _reference_fold_dual(want, log, reversed(range(upto)))
+            assert np.array_equal(replay_dual(start, log, t), want)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.7])
+@pytest.mark.parametrize("k", FOLD_KERNELS)
+def test_fresh_dual_gives_the_reference_bits_on_an_unsorted_grid(k, alpha):
+    p = NPParams.symmetric(alpha)
+    got = simulate_dual_fresh(p, k, [0, 3], [3.0, 0.5, 1.5], derive_stream(33, "fold-fresh"))
+    log = sample_event_log(p, k, 3.0, derive_stream(33, "fold-fresh"))
+    want = config_indicator(k.n, [0, 3])
+    done = 0
+    for row, t in zip(got, [0.5, 1.5, 3.0]):
+        upto = log.count_up_to(t)
+        _reference_fold_dual(want, log, range(done, upto))
+        done = upto
+        assert np.array_equal(row, want)
+
+
+@pytest.mark.parametrize("replay", [replay_forward, replay_dual])
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.bool_])
+@pytest.mark.parametrize("m", [None, 3, 70])
+def test_replays_keep_dtype_and_shape_and_leave_the_input(replay, dtype, m):
+    k = torus_kernel(1, 6)
+    log = _fold_log(NPParams.symmetric(0.5), k, 34)
+    start = derive_stream(35, "fold-dtype").integers(0, 2, k.n if m is None else (k.n, m))
+    start = start.astype(dtype)
+    before = start.copy()
+    out = replay(start, log, 2.0)
+    assert out.dtype == start.dtype and out.shape == start.shape and out is not start
+    assert np.array_equal(start, before)
+
+
+@pytest.mark.parametrize("replay", [replay_forward, replay_dual])
+@pytest.mark.parametrize("bad", [2, 255])
+def test_a_stack_entry_other_than_0_or_1_is_refused_by_value(replay, bad):
+    k = torus_kernel(1, 4)
+    log = _fold_log(NPParams.symmetric(0.5), k, 36)
+    cols = np.zeros((k.n, 3), dtype=np.uint8)
+    cols[2, 1] = bad
+    with pytest.raises(ValueError, match=f"0/1 entries, got {bad}"):
+        replay(cols, log, 1.0)
 
 
 def test_dual_sizes_fresh_grid():
