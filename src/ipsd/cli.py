@@ -53,12 +53,16 @@ def _parse_sites(cfg: RunConfig, key: str, n_sites: int) -> list[int]:
 
 def _parse_grid(cfg: RunConfig, key: str, default: str = "",
                 horizon: float | None = None) -> list[float]:
-    """Nonnegative numbers of [run] key, sorted: the engines record on the sorted grid.
+    """Finite nonnegative numbers of [run] key, sorted: the engines record on the sorted grid.
 
     With a ``horizon``, an entry past it is refused: the run would otherwise
     go on to the last grid time and leave ``run.t`` unused.
     """
-    grid = sorted(float(tok) for tok in cfg.opt("run", key, default).split(",") if tok.strip())
+    grid = [float(tok) for tok in cfg.opt("run", key, default).split(",") if tok.strip()]
+    for value in grid:
+        if not np.isfinite(value):
+            raise ValueError(f"run.{key} has a non-finite entry {value}")
+    grid.sort()
     if grid and grid[0] < 0:
         raise ValueError(f"run.{key} has a negative entry {grid[0]}")
     if horizon is not None and grid and grid[-1] > horizon:
@@ -66,11 +70,11 @@ def _parse_grid(cfg: RunConfig, key: str, default: str = "",
     return grid
 
 
-def _parse_horizon(cfg: RunConfig, default: float) -> float:
-    """run.t, which must be finite and nonnegative."""
-    horizon = cfg.opt("run", "t", default, float)
+def _parse_horizon(cfg: RunConfig, default: float, key: str = "t") -> float:
+    """The time [run] key (run.t unless named), which must be finite and nonnegative."""
+    horizon = cfg.opt("run", key, default, float)
     if not 0.0 <= horizon < np.inf:
-        raise ValueError(f"run.t must be finite and nonnegative, got {horizon}")
+        raise ValueError(f"run.{key} must be finite and nonnegative, got {horizon}")
     return horizon
 
 
@@ -170,8 +174,7 @@ def cmd_spin_run(cfg: RunConfig) -> dict:
     dens, terminal, flips = replicate_map(partial(_spin_chunk, p, k, init_spec, horizon, grid),
                                           cfg.reps, cfg.seed, "spin-run", SPIN_CHUNK, cfg.threads)
     rows = [(r, t, dens[r, j]) for r in range(cfg.reps) for j, t in enumerate(grid)]
-    if cfg.out:
-        write_csv(Path(cfg.out) / "spin_density.csv", ["replicate", "time", "density"], rows)
+    write_csv(cfg.out / "spin_density.csv", ["replicate", "time", "density"], rows)
     est = MCEstimate.from_samples(terminal)
     return {"terminal_density": est, "kernel_sites": k.n, "horizon": horizon,
             "flips": int(flips.sum())}
@@ -185,12 +188,11 @@ def cmd_dual_run(cfg: RunConfig) -> dict:
     B = _parse_sites(cfg, "b", k.n)
     cap = cfg.opt("run", "cap", 10, int)
     sizes, rows = evug_statistic(p, k, B, grid, cap, cfg.reps, cfg.seed, "dual-run", cfg.threads)
-    if cfg.out:
-        write_csv(Path(cfg.out) / "dual_sizes.csv", ["replicate", "t", "size"],
-                  [(r, t, int(sizes[r, j])) for r in range(cfg.reps) for j, t in enumerate(grid)])
-        write_csv(Path(cfg.out) / "dual_survival.csv", ["t", "estimate", "stderr", "reps"],
-                  [(row["t"], row["survival"].mean, row["survival"].stderr, row["survival"].reps)
-                   for row in rows])
+    write_csv(cfg.out / "dual_sizes.csv", ["replicate", "t", "size"],
+              [(r, t, int(sizes[r, j])) for r in range(cfg.reps) for j, t in enumerate(grid)])
+    write_csv(cfg.out / "dual_survival.csv", ["t", "estimate", "stderr", "reps"],
+              [(row["t"], row["survival"].mean, row["survival"].stderr, row["survival"].reps)
+               for row in rows])
     zb = ZBDistribution.from_samples(sizes[:, -1], cap=cap)
     return {"rows": rows, "cap": cap,
             "terminal_size_atoms": {int(s): float(q) for s, q in zip(zb.sizes, zb.probs)},
@@ -200,18 +202,17 @@ def cmd_dual_run(cfg: RunConfig) -> dict:
 def cmd_parity_check(cfg: RunConfig) -> dict:
     p = _build_params(cfg)
     k = _build_kernel(cfg)
-    horizon = cfg.opt("run", "t", 5.0, float)
+    horizon = _parse_horizon(cfg, 5.0)
     A = _parse_sites(cfg, "a", k.n)
     B = _parse_sites(cfg, "b", k.n)
     mc = parity_duality_mc(p, k, A, B, horizon, cfg.reps, cfg.seed, "parity-check", cfg.threads)
-    if cfg.out:
-        fwd, dual = mc["pathwise_forward"], mc["pathwise_dual"]
-        rows = [(r, t, int(fwd[r, j]), int(dual[r, j]))
-                for r in range(cfg.reps) for j, t in enumerate([horizon / 2.0, horizon])]
-        write_csv(Path(cfg.out) / "parity_pathwise.csv",
-                  ["replicate", "t", "parity_forward", "parity_dual"], rows)
-        write_csv(Path(cfg.out) / "parity_mc.csv", ["t", "estimate", "stderr", "reps"],
-                  [(horizon, est.mean, est.stderr, est.reps) for est in (mc["forward"], mc["dual"])])
+    fwd, dual = mc["pathwise_forward"], mc["pathwise_dual"]
+    rows = [(r, t, int(fwd[r, j]), int(dual[r, j]))
+            for r in range(cfg.reps) for j, t in enumerate([horizon / 2.0, horizon])]
+    write_csv(cfg.out / "parity_pathwise.csv",
+              ["replicate", "t", "parity_forward", "parity_dual"], rows)
+    write_csv(cfg.out / "parity_mc.csv", ["t", "estimate", "stderr", "reps"],
+              [(horizon, est.mean, est.stderr, est.reps) for est in (mc["forward"], mc["dual"])])
     return {"violations": mc["violations"], "forward": mc["forward"], "dual_chain": mc["dual"],
             "z": mc["z"], "passed": mc["violations"] == 0 and abs(mc["z"]) < 4.0}
 
@@ -269,23 +270,23 @@ def cmd_exact_check(cfg: RunConfig) -> dict:
 def cmd_meanfield(cfg: RunConfig) -> dict:
     p = _build_params(cfg)
     p0 = cfg.opt("run", "p0", 0.5, float)
-    horizon = cfg.opt("run", "t", 50.0, float)
+    horizon = _parse_horizon(cfg, 50.0)
+    compare_t = _parse_horizon(cfg, 3.0, "compare_t")
     dt = cfg.opt("run", "dt", 1e-3, float)
     stride = cfg.opt("run", "stride", 100, int)
     ts, xs = integrate_ode(lambda x: density_rhs(x, p.lam, p.alpha01, p.alpha10), [p0], horizon,
                            dt=dt, self_check=True)
-    if cfg.out:
-        rows = [(ts[i], xs[i, 0]) for i in range(0, len(ts), stride)]
-        if rows[-1][0] != ts[-1]:
-            rows.append((ts[-1], xs[-1, 0]))
-        write_csv(Path(cfg.out) / "meanfield_path.csv", ["t", "p0"], rows)
+    rows = [(ts[i], xs[i, 0]) for i in range(0, len(ts), stride)]
+    if rows[-1][0] != ts[-1]:
+        rows.append((ts[-1], xs[-1, 0]))
+    write_csv(cfg.out / "meanfield_path.csv", ["t", "p0"], rows)
     eq = equilibrium(p.lam, p.alpha01, p.alpha10)
     payload = {"equilibrium": eq, "terminal": float(xs[-1, 0]),
                "terminal_gap": abs(float(xs[-1, 0]) - eq)}
     n_vertices = cfg.opt("run", "compare_n", 0, int)
     if n_vertices:
-        rep = meanfield_comparator(n_vertices, p, 1.0 - p0, cfg.opt("run", "compare_t", 3.0, float),
-                                   cfg.reps, derive_stream(cfg.seed, "meanfield-compare"))
+        rep = meanfield_comparator(n_vertices, p, 1.0 - p0, compare_t, cfg.reps,
+                                   derive_stream(cfg.seed, "meanfield-compare"))
         payload["comparator_median_sup"] = rep.median
         payload["comparator_jumps"] = rep.jumps
     return payload
@@ -312,9 +313,7 @@ def cmd_diffusion_run(cfg: RunConfig) -> dict:
         het = float(((site_vals > kappa) & (site_vals < 1.0 - kappa)).mean())
         rows.append((t, float(mean_vals.mean()), float(site_vals.var(ddof=1)), het))
         report.append({"t": t, "mean_p": rows[-1][1], "var_p": rows[-1][2], "het_stat": het})
-    if cfg.out:
-        write_csv(Path(cfg.out) / "diffusion_summary.csv",
-                  ["t", "mean_p", "var_p", "het_stat"], rows)
+    write_csv(cfg.out / "diffusion_summary.csv", ["t", "mean_p", "var_p", "het_stat"], rows)
     return {"rows": report, "site": site, "kappa": kappa}
 
 
@@ -336,11 +335,9 @@ def cmd_walker_run(cfg: RunConfig) -> dict:
     cap = cfg.opt("run", "cap", 100000, int)
     runs = walker_ensemble(kind, xi0, torus, stencil, grid, cap, cfg.reps, cfg.seed,
                            "walker-run", cfg.threads)
-    if cfg.out:
-        rows = [(r, t, int(runs.sizes[r, j]), int(runs.observed[r, j]))
-                for r in range(cfg.reps) for j, t in enumerate(grid)]
-        write_csv(Path(cfg.out) / "walker_sizes.csv",
-                  ["replicate", "t", "total", "occupied_sites"], rows)
+    rows = [(r, t, int(runs.sizes[r, j]), int(runs.observed[r, j]))
+            for r in range(cfg.reps) for j, t in enumerate(grid)]
+    write_csv(cfg.out / "walker_sizes.csv", ["replicate", "t", "total", "occupied_sites"], rows)
     surv = MCEstimate.from_samples(runs.alive)
     return {"survival": surv, "survival_lcb99": wilson_lower(int(runs.alive.sum()), cfg.reps, 0.99),
             "cap_fraction": float(runs.capped.mean()), "kind": kind_name,
@@ -376,8 +373,8 @@ def cmd_coexist_probe(cfg: RunConfig) -> dict:
     rep = coexistence_probe(
         s=cfg.opt("model", "s", cast=float), torus=torus, stencil=stencil,
         master_seed=cfg.seed,
-        t_het=cfg.opt("run", "t_het", 10.0, float),
-        horizon_surv=cfg.opt("run", "t_surv", 50.0, float),
+        t_het=_parse_horizon(cfg, 10.0, "t_het"),
+        horizon_surv=_parse_horizon(cfg, 50.0, "t_surv"),
         kappa=cfg.opt("run", "kappa", 0.1, float),
         reps_het=cfg.opt("run", "reps_het", max(2, cfg.reps), int),
         reps_surv=cfg.opt("run", "reps_surv", max(2, cfg.reps), int),
@@ -469,17 +466,14 @@ def cmd_sweep(cfg: RunConfig) -> dict:
             # lower-cased as config files and --set store keys
             sub_options.setdefault(section, {})[key.lower()] = val
         subdir = ",".join(f"{name.replace('.', '_')}={val}" for name, val in zip(names, point))
-        sub_out = Path(cfg.out) / subdir if cfg.out else None
         sub = RunConfig(subcommand=target, seed=cfg.seed, reps=cfg.reps,
-                        out=sub_out, threads=cfg.threads, options=sub_options)
+                        out=cfg.out / subdir, threads=cfg.threads, options=sub_options)
         payload = _COMMANDS[target](sub)
-        if sub_out:
-            write_json(sub_out / f"{target}.json", payload, sub)
+        write_json(sub.out / f"{target}.json", payload, sub)
         reports.append({"value": label, "report": payload})
         for path, num in _numeric_leaves(payload):
             csv_rows.append((label, path, num))
-    if cfg.out:
-        write_csv(Path(cfg.out) / "sweep.csv", ["value", "metric", "metric_value"], csv_rows)
+    write_csv(cfg.out / "sweep.csv", ["value", "metric", "metric_value"], csv_rows)
     return {"over": target, "vary": vary, "values": [r["value"] for r in reports],
             "reports": reports}
 
@@ -545,9 +539,8 @@ def main(argv=None) -> int:
     cfg = _merge_config(args)
     fn = cmd_sweep if cfg.subcommand == "sweep" else _COMMANDS[cfg.subcommand]
     payload = fn(cfg)
-    if cfg.out:
-        path = write_json(Path(cfg.out) / f"{cfg.subcommand}.json", payload, cfg)
-        print(f"wrote {path}")
+    path = write_json(cfg.out / f"{cfg.subcommand}.json", payload, cfg)
+    print(f"wrote {path}")
     return 0
 
 

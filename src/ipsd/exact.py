@@ -10,6 +10,10 @@ live here:
   construction's event types (annihilation / voter updates);
 * :func:`build_generator_dual` accumulates the transposed event types.
 
+Each loops over sites or event types only; a step acts on all 2^n states
+at once by bit arithmetic.  The rates come from :func:`ipsd.spin.flip_rate`,
+the engines' one rate formula.
+
 Their agreement, and the Feynman-Kac interchange between the first and the
 third, are the machine-checkable oracles the stochastic modules are tested
 against.  :func:`feynman_kac_check` checks the interchange on every (A, B)
@@ -25,6 +29,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -77,8 +83,9 @@ class DenseGenerator:
             raise ValueError("generator rows must sum to zero")
 
 
-def state_to_config(s: int, n: int) -> np.ndarray:
-    return np.array([(s >> x) & 1 for x in range(n)], dtype=np.uint8)
+def state_to_config(s, n: int) -> np.ndarray:
+    """Site values of state s; an int array of states gives one row per state."""
+    return ((np.asarray(s)[..., None] >> np.arange(n)) & 1).astype(np.uint8)
 
 
 def config_to_state(cfg: np.ndarray) -> int:
@@ -90,64 +97,59 @@ def config_to_state(cfg: np.ndarray) -> int:
 
 
 def build_generator_np(p: NPParams, k: Kernel) -> DenseGenerator:
-    """Generator straight from the per-site flip rates (any parameters)."""
+    """Generator straight from the per-site flip rates (any parameters).
+
+    Site x's rates come from one flip_rate call on all 2^n configurations.
+    Rates <= 0 are left out: a one among ones can round to -2e-16.
+    """
     n = k.n
     if n > MAX_EXACT_SITES:
         raise ValueError(f"exact machinery restricted to {MAX_EXACT_SITES} sites")
     size = 1 << n
+    states = np.arange(size)
+    configs = state_to_config(states, n)
     G = np.zeros((size, size))
-    for s in range(size):
-        cfg = state_to_config(s, n)
-        for x in range(n):
-            r = flip_rate(p, k, cfg, x)
-            if r > 0.0:
-                G[s, s ^ (1 << x)] += r
-                G[s, s] -= r
+    for x in range(n):
+        r = flip_rate(p, k, configs, x)
+        keep = r > 0.0
+        s, r = states[keep], r[keep]
+        G[s, s ^ (1 << x)] += r
+        G[s, s] -= r
     return DenseGenerator(n, G)
 
 
-def _event_target(s: int, x: int, y: int, z: int) -> int:
-    """Bit-encoded result of one graphical event applied to state s."""
+def _event_target(s, x: int, y: int, z: int):
+    """Bit-encoded result of one graphical event applied to state s (int or int array)."""
     bx = (s >> x) & 1
     by = (s >> y) & 1
-    if z < 0:
-        new = by
-    else:
-        new = bx ^ by ^ ((s >> z) & 1)
-    if new == bx:
-        return s
-    return s ^ (1 << x)
+    new = by if z < 0 else bx ^ by ^ ((s >> z) & 1)
+    return s ^ ((bx ^ new) << x)
 
 
-def _dual_event_target(s: int, x: int, y: int, z: int) -> int:
-    """Bit-encoded result of one transposed event applied to dual state s."""
-    bx = (s >> x) & 1
-    if z < 0:
-        out = s
-        if bx:
-            out ^= 1 << y   # xi(y) += xi(x)
-            out &= ~(1 << x)  # xi(x) = 0
-        return out
-    if not bx:
-        return s
-    return s ^ (1 << y) ^ (1 << z)
+def _dual_event_target(s, x: int, y: int, z: int):
+    """Bit-encoded result of one transposed event applied to dual state s (int or int array)."""
+    bx = (s >> x) & 1  # voter: y += x and x = 0; annihilation: y += x and z += x
+    return s ^ (bx << y) ^ (bx << (x if z < 0 else z))
 
 
 def _generator_from_targets(p: NPParams, k: Kernel, target_fn,
                             table: EventTable | None) -> DenseGenerator:
+    """One pass per table row, in table order, over all 2^n states at once."""
     n = k.n
     if n > MAX_EXACT_SITES:
         raise ValueError(f"exact machinery restricted to {MAX_EXACT_SITES} sites")
     if table is None:
         table = EventTable.build(p, k)
     size = 1 << n
+    states = np.arange(size)
     G = np.zeros((size, size))
-    for x, y, z, r in zip(table.xa, table.ya, table.za, table.rates):
-        for s in range(size):
-            tgt = target_fn(s, int(x), int(y), int(z))
-            if tgt != s:
-                G[s, tgt] += r
-                G[s, s] -= r
+    for x, y, z, r in zip(table.xa.tolist(), table.ya.tolist(), table.za.tolist(),
+                          table.rates.tolist()):
+        tgt = target_fn(states, x, y, z)
+        moved = tgt != states
+        s = states[moved]
+        G[s, tgt[moved]] += r
+        G[s, s] -= r
     return DenseGenerator(n, G)
 
 
@@ -271,27 +273,20 @@ def parity_deviation(u) -> float:
 
 
 def parity_deviation_enum(u) -> float:
-    """Brute-force companion: enumerate all 2^N parity patterns."""
+    """Brute-force companion: all 2^N parity patterns, built term by term at once."""
     u = np.asarray(u, dtype=np.float64)
     N = len(u)
     if N > MAX_EXACT_SITES:
         raise ValueError(f"enumeration restricted to {MAX_EXACT_SITES} terms")
-    even = 0.0
-    odd = 0.0
-    for pattern in range(1 << N):
-        pr = 1.0
-        bits = 0
-        for m in range(N):
-            if (pattern >> m) & 1:
-                pr *= u[m]
-                bits ^= 1
-            else:
-                pr *= 1.0 - u[m]
-        if bits:
-            odd += pr
-        else:
-            even += pr
-    return even - odd
+    patterns = np.arange(1 << N)
+    pr = np.ones(1 << N)
+    odd = np.zeros(1 << N, dtype=bool)
+    for m in range(N):
+        on = ((patterns >> m) & 1).astype(bool)
+        pr *= np.where(on, u[m], 1.0 - u[m])
+        odd ^= on
+    # a plain left fold: sum() compensates its float additions from Python 3.12 on
+    return reduce(add, pr[~odd].tolist(), 0.0) - reduce(add, pr[odd].tolist(), 0.0)
 
 
 # -- determination of a measure by its parity functionals ----------------------
@@ -351,9 +346,7 @@ def measure_determination_check(nu1: np.ndarray, nu2: np.ndarray, n: int,
     odd2 = _odd_masses(nu2)
     gaps = np.abs(odd1 - odd2)
     if gaps.max() > tol:
-        bad = [b for b in range(size) if gaps[b] > tol]
-        bad.sort(key=lambda b: (bin(b).count("1"), b))
-        mask = bad[0]
+        mask = min(np.flatnonzero(gaps > tol).tolist(), key=lambda b: (bin(b).count("1"), b))
         witness = frozenset(x for x in range(n) if (mask >> x) & 1)
         return MeasureComparison(False, witness,
                                  f"parity functional differs on B={sorted(witness)} by {gaps[mask]:.3e}")

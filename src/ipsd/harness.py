@@ -60,8 +60,8 @@ class RunConfig:
 
     subcommand: str
     seed: int
+    out: Path
     reps: int = 1000
-    out: Path | None = None
     threads: int = 1
     options: dict[str, dict[str, str]] = field(default_factory=dict)
 

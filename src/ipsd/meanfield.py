@@ -110,8 +110,8 @@ def integrate_ode(rhs, x0, horizon: float, dt: float = 1e-3, self_check: bool = 
     ODE_CHECK_TOL.  ``self_check`` stays fifth: benchmark/tracing.py reads
     it by position.
     """
-    if dt <= 0 or horizon < 0:
-        raise ValueError("need dt > 0 and horizon >= 0")
+    if not (dt > 0 and 0 <= horizon < np.inf):
+        raise ValueError(f"need dt > 0 and a finite horizon >= 0, got dt={dt}, horizon={horizon}")
     x_init, f = np.array(x0, dtype=np.float64), rhs
     if x_init.size == 1:
         x_init = x_init.item()
@@ -173,8 +173,9 @@ def meanfield_comparator(n_vertices: int, p: NPParams, density0: float, horizon:
         raise ValueError(f"the comparator needs at least 2 vertices, got {n_vertices}")
     if reps < 1:
         raise ValueError(f"the comparator needs at least 1 replicate, got {reps}")
-    if horizon < 0:
-        raise ValueError(f"the comparator horizon must be nonnegative, got {horizon}")
+    if not 0 <= horizon < np.inf:
+        need = "nonnegative" if horizon < 0 else "finite"
+        raise ValueError(f"the comparator horizon must be {need}, got {horizon}")
     if not (0.0 <= density0 <= 1.0):
         raise ValueError("density0 must lie in [0,1]")
     ones = int(round(n_vertices * density0))

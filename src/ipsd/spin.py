@@ -104,17 +104,18 @@ class NPParams:
         return self.alpha01
 
 
-def flip_rate(p: NPParams, k: Kernel, eta: np.ndarray, x: int) -> float:
-    """Rate at which site x flips its current value under configuration eta."""
+def flip_rate(p: NPParams, k: Kernel, eta: np.ndarray, x: int):
+    """Rate at which site x flips its current value under configuration eta.
+
+    ``eta`` is one configuration (n,), which gives a float, or a stack
+    (..., n), which gives an array of its leading shape.  f1 sums q(x, y)
+    over x's out-edges y that hold a one; the rates are :func:`_branch_rates`.
+    """
     nbr, w = k.out_edges(x)
-    f1 = float(w @ (eta[nbr] != 0))
-    f0 = 1.0 - f1
-    denom = p.lam * f1 + f0
-    if denom <= 0.0:  # unreachable for lam > 0 since f0 + f1 = 1; kept as guard
-        return 0.0
-    if eta[x] == 0:
-        return (f0 + p.alpha01 * f1) * (p.lam * f1) / denom
-    return (f1 + p.alpha10 * f0) * f0 / denom
+    f1 = np.einsum("...j,j->...", (eta[..., nbr] != 0).astype(np.float64), w)
+    up, down = _branch_rates(p, f1)
+    rate = np.where(eta[..., x] == 0, up, down)
+    return float(rate) if rate.ndim == 0 else rate
 
 
 def _branch_rates(p: NPParams, f1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -334,8 +334,9 @@ def _start_row(xi0: dict[int, int], torus: Torus, grid: list, cap: int, size: in
     """The initial count row, after the checks simulate_walker makes and a size bound."""
     if not grid:
         raise ValueError("the walker grid is empty")
-    if grid[-1] < 0:
-        raise ValueError("horizon must be nonnegative")
+    for g in grid:  # a NaN may sort anywhere
+        if not 0 <= g < np.inf:
+            raise ValueError(f"horizon must be nonnegative and finite, got grid time {g}")
     n = torus.n_sites
     cells = size * n * len(grid)
     if cells > MAX_CHUNK_CELLS:

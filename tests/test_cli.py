@@ -317,6 +317,52 @@ def test_grid_commands_refuse_a_bad_horizon_or_grid_by_key_before_any_draw(tmp_p
     assert not any(tmp_path.iterdir())
 
 
+# the engines each command hands its time keys to; a refusal must come before them all
+_ENGINES = ("evug_statistic", "parity_duality_mc", "integrate_ode", "meanfield_comparator",
+            "ensemble_observable", "walker_ensemble", "moment_duality_mc", "coexistence_probe",
+            "extinction_probe", "build_generator_np", "replicate_map")
+
+
+# unchecked, meanfield at run.t=inf or run.compare_t=inf and coexist-probe at
+# run.t_surv=nan never returned, and the NaN cases wrote rows at t = nan
+_HORIZON = "must be finite and nonnegative"
+_GRID = "has a non-finite entry"
+
+
+@pytest.mark.parametrize("command, key, value, message", [
+    ("parity-check", "run.t", "nan", _HORIZON),
+    ("parity-check", "run.t", "inf", _HORIZON),
+    ("parity-check", "run.t", "-1", _HORIZON),
+    ("meanfield", "run.t", "inf", _HORIZON),
+    ("meanfield", "run.t", "nan", _HORIZON),
+    ("meanfield", "run.compare_t", "inf", _HORIZON),
+    ("meanfield", "run.compare_t", "nan", _HORIZON),
+    ("coexist-probe", "run.t_het", "nan", _HORIZON),
+    ("coexist-probe", "run.t_het", "inf", _HORIZON),
+    ("coexist-probe", "run.t_surv", "nan", _HORIZON),
+    ("coexist-probe", "run.t_surv", "inf", _HORIZON),
+    ("moment-check", "run.grid", "0.25,nan", _GRID),
+    ("moment-check", "run.grid", "inf", _GRID),
+    ("extinct-probe", "run.grid", "1,nan,2", _GRID),
+    ("spin-run", "run.grid", "nan", _GRID),
+    ("exact-check", "run.tgrid", "0.1,inf", _GRID),
+    ("exact-check", "run.alphas", "nan", _GRID),
+])
+def test_a_non_finite_time_key_is_refused_by_key_before_any_engine_runs(tmp_path, monkeypatch,
+                                                                         command, key, value,
+                                                                         message):
+    def never(*args, **kwargs):
+        raise AssertionError(f"{command} ran an engine before checking {key}")
+
+    _forbid_building_and_drawing(monkeypatch)
+    for name in _ENGINES:
+        monkeypatch.setattr(cli, name, never)
+    with pytest.raises(ValueError, match=f"{key} {message}"):
+        main([command, "--config", str(CONFIGS / f"{command}.ini"), "--seed", "3", "--reps", "2",
+              "--out", str(tmp_path), "--set", f"{key}={value}"])
+    assert not any(tmp_path.iterdir())
+
+
 def test_sweep_end_to_end(tmp_path):
     out = tmp_path / "res"
     main(["sweep", "--seed", "2", "--out", str(out),

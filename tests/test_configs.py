@@ -148,3 +148,18 @@ def test_replay_driven_config_outputs_match_pinned_digests(tmp_path, name):
           "--out", str(tmp_path)])
     assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
             for f in tmp_path.iterdir()} == REPLAY_DIGESTS[name]
+
+
+# SHA-256 of every --out file of meanfield at --seed 13, 40 reps and run.T=5, with
+# the shipped comparator on: Python-float RK4 and count-chain draws, no BLAS
+MEANFIELD_DIGESTS = {
+    "meanfield.json": "8492334cbee56ac196bc4e911ce8af66b8b217249b5eb1ab22431ba5c70e9b88",
+    "meanfield_path.csv": "f698406c4bb3e739a7b134f057e5dd5ee108ca2419ed601225af12c330e4c3d3",
+}
+
+
+def test_meanfield_config_output_matches_pinned_digests(tmp_path):
+    main(["meanfield", "--config", str(CONFIGS / "meanfield.ini"), "--seed", "13", "--reps", "40",
+          "--set", "run.T=5", "--out", str(tmp_path)])
+    assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in tmp_path.iterdir()} == MEANFIELD_DIGESTS

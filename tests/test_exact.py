@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
-from ipsd.exact import (MAX_EXACT_SITES, MAX_UNIFORM_MU, DenseGenerator, _poisson_series,
-                        _uniformized, _walsh_hadamard, build_generator_dual,
+from ipsd.exact import (MAX_EXACT_SITES, MAX_UNIFORM_MU, DenseGenerator, _dual_event_target,
+                        _event_target, _poisson_series, _uniformized, _walsh_hadamard,
+                        build_generator_dual,
                         build_generator_from_events, build_generator_np, config_to_state,
                         feynman_kac_check,
                         measure_determination_check, parity_deviation,
                         parity_deviation_enum, parity_matrix, semigroup_apply,
                         state_to_config)
 from ipsd.kernel import complete_kernel, explicit_kernel, torus_kernel
+from ipsd.rng import derive_stream
 from ipsd.spin import EventTable, NPParams
 
 
@@ -19,6 +21,161 @@ def test_state_config_roundtrip():
         cfg = state_to_config(s, 4)
         assert config_to_state(cfg) == s
     assert list(state_to_config(0b1011, 4)) == [1, 1, 0, 1]  # bit x is site x
+    stack = state_to_config(np.arange(16), 4)  # one row per state
+    assert stack.dtype == np.uint8
+    assert stack.tolist() == [state_to_config(s, 4).tolist() for s in range(16)]
+
+
+# -- the per-state loops the whole-state constructions replaced, kept as references
+
+
+def _reference_flip_rate(p, k, eta, x):
+    """The scalar flip rate of one configuration, f1 as one dot product."""
+    nbr, w = k.out_edges(x)
+    f1 = float(w @ (eta[nbr] != 0))
+    f0 = 1.0 - f1
+    denom = p.lam * f1 + f0
+    if eta[x] == 0:
+        return (f0 + p.alpha01 * f1) * (p.lam * f1) / denom
+    return (f1 + p.alpha10 * f0) * f0 / denom
+
+
+def _reference_generator_np(p, k):
+    size = 1 << k.n
+    G = np.zeros((size, size))
+    for s in range(size):
+        cfg = state_to_config(s, k.n)
+        for x in range(k.n):
+            r = _reference_flip_rate(p, k, cfg, x)
+            if r > 0.0:
+                G[s, s ^ (1 << x)] += r
+                G[s, s] -= r
+    return G
+
+
+def _reference_event_target(s, x, y, z):
+    bx = (s >> x) & 1
+    by = (s >> y) & 1
+    if z < 0:
+        new = by
+    else:
+        new = bx ^ by ^ ((s >> z) & 1)
+    if new == bx:
+        return s
+    return s ^ (1 << x)
+
+
+def _reference_dual_event_target(s, x, y, z):
+    bx = (s >> x) & 1
+    if z < 0:
+        out = s
+        if bx:
+            out ^= 1 << y   # xi(y) += xi(x)
+            out &= ~(1 << x)  # xi(x) = 0
+        return out
+    if not bx:
+        return s
+    return s ^ (1 << y) ^ (1 << z)
+
+
+def _reference_generator_from_targets(p, k, target_fn):
+    table = EventTable.build(p, k)
+    size = 1 << k.n
+    G = np.zeros((size, size))
+    for x, y, z, r in zip(table.xa, table.ya, table.za, table.rates):
+        for s in range(size):
+            tgt = target_fn(s, int(x), int(y), int(z))
+            if tgt != s:
+                G[s, tgt] += r
+                G[s, s] -= r
+    return G
+
+
+def _reference_parity_deviation_enum(u):
+    u = np.asarray(u, dtype=np.float64)
+    N = len(u)
+    even = 0.0
+    odd = 0.0
+    for pattern in range(1 << N):
+        pr = 1.0
+        bits = 0
+        for m in range(N):
+            if (pattern >> m) & 1:
+                pr *= u[m]
+                bits ^= 1
+            else:
+                pr *= 1.0 - u[m]
+        if bits:
+            odd += pr
+        else:
+            even += pr
+    return even - odd
+
+
+# degrees 2, 3, 4, 1 and 2, with unequal weights
+_UNEQUAL = [(0, 1, 0.5), (0, 2, 0.5), (1, 0, 0.2), (1, 2, 0.3), (1, 3, 0.5),
+            (2, 0, 0.1), (2, 1, 0.2), (2, 3, 0.3), (2, 4, 0.4), (3, 4, 1.0),
+            (4, 0, 0.6), (4, 3, 0.4)]
+# criteria 2 and 3's kernels (which cover exact-check.ini's), a 2-d torus, unequal
+# degrees, and the complete graph where the summed f1 of a one rounds past 1
+SAME_BITS_KERNELS = (
+    [pytest.param(torus_kernel(1, L), id=f"torus:1:{L}") for L in (3, 4, 5)]
+    + [pytest.param(complete_kernel(N), id=f"complete:{N}") for N in (3, 4, 5)]
+    + [pytest.param(torus_kernel(2, 3), id="torus:2:3"),
+       pytest.param(explicit_kernel(5, _UNEQUAL), id="explicit-unequal"),
+       pytest.param(complete_kernel(10), id="complete:10")])
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.7])
+@pytest.mark.parametrize("k", SAME_BITS_KERNELS)
+def test_whole_state_generators_give_the_reference_bits(k, alpha):
+    p = NPParams.symmetric(alpha)
+    assert build_generator_np(p, k).matrix.tobytes() == _reference_generator_np(p, k).tobytes()
+    for build, target in ((build_generator_from_events, _reference_event_target),
+                          (build_generator_dual, _reference_dual_event_target)):
+        ref = _reference_generator_from_targets(p, k, target)
+        assert build(p, k).matrix.tobytes() == ref.tobytes(), build.__name__
+
+
+@pytest.mark.parametrize("p", [NPParams(lam=1.7, alpha01=0.4, alpha10=0.9),
+                               NPParams(lam=0.6, alpha01=1.3, alpha10=0.2)],
+                         ids=["lam1.7", "lam0.6"])
+@pytest.mark.parametrize("k", SAME_BITS_KERNELS)
+def test_flip_rate_generator_gives_the_reference_bits_for_asymmetric_params(k, p):
+    assert build_generator_np(p, k).matrix.tobytes() == _reference_generator_np(p, k).tobytes()
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_branchless_event_maps_match_the_branchy_ones_on_every_event(n):
+    states = np.arange(1 << n)
+    for x in range(n):
+        for y in range(n):
+            if y == x:
+                continue
+            for z in [-1] + [z for z in range(n) if z not in (x, y)]:
+                for fn, ref in ((_event_target, _reference_event_target),
+                                (_dual_event_target, _reference_dual_event_target)):
+                    expect = [ref(s, x, y, z) for s in range(1 << n)]
+                    assert [fn(s, x, y, z) for s in range(1 << n)] == expect
+                    assert fn(states, x, y, z).tolist() == expect
+
+
+def _criterion_4_vectors():
+    """The 100 vectors of acceptance criterion 4, from its pinned stream."""
+    rng = derive_stream(20260819, "c4")
+    for i in range(100):
+        n = int(rng.integers(1, 13))
+        u = rng.uniform(0.0, 1.0, size=n)
+        if i % 5 == 0:
+            u[rng.integers(0, n)] = float(rng.choice([0.0, 0.5, 1.0]))
+        yield u
+
+
+def test_parity_enumeration_gives_the_reference_bits():
+    vectors = list(_criterion_4_vectors()) + [np.array([]), np.array([0.0, 1.0, 0.5])]
+    for u in vectors:
+        got, ref = parity_deviation_enum(u), _reference_parity_deviation_enum(u)
+        assert type(got) is float and np.float64(got).tobytes() == np.float64(ref).tobytes(), u
 
 
 def test_generator_two_site_hand_matrix():

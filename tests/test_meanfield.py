@@ -178,11 +178,20 @@ def test_comparator_counts_its_jumps():
     (0, 5, 1.0, "at least 2 vertices, got 0"),
     (50, 0, 1.0, "at least 1 replicate, got 0"),
     (50, 5, -0.5, "horizon must be nonnegative, got -0.5"),
+    (50, 5, np.inf, "horizon must be finite, got inf"),
+    (50, 5, np.nan, "horizon must be finite, got nan"),
 ])
 def test_comparator_rejects_bad_inputs(n_vertices, reps, horizon, message):
     with pytest.raises(ValueError, match=message):
         meanfield_comparator(n_vertices, NPParams.symmetric(0.5), 0.3, horizon, reps,
                              derive_stream(33, "mf-bad"))
+
+
+@pytest.mark.parametrize("horizon", [np.inf, np.nan, -1.0])
+def test_integrate_ode_refuses_a_horizon_that_is_not_finite_and_nonnegative(horizon):
+    # unchecked, an infinite horizon never returned and a NaN one returned the start
+    with pytest.raises(ValueError, match="finite horizon >= 0"):
+        integrate_ode(lambda x: -x, [1.0], horizon)
 
 
 def test_comparator_keeps_no_quadratic_structure():

@@ -393,6 +393,10 @@ def test_walker_samples_checks_its_inputs_before_any_draw():
     assert "exceeds the cap" in msg
     msg = _untouched(lambda rng: walker_samples(kind, {0: 2}, torus, stencil, [-1.0], 10, 20, rng))
     assert "horizon must be nonnegative" in msg
+    for grid in ([np.inf], [np.nan], [1.0, np.nan, 2.0]):  # a NaN may sort anywhere
+        msg = _untouched(lambda rng: walker_samples(kind, {0: 2}, torus, stencil, grid, 10, 20,
+                                                    rng))
+        assert "horizon must be nonnegative and finite" in msg
 
 
 def test_walker_samples_refuses_an_oversized_chunk():
