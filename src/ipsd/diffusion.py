@@ -59,10 +59,14 @@ class DiffusionParams:
     def __post_init__(self):
         if self.stencil.dim != self.torus.d:
             raise ValueError("stencil dimension does not match the torus")
-        if self.noise_n <= 0:
-            raise ValueError("noise scale N must be positive")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        for name in ("noise_n", "dt"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        for name in ("s", "mu"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
     def with_dt(self, dt: float) -> "DiffusionParams":
         return replace(self, dt=dt)
@@ -75,22 +79,92 @@ def _site_axes(params: DiffusionParams, field: np.ndarray) -> tuple[int, ...]:
     return tuple(range(field.ndim - d, field.ndim))
 
 
-def drift_field(field: np.ndarray, params: DiffusionParams) -> np.ndarray:
-    """Drift at every site; leading axes of ``field`` are batch axes."""
-    axes = _site_axes(params, field)
-    out = params.s * field * (1.0 - field) * (1.0 - params.mu * field)
-    for disp, w in zip(params.stencil.displacements, params.stencil.weights):
-        shift = tuple(-c for c in disp)
-        out = out + w * (np.roll(field, shift, axis=axes) - field)
+def _neighbour_difference(field: np.ndarray, axes: tuple[int, ...], disp: tuple[int, ...],
+                          out: np.ndarray) -> np.ndarray:
+    """``field[x + disp] - field[x]`` at every site, written into ``out``.
+
+    The same subtractions as ``np.roll(field, -disp, axis=axes) - field``.  A
+    displacement along one axis is one subtract on the flat view plus a fix of
+    the wrapped slab of each block, where a block holds the trailing axes from
+    that axis on; both arrays must be C-contiguous.
+    """
+    moved = [(ax, c % field.shape[ax]) for ax, c in zip(axes, disp) if c % field.shape[ax]]
+    if not moved:
+        return np.subtract(field, field, out=out)
+    if len(moved) > 1:
+        return np.subtract(np.roll(field, tuple(-c for c in disp), axis=axes), field, out=out)
+    (ax, k), = moved
+    n = field.shape[ax]
+    block = field[(0,) * ax].size  # elements from axis ax on
+    flat, dflat = field.reshape(-1), out.reshape(-1)
+    rows, drows = field.reshape(-1, block), out.reshape(-1, block)
+    if 2 * k <= n:  # x + k, wrapping at the end of each block
+        j = k * (block // n)
+        np.subtract(flat[j:], flat[:-j], out=dflat[:-j])
+        np.subtract(rows[:, :j], rows[:, block - j:], out=drows[:, block - j:])
+    else:  # the shorter way round: x - (n - k), wrapping at the start
+        j = (n - k) * (block // n)
+        np.subtract(flat[:-j], flat[j:], out=dflat[j:])
+        np.subtract(rows[:, block - j:], rows[:, :j], out=drows[:, :j])
     return out
 
 
-def em_step(field: np.ndarray, params: DiffusionParams, rng: np.random.Generator) -> np.ndarray:
-    """One Euler-Maruyama step: drift, clamped noise, projection to [0,1]."""
-    var = np.maximum(field * (1.0 - field) / params.noise_n, 0.0)
-    noise = np.sqrt(var * params.dt) * rng.standard_normal(field.shape)
-    out = field + drift_field(field, params) * params.dt + noise
-    return np.clip(out, 0.0, 1.0)
+def drift_field(field: np.ndarray, params: DiffusionParams, one_m: np.ndarray | None = None,
+                out: np.ndarray | None = None, diff: np.ndarray | None = None) -> np.ndarray:
+    """Drift at every site; leading axes of ``field`` are batch axes.
+
+    ``(s f)(1 - f)(1 - mu f)`` plus ``w (f[x + e] - f[x])`` for each stencil
+    term in order.  ``one_m`` is ``1 - field`` if already computed; ``out``
+    (the result) and ``diff`` (scratch) are C-contiguous float64 arrays of
+    the field's shape, allocated when not given.
+    """
+    axes = _site_axes(params, field)
+    field = np.ascontiguousarray(field)
+    out = np.empty(field.shape) if out is None else out
+    diff = np.empty(field.shape) if diff is None else diff
+    if one_m is None:
+        one_m = np.subtract(1.0, field, out=diff)
+    np.multiply(params.s, field, out=out)
+    out *= one_m
+    if params.mu != 0.0:  # else the factor is exactly 1.0
+        np.multiply(params.mu, field, out=diff)
+        out *= np.subtract(1.0, diff, out=diff)
+    for disp, w in zip(params.stencil.displacements, params.stencil.weights):
+        _neighbour_difference(field, axes, disp, diff)
+        diff *= w
+        out += diff
+    return out
+
+
+def em_step(field: np.ndarray, params: DiffusionParams, rng: np.random.Generator,
+            out: np.ndarray | None = None, work=None) -> np.ndarray:
+    """One Euler-Maruyama step: drift, clamped noise, projection to [0,1].
+
+    Returns the stepped field, written into ``out``.  ``out`` and the four
+    arrays of ``work`` are C-contiguous float64 arrays of the field's shape,
+    none of them ``field``; a caller that steps many times passes the same
+    ones each step (and swaps ``field`` with ``out``), so a step allocates
+    nothing.  Allocated when not given.  The operations and their order are
+    those of ``f + drift(f) dt + sqrt(max(f(1 - f)/N, 0) dt) Z``, clipped to
+    [0,1], with ``Z`` from ``rng.standard_normal``, and give the same bits.
+    """
+    field = np.ascontiguousarray(field)
+    out = np.empty(field.shape) if out is None else out
+    one_m, noise, drift, diff = [np.empty(field.shape) for _ in range(4)] if work is None else work
+    np.subtract(1.0, field, out=one_m)
+    var = np.multiply(field, one_m, out=diff)
+    if params.noise_n != 1.0:  # else the division is exact
+        var /= params.noise_n
+    np.maximum(var, 0.0, out=var)
+    var *= params.dt
+    np.sqrt(var, out=var)
+    rng.standard_normal(out=noise)
+    noise *= var
+    drift_field(field, params, one_m, drift, diff)
+    drift *= params.dt
+    drift += field
+    drift += noise
+    return np.clip(drift, 0.0, 1.0, out=out)
 
 
 def sigma_of_p(p: np.ndarray) -> np.ndarray:
@@ -116,19 +190,29 @@ def _ensemble_chunk(params: DiffusionParams, p0: np.ndarray, grid, observable,
 
     Steps land on each grid time exactly (a shortened step if needed), so
     values are recorded at the requested times rather than the nearest step
-    boundary.  The per-time results are stacked on axis 1: shape
+    boundary.  The chunk allocates its field buffers once: each
+    :func:`em_step` writes into the spare field and the four work arrays, and
+    the two fields swap.  Each observation is copied into the result as it is
+    made, so an observable may return a view of the fields.  Shape
     (size, len(grid)) for a (b,) observable, (size, len(grid), m) for (b, m).
     """
-    fields = np.broadcast_to(p0, (size,) + p0.shape).copy()
+    fields = np.empty((size,) + p0.shape)
+    fields[...] = p0
+    spare = np.empty_like(fields)
+    work = [np.empty_like(fields) for _ in range(4)]
     t = 0.0
-    out = []
-    for target in grid:
+    vals = None
+    for i, target in enumerate(grid):
         while t < target - 1e-12:
             h = min(params.dt, target - t)
-            fields = em_step(fields, params.with_dt(h) if h != params.dt else params, rng)
+            step = params.with_dt(h) if h != params.dt else params
+            fields, spare = em_step(fields, step, rng, spare, work), fields
             t += h
-        out.append(observable(fields))
-    return np.stack(out, axis=1)
+        obs = np.asarray(observable(fields))
+        if vals is None:
+            vals = np.empty((size, len(grid)) + obs.shape[1:], dtype=obs.dtype)
+        vals[:, i] = obs
+    return vals
 
 
 def ensemble_observable(params: DiffusionParams, p0: np.ndarray, grid, observable,
@@ -146,6 +230,11 @@ def ensemble_observable(params: DiffusionParams, p0: np.ndarray, grid, observabl
     p0 = np.asarray(p0, dtype=np.float64)
     if p0.shape != params.torus.shape:
         raise ValueError("initial field shape does not match the torus")
+    if len(grid) == 0:
+        raise ValueError("the ensemble grid is empty")
+    for g in grid:  # a NaN may sort anywhere, and an inf grid time never ends
+        if not 0 <= g < np.inf:
+            raise ValueError(f"grid times must be finite and nonnegative, got {g}")
     work = partial(_ensemble_chunk, params, p0, sorted(grid), observable)
     vals = replicate_map(work, reps, master_seed, role, ENSEMBLE_BATCH, threads)
     return np.ascontiguousarray(np.moveaxis(vals, 0, -1))

@@ -163,3 +163,28 @@ def test_meanfield_config_output_matches_pinned_digests(tmp_path):
           "--set", "run.T=5", "--out", str(tmp_path)])
     assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
             for f in tmp_path.iterdir()} == MEANFIELD_DIGESTS
+
+
+# SHA-256 of every --out file of the Euler-Maruyama-driven configs at --seed 101
+# and their small-run overrides above (two chunks of each ensemble): a change
+# to the EM kernel that moves one bit of output fails here
+EM_DIGESTS = {
+    "coexist-probe": {
+        "coexist-probe.json": "25b90d93c929debe4c689289d8b7b67406e47aa47a9cc792efddd0e9492cf049"},
+    "diffusion-run": {
+        "diffusion-run.json": "e93da68b342e78a0720988c9d278300ab503485d6384c973cc6908990be66d4e",
+        "diffusion_summary.csv": "06758d522d632080434cc1d2b99fd9990cfeb58b679d0afe7d5ec8c7e3c406ab"},
+    "extinct-probe": {
+        "extinct-probe.json": "774cfbd09dceffeb090be0ed65c2314828434e2999ed29d808dc460191917445"},
+    "moment-check": {
+        "moment-check.json": "03ddbd037fed0883d7080a4419e9f4c84b8b7acf2bddbe87af427fbeef9f3dc0"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(EM_DIGESTS))
+def test_em_driven_config_outputs_match_pinned_digests(tmp_path, name):
+    sets = [arg for item in THREAD_OVERRIDES[name] for arg in ("--set", item)]
+    main([name, "--config", str(CONFIGS / f"{name}.ini"), "--seed", "101", "--out", str(tmp_path)]
+         + sets)
+    assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in tmp_path.iterdir()} == EM_DIGESTS[name]

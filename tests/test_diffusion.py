@@ -1,9 +1,13 @@
 """Lattice Wright-Fisher diffusions: drift, EM scheme, symmetries, ensembles."""
 
+import itertools
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ipsd import diffusion
+from ipsd.cli import main
 from ipsd.diffusion import (DiffusionParams, _ensemble_chunk, drift_field, em_step,
                             ensemble_observable, mirror_params, p_of_sigma,
                             parse_field_initial, sigma_of_p)
@@ -89,8 +93,9 @@ class _NegatedNormals:
     def __init__(self, rng):
         self._rng = rng
 
-    def standard_normal(self, shape):
-        return -self._rng.standard_normal(shape)
+    def standard_normal(self, size=None, out=None):
+        z = self._rng.standard_normal(size, out=out)
+        return np.negative(z, out=z)
 
 
 def _flat_fields(fields):
@@ -184,3 +189,149 @@ def test_params_validation():
         _params(dt=0.0)
     with pytest.raises(ValueError):
         _params(noise_n=0.0)
+
+
+def test_params_refuse_non_finite_values_by_name():
+    for name, bad in itertools.product(("dt", "noise_n", "s", "mu"), (np.nan, np.inf, -np.inf)):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            _params(**{name: bad})
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("key", ["model.dt", "model.noise_n", "model.s", "model.mu"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_diffusion_run_refuses_a_non_finite_model_key_before_any_step(tmp_path, monkeypatch,
+                                                                       key, value):
+    # unchecked, model.dt=nan and model.noise_n=nan wrote rows of mean_p = nan
+    def never(*args, **kwargs):
+        raise AssertionError(f"stepped before checking {key}")
+
+    monkeypatch.setattr(diffusion, "em_step", never)
+    with pytest.raises(ValueError, match=f"^{key.split('.')[1]} must be finite.*, got {value}$"):
+        main(["diffusion-run", "--config", str(CONFIGS / "diffusion-run.ini"), "--reps", "4",
+              "--out", str(tmp_path), "--set", f"{key}={value}"])
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("grid", [[np.nan], [np.inf], [-1.0], [1.0, np.nan, 2.0], []])
+def test_ensemble_observable_refuses_a_bad_grid_before_any_step(monkeypatch, grid):
+    # unchecked, [nan] returned the start field and [inf] never returned
+    def never(*args, **kwargs):
+        raise AssertionError("stepped before checking the grid")
+
+    monkeypatch.setattr(diffusion, "em_step", never)
+    with pytest.raises(ValueError, match="grid"):
+        ensemble_observable(_params(), np.full(4, 0.5), grid, _flat_fields, 3, 1, "bad-grid")
+
+
+# -- the allocating Euler-Maruyama step the buffered kernel replaced, kept as
+# its bit-for-bit reference (np.roll neighbours, a fresh array per operation)
+
+def _reference_drift_field(field, params):
+    axes = tuple(range(field.ndim - params.torus.d, field.ndim))
+    out = params.s * field * (1.0 - field) * (1.0 - params.mu * field)
+    for disp, w in zip(params.stencil.displacements, params.stencil.weights):
+        shift = tuple(-c for c in disp)
+        out = out + w * (np.roll(field, shift, axis=axes) - field)
+    return out
+
+
+def _reference_em_step(field, params, rng):
+    var = np.maximum(field * (1.0 - field) / params.noise_n, 0.0)
+    noise = np.sqrt(var * params.dt) * rng.standard_normal(field.shape)
+    out = field + _reference_drift_field(field, params) * params.dt + noise
+    return np.clip(out, 0.0, 1.0)
+
+
+def _reference_chunk(params, p0, grid, size, rng):
+    """The fields after each grid time, each a fresh array: shape (size, len(grid), *shape)."""
+    fields = np.broadcast_to(p0, (size,) + p0.shape).copy()
+    t = 0.0
+    out = []
+    for target in grid:
+        while t < target - 1e-12:
+            h = min(params.dt, target - t)
+            fields = _reference_em_step(fields, params.with_dt(h) if h != params.dt else params,
+                                        rng)
+            t += h
+        out.append(fields)
+    return np.stack(out, axis=1)
+
+
+# (torus, stencil) cases: nearest neighbours on 1-d rings of 2, 8 and 16 sites
+# and on 2-d and 3-d tori, plus hand-built stencils with a jump of 2, a jump of
+# L (a difference f - f), a jump past L/2 and a diagonal
+_GEOMETRIES = {
+    "ring2": (Torus(1, 2), Stencil.nearest_neighbor(1, 1.0)),
+    "ring8": (Torus(1, 8), Stencil.nearest_neighbor(1, 1.0)),
+    "ring16": (Torus(1, 16), Stencil.nearest_neighbor(1, 1.0)),
+    "torus2d": (Torus(2, 4), Stencil.nearest_neighbor(2, 1.0)),
+    "torus3d": (Torus(3, 3), Stencil.nearest_neighbor(3, 1.5)),
+    "jump2": (Torus(1, 8), Stencil(((2,), (-1,), (-2,)), (0.3, 0.4, 0.3))),
+    "jumpL": (Torus(1, 8), Stencil(((8,), (1,), (-5,)), (0.2, 0.5, 0.3))),
+    "diagonal": (Torus(2, 4), Stencil(((1, 1), (0, -1), (2, 0), (-1, 3)), (0.4, 0.3, 0.2, 0.1))),
+}
+_SELECTION = [(s, mu) for s in (0.0, 1.0, -1.0, 20.0) for mu in (0.0, 2.0, -0.5)]
+
+
+def _gate_start(torus, seed):
+    # random frequencies with some sites already at the boundaries 0 and 1
+    p0 = derive_stream(seed, "gate-init").random(torus.shape)
+    flat = p0.reshape(-1)
+    flat[:: 3] = 0.0
+    flat[1:: 5] = 1.0
+    return p0
+
+
+@pytest.mark.parametrize("noise_n", [1.0, 0.5])
+@pytest.mark.parametrize("s, mu", _SELECTION)
+@pytest.mark.parametrize("geometry", sorted(_GEOMETRIES))
+def test_buffered_em_gives_the_reference_bits(geometry, s, mu, noise_n):
+    # 200 steps of em_step on reused buffers, directly and through
+    # _ensemble_chunk (whose last grid step is a shortened one), against the
+    # allocating reference on the same stream
+    torus, stencil = _GEOMETRIES[geometry]
+    params = DiffusionParams(torus=torus, stencil=stencil, s=s, mu=mu, noise_n=noise_n, dt=2e-3)
+    p0 = _gate_start(torus, 71)
+    start = np.broadcast_to(p0, (3,) + p0.shape).copy()
+    want, field = start, start.copy()
+    rng_ref, rng = derive_stream(72, "gate"), derive_stream(72, "gate")
+    spare, work = np.empty_like(field), [np.empty_like(field) for _ in range(4)]
+    for _ in range(200):
+        want = _reference_em_step(want, params, rng_ref)
+        field, spare = em_step(field, params, rng, spare, work), field
+    assert field.tobytes() == want.tobytes()
+
+    grid = [0.1, 0.399]  # 50 steps, then 149 full ones and one of 1e-3
+    ref = _reference_chunk(params, p0, grid, 3, derive_stream(73, "gate"))
+    got = _ensemble_chunk(params, p0, grid, _flat_fields, 3, derive_stream(73, "gate"))
+    assert got.tobytes() == ref.reshape(got.shape).tobytes()
+
+
+def test_em_step_allocates_its_buffers_when_none_are_given():
+    # the plain call, on a single field with no batch axis, is the same step
+    params = _params(L=8, s=1.0, mu=2.0, noise_n=0.5)
+    field = _gate_start(params.torus, 74)
+    got = em_step(field, params, derive_stream(75, "plain"))
+    want = _reference_em_step(field, params, derive_stream(75, "plain"))
+    assert got.tobytes() == want.tobytes()
+    assert drift_field(field, params).tobytes() == _reference_drift_field(field, params).tobytes()
+
+
+def _flat_view(fields):
+    return fields.reshape(len(fields), -1)  # a view of the reused buffer
+
+
+def test_an_observable_may_return_a_view_of_the_fields():
+    # the chunk copies each observation as it is made, so a view of a buffer
+    # that later steps overwrite still records the field at its grid time
+    params = _params(d=2, L=4, s=1.0, mu=2.0, dt=2e-3)
+    p0 = _gate_start(params.torus, 76)
+    grid = [0.01, 0.02, 0.0305]
+    got = _ensemble_chunk(params, p0, grid, _flat_view, 5, derive_stream(77, "view"))
+    ref = _reference_chunk(params, p0, grid, 5, derive_stream(77, "view"))
+    assert got.shape == (5, 3, 16)
+    assert got.tobytes() == ref.reshape(got.shape).tobytes()
+    assert not np.array_equal(got[:, 0], got[:, -1])
