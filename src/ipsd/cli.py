@@ -35,7 +35,7 @@ from .lattice import Stencil, Torus
 from .meanfield import density_rhs, equilibrium, integrate_ode, meanfield_comparator
 from .momdual import coexistence_probe, extinction_probe, generator_duality_battery, moment_duality_mc
 from .rng import derive_stream
-from .spin import SPIN_CHUNK, EventTable, NPParams, parse_initial, simulate_gillespie
+from .spin import SPIN_CHUNK, NPParams, parse_initial, simulate_gillespie
 from .stats import MCEstimate, wilson_lower
 from .walkers import BCRW, CRW, DBARW, walker_ensemble
 
@@ -78,6 +78,15 @@ def _parse_horizon(cfg: RunConfig, default: float, key: str = "t") -> float:
     return horizon
 
 
+def _parse_p0(cfg: RunConfig, below: float | None = None) -> float:
+    """The frequency [run] p0: in [0, 1], or in [0, below) when ``below`` is given."""
+    p0 = cfg.opt("run", "p0", 0.5, float)
+    if not (0.0 <= p0 <= 1.0 if below is None else 0.0 <= p0 < below):
+        span = "[0, 1]" if below is None else f"[0, 1 - run.eps) = [0, {below})"
+        raise ValueError(f"run.p0 must lie in {span}, got {p0}")
+    return p0
+
+
 def _parse_counts(cfg: RunConfig, n_sites: int, default: str | None = None) -> dict[int, int]:
     """Particles of [run] xi0, "site:count,..." (count default 1), on sites [0, n_sites)."""
     out: dict[int, int] = {}
@@ -106,8 +115,12 @@ def _build_kernel(cfg: RunConfig) -> Kernel:
         for tok in cfg.opt("kernel", "edges").split(";"):
             tok = tok.strip()
             if tok:
-                x, y, w = tok.split(",")
-                edges.append((int(x), int(y), float(w)))
+                try:
+                    x, y, w = tok.split(",")
+                    edges.append((int(x), int(y), float(w)))
+                except ValueError:
+                    raise ValueError(f"kernel.edges token {tok!r} is not x,y,weight with integer "
+                                     f"sites and a numeric weight") from None
         return explicit_kernel(n, edges)
     raise ValueError(f"unknown kernel type {ktype!r}")
 
@@ -254,11 +267,10 @@ def cmd_exact_check(cfg: RunConfig) -> dict:
     for name, k in kernels:
         for alpha in alphas:
             p = NPParams.symmetric(alpha)
-            table = EventTable.build(p, k)
             g_np = build_generator_np(p, k)
-            g_ev = build_generator_from_events(p, k, table=table)
+            g_ev = build_generator_from_events(p, k)
             gap = float(np.abs(g_np.matrix - g_ev.matrix).max())
-            g_dual = build_generator_dual(p, k, table=table)
+            g_dual = build_generator_dual(p, k)
             res = max(feynman_kac_check(g_np, g_dual, t) for t in tgrid)
             battery.append({"kernel": name, "alpha": alpha,
                             "generator_gap": gap, "fk_residual": res})
@@ -269,11 +281,13 @@ def cmd_exact_check(cfg: RunConfig) -> dict:
 
 def cmd_meanfield(cfg: RunConfig) -> dict:
     p = _build_params(cfg)
-    p0 = cfg.opt("run", "p0", 0.5, float)
+    p0 = _parse_p0(cfg)
     horizon = _parse_horizon(cfg, 50.0)
     compare_t = _parse_horizon(cfg, 3.0, "compare_t")
     dt = cfg.opt("run", "dt", 1e-3, float)
     stride = cfg.opt("run", "stride", 100, int)
+    if stride < 1:
+        raise ValueError(f"run.stride must be at least 1, got {stride}")
     ts, xs = integrate_ode(lambda x: density_rhs(x, p.lam, p.alpha01, p.alpha10), [p0], horizon,
                            dt=dt, self_check=True)
     rows = [(ts[i], xs[i, 0]) for i in range(0, len(ts), stride)]
@@ -349,16 +363,15 @@ def cmd_moment_check(cfg: RunConfig) -> dict:
     regime = cfg.opt("run", "regime", "auto")
     grid = _parse_grid(cfg, "grid", "0.25,0.5")
     xi0 = _parse_counts(cfg, params.torus.n_sites, "0:2")
-    p0_val = cfg.opt("run", "p0", 0.5, float)
+    p0 = np.full(params.torus.shape, _parse_p0(cfg))
     cap = cfg.opt("run", "cap", 100000, int)
-    p0 = np.full(params.torus.shape, p0_val)
     rows = moment_duality_mc(params, p0, xi0, grid, cfg.reps, cfg.seed, regime=regime, cap=cap,
                              threads=cfg.threads)
     ok = all(abs(r["z"]) < 4.0 and abs(r["z_half"]) < 4.0 for r in rows)
-    if regime in ("dbarw", "auto") and params.mu == 2.0:
+    if rows[0]["regime"] == "dbarw":
         gap = generator_duality_battery("dbarw", [params.s], 200, params.torus,
                                         params.stencil, cfg.seed)
-    elif params.s <= 0 and -1.0 <= params.mu <= 0.0:
+    elif -1.0 <= params.mu <= 0.0:  # bcrw, or crw (s = 0), which checks as bcrw
         gap = generator_duality_battery("bcrw", [(params.s, params.mu)], 200,
                                         params.torus, params.stencil, cfg.seed)
     else:
@@ -380,43 +393,28 @@ def cmd_coexist_probe(cfg: RunConfig) -> dict:
         reps_surv=cfg.opt("run", "reps_surv", max(2, cfg.reps), int),
         cap=cfg.opt("run", "cap", 2000, int),
         dt=cfg.opt("model", "dt", 1e-3, float), threads=cfg.threads)
-    return {
-        "heterozygosity": rep.heterozygosity, "het_lcb99": rep.het_lcb99,
-        "survival": rep.survival, "survival_lcb99": rep.survival_lcb99,
-        "cap_fraction": rep.cap_fraction,
-        "sigma_sq": rep.sigma_sq, "sigma_sq_bound": rep.sigma_sq_bound,
-        "inconsistent": rep.inconsistent,
-        "walker_events": rep.walker_events,
-        "passed": rep.het_lcb99 > 0.0 and rep.survival_lcb99 > 0.0 and not rep.inconsistent,
-    }
+    return {**vars(rep), "passed": rep.passed}
 
 
 def cmd_extinct_probe(cfg: RunConfig) -> dict:
     torus = _build_torus(cfg)
     stencil = _build_stencil(cfg, torus)
+    # default margin 0.1: tight margins make the bound comparison sensitive
+    # to the Euler scheme's boundary bias at late grid times (see README)
+    eps = cfg.opt("run", "eps", 0.1, float)
     rep = extinction_probe(
         s=cfg.opt("model", "s", cast=float), mu=cfg.opt("model", "mu", cast=float),
         torus=torus, stencil=stencil,
-        p0_value=cfg.opt("run", "p0", 0.5, float),
+        p0_value=_parse_p0(cfg, 1.0 - eps),
         xi0=_parse_counts(cfg, torus.n_sites, "0"),
-        # default margin 0.1: tight margins make the bound comparison sensitive
-        # to the Euler scheme's boundary bias at late grid times (see README)
-        eps=cfg.opt("run", "eps", 0.1, float),
+        eps=eps,
         grid=_parse_grid(cfg, "grid", "1,2,5,10"),
         reps_fwd=cfg.opt("run", "reps_fwd", max(2, cfg.reps), int),
         reps_dual=cfg.opt("run", "reps_dual", max(2, cfg.reps), int),
         master_seed=cfg.seed,
         cap=cfg.opt("run", "cap", 400, int),
         dt=cfg.opt("model", "dt", 1e-3, float), threads=cfg.threads)
-    return {
-        "rows": list(rep.rows),
-        "forward_below_bound": rep.forward_below_bound,
-        "forward_decreasing": rep.forward_decreasing,
-        "dual_decreasing": rep.dual_decreasing,
-        "cap_fraction": rep.cap_fraction,
-        "walker_events": rep.walker_events,
-        "passed": rep.forward_below_bound and rep.forward_decreasing and rep.dual_decreasing,
-    }
+    return {**vars(rep), "passed": rep.passed}
 
 
 _COMMANDS = {
@@ -483,9 +481,7 @@ def _numeric_leaves(obj, prefix=""):
     if isinstance(obj, MCEstimate):
         out.append((f"{prefix}.mean".lstrip("."), obj.mean))
         out.append((f"{prefix}.stderr".lstrip("."), obj.stderr))
-    elif isinstance(obj, bool):
-        out.append((prefix, float(obj)))
-    elif isinstance(obj, (int, float, np.floating, np.integer)):
+    elif isinstance(obj, (int, float, np.floating, np.integer)):  # bool is an int
         out.append((prefix, float(obj)))
     elif isinstance(obj, dict):
         for kk, vv in obj.items():

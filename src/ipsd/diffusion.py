@@ -57,8 +57,7 @@ class DiffusionParams:
     dt: float = 1e-3
 
     def __post_init__(self):
-        if self.stencil.dim != self.torus.d:
-            raise ValueError("stencil dimension does not match the torus")
+        self.torus.check_stencil(self.stencil)
         for name in ("noise_n", "dt"):
             value = getattr(self, name)
             if not 0.0 < value < np.inf:
@@ -89,8 +88,6 @@ def _neighbour_difference(field: np.ndarray, axes: tuple[int, ...], disp: tuple[
     that axis on; both arrays must be C-contiguous.
     """
     moved = [(ax, c % field.shape[ax]) for ax, c in zip(axes, disp) if c % field.shape[ax]]
-    if not moved:
-        return np.subtract(field, field, out=out)
     if len(moved) > 1:
         return np.subtract(np.roll(field, tuple(-c for c in disp), axis=axes), field, out=out)
     (ax, k), = moved

@@ -132,14 +132,12 @@ def _dual_event_target(s, x: int, y: int, z: int):
     return s ^ (bx << y) ^ (bx << (x if z < 0 else z))
 
 
-def _generator_from_targets(p: NPParams, k: Kernel, target_fn,
-                            table: EventTable | None) -> DenseGenerator:
-    """One pass per table row, in table order, over all 2^n states at once."""
+def _generator_from_targets(p: NPParams, k: Kernel, target_fn) -> DenseGenerator:
+    """One pass per row of EventTable.build(p, k), in table order, over all 2^n states at once."""
     n = k.n
     if n > MAX_EXACT_SITES:
         raise ValueError(f"exact machinery restricted to {MAX_EXACT_SITES} sites")
-    if table is None:
-        table = EventTable.build(p, k)
+    table = EventTable.build(p, k)
     size = 1 << n
     states = np.arange(size)
     G = np.zeros((size, size))
@@ -153,21 +151,18 @@ def _generator_from_targets(p: NPParams, k: Kernel, target_fn,
     return DenseGenerator(n, G)
 
 
-def build_generator_from_events(p: NPParams, k: Kernel,
-                                table: EventTable | None = None) -> DenseGenerator:
+def build_generator_from_events(p: NPParams, k: Kernel) -> DenseGenerator:
     """Generator accumulated from the graphical construction's event types.
 
     Must agree with :func:`build_generator_np` to 1e-12 for symmetric
     parameters; that agreement is the correctness proof of the event rates.
-    ``table`` may be passed in when the caller already built it for (p, k).
     """
-    return _generator_from_targets(p, k, _event_target, table)
+    return _generator_from_targets(p, k, _event_target)
 
 
-def build_generator_dual(p: NPParams, k: Kernel,
-                         table: EventTable | None = None) -> DenseGenerator:
+def build_generator_dual(p: NPParams, k: Kernel) -> DenseGenerator:
     """Generator of the fresh dual chain (transposed updates, same rates)."""
-    return _generator_from_targets(p, k, _dual_event_target, table)
+    return _generator_from_targets(p, k, _dual_event_target)
 
 
 def semigroup_apply(gen: DenseGenerator, t: float, v: np.ndarray) -> np.ndarray:
@@ -188,7 +183,7 @@ def semigroup_apply(gen: DenseGenerator, t: float, v: np.ndarray) -> np.ndarray:
         two_step = _uniformized(gen.matrix, t / 2.0, half)
         scale = max(1.0, float(np.abs(out).max()))
         err = float(np.abs(out - two_step).max()) / scale
-        if err > 1e-10:
+        if not err <= 1e-10:  # a NaN fails too
             raise ArithmeticError(f"semigroup self-check failed: relative error {err:.3e}")
     return out
 

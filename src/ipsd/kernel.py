@@ -48,8 +48,7 @@ class Kernel:
 
     ``indptr/indices/weights`` hold the out-edges of each site in CSR form;
     ``in_indptr/in_indices/in_weights`` hold, for each site y, the sites x
-    with q(x, y) > 0 together with those weights.  ``shape`` is the torus
-    shape when the kernel was built from one (informational only).
+    with q(x, y) > 0 together with those weights.
     """
 
     n: int
@@ -59,7 +58,6 @@ class Kernel:
     in_indptr: np.ndarray
     in_indices: np.ndarray
     in_weights: np.ndarray
-    shape: tuple[int, ...] | None = None
 
     def out_edges(self, x: int) -> tuple[np.ndarray, np.ndarray]:
         """Neighbor indices and weights of site x (the support of q(x, .))."""
@@ -87,7 +85,7 @@ class Kernel:
         return mat
 
 
-def _build(n: int, src, dst, w, shape=None) -> Kernel:
+def _build(n: int, src, dst, w) -> Kernel:
     """Validate the edge arrays (x, y, q(x, y)) and assemble a Kernel."""
     if n < 2:
         raise ValueError("kernel needs at least two sites")
@@ -103,14 +101,14 @@ def _build(n: int, src, dst, w, shape=None) -> Kernel:
     bad = (dst < 0) | (dst >= n)
     if bad.any():
         raise ValueError(f"edge target {dst[bad][0]} out of range")
-    if (w <= 0).any():
+    if not (w > 0).all():  # a NaN weight fails too
         raise ValueError("kernel weights must be positive")
 
     order = np.argsort(src * n + dst, kind="stable")
     src, indices, weights = src[order], dst[order], w[order]
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    off = np.abs(np.bincount(src, weights=weights, minlength=n) - 1.0) > _ROWSUM_TOL
+    off = ~(np.abs(np.bincount(src, weights=weights, minlength=n) - 1.0) <= _ROWSUM_TOL)
     if off.any():
         x = int(np.argmax(off))
         raise ValueError(f"row {x} of kernel sums to "
@@ -126,7 +124,7 @@ def _build(n: int, src, dst, w, shape=None) -> Kernel:
     in_indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(indices, minlength=n), out=in_indptr[1:])
 
-    k = Kernel(n, indptr, indices, weights, in_indptr, in_indices, in_weights, shape)
+    k = Kernel(n, indptr, indices, weights, in_indptr, in_indices, in_weights)
     if not _strongly_connected(k):
         raise ValueError("kernel is not irreducible")
     return k
@@ -168,7 +166,7 @@ def torus_kernel(d: int, L: int) -> Kernel:
     n, m = table.shape
     pairs, slot = np.unique(np.arange(n).repeat(m) * n + table.ravel(), return_inverse=True)
     w = np.bincount(slot, weights=np.tile(stencil.weights, n))
-    return _build(n, pairs // n, pairs % n, w, shape=torus.shape)
+    return _build(n, pairs // n, pairs % n, w)
 
 
 def complete_kernel(N: int) -> Kernel:

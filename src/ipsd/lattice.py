@@ -103,13 +103,25 @@ class Torus:
             idx //= self.L
         return tuple(reversed(out))
 
+    def check_stencil(self, stencil: Stencil) -> None:
+        """Refuse a stencil of another dimension, or one with a displacement that moves no site.
+
+        A displacement that is a multiple of L on every axis takes each site
+        to itself, so its weight would count as a migration that moves nothing.
+        """
+        if stencil.dim != self.d:
+            raise ValueError("stencil dimension does not match the torus")
+        for disp in stencil.displacements:
+            if all(c % self.L == 0 for c in disp):
+                raise ValueError(f"displacement {disp} is a multiple of L = {self.L} on every "
+                                 f"axis: it moves no site of the torus")
+
     def move_table(self, stencil: Stencil) -> np.ndarray:
         """(n_sites, n_displacements) flat indices of x + disp on the torus.
 
         One read-only table per (torus, stencil), shared by every caller.
         """
-        if stencil.dim != self.d:
-            raise ValueError("stencil dimension does not match the torus")
+        self.check_stencil(stencil)
         return _move_table(self, stencil)
 
 

@@ -139,7 +139,7 @@ def integrate_ode(rhs, x0, horizon: float, dt: float = 1e-3, self_check: bool = 
     if self_check:
         _, xs_half = run(dt / 2.0)
         err = float(np.abs(xs[-1] - xs_half[-1]).max())
-        if err > ODE_CHECK_TOL:
+        if not err <= ODE_CHECK_TOL:  # a NaN fails too
             raise ArithmeticError(f"step-halving check failed: terminal gap {err:.3e}")
     return ts, xs
 

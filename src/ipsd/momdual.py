@@ -115,7 +115,7 @@ def _gen_on_H(field, counts, torus, stencil, reactions) -> float:
         pow_cm1 = vx ** (c - 1)
         mig = 0.0
         for j, w in enumerate(stencil.weights):
-            if w > 0:  # a move onto x itself reads flat[x], which is vx
+            if w > 0:
                 mig += w * (float(flat[table[x, j]]) * pow_cm1 - pow_c)
         total += c * mig * rest
         for term in reactions(vx, c, pow_c, pow_cm1):
@@ -226,9 +226,13 @@ def moment_duality_mc(params: DiffusionParams, p0: np.ndarray, xi0: dict[int, in
     side: E[H(v_0, xi_t)] from walker replicates.  The forward run is
     always repeated at dt/2, and both runs are z-tested against the dual
     and against each other.  ``threads`` reaches all three ensembles.
-    An ``xi0`` site off the torus is refused before anything is simulated.
+    An ``xi0`` site off the torus, or a ``p0`` value outside [0, 1], is
+    refused before anything is simulated.
     """
     count_row(xi0, params.torus)
+    p0 = np.asarray(p0, dtype=np.float64)
+    if not ((p0 >= 0.0) & (p0 <= 1.0)).all():  # a NaN fails too
+        raise ValueError("p0 must lie in [0, 1] at every site")
     if regime == "auto":
         if params.mu == 2.0:
             regime = "dbarw"
@@ -237,7 +241,6 @@ def moment_duality_mc(params: DiffusionParams, p0: np.ndarray, xi0: dict[int, in
         else:
             regime = "bcrw"
     grid = sorted(grid)
-    p0 = np.asarray(p0, dtype=np.float64)
 
     transform = None
     if regime == "dbarw":
@@ -250,9 +253,7 @@ def moment_duality_mc(params: DiffusionParams, p0: np.ndarray, xi0: dict[int, in
             raise ValueError("the CRW pairing needs s = 0")
         kind = CRW()
     elif regime == "bcrw":
-        if params.s > 0 or not (-1.0 <= params.mu <= 0.0):
-            raise ValueError("the BCRW pairing needs s <= 0 and mu in [-1, 0]")
-        kind = BCRW(s=params.s, mu=params.mu)
+        kind = BCRW(s=params.s, mu=params.mu)  # which refuses s > 0 and mu outside [-1, 0]
     else:
         raise ValueError(f"unknown regime {regime!r}")
     v0_flat = (p0 if transform is None else transform(p0)).reshape(-1)
@@ -293,6 +294,11 @@ class CoexistenceReport:
     sigma_sq_bound: float
     inconsistent: bool
     walker_events: int
+
+    @property
+    def passed(self) -> bool:
+        """Both 99% lower bounds above zero, and the two signals consistent."""
+        return self.het_lcb99 > 0.0 and self.survival_lcb99 > 0.0 and not self.inconsistent
 
 
 def coexistence_probe(s: float, torus: Torus, stencil: Stencil, master_seed: int,
@@ -344,6 +350,11 @@ class ExtinctionReport:
     cap_fraction: float
     walker_events: int
 
+    @property
+    def passed(self) -> bool:
+        """The forward moments under the dual bound, and both decreasing along the grid."""
+        return self.forward_below_bound and self.forward_decreasing and self.dual_decreasing
+
 
 def extinction_probe(s: float, mu: float, torus: Torus, stencil: Stencil,
                      p0_value: float, xi0: dict[int, int], eps: float, grid,
@@ -355,14 +366,15 @@ def extinction_probe(s: float, mu: float, torus: Torus, stencil: Stencil,
     Dual bound: E[(1 - eps)^{|xi_t|}] from the BCRW started at xi0 (a cap
     hit carries its over-cap size forward, contributing essentially zero).
     Checks the bound within 3 combined standard errors and that both point
-    estimates decrease along the grid.  An ``xi0`` site off the torus is
-    refused before anything is simulated.
+    estimates decrease along the grid.  An ``xi0`` site off the torus, or a
+    ``p0_value`` outside [0, 1 - eps), is refused before anything is simulated.
     """
     count_row(xi0, torus)
     if s >= 0 or not (-1.0 <= mu <= 0.0):
         raise ValueError("the extinction probe needs s < 0 and mu in [-1, 0]")
-    if not (0.0 < eps < 1.0) or p0_value >= 1.0 - eps:
-        raise ValueError("need 0 < eps < 1 and p0 < 1 - eps")
+    if not (0.0 < eps < 1.0 and 0.0 <= p0_value < 1.0 - eps):
+        raise ValueError(f"need 0 < eps < 1 and 0 <= p0 < 1 - eps, got eps = {eps}, "
+                         f"p0 = {p0_value}")
     grid = sorted(grid)
     params = DiffusionParams(torus=torus, stencil=stencil, s=s, mu=mu, dt=dt)
     p0 = np.full(torus.shape, p0_value)

@@ -68,7 +68,7 @@ __all__ = [
 class NPParams:
     """Model parameters (fecundity ratio and cross-competition strengths).
 
-    ``lam > 0``, ``alpha01 >= 0``, ``alpha10 >= 0``.  The pure-voter corner
+    ``lam > 0``, ``alpha01 >= 0``, ``alpha10 >= 0``, all finite.  The pure-voter corner
     (lam = 1, alpha01 = alpha10 = 1) is rejected: there the system is a
     plain voter model and none of the machinery here adds anything.
     The symmetric submodel used by the graphical construction requires
@@ -80,6 +80,10 @@ class NPParams:
     alpha10: float = 0.0
 
     def __post_init__(self):
+        for name in ("lam", "alpha01", "alpha10"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not (self.lam > 0):
             raise ValueError("lam must be positive")
         if self.alpha01 < 0 or self.alpha10 < 0:

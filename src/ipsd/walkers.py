@@ -161,15 +161,15 @@ def apply_transition(kind: WalkerKind, counts: dict[int, int], transition: tuple
 class WalkerRun:
     """One walker trajectory summary.
 
-    ``sizes`` holds total counts at the requested grid times (after a cap
-    hit the over-cap total is carried forward as the unbounded-growth
-    proxy; after extinction zeros are recorded).  ``parity_changed`` flags
-    any event that altered total-count parity (always False for DBARW).
+    ``sizes`` holds total counts at the requested grid times and
+    ``snapshots`` the counts dict at each (after a cap hit the over-cap
+    state is carried forward as the unbounded-growth proxy; after
+    extinction zeros and empty dicts are recorded).  ``parity_changed``
+    flags any event that altered total-count parity (always False for DBARW).
     """
 
-    grid: tuple[float, ...]
     sizes: np.ndarray
-    snapshots: tuple | None
+    snapshots: tuple
     final_counts: dict[int, int]
     extinction_time: float | None
     cap_time: float | None
@@ -179,7 +179,7 @@ class WalkerRun:
 
 def simulate_walker(kind: WalkerKind, xi0: dict[int, int], torus: Torus, stencil: Stencil,
                     horizon: float, rng: np.random.Generator, cap: int = DEFAULT_CAP,
-                    grid=None, keep_snapshots: bool = False) -> WalkerRun:
+                    grid=None) -> WalkerRun:
     """Exact Gillespie run of one walker to the horizon (or extinction / cap)."""
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
@@ -187,22 +187,19 @@ def simulate_walker(kind: WalkerKind, xi0: dict[int, int], torus: Torus, stencil
     b1, b2, pair_delta = per_particle_rates(kind)
     move_total = stencil.total_rate
     ppr = move_total + b1 + b2
-    pair_coeff = 1.0  # pair reaction rate is always c(c-1)/2
     table = torus.move_table(stencil)
     wsum = np.cumsum(stencil.weights)
     wtot = wsum[-1] if len(wsum) else 0.0
 
+    count_row(xi0, torus)
     counts = {int(x): int(c) for x, c in xi0.items() if c > 0}
-    for x, c in counts.items():
-        if not (0 <= x < torus.n_sites):
-            raise ValueError(f"site {x} outside the torus")
     total = sum(counts.values())
     if total > cap:
         raise ValueError("initial state already exceeds the cap")
     parity0 = total & 1
 
     def site_rate(c: int) -> float:
-        return c * ppr + pair_coeff * c * (c - 1) / 2.0
+        return c * ppr + c * (c - 1) / 2.0
 
     rates = {x: site_rate(c) for x, c in counts.items()}
     total_rate = sum(rates.values())
@@ -210,7 +207,7 @@ def simulate_walker(kind: WalkerKind, xi0: dict[int, int], torus: Torus, stencil
     t = 0.0
     gi = 0
     sizes = np.zeros(len(grid), dtype=np.int64)
-    snaps: list[dict[int, int]] | None = [] if keep_snapshots else None
+    snaps: list[dict[int, int]] = []
     extinction_time = None
     cap_time = None
     parity_changed = False
@@ -220,8 +217,7 @@ def simulate_walker(kind: WalkerKind, xi0: dict[int, int], torus: Torus, stencil
         nonlocal gi
         while gi < len(grid) and grid[gi] < up_to_t - 1e-15:
             sizes[gi] = size_now
-            if snaps is not None:
-                snaps.append(dict(counts))
+            snaps.append(dict(counts))
             gi += 1
 
     while True:
@@ -291,8 +287,8 @@ def simulate_walker(kind: WalkerKind, xi0: dict[int, int], torus: Torus, stencil
 
     # fill the remaining grid with the terminal (or proxy) size
     record_until(np.inf, total)
-    return WalkerRun(tuple(grid), sizes, tuple(snaps) if snaps is not None else None,
-                     dict(counts), extinction_time, cap_time, n_events, parity_changed)
+    return WalkerRun(sizes, tuple(snaps), dict(counts), extinction_time, cap_time, n_events,
+                     parity_changed)
 
 
 def occupied_sites(counts: np.ndarray) -> np.ndarray:
@@ -474,7 +470,7 @@ def walker_samples(kind: WalkerKind, xi0: dict[int, int], torus: Torus, stencil:
         g0 = gi[k]
         state = xi0 if steps == 0 else {int(x): int(c) for x, c in enumerate(counts[k]) if c}
         run = simulate_walker(kind, state, torus, stencil, horizon - t[k], rng, cap=cap,
-                              grid=[g - t[k] for g in grid[g0:]], keep_snapshots=True)
+                              grid=[g - t[k] for g in grid[g0:]])
         out.sizes[r, g0:] = run.sizes
         for g, snap in enumerate(run.snapshots, g0):
             snaps[r, g, list(snap)] = list(snap.values())

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -351,15 +352,75 @@ _GRID = "has a non-finite entry"
 def test_a_non_finite_time_key_is_refused_by_key_before_any_engine_runs(tmp_path, monkeypatch,
                                                                          command, key, value,
                                                                          message):
+    _refused_before_any_engine(tmp_path, monkeypatch, command, key, value, f"{key} {message}")
+
+
+def _refused_before_any_engine(tmp_path, monkeypatch, command, key, value, message):
+    """Run the shipped config with key=value; it must raise ``message`` before any engine."""
     def never(*args, **kwargs):
         raise AssertionError(f"{command} ran an engine before checking {key}")
 
     _forbid_building_and_drawing(monkeypatch)
     for name in _ENGINES:
         monkeypatch.setattr(cli, name, never)
-    with pytest.raises(ValueError, match=f"{key} {message}"):
+    with pytest.raises(ValueError, match=message):
         main([command, "--config", str(CONFIGS / f"{command}.ini"), "--seed", "3", "--reps", "2",
               "--out", str(tmp_path), "--set", f"{key}={value}"])
+    assert not any(tmp_path.iterdir())
+
+
+# unchecked, meanfield at run.p0=1.5 divided by zero, at run.stride=0 failed in
+# range() and at run.stride=-1 in indexing; moment-check at run.p0=nan and
+# extinct-probe at run.p0=-0.5 wrote results
+_UNIT = r"must lie in \[0, 1\], got"
+_BELOW_EPS = r"must lie in \[0, 1 - run.eps\) = \[0, 0.9\), got"
+_STRIDE = "must be at least 1, got"
+
+
+@pytest.mark.parametrize("command, key, value, message", [
+    ("meanfield", "run.p0", "1.5", _UNIT),
+    ("meanfield", "run.p0", "-0.1", _UNIT),
+    ("meanfield", "run.p0", "nan", _UNIT),
+    ("meanfield", "run.stride", "0", _STRIDE),
+    ("meanfield", "run.stride", "-1", _STRIDE),
+    ("moment-check", "run.p0", "nan", _UNIT),
+    ("moment-check", "run.p0", "1.5", _UNIT),
+    ("extinct-probe", "run.p0", "-0.5", _BELOW_EPS),
+    ("extinct-probe", "run.p0", "nan", _BELOW_EPS),
+    ("extinct-probe", "run.p0", "0.9", _BELOW_EPS),
+])
+def test_a_frequency_or_stride_out_of_range_is_refused_by_key_before_any_engine_runs(
+        tmp_path, monkeypatch, command, key, value, message):
+    _refused_before_any_engine(tmp_path, monkeypatch, command, key, value,
+                               f"{key} {message} {value}")
+
+
+_EXPLICIT_SPIN_RUN = ["spin-run", "--seed", "3", "--reps", "5", "--set", "kernel.type=explicit",
+                      "--set", "kernel.n=3", "--set", "params.alpha=0.3", "--set", "run.T=1",
+                      "--set", "run.grid=0.5,1"]
+
+
+def test_spin_run_on_an_explicit_three_cycle(tmp_path):
+    out = tmp_path / "res"
+    main(_EXPLICIT_SPIN_RUN + ["--out", str(out), "--set", "kernel.edges=0,1,1.0; 1,2,1.0; 2,0,1"])
+    report = json.loads((out / "spin-run.json").read_text())
+    assert report["kernel_sites"] == 3 and report["flips"] > 0
+    rows = (out / "spin_density.csv").read_text().splitlines()
+    assert rows[0] == "replicate,time,density" and len(rows) == 1 + 5 * 2
+
+
+@pytest.mark.parametrize("edges, token", [
+    ("0,1,1.0;1,2;2,0,1.0", "1,2"),
+    ("0,1,1.0;1,2,1.0,0;2,0,1.0", "1,2,1.0,0"),
+    ("0,1,one;1,2,1.0;2,0,1.0", "0,1,one"),
+    ("0,1.5,1.0;1,2,1.0;2,0,1.0", "0,1.5,1.0"),
+])
+def test_a_malformed_explicit_kernel_edge_is_refused_by_key(tmp_path, monkeypatch, edges, token):
+    # unchecked, a token without three fields failed with "not enough values to unpack"
+    _forbid_building_and_drawing(monkeypatch)
+    message = f"kernel.edges token {token!r} is not x,y,weight"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        main(_EXPLICIT_SPIN_RUN + ["--out", str(tmp_path), "--set", f"kernel.edges={edges}"])
     assert not any(tmp_path.iterdir())
 
 
@@ -510,7 +571,8 @@ def test_exact_check_names_a_malformed_kernel_token(tmp_path, token):
               "--set", f"run.kernels=complete:3,{token}"])
 
 
-def test_exact_check_builds_one_event_table_per_alpha_and_kernel(tmp_path, monkeypatch):
+def test_exact_check_builds_one_event_table_per_event_generator(tmp_path, monkeypatch):
+    # the event-sum and the dual generator each build the table of their (alpha, kernel)
     builds = []
     build = EventTable.build.__func__
 
@@ -520,7 +582,7 @@ def test_exact_check_builds_one_event_table_per_alpha_and_kernel(tmp_path, monke
 
     monkeypatch.setattr(EventTable, "build", classmethod(counting))
     main(["exact-check", "--seed", "1", "--out", str(tmp_path)] + EXACT_SMALL)
-    assert builds == [(0.3, 4), (0.7, 4), (0.3, 3), (0.7, 3)]
+    assert builds == [key for key in [(0.3, 4), (0.7, 4), (0.3, 3), (0.7, 3)] for _ in range(2)]
 
 
 def test_params_alpha_with_an_asymmetric_key_is_refused(tmp_path):

@@ -183,8 +183,13 @@ def test_parse_field_initial():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="stencil dimension does not match the torus"):
         DiffusionParams(torus=Torus(1, 4), stencil=Stencil.nearest_neighbor(2, 1.0))
+    # unchecked, the drift term of a jump by L was f - f: a weight that moves nothing
+    wrap = Stencil(((8,), (1,)), (0.5, 0.5))
+    with pytest.raises(ValueError, match=r"displacement \(8,\) is a multiple of L = 8"):
+        DiffusionParams(torus=Torus(1, 8), stencil=wrap)
+    DiffusionParams(torus=Torus(1, 16), stencil=wrap)  # on 16 sites it moves by 8
     with pytest.raises(ValueError):
         _params(dt=0.0)
     with pytest.raises(ValueError):
@@ -261,8 +266,8 @@ def _reference_chunk(params, p0, grid, size, rng):
 
 
 # (torus, stencil) cases: nearest neighbours on 1-d rings of 2, 8 and 16 sites
-# and on 2-d and 3-d tori, plus hand-built stencils with a jump of 2, a jump of
-# L (a difference f - f), a jump past L/2 and a diagonal
+# and on 2-d and 3-d tori, plus hand-built stencils with a jump of 2, a jump
+# past L (10 on 8 sites, which wraps to 2), a jump past L/2 and a diagonal
 _GEOMETRIES = {
     "ring2": (Torus(1, 2), Stencil.nearest_neighbor(1, 1.0)),
     "ring8": (Torus(1, 8), Stencil.nearest_neighbor(1, 1.0)),
@@ -270,7 +275,7 @@ _GEOMETRIES = {
     "torus2d": (Torus(2, 4), Stencil.nearest_neighbor(2, 1.0)),
     "torus3d": (Torus(3, 3), Stencil.nearest_neighbor(3, 1.5)),
     "jump2": (Torus(1, 8), Stencil(((2,), (-1,), (-2,)), (0.3, 0.4, 0.3))),
-    "jumpL": (Torus(1, 8), Stencil(((8,), (1,), (-5,)), (0.2, 0.5, 0.3))),
+    "jumpL": (Torus(1, 8), Stencil(((10,), (1,), (-5,)), (0.2, 0.5, 0.3))),
     "diagonal": (Torus(2, 4), Stencil(((1, 1), (0, -1), (2, 0), (-1, 3)), (0.4, 0.3, 0.2, 0.1))),
 }
 _SELECTION = [(s, mu) for s in (0.0, 1.0, -1.0, 20.0) for mu in (0.0, 2.0, -0.5)]

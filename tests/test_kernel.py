@@ -228,13 +228,13 @@ def _explicit_rows(n, edges):
 
 REFERENCE_KERNELS = (
     [(f"torus-{d}-{L}", lambda d=d, L=L: torus_kernel(d, L),
-      lambda d=d, L=L: (L ** d, _loop_torus_rows(d, L), (L,) * d))
+      lambda d=d, L=L: (L ** d, _loop_torus_rows(d, L)))
      for d in (1, 2, 3) for L in (2, 3, 5)]
     + [(f"complete-{N}", lambda N=N: complete_kernel(N),
-        lambda N=N: (N, _loop_complete_rows(N), None))
+        lambda N=N: (N, _loop_complete_rows(N)))
        for N in list(range(2, 13)) + [60]]
     + [(f"explicit-{i}", lambda n=n, e=e: explicit_kernel(n, e),
-        lambda n=n, e=e: (n, _explicit_rows(n, e), None))
+        lambda n=n, e=e: (n, _explicit_rows(n, e)))
        for i, (n, e) in enumerate(_EXPLICIT)]
 )
 
@@ -243,8 +243,8 @@ REFERENCE_KERNELS = (
                          ids=[name for name, _, _ in REFERENCE_KERNELS])
 def test_kernel_arrays_match_loop_builder(build, reference):
     k = build()
-    n, rows, shape = reference()
-    assert k.n == n and k.shape == shape
+    n, rows = reference()
+    assert k.n == n
     got = (k.indptr, k.indices, k.weights, k.in_indptr, k.in_indices, k.in_weights)
     for a, b in zip(got, _loop_kernel_arrays(n, rows)):
         assert a.dtype == b.dtype
@@ -257,6 +257,9 @@ def test_kernel_arrays_match_loop_builder(build, reference):
     (lambda: explicit_kernel(2, [(0, 2, 1.0), (1, 0, 1.0)]), "edge target 2 out of range"),
     (lambda: explicit_kernel(2, [(0, 1, 1.0), (2, 0, 1.0)]), "edge source 2 out of range"),
     (lambda: explicit_kernel(2, [(0, 1, -1.0), (1, 0, 1.0)]), "weights must be positive"),
+    (lambda: explicit_kernel(3, [(0, 1, np.nan), (1, 2, 1.0), (2, 0, 1.0)]),
+     "kernel weights must be positive"),
+    (lambda: explicit_kernel(2, [(0, 1, np.inf), (1, 0, 1.0)]), "row 0 of kernel sums to .*inf"),
     (lambda: explicit_kernel(2, [(0, 1, 0.5), (1, 0, 1.0)]), "row 0 of kernel sums to"),
     (lambda: explicit_kernel(3, [(0, 1, 1.0), (1, 0, 1.0)]), "row 2 of kernel sums to"),
     (lambda: explicit_kernel(2, [(0, 1, 0.5), (0, 1, 0.5), (1, 0, 1.0)]), "duplicate edge in row 0"),

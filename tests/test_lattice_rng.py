@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -64,7 +65,7 @@ def _loop_move_table(torus, stencil):
 def test_move_table_matches_loop_and_is_shared(d, L):
     t = Torus(d, L)
     long_range = Stencil(tuple(tuple(s * (a == i) for a in range(d))
-                               for i in range(d) for s in (2, -3)), (0.5,) * (2 * d))
+                               for i in range(d) for s in (7, -7)), (0.5,) * (2 * d))
     for st in (Stencil.nearest_neighbor(d, 1.0), long_range):
         table = t.move_table(st)
         ref = _loop_move_table(t, st)
@@ -73,6 +74,23 @@ def test_move_table_matches_loop_and_is_shared(d, L):
         assert Torus(d, L).move_table(st) is table   # one table per (torus, stencil)
         with pytest.raises(ValueError):
             table[0, 0] = 0
+
+
+@pytest.mark.parametrize("d, L, disp",
+                         [(1, 8, (8,)), (1, 8, (-16,)), (1, 2, (2,)), (2, 3, (3, -6))])
+def test_a_displacement_that_wraps_to_its_own_site_is_refused(d, L, disp):
+    # unchecked, Torus(1, 8) mapped site 0 to [0, 1] under displacements (8,) and (1,)
+    nn = Stencil.nearest_neighbor(d, 1.0)
+    stencil = Stencil(nn.displacements + (disp,), nn.weights + (0.5,))
+    message = f"displacement {disp} is a multiple of L = {L} on every axis"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Torus(d, L).move_table(stencil)
+
+
+def test_a_displacement_that_wraps_on_one_axis_only_moves():
+    torus, stencil = Torus(2, 3), Stencil(((3, 1), (-1, 6)), (0.5, 0.5))
+    assert np.array_equal(torus.move_table(stencil), _loop_move_table(torus, stencil))
+    assert (torus.move_table(stencil) != np.arange(9)[:, None]).all()
 
 
 def test_stencil_parse_and_totals():

@@ -194,6 +194,12 @@ def test_integrate_ode_refuses_a_horizon_that_is_not_finite_and_nonnegative(hori
         integrate_ode(lambda x: -x, [1.0], horizon)
 
 
+def test_integrate_ode_self_check_fails_on_a_nan_state():
+    # unchecked, the NaN terminal gap passed err > tol and meanfield wrote terminal: NaN
+    with pytest.raises(ArithmeticError, match="step-halving check failed"):
+        integrate_ode(lambda x: -x, [np.nan], 1.0, self_check=True)
+
+
 def test_comparator_keeps_no_quadratic_structure():
     # N = 10^5 would need 10^10 kernel edges; the count chain holds O(N) rates,
     # about 80 bytes per vertex while they are computed (8.3 MiB peak here)

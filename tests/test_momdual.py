@@ -207,3 +207,27 @@ def test_extinction_probe_refuses_an_off_torus_site_before_simulating(monkeypatc
     with pytest.raises(ValueError, match=f"site {site} outside the torus"):
         extinction_probe(-1.0, -0.5, torus, stencil, p0_value=0.5, xi0={0: 1, site: 1}, eps=0.1,
                          grid=[0.02], reps_fwd=8, reps_dual=8, master_seed=1)
+
+
+@pytest.mark.parametrize("p0", [np.nan, -0.1, 1.5])
+def test_moment_duality_mc_refuses_a_p0_outside_the_unit_interval_before_simulating(monkeypatch,
+                                                                                    p0):
+    # unchecked, a NaN start went on to run all three ensembles
+    _forbid_simulation(monkeypatch)
+    torus, stencil = _geom(L=8)
+    params = DiffusionParams(torus=torus, stencil=stencil, s=0.0, mu=0.0, dt=0.01)
+    field = np.full(8, 0.5)
+    field[3] = p0
+    with pytest.raises(ValueError, match=r"p0 must lie in \[0, 1\] at every site"):
+        moment_duality_mc(params, field, {0: 2}, [0.05], 20, 1)
+
+
+@pytest.mark.parametrize("p0", [np.nan, -0.5, 0.9, 0.95])
+def test_extinction_probe_refuses_a_p0_outside_zero_to_one_minus_eps_before_simulating(
+        monkeypatch, p0):
+    # unchecked, p0 = nan and p0 = -0.5 passed p0 >= 1 - eps and ran both ensembles
+    _forbid_simulation(monkeypatch)
+    torus, stencil = _geom()
+    with pytest.raises(ValueError, match="need 0 < eps < 1 and 0 <= p0 < 1 - eps"):
+        extinction_probe(-1.0, -0.5, torus, stencil, p0_value=p0, xi0={0: 1}, eps=0.1,
+                         grid=[0.02], reps_fwd=8, reps_dual=8, master_seed=1)

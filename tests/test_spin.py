@@ -32,6 +32,14 @@ def test_params_validation():
         NPParams(lam=1.0, alpha01=1.0, alpha10=1.0)
     p = NPParams.symmetric(0.3)
     assert p.is_symmetric and p.alpha == 0.3 and p.lam == 1.0
+
+
+@pytest.mark.parametrize("name", ["lam", "alpha01", "alpha10"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_params_refuse_a_non_finite_value_by_name(name, bad):
+    # unchecked, alpha01 = nan passed every comparison and the engine made no flip
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        NPParams(**{name: bad})
     q = NPParams(lam=2.0, alpha01=0.3, alpha10=0.3)
     assert not q.is_symmetric  # symmetric requires lam == 1 as well
 

@@ -89,9 +89,7 @@ def test_dbarw_pair_removes_two():
 def test_simulate_walker_grid_and_snapshots():
     torus, stencil = _geom(L=6)
     run = simulate_walker(CRW(), {0: 3, 2: 1}, torus, stencil, 2.0,
-                          derive_stream(71, "walk-grid"), grid=[0.5, 1.0, 2.0],
-                          keep_snapshots=True)
-    assert list(run.grid) == [0.5, 1.0, 2.0]
+                          derive_stream(71, "walk-grid"), grid=[0.5, 1.0, 2.0])
     assert len(run.sizes) == 3 and len(run.snapshots) == 3
     for size, snap in zip(run.sizes, run.snapshots):
         assert size == sum(snap.values())
@@ -327,8 +325,7 @@ def test_chunk_at_most_handoff_draws_as_the_scalar_loop_in_turn():
                           derive_stream(95, "handoff-bits"))
     rng = derive_stream(95, "handoff-bits")
     for r in range(LOCKSTEP_MAX_HANDOFF):
-        run = simulate_walker(kind, xi0, torus, stencil, grid[-1], rng, cap=cap, grid=grid,
-                              keep_snapshots=True)
+        run = simulate_walker(kind, xi0, torus, stencil, grid[-1], rng, cap=cap, grid=grid)
         assert np.array_equal(runs.sizes[r], run.sizes)
         assert list(runs.observed[r]) == [len(snap) for snap in run.snapshots]
         assert runs.events[r] == run.n_events and runs.capped[r] == (run.cap_time is not None)
@@ -397,6 +394,14 @@ def test_walker_samples_checks_its_inputs_before_any_draw():
         msg = _untouched(lambda rng: walker_samples(kind, {0: 2}, torus, stencil, grid, 10, 20,
                                                     rng))
         assert "horizon must be nonnegative and finite" in msg
+
+
+def test_walkers_refuse_a_displacement_that_wraps_to_its_own_site_before_any_draw():
+    # unchecked, a walker would spend events on jumps from a site to itself
+    torus, stencil = Torus(1, 8), Stencil(((8,), (1,)), (0.5, 0.5))
+    for call in (lambda rng: walker_samples(CRW(), {0: 2}, torus, stencil, [1.0], 10, 20, rng),
+                 lambda rng: simulate_walker(CRW(), {0: 2}, torus, stencil, 1.0, rng)):
+        assert "displacement (8,) is a multiple of L = 8" in _untouched(call)
 
 
 def test_walker_samples_refuses_an_oversized_chunk():
