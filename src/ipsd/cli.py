@@ -29,7 +29,8 @@ from .diffusion import DiffusionParams, ensemble_observable, parse_field_initial
 from .dualspin import ZBDistribution, evug_statistic, parity_duality_mc
 from .exact import (MAX_EXACT_SITES, build_generator_dual, build_generator_from_events,
                     build_generator_np, feynman_kac_check)
-from .harness import RunConfig, load_config_file, replicate_map, resolve_seed, write_csv, write_json
+from .harness import (RunConfig, check_grid, check_horizon, load_config_file, replicate_map,
+                      resolve_seed, write_csv, write_json)
 from .kernel import Kernel, complete_kernel, explicit_kernel, torus_kernel
 from .lattice import Stencil, Torus
 from .meanfield import density_rhs, equilibrium, integrate_ode, meanfield_comparator
@@ -53,29 +54,19 @@ def _parse_sites(cfg: RunConfig, key: str, n_sites: int) -> list[int]:
 
 def _parse_grid(cfg: RunConfig, key: str, default: str = "",
                 horizon: float | None = None) -> list[float]:
-    """Finite nonnegative numbers of [run] key, sorted: the engines record on the sorted grid.
+    """The times of [run] key, sorted, as :func:`check_grid` allows; [] when it lists none.
 
-    With a ``horizon``, an entry past it is refused: the run would otherwise
-    go on to the last grid time and leave ``run.t`` unused.
+    With a ``horizon``, an entry past run.t is refused.
     """
-    grid = [float(tok) for tok in cfg.opt("run", key, default).split(",") if tok.strip()]
-    for value in grid:
-        if not np.isfinite(value):
-            raise ValueError(f"run.{key} has a non-finite entry {value}")
-    grid.sort()
-    if grid and grid[0] < 0:
-        raise ValueError(f"run.{key} has a negative entry {grid[0]}")
-    if horizon is not None and grid and grid[-1] > horizon:
-        raise ValueError(f"run.{key} entry {grid[-1]} is past run.t = {horizon}")
-    return grid
+    tokens = [tok for tok in cfg.opt("run", key, default).split(",") if tok.strip()]
+    if not tokens:
+        return []
+    return check_grid([float(tok) for tok in tokens], f"run.{key}", horizon, "run.t")
 
 
 def _parse_horizon(cfg: RunConfig, default: float, key: str = "t") -> float:
-    """The time [run] key (run.t unless named), which must be finite and nonnegative."""
-    horizon = cfg.opt("run", key, default, float)
-    if not 0.0 <= horizon < np.inf:
-        raise ValueError(f"run.{key} must be finite and nonnegative, got {horizon}")
-    return horizon
+    """The time [run] key (run.t unless named), as :func:`check_horizon` allows."""
+    return check_horizon(cfg.opt("run", key, default, float), f"run.{key}")
 
 
 def _parse_p0(cfg: RunConfig, below: float | None = None) -> float:
@@ -221,7 +212,7 @@ def cmd_parity_check(cfg: RunConfig) -> dict:
     mc = parity_duality_mc(p, k, A, B, horizon, cfg.reps, cfg.seed, "parity-check", cfg.threads)
     fwd, dual = mc["pathwise_forward"], mc["pathwise_dual"]
     rows = [(r, t, int(fwd[r, j]), int(dual[r, j]))
-            for r in range(cfg.reps) for j, t in enumerate([horizon / 2.0, horizon])]
+            for r in range(cfg.reps) for j, t in enumerate(mc["times"])]
     write_csv(cfg.out / "parity_pathwise.csv",
               ["replicate", "t", "parity_forward", "parity_dual"], rows)
     write_csv(cfg.out / "parity_mc.csv", ["t", "estimate", "stderr", "reps"],
@@ -285,6 +276,8 @@ def cmd_meanfield(cfg: RunConfig) -> dict:
     horizon = _parse_horizon(cfg, 50.0)
     compare_t = _parse_horizon(cfg, 3.0, "compare_t")
     dt = cfg.opt("run", "dt", 1e-3, float)
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"run.dt must be finite and positive, got {dt}")
     stride = cfg.opt("run", "stride", 100, int)
     if stride < 1:
         raise ValueError(f"run.stride must be at least 1, got {stride}")
@@ -322,7 +315,7 @@ def cmd_diffusion_run(cfg: RunConfig) -> dict:
                                cfg.reps, cfg.seed, "diffusion-site", cfg.threads)
     rows = []
     report = []
-    for j, t in enumerate(sorted(grid)):
+    for j, t in enumerate(grid):
         site_vals, mean_vals = vals[j]
         het = float(((site_vals > kappa) & (site_vals < 1.0 - kappa)).mean())
         rows.append((t, float(mean_vals.mean()), float(site_vals.var(ddof=1)), het))
@@ -389,8 +382,8 @@ def cmd_coexist_probe(cfg: RunConfig) -> dict:
         t_het=_parse_horizon(cfg, 10.0, "t_het"),
         horizon_surv=_parse_horizon(cfg, 50.0, "t_surv"),
         kappa=cfg.opt("run", "kappa", 0.1, float),
-        reps_het=cfg.opt("run", "reps_het", max(2, cfg.reps), int),
-        reps_surv=cfg.opt("run", "reps_surv", max(2, cfg.reps), int),
+        reps_het=cfg.opt("run", "reps_het", cfg.reps, int),
+        reps_surv=cfg.opt("run", "reps_surv", cfg.reps, int),
         cap=cfg.opt("run", "cap", 2000, int),
         dt=cfg.opt("model", "dt", 1e-3, float), threads=cfg.threads)
     return {**vars(rep), "passed": rep.passed}
@@ -409,8 +402,8 @@ def cmd_extinct_probe(cfg: RunConfig) -> dict:
         xi0=_parse_counts(cfg, torus.n_sites, "0"),
         eps=eps,
         grid=_parse_grid(cfg, "grid", "1,2,5,10"),
-        reps_fwd=cfg.opt("run", "reps_fwd", max(2, cfg.reps), int),
-        reps_dual=cfg.opt("run", "reps_dual", max(2, cfg.reps), int),
+        reps_fwd=cfg.opt("run", "reps_fwd", cfg.reps, int),
+        reps_dual=cfg.opt("run", "reps_dual", cfg.reps, int),
         master_seed=cfg.seed,
         cap=cfg.opt("run", "cap", 400, int),
         dt=cfg.opt("model", "dt", 1e-3, float), threads=cfg.threads)

@@ -28,7 +28,7 @@ from functools import partial
 
 import numpy as np
 
-from .harness import replicate_map
+from .harness import check_grid, replicate_map
 from .lattice import Stencil, Torus
 
 __all__ = [
@@ -227,12 +227,7 @@ def ensemble_observable(params: DiffusionParams, p0: np.ndarray, grid, observabl
     p0 = np.asarray(p0, dtype=np.float64)
     if p0.shape != params.torus.shape:
         raise ValueError("initial field shape does not match the torus")
-    if len(grid) == 0:
-        raise ValueError("the ensemble grid is empty")
-    for g in grid:  # a NaN may sort anywhere, and an inf grid time never ends
-        if not 0 <= g < np.inf:
-            raise ValueError(f"grid times must be finite and nonnegative, got {g}")
-    work = partial(_ensemble_chunk, params, p0, sorted(grid), observable)
+    work = partial(_ensemble_chunk, params, p0, check_grid(grid, "grid"), observable)
     vals = replicate_map(work, reps, master_seed, role, ENSEMBLE_BATCH, threads)
     return np.ascontiguousarray(np.moveaxis(vals, 0, -1))
 

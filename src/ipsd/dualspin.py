@@ -32,7 +32,7 @@ from functools import partial
 
 import numpy as np
 
-from .harness import replicate_map
+from .harness import check_grid, check_horizon, replicate_map
 from .kernel import Kernel, config_bernoulli, config_indicator
 from .spin import (SPIN_CHUNK, EventLog, EventTable, NPParams, _pack_rows, _unpack_rows,
                    replay_forward, sample_event_log)
@@ -96,7 +96,7 @@ def simulate_dual_fresh(p: NPParams, k: Kernel, B, grid, rng: np.random.Generato
     The dual's site rows are packed once and folded one grid stretch at a
     time; each stretch is copied out into its output row.
     """
-    grid = sorted(grid)
+    grid = check_grid(grid, "grid")
     log = sample_event_log(p, k, grid[-1], rng, table=table)
     rows = _pack_rows(config_indicator(k.n, B))
     out = np.empty((len(grid), k.n), dtype=np.uint8)
@@ -128,8 +128,8 @@ def parity_overlap(a: np.ndarray, b: np.ndarray) -> int:
     return int(np.bitwise_and(a, b).sum()) & 1
 
 
-def _parity_chunk(p, k, A, B, horizon, table, size, rng):
-    grid = [horizon / 2.0, horizon]
+def _parity_chunk(p, k, A, B, grid, table, size, rng):
+    horizon = grid[-1]
     fwd = np.empty((size, len(grid)), dtype=np.int64)
     dual = np.empty((size, len(grid)), dtype=np.int64)
     dualmc = np.empty(size, dtype=np.int64)
@@ -154,12 +154,15 @@ def parity_duality_mc(p: NPParams, k: Kernel, A, B, t: float, reps: int, master_
     (``pathwise_forward``, ``pathwise_dual``; they differ in ``violations``
     entries), then runs a fresh dual chain to t (``fresh_dual``).  The
     ``forward`` and ``dual`` estimates of P(odd) at t are compared by ``z``.
+    ``times`` holds the two recording times.
     """
-    work = partial(_parity_chunk, p, k, A, B, t, EventTable.build(p, k))
+    t = check_horizon(t, "t")
+    times = [t / 2.0, t]
+    work = partial(_parity_chunk, p, k, A, B, times, EventTable.build(p, k))
     fwd, dual, fresh = replicate_map(work, reps, master_seed, role, SPIN_CHUNK, threads)
     lhs = MCEstimate.from_samples(fwd[:, -1].astype(float))
     rhs = MCEstimate.from_samples(fresh.astype(float))
-    return {"pathwise_forward": fwd, "pathwise_dual": dual, "fresh_dual": fresh,
+    return {"times": times, "pathwise_forward": fwd, "pathwise_dual": dual, "fresh_dual": fresh,
             "violations": int((fwd != dual).sum()),
             "forward": lhs, "dual": rhs, "z": two_sample_z(lhs, rhs)}
 
@@ -186,6 +189,7 @@ def bernoulli_parity_identity(p: NPParams, k: Kernel, B, t: float, reps: int,
     identity  P = (1/2) P(xi_t != 0).  At alpha = 0 the dual never dies, so
     both sides must sit at 1/2.
     """
+    t = check_horizon(t, "t")
     work = partial(_bernoulli_chunk, p, k, B, t, EventTable.build(p, k))
     fwd, alive = replicate_map(work, reps, master_seed, role, SPIN_CHUNK)
     direct = MCEstimate.from_samples(fwd)
@@ -260,7 +264,7 @@ def evug_statistic(p: NPParams, k: Kernel, B, grid, cap: int, reps: int, master_
     statistic separates eventual unboundedness from genuine survival: mass
     escaping past ``cap`` is reported through the survival column.
     """
-    grid = sorted(grid)
+    grid = check_grid(grid, "grid")
     work = partial(dual_sizes_fresh, p, k, B, grid, table=EventTable.build(p, k))
     sizes = replicate_map(work, reps, master_seed, role, SPIN_CHUNK, threads)
     rows = []

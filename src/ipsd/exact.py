@@ -34,6 +34,7 @@ from operator import add
 
 import numpy as np
 
+from .harness import check_horizon
 from .kernel import Kernel
 from .spin import EventTable, NPParams, flip_rate
 
@@ -174,8 +175,7 @@ def semigroup_apply(gen: DenseGenerator, t: float, v: np.ndarray) -> np.ndarray:
     result is always recomputed as two half steps, which must agree to
     1e-10 relative error, or ArithmeticError is raised.
     """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    t = check_horizon(t, "t")
     v = np.asarray(v, dtype=np.float64)
     out = _uniformized(gen.matrix, t, v)
     if t > 0:

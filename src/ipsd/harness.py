@@ -14,6 +14,9 @@ Conventions enforced here:
 * CSV floats carry 17 significant digits; JSON reports embed the config
   echo and the package version, and never embed wall-clock times or the
   worker count.
+* A time is valid where :func:`check_horizon` or :func:`check_grid` says
+  so: every engine and the CLI run their horizons and time grids through
+  them, so all refuse the same values in the same words.
 
 Config files are flat INI text: ``key = value`` lines under ``[section]``
 headers.  CLI flags override file values.
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -36,6 +40,8 @@ from .stats import MCEstimate
 
 __all__ = [
     "SEED_ENV_VAR",
+    "check_horizon",
+    "check_grid",
     "RunConfig",
     "load_config_file",
     "resolve_seed",
@@ -48,6 +54,39 @@ __all__ = [
 
 SEED_ENV_VAR = "IPSD_SEED"
 _MAX_SEED = 2**64 - 1
+
+
+# Both checks run once per replicate in some engines, so they stay pure
+# Python: no numpy call.
+
+def check_horizon(value, name: str) -> float:
+    """``value`` as a float, refused by ``name`` unless it is finite and nonnegative."""
+    value = float(value)
+    if not 0.0 <= value < math.inf:  # a NaN fails too
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+    return value
+
+
+def check_grid(values, name: str, horizon: float | None = None,
+               horizon_name: str = "horizon") -> list[float]:
+    """The times ``values`` as a sorted list of floats, refused by ``name`` unless valid.
+
+    A valid grid is nonempty, its entries are finite and nonnegative, and
+    with a ``horizon`` none lies past it: a run would otherwise go on to
+    the last grid time and leave the horizon unused.
+    """
+    grid = [float(v) for v in values]
+    if not grid:
+        raise ValueError(f"{name} is empty")
+    for value in grid:  # before sorting: a NaN may sort anywhere
+        if not -math.inf < value < math.inf:
+            raise ValueError(f"{name} has a non-finite entry {value}")
+    grid.sort()
+    if grid[0] < 0.0:
+        raise ValueError(f"{name} has a negative entry {grid[0]}")
+    if horizon is not None and grid[-1] > horizon:
+        raise ValueError(f"{name} entry {grid[-1]} is past {horizon_name} = {horizon}")
+    return grid
 
 
 @dataclass
@@ -68,8 +107,9 @@ class RunConfig:
     def __post_init__(self):
         if not (0 <= self.seed <= _MAX_SEED):
             raise ValueError("seed must be an unsigned 64-bit integer")
-        if self.reps < 1:
-            raise ValueError("reps must be positive")
+        if self.reps < 2:
+            raise ValueError(f"reps must be at least 2, got {self.reps}: every report "
+                             f"estimates a standard error")
         if self.threads < 1:
             raise ValueError("threads must be positive")
 

@@ -27,6 +27,8 @@ class Stencil:
     weights: tuple[float, ...]
 
     def __post_init__(self):
+        if not self.displacements:
+            raise ValueError("a stencil needs at least one displacement")
         if len(self.displacements) != len(self.weights):
             raise ValueError("displacements and weights must align")
         for disp, w in zip(self.displacements, self.weights):

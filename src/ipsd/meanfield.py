@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .harness import check_horizon
 from .spin import NPParams, complete_count_rates, simulate_complete_counts
 
 __all__ = [
@@ -110,8 +111,9 @@ def integrate_ode(rhs, x0, horizon: float, dt: float = 1e-3, self_check: bool = 
     ODE_CHECK_TOL.  ``self_check`` stays fifth: benchmark/tracing.py reads
     it by position.
     """
-    if not (dt > 0 and 0 <= horizon < np.inf):
-        raise ValueError(f"need dt > 0 and a finite horizon >= 0, got dt={dt}, horizon={horizon}")
+    horizon = check_horizon(horizon, "horizon")
+    if not 0.0 < dt < np.inf:  # an infinite step would cross any horizon in one step
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     x_init, f = np.array(x0, dtype=np.float64), rhs
     if x_init.size == 1:
         x_init = x_init.item()
@@ -173,9 +175,7 @@ def meanfield_comparator(n_vertices: int, p: NPParams, density0: float, horizon:
         raise ValueError(f"the comparator needs at least 2 vertices, got {n_vertices}")
     if reps < 1:
         raise ValueError(f"the comparator needs at least 1 replicate, got {reps}")
-    if not 0 <= horizon < np.inf:
-        need = "nonnegative" if horizon < 0 else "finite"
-        raise ValueError(f"the comparator horizon must be {need}, got {horizon}")
+    horizon = check_horizon(horizon, "horizon")
     if not (0.0 <= density0 <= 1.0):
         raise ValueError("density0 must lie in [0,1]")
     ones = int(round(n_vertices * density0))

@@ -29,6 +29,7 @@ from functools import partial
 import numpy as np
 
 from .diffusion import DiffusionParams, ensemble_observable, sigma_of_p
+from .harness import check_grid, check_horizon
 from .lattice import Stencil, Torus
 from .rng import derive_stream
 from .stats import MCEstimate, two_sample_z, wilson_lower, wilson_upper
@@ -233,6 +234,7 @@ def moment_duality_mc(params: DiffusionParams, p0: np.ndarray, xi0: dict[int, in
     p0 = np.asarray(p0, dtype=np.float64)
     if not ((p0 >= 0.0) & (p0 <= 1.0)).all():  # a NaN fails too
         raise ValueError("p0 must lie in [0, 1] at every site")
+    grid = check_grid(grid, "grid")
     if regime == "auto":
         if params.mu == 2.0:
             regime = "dbarw"
@@ -240,7 +242,6 @@ def moment_duality_mc(params: DiffusionParams, p0: np.ndarray, xi0: dict[int, in
             regime = "crw"
         else:
             regime = "bcrw"
-    grid = sorted(grid)
 
     transform = None
     if regime == "dbarw":
@@ -301,6 +302,14 @@ class CoexistenceReport:
         return self.het_lcb99 > 0.0 and self.survival_lcb99 > 0.0 and not self.inconsistent
 
 
+def _check_reps(**reps: int) -> None:
+    """Refuse, by name, a replicate count below 2: each estimate needs a standard error."""
+    for name, count in reps.items():
+        if count < 2:
+            raise ValueError(f"{name} must be at least 2, got {count}: every estimate "
+                             f"needs a standard error")
+
+
 def coexistence_probe(s: float, torus: Torus, stencil: Stencil, master_seed: int,
                       t_het: float = 10.0, horizon_surv: float = 50.0,
                       kappa: float = 0.1, reps_het: int = 800, reps_surv: int = 500,
@@ -319,6 +328,9 @@ def coexistence_probe(s: float, torus: Torus, stencil: Stencil, master_seed: int
         raise ValueError("the coexistence probe is for s > 0")
     if not 0.0 < kappa < 0.5:
         raise ValueError(f"kappa must lie in (0, 1/2), got {kappa}")
+    t_het = check_horizon(t_het, "t_het")
+    horizon_surv = check_horizon(horizon_surv, "horizon_surv")
+    _check_reps(reps_het=reps_het, reps_surv=reps_surv)
     params = DiffusionParams(torus=torus, stencil=stencil, s=s, mu=2.0, dt=dt)
     p0 = np.full(torus.shape, 0.5)
     vals = ensemble_observable(params, p0, [t_het], partial(field_moment, {0: 1}), reps_het,
@@ -375,7 +387,8 @@ def extinction_probe(s: float, mu: float, torus: Torus, stencil: Stencil,
     if not (0.0 < eps < 1.0 and 0.0 <= p0_value < 1.0 - eps):
         raise ValueError(f"need 0 < eps < 1 and 0 <= p0 < 1 - eps, got eps = {eps}, "
                          f"p0 = {p0_value}")
-    grid = sorted(grid)
+    grid = check_grid(grid, "grid")
+    _check_reps(reps_fwd=reps_fwd, reps_dual=reps_dual)
     params = DiffusionParams(torus=torus, stencil=stencil, s=s, mu=mu, dt=dt)
     p0 = np.full(torus.shape, p0_value)
 

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .harness import check_horizon
 from .kernel import Kernel, config_all, config_bernoulli, config_indicator, frequency_of_ones
 
 __all__ = [
@@ -240,8 +241,7 @@ def sample_event_log(p: NPParams, k: Kernel, horizon: float, rng: np.random.Gene
     Ties in the sorted times (probability zero, but floats) are resolved by
     redrawing.
     """
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
+    horizon = check_horizon(horizon, "horizon")
     if table is None:
         table = EventTable.build(p, k)
     total = table.total_rate
@@ -449,8 +449,7 @@ def simulate_gillespie(p: NPParams, k: Kernel, eta0: np.ndarray, horizon: float,
     eta0 = np.atleast_2d(np.asarray(eta0)).astype(np.uint8)
     if eta0.shape[1] != k.n:
         raise ValueError("configuration size does not match kernel")
-    if not 0.0 <= horizon < np.inf:
-        raise ValueError("horizon must be finite and nonnegative")
+    horizon = check_horizon(horizon, "horizon")
     touch = _touch_table(k)
     size = max(1, CELLS // k.n)
     record = []
@@ -497,6 +496,7 @@ def simulate_complete_counts(up: np.ndarray, down: np.ndarray, k0: int, horizon:
     n = len(up) - 1
     if not 0 <= k0 <= n:
         raise ValueError(f"initial count must lie in [0, {n}], got {k0}")
+    horizon = check_horizon(horizon, "horizon")
     # memoryview indexing yields Python floats without boxing all n + 1 rates
     up_k = memoryview(up)
     total_k = memoryview(up + down)

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .harness import replicate_map
+from .harness import check_grid, check_horizon, replicate_map
 from .lattice import Stencil, Torus
 from .stats import MCEstimate
 
@@ -181,15 +181,23 @@ def simulate_walker(kind: WalkerKind, xi0: dict[int, int], torus: Torus, stencil
                     horizon: float, rng: np.random.Generator, cap: int = DEFAULT_CAP,
                     grid=None) -> WalkerRun:
     """Exact Gillespie run of one walker to the horizon (or extinction / cap)."""
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
-    grid = sorted(grid) if grid is not None else [horizon]
+    horizon = check_horizon(horizon, "horizon")
+    if grid is None:
+        grid = [horizon]
+    else:
+        # The scalar tail of walker_samples hands over offsets g - t from a
+        # lockstep clock t, which records grid time g only once it passes
+        # g + 1e-15, so an offset can be as low as -1e-15.  A negative entry
+        # records the start state; only an empty grid, a NaN or infinite entry
+        # and one past the horizon are refused.
+        check_grid([max(g, 0.0) for g in grid], "grid", horizon)  # max(nan, 0.0) is nan
+        grid = sorted(grid)
     b1, b2, pair_delta = per_particle_rates(kind)
     move_total = stencil.total_rate
     ppr = move_total + b1 + b2
     table = torus.move_table(stencil)
     wsum = np.cumsum(stencil.weights)
-    wtot = wsum[-1] if len(wsum) else 0.0
+    wtot = wsum[-1]
 
     count_row(xi0, torus)
     counts = {int(x): int(c) for x, c in xi0.items() if c > 0}
@@ -328,11 +336,6 @@ def count_row(xi0: dict[int, int], torus: Torus) -> np.ndarray:
 
 def _start_row(xi0: dict[int, int], torus: Torus, grid: list, cap: int, size: int) -> np.ndarray:
     """The initial count row, after the checks simulate_walker makes and a size bound."""
-    if not grid:
-        raise ValueError("the walker grid is empty")
-    for g in grid:  # a NaN may sort anywhere
-        if not 0 <= g < np.inf:
-            raise ValueError(f"horizon must be nonnegative and finite, got grid time {g}")
     n = torus.n_sites
     cells = size * n * len(grid)
     if cells > MAX_CHUNK_CELLS:
@@ -454,7 +457,7 @@ def walker_samples(kind: WalkerKind, xi0: dict[int, int], torus: Torus, stencil:
     property; a chunk that small from the start draws exactly as that loop
     run in turn.  ``observe`` maps a count matrix to one value per row.
     """
-    grid = sorted(grid)
+    grid = check_grid(grid, "grid")
     start = _start_row(xi0, torus, grid, cap, size)
     n, n_grid, horizon = torus.n_sites, len(grid), grid[-1]
     out = WalkerSamples(np.zeros((size, n_grid), dtype=np.int64), None, np.ones(size),
@@ -486,6 +489,7 @@ def walker_ensemble(kind: WalkerKind, xi0: dict[int, int], torus: Torus, stencil
                     grid, cap: int, reps: int, master_seed: int, role: str, threads: int = 1,
                     observe=occupied_sites) -> WalkerSamples:
     """``reps`` walker runs in WALKER_BATCH chunks, one derived stream per chunk."""
+    grid = check_grid(grid, "grid")  # refused before any chunk starts
     work = partial(walker_samples, kind, xi0, torus, stencil, grid, cap, observe=observe)
     return WalkerSamples(*replicate_map(work, reps, master_seed, role, WALKER_BATCH, threads))
 
@@ -499,6 +503,7 @@ def survival_probability(kind: WalkerKind, xi0: dict[int, int], torus: Torus, st
     (the process was alive when truncated); the cap-hit fraction is
     reported alongside so that proxy is visible.
     """
+    horizon = check_horizon(horizon, "horizon")
     runs = walker_ensemble(kind, xi0, torus, stencil, [horizon], cap, reps, master_seed, role,
                            threads)
     return {"survival": MCEstimate.from_samples(runs.alive),

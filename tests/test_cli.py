@@ -395,6 +395,34 @@ def test_a_frequency_or_stride_out_of_range_is_refused_by_key_before_any_engine_
                                f"{key} {message} {value}")
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-0.1"])
+def test_a_step_that_is_not_finite_and_positive_is_refused_by_key_before_any_engine_runs(
+        tmp_path, monkeypatch, value):
+    # unchecked, meanfield at run.dt=inf took one RK4 step over the whole
+    # horizon, passed its self-check and wrote terminal: -299.66
+    _refused_before_any_engine(tmp_path, monkeypatch, "meanfield", "run.dt", value,
+                               f"run.dt must be finite and positive, got {float(value)}")
+
+
+@pytest.mark.parametrize("command", ["spin-run", "dual-run", "parity-check", "diffusion-run",
+                                     "walker-run", "moment-check", "meanfield", "exact-check"])
+def test_one_replicate_is_refused_before_any_engine_runs(tmp_path, monkeypatch, command):
+    # unchecked, spin-run and walker-run wrote their CSV and then failed with
+    # "need at least two samples", dual-run and parity-check failed so after
+    # their ensembles, and diffusion-run wrote "var_p": NaN
+    def never(*args, **kwargs):
+        raise AssertionError(f"{command} ran an engine with one replicate")
+
+    _forbid_building_and_drawing(monkeypatch)
+    for name in _ENGINES:
+        monkeypatch.setattr(cli, name, never)
+    with pytest.raises(ValueError, match="^reps must be at least 2, got 1: every report "
+                                         "estimates a standard error$"):
+        main([command, "--config", str(CONFIGS / f"{command}.ini"), "--seed", "3",
+              "--reps", "1", "--out", str(tmp_path)])
+    assert not any(tmp_path.iterdir())
+
+
 _EXPLICIT_SPIN_RUN = ["spin-run", "--seed", "3", "--reps", "5", "--set", "kernel.type=explicit",
                       "--set", "kernel.n=3", "--set", "params.alpha=0.3", "--set", "run.T=1",
                       "--set", "run.grid=0.5,1"]

@@ -181,10 +181,32 @@ EM_DIGESTS = {
 }
 
 
+def _small_run_digests(out: Path, name: str) -> dict:
+    """SHA-256 of every --out file of config ``name`` at --seed 101 and its small-run overrides."""
+    sets = [arg for item in THREAD_OVERRIDES[name] for arg in ("--set", item)]
+    main([name, "--config", str(CONFIGS / f"{name}.ini"), "--seed", "101", "--out", str(out)]
+         + sets)
+    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+
+
 @pytest.mark.parametrize("name", sorted(EM_DIGESTS))
 def test_em_driven_config_outputs_match_pinned_digests(tmp_path, name):
-    sets = [arg for item in THREAD_OVERRIDES[name] for arg in ("--set", item)]
-    main([name, "--config", str(CONFIGS / f"{name}.ini"), "--seed", "101", "--out", str(tmp_path)]
-         + sets)
-    assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
-            for f in tmp_path.iterdir()} == EM_DIGESTS[name]
+    assert _small_run_digests(tmp_path, name) == EM_DIGESTS[name]
+
+
+# The same for the Gillespie-driven configs: each spans two chunks, and
+# walker-run's second chunk holds one replicate, so it runs the scalar loop.
+# Neither uses BLAS, so the digests do not depend on the host.
+GILLESPIE_DIGESTS = {
+    "spin-run": {
+        "spin-run.json": "b96ff23d1e0bf2bc578e585ebced1fba229f8d7ea427aa9ba066fc32a4084a1f",
+        "spin_density.csv": "26d55b76d1340bffd08e92ee5416b0d44fe2bc8861a9abb38d9e8e423233897d"},
+    "walker-run": {
+        "walker-run.json": "7aca50ec79d392157427111bcc58086b79aefbff800e8306c0163971913a1bbf",
+        "walker_sizes.csv": "63993152516d2dac714cc4c9307b45aba5f48b2a3b4fb6f39376a40d35a34c63"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GILLESPIE_DIGESTS))
+def test_gillespie_driven_config_outputs_match_pinned_digests(tmp_path, name):
+    assert _small_run_digests(tmp_path, name) == GILLESPIE_DIGESTS[name]

@@ -113,6 +113,13 @@ def test_stencil_validation():
         Stencil(displacements=((1,), (1, 0)), weights=(0.5, 0.5))
 
 
+def test_an_empty_stencil_is_refused_by_value():
+    # unchecked, Torus(1, 4).move_table(Stencil((), ())) failed in Stencil.dim
+    # with a bare IndexError
+    with pytest.raises(ValueError, match="^a stencil needs at least one displacement$"):
+        Stencil((), ())
+
+
 # -- seed derivation ------------------------------------------------------------
 
 
@@ -198,8 +205,11 @@ def test_runconfig_validation():
         _mk_cfg(seed=-1)
     with pytest.raises(ValueError):
         _mk_cfg(seed=2 ** 64)
-    with pytest.raises(ValueError):
-        _mk_cfg(reps=0)
+    for reps in (0, 1):
+        with pytest.raises(ValueError, match=f"^reps must be at least 2, got {reps}: every "
+                                             f"report estimates a standard error$"):
+            _mk_cfg(reps=reps)
+    assert _mk_cfg(reps=2).reps == 2
     with pytest.raises(ValueError):
         _mk_cfg(threads=0)
 

@@ -177,9 +177,9 @@ def test_comparator_counts_its_jumps():
     (1, 5, 1.0, "at least 2 vertices, got 1"),
     (0, 5, 1.0, "at least 2 vertices, got 0"),
     (50, 0, 1.0, "at least 1 replicate, got 0"),
-    (50, 5, -0.5, "horizon must be nonnegative, got -0.5"),
-    (50, 5, np.inf, "horizon must be finite, got inf"),
-    (50, 5, np.nan, "horizon must be finite, got nan"),
+    (50, 5, -0.5, "horizon must be finite and nonnegative, got -0.5"),
+    (50, 5, np.inf, "horizon must be finite and nonnegative, got inf"),
+    (50, 5, np.nan, "horizon must be finite and nonnegative, got nan"),
 ])
 def test_comparator_rejects_bad_inputs(n_vertices, reps, horizon, message):
     with pytest.raises(ValueError, match=message):
@@ -190,8 +190,17 @@ def test_comparator_rejects_bad_inputs(n_vertices, reps, horizon, message):
 @pytest.mark.parametrize("horizon", [np.inf, np.nan, -1.0])
 def test_integrate_ode_refuses_a_horizon_that_is_not_finite_and_nonnegative(horizon):
     # unchecked, an infinite horizon never returned and a NaN one returned the start
-    with pytest.raises(ValueError, match="finite horizon >= 0"):
+    with pytest.raises(ValueError, match="horizon must be finite and nonnegative"):
         integrate_ode(lambda x: -x, [1.0], horizon)
+
+
+@pytest.mark.parametrize("dt", [np.inf, np.nan, 0.0, -0.1])
+def test_integrate_ode_refuses_a_step_that_is_not_finite_and_positive(dt):
+    # unchecked, dt = inf took one RK4 step over the whole horizon and returned
+    # 505741 for a state that decays from 1; the halved step, also infinite,
+    # took the same step, so the self-check passed
+    with pytest.raises(ValueError, match=f"^dt must be finite and positive, got {dt}$"):
+        integrate_ode(lambda x: -x, [1.0], 60.0, dt=dt, self_check=True)
 
 
 def test_integrate_ode_self_check_fails_on_a_nan_state():

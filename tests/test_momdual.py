@@ -231,3 +231,26 @@ def test_extinction_probe_refuses_a_p0_outside_zero_to_one_minus_eps_before_simu
     with pytest.raises(ValueError, match="need 0 < eps < 1 and 0 <= p0 < 1 - eps"):
         extinction_probe(-1.0, -0.5, torus, stencil, p0_value=p0, xi0={0: 1}, eps=0.1,
                          grid=[0.02], reps_fwd=8, reps_dual=8, master_seed=1)
+
+
+@pytest.mark.parametrize("side", ["reps_het", "reps_surv"])
+def test_coexistence_probe_refuses_one_replicate_before_simulating(monkeypatch, side):
+    # unchecked, reps_surv = 1 failed with "need at least two samples" after
+    # the heterozygosity ensemble had run
+    _forbid_simulation(monkeypatch)
+    torus, stencil = _geom()
+    with pytest.raises(ValueError, match=f"^{side} must be at least 2, got 1: every estimate "
+                                         f"needs a standard error$"):
+        coexistence_probe(2.0, torus, stencil, master_seed=1, t_het=0.02, horizon_surv=0.05,
+                          **{"reps_het": 8, "reps_surv": 8, side: 1})
+
+
+@pytest.mark.parametrize("side", ["reps_fwd", "reps_dual"])
+def test_extinction_probe_refuses_one_replicate_before_simulating(monkeypatch, side):
+    _forbid_simulation(monkeypatch)
+    torus, stencil = _geom()
+    with pytest.raises(ValueError, match=f"^{side} must be at least 2, got 1: every estimate "
+                                         f"needs a standard error$"):
+        extinction_probe(-1.0, -0.5, torus, stencil, p0_value=0.5, xi0={0: 1}, eps=0.1,
+                         grid=[0.02], master_seed=1,
+                         **{"reps_fwd": 8, "reps_dual": 8, side: 1})

@@ -389,11 +389,11 @@ def test_walker_samples_checks_its_inputs_before_any_draw():
     msg = _untouched(lambda rng: walker_samples(kind, {0: 12}, torus, stencil, [1.0], 10, 20, rng))
     assert "exceeds the cap" in msg
     msg = _untouched(lambda rng: walker_samples(kind, {0: 2}, torus, stencil, [-1.0], 10, 20, rng))
-    assert "horizon must be nonnegative" in msg
+    assert "grid has a negative entry -1.0" in msg
     for grid in ([np.inf], [np.nan], [1.0, np.nan, 2.0]):  # a NaN may sort anywhere
         msg = _untouched(lambda rng: walker_samples(kind, {0: 2}, torus, stencil, grid, 10, 20,
                                                     rng))
-        assert "horizon must be nonnegative and finite" in msg
+        assert "grid has a non-finite entry" in msg
 
 
 def test_walkers_refuse_a_displacement_that_wraps_to_its_own_site_before_any_draw():
