@@ -27,10 +27,11 @@ import numpy as np
 from . import __version__
 from .diffusion import DiffusionParams, ensemble_observable, parse_field_initial
 from .dualspin import ZBDistribution, evug_statistic, parity_duality_mc
-from .exact import (MAX_EXACT_SITES, build_generator_dual, build_generator_from_events,
-                    build_generator_np, feynman_kac_check)
-from .harness import (RunConfig, check_grid, check_horizon, load_config_file, replicate_map,
-                      resolve_seed, write_csv, write_json)
+from .exact import (MAX_EXACT_SITES, MAX_FK_TERMS, build_generator_dual,
+                    build_generator_from_events, build_generator_np, feynman_kac_check,
+                    fk_check_terms)
+from .harness import (RunConfig, check_grid, check_horizon, load_config_file, read_option,
+                      replicate_map, resolve_seed, write_csv, write_json)
 from .kernel import Kernel, complete_kernel, explicit_kernel, torus_kernel
 from .lattice import Stencil, Torus
 from .meanfield import density_rhs, equilibrium, integrate_ode, meanfield_comparator
@@ -52,15 +53,15 @@ def _parse_sites(cfg: RunConfig, key: str, n_sites: int) -> list[int]:
     return sites
 
 
-def _parse_grid(cfg: RunConfig, key: str, default: str = "",
+def _parse_grid(cfg: RunConfig, key: str, default: list[float],
                 horizon: float | None = None) -> list[float]:
-    """The times of [run] key, sorted, as :func:`check_grid` allows; [] when it lists none.
+    """The times of [run] key, sorted, as :func:`check_grid` allows; ``default`` when absent.
 
     With a ``horizon``, an entry past run.t is refused.
     """
-    tokens = [tok for tok in cfg.opt("run", key, default).split(",") if tok.strip()]
-    if not tokens:
-        return []
+    if key not in cfg.options.get("run", {}):
+        return default
+    tokens = [tok for tok in cfg.opt("run", key).split(",") if tok.strip()]
     return check_grid([float(tok) for tok in tokens], f"run.{key}", horizon, "run.t")
 
 
@@ -123,10 +124,10 @@ def _build_params(cfg: RunConfig) -> NPParams:
             if key in sec:
                 raise ValueError(f"params.alpha and params.{key} are both set; "
                                  f"params.alpha fixes the symmetric model, so set one or the other")
-        return NPParams.symmetric(float(sec["alpha"]))
-    return NPParams(lam=float(sec.get("lam", 1.0)),
-                    alpha01=float(sec.get("alpha01", 0.0)),
-                    alpha10=float(sec.get("alpha10", 0.0)))
+        return NPParams.symmetric(cfg.opt("params", "alpha", cast=float))
+    return NPParams(lam=cfg.opt("params", "lam", 1.0, float),
+                    alpha01=cfg.opt("params", "alpha01", 0.0, float),
+                    alpha10=cfg.opt("params", "alpha10", 0.0, float))
 
 
 def _build_torus(cfg: RunConfig) -> Torus:
@@ -173,7 +174,7 @@ def cmd_spin_run(cfg: RunConfig) -> dict:
     p = _build_params(cfg)
     k = _build_kernel(cfg)
     horizon = _parse_horizon(cfg, 10.0)
-    grid = _parse_grid(cfg, "grid", horizon=horizon) or [horizon * j / 20.0 for j in range(21)]
+    grid = _parse_grid(cfg, "grid", [horizon * j / 20.0 for j in range(21)], horizon)
     init_spec = cfg.opt("run", "init", "bernoulli:0.5")
     dens, terminal, flips = replicate_map(partial(_spin_chunk, p, k, init_spec, horizon, grid),
                                           cfg.reps, cfg.seed, "spin-run", SPIN_CHUNK, cfg.threads)
@@ -188,9 +189,11 @@ def cmd_dual_run(cfg: RunConfig) -> dict:
     p = _build_params(cfg)
     k = _build_kernel(cfg)
     horizon = _parse_horizon(cfg, 10.0)
-    grid = _parse_grid(cfg, "grid", horizon=horizon) or [horizon]
+    grid = _parse_grid(cfg, "grid", [horizon], horizon)
     B = _parse_sites(cfg, "b", k.n)
     cap = cfg.opt("run", "cap", 10, int)
+    if cap < 1:
+        raise ValueError(f"run.cap must be at least 1, got {cap}")
     sizes, rows = evug_statistic(p, k, B, grid, cap, cfg.reps, cfg.seed, "dual-run", cfg.threads)
     write_csv(cfg.out / "dual_sizes.csv", ["replicate", "t", "size"],
               [(r, t, int(sizes[r, j])) for r in range(cfg.reps) for j, t in enumerate(grid)])
@@ -238,20 +241,23 @@ def _parse_exact_kernel(tok: str) -> tuple[int, partial]:
 
 
 def cmd_exact_check(cfg: RunConfig) -> dict:
-    alphas = _parse_grid(cfg, "alphas", "0,0.3,0.7")
-    tgrid = _parse_grid(cfg, "tgrid", "0.1,1,5")
+    alphas = _parse_grid(cfg, "alphas", [0.0, 0.3, 0.7])
+    tgrid = _parse_grid(cfg, "tgrid", [0.1, 1.0, 5.0])
     spec = cfg.opt("run", "kernels", "torus:1:3,torus:1:4,complete:3,complete:4")
     tokens = [tok.strip() for tok in spec.split(",") if tok.strip()]
-    for key, values in (("run.alphas", alphas), ("run.tgrid", tgrid), ("run.kernels", tokens)):
-        if not values:
-            raise ValueError(f"{key} is empty; exact-check needs at least one value")
-    kernels = []
-    for tok in tokens:
-        n, build = _parse_exact_kernel(tok)
-        if n > MAX_EXACT_SITES:  # checked for every kernel before any generator is built
+    if not tokens:
+        raise ValueError("run.kernels is empty; exact-check needs at least one value")
+    # every kernel and the time budget are checked before any generator is built
+    parsed = [(tok, *_parse_exact_kernel(tok)) for tok in tokens]
+    for tok, n, _ in parsed:
+        if n > MAX_EXACT_SITES:
             raise ValueError(f"kernel {tok} has {n} sites; exact checks allow at most "
                              f"{MAX_EXACT_SITES}")
-        kernels.append((tok, build()))
+    terms = len(alphas) * sum(fk_check_terms(n, t) for _, n, _ in parsed for t in tgrid)
+    if terms > MAX_FK_TERMS:
+        raise ValueError(f"run.tgrid projects {terms:.4g} uniformization series terms over "
+                         f"run.kernels and run.alphas; the limit is {MAX_FK_TERMS}")
+    kernels = [(tok, build()) for tok, _, build in parsed]
     battery = []
     max_gap = 0.0
     max_res = 0.0
@@ -302,7 +308,7 @@ def cmd_meanfield(cfg: RunConfig) -> dict:
 def cmd_diffusion_run(cfg: RunConfig) -> dict:
     params = _build_diffusion(cfg)
     horizon = _parse_horizon(cfg, 1.0)
-    grid = _parse_grid(cfg, "grid", horizon=horizon) or [horizon * j / 10.0 for j in range(1, 11)]
+    grid = _parse_grid(cfg, "grid", [horizon * j / 10.0 for j in range(1, 11)], horizon)
     init = cfg.opt("run", "init", "const:0.5")
     kappa = cfg.opt("run", "kappa", 0.1, float)
     if not 0.0 < kappa < 0.5:
@@ -338,7 +344,7 @@ def cmd_walker_run(cfg: RunConfig) -> dict:
         raise ValueError(f"unknown walker kind {kind_name!r}")
     xi0 = _parse_counts(cfg, torus.n_sites)
     horizon = _parse_horizon(cfg, 10.0)
-    grid = _parse_grid(cfg, "grid", horizon=horizon) or [horizon]
+    grid = _parse_grid(cfg, "grid", [horizon], horizon)
     cap = cfg.opt("run", "cap", 100000, int)
     runs = walker_ensemble(kind, xi0, torus, stencil, grid, cap, cfg.reps, cfg.seed,
                            "walker-run", cfg.threads)
@@ -354,7 +360,7 @@ def cmd_walker_run(cfg: RunConfig) -> dict:
 def cmd_moment_check(cfg: RunConfig) -> dict:
     params = _build_diffusion(cfg)
     regime = cfg.opt("run", "regime", "auto")
-    grid = _parse_grid(cfg, "grid", "0.25,0.5")
+    grid = _parse_grid(cfg, "grid", [0.25, 0.5])
     xi0 = _parse_counts(cfg, params.torus.n_sites, "0:2")
     p0 = np.full(params.torus.shape, _parse_p0(cfg))
     cap = cfg.opt("run", "cap", 100000, int)
@@ -401,7 +407,7 @@ def cmd_extinct_probe(cfg: RunConfig) -> dict:
         p0_value=_parse_p0(cfg, 1.0 - eps),
         xi0=_parse_counts(cfg, torus.n_sites, "0"),
         eps=eps,
-        grid=_parse_grid(cfg, "grid", "1,2,5,10"),
+        grid=_parse_grid(cfg, "grid", [1.0, 2.0, 5.0, 10.0]),
         reps_fwd=cfg.opt("run", "reps_fwd", cfg.reps, int),
         reps_dual=cfg.opt("run", "reps_dual", cfg.reps, int),
         master_seed=cfg.seed,
@@ -516,8 +522,9 @@ def _merge_config(args) -> RunConfig:
         options.setdefault(section.strip(), {})[key.strip().lower()] = value.strip()
     run_sec = options.get("run", {})
     seed = resolve_seed(args.seed, run_sec.get("seed"))
-    reps = args.reps if args.reps is not None else int(run_sec.get("reps", 1000))
-    threads = args.threads if args.threads is not None else int(run_sec.get("threads", 1))
+    reps = args.reps if args.reps is not None else read_option(options, "run", "reps", 1000, int)
+    threads = (args.threads if args.threads is not None
+               else read_option(options, "run", "threads", 1, int))
     out = args.out if args.out is not None else Path(run_sec.get("out", "ipsd-results"))
     return RunConfig(subcommand=args.subcommand, seed=seed, reps=reps,
                      out=out, threads=threads, options=options)

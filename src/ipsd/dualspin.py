@@ -71,7 +71,7 @@ def _fold_dual(rows: list[int], log: EventLog, lo: int, hi: int, step: int) -> N
 
 
 def replay_dual(xi0: np.ndarray, log: EventLog, t: float) -> np.ndarray:
-    """Dual state from running the events with time <= t in reverse order.
+    """Dual state from running the events with time <= t in reverse order, t in [0, log.horizon].
 
     ``xi0`` is one configuration or an (n_sites, m) stack of 0/1 columns, as
     for :func:`ipsd.spin.replay_forward`; returns a fresh array of its
@@ -262,9 +262,12 @@ def evug_statistic(p: NPParams, k: Kernel, B, grid, cap: int, reps: int, master_
     Returns the (reps, len(grid)) size array, recorded at the sorted grid,
     and one row per grid time with the window and survival estimates.  The
     statistic separates eventual unboundedness from genuine survival: mass
-    escaping past ``cap`` is reported through the survival column.
+    escaping past ``cap`` is reported through the survival column.  A
+    ``cap`` below 1 leaves no window and is refused.
     """
     grid = check_grid(grid, "grid")
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
     work = partial(dual_sizes_fresh, p, k, B, grid, table=EventTable.build(p, k))
     sizes = replicate_map(work, reps, master_seed, role, SPIN_CHUNK, threads)
     rows = []

@@ -49,6 +49,8 @@ __all__ = [
     "semigroup_apply",
     "parity_matrix",
     "feynman_kac_check",
+    "MAX_FK_TERMS",
+    "fk_check_terms",
     "parity_deviation",
     "parity_deviation_enum",
     "MeasureComparison",
@@ -58,6 +60,8 @@ __all__ = [
 MAX_EXACT_SITES = 12
 SEMIGROUP_TAIL = 1e-14  # Poisson mass left out of the uniformization series
 MAX_UNIFORM_MU = 500.0  # largest lam t of one series; exp(-lam t) stays a normal float
+# projected series terms one exact-check battery may run (README gives its cost)
+MAX_FK_TERMS = 1_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,6 +254,19 @@ def feynman_kac_check(gen_fwd: DenseGenerator, gen_dual: DenseGenerator, t: floa
     fwd = semigroup_apply(gen_fwd, t, phi)
     dual = semigroup_apply(gen_dual, t, phi)
     return float(np.abs(fwd - dual.T).max())
+
+
+def fk_check_terms(n_sites: int, t: float) -> float:
+    """Projected uniformization series terms of one feynman_kac_check at t.
+
+    For the symmetric model on ``n_sites`` sites: each site flips at rate at
+    most 1 (``(f0 + alpha f1) f1 <= 1``), and the dual's exit rate is at most
+    the event table's total rate, itself at most n, so lam <= 1.01 n for
+    both generators.  Each is applied at t and then as two halves, about
+    (1 + 1/2 + 1/2) lam t terms, so the check runs about 4.04 n t at most;
+    the tail of each series, of order sqrt(lam t) terms, is left out.
+    """
+    return 4.04 * n_sites * t
 
 
 # -- parity deviation ----------------------------------------------------------

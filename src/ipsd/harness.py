@@ -43,6 +43,7 @@ __all__ = [
     "check_horizon",
     "check_grid",
     "RunConfig",
+    "read_option",
     "load_config_file",
     "resolve_seed",
     "parallel_map",
@@ -114,12 +115,8 @@ class RunConfig:
             raise ValueError("threads must be positive")
 
     def opt(self, section: str, key: str, default=None, cast=str):
-        sec = self.options.get(section, {})
-        if key not in sec:
-            if default is None:
-                raise KeyError(f"missing config key [{section}] {key}")
-            return default
-        return cast(sec[key])
+        """:func:`read_option` of this configuration's options."""
+        return read_option(self.options, section, key, default, cast)
 
     def echo(self) -> dict:
         """Config echo for reports: everything that determines the output."""
@@ -129,6 +126,28 @@ class RunConfig:
             "reps": self.reps,
             "options": {k: dict(v) for k, v in sorted(self.options.items())},
         }
+
+
+def read_option(options: dict[str, dict[str, str]], section: str, key: str, default=None,
+                cast=str):
+    """``cast`` of [section] key, or ``default`` when the key is absent.
+
+    An absent key without a default is a KeyError; a value ``cast`` cannot
+    convert is refused by key.
+    """
+    sec = options.get(section, {})
+    if key not in sec:
+        if default is None:
+            raise KeyError(f"missing config key [{section}] {key}")
+        return default
+    return _cast(sec[key], f"{section}.{key}", cast)
+
+
+def _cast(value: str, name: str, cast):
+    try:
+        return cast(value)
+    except ValueError:
+        raise ValueError(f"{name} must be {cast.__name__}, got {value!r}") from None
 
 
 def load_config_file(path: str | Path) -> dict[str, dict[str, str]]:
@@ -147,10 +166,10 @@ def resolve_seed(flag_value: int | None, file_value: str | None) -> int:
     if flag_value is not None:
         return int(flag_value)
     if file_value is not None:
-        return int(file_value)
+        return _cast(file_value, "run.seed", int)
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
-        return int(env)
+        return _cast(env, SEED_ENV_VAR, int)
     raise ValueError(
         f"no master seed: pass --seed, set a [run] seed key, or export {SEED_ENV_VAR}"
     )

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harness import check_horizon
+from .harness import check_grid, check_horizon
 from .kernel import Kernel, config_all, config_bernoulli, config_indicator, frequency_of_ones
 
 __all__ = [
@@ -165,7 +165,9 @@ class EventLog:
         return len(self.times)
 
     def count_up_to(self, t: float) -> int:
-        """Number of events with time <= t."""
+        """Number of events with time <= t; a t outside [0, horizon] is refused."""
+        if not 0.0 <= t <= self.horizon:  # a NaN fails too
+            check_grid([t], "t", self.horizon)
         return bisect.bisect_right(self.times, t)  # type: ignore[arg-type]
 
 
@@ -300,7 +302,7 @@ def _fold_forward(rows: list[int], log: EventLog, upto: int) -> None:
 
 
 def replay_forward(eta0: np.ndarray, log: EventLog, t: float) -> np.ndarray:
-    """Configuration at time t obtained by running log events over eta0.
+    """Configuration at time t in [0, log.horizon] obtained by running log events over eta0.
 
     ``eta0`` is one configuration of shape (n_sites,) or a stack of shape
     (n_sites, m) whose columns replay together; a stack holds 0/1 entries
@@ -343,7 +345,9 @@ class SpinTrajectory:
         return len(self.times)
 
     def config_at(self, t: float) -> np.ndarray:
-        """Configuration of every row at time t, shape (R, n)."""
+        """Configuration of every row at time t in [0, horizon], shape (R, n)."""
+        if not 0.0 <= t <= self.horizon:  # a NaN fails too
+            check_grid([t], "t", self.horizon)
         reps, n = self.initial.shape
         upto = self.times <= t
         flips = np.bincount(self.rows[upto] * n + self.sites[upto], minlength=reps * n)
@@ -359,7 +363,8 @@ class SpinTrajectory:
         return np.concatenate(([0.0], self.times[lo:hi])), dens
 
     def density_at(self, grid) -> np.ndarray:
-        """Density of ones of every row at each grid time, shape (R, len(grid))."""
+        """Density of ones of every row at each grid time in [0, horizon], shape (R, len(grid))."""
+        check_grid(grid, "grid", self.horizon)
         reps, n = self.initial.shape
         steps = np.where(self.ups, 1.0, -1.0)
         out = np.empty((reps, len(grid)))

@@ -182,16 +182,7 @@ def simulate_walker(kind: WalkerKind, xi0: dict[int, int], torus: Torus, stencil
                     grid=None) -> WalkerRun:
     """Exact Gillespie run of one walker to the horizon (or extinction / cap)."""
     horizon = check_horizon(horizon, "horizon")
-    if grid is None:
-        grid = [horizon]
-    else:
-        # The scalar tail of walker_samples hands over offsets g - t from a
-        # lockstep clock t, which records grid time g only once it passes
-        # g + 1e-15, so an offset can be as low as -1e-15.  A negative entry
-        # records the start state; only an empty grid, a NaN or infinite entry
-        # and one past the horizon are refused.
-        check_grid([max(g, 0.0) for g in grid], "grid", horizon)  # max(nan, 0.0) is nan
-        grid = sorted(grid)
+    grid = [horizon] if grid is None else check_grid(grid, "grid", horizon)
     b1, b2, pair_delta = per_particle_rates(kind)
     move_total = stencil.total_rate
     ppr = move_total + b1 + b2
@@ -223,7 +214,7 @@ def simulate_walker(kind: WalkerKind, xi0: dict[int, int], torus: Torus, stencil
 
     def record_until(up_to_t: float, size_now: int):
         nonlocal gi
-        while gi < len(grid) and grid[gi] < up_to_t - 1e-15:
+        while gi < len(grid) and grid[gi] < up_to_t:
             sizes[gi] = size_now
             snaps.append(dict(counts))
             gi += 1
@@ -236,7 +227,7 @@ def simulate_walker(kind: WalkerKind, xi0: dict[int, int], torus: Torus, stencil
             break
         dt = rng.exponential(1.0 / total_rate)
         t_next = t + dt
-        record_until(min(t_next, horizon + 1e-15), total)
+        record_until(t_next, total)
         if t_next > horizon:
             t = horizon
             break
@@ -380,8 +371,7 @@ def _lockstep(kind: WalkerKind, start: np.ndarray, stencil: Stencil, table: np.n
     site_delta = np.array([-1, 1, 2, pair_delta, 0])
     total_delta = np.array([0, 1, 2, pair_delta, 0])
     horizon = grid[-1]
-    # a row records grid time g once its clock passes g, with the scalar loop's 1e-15 slack
-    gate = np.append(np.asarray(grid, dtype=np.float64) + 1e-15, np.inf)
+    gate = np.append(grid, np.inf)  # a row records grid time g once its clock passes g
 
     ids = np.arange(size)
     counts = np.tile(start, (size, 1))

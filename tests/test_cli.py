@@ -10,6 +10,7 @@ import pytest
 from ipsd import cli, harness, momdual
 from ipsd.cli import _merge_config, build_parser, main
 from ipsd.diffusion import ensemble_observable
+from ipsd.exact import MAX_FK_TERMS, fk_check_terms
 from ipsd.spin import SPIN_CHUNK, EventTable
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -40,6 +41,9 @@ def test_merge_config_env_seed(tmp_path, monkeypatch):
     monkeypatch.setenv("IPSD_SEED", "777")
     args = build_parser().parse_args(["meanfield"])
     assert _merge_config(args).seed == 777
+    monkeypatch.setenv("IPSD_SEED", "abc")
+    with pytest.raises(ValueError, match="^IPSD_SEED must be int, got 'abc'$"):
+        _merge_config(args)
     monkeypatch.delenv("IPSD_SEED")
     with pytest.raises(ValueError):
         _merge_config(build_parser().parse_args(["meanfield"]))
@@ -355,8 +359,8 @@ def test_a_non_finite_time_key_is_refused_by_key_before_any_engine_runs(tmp_path
     _refused_before_any_engine(tmp_path, monkeypatch, command, key, value, f"{key} {message}")
 
 
-def _refused_before_any_engine(tmp_path, monkeypatch, command, key, value, message):
-    """Run the shipped config with key=value; it must raise ``message`` before any engine."""
+def _refused_before_any_engine(tmp_path, monkeypatch, command, key, value, message, *sets):
+    """Run the shipped config with key=value and ``sets``; it must raise ``message`` first."""
     def never(*args, **kwargs):
         raise AssertionError(f"{command} ran an engine before checking {key}")
 
@@ -365,8 +369,56 @@ def _refused_before_any_engine(tmp_path, monkeypatch, command, key, value, messa
         monkeypatch.setattr(cli, name, never)
     with pytest.raises(ValueError, match=message):
         main([command, "--config", str(CONFIGS / f"{command}.ini"), "--seed", "3", "--reps", "2",
-              "--out", str(tmp_path), "--set", f"{key}={value}"])
+              "--out", str(tmp_path), "--set", f"{key}={value}"]
+             + [arg for kv in sets for arg in ("--set", kv)])
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["spin-run", "dual-run", "walker-run", "diffusion-run",
+                                     "moment-check", "extinct-probe"])
+def test_an_empty_grid_is_refused_by_key_before_any_engine_runs(tmp_path, monkeypatch, command):
+    # moment-check and extinct-probe refused it in the engine as "grid is empty";
+    # the other four ran their default grid
+    _refused_before_any_engine(tmp_path, monkeypatch, command, "run.grid", "",
+                               "^run.grid is empty$")
+
+
+@pytest.mark.parametrize("command, key, value, kind", [
+    ("walker-run", "run.cap", "abc", "int"),
+    ("spin-run", "run.t", "abc", "float"),
+    ("dual-run", "params.alpha", "x", "float"),
+    ("meanfield", "params.lam", "1,5", "float"),
+    ("spin-run", "run.reps", "2.5", "int"),
+    ("spin-run", "run.threads", "two", "int"),
+    ("spin-run", "run.seed", "abc", "int"),
+])
+def test_a_malformed_value_is_refused_by_key(tmp_path, monkeypatch, command, key, value, kind):
+    # unchecked, each failed in int() or float() with a message that named no key
+    _forbid_building_and_drawing(monkeypatch)
+    with pytest.raises(ValueError, match=f"^{key} must be {kind}, got '{value}'$"):
+        main([command, "--config", str(CONFIGS / f"{command}.ini"), "--out", str(tmp_path),
+              "--set", f"{key}={value}"])
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_dual_run_refuses_a_cap_below_one_by_key_before_any_engine_runs(tmp_path, monkeypatch,
+                                                                        cap):
+    # unchecked, run.cap=-1 wrote terminal_overflow_mass 1.0, dead duals included
+    _refused_before_any_engine(tmp_path, monkeypatch, "dual-run", "run.cap", cap,
+                               f"^run.cap must be at least 1, got {cap}$")
+
+
+def test_exact_check_refuses_a_time_grid_past_its_budget_before_any_generator(tmp_path,
+                                                                              monkeypatch):
+    # unchecked, run.tgrid=1e7 was still running after 15 s
+    terms = 3 * fk_check_terms(3, 1e7)  # three alphas on one 3-site kernel
+    assert terms > MAX_FK_TERMS
+    _refused_before_any_engine(
+        tmp_path, monkeypatch, "exact-check", "run.tgrid", "1e7",
+        "^" + re.escape(f"run.tgrid projects {terms:.4g} uniformization series terms over "
+                        f"run.kernels and run.alphas; the limit is {MAX_FK_TERMS}") + "$",
+        "run.kernels=torus:1:3")
 
 
 # unchecked, meanfield at run.p0=1.5 divided by zero, at run.stride=0 failed in

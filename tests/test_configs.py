@@ -210,3 +210,44 @@ GILLESPIE_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(GILLESPIE_DIGESTS))
 def test_gillespie_driven_config_outputs_match_pinned_digests(tmp_path, name):
     assert _small_run_digests(tmp_path, name) == GILLESPIE_DIGESTS[name]
+
+
+# SHA-256 of every --out file of the benchmark's lattice-moments configs and its
+# spin-torus spin, dual and parity configs, at --seed 101 and their own reps: the
+# walker, Euler-Maruyama and spin traffic the benchmark times, pinned bit for bit.
+# exact-check runs on BLAS, so its bits may depend on the host.  The configs are
+# read, never edited.
+BENCHMARK_CONFIGS = CONFIGS.parent / "benchmark" / "configs"
+BENCHMARK_DIGESTS = {
+    "lattice-moments/coexist-probe": {
+        "coexist-probe.json": "27770ab2d792572c576a075016ea57da864b4542462503144a1756181d0f3556"},
+    "lattice-moments/diffusion-run": {
+        "diffusion-run.json": "9ae8e7bd4d010e1f18942357f42cd8a08255c62ae6d91b4076496b8b3cace872",
+        "diffusion_summary.csv": "ac27e49a711b004b3edd1d05334476cc3696a624302363233e82cc0c430bc364"},
+    "lattice-moments/extinct-probe": {
+        "extinct-probe.json": "2a6b311091f49c333eb140add2f567f303d87cfc1e59916cff277dbd4f563759"},
+    "lattice-moments/moment-check": {
+        "moment-check.json": "6a34430dd2912df91a1db6ef25c0dea8a648a1a689469af6dce0a3035e7533bc"},
+    "lattice-moments/walker-run": {
+        "walker-run.json": "97c3d70d8164a873c94774e7fe5b9ff5cce70f791535ab9bb5b9ac496317e693",
+        "walker_sizes.csv": "651e3461539e86a8a5dcec61d4df6a18394c5ab558d4789699c1cd5a0fac0c6c"},
+    "spin-torus/dual-run": {
+        "dual-run.json": "9a93c5623152a887b99aaaf693e0ff82432d7282ea627e3286e41fa689bb5cd8",
+        "dual_sizes.csv": "daf059ce5e5b55e547e95c8114d4d2852ff45990436da9f1c3a750964272169d",
+        "dual_survival.csv": "fc9f0cc6733a3c9d9e9b885b9b37e947cdb89c598de99d297157eddc225fbe0c"},
+    "spin-torus/parity-check": {
+        "parity-check.json": "552b3d78622411c27a2113ee53b2491a1dc3a7df11f10dc09604520d1b72059b",
+        "parity_mc.csv": "91c6bf0276b99fe0d605edb070b10aee1c3f96761d116400517b3f4424366258",
+        "parity_pathwise.csv": "5faa9569eb2d53f45ad9d9306564806a5f5275dad814dcf7a44ee6cf7f68291d"},
+    "spin-torus/spin-run": {
+        "spin-run.json": "2c813b75b996dfae3fb68f01fada1ddf2f79d2200f61d27a81ca3117a3bfd908",
+        "spin_density.csv": "544b2f8a63c25c5b85ddcddc5e99a7427a2d7498a9503c7b8c08158ae03d2060"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_DIGESTS))
+def test_benchmark_config_outputs_match_pinned_digests(tmp_path, name):
+    main([Path(name).name, "--config", str(BENCHMARK_CONFIGS / f"{name}.ini"), "--seed", "101",
+          "--out", str(tmp_path)])
+    assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in tmp_path.iterdir()} == BENCHMARK_DIGESTS[name]

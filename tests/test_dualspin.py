@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ipsd import harness
 from ipsd.dualspin import (ZBDistribution, bernoulli_parity_identity, dual_sizes_fresh,
                            evug_statistic, limit_formula, parity_duality_mc, parity_overlap,
                            replay_dual, replay_dual_batch, simulate_dual_fresh)
@@ -175,8 +176,8 @@ def _fold_log(p, k, seed):
 @pytest.mark.parametrize("k", FOLD_KERNELS)
 def test_packed_replays_give_the_reference_bits(k, alpha):
     log = _fold_log(NPParams.symmetric(alpha), k, 31)
-    # no event, a prefix ending on an event, the whole log, past the horizon
-    times = [0.0, float(log.times[len(log) // 2]), log.horizon, log.horizon + 1.0]
+    # no event, a prefix ending on an event, the whole log
+    times = [0.0, float(log.times[len(log) // 2]), log.horizon]
     rng = derive_stream(32, "fold-start")
     for m in FOLD_COLUMNS:
         start = rng.integers(0, 2, k.n if m is None else (k.n, m), dtype=np.uint8)
@@ -327,6 +328,17 @@ def test_evug_statistic_rows():
     assert [r["t"] for r in rows] == [1.0, 2.0]
     for r in rows:
         assert 0.0 <= r["window"].mean <= r["survival"].mean <= 1.0
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_evug_statistic_refuses_a_cap_below_one_before_any_draw(monkeypatch, cap):
+    # unchecked, cap=-1 counted every dual, the dead ones too, as overflow
+    def never(*args, **kwargs):
+        raise AssertionError("drew before checking the cap")
+
+    monkeypatch.setattr(harness, "derive_stream", never)
+    with pytest.raises(ValueError, match=f"^cap must be at least 1, got {cap}$"):
+        evug_statistic(NPParams.symmetric(0.3), torus_kernel(1, 6), [0, 3], [1.0], cap, 4, 1, "c")
 
 
 def test_evug_statistic_labels_an_unsorted_grid_in_time_order():

@@ -1,5 +1,7 @@
 """Dense-generator routes, the uniformized semigroup, and measure checks."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,13 +9,17 @@ from ipsd.exact import (MAX_EXACT_SITES, MAX_UNIFORM_MU, DenseGenerator, _dual_e
                         _event_target, _poisson_series, _uniformized, _walsh_hadamard,
                         build_generator_dual,
                         build_generator_from_events, build_generator_np, config_to_state,
-                        feynman_kac_check,
+                        feynman_kac_check, fk_check_terms,
                         measure_determination_check, parity_deviation,
                         parity_deviation_enum, parity_matrix, semigroup_apply,
                         state_to_config)
+from ipsd.cli import _parse_exact_kernel
+from ipsd.harness import load_config_file
 from ipsd.kernel import complete_kernel, explicit_kernel, torus_kernel
 from ipsd.rng import derive_stream
 from ipsd.spin import EventTable, NPParams
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_state_config_roundtrip():
@@ -427,3 +433,17 @@ def test_semigroup_matrix_vs_columns():
     both = semigroup_apply(gen, 0.9, V)
     for j in range(3):
         assert np.allclose(both[:, j], semigroup_apply(gen, 0.9, V[:, j]), atol=1e-13)
+
+
+def test_fk_check_terms_bounds_the_built_generators_rates_on_the_shipped_kernels():
+    # the exact-check budget projects lam <= 1.01 n for both generators
+    run = load_config_file(CONFIGS / "exact-check.ini")["run"]
+    for tok in run["kernels"].split(","):
+        n, build = _parse_exact_kernel(tok)
+        k = build()
+        for alpha in (float(a) for a in run["alphas"].split(",")):
+            p = NPParams.symmetric(alpha)
+            lams = [1.01 * float(np.abs(np.diag(g.matrix)).max())
+                    for g in (build_generator_np(p, k), build_generator_dual(p, k))]
+            # each generator runs at t and then as two halves: 2 lam t terms at t = 1
+            assert 2.0 * sum(lams) <= fk_check_terms(n, 1.0), (tok, alpha, lams)

@@ -404,7 +404,7 @@ def test_horizon_zero_keeps_every_start():
     eta0 = (rng.random((5, k.n)) < 0.5).astype(np.uint8)
     traj = simulate_gillespie(NPParams.symmetric(0.3), k, eta0, 0.0, rng)
     assert len(traj) == 0 and np.array_equal(traj.config_at(0.0), eta0)
-    assert np.array_equal(traj.density_at([0.0, 1.0])[:, 1], eta0.mean(axis=1))
+    assert np.array_equal(traj.density_at([0.0])[:, 0], eta0.mean(axis=1))
 
 
 def test_a_one_dimensional_start_is_one_row_and_bad_inputs_are_refused():

@@ -5,6 +5,10 @@ and its grid of recording times through ``harness.check_grid``.  Unchecked,
 several of them hung (``simulate_walker`` at a NaN or infinite horizon),
 answered (``sample_event_log`` at NaN returned an empty log, so
 ``parity_duality_mc`` reported no violation) or failed inside numpy.
+
+A query of a finished run (an event log or a spin trajectory) takes a time
+in [0, horizon] and answers with the state after every event at or before
+it; any other time is refused in ``check_grid``'s words.
 """
 
 import math
@@ -13,10 +17,10 @@ from functools import partial
 import numpy as np
 import pytest
 
-from ipsd import exact, harness
+from ipsd import exact, harness, walkers
 from ipsd.diffusion import DiffusionParams, ensemble_observable
 from ipsd.dualspin import (bernoulli_parity_identity, evug_statistic, parity_duality_mc,
-                           simulate_dual_fresh)
+                           replay_dual, simulate_dual_fresh)
 from ipsd.exact import build_generator_np, semigroup_apply
 from ipsd.harness import check_grid, check_horizon
 from ipsd.kernel import torus_kernel
@@ -24,8 +28,8 @@ from ipsd.lattice import Stencil, Torus
 from ipsd.meanfield import integrate_ode, meanfield_comparator
 from ipsd.momdual import coexistence_probe, extinction_probe, moment_duality_mc
 from ipsd.rng import derive_stream
-from ipsd.spin import (NPParams, complete_count_rates, sample_event_log, simulate_complete_counts,
-                       simulate_gillespie)
+from ipsd.spin import (NPParams, complete_count_rates, replay_forward, sample_event_log,
+                       simulate_complete_counts, simulate_gillespie)
 from ipsd.walkers import (BCRW, CRW, simulate_walker, survival_probability, walker_ensemble,
                           walker_samples)
 
@@ -151,12 +155,66 @@ def test_simulate_walker_refuses_a_grid_time_past_its_horizon():
     assert rng.bit_generator.state == before
 
 
-def test_simulate_walker_takes_the_lockstep_handoff_offsets():
-    # the scalar tail of walker_samples can hand over an offset just below 0,
-    # and that entry records the start state, as an entry at 0 does
-    a = simulate_walker(CRW(), {0: 2}, _TORUS, _STENCIL, 1.0, derive_stream(5, "w"),
-                        grid=[-1e-15, 1.0])
-    b = simulate_walker(CRW(), {0: 2}, _TORUS, _STENCIL, 1.0, derive_stream(5, "w"),
-                        grid=[0.0, 1.0])
-    assert a.sizes.tolist() == b.sizes.tolist() and a.sizes[0] == 2
-    assert a.snapshots == b.snapshots and a.n_events == b.n_events
+def test_simulate_walker_refuses_a_negative_grid_time():
+    # the lockstep handoff once passed offsets down to -1e-15, recorded as the start state
+    rng = derive_stream(98, "times")
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"^grid has a negative entry -1e-15$"):
+        simulate_walker(CRW(), {0: 2}, _TORUS, _STENCIL, 1.0, rng, grid=[-1e-15, 1.0])
+    assert rng.bit_generator.state == before
+
+
+def test_the_lockstep_hands_the_scalar_loop_nonnegative_offsets(monkeypatch):
+    handed = []
+    scalar = walkers.simulate_walker
+
+    def spy(kind, xi0, torus, stencil, horizon, rng, cap, grid):
+        handed.append((horizon, grid))
+        return scalar(kind, xi0, torus, stencil, horizon, rng, cap=cap, grid=grid)
+
+    monkeypatch.setattr(walkers, "simulate_walker", spy)
+    grid = [0.05, 0.1, 0.2, 0.4, 0.8, 1.6]
+    for seed in range(4):
+        handed.clear()
+        runs = walker_samples(BCRW(-1.0, -0.5), {0: 2}, _TORUS, _STENCIL, grid, 50, 100,
+                              derive_stream(seed, "handoff"))
+        assert 0 < len(handed) == runs.handed.sum()
+        for horizon, offsets in handed:
+            assert offsets and 0.0 <= offsets[0] and offsets[-1] == horizon
+
+
+_LOG = sample_event_log(_P, _K, 1.0, derive_stream(97, "log"))
+_TRAJ = simulate_gillespie(_P, _K, np.tile([1, 0, 1, 0], (3, 1)), 1.0, derive_stream(97, "traj"))
+_START = np.array([1, 0, 1, 1], dtype=np.uint8)
+# query -> (the name it refuses a time by, call(t))
+QUERIES = {
+    "count_up_to": ("t", _LOG.count_up_to),
+    "replay_forward": ("t", lambda t: replay_forward(_START, _LOG, t)),
+    "replay_dual": ("t", lambda t: replay_dual(_START, _LOG, t)),
+    "config_at": ("t", _TRAJ.config_at),
+    "density_at": ("grid", lambda t: _TRAJ.density_at([0.5, t])),
+}
+
+
+def test_queries_answer_from_time_zero_to_the_horizon():
+    assert 0 < len(_LOG) and 0 < len(_TRAJ) and _LOG.times[-1] < 1.0
+    assert _LOG.count_up_to(0.0) == 0 and _LOG.count_up_to(1.0) == len(_LOG)
+    assert _LOG.count_up_to(float(_LOG.times[0])) == 1  # an event at t counts
+    assert np.array_equal(replay_forward(_START, _LOG, 0.0), _START)
+    assert np.array_equal(replay_dual(_START, _LOG, 0.0), _START)
+    assert np.array_equal(_TRAJ.config_at(0.0), _TRAJ.initial)
+    assert _TRAJ.density_at([0.0, 1.0]).shape == (3, 2)
+
+
+@pytest.mark.parametrize("t, message", [
+    pytest.param(math.nan, "has a non-finite entry nan", id="nan"),
+    pytest.param(-1.0, "has a negative entry -1.0", id="-1"),
+    pytest.param(2.0, "entry 2.0 is past horizon = 1.0", id="horizon+1"),
+])
+@pytest.mark.parametrize("query", sorted(QUERIES))
+def test_every_query_refuses_a_time_outside_its_run(query, t, message):
+    # unchecked, a log counted every event at NaN and past its horizon, and a
+    # trajectory answered with its start at NaN and at -1
+    name, call = QUERIES[query]
+    with pytest.raises(ValueError, match=f"^{name} {message}$"):
+        call(t)
