@@ -25,29 +25,32 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .diffusion import DiffusionParams, ensemble_observable, parse_field_initial
+from .diffusion import DiffusionParams, ensemble_observable
 from .dualspin import ZBDistribution, evug_statistic, parity_duality_mc
-from .exact import (MAX_EXACT_SITES, MAX_FK_TERMS, build_generator_dual,
+from .exact import (MAX_EXACT_SITES, MAX_FK_WORK, build_generator_dual,
                     build_generator_from_events, build_generator_np, feynman_kac_check,
-                    fk_check_terms)
+                    fk_check_work)
 from .harness import (RunConfig, check_grid, check_horizon, load_config_file, read_option,
                       replicate_map, resolve_seed, write_csv, write_json)
-from .kernel import Kernel, complete_kernel, explicit_kernel, torus_kernel
+from .kernel import (Kernel, complete_kernel, config_all, config_bernoulli, config_indicator,
+                     explicit_kernel, torus_kernel)
 from .lattice import Stencil, Torus
 from .meanfield import density_rhs, equilibrium, integrate_ode, meanfield_comparator
 from .momdual import coexistence_probe, extinction_probe, generator_duality_battery, moment_duality_mc
 from .rng import derive_stream
-from .spin import SPIN_CHUNK, NPParams, parse_initial, simulate_gillespie
+from .spin import SPIN_CHUNK, NPParams, simulate_gillespie
 from .stats import MCEstimate, wilson_lower
 from .walkers import BCRW, CRW, DBARW, walker_ensemble
 
 
 # -- config plumbing -----------------------------------------------------------
+# Each cast below names the form it reads in its docstring, which a refusal
+# quotes (harness._cast); every value is read by key before any engine runs.
 
 
 def _parse_sites(cfg: RunConfig, key: str, n_sites: int) -> list[int]:
     """Site set [run] key: comma-separated distinct integers in [0, n_sites)."""
-    sites = [int(tok) for tok in cfg.opt("run", key).split(",") if tok.strip() != ""]
+    sites = cfg.opt_list("run", key, cast=int)
     if not all(0 <= x < n_sites for x in sites) or len(set(sites)) < len(sites):
         raise ValueError(f"run.{key} must list distinct nonnegative sites < {n_sites}, got {sites}")
     return sites
@@ -61,8 +64,7 @@ def _parse_grid(cfg: RunConfig, key: str, default: list[float],
     """
     if key not in cfg.options.get("run", {}):
         return default
-    tokens = [tok for tok in cfg.opt("run", key).split(",") if tok.strip()]
-    return check_grid([float(tok) for tok in tokens], f"run.{key}", horizon, "run.t")
+    return check_grid(cfg.opt_list("run", key, cast=float), f"run.{key}", horizon, "run.t")
 
 
 def _parse_horizon(cfg: RunConfig, default: float, key: str = "t") -> float:
@@ -79,20 +81,26 @@ def _parse_p0(cfg: RunConfig, below: float | None = None) -> float:
     return p0
 
 
-def _parse_counts(cfg: RunConfig, n_sites: int, default: str | None = None) -> dict[int, int]:
+def _site_count(n_sites: int, tok: str) -> tuple[int, int]:
+    """site or site:count, with a site of the torus and a positive count"""
+    site, count = map(int, tok.split(":", 1) if ":" in tok else (tok, "1"))
+    if not (0 <= site < n_sites and count > 0):
+        raise ValueError(tok)
+    return site, count
+
+
+def _parse_counts(cfg: RunConfig, n_sites: int, default: list | None = None) -> dict[int, int]:
     """Particles of [run] xi0, "site:count,..." (count default 1), on sites [0, n_sites)."""
     out: dict[int, int] = {}
-    for tok in cfg.opt("run", "xi0", default).split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        site, count = map(int, tok.split(":", 1) if ":" in tok else (tok, "1"))
-        if count <= 0:
-            raise ValueError(f"run.xi0 token {tok!r} has a nonpositive count")
-        if not 0 <= site < n_sites:
-            raise ValueError(f"run.xi0 token {tok!r} names a site outside [0, {n_sites})")
+    for site, count in cfg.opt_list("run", "xi0", default, partial(_site_count, n_sites)):
         out[site] = out.get(site, 0) + count
     return out
+
+
+def _edge(tok: str) -> tuple[int, int, float]:
+    """x,y,weight with integer sites and a numeric weight"""
+    x, y, w = tok.split(",")
+    return int(x), int(y), float(w)
 
 
 def _build_kernel(cfg: RunConfig) -> Kernel:
@@ -102,19 +110,9 @@ def _build_kernel(cfg: RunConfig) -> Kernel:
     if ktype == "complete":
         return complete_kernel(cfg.opt("kernel", "n", 8, int))
     if ktype == "explicit":
-        n = cfg.opt("kernel", "n", cast=int)
-        edges = []
-        for tok in cfg.opt("kernel", "edges").split(";"):
-            tok = tok.strip()
-            if tok:
-                try:
-                    x, y, w = tok.split(",")
-                    edges.append((int(x), int(y), float(w)))
-                except ValueError:
-                    raise ValueError(f"kernel.edges token {tok!r} is not x,y,weight with integer "
-                                     f"sites and a numeric weight") from None
-        return explicit_kernel(n, edges)
-    raise ValueError(f"unknown kernel type {ktype!r}")
+        return explicit_kernel(cfg.opt("kernel", "n", cast=int),
+                               cfg.opt_list("kernel", "edges", cast=_edge, sep=";"))
+    raise ValueError(f"kernel.type must be torus, complete or explicit, got {ktype!r}")
 
 
 def _build_params(cfg: RunConfig) -> NPParams:
@@ -130,19 +128,47 @@ def _build_params(cfg: RunConfig) -> NPParams:
                     alpha10=cfg.opt("params", "alpha10", 0.0, float))
 
 
-def _build_torus(cfg: RunConfig) -> Torus:
-    return Torus(cfg.opt("lattice", "d", 1, int), cfg.opt("lattice", "l", 8, int))
+def _stencil(d: int, spec: str) -> Stencil:
+    """nn:RATE with a finite nonnegative RATE"""
+    kind, rate = spec.split(":")
+    if kind != "nn":
+        raise ValueError(spec)
+    return Stencil.nearest_neighbor(d, float(rate))
 
 
-def _build_stencil(cfg: RunConfig, torus: Torus) -> Stencil:
-    return Stencil.parse(cfg.opt("model", "m", "nn:1.0"), torus.d)
+def _build_lattice(cfg: RunConfig) -> tuple[Torus, Stencil]:
+    torus = Torus(cfg.opt("lattice", "d", 1, int), cfg.opt("lattice", "l", 8, int))
+    return torus, cfg.opt("model", "m", Stencil.nearest_neighbor(torus.d),
+                          partial(_stencil, torus.d))
+
+
+def _spin_init(n: int, spec: str) -> float | np.ndarray:
+    """all0, all1, bernoulli:u with u in [0, 1], or indicator:x1,x2,... with sites of the kernel"""
+    kind, _, arg = spec.partition(":")
+    if spec in ("all0", "all1"):
+        return config_all(n, int(spec[-1]))
+    if kind == "bernoulli" and 0.0 <= float(arg) <= 1.0:
+        return float(arg)
+    if kind == "indicator":
+        return config_indicator(n, [int(tok) for tok in arg.split(",") if tok.strip()])
+    raise ValueError(spec)
+
+
+def _field_init(spec: str) -> float | None:
+    """const:v with v in [0, 1], or uniform"""
+    if spec == "uniform":
+        return None
+    kind, v = spec.split(":")
+    if kind != "const" or not 0.0 <= float(v) <= 1.0:
+        raise ValueError(spec)
+    return float(v)
 
 
 def _build_diffusion(cfg: RunConfig) -> DiffusionParams:
-    torus = _build_torus(cfg)
+    torus, stencil = _build_lattice(cfg)
     return DiffusionParams(
         torus=torus,
-        stencil=_build_stencil(cfg, torus),
+        stencil=stencil,
         s=cfg.opt("model", "s", 0.0, float),
         mu=cfg.opt("model", "mu", 0.0, float),
         noise_n=cfg.opt("model", "noise_n", 1.0, float),
@@ -153,9 +179,11 @@ def _build_diffusion(cfg: RunConfig) -> DiffusionParams:
 # -- chunk workers (module level so process pools can pickle them) -------------
 
 
-def _spin_chunk(p, k, init_spec, horizon, grid, size, rng):
+def _spin_chunk(p, k, init, horizon, grid, size, rng):
     """Grid densities, terminal density and flip count of each run, from one engine call."""
-    eta0 = np.stack([parse_initial(init_spec, k.n, rng) for _ in range(size)])
+    # init is a Bernoulli parameter, drawn from once per run, or one shared start
+    eta0 = (np.stack([config_bernoulli(k.n, init, rng) for _ in range(size)])
+            if isinstance(init, float) else np.tile(init, (size, 1)))
     traj = simulate_gillespie(p, k, eta0, horizon, rng)
     dens = traj.density_at([*grid, horizon])
     return dens[:, :-1], dens[:, -1], np.bincount(traj.rows, minlength=size)
@@ -175,8 +203,8 @@ def cmd_spin_run(cfg: RunConfig) -> dict:
     k = _build_kernel(cfg)
     horizon = _parse_horizon(cfg, 10.0)
     grid = _parse_grid(cfg, "grid", [horizon * j / 20.0 for j in range(21)], horizon)
-    init_spec = cfg.opt("run", "init", "bernoulli:0.5")
-    dens, terminal, flips = replicate_map(partial(_spin_chunk, p, k, init_spec, horizon, grid),
+    init = cfg.opt("run", "init", 0.5, partial(_spin_init, k.n))
+    dens, terminal, flips = replicate_map(partial(_spin_chunk, p, k, init, horizon, grid),
                                           cfg.reps, cfg.seed, "spin-run", SPIN_CHUNK, cfg.threads)
     rows = [(r, t, dens[r, j]) for r in range(cfg.reps) for j, t in enumerate(grid)]
     write_csv(cfg.out / "spin_density.csv", ["replicate", "time", "density"], rows)
@@ -224,39 +252,33 @@ def cmd_parity_check(cfg: RunConfig) -> dict:
             "z": mc["z"], "passed": mc["violations"] == 0 and abs(mc["z"]) < 4.0}
 
 
-def _parse_exact_kernel(tok: str) -> tuple[int, partial]:
-    """Site count and builder of one exact-check kernel token (torus:d:L or complete:n)."""
-    kind, *sizes = tok.split(":")
-    try:
-        dims = [int(size) for size in sizes]
-    except ValueError:
-        dims = []
+def _exact_kernel(tok: str) -> tuple[str, int, partial]:
+    """torus:d:L or complete:n with integer sizes"""
+    kind, *dims = tok.split(":")
+    dims = [int(size) for size in dims]
     if kind == "torus" and len(dims) == 2:
-        d, side = dims
-        return side ** d, partial(torus_kernel, d, side)
+        return tok, dims[1] ** dims[0], partial(torus_kernel, *dims)
     if kind == "complete" and len(dims) == 1:
-        return dims[0], partial(complete_kernel, dims[0])
-    raise ValueError(f"bad run.kernels token {tok!r}: expected torus:d:L or complete:n "
-                     f"with integer sizes")
+        return tok, dims[0], partial(complete_kernel, *dims)
+    raise ValueError(tok)
 
 
 def cmd_exact_check(cfg: RunConfig) -> dict:
     alphas = _parse_grid(cfg, "alphas", [0.0, 0.3, 0.7])
     tgrid = _parse_grid(cfg, "tgrid", [0.1, 1.0, 5.0])
-    spec = cfg.opt("run", "kernels", "torus:1:3,torus:1:4,complete:3,complete:4")
-    tokens = [tok.strip() for tok in spec.split(",") if tok.strip()]
-    if not tokens:
+    default = [_exact_kernel(tok) for tok in ("torus:1:3", "torus:1:4", "complete:3", "complete:4")]
+    parsed = cfg.opt_list("run", "kernels", default, _exact_kernel)
+    if not parsed:
         raise ValueError("run.kernels is empty; exact-check needs at least one value")
-    # every kernel and the time budget are checked before any generator is built
-    parsed = [(tok, *_parse_exact_kernel(tok)) for tok in tokens]
+    # every kernel and the work budget are checked before any generator is built
     for tok, n, _ in parsed:
         if n > MAX_EXACT_SITES:
             raise ValueError(f"kernel {tok} has {n} sites; exact checks allow at most "
                              f"{MAX_EXACT_SITES}")
-    terms = len(alphas) * sum(fk_check_terms(n, t) for _, n, _ in parsed for t in tgrid)
-    if terms > MAX_FK_TERMS:
-        raise ValueError(f"run.tgrid projects {terms:.4g} uniformization series terms over "
-                         f"run.kernels and run.alphas; the limit is {MAX_FK_TERMS}")
+    work = len(alphas) * sum(fk_check_work(n, t) for _, n, _ in parsed for t in tgrid)
+    if work > MAX_FK_WORK:
+        raise ValueError(f"run.tgrid projects {work:.4g} multiply-adds of uniformization series "
+                         f"over run.kernels and run.alphas; the limit is {MAX_FK_WORK:.4g}")
     kernels = [(tok, build()) for tok, _, build in parsed]
     battery = []
     max_gap = 0.0
@@ -287,6 +309,7 @@ def cmd_meanfield(cfg: RunConfig) -> dict:
     stride = cfg.opt("run", "stride", 100, int)
     if stride < 1:
         raise ValueError(f"run.stride must be at least 1, got {stride}")
+    n_vertices = cfg.opt("run", "compare_n", 0, int)
     ts, xs = integrate_ode(lambda x: density_rhs(x, p.lam, p.alpha01, p.alpha10), [p0], horizon,
                            dt=dt, self_check=True)
     rows = [(ts[i], xs[i, 0]) for i in range(0, len(ts), stride)]
@@ -296,7 +319,6 @@ def cmd_meanfield(cfg: RunConfig) -> dict:
     eq = equilibrium(p.lam, p.alpha01, p.alpha10)
     payload = {"equilibrium": eq, "terminal": float(xs[-1, 0]),
                "terminal_gap": abs(float(xs[-1, 0]) - eq)}
-    n_vertices = cfg.opt("run", "compare_n", 0, int)
     if n_vertices:
         rep = meanfield_comparator(n_vertices, p, 1.0 - p0, compare_t, cfg.reps,
                                    derive_stream(cfg.seed, "meanfield-compare"))
@@ -309,14 +331,15 @@ def cmd_diffusion_run(cfg: RunConfig) -> dict:
     params = _build_diffusion(cfg)
     horizon = _parse_horizon(cfg, 1.0)
     grid = _parse_grid(cfg, "grid", [horizon * j / 10.0 for j in range(1, 11)], horizon)
-    init = cfg.opt("run", "init", "const:0.5")
+    init = cfg.opt("run", "init", 0.5, _field_init)  # None: iid U[0, 1]
     kappa = cfg.opt("run", "kappa", 0.1, float)
     if not 0.0 < kappa < 0.5:
         raise ValueError(f"run.kappa must lie in (0, 1/2), got {kappa}")
     site = cfg.opt("run", "site", 0, int)
     if not 0 <= site < params.torus.n_sites:
         raise ValueError(f"run.site must lie in [0, {params.torus.n_sites}), got {site}")
-    p0 = parse_field_initial(init, params.torus, derive_stream(cfg.seed, "diffusion-init"))
+    p0 = (np.full(params.torus.shape, init) if init is not None
+          else derive_stream(cfg.seed, "diffusion-init").random(params.torus.shape))
     vals = ensemble_observable(params, p0, grid, partial(_site_and_mean, site),
                                cfg.reps, cfg.seed, "diffusion-site", cfg.threads)
     rows = []
@@ -331,8 +354,7 @@ def cmd_diffusion_run(cfg: RunConfig) -> dict:
 
 
 def cmd_walker_run(cfg: RunConfig) -> dict:
-    torus = _build_torus(cfg)
-    stencil = _build_stencil(cfg, torus)
+    torus, stencil = _build_lattice(cfg)
     kind_name = cfg.opt("walker", "kind", "crw")
     if kind_name == "crw":
         kind = CRW()
@@ -341,7 +363,7 @@ def cmd_walker_run(cfg: RunConfig) -> dict:
     elif kind_name == "bcrw":
         kind = BCRW(s=cfg.opt("walker", "s", cast=float), mu=cfg.opt("walker", "mu", cast=float))
     else:
-        raise ValueError(f"unknown walker kind {kind_name!r}")
+        raise ValueError(f"walker.kind must be crw, dbarw or bcrw, got {kind_name!r}")
     xi0 = _parse_counts(cfg, torus.n_sites)
     horizon = _parse_horizon(cfg, 10.0)
     grid = _parse_grid(cfg, "grid", [horizon], horizon)
@@ -361,7 +383,7 @@ def cmd_moment_check(cfg: RunConfig) -> dict:
     params = _build_diffusion(cfg)
     regime = cfg.opt("run", "regime", "auto")
     grid = _parse_grid(cfg, "grid", [0.25, 0.5])
-    xi0 = _parse_counts(cfg, params.torus.n_sites, "0:2")
+    xi0 = _parse_counts(cfg, params.torus.n_sites, [(0, 2)])
     p0 = np.full(params.torus.shape, _parse_p0(cfg))
     cap = cfg.opt("run", "cap", 100000, int)
     rows = moment_duality_mc(params, p0, xi0, grid, cfg.reps, cfg.seed, regime=regime, cap=cap,
@@ -380,8 +402,7 @@ def cmd_moment_check(cfg: RunConfig) -> dict:
 
 
 def cmd_coexist_probe(cfg: RunConfig) -> dict:
-    torus = _build_torus(cfg)
-    stencil = _build_stencil(cfg, torus)
+    torus, stencil = _build_lattice(cfg)
     rep = coexistence_probe(
         s=cfg.opt("model", "s", cast=float), torus=torus, stencil=stencil,
         master_seed=cfg.seed,
@@ -396,8 +417,7 @@ def cmd_coexist_probe(cfg: RunConfig) -> dict:
 
 
 def cmd_extinct_probe(cfg: RunConfig) -> dict:
-    torus = _build_torus(cfg)
-    stencil = _build_stencil(cfg, torus)
+    torus, stencil = _build_lattice(cfg)
     # default margin 0.1: tight margins make the bound comparison sensitive
     # to the Euler scheme's boundary bias at late grid times (see README)
     eps = cfg.opt("run", "eps", 0.1, float)
@@ -405,7 +425,7 @@ def cmd_extinct_probe(cfg: RunConfig) -> dict:
         s=cfg.opt("model", "s", cast=float), mu=cfg.opt("model", "mu", cast=float),
         torus=torus, stencil=stencil,
         p0_value=_parse_p0(cfg, 1.0 - eps),
-        xi0=_parse_counts(cfg, torus.n_sites, "0"),
+        xi0=_parse_counts(cfg, torus.n_sites, [(0, 1)]),
         eps=eps,
         grid=_parse_grid(cfg, "grid", [1.0, 2.0, 5.0, 10.0]),
         reps_fwd=cfg.opt("run", "reps_fwd", cfg.reps, int),
@@ -430,6 +450,14 @@ _COMMANDS = {
 }
 
 
+def _values(chunk: str) -> list[str]:
+    """a nonempty comma-separated list of values"""
+    values = [tok.strip() for tok in chunk.split(",") if tok.strip()]
+    if not values:
+        raise ValueError(chunk)
+    return values
+
+
 def cmd_sweep(cfg: RunConfig) -> dict:
     """Repeat a subcommand over the Cartesian product of value lists.
 
@@ -441,18 +469,14 @@ def cmd_sweep(cfg: RunConfig) -> dict:
     target = cfg.opt("sweep", "over")
     if target not in _COMMANDS:
         raise ValueError(f"sweep target must be one of {sorted(_COMMANDS)}")
-    vary = cfg.opt("sweep", "vary")
-    names = [tok.strip() for tok in vary.split(",")]
+    names = cfg.opt_list("sweep", "vary")
     for name in names:
         if "." not in name:
-            raise ValueError(f"sweep.vary entry {name!r} is not of the form section.key")
-    lists = [[tok.strip() for tok in chunk.split(",") if tok.strip()]
-             for chunk in cfg.opt("sweep", "values").split(";")]
+            raise ValueError(f"sweep.vary must be section.key, got {name!r}")
+    lists = cfg.opt_list("sweep", "values", cast=_values, sep=";")
     if len(lists) != len(names):
         raise ValueError(f"sweep.values has {len(lists)} value lists for {len(names)} "
                          f"sweep.vary keys")
-    if not all(lists):
-        raise ValueError("sweep.values has an empty value list")
     reports = []
     csv_rows = []
     for point in itertools.product(*lists):
@@ -471,8 +495,8 @@ def cmd_sweep(cfg: RunConfig) -> dict:
         for path, num in _numeric_leaves(payload):
             csv_rows.append((label, path, num))
     write_csv(cfg.out / "sweep.csv", ["value", "metric", "metric_value"], csv_rows)
-    return {"over": target, "vary": vary, "values": [r["value"] for r in reports],
-            "reports": reports}
+    return {"over": target, "vary": cfg.opt("sweep", "vary"),
+            "values": [r["value"] for r in reports], "reports": reports}
 
 
 def _numeric_leaves(obj, prefix=""):

@@ -39,7 +39,6 @@ __all__ = [
     "p_of_sigma",
     "mirror_params",
     "ensemble_observable",
-    "parse_field_initial",
 ]
 
 ENSEMBLE_BATCH = 4096  # replicates per chunk (one derived stream each); fixed for determinism
@@ -230,18 +229,3 @@ def ensemble_observable(params: DiffusionParams, p0: np.ndarray, grid, observabl
     work = partial(_ensemble_chunk, params, p0, check_grid(grid, "grid"), observable)
     vals = replicate_map(work, reps, master_seed, role, ENSEMBLE_BATCH, threads)
     return np.ascontiguousarray(np.moveaxis(vals, 0, -1))
-
-
-def parse_field_initial(spec: str, torus: Torus, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Parse an initial frequency field: ``const:v`` or ``uniform`` (iid U[0,1])."""
-    s = spec.strip()
-    if s.startswith("const:"):
-        v = float(s.split(":", 1)[1])
-        if not (0.0 <= v <= 1.0):
-            raise ValueError("constant initial frequency must lie in [0,1]")
-        return np.full(torus.shape, v)
-    if s == "uniform":
-        if rng is None:
-            raise ValueError("uniform initial condition needs a random stream")
-        return rng.random(torus.shape)
-    raise ValueError(f"unrecognized field initial condition {spec!r}")

@@ -49,8 +49,9 @@ __all__ = [
     "semigroup_apply",
     "parity_matrix",
     "feynman_kac_check",
-    "MAX_FK_TERMS",
+    "MAX_FK_WORK",
     "fk_check_terms",
+    "fk_check_work",
     "parity_deviation",
     "parity_deviation_enum",
     "MeasureComparison",
@@ -60,8 +61,8 @@ __all__ = [
 MAX_EXACT_SITES = 12
 SEMIGROUP_TAIL = 1e-14  # Poisson mass left out of the uniformization series
 MAX_UNIFORM_MU = 500.0  # largest lam t of one series; exp(-lam t) stays a normal float
-# projected series terms one exact-check battery may run (README gives its cost)
-MAX_FK_TERMS = 1_000_000
+# projected multiply-adds one exact-check battery may run (README gives its cost)
+MAX_FK_WORK = 3e11
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,16 +258,33 @@ def feynman_kac_check(gen_fwd: DenseGenerator, gen_dual: DenseGenerator, t: floa
 
 
 def fk_check_terms(n_sites: int, t: float) -> float:
-    """Projected uniformization series terms of one feynman_kac_check at t.
+    """Projected uniformization series terms of one feynman_kac_check at t, an upper bound.
 
     For the symmetric model on ``n_sites`` sites: each site flips at rate at
     most 1 (``(f0 + alpha f1) f1 <= 1``), and the dual's exit rate is at most
     the event table's total rate, itself at most n, so lam <= 1.01 n for
-    both generators.  Each is applied at t and then as two halves, about
-    (1 + 1/2 + 1/2) lam t terms, so the check runs about 4.04 n t at most;
-    the tail of each series, of order sqrt(lam t) terms, is left out.
+    both generators.  Each is applied at t and then as two halves.  A series
+    of mean mu = lam t runs at most mu + 8 sqrt(mu) + 8 terms (its tail of
+    mass 1e-14 included), and a mean past MAX_UNIFORM_MU runs as that many
+    equal steps, each a series of its own.
     """
-    return 4.04 * n_sites * t
+    total = 0.0
+    for tau in (t, t / 2.0, t / 2.0):
+        lam_t = 1.01 * n_sites * tau
+        steps = math.ceil(lam_t / MAX_UNIFORM_MU)  # 0 at t = 0, where no series runs
+        mu = lam_t / max(steps, 1)
+        total += 2 * steps * (mu + 8.0 * math.sqrt(mu) + 8.0)
+    return total
+
+
+def fk_check_work(n_sites: int, t: float) -> float:
+    """Projected multiply-adds of one feynman_kac_check at t.
+
+    A series term is one dense product ``P @ term`` of 2^n x 2^n matrices,
+    8^n multiply-adds, plus a fixed cost of a few microseconds per term in
+    the interpreter, about what the product costs at 6 sites.
+    """
+    return fk_check_terms(n_sites, t) * (8.0 ** n_sites + 8.0 ** 6)
 
 
 # -- parity deviation ----------------------------------------------------------

@@ -44,6 +44,7 @@ __all__ = [
     "check_grid",
     "RunConfig",
     "read_option",
+    "read_list",
     "load_config_file",
     "resolve_seed",
     "parallel_map",
@@ -118,6 +119,10 @@ class RunConfig:
         """:func:`read_option` of this configuration's options."""
         return read_option(self.options, section, key, default, cast)
 
+    def opt_list(self, section: str, key: str, default=None, cast=str, sep: str = ","):
+        """:func:`read_list` of this configuration's options."""
+        return read_list(self.options, section, key, default, cast, sep)
+
     def echo(self) -> dict:
         """Config echo for reports: everything that determines the output."""
         return {
@@ -143,11 +148,26 @@ def read_option(options: dict[str, dict[str, str]], section: str, key: str, defa
     return _cast(sec[key], f"{section}.{key}", cast)
 
 
+def read_list(options: dict[str, dict[str, str]], section: str, key: str, default=None,
+              cast=str, sep: str = ","):
+    """:func:`read_option` of a list: ``cast`` of each nonblank, stripped token at ``sep``."""
+    if default is not None and key not in options.get(section, {}):
+        return default
+    tokens = (tok.strip() for tok in read_option(options, section, key).split(sep))
+    return [_cast(tok, f"{section}.{key}", cast) for tok in tokens if tok]
+
+
 def _cast(value: str, name: str, cast):
+    """``cast(value)``; on a ValueError, refused by ``name`` and the form ``cast`` reads.
+
+    The form is a type's name, else the docstring of the function (or of the one a
+    partial wraps).
+    """
     try:
         return cast(value)
     except ValueError:
-        raise ValueError(f"{name} must be {cast.__name__}, got {value!r}") from None
+        form = cast.__name__ if isinstance(cast, type) else getattr(cast, "func", cast).__doc__
+        raise ValueError(f"{name} must be {form}, got {value!r}") from None
 
 
 def load_config_file(path: str | Path) -> dict[str, dict[str, str]]:

@@ -34,8 +34,8 @@ class Stencil:
         for disp, w in zip(self.displacements, self.weights):
             if all(c == 0 for c in disp):
                 raise ValueError("zero displacement is not a migration")
-            if w < 0:
-                raise ValueError("migration weights must be nonnegative")
+            if not 0.0 <= w < np.inf:  # a NaN fails too
+                raise ValueError(f"migration weights must be finite and nonnegative, got {w}")
         dims = {len(d) for d in self.displacements}
         if len(dims) > 1:
             raise ValueError("displacements must share one dimension")
@@ -53,8 +53,9 @@ class Stencil:
     @classmethod
     def nearest_neighbor(cls, d: int, total_rate: float = 1.0) -> "Stencil":
         """Rate ``total_rate`` split evenly over the 2d unit displacements."""
-        if d < 1 or total_rate < 0:
-            raise ValueError("need d >= 1 and a nonnegative rate")
+        if d < 1 or not 0.0 <= total_rate < np.inf:
+            raise ValueError(f"need d >= 1 and a finite nonnegative rate, got d = {d} and "
+                             f"rate {total_rate}")
         disps = []
         for axis in range(d):
             for step in (1, -1):
@@ -63,14 +64,6 @@ class Stencil:
                 disps.append(tuple(v))
         w = total_rate / (2 * d)
         return cls(tuple(disps), tuple(w for _ in disps))
-
-    @classmethod
-    def parse(cls, spec: str, d: int) -> "Stencil":
-        """Parse a stencil spec; currently ``nn:RATE`` (nearest neighbor)."""
-        s = spec.strip()
-        if s.startswith("nn:"):
-            return cls.nearest_neighbor(d, float(s.split(":", 1)[1]))
-        raise ValueError(f"unrecognized stencil spec {spec!r}")
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .harness import check_grid, check_horizon
-from .kernel import Kernel, config_all, config_bernoulli, config_indicator, frequency_of_ones
+from .kernel import Kernel, frequency_of_ones
 
 __all__ = [
     "NPParams",
@@ -61,7 +61,6 @@ __all__ = [
     "simulate_gillespie",
     "complete_count_rates",
     "simulate_complete_counts",
-    "parse_initial",
 ]
 
 
@@ -519,25 +518,3 @@ def simulate_complete_counts(up: np.ndarray, down: np.ndarray, k0: int, horizon:
         times.append(t)
         counts.append(k)
     return np.array(times), np.array(counts, dtype=np.int64)
-
-
-def parse_initial(spec: str, n: int, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Parse an initial-condition string into a configuration.
-
-    Accepted forms: ``all0``, ``all1``, ``bernoulli:u`` (needs an rng),
-    ``indicator:x1,x2,...``.
-    """
-    s = spec.strip()
-    if s == "all0":
-        return config_all(n, 0)
-    if s == "all1":
-        return config_all(n, 1)
-    if s.startswith("bernoulli:"):
-        if rng is None:
-            raise ValueError("bernoulli initial condition needs a random stream")
-        return config_bernoulli(n, float(s.split(":", 1)[1]), rng)
-    if s.startswith("indicator:"):
-        body = s.split(":", 1)[1]
-        sites = [int(tok) for tok in body.split(",") if tok.strip() != ""]
-        return config_indicator(n, sites)
-    raise ValueError(f"unrecognized initial condition {spec!r}")

@@ -72,8 +72,8 @@ class DBARW:
     branch_rate: float
 
     def __post_init__(self):
-        if self.branch_rate < 0:
-            raise ValueError("branch rate must be nonnegative")
+        if not 0.0 <= self.branch_rate < np.inf:  # a NaN fails too
+            raise ValueError(f"branch rate must be finite and nonnegative, got {self.branch_rate}")
 
 
 @dataclass(frozen=True)
@@ -84,8 +84,8 @@ class BCRW:
     mu: float
 
     def __post_init__(self):
-        if self.s > 0:
-            raise ValueError("BCRW needs s <= 0")
+        if not -np.inf < self.s <= 0.0:  # a NaN fails too
+            raise ValueError(f"BCRW needs a finite s <= 0, got {self.s}")
         if not (-1.0 <= self.mu <= 0.0):
             raise ValueError("BCRW needs mu in [-1, 0]")
 

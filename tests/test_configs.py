@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ipsd import harness
+from ipsd import cli, harness
 from ipsd.cli import _COMMANDS, main
 from ipsd.diffusion import ENSEMBLE_BATCH
 from ipsd.harness import load_config_file
@@ -251,3 +251,57 @@ def test_benchmark_config_outputs_match_pinned_digests(tmp_path, name):
           "--out", str(tmp_path)])
     assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
             for f in tmp_path.iterdir()} == BENCHMARK_DIGESTS[name]
+
+
+# Every command reads all of its keys, through harness.read_option or
+# harness.read_list, before its first engine runs; so with the engines stopped
+# the reads of a run are complete, and a config key outside them is stale.
+_ENGINES = ("evug_statistic", "parity_duality_mc", "build_generator_np", "integrate_ode",
+            "ensemble_observable", "walker_ensemble", "moment_duality_mc", "coexistence_probe",
+            "extinction_probe", "replicate_map")
+# the common fields, which cli._merge_config reads for every command
+_COMMON_KEYS = {("run", "seed"), ("run", "reps"), ("run", "threads"), ("run", "out")}
+NON_SWEEP_CONFIGS = [path for path in sorted(CONFIGS.glob("*.ini"))
+                     + sorted(BENCHMARK_CONFIGS.glob("*/*.ini"))
+                     if "sweep" not in load_config_file(path)]
+
+
+class _EngineReached(Exception):
+    pass
+
+
+def _unread_keys(monkeypatch, tmp_path, path: Path) -> set:
+    """The (section, key) pairs of config ``path`` that its command does not read."""
+    reads = set()
+    for name in ("read_option", "read_list"):
+        def spy(options, section, key, *args, read=getattr(harness, name)):
+            reads.add((section, key))
+            return read(options, section, key, *args)
+
+        monkeypatch.setattr(harness, name, spy)
+
+    def reached(*args, **kwargs):
+        raise _EngineReached
+
+    for name in _ENGINES:
+        monkeypatch.setattr(cli, name, reached)
+    with pytest.raises(_EngineReached):
+        main([path.stem, "--config", str(path), "--seed", "1", "--out", str(tmp_path)])
+    keys = {(section, key) for section, kv in load_config_file(path).items() for key in kv}
+    return keys - reads - _COMMON_KEYS
+
+
+def test_the_stale_key_guard_covers_every_non_sweep_config():
+    assert len(NON_SWEEP_CONFIGS) == 21
+
+
+@pytest.mark.parametrize("path", NON_SWEEP_CONFIGS,
+                         ids=[str(p.relative_to(CONFIGS.parent)) for p in NON_SWEEP_CONFIGS])
+def test_every_config_key_is_one_its_command_reads(monkeypatch, tmp_path, path):
+    assert _unread_keys(monkeypatch, tmp_path, path) == set()
+
+
+def test_the_stale_key_guard_finds_a_key_no_command_reads(monkeypatch, tmp_path):
+    path = tmp_path / "dual-run.ini"
+    path.write_text((CONFIGS / "dual-run.ini").read_text() + "\n[model]\nm = nn:1.0\n")
+    assert _unread_keys(monkeypatch, tmp_path / "out", path) == {("model", "m")}

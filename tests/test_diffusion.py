@@ -10,7 +10,7 @@ from ipsd import diffusion
 from ipsd.cli import main
 from ipsd.diffusion import (DiffusionParams, _ensemble_chunk, drift_field, em_step,
                             ensemble_observable, mirror_params, p_of_sigma,
-                            parse_field_initial, sigma_of_p)
+                            sigma_of_p)
 from ipsd.lattice import Stencil, Torus
 from ipsd.rng import derive_stream
 
@@ -166,20 +166,6 @@ def test_ensemble_neutral_mean_is_martingale():
     m = vals[0].mean()
     se = vals[0].std(ddof=1) / np.sqrt(4000)
     assert abs(m - 0.3) < 4 * se + 1e-4
-
-
-def test_parse_field_initial():
-    t = Torus(2, 3)
-    f = parse_field_initial("const:0.25", t)
-    assert f.shape == (3, 3) and np.all(f == 0.25)
-    g = parse_field_initial("uniform", t, derive_stream(67, "init"))
-    assert g.shape == (3, 3) and np.all((g >= 0) & (g < 1))
-    with pytest.raises(ValueError):
-        parse_field_initial("const:1.5", t)
-    with pytest.raises(ValueError):
-        parse_field_initial("uniform", t)  # needs a stream
-    with pytest.raises(ValueError):
-        parse_field_initial("junk", t)
 
 
 def test_params_validation():

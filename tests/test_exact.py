@@ -13,8 +13,9 @@ from ipsd.exact import (MAX_EXACT_SITES, MAX_UNIFORM_MU, DenseGenerator, _dual_e
                         measure_determination_check, parity_deviation,
                         parity_deviation_enum, parity_matrix, semigroup_apply,
                         state_to_config)
-from ipsd.cli import _parse_exact_kernel
-from ipsd.harness import load_config_file
+from ipsd import exact
+from ipsd.cli import _exact_kernel
+from ipsd.harness import load_config_file, read_list
 from ipsd.kernel import complete_kernel, explicit_kernel, torus_kernel
 from ipsd.rng import derive_stream
 from ipsd.spin import EventTable, NPParams
@@ -435,15 +436,29 @@ def test_semigroup_matrix_vs_columns():
         assert np.allclose(both[:, j], semigroup_apply(gen, 0.9, V[:, j]), atol=1e-13)
 
 
-def test_fk_check_terms_bounds_the_built_generators_rates_on_the_shipped_kernels():
-    # the exact-check budget projects lam <= 1.01 n for both generators
-    run = load_config_file(CONFIGS / "exact-check.ini")["run"]
-    for tok in run["kernels"].split(","):
-        n, build = _parse_exact_kernel(tok)
-        k = build()
-        for alpha in (float(a) for a in run["alphas"].split(",")):
-            p = NPParams.symmetric(alpha)
-            lams = [1.01 * float(np.abs(np.diag(g.matrix)).max())
-                    for g in (build_generator_np(p, k), build_generator_dual(p, k))]
-            # each generator runs at t and then as two halves: 2 lam t terms at t = 1
-            assert 2.0 * sum(lams) <= fk_check_terms(n, 1.0), (tok, alpha, lams)
+def test_fk_check_terms_bounds_the_series_terms_of_the_shipped_batteries(monkeypatch):
+    # the exact-check budget projects lam <= 1.01 n for both generators, and at
+    # most mu + 8 sqrt(mu) + 8 terms for a series of mean mu
+    products = []
+    series = exact._poisson_series
+
+    class Counted(np.ndarray):
+        def __matmul__(self, other):
+            products.append(self.shape[0])
+            return np.asarray(self) @ other
+
+    monkeypatch.setattr(exact, "_poisson_series", lambda P, mu, v: series(P.view(Counted), mu, v))
+    options = load_config_file(CONFIGS / "exact-check.ini")
+    kernels = read_list(options, "run", "kernels", cast=_exact_kernel)
+    cases = [(kernel, alpha, t) for kernel in kernels
+             for alpha in read_list(options, "run", "alphas", cast=float)
+             for t in read_list(options, "run", "tgrid", cast=float)]
+    # a horizon whose series runs as several steps
+    cases.append((_exact_kernel("torus:1:3"), 0.7, 400.0))
+    for (tok, n, build), alpha, t in cases:
+        p, k = NPParams.symmetric(alpha), build()
+        products.clear()
+        feynman_kac_check(build_generator_np(p, k), build_generator_dual(p, k), t)
+        assert products and set(products) == {2 ** n}
+        assert len(products) <= fk_check_terms(n, t), (tok, alpha, t)
+

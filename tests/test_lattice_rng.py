@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import re
 
 import numpy as np
@@ -93,15 +94,6 @@ def test_a_displacement_that_wraps_on_one_axis_only_moves():
     assert (torus.move_table(stencil) != np.arange(9)[:, None]).all()
 
 
-def test_stencil_parse_and_totals():
-    st = Stencil.parse("nn:2.0", 2)
-    assert st.dim == 2 and len(st.displacements) == 4
-    assert st.total_rate == pytest.approx(2.0)
-    assert np.allclose(st.weights, 0.5)
-    with pytest.raises(ValueError):
-        Stencil.parse("junk", 1)
-
-
 def test_stencil_validation():
     with pytest.raises(ValueError):  # zero displacement
         Stencil(displacements=((0,),), weights=(1.0,))
@@ -111,6 +103,17 @@ def test_stencil_validation():
         Stencil(displacements=((1,), (-1,)), weights=(0.5, -0.5))
     with pytest.raises(ValueError):  # mixed dimensions
         Stencil(displacements=((1,), (1, 0)), weights=(0.5, 0.5))
+
+
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_migration_rate_is_refused_by_value(rate):
+    # unchecked, diffusion-run at model.m=nn:nan wrote "mean_p": NaN
+    with pytest.raises(ValueError, match=f"^migration weights must be finite and nonnegative, "
+                                         f"got {rate}$"):
+        Stencil(((1,), (-1,)), (0.5, rate))
+    with pytest.raises(ValueError, match=f"^need d >= 1 and a finite nonnegative rate, got d = 1 "
+                                         f"and rate {rate}$"):
+        Stencil.nearest_neighbor(1, rate)
 
 
 def test_an_empty_stencil_is_refused_by_value():

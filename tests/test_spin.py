@@ -1,7 +1,6 @@
 """Spin-flip rates, the event-log construction, and the forward chain."""
 
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +8,10 @@ import pytest
 from ipsd import spin
 from ipsd.exact import (_event_target, build_generator_np, config_to_state, semigroup_apply,
                         state_to_config)
-from ipsd.kernel import (complete_kernel, config_all, config_indicator, explicit_kernel,
-                         frequency_of_ones, torus_kernel)
+from ipsd.kernel import (complete_kernel, config_all, config_bernoulli, config_indicator,
+                         explicit_kernel, frequency_of_ones, torus_kernel)
 from ipsd.spin import (MAX_TABLE_ROWS, EventLog, EventTable, NPParams, complete_count_rates,
-                       flip_rate, flip_rates_all, parse_initial, replay_forward,
+                       flip_rate, flip_rates_all, replay_forward,
                        replay_forward_batch, sample_event_log, simulate_complete_counts,
                        simulate_gillespie)
 from ipsd.rng import derive_stream
@@ -270,7 +269,7 @@ def test_replay_forward_matches_stepwise():
     k = torus_kernel(2, 3)
     rng = derive_stream(2, "test-replay")
     log = sample_event_log(p, k, 4.0, rng)
-    eta0 = parse_initial("bernoulli:0.5", k.n, rng)
+    eta0 = config_bernoulli(k.n, 0.5, rng)
     manual = _state_after(eta0, log, 0, len(log))
     assert np.array_equal(replay_forward(eta0, log, 4.0), manual)
     assert np.array_equal(replay_forward(eta0, log, 0.0), eta0)
@@ -563,26 +562,3 @@ def test_count_chain_path_shape():
         assert rng.random() == derive_stream(10, "test-count-abs").random()
     with pytest.raises(ValueError, match="initial count"):
         simulate_complete_counts(up, down, 31, 2.0, derive_stream(10, "x"))
-
-
-def test_parse_initial_forms():
-    rng = derive_stream(7, "test-init")
-    assert np.array_equal(parse_initial("all0", 4, rng), [0, 0, 0, 0])
-    assert np.array_equal(parse_initial("all1", 4, rng), [1, 1, 1, 1])
-    assert np.array_equal(parse_initial("indicator:1,3", 5, rng), [0, 1, 0, 1, 0])
-    eta = parse_initial("bernoulli:0.5", 2000, rng)
-    assert 0.4 < eta.mean() < 0.6
-    with pytest.raises(ValueError):
-        parse_initial("bernoulli:1.5", 4, rng)
-    with pytest.raises(ValueError):
-        parse_initial("nonsense", 4, rng)
-
-
-def test_spin_run_config_documents_accepted_initial_forms():
-    ini = Path(__file__).resolve().parents[1] / "configs" / "spin-run.ini"
-    line = next(ln for ln in ini.read_text().splitlines() if "initial condition:" in ln)
-    forms = [tok.strip() for tok in line.split("initial condition:", 1)[1].split("|")]
-    assert len(forms) == 4
-    rng = derive_stream(8, "test-init-doc")
-    for form in forms:
-        assert parse_initial(form, 16, rng).shape == (16,)

@@ -39,6 +39,19 @@ def test_walker_kind_validation():
     BCRW(s=0.0, mu=0.0)  # boundary values are fine
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_walker_rate_is_refused_by_value(value):
+    # unchecked, a BCRW at s = nan or -inf could not branch or die and reported
+    # survival 0.0, and a DBARW at branch_rate = inf died after one event
+    if value != -math.inf:
+        with pytest.raises(ValueError, match=f"^branch rate must be finite and nonnegative, "
+                                             f"got {value}$"):
+            DBARW(branch_rate=value)
+    if value != math.inf:
+        with pytest.raises(ValueError, match=f"^BCRW needs a finite s <= 0, got {value}$"):
+            BCRW(s=value, mu=-0.5)
+
+
 def test_walker_rates_oracle():
     torus, stencil = _geom()
     rates = dict(walker_rates(CRW(), {0: 2}, torus, stencil))
