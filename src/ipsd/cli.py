@@ -268,8 +268,6 @@ def cmd_exact_check(cfg: RunConfig) -> dict:
     tgrid = _parse_grid(cfg, "tgrid", [0.1, 1.0, 5.0])
     default = [_exact_kernel(tok) for tok in ("torus:1:3", "torus:1:4", "complete:3", "complete:4")]
     parsed = cfg.opt_list("run", "kernels", default, _exact_kernel)
-    if not parsed:
-        raise ValueError("run.kernels is empty; exact-check needs at least one value")
     # every kernel and the work budget are checked before any generator is built
     for tok, n, _ in parsed:
         if n > MAX_EXACT_SITES:
@@ -421,6 +419,8 @@ def cmd_extinct_probe(cfg: RunConfig) -> dict:
     # default margin 0.1: tight margins make the bound comparison sensitive
     # to the Euler scheme's boundary bias at late grid times (see README)
     eps = cfg.opt("run", "eps", 0.1, float)
+    if not 0.0 < eps < 1.0:  # a NaN fails too
+        raise ValueError(f"run.eps must lie in (0, 1), got {eps}")
     rep = extinction_probe(
         s=cfg.opt("model", "s", cast=float), mu=cfg.opt("model", "mu", cast=float),
         torus=torus, stencil=stencil,

@@ -36,8 +36,6 @@ __all__ = [
     "drift_field",
     "em_step",
     "sigma_of_p",
-    "p_of_sigma",
-    "mirror_params",
     "ensemble_observable",
 ]
 
@@ -166,18 +164,6 @@ def em_step(field: np.ndarray, params: DiffusionParams, rng: np.random.Generator
 def sigma_of_p(p: np.ndarray) -> np.ndarray:
     """sigma = 1 - 2p, mapping [0,1] onto [-1,1] with p=1/2 at the origin."""
     return 1.0 - 2.0 * np.asarray(p)
-
-
-def p_of_sigma(sigma: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 - np.asarray(sigma))
-
-
-def mirror_params(params: DiffusionParams) -> DiffusionParams:
-    """Parameters under which 1 - p has the law of p (mu != 1)."""
-    if params.mu == 1.0:
-        raise ValueError("the mirror map is undefined at mu = 1")
-    return replace(params, s=(-params.s) * (1.0 - params.mu),
-                   mu=params.mu / (params.mu - 1.0))
 
 
 def _ensemble_chunk(params: DiffusionParams, p0: np.ndarray, grid, observable,

@@ -20,9 +20,7 @@ against.  :func:`feynman_kac_check` checks the interchange on every (A, B)
 pair at once, as one matrix identity on :func:`parity_matrix`; it costs two
 semigroup applications to a 2^n x 2^n matrix, so each series term is a
 dense 2^n x 2^n product (README gives times at n = 10 and 11).  Also here:
-the parity-deviation product identity with its brute-force companion, and
-determination of a measure from its parity functionals via character
-inversion.
+the parity-deviation product identity with its brute-force companion.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ __all__ = [
     "MAX_EXACT_SITES",
     "DenseGenerator",
     "state_to_config",
-    "config_to_state",
     "build_generator_np",
     "build_generator_from_events",
     "build_generator_dual",
@@ -54,8 +51,6 @@ __all__ = [
     "fk_check_work",
     "parity_deviation",
     "parity_deviation_enum",
-    "MeasureComparison",
-    "measure_determination_check",
 ]
 
 MAX_EXACT_SITES = 12
@@ -92,14 +87,6 @@ class DenseGenerator:
 def state_to_config(s, n: int) -> np.ndarray:
     """Site values of state s; an int array of states gives one row per state."""
     return ((np.asarray(s)[..., None] >> np.arange(n)) & 1).astype(np.uint8)
-
-
-def config_to_state(cfg: np.ndarray) -> int:
-    s = 0
-    for x, v in enumerate(cfg):
-        if v:
-            s |= 1 << x
-    return s
 
 
 def build_generator_np(p: NPParams, k: Kernel) -> DenseGenerator:
@@ -317,75 +304,3 @@ def parity_deviation_enum(u) -> float:
         odd ^= on
     # a plain left fold: sum() compensates its float additions from Python 3.12 on
     return reduce(add, pr[~odd].tolist(), 0.0) - reduce(add, pr[odd].tolist(), 0.0)
-
-
-# -- determination of a measure by its parity functionals ----------------------
-
-
-@dataclass(frozen=True)
-class MeasureComparison:
-    """Outcome of comparing two measures through their parity functionals."""
-
-    equal: bool
-    witness: frozenset | None
-    detail: str
-
-
-def _walsh_hadamard(v: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform of a length-2^n vector (a new array)."""
-    out = np.array(v, dtype=np.float64)
-    h = 1
-    while h < len(out):
-        pairs = out.reshape(-1, 2, h)  # a view: butterflies of span h
-        pairs[:, 0], pairs[:, 1] = pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]
-        h *= 2
-    return out
-
-
-def _odd_masses(nu: np.ndarray) -> np.ndarray:
-    """nu{<1_B, .> odd} for every B, indexed by the bitmask of B.
-
-    Computed from the Walsh-Hadamard transform: the character sum
-    hat(nu)(B) = sum_s (-1)^{<1_B,s>} nu(s) equals total - 2 * odd_mass(B).
-    """
-    total = float(nu.sum())
-    return (total - _walsh_hadamard(nu)) / 2.0
-
-
-def measure_determination_check(nu1: np.ndarray, nu2: np.ndarray, n: int,
-                                tol: float = 1e-9) -> MeasureComparison:
-    """Decide nu1 = nu2 from total mass plus all parity functionals.
-
-    If every parity functional agrees (all site subsets B) and the totals
-    agree, the measures are reconstructed from those functionals by
-    character inversion and verified pointwise; otherwise the smallest
-    disagreeing B is returned as a witness (or the total-mass mismatch is
-    reported, which no B can witness).
-    """
-    nu1 = np.asarray(nu1, dtype=np.float64)
-    nu2 = np.asarray(nu2, dtype=np.float64)
-    size = 1 << n
-    if nu1.shape != (size,) or nu2.shape != (size,):
-        raise ValueError("measures must be vectors over all 2^n states")
-    if (nu1 < 0).any() or (nu2 < 0).any():
-        raise ValueError("measures must be nonnegative")
-    t1, t2 = float(nu1.sum()), float(nu2.sum())
-    if abs(t1 - t2) > tol:
-        return MeasureComparison(False, None, f"total masses differ: {t1!r} vs {t2!r}")
-    odd1 = _odd_masses(nu1)
-    odd2 = _odd_masses(nu2)
-    gaps = np.abs(odd1 - odd2)
-    if gaps.max() > tol:
-        mask = min(np.flatnonzero(gaps > tol).tolist(), key=lambda b: (bin(b).count("1"), b))
-        witness = frozenset(x for x in range(n) if (mask >> x) & 1)
-        return MeasureComparison(False, witness,
-                                 f"parity functional differs on B={sorted(witness)} by {gaps[mask]:.3e}")
-    # inclusion-exclusion reconstruction: invert the character transform and
-    # confirm it reproduces both inputs.
-    hat = t1 - 2.0 * odd1
-    recon = _walsh_hadamard(hat) / size
-    err = max(float(np.abs(recon - nu1).max()), float(np.abs(recon - nu2).max()))
-    if err > max(tol, 1e-9 * max(1.0, t1)):
-        return MeasureComparison(False, None,
-                                 f"reconstruction failed to match inputs (error {err:.3e})")
-    return MeasureComparison(True, None, "parity functionals determine the measure; reconstruction matches")

@@ -150,10 +150,15 @@ def read_option(options: dict[str, dict[str, str]], section: str, key: str, defa
 
 def read_list(options: dict[str, dict[str, str]], section: str, key: str, default=None,
               cast=str, sep: str = ","):
-    """:func:`read_option` of a list: ``cast`` of each nonblank, stripped token at ``sep``."""
+    """:func:`read_option` of a list: ``cast`` of each nonblank, stripped token at ``sep``.
+
+    A key that is present but holds no token is refused: an empty list checks nothing.
+    """
     if default is not None and key not in options.get(section, {}):
         return default
-    tokens = (tok.strip() for tok in read_option(options, section, key).split(sep))
+    tokens = [tok.strip() for tok in read_option(options, section, key).split(sep)]
+    if not any(tokens):
+        raise ValueError(f"{section}.{key} is empty")
     return [_cast(tok, f"{section}.{key}", cast) for tok in tokens if tok]
 
 

@@ -32,7 +32,6 @@ __all__ = [
     "torus_kernel",
     "complete_kernel",
     "explicit_kernel",
-    "local_frequency",
     "frequency_of_ones",
     "config_all",
     "config_indicator",
@@ -63,26 +62,6 @@ class Kernel:
         """Neighbor indices and weights of site x (the support of q(x, .))."""
         lo, hi = self.indptr[x], self.indptr[x + 1]
         return self.indices[lo:hi], self.weights[lo:hi]
-
-    def in_edges(self, y: int) -> tuple[np.ndarray, np.ndarray]:
-        """Sites x with q(x, y) > 0, and the weights q(x, y)."""
-        lo, hi = self.in_indptr[y], self.in_indptr[y + 1]
-        return self.in_indices[lo:hi], self.in_weights[lo:hi]
-
-    def q(self, x: int, y: int) -> float:
-        nbr, w = self.out_edges(x)
-        hit = np.nonzero(nbr == y)[0]
-        return float(w[hit[0]]) if hit.size else 0.0
-
-    def dense(self) -> np.ndarray:
-        """Dense q matrix; guarded to small site sets."""
-        if self.n > 64:
-            raise ValueError("dense kernel storage restricted to n <= 64")
-        mat = np.zeros((self.n, self.n))
-        for x in range(self.n):
-            nbr, w = self.out_edges(x)
-            mat[x, nbr] = w
-        return mat
 
 
 def _build(n: int, src, dst, w) -> Kernel:
@@ -214,14 +193,6 @@ def config_bernoulli(n: int, u: float, rng: np.random.Generator) -> np.ndarray:
     if not (0.0 <= u <= 1.0):
         raise ValueError("Bernoulli parameter must lie in [0,1]")
     return (rng.random(n) < u).astype(np.uint8)
-
-
-def local_frequency(k: Kernel, eta: np.ndarray, x: int, value: int) -> float:
-    """Kernel-weighted frequency f_value(x) = sum_y q(x,y) 1{eta(y)=value}."""
-    nbr, w = k.out_edges(x)
-    if value == 1:
-        return float(w @ (eta[nbr] != 0))
-    return float(w @ (eta[nbr] == 0))
 
 
 def frequency_of_ones(k: Kernel, eta: np.ndarray) -> np.ndarray:

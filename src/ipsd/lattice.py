@@ -85,19 +85,6 @@ class Torus:
     def shape(self) -> tuple[int, ...]:
         return (self.L,) * self.d
 
-    def index(self, coords) -> int:
-        idx = 0
-        for c in coords:
-            idx = idx * self.L + (c % self.L)
-        return idx
-
-    def coords(self, idx: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.d):
-            out.append(idx % self.L)
-            idx //= self.L
-        return tuple(reversed(out))
-
     def check_stencil(self, stencil: Stencil) -> None:
         """Refuse a stencil of another dimension, or one with a displacement that moves no site.
 

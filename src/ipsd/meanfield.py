@@ -1,4 +1,4 @@
-"""Mean-field layer: Lotka-Volterra ODEs, the density ODE, and equilibria.
+"""Mean-field layer: the density ODE, its equilibrium, and the complete-graph comparator.
 
 The two-species competition ODE with carrying capacities K0, K1 and
 cross-competition strengths alpha01, alpha10 reduces, for densities on a
@@ -29,8 +29,6 @@ from .harness import check_horizon
 from .spin import NPParams, complete_count_rates, simulate_complete_counts
 
 __all__ = [
-    "LVParams",
-    "lv_rhs",
     "density_rhs",
     "equilibrium",
     "integrate_ode",
@@ -39,35 +37,6 @@ __all__ = [
 ]
 
 ODE_CHECK_TOL = 1e-8  # terminal gap allowed between the dt and dt/2 runs of integrate_ode
-
-
-@dataclass(frozen=True)
-class LVParams:
-    """Lotka-Volterra parameters: growth rates, capacities, competition."""
-
-    r0: float
-    r1: float
-    K0: float
-    K1: float
-    alpha01: float
-    alpha10: float
-
-    def __post_init__(self):
-        if min(self.r0, self.r1, self.K0, self.K1) <= 0:
-            raise ValueError("rates and capacities must be positive")
-        if self.alpha01 < 0 or self.alpha10 < 0:
-            raise ValueError("competition strengths must be nonnegative")
-
-    @property
-    def lam(self) -> float:
-        return self.K1 / self.K0
-
-
-def lv_rhs(N0: float, N1: float, p: LVParams) -> tuple[float, float]:
-    """Right-hand side of the two-species Lotka-Volterra system."""
-    d0 = p.r0 * N0 * (1.0 - (N0 + p.alpha01 * N1) / p.K0)
-    d1 = p.r1 * N1 * (1.0 - (N1 + p.alpha10 * N0) / p.K1)
-    return d0, d1
 
 
 def density_rhs(p0, lam: float, a01: float, a10: float):

@@ -541,13 +541,25 @@ def test_walker_run_reads_its_nearest_neighbour_stencil_from_model_m(tmp_path, m
     assert stencil.weights == (rate / 4,) * 4
 
 
-@pytest.mark.parametrize("command", ["spin-run", "dual-run", "walker-run", "diffusion-run",
-                                     "moment-check", "extinct-probe"])
-def test_an_empty_grid_is_refused_by_key_before_any_engine_runs(tmp_path, monkeypatch, command):
-    # moment-check and extinct-probe refused it in the engine as "grid is empty";
-    # the other four ran their default grid
-    _refused_before_any_engine(tmp_path, monkeypatch, command, "run.grid", "",
-                               "^run.grid is empty$")
+@pytest.mark.parametrize("command, key", [
+    ("spin-run", "run.grid"),
+    ("dual-run", "run.grid"),
+    ("walker-run", "run.grid"),
+    ("diffusion-run", "run.grid"),
+    ("moment-check", "run.grid"),
+    ("extinct-probe", "run.grid"),
+    ("parity-check", "run.a"),
+    ("dual-run", "run.b"),
+    ("walker-run", "run.xi0"),
+    ("moment-check", "run.xi0"),
+    ("extinct-probe", "run.xi0"),
+])
+def test_an_empty_list_is_refused_by_key_before_any_engine_runs(tmp_path, monkeypatch, command,
+                                                                key):
+    # moment-check and extinct-probe refused an empty grid in the engine as "grid
+    # is empty", the other four ran their default grid; an empty site list ran and
+    # wrote "passed": true for parity-check and survival 0.0 for the others
+    _refused_before_any_engine(tmp_path, monkeypatch, command, key, "", f"^{key} is empty$")
 
 
 @pytest.mark.parametrize("command, key, value, kind", [
@@ -615,9 +627,11 @@ def test_exact_check_budget_admits_the_shipped_batteries(tmp_path, monkeypatch, 
 
 # unchecked, meanfield at run.p0=1.5 divided by zero, at run.stride=0 failed in
 # range() and at run.stride=-1 in indexing; moment-check at run.p0=nan and
-# extinct-probe at run.p0=-0.5 wrote results
+# extinct-probe at run.p0=-0.5 wrote results; extinct-probe at run.eps=1.5 or
+# nan blamed run.p0
 _UNIT = r"must lie in \[0, 1\], got"
 _BELOW_EPS = r"must lie in \[0, 1 - run.eps\) = \[0, 0.9\), got"
+_OPEN_UNIT = r"must lie in \(0, 1\), got"
 _STRIDE = "must be at least 1, got"
 
 
@@ -632,11 +646,14 @@ _STRIDE = "must be at least 1, got"
     ("extinct-probe", "run.p0", "-0.5", _BELOW_EPS),
     ("extinct-probe", "run.p0", "nan", _BELOW_EPS),
     ("extinct-probe", "run.p0", "0.9", _BELOW_EPS),
+    ("extinct-probe", "run.eps", "1.5", _OPEN_UNIT),
+    ("extinct-probe", "run.eps", "nan", _OPEN_UNIT),
+    ("extinct-probe", "run.eps", "0.0", _OPEN_UNIT),
 ])
 def test_a_frequency_or_stride_out_of_range_is_refused_by_key_before_any_engine_runs(
         tmp_path, monkeypatch, command, key, value, message):
     _refused_before_any_engine(tmp_path, monkeypatch, command, key, value,
-                               f"{key} {message} {value}")
+                               f"^{key} {message} {value}$")
 
 
 @pytest.mark.parametrize("value", ["inf", "nan", "0", "-0.1"])

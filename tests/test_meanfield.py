@@ -5,8 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ipsd.meanfield import (LVParams, density_rhs, equilibrium, integrate_ode,
-                            lv_rhs, meanfield_comparator)
+from ipsd.meanfield import density_rhs, equilibrium, integrate_ode, meanfield_comparator
 from ipsd.rng import derive_stream
 from ipsd.spin import NPParams, complete_count_rates, simulate_complete_counts
 
@@ -53,11 +52,11 @@ def test_lv_density_reduction():
     # frequency N0/(N0+N1) must equal the density-ODE equilibrium.
     lam, a01, a10 = 1.3, 0.5, 0.6
     eq = equilibrium(lam, a01, a10)
-    p = LVParams(r0=1.0, r1=0.7, K0=1.0, K1=lam, alpha01=a01, alpha10=a10)
-    assert p.lam == lam
-    n0 = (p.K0 - a01 * p.K1) / (1.0 - a01 * a10)
-    n1 = (p.K1 - a10 * p.K0) / (1.0 - a01 * a10)
-    d0, d1 = lv_rhs(n0, n1, p)
+    r0, r1, K0, K1 = 1.0, 0.7, 1.0, lam
+    n0 = (K0 - a01 * K1) / (1.0 - a01 * a10)
+    n1 = (K1 - a10 * K0) / (1.0 - a01 * a10)
+    d0 = r0 * n0 * (1.0 - (n0 + a01 * n1) / K0)  # the Lotka-Volterra right-hand sides
+    d1 = r1 * n1 * (1.0 - (n1 + a10 * n0) / K1)
     assert abs(d0) < 1e-12 and abs(d1) < 1e-12
     assert n0 / (n0 + n1) == pytest.approx(eq, abs=1e-12)
 

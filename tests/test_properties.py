@@ -4,17 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ipsd.diffusion import DiffusionParams, mirror_params, p_of_sigma, sigma_of_p
+from ipsd.diffusion import DiffusionParams, sigma_of_p
 from ipsd.dualspin import parity_overlap, replay_dual
-from ipsd.exact import _event_target, config_to_state
-from ipsd.kernel import (complete_kernel, config_bernoulli, config_indicator,
-                         local_frequency, torus_kernel)
+from ipsd.exact import _event_target
+from ipsd.kernel import (complete_kernel, config_bernoulli, config_indicator, frequency_of_ones,
+                         torus_kernel)
 from ipsd.lattice import Stencil, Torus
 from ipsd.rng import derive_stream
 from ipsd.spin import NPParams, flip_rate, replay_forward, sample_event_log
 from ipsd.stats import MCEstimate, wilson_lower, wilson_upper
 from ipsd.walkers import BCRW, CRW, DBARW, apply_transition, simulate_walker, walker_rates
-from test_spin import _one_event
+from test_diffusion import _mirror_params
+from test_kernel import _local_frequency
+from test_spin import _config_to_state, _one_event
 
 
 # strategies -----------------------------------------------------------------
@@ -40,10 +42,10 @@ def _subset(seed, n):
 @settings(max_examples=40, deadline=None)
 def test_local_frequencies_partition(k, seed):
     eta = config_bernoulli(k.n, 0.5, np.random.default_rng(seed))
+    f1 = frequency_of_ones(k, eta)
     for x in range(k.n):
-        f0 = local_frequency(k, eta, x, 0)
-        f1 = local_frequency(k, eta, x, 1)
-        assert f0 + f1 == pytest.approx(1.0, abs=1e-12)
+        f0 = _local_frequency(k, eta, x, 0)
+        assert f0 + f1[x] == pytest.approx(1.0, abs=1e-12)
         assert 0.0 <= f0 <= 1.0
 
 
@@ -86,7 +88,7 @@ def test_event_locality(k, alpha, seed):
         out = replay_forward(eta0, log, t)  # the prefix ending with this event
         changed = np.flatnonzero(out != eta)
         assert set(changed.tolist()) <= {x}
-        assert config_to_state(out) == _event_target(config_to_state(eta), x, y, z)
+        assert _config_to_state(out) == _event_target(_config_to_state(eta), x, y, z)
         eta = out
 
 
@@ -108,7 +110,7 @@ def test_replay_prefix_count_monotone(seed, horizon, alpha):
 @settings(max_examples=50)
 def test_sigma_roundtrip(ps):
     p = np.array(ps)
-    assert np.allclose(p_of_sigma(sigma_of_p(p)), p, atol=1e-12)
+    assert np.allclose(0.5 * (1.0 - sigma_of_p(p)), p, atol=1e-12)
     assert np.all(np.abs(sigma_of_p(p)) <= 1.0 + 1e-12)
 
 
@@ -118,7 +120,7 @@ def test_sigma_roundtrip(ps):
 def test_mirror_involution(s, mu):
     params = DiffusionParams(torus=Torus(1, 4), stencil=Stencil.nearest_neighbor(1, 1.0),
                              s=s, mu=mu)
-    mm = mirror_params(mirror_params(params))
+    mm = _mirror_params(_mirror_params(params))
     assert mm.s == pytest.approx(s, rel=1e-9, abs=1e-9)
     assert mm.mu == pytest.approx(mu, rel=1e-9, abs=1e-9)
 
@@ -221,5 +223,5 @@ def test_annihilation_event_is_involution(seed):
     eta = config_bernoulli(6, 0.5, rng)
     log = _one_event(0, 2, 4)
     once = replay_forward(eta, log, 1.0)
-    assert config_to_state(once) == _event_target(config_to_state(eta), 0, 2, 4)
+    assert _config_to_state(once) == _event_target(_config_to_state(eta), 0, 2, 4)
     assert np.array_equal(replay_forward(once, log, 1.0), eta)

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from ipsd import spin
-from ipsd.exact import (_event_target, build_generator_np, config_to_state, semigroup_apply,
-                        state_to_config)
+from ipsd.exact import _event_target, build_generator_np, semigroup_apply, state_to_config
 from ipsd.kernel import (complete_kernel, config_all, config_bernoulli, config_indicator,
                          explicit_kernel, frequency_of_ones, torus_kernel)
 from ipsd.spin import (MAX_TABLE_ROWS, EventLog, EventTable, NPParams, complete_count_rates,
@@ -16,6 +15,7 @@ from ipsd.spin import (MAX_TABLE_ROWS, EventLog, EventTable, NPParams, complete_
                        simulate_gillespie)
 from ipsd.rng import derive_stream
 from ipsd.stats import MCEstimate, two_sample_z
+from test_kernel import _dense_kernel, _local_frequency
 from test_walkers import _chi2_gof, _chi2_sf
 
 
@@ -87,12 +87,10 @@ def test_symmetric_decomposition():
     p = NPParams.symmetric(0.35)
     k = torus_kernel(2, 3)
     rng = np.random.default_rng(7)
-    from ipsd.kernel import config_bernoulli, local_frequency
-
     for _ in range(20):
         eta = config_bernoulli(k.n, 0.5, rng)
         for x in range(k.n):
-            f1 = local_frequency(k, eta, x, 1)
+            f1 = _local_frequency(k, eta, x, 1)
             f0 = 1.0 - f1
             opp = f0 if eta[x] == 1 else f1
             expect = (1.0 - p.alpha) * f0 * f1 + p.alpha * opp
@@ -245,9 +243,14 @@ def _one_event(x, y, z=-1):
     return EventLog(1.0, np.array([0.5]), np.array([x]), np.array([y]), np.array([z]))
 
 
+def _config_to_state(eta):
+    """Bit-encoded state of a configuration: bit x holds the value at site x."""
+    return sum(1 << x for x, v in enumerate(eta.tolist()) if v)
+
+
 def _state_after(eta0, log, lo, hi, target=_event_target):
     """Events lo..hi-1 of the log applied in order by a bit-encoded target of exact.py."""
-    s = config_to_state(eta0)
+    s = _config_to_state(eta0)
     for i in range(lo, hi):
         s = target(s, int(log.xa[i]), int(log.ya[i]), int(log.za[i]))
     return state_to_config(s, len(eta0))
@@ -306,6 +309,7 @@ def test_replay_forward_batch_matches_columns():
 def _reference_gillespie(p, k, eta0, horizon, rng):
     """One run of the per-flip loop the engine replaced; returns (terminal, flips)."""
     eta = eta0.astype(np.uint8).copy()
+    q = _dense_kernel(k)
     f1 = frequency_of_ones(k, eta)
     rates = flip_rates_all(p, eta, f1)
     t, flips = 0.0, 0
@@ -320,7 +324,8 @@ def _reference_gillespie(p, k, eta0, horizon, rng):
         x = min(int(np.searchsorted(np.cumsum(rates), u, side="right")), k.n - 1)
         delta = -1.0 if eta[x] == 1 else 1.0
         eta[x] ^= 1
-        src, w = k.in_edges(x)
+        src = np.flatnonzero(q[:, x])
+        w = q[src, x]
         f1[src] += delta * w
         touched = np.append(src, x)
         rates[touched] = flip_rates_all(p, eta[touched], f1[touched])
@@ -334,8 +339,8 @@ UNEVEN = explicit_kernel(4, [(0, 1, 0.5), (0, 2, 0.5), (1, 0, 1.0), (2, 0, 0.5),
 
 
 def _terminal_law_pvalue(p, k, eta0, t, terminal):
-    law = semigroup_apply(build_generator_np(p, k), t, np.eye(1 << k.n))[config_to_state(eta0)]
-    observed = np.bincount([config_to_state(eta) for eta in terminal], minlength=1 << k.n)
+    law = semigroup_apply(build_generator_np(p, k), t, np.eye(1 << k.n))[_config_to_state(eta0)]
+    observed = np.bincount([_config_to_state(eta) for eta in terminal], minlength=1 << k.n)
     return _chi2_sf(*_chi2_gof(observed, law, len(terminal)))
 
 
@@ -453,11 +458,11 @@ def test_gillespie_matches_exact_semigroup():
     gen = build_generator_np(p, k)
     eta0 = config_indicator(3, [0])
     probs = semigroup_apply(gen, 0.7, np.eye(8))  # row s -> distribution at t
-    dist = probs[config_to_state(eta0)]
+    dist = probs[_config_to_state(eta0)]
     reps = 4000
     rng = derive_stream(6, "test-g3")
     traj = simulate_gillespie(p, k, np.tile(eta0, (reps, 1)), 0.7, rng)
-    counts = np.bincount([config_to_state(eta) for eta in traj.config_at(0.7)], minlength=8)
+    counts = np.bincount([_config_to_state(eta) for eta in traj.config_at(0.7)], minlength=8)
     freq = counts / reps
     sigma = np.sqrt(np.maximum(dist * (1 - dist), 1e-12) / reps)
     assert np.all(np.abs(freq - dist) < 5 * sigma + 1e-9)
