@@ -6,9 +6,14 @@ Each site carries a frequency p(x) in [0,1] obeying
             + sqrt( p(x)(1-p(x)) / N ) dW_x
 
 with a homogeneous migration stencil m, selection strength s, dominance
-parameter mu, and noise scale N (N = 1 by default).  Integration is
-Euler-Maruyama with clamping to [0,1] and the variance floored at zero, so
-a step can never produce an invalid frequency or a NaN.
+parameter mu, and noise scale N (N = 1 by default).  Integration is the
+simplified weak Euler scheme (Kloeden & Platen 1992, section 14.1): an
+Euler-Maruyama step whose Brownian increment sqrt(dt) Z takes an
+independent random sign for Z instead of a normal, one packed random bit
+per site-step.  The moment dualities compare expectations, so only weak
+accuracy counts, and the signs keep weak order 1.  The state is clamped to
+[0,1] and the variance floored at zero, so a step can never produce an
+invalid frequency or a NaN.
 
 The linear change of variable sigma = 1 - 2p turns the mu = 2 model with
 selection s into  d sigma = [migration + (s/2)(sigma^3 - sigma)] dt
@@ -16,9 +21,8 @@ selection s into  d sigma = [migration + (s/2)(sigma^3 - sigma)] dt
 branch-by-two annihilating walker of :mod:`ipsd.walkers`.
 
 Parameter symmetry: (1 - p_t) under (s, mu) has the law of p_t under
-((-s)(1 - mu), mu/(mu - 1)) for mu != 1; with mirrored noise the
-Euler-Maruyama trajectories are exact mirrors, which is how the tests
-check it.
+((-s)(1 - mu), mu/(mu - 1)) for mu != 1; with complemented noise bits the
+Euler trajectories are exact mirrors, which is how the tests check it.
 """
 
 from __future__ import annotations
@@ -132,15 +136,19 @@ def drift_field(field: np.ndarray, params: DiffusionParams, one_m: np.ndarray | 
 
 def em_step(field: np.ndarray, params: DiffusionParams, rng: np.random.Generator,
             out: np.ndarray | None = None, work=None) -> np.ndarray:
-    """One Euler-Maruyama step: drift, clamped noise, projection to [0,1].
+    """One weak Euler step: drift, clamped sign noise, projection to [0,1].
 
     Returns the stepped field, written into ``out``.  ``out`` and the four
     arrays of ``work`` are C-contiguous float64 arrays of the field's shape,
     none of them ``field``; a caller that steps many times passes the same
     ones each step (and swaps ``field`` with ``out``), so a step allocates
-    nothing.  Allocated when not given.  The operations and their order are
-    those of ``f + drift(f) dt + sqrt(max(f(1 - f)/N, 0) dt) Z``, clipped to
-    [0,1], with ``Z`` from ``rng.standard_normal``, and give the same bits.
+    only its random words and their unpacked bits, one byte per site.
+    Allocated when not given.  The operations and their order are those of
+    ``f + drift(f) dt + sqrt(max(f(1 - f)/N, 0) dt) Z``, clipped to [0,1],
+    and give the same bits.  ``Z`` is +1 or -1 at each site: the step draws
+    ceil(size / 64) words from ``rng.bit_generator.random_raw``, reads them
+    little-endian, and bit j of word k (least significant first) sets
+    element 64k + j of the flat field, a 1 bit to +1 and a 0 bit to -1.
     """
     field = np.ascontiguousarray(field)
     out = np.empty(field.shape) if out is None else out
@@ -152,7 +160,10 @@ def em_step(field: np.ndarray, params: DiffusionParams, rng: np.random.Generator
     np.maximum(var, 0.0, out=var)
     var *= params.dt
     np.sqrt(var, out=var)
-    rng.standard_normal(out=noise)
+    words = rng.bit_generator.random_raw(-(-noise.size // 64)).astype("<u8", copy=False)
+    bits = np.unpackbits(words.view(np.uint8), count=noise.size, bitorder="little")
+    np.multiply(bits.reshape(noise.shape), 2.0, out=noise)
+    noise -= 1.0
     noise *= var
     drift_field(field, params, one_m, drift, diff)
     drift *= params.dt

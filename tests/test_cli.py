@@ -2,14 +2,18 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ipsd
 from ipsd import cli, harness, momdual
-from ipsd.cli import _merge_config, build_parser, main
+from ipsd.cli import _merge_config, build_parser, console, main
 from ipsd.diffusion import ensemble_observable
 from ipsd.exact import MAX_FK_WORK, fk_check_work
 from ipsd.lattice import Stencil
@@ -23,6 +27,32 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 def test_parser_rejects_unknown_subcommand():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["frobnicate"])
+
+
+@pytest.mark.parametrize("sets", [["run.a="], ["run.a=0,x"], ["params.alpha=nan"]])
+def test_the_command_reports_a_refusal_as_one_line_without_a_traceback(tmp_path, sets):
+    # main() raises the ValueError, which the tests and the benchmark rely on;
+    # the command itself prints its message alone and exits 2
+    src = str(Path(ipsd.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = ["parity-check", "--config", str(CONFIGS / "parity-check.ini"), "--seed", "1",
+            "--reps", "4", "--out", str(tmp_path)] + [a for s in sets for a in ("--set", s)]
+    done = subprocess.run([sys.executable, "-m", "ipsd.cli"] + argv, env=env,
+                          capture_output=True, text=True, timeout=120)
+    with pytest.raises(ValueError) as err:
+        main(argv)
+    assert done.returncode == 2
+    assert done.stderr == f"ipsd: error: {err.value}\n"
+    assert "Traceback" not in done.stderr and done.stdout == ""
+    assert not any(tmp_path.iterdir())
+
+
+def test_console_returns_the_status_of_a_run(tmp_path, capsys):
+    argv = ["parity-check", "--config", str(CONFIGS / "parity-check.ini"), "--seed", "1",
+            "--reps", "4", "--set", "run.T=0.1", "--out", str(tmp_path)]
+    assert console(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "parity-check.json").exists()
 
 
 def test_merge_config_precedence(tmp_path, monkeypatch):

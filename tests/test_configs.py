@@ -167,17 +167,19 @@ def test_meanfield_config_output_matches_pinned_digests(tmp_path):
 
 # SHA-256 of every --out file of the Euler-Maruyama-driven configs at --seed 101
 # and their small-run overrides above (two chunks of each ensemble): a change
-# to the EM kernel that moves one bit of output fails here
+# to the EM kernel that moves one bit of output fails here.  The noise signs are
+# read little-endian and nothing runs on BLAS, so the digests do not depend on
+# the host.
 EM_DIGESTS = {
     "coexist-probe": {
-        "coexist-probe.json": "25b90d93c929debe4c689289d8b7b67406e47aa47a9cc792efddd0e9492cf049"},
+        "coexist-probe.json": "619df9b68b42a15b7b47dc9f5716467e79b7ae06a0f8da3bedd370c41a4fc0eb"},
     "diffusion-run": {
-        "diffusion-run.json": "e93da68b342e78a0720988c9d278300ab503485d6384c973cc6908990be66d4e",
-        "diffusion_summary.csv": "06758d522d632080434cc1d2b99fd9990cfeb58b679d0afe7d5ec8c7e3c406ab"},
+        "diffusion-run.json": "cef09705e2b361a974280c352572705a59402d0bb54a61ab02bbe229265522c9",
+        "diffusion_summary.csv": "639458246398f45c74e251eb748fa99b7c1bafbe99e704528cb30d51b5089ca4"},
     "extinct-probe": {
-        "extinct-probe.json": "774cfbd09dceffeb090be0ed65c2314828434e2999ed29d808dc460191917445"},
+        "extinct-probe.json": "5f025d35c2e3f42fe884d208dcba9062b5caf2d218ac006ad151c57f90fee9fb"},
     "moment-check": {
-        "moment-check.json": "03ddbd037fed0883d7080a4419e9f4c84b8b7acf2bddbe87af427fbeef9f3dc0"},
+        "moment-check.json": "efa0f885c2c74d6cba4b483eec03aa0fcbdc48a54f457e067b83c4136dfdb147"},
 }
 
 
@@ -220,14 +222,14 @@ def test_gillespie_driven_config_outputs_match_pinned_digests(tmp_path, name):
 BENCHMARK_CONFIGS = CONFIGS.parent / "benchmark" / "configs"
 BENCHMARK_DIGESTS = {
     "lattice-moments/coexist-probe": {
-        "coexist-probe.json": "27770ab2d792572c576a075016ea57da864b4542462503144a1756181d0f3556"},
+        "coexist-probe.json": "6532625be1e2dc79afd75b2594602d96c7e272b4e646302e6def23faba8e52f2"},
     "lattice-moments/diffusion-run": {
-        "diffusion-run.json": "9ae8e7bd4d010e1f18942357f42cd8a08255c62ae6d91b4076496b8b3cace872",
-        "diffusion_summary.csv": "ac27e49a711b004b3edd1d05334476cc3696a624302363233e82cc0c430bc364"},
+        "diffusion-run.json": "c57e5c2bc46c96903f0bc08c693cbeb874df9416fc604b1da760f5323eccbcb9",
+        "diffusion_summary.csv": "8ff6c783bc6cfaa5508f9c8626c0596c21aa963874692009e1badff8f80faca1"},
     "lattice-moments/extinct-probe": {
-        "extinct-probe.json": "2a6b311091f49c333eb140add2f567f303d87cfc1e59916cff277dbd4f563759"},
+        "extinct-probe.json": "8d99184d6fe29f2d1f2e778b52277f7553223961fdaabef8c72056c683c373eb"},
     "lattice-moments/moment-check": {
-        "moment-check.json": "6a34430dd2912df91a1db6ef25c0dea8a648a1a689469af6dce0a3035e7533bc"},
+        "moment-check.json": "f575cd356dd5be3c847c64029a53fc01148772795fd2b2c747ca75a161307eea"},
     "lattice-moments/walker-run": {
         "walker-run.json": "97c3d70d8164a873c94774e7fe5b9ff5cce70f791535ab9bb5b9ac496317e693",
         "walker_sizes.csv": "651e3461539e86a8a5dcec61d4df6a18394c5ab558d4789699c1cd5a0fac0c6c"},

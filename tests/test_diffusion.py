@@ -1,8 +1,11 @@
 """Lattice Wright-Fisher diffusions: drift, EM scheme, symmetries, ensembles."""
 
 import itertools
+import math
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,8 +14,13 @@ from ipsd import diffusion
 from ipsd.cli import main
 from ipsd.diffusion import (DiffusionParams, _ensemble_chunk, drift_field, em_step,
                             ensemble_observable, sigma_of_p)
+from ipsd.exact import _uniformized
 from ipsd.lattice import Stencil, Torus
+from ipsd.momdual import field_moment, moment_product
 from ipsd.rng import derive_stream
+from ipsd.stats import MCEstimate
+from ipsd.walkers import BCRW, DBARW, per_particle_rates
+from test_walkers import _chain_laws, _walker_chain
 
 
 def _params(d=1, L=4, s=0.0, mu=0.0, dt=1e-3, rate=1.0, noise_n=1.0):
@@ -94,15 +102,15 @@ def test_mirror_params_involution():
     assert mm.mu == pytest.approx(-0.3, abs=1e-12)
 
 
-class _NegatedNormals:
-    """Stream wrapper whose normals are the exact negations of the base."""
+class _ComplementedBits:
+    """Stream wrapper whose raw words are the bitwise complements of the base's.
+
+    So every noise sign of :func:`em_step` is the negation of the base's.
+    """
 
     def __init__(self, rng):
-        self._rng = rng
-
-    def standard_normal(self, size=None, out=None):
-        z = self._rng.standard_normal(size, out=out)
-        return np.negative(z, out=z)
+        self.bit_generator = SimpleNamespace(
+            random_raw=lambda size: ~rng.bit_generator.random_raw(size))
 
 
 def _flat_fields(fields):
@@ -111,14 +119,14 @@ def _flat_fields(fields):
 
 def test_mirror_symmetry_pathwise():
     # 1 - p under (s, mu) evolves exactly like p under the mirrored
-    # parameters when the Brownian increments are negated; checked on the
+    # parameters when the noise signs are negated; checked on the
     # ensemble engine every command runs, three replicates at once.
     params = _params(L=8, s=1.3, mu=-0.4, dt=1e-3)
     p0 = derive_stream(64, "mirror-init").random(8)
     grid = [0.05, 0.1, 0.2]
     path_p = _ensemble_chunk(params, p0, grid, _flat_fields, 3, derive_stream(65, "mirror-noise"))
     path_q = _ensemble_chunk(_mirror_params(params), 1.0 - p0, grid, _flat_fields, 3,
-                             _NegatedNormals(derive_stream(65, "mirror-noise")))
+                             _ComplementedBits(derive_stream(65, "mirror-noise")))
     assert path_p.shape == path_q.shape == (3, len(grid), 8)
     assert np.abs((1.0 - path_p) - path_q).max() < 1e-10
 
@@ -225,7 +233,8 @@ def test_ensemble_observable_refuses_a_bad_grid_before_any_step(monkeypatch, gri
 
 
 # -- the allocating Euler-Maruyama step the buffered kernel replaced, kept as
-# its bit-for-bit reference (np.roll neighbours, a fresh array per operation)
+# its bit-for-bit reference (np.roll neighbours, a fresh array per operation,
+# and the noise signs read bit by bit off the raw words in a Python loop)
 
 def _reference_drift_field(field, params):
     axes = tuple(range(field.ndim - params.torus.d, field.ndim))
@@ -236,9 +245,17 @@ def _reference_drift_field(field, params):
     return out
 
 
+def _reference_signs(rng, shape):
+    """+1 or -1 per element in C order: bit j of raw word k, a Python int, sets element 64k + j."""
+    size = math.prod(shape)
+    words = [int(w) for w in rng.bit_generator.random_raw(-(-size // 64))]
+    bits = [(word >> j) & 1 for word in words for j in range(64)]
+    return np.array([1.0 if bit else -1.0 for bit in bits[:size]]).reshape(shape)
+
+
 def _reference_em_step(field, params, rng):
     var = np.maximum(field * (1.0 - field) / params.noise_n, 0.0)
-    noise = np.sqrt(var * params.dt) * rng.standard_normal(field.shape)
+    noise = np.sqrt(var * params.dt) * _reference_signs(rng, field.shape)
     out = field + _reference_drift_field(field, params) * params.dt + noise
     return np.clip(out, 0.0, 1.0)
 
@@ -333,3 +350,83 @@ def test_an_observable_may_return_a_view_of_the_fields():
     assert got.shape == (5, 3, 16)
     assert got.tobytes() == ref.reshape(got.shape).tobytes()
     assert not np.array_equal(got[:, 0], got[:, -1])
+
+
+@pytest.mark.parametrize("noise_n", [1.0, 0.5])
+def test_each_increment_before_the_clip_is_plus_or_minus_the_standard_deviation(noise_n):
+    # em_step leaves the noise in its second work array: every entry is
+    # +sd or -sd with sd = sqrt(max(f(1 - f)/N, 0) dt), signed by its bit;
+    # 5 x 16 sites take one full raw word and 16 bits of a second
+    params = _params(L=16, s=1.0, mu=2.0, noise_n=noise_n, dt=2e-3)
+    field = np.stack([_gate_start(params.torus, 78 + i) for i in range(5)])
+    work = [np.empty_like(field) for _ in range(4)]
+    em_step(field, params, derive_stream(79, "signs"), np.empty_like(field), work)
+    sd = np.sqrt(np.maximum(field * (1.0 - field) / noise_n, 0.0) * params.dt)
+    signs = _reference_signs(derive_stream(79, "signs"), field.shape)
+    assert (signs > 0).any() and (signs < 0).any() and (sd == 0.0).any()
+    assert np.array_equal(np.abs(work[1]), sd)
+    assert work[1].tobytes() == (signs * sd).tobytes()
+
+
+def test_diffusion_run_output_is_byte_identical_at_one_and_two_threads(tmp_path, monkeypatch):
+    # three chunks of sign noise from a uniform start, which has its own stream
+    monkeypatch.setattr(diffusion, "ENSEMBLE_BATCH", 40)
+    trees = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        main(["diffusion-run", "--config", str(CONFIGS / "diffusion-run.ini"), "--seed", "7",
+              "--reps", "100", "--threads", threads, "--out", str(out), "--set", "run.init=uniform",
+              "--set", "run.T=0.1", "--set", "run.grid=0.05,0.1", "--set", "model.dt=0.01"])
+        trees.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert trees[0] == trees[1] and len(trees[0]) == 2
+
+
+# -- the weak-Euler gate: sign-noise moments against the exact walker dual
+
+def _beyond_cap_bound(kind, totals, c, t):
+    """A bound on |E[H(v0, xi_s)]|, s <= t, from a start past the cap; c = max |v0| <= 1.
+
+    |H(v0, xi)| <= c^|xi|.  Branching only adds walkers, and the pair rate at
+    total K is at most C(K, 2), which it reaches with every walker on one
+    site; so the walker total stays at or above the chain K that only makes
+    the kind's pair jump, at rate C(K, 2), and c^|xi_s| <= c^K_s <= c^K_t.
+    Returns the largest E[c^K_t] over the given start totals.
+    """
+    _, _, pair_delta = per_particle_rates(kind)
+    top = int(max(totals, default=0))
+    gen = np.zeros((top + 1, top + 1))
+    for k in range(2, top + 1):
+        gen[k, k + pair_delta] += k * (k - 1) / 2.0
+        gen[k, k] -= k * (k - 1) / 2.0
+    powers = _uniformized(gen, t, c ** np.arange(top + 1.0))
+    return max((float(powers[k]) for k in totals), default=0.0)
+
+
+# criterion 9's three settings on a ring of 8 from xi0 = {0: 2}; the chain's
+# cap is the smallest whose over-cap bound stays below a tenth of the error
+@pytest.mark.parametrize("s, mu, p0, cap, seed", [(0.0, 2.0, 0.25, 2, 2201),
+                                                  (1.0, 2.0, 0.25, 10, 2202),
+                                                  (-1.0, -0.5, 0.5, 12, 2203)])
+def test_sign_noise_moments_match_the_exact_walker_dual_at_dt_and_half_dt(s, mu, p0, cap, seed):
+    torus, stencil = Torus(1, 8), Stencil.nearest_neighbor(1, 1.0)
+    params = DiffusionParams(torus, stencil, s=s, mu=mu, dt=0.002)
+    grid, xi0, reps = [0.25, 0.5], {0: 2}, 10_000
+    pairing = sigma_of_p if mu == 2.0 else None
+    kind = DBARW(branch_rate=s / 2.0) if mu == 2.0 else BCRW(s=s, mu=mu)
+    v0 = np.full(torus.n_sites, p0) if pairing is None else pairing(np.full(torus.n_sites, p0))
+    chain = _walker_chain(kind, xi0, torus, stencil, cap)
+    inside = len(chain.counts)
+    h = moment_product(v0, chain.counts)
+    exact, bound = [], []
+    for t, law in zip(grid, _chain_laws(chain, grid)):
+        exact.append(float(law[:inside] @ h))
+        bound.append(float(law[inside:].sum())
+                     * _beyond_cap_bound(kind, chain.totals[inside:], float(np.abs(v0).max()), t))
+    obs = partial(field_moment, xi0, transform=pairing)
+    for dt, role in ((params.dt, "weak-gate"), (params.dt / 2.0, "weak-gate-half")):
+        vals = ensemble_observable(params.with_dt(dt), np.full(torus.shape, p0), grid, obs, reps,
+                                   seed, role)
+        for t, row, want, slack in zip(grid, vals, exact, bound):
+            est = MCEstimate.from_samples(row)
+            assert slack < est.stderr / 10.0, (t, dt, slack, est)
+            assert abs(est.mean - want) < 4.0 * est.stderr + slack, (t, dt, want, est)

@@ -1,19 +1,21 @@
 """Interacting random-walk duals: rates, transitions, invariants."""
 
 import math
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 import pytest
 
-from ipsd.exact import _uniformized
+from ipsd.exact import MAX_UNIFORM_MU, _poisson_series
 from ipsd.harness import replicate_map
 from ipsd.lattice import Stencil, Torus
 from ipsd.momdual import moment_eval, moment_product
 from ipsd.rng import derive_stream
 from ipsd.walkers import (BCRW, CRW, DBARW, LOCKSTEP_MAX_HANDOFF, MAX_CHUNK_CELLS, WalkerSamples,
-                          apply_transition, occupied_sites, per_particle_rates, simulate_walker,
-                          survival_probability, walker_ensemble, walker_rates, walker_samples)
+                          apply_transition, count_row, occupied_sites, per_particle_rates,
+                          simulate_walker, survival_probability, walker_ensemble, walker_rates,
+                          walker_samples)
 
 
 def _geom(d=1, L=4, rate=1.0):
@@ -241,25 +243,114 @@ def _chi2_gof(observed, probs, reps):
     return stat, len(cells_o) - 1
 
 
-def _truncated_chain(kind, xi0, torus, stencil, cap):
-    """Dense generator over the states reachable from xi0; over-cap states absorb."""
-    key = lambda counts: tuple(sorted(counts.items()))
-    states, index, edges = [key(xi0)], {key(xi0): 0}, []
-    for i, state in enumerate(states):  # states grows while it is walked
-        counts = dict(state)
-        if sum(counts.values()) > cap:
-            continue
-        for transition, rate in walker_rates(kind, counts, torus, stencil):
-            target = key(apply_transition(kind, counts, transition))
-            if target not in index:
-                index[target] = len(states)
-                states.append(target)
-            edges.append((i, index[target], rate))
-    gen = np.zeros((len(states), len(states)))
-    for i, j, rate in edges:
-        gen[i, j] += rate
-        gen[i, i] -= rate
-    return gen, np.array([sum(c for _, c in s) for s in states])
+@dataclass(frozen=True)
+class _WalkerChain:
+    """The walker chain on the multisets of total at most ``cap``, its generator in CSR arrays.
+
+    ``counts`` holds the states within the cap, one count row each.  A jump
+    past the cap lands in an absorbing state that keeps its total, as the
+    engines carry an over-cap total forward; these come last, one per total
+    reached.  Row i of the generator's off-diagonal part is
+    ``rates[indptr[i]:indptr[i + 1]]`` to the states ``indices[...]``.
+    """
+
+    counts: np.ndarray
+    totals: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    rates: np.ndarray
+    start: int
+
+
+def _walker_chain(kind, xi0, torus, stencil, cap):
+    """Sparse generator of ``kind`` from xi0 on the walker multisets of total at most ``cap``.
+
+    A kind that cannot branch never exceeds its initial total, so its states
+    stop there.  States are keyed by their counts in base cap + 3, the most a
+    jump can put on a site, and every transition of :func:`walker_rates` is
+    built for all states at once, one site and channel at a time.
+    """
+    n = torus.n_sites
+    b1, b2, pair_delta = per_particle_rates(kind)
+    if b1 == b2 == 0.0:
+        cap = min(cap, sum(xi0.values()))
+    counts = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(n):  # append each site's count, from 0 to what the cap leaves
+        room = cap - counts.sum(axis=1) + 1
+        rows = np.repeat(np.arange(len(counts)), room)
+        counts = np.column_stack([counts[rows], np.arange(len(rows)) - np.repeat(
+            np.cumsum(room) - room, room)])
+    place = (cap + 3) ** np.arange(n, dtype=np.int64)
+    keys = counts @ place
+    order = np.argsort(keys)
+    counts, keys = counts[order], keys[order]
+    totals = counts.sum(axis=1)
+    table = torus.move_table(stencil)
+    src, dst, rate, grown = [], [], [], []
+    for x in range(n):
+        c = counts[:, x]
+        jumps = [(place[table[x, j]] - place[x], w * c, 0)
+                 for j, w in enumerate(stencil.weights) if w > 0]
+        jumps += [(place[x], b1 * c, 1), (2 * place[x], b2 * c, 2),
+                  (pair_delta * place[x], c * (c - 1) / 2.0, pair_delta)]
+        for shift, r, dtotal in jumps:
+            live = np.flatnonzero(r > 0)
+            src.append(live)
+            dst.append(keys[live] + shift)
+            rate.append(r[live])
+            grown.append(totals[live] + dtotal)
+    src, dst, rate, grown = (np.concatenate(a) for a in (src, dst, rate, grown))
+    over = np.unique(grown[grown > cap])
+    inside = grown <= cap
+    target = np.empty(len(dst), dtype=np.int64)
+    target[inside] = np.searchsorted(keys, dst[inside])
+    target[~inside] = len(keys) + np.searchsorted(over, grown[~inside])
+    assert np.array_equal(keys[target[inside]], dst[inside])
+    by_row = np.argsort(src, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=len(keys) + len(over)))])
+    start = int(np.searchsorted(keys, count_row(xi0, torus) @ place))
+    return _WalkerChain(counts, np.concatenate([totals, over]), indptr, target[by_row],
+                        rate[by_row], start)
+
+
+class _LawStep:
+    """I + G / lam acting on a law (a row vector) by one ``np.bincount``.
+
+    ``lam`` is 1.01 times the largest exit rate, as in ``exact._uniformized``.
+    """
+
+    def __init__(self, chain):
+        size = len(chain.totals)
+        rows = np.repeat(np.arange(size), np.diff(chain.indptr))
+        exits = np.bincount(rows, weights=chain.rates, minlength=size)
+        self.lam = 1.01 * float(exits.max())
+        scale = 1.0 / self.lam if self.lam > 0.0 else 0.0
+        self.src = np.concatenate([rows, np.arange(size)])
+        self.dst = np.concatenate([chain.indices, np.arange(size)])
+        self.prob = np.concatenate([chain.rates * scale, 1.0 - exits * scale])
+
+    def __matmul__(self, law):
+        return np.bincount(self.dst, weights=self.prob * law[self.src], minlength=len(law))
+
+
+def _chain_laws(chain, grid):
+    """Laws of the chain's state at the sorted grid times, from xi0.
+
+    Each time steps on from the one before by the uniformization of
+    ``exact._uniformized``: the series of ``exact._poisson_series``, split
+    into the fewest equal steps of lam t at most ``exact.MAX_UNIFORM_MU``.
+    """
+    law = np.zeros(len(chain.totals))
+    law[chain.start] = 1.0
+    step = _LawStep(chain)
+    laws, now = [], 0.0
+    for t in grid:
+        steps = math.ceil(step.lam * (t - now) / MAX_UNIFORM_MU)  # 0 when nothing moves
+        for _ in range(steps):
+            law = _poisson_series(step, step.lam * (t - now) / steps, law)
+        laws.append(law)
+        now = t
+    return laws
 
 
 def test_chi2_sf_matches_table_values():
@@ -278,12 +369,9 @@ def test_lockstep_size_law_matches_the_truncated_exact_chain(kind, xi0, L, cap, 
     grid, reps = [0.3, 1.0], 4000
     runs = walker_ensemble(kind, xi0, torus, stencil, grid, cap, reps, 91, "lockstep-law")
     assert runs.handed.sum() < reps  # the lockstep engine did the work
-    gen, totals = _truncated_chain(kind, xi0, torus, stencil, cap)
-    start = np.zeros(len(totals))
-    start[0] = 1.0
-    for j, t in enumerate(grid):
-        law = _uniformized(gen.T, t, start)  # the law of the state at time t
-        size_law = np.bincount(totals, weights=law)
+    chain = _walker_chain(kind, xi0, torus, stencil, cap)
+    for j, (t, law) in enumerate(zip(grid, _chain_laws(chain, grid))):
+        size_law = np.bincount(chain.totals, weights=law)
         assert abs(size_law.sum() - 1.0) < 1e-12
         observed = np.bincount(runs.sizes[:, j], minlength=len(size_law))
         assert len(observed) == len(size_law)  # no size the chain cannot reach
