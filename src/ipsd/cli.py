@@ -12,14 +12,15 @@ overridden by repeated ``--set`` flags; the master seed resolves as
 Outputs are CSV tables plus one JSON report per run, written under --out
 (default ``ipsd-results``).  Output bytes are a pure function of the
 configuration and seed: worker count and wall clock never enter them.  The
-``ipsd`` command reports a refused value as the one line
-``ipsd: error: <message>`` and exits with status 2, as argparse does for a
-bad flag.
+``ipsd`` command reports a refused value, a missing key or an unreadable
+config file as the one line ``ipsd: error: <message>`` and exits with
+status 2, as argparse does for a bad flag.
 """
 
 from __future__ import annotations
 
 import argparse
+import configparser
 import itertools
 import sys
 from functools import partial
@@ -82,6 +83,14 @@ def _parse_p0(cfg: RunConfig, below: float | None = None) -> float:
         span = "[0, 1]" if below is None else f"[0, 1 - run.eps) = [0, {below})"
         raise ValueError(f"run.p0 must lie in {span}, got {p0}")
     return p0
+
+
+def _parse_cap(cfg: RunConfig, default: int) -> int:
+    """The walker-total cap [run] cap, at least 1."""
+    cap = cfg.opt("run", "cap", default, int)
+    if cap < 1:
+        raise ValueError(f"run.cap must be at least 1, got {cap}")
+    return cap
 
 
 def _site_count(n_sites: int, tok: str) -> tuple[int, int]:
@@ -222,9 +231,7 @@ def cmd_dual_run(cfg: RunConfig) -> dict:
     horizon = _parse_horizon(cfg, 10.0)
     grid = _parse_grid(cfg, "grid", [horizon], horizon)
     B = _parse_sites(cfg, "b", k.n)
-    cap = cfg.opt("run", "cap", 10, int)
-    if cap < 1:
-        raise ValueError(f"run.cap must be at least 1, got {cap}")
+    cap = _parse_cap(cfg, 10)
     sizes, rows = evug_statistic(p, k, B, grid, cap, cfg.reps, cfg.seed, "dual-run", cfg.threads)
     write_csv(cfg.out / "dual_sizes.csv", ["replicate", "t", "size"],
               [(r, t, int(sizes[r, j])) for r in range(cfg.reps) for j, t in enumerate(grid)])
@@ -368,7 +375,7 @@ def cmd_walker_run(cfg: RunConfig) -> dict:
     xi0 = _parse_counts(cfg, torus.n_sites)
     horizon = _parse_horizon(cfg, 10.0)
     grid = _parse_grid(cfg, "grid", [horizon], horizon)
-    cap = cfg.opt("run", "cap", 100000, int)
+    cap = _parse_cap(cfg, 100000)
     runs = walker_ensemble(kind, xi0, torus, stencil, grid, cap, cfg.reps, cfg.seed,
                            "walker-run", cfg.threads)
     rows = [(r, t, int(runs.sizes[r, j]), int(runs.observed[r, j]))
@@ -386,18 +393,12 @@ def cmd_moment_check(cfg: RunConfig) -> dict:
     grid = _parse_grid(cfg, "grid", [0.25, 0.5])
     xi0 = _parse_counts(cfg, params.torus.n_sites, [(0, 2)])
     p0 = np.full(params.torus.shape, _parse_p0(cfg))
-    cap = cfg.opt("run", "cap", 100000, int)
+    cap = _parse_cap(cfg, 100000)
     rows = moment_duality_mc(params, p0, xi0, grid, cfg.reps, cfg.seed, regime=regime, cap=cap,
                              threads=cfg.threads)
     ok = all(abs(r["z"]) < 4.0 and abs(r["z_half"]) < 4.0 for r in rows)
-    if rows[0]["regime"] == "dbarw":
-        gap = generator_duality_battery("dbarw", [params.s], 200, params.torus,
-                                        params.stencil, cfg.seed)
-    elif -1.0 <= params.mu <= 0.0:  # bcrw, or crw (s = 0), which checks as bcrw
-        gap = generator_duality_battery("bcrw", [(params.s, params.mu)], 200,
-                                        params.torus, params.stencil, cfg.seed)
-    else:
-        gap = None
+    gap = generator_duality_battery(rows[0]["regime"], [(params.s, params.mu)], 200, params.torus,
+                                    params.stencil, cfg.seed)
     return {"rows": rows, "passed": ok, "generator_gap": gap,
             "walker_events": rows[0]["walker_events"]}
 
@@ -412,7 +413,7 @@ def cmd_coexist_probe(cfg: RunConfig) -> dict:
         kappa=cfg.opt("run", "kappa", 0.1, float),
         reps_het=cfg.opt("run", "reps_het", cfg.reps, int),
         reps_surv=cfg.opt("run", "reps_surv", cfg.reps, int),
-        cap=cfg.opt("run", "cap", 2000, int),
+        cap=_parse_cap(cfg, 2000),
         dt=cfg.opt("model", "dt", 1e-3, float), threads=cfg.threads)
     return {**vars(rep), "passed": rep.passed}
 
@@ -435,7 +436,7 @@ def cmd_extinct_probe(cfg: RunConfig) -> dict:
         reps_fwd=cfg.opt("run", "reps_fwd", cfg.reps, int),
         reps_dual=cfg.opt("run", "reps_dual", cfg.reps, int),
         master_seed=cfg.seed,
-        cap=cfg.opt("run", "cap", 400, int),
+        cap=_parse_cap(cfg, 400),
         dt=cfg.opt("model", "dt", 1e-3, float), threads=cfg.threads)
     return {**vars(rep), "passed": rep.passed}
 
@@ -569,11 +570,12 @@ def main(argv=None) -> int:
 
 
 def console(argv=None) -> int:
-    """The ``ipsd`` command: :func:`main`, with a refusal printed as one line and exit status 2."""
+    """The ``ipsd`` command: :func:`main`, with a refused input printed as one line, exit 2."""
     try:
         return main(argv)
-    except ValueError as err:
-        print(f"ipsd: error: {err}", file=sys.stderr)
+    except (ValueError, KeyError, OSError, configparser.Error) as err:
+        # a KeyError's str() quotes its message
+        print(f"ipsd: error: {err.args[0] if isinstance(err, KeyError) else err}", file=sys.stderr)
         return 2
 
 

@@ -60,6 +60,13 @@ MAX_UNIFORM_MU = 500.0  # largest lam t of one series; exp(-lam t) stays a norma
 MAX_FK_WORK = 3e11
 
 
+def _check_sites(n: int) -> int:
+    """``n``, refused past MAX_EXACT_SITES: a builder calls this before it allocates 2^n x 2^n."""
+    if n > MAX_EXACT_SITES:
+        raise ValueError(f"exact machinery restricted to {MAX_EXACT_SITES} sites")
+    return n
+
+
 @dataclass(frozen=True, eq=False)
 class DenseGenerator:
     """Dense CTMC generator over bit-encoded configurations.
@@ -72,8 +79,7 @@ class DenseGenerator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        if self.n_sites > MAX_EXACT_SITES:
-            raise ValueError(f"exact machinery restricted to {MAX_EXACT_SITES} sites")
+        _check_sites(self.n_sites)
         m = self.matrix
         if m.shape != (1 << self.n_sites, 1 << self.n_sites):
             raise ValueError("generator shape does not match site count")
@@ -95,9 +101,7 @@ def build_generator_np(p: NPParams, k: Kernel) -> DenseGenerator:
     Site x's rates come from one flip_rate call on all 2^n configurations.
     Rates <= 0 are left out: a one among ones can round to -2e-16.
     """
-    n = k.n
-    if n > MAX_EXACT_SITES:
-        raise ValueError(f"exact machinery restricted to {MAX_EXACT_SITES} sites")
+    n = _check_sites(k.n)
     size = 1 << n
     states = np.arange(size)
     configs = state_to_config(states, n)
@@ -127,9 +131,7 @@ def _dual_event_target(s, x: int, y: int, z: int):
 
 def _generator_from_targets(p: NPParams, k: Kernel, target_fn) -> DenseGenerator:
     """One pass per row of EventTable.build(p, k), in table order, over all 2^n states at once."""
-    n = k.n
-    if n > MAX_EXACT_SITES:
-        raise ValueError(f"exact machinery restricted to {MAX_EXACT_SITES} sites")
+    n = _check_sites(k.n)
     table = EventTable.build(p, k)
     size = 1 << n
     states = np.arange(size)

@@ -178,8 +178,7 @@ def _cast(value: str, name: str, cast):
 def load_config_file(path: str | Path) -> dict[str, dict[str, str]]:
     """Parse a flat INI config file into {section: {key: value}}."""
     parser = configparser.ConfigParser()
-    text = Path(path).read_text()
-    parser.read_string(text)
+    parser.read_string(Path(path).read_text(), source=str(path))
     out: dict[str, dict[str, str]] = {}
     for section in parser.sections():
         out[section] = {k: v for k, v in parser.items(section)}

@@ -4,10 +4,9 @@ The bridging functional is the mixed moment
 
     H(v, xi) = prod_{x: xi(x) >= 1} v(x)^{xi(x)}      (empty product = 1)
 
-evaluated either on a diffusion field (v = sigma for the mu = 2 pairing,
-v = p for the branching-coalescing pairing) and a frozen particle
-configuration, or the other way around.  Two independent evaluations of
-the generator action on H are provided:
+evaluated either on a diffusion field v and a frozen particle configuration,
+or the other way around.  :func:`pairing` alone decides which walker and v
+each diffusion pairs with.  Two evaluations of the generator action on H:
 
 * closed forms (:func:`gen_sigma_on_H`, :func:`gen_p_on_H`) obtained by
   applying the diffusion generator to H and collecting terms in
@@ -43,6 +42,7 @@ __all__ = [
     "gen_sigma_on_H",
     "gen_p_on_H",
     "gen_walker_on_H",
+    "pairing",
     "generator_duality_battery",
     "moment_duality_mc",
     "coexistence_probe",
@@ -141,11 +141,7 @@ def gen_sigma_on_H(sigma: np.ndarray, counts: dict[int, int], s: float,
 
 def gen_p_on_H(p: np.ndarray, counts: dict[int, int], s: float, mu: float,
                torus: Torus, stencil: Stencil) -> float:
-    """Action of the p-diffusion generator (s <= 0, mu in [-1,0]) on H."""
-    if s > 0:
-        raise ValueError("this pairing needs s <= 0")
-    if not (-1.0 <= mu <= 0.0):
-        raise ValueError("this pairing needs mu in [-1, 0]")
+    """Action of the p-diffusion generator on H, at any s and mu (see :func:`pairing`)."""
 
     def reactions(px, c, pow_c, pow_cm1):
         yield s * c * (pow_c - (mu + 1.0) * px ** (c + 1) + mu * px ** (c + 2))
@@ -166,6 +162,34 @@ def gen_walker_on_H(vals: np.ndarray, counts: dict[int, int], kind: WalkerKind,
     return total
 
 
+def pairing(s: float, mu: float, regime: str = "auto"):
+    """The walker dual of the (s, mu) diffusion: (regime, walker kind, transform, closed form).
+
+    "auto" is "dbarw" at mu = 2 (v = sigma_of_p(p), DBARW of branch rate
+    s/2), "crw" at s = 0 and "bcrw" otherwise (v = p, transform None).  The
+    closed form (v, counts, torus, stencil) is the generator's action on H.
+    A regime without a walker at (s, mu) is refused, as the BCRW itself
+    refuses s > 0 and mu outside [-1, 0].
+    """
+    if regime == "auto":
+        regime = "dbarw" if mu == 2.0 else "crw" if s == 0.0 else "bcrw"
+    if regime == "dbarw":
+        if mu != 2.0:
+            raise ValueError("the DBARW pairing needs mu = 2")
+        return (regime, DBARW(branch_rate=s / 2.0), sigma_of_p,
+                lambda v, xi, torus, stencil: gen_sigma_on_H(v, xi, s, torus, stencil))
+    if regime == "crw":
+        if s != 0.0:
+            raise ValueError("the CRW pairing needs s = 0")
+        kind: WalkerKind = CRW()
+    elif regime == "bcrw":
+        kind = BCRW(s=s, mu=mu)
+    else:
+        raise ValueError(f"unknown regime {regime!r}")
+    return (regime, kind, None,
+            lambda v, xi, torus, stencil: gen_p_on_H(v, xi, s, mu, torus, stencil))
+
+
 def _random_counts(rng: np.random.Generator, n_sites: int) -> dict[int, int]:
     total = int(rng.integers(1, BATTERY_MAX_TOTAL + 1))
     sites = rng.integers(0, n_sites, size=total)
@@ -179,38 +203,28 @@ def generator_duality_battery(regime: str, param_list, n_pairs: int, torus: Toru
                               stencil: Stencil, seed: int) -> float:
     """Max |closed form - walker route| over random (field, particle) pairs.
 
-    ``regime`` is "dbarw" (sigma fields in [-1,1], DBARW with branch rate
-    s/2, param_list holds s values) or "bcrw" (p fields in [0,1], BCRW,
-    param_list holds (s, mu) pairs).  Each pair places 1 to
-    BATTERY_MAX_TOTAL walkers; fields get exact zeros (and exact endpoint
-    values) sprinkled in to exercise the polynomial forms.
+    ``param_list`` holds (s, mu) pairs, resolved by :func:`pairing` before
+    any draw; pair i uses entry i modulo its length, with 1 to
+    BATTERY_MAX_TOTAL walkers on a uniform field of the pairing's v: sigma
+    in [-1, 1] or p in [0, 1].  Exact zeros and endpoints (-1 or 1) are
+    sprinkled in to exercise the polynomial forms.
     """
+    pairings = [pairing(float(s), float(mu), regime) for s, mu in param_list]
     rng = derive_stream(seed, f"genbattery-{regime}")
     n = torus.n_sites
     worst = 0.0
     for i in range(n_pairs):
-        par = param_list[i % len(param_list)]
+        _, kind, transform, closed = pairings[i % len(pairings)]
         counts = _random_counts(rng, n)
-        if regime == "dbarw":
-            field = rng.uniform(-1.0, 1.0, size=n)
-        elif regime == "bcrw":
-            field = rng.uniform(0.0, 1.0, size=n)
-        else:
-            raise ValueError(f"unknown regime {regime!r}")
+        low, end = (-1.0, -1.0) if transform is not None else (0.0, 1.0)  # sigma or p fields
+        field = rng.uniform(low, 1.0, size=n)
         # exact special values at a few sites, including occupied ones
         for x in rng.integers(0, n, size=2):
             field[int(x)] = 0.0
         if i % 7 == 0:
-            field[int(rng.integers(0, n))] = 1.0 if regime == "bcrw" else -1.0
-        if regime == "dbarw":
-            s = float(par)
-            closed = gen_sigma_on_H(field, counts, s, torus, stencil)
-            walk = gen_walker_on_H(field, counts, DBARW(branch_rate=s / 2.0), torus, stencil)
-        else:
-            s, mu = float(par[0]), float(par[1])
-            closed = gen_p_on_H(field, counts, s, mu, torus, stencil)
-            walk = gen_walker_on_H(field, counts, BCRW(s=s, mu=mu), torus, stencil)
-        worst = max(worst, abs(closed - walk))
+            field[int(rng.integers(0, n))] = end
+        walk = gen_walker_on_H(field, counts, kind, torus, stencil)
+        worst = max(worst, abs(closed(field, counts, torus, stencil) - walk))
     return worst
 
 
@@ -222,41 +236,20 @@ def moment_duality_mc(params: DiffusionParams, p0: np.ndarray, xi0: dict[int, in
                       cap: int = DEFAULT_CAP, threads: int = 1) -> list[dict]:
     """Both sides of the moment duality along a time grid, with z scores.
 
-    Forward side: E[H(v_t, xi_0)] from the diffusion ensemble, where v is
-    sigma = 1 - 2p for the mu = 2 pairing and p itself otherwise.  Dual
-    side: E[H(v_0, xi_t)] from walker replicates.  The forward run is
-    always repeated at dt/2, and both runs are z-tested against the dual
-    and against each other.  ``threads`` reaches all three ensembles.
-    An ``xi0`` site off the torus, or a ``p0`` value outside [0, 1], is
-    refused before anything is simulated.
+    Forward side: E[H(v_t, xi_0)] from the diffusion ensemble, dual side:
+    E[H(v_0, xi_t)] from walker replicates, with v and the walker from
+    :func:`pairing`.  The forward run is always repeated at dt/2, and both
+    runs are z-tested against the dual and against each other.  ``threads``
+    reaches all three ensembles.  An ``xi0`` site off the torus or a total
+    above ``cap``, a ``p0`` value outside [0, 1], and a regime without a
+    walker at (s, mu) are refused before anything is simulated.
     """
-    count_row(xi0, params.torus)
+    count_row(xi0, params.torus, cap)
     p0 = np.asarray(p0, dtype=np.float64)
     if not ((p0 >= 0.0) & (p0 <= 1.0)).all():  # a NaN fails too
         raise ValueError("p0 must lie in [0, 1] at every site")
     grid = check_grid(grid, "grid")
-    if regime == "auto":
-        if params.mu == 2.0:
-            regime = "dbarw"
-        elif params.s == 0.0:
-            regime = "crw"
-        else:
-            regime = "bcrw"
-
-    transform = None
-    if regime == "dbarw":
-        if params.mu != 2.0:
-            raise ValueError("the DBARW pairing needs mu = 2")
-        kind: WalkerKind = DBARW(branch_rate=params.s / 2.0)
-        transform = sigma_of_p
-    elif regime == "crw":
-        if params.s != 0.0:
-            raise ValueError("the CRW pairing needs s = 0")
-        kind = CRW()
-    elif regime == "bcrw":
-        kind = BCRW(s=params.s, mu=params.mu)  # which refuses s > 0 and mu outside [-1, 0]
-    else:
-        raise ValueError(f"unknown regime {regime!r}")
+    regime, kind, transform, _ = pairing(params.s, params.mu, regime)
     v0_flat = (p0 if transform is None else transform(p0)).reshape(-1)
 
     obs = partial(field_moment, xi0, transform=transform)
@@ -322,7 +315,8 @@ def coexistence_probe(s: float, torus: Torus, stencil: Stencil, master_seed: int
     (iii) the second-moment bound E[sigma_t(0)^2] <= (1-2kappa)^2 * delta
     + (1 - delta) with delta the heterozygosity.  The report flags the
     inconsistent regime where (i) is bounded away from zero while (ii)
-    vanishes beyond its error bars.
+    vanishes beyond its error bars.  A ``cap`` below the two starting
+    particles is refused before anything is simulated.
     """
     if s <= 0:
         raise ValueError("the coexistence probe is for s > 0")
@@ -331,6 +325,8 @@ def coexistence_probe(s: float, torus: Torus, stencil: Stencil, master_seed: int
     t_het = check_horizon(t_het, "t_het")
     horizon_surv = check_horizon(horizon_surv, "horizon_surv")
     _check_reps(reps_het=reps_het, reps_surv=reps_surv)
+    xi0 = {0: 2}
+    count_row(xi0, torus, cap)
     params = DiffusionParams(torus=torus, stencil=stencil, s=s, mu=2.0, dt=dt)
     p0 = np.full(torus.shape, 0.5)
     vals = ensemble_observable(params, p0, [t_het], partial(field_moment, {0: 1}), reps_het,
@@ -341,7 +337,7 @@ def coexistence_probe(s: float, torus: Torus, stencil: Stencil, master_seed: int
     sig2 = MCEstimate.from_samples((1.0 - 2.0 * vals) ** 2)
     bound = (1.0 - 2.0 * kappa) ** 2 * het.mean + (1.0 - het.mean)
 
-    surv = survival_probability(DBARW(branch_rate=s / 2.0), {0: 2}, torus, stencil,
+    surv = survival_probability(pairing(s, 2.0)[1], xi0, torus, stencil,
                                 horizon_surv, reps_surv, master_seed, "coexist-surv", threads,
                                 cap=cap)
     surv_lcb = wilson_lower(surv["successes"], reps_surv, 0.99)
@@ -378,10 +374,11 @@ def extinction_probe(s: float, mu: float, torus: Torus, stencil: Stencil,
     Dual bound: E[(1 - eps)^{|xi_t|}] from the BCRW started at xi0 (a cap
     hit carries its over-cap size forward, contributing essentially zero).
     Checks the bound within 3 combined standard errors and that both point
-    estimates decrease along the grid.  An ``xi0`` site off the torus, or a
-    ``p0_value`` outside [0, 1 - eps), is refused before anything is simulated.
+    estimates decrease along the grid.  An ``xi0`` site off the torus or a
+    total above ``cap``, or a ``p0_value`` outside [0, 1 - eps), is refused
+    before anything is simulated.
     """
-    count_row(xi0, torus)
+    count_row(xi0, torus, cap)
     if s >= 0 or not (-1.0 <= mu <= 0.0):
         raise ValueError("the extinction probe needs s < 0 and mu in [-1, 0]")
     if not (0.0 < eps < 1.0 and 0.0 <= p0_value < 1.0 - eps):
@@ -395,7 +392,7 @@ def extinction_probe(s: float, mu: float, torus: Torus, stencil: Stencil,
     fwd = ensemble_observable(params, p0, grid, partial(field_moment, xi0), reps_fwd,
                               master_seed, "extinct-fwd", threads)
 
-    runs = walker_ensemble(BCRW(s=s, mu=mu), xi0, torus, stencil, grid, cap, reps_dual,
+    runs = walker_ensemble(pairing(s, mu, "bcrw")[1], xi0, torus, stencil, grid, cap, reps_dual,
                            master_seed, "extinct-dual", threads)
     with np.errstate(under="ignore"):
         dual_vals = (1.0 - eps) ** np.ascontiguousarray(runs.sizes.T, dtype=np.float64)

@@ -190,11 +190,9 @@ def simulate_walker(kind: WalkerKind, xi0: dict[int, int], torus: Torus, stencil
     wsum = np.cumsum(stencil.weights)
     wtot = wsum[-1]
 
-    count_row(xi0, torus)
+    count_row(xi0, torus, cap)
     counts = {int(x): int(c) for x, c in xi0.items() if c > 0}
     total = sum(counts.values())
-    if total > cap:
-        raise ValueError("initial state already exceeds the cap")
     parity0 = total & 1
 
     def site_rate(c: int) -> float:
@@ -299,11 +297,12 @@ class WalkerSamples(NamedTuple):
     """Per-replicate results of a walker ensemble, replicates on the first axis.
 
     ``sizes`` and ``observed`` hold the total count and ``observe(counts)``
-    at each grid time.  ``alive`` is 1 for a run alive at the horizon (a cap
-    hit counts as alive), ``capped`` 1 for a cap hit, ``events`` the run's
-    event count and ``handed`` 1 for a run finished by the scalar loop.  The
-    last four are the engine's counters; like every field they depend only
-    on the inputs and the stream.
+    at each grid time, both read off the recorded counts.  ``alive`` is 1
+    for a run alive at the horizon (a cap hit counts as alive), ``capped``
+    1 for a cap hit, ``events`` the run's event count and ``handed`` 1 for
+    a run finished by the scalar loop.  The last four are the engine's
+    counters; like every field they depend only on the inputs and the
+    stream.
     """
 
     sizes: np.ndarray
@@ -314,14 +313,16 @@ class WalkerSamples(NamedTuple):
     handed: np.ndarray
 
 
-def count_row(xi0: dict[int, int], torus: Torus) -> np.ndarray:
-    """Walkers per site of xi0; an occupied site outside the torus is refused."""
+def count_row(xi0: dict[int, int], torus: Torus, cap: int | None = None) -> np.ndarray:
+    """Walkers per site of xi0; an occupied site off the torus, or a total above cap, is refused."""
     row = np.zeros(torus.n_sites, dtype=np.int64)
     for x, c in xi0.items():
         if c > 0:
             if not (0 <= x < torus.n_sites):
                 raise ValueError(f"site {x} outside the torus")
             row[x] += c
+    if cap is not None and row.sum() > cap:
+        raise ValueError(f"the initial walker total {row.sum()} exceeds the cap {cap}")
     return row
 
 
@@ -332,17 +333,13 @@ def _start_row(xi0: dict[int, int], torus: Torus, grid: list, cap: int, size: in
     if cells > MAX_CHUNK_CELLS:
         raise ValueError(f"a walker chunk of {size} reps x {n} sites x {len(grid)} grid points "
                          f"needs {cells} snapshot cells; the limit is {MAX_CHUNK_CELLS}")
-    row = count_row(xi0, torus)
-    if row.sum() > cap:
-        raise ValueError("initial state already exceeds the cap")
-    return row
+    return count_row(xi0, torus, cap)
 
 
-def _fill_rest(out: WalkerSamples, snaps, ids, gi, total, counts) -> None:
-    """Record each retiring row's current state at every grid time it has not reached."""
+def _fill_rest(snaps, ids, gi, counts) -> None:
+    """Record each retiring row's current counts at every grid time it has not reached."""
     for g in range(snaps.shape[1]):
         sel = gi <= g
-        out.sizes[ids[sel], g] = total[sel]
         snaps[ids[sel], g] = counts[sel]
 
 
@@ -355,7 +352,7 @@ def _lockstep(kind: WalkerKind, start: np.ndarray, stencil: Stencil, table: np.n
     replicate ids, count rows, times and next grid indices of the runs
     still active, and the number of steps taken (one event per active run).
     """
-    size, n = len(out.sizes), len(start)
+    size, n = len(out.alive), len(start)
     b1, b2, pair_delta = per_particle_rates(kind)
     move_total = stencil.total_rate
     # The rate matrix holds twice each site's event rate, c (c + k2): a site
@@ -390,7 +387,6 @@ def _lockstep(kind: WalkerKind, start: np.ndarray, stencil: Stencil, table: np.n
             passed = gate[gi] < t_next
             while np.count_nonzero(passed):
                 r = np.flatnonzero(passed)
-                out.sizes[ids[r], gi[r]] = total[r]
                 snaps[ids[r], gi[r]] = counts[r]
                 gi[r] += 1
                 passed[r] = gate[gi[r]] < t_next[r]
@@ -419,7 +415,7 @@ def _lockstep(kind: WalkerKind, start: np.ndarray, stencil: Stencil, table: np.n
             if n_done or total.min() == 0 or total.max() > cap:
                 retire = done | (total > cap) | (total == 0)
                 r = np.flatnonzero(retire)
-                _fill_rest(out, snaps, ids[r], gi[r], total[r], counts[r])
+                _fill_rest(snaps, ids[r], gi[r], counts[r])
                 out.capped[ids[r]] = total[r] > cap
                 out.alive[ids[r]] = total[r] > 0
                 out.events[ids[r]] = steps - done[r]
@@ -450,8 +446,8 @@ def walker_samples(kind: WalkerKind, xi0: dict[int, int], torus: Torus, stencil:
     grid = check_grid(grid, "grid")
     start = _start_row(xi0, torus, grid, cap, size)
     n, n_grid, horizon = torus.n_sites, len(grid), grid[-1]
-    out = WalkerSamples(np.zeros((size, n_grid), dtype=np.int64), None, np.ones(size),
-                        np.zeros(size), np.zeros(size, dtype=np.int64), np.zeros(size))
+    out = WalkerSamples(None, None, np.ones(size), np.zeros(size), np.zeros(size, dtype=np.int64),
+                        np.zeros(size))
     snaps = np.zeros((size, n_grid, n), dtype=np.int64)
     if start.sum() == 0:  # the empty start is already extinct
         out.alive[:] = 0.0
@@ -464,7 +460,6 @@ def walker_samples(kind: WalkerKind, xi0: dict[int, int], torus: Torus, stencil:
         state = xi0 if steps == 0 else {int(x): int(c) for x, c in enumerate(counts[k]) if c}
         run = simulate_walker(kind, state, torus, stencil, horizon - t[k], rng, cap=cap,
                               grid=[g - t[k] for g in grid[g0:]])
-        out.sizes[r, g0:] = run.sizes
         for g, snap in enumerate(run.snapshots, g0):
             snaps[r, g, list(snap)] = list(snap.values())
         out.capped[r] = run.cap_time is not None
@@ -472,14 +467,15 @@ def walker_samples(kind: WalkerKind, xi0: dict[int, int], torus: Torus, stencil:
         out.events[r] = steps + run.n_events
         out.handed[r] = 1.0
     observed = np.asarray(observe(snaps.reshape(size * n_grid, n)), dtype=np.float64)
-    return out._replace(observed=observed.reshape(size, n_grid))
+    return out._replace(sizes=snaps.sum(axis=2), observed=observed.reshape(size, n_grid))
 
 
 def walker_ensemble(kind: WalkerKind, xi0: dict[int, int], torus: Torus, stencil: Stencil,
                     grid, cap: int, reps: int, master_seed: int, role: str, threads: int = 1,
                     observe=occupied_sites) -> WalkerSamples:
     """``reps`` walker runs in WALKER_BATCH chunks, one derived stream per chunk."""
-    grid = check_grid(grid, "grid")  # refused before any chunk starts
+    grid = check_grid(grid, "grid")  # refused before any chunk starts, as is a start over the cap
+    count_row(xi0, torus, cap)
     work = partial(walker_samples, kind, xi0, torus, stencil, grid, cap, observe=observe)
     return WalkerSamples(*replicate_map(work, reps, master_seed, role, WALKER_BATCH, threads))
 

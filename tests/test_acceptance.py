@@ -315,8 +315,8 @@ def test_criterion_07_complete_graph_convergence():
 def test_criterion_08_moment_generator_battery():
     """Closed-form generator action equals the walker route on both pairings."""
     torus, st = Torus(1, 8), Stencil.nearest_neighbor(1, 1.0)
-    gap_db = generator_duality_battery("dbarw", [0.5, 1.0, 5.0], 12_000, torus, st,
-                                       seed=MASTER)
+    gap_db = generator_duality_battery("dbarw", [(s, 2.0) for s in (0.5, 1.0, 5.0)], 12_000,
+                                       torus, st, seed=MASTER)
     bcrw_params = [(s, mu) for s in (-0.5, -1.0) for mu in (-1.0, -0.5, 0.0)]
     gap_bc = generator_duality_battery("bcrw", bcrw_params, 12_000, torus, st,
                                        seed=MASTER + 1)

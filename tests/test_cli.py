@@ -1,5 +1,6 @@
 """End-to-end command-line runs on small workloads."""
 
+import configparser
 import hashlib
 import json
 import os
@@ -29,22 +30,36 @@ def test_parser_rejects_unknown_subcommand():
         build_parser().parse_args(["frobnicate"])
 
 
-@pytest.mark.parametrize("sets", [["run.a="], ["run.a=0,x"], ["params.alpha=nan"]])
-def test_the_command_reports_a_refusal_as_one_line_without_a_traceback(tmp_path, sets):
-    # main() raises the ValueError, which the tests and the benchmark rely on;
-    # the command itself prints its message alone and exits 2
+_PARITY = ["parity-check", "--config", str(CONFIGS / "parity-check.ini"), "--reps", "4"]
+
+
+@pytest.mark.parametrize("argv, error", [
+    pytest.param(_PARITY + ["--set", "run.a="], ValueError, id="empty-site-list"),
+    pytest.param(_PARITY + ["--set", "run.a=0,x"], ValueError, id="malformed-token"),
+    pytest.param(_PARITY + ["--set", "params.alpha=nan"], ValueError, id="nan-value"),
+    pytest.param(["spin-run", "--config", "{tmp}/nonexistent.ini"], FileNotFoundError,
+                 id="missing-config-file"),
+    pytest.param(["coexist-probe"], KeyError, id="missing-key"),
+    pytest.param(["spin-run", "--config", "{tmp}/repeated.ini"],
+                 configparser.DuplicateOptionError, id="repeated-key"),
+])
+def test_the_command_reports_a_refusal_as_one_line_without_a_traceback(tmp_path, argv, error):
+    # main() raises, which the tests and the benchmark rely on; the command
+    # itself prints the message alone (a KeyError's without its quotes) and exits 2
+    (tmp_path / "repeated.ini").write_text("[run]\nT = 1\nT = 2\n")
+    out = tmp_path / "out"
+    argv = [a.format(tmp=tmp_path) for a in argv] + ["--seed", "1", "--out", str(out)]
     src = str(Path(ipsd.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    argv = ["parity-check", "--config", str(CONFIGS / "parity-check.ini"), "--seed", "1",
-            "--reps", "4", "--out", str(tmp_path)] + [a for s in sets for a in ("--set", s)]
     done = subprocess.run([sys.executable, "-m", "ipsd.cli"] + argv, env=env,
                           capture_output=True, text=True, timeout=120)
-    with pytest.raises(ValueError) as err:
+    with pytest.raises(error) as err:
         main(argv)
+    message = err.value.args[0] if error is KeyError else str(err.value)
     assert done.returncode == 2
-    assert done.stderr == f"ipsd: error: {err.value}\n"
+    assert done.stderr == f"ipsd: error: {message}\n"
     assert "Traceback" not in done.stderr and done.stdout == ""
-    assert not any(tmp_path.iterdir())
+    assert not out.exists()
 
 
 def test_console_returns_the_status_of_a_run(tmp_path, capsys):
@@ -610,12 +625,29 @@ def test_a_malformed_value_is_refused_by_key(tmp_path, monkeypatch, command, key
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["dual-run", "walker-run", "moment-check", "extinct-probe",
+                                     "coexist-probe"])
 @pytest.mark.parametrize("cap", ["0", "-1"])
-def test_dual_run_refuses_a_cap_below_one_by_key_before_any_engine_runs(tmp_path, monkeypatch,
-                                                                        cap):
-    # unchecked, run.cap=-1 wrote terminal_overflow_mass 1.0, dead duals included
-    _refused_before_any_engine(tmp_path, monkeypatch, "dual-run", "run.cap", cap,
+def test_a_cap_below_one_is_refused_by_key_before_any_engine_runs(tmp_path, monkeypatch,
+                                                                  command, cap):
+    # unchecked, dual-run at run.cap=-1 wrote terminal_overflow_mass 1.0, dead
+    # duals included, and the walker commands failed in the walker engine, after
+    # any forward ensemble, with a message that named neither key nor value
+    _refused_before_any_engine(tmp_path, monkeypatch, command, "run.cap", cap,
                                f"^run.cap must be at least 1, got {cap}$")
+
+
+@pytest.mark.parametrize("command", ["walker-run", "moment-check", "extinct-probe",
+                                     "coexist-probe"])
+def test_a_cap_below_the_walker_start_is_refused_before_any_ensemble_runs(tmp_path, monkeypatch,
+                                                                          command):
+    # each shipped config starts two walkers; the forward Euler-Maruyama
+    # ensembles of the last three used to run to the end before the refusal
+    _forbid_building_and_drawing(monkeypatch)
+    with pytest.raises(ValueError, match="^the initial walker total 2 exceeds the cap 1$"):
+        main([command, "--config", str(CONFIGS / f"{command}.ini"), "--seed", "3",
+              "--out", str(tmp_path), "--set", "run.cap=1"])
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("kernels, alphas, tgrid", [
@@ -946,6 +978,17 @@ def test_xi0_off_the_torus_is_refused_by_key_before_any_draw(tmp_path, monkeypat
         main(argv + ["--seed", "1", "--reps", "5", "--out", str(tmp_path), "--set", "lattice.L=4",
                      "--set", f"run.xi0=0,{site}:2"])
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("mu", ["0.5", "-0.5"])
+def test_moment_check_checks_the_generator_of_the_crw_pairing_it_runs(tmp_path, mu):
+    # at mu = 0.5 the generator battery was skipped and wrote null; at mu = -0.5
+    # it checked the BCRW(0, mu) rather than the CRW the Monte Carlo ran
+    main(["moment-check", "--config", str(CONFIGS / "moment-check.ini"), "--seed", "5",
+          "--reps", "64", "--out", str(tmp_path), "--set", "model.s=0", "--set", f"model.mu={mu}"])
+    report = json.loads((tmp_path / "moment-check.json").read_text())
+    assert {row["regime"] for row in report["rows"]} == {"crw"}
+    assert isinstance(report["generator_gap"], float) and report["generator_gap"] < 1e-10
 
 
 WALKER_COMMANDS = [

@@ -16,10 +16,10 @@ from ipsd.diffusion import (DiffusionParams, _ensemble_chunk, drift_field, em_st
                             ensemble_observable, sigma_of_p)
 from ipsd.exact import _uniformized
 from ipsd.lattice import Stencil, Torus
-from ipsd.momdual import field_moment, moment_product
+from ipsd.momdual import field_moment, moment_product, pairing
 from ipsd.rng import derive_stream
 from ipsd.stats import MCEstimate
-from ipsd.walkers import BCRW, DBARW, per_particle_rates
+from ipsd.walkers import per_particle_rates
 from test_walkers import _chain_laws, _walker_chain
 
 
@@ -411,9 +411,8 @@ def test_sign_noise_moments_match_the_exact_walker_dual_at_dt_and_half_dt(s, mu,
     torus, stencil = Torus(1, 8), Stencil.nearest_neighbor(1, 1.0)
     params = DiffusionParams(torus, stencil, s=s, mu=mu, dt=0.002)
     grid, xi0, reps = [0.25, 0.5], {0: 2}, 10_000
-    pairing = sigma_of_p if mu == 2.0 else None
-    kind = DBARW(branch_rate=s / 2.0) if mu == 2.0 else BCRW(s=s, mu=mu)
-    v0 = np.full(torus.n_sites, p0) if pairing is None else pairing(np.full(torus.n_sites, p0))
+    _, kind, transform, _ = pairing(s, mu)
+    v0 = np.full(torus.n_sites, p0) if transform is None else transform(np.full(torus.n_sites, p0))
     chain = _walker_chain(kind, xi0, torus, stencil, cap)
     inside = len(chain.counts)
     h = moment_product(v0, chain.counts)
@@ -422,7 +421,7 @@ def test_sign_noise_moments_match_the_exact_walker_dual_at_dt_and_half_dt(s, mu,
         exact.append(float(law[:inside] @ h))
         bound.append(float(law[inside:].sum())
                      * _beyond_cap_bound(kind, chain.totals[inside:], float(np.abs(v0).max()), t))
-    obs = partial(field_moment, xi0, transform=pairing)
+    obs = partial(field_moment, xi0, transform=transform)
     for dt, role in ((params.dt, "weak-gate"), (params.dt / 2.0, "weak-gate-half")):
         vals = ensemble_observable(params.with_dt(dt), np.full(torus.shape, p0), grid, obs, reps,
                                    seed, role)

@@ -10,7 +10,7 @@ from ipsd import harness, momdual
 from ipsd.lattice import Stencil, Torus
 from ipsd.momdual import (coexistence_probe, extinction_probe, field_moment, gen_p_on_H,
                           gen_sigma_on_H, gen_walker_on_H, generator_duality_battery,
-                          moment_duality_mc, moment_eval)
+                          moment_duality_mc, moment_eval, pairing)
 from ipsd.diffusion import DiffusionParams, sigma_of_p
 from ipsd.walkers import BCRW, CRW, DBARW
 
@@ -72,7 +72,8 @@ def test_crw_pairing_neutral_case():
 
 def test_generator_duality_battery_dbarw():
     torus, stencil = _geom(L=8)
-    gap = generator_duality_battery("dbarw", [0.5, 1.0, 5.0], 300, torus, stencil, seed=7)
+    gap = generator_duality_battery("dbarw", [(s, 2.0) for s in (0.5, 1.0, 5.0)], 300, torus,
+                                    stencil, seed=7)
     assert gap < 1e-10
 
 
@@ -83,10 +84,49 @@ def test_generator_duality_battery_bcrw():
     assert gap < 1e-10
 
 
+def test_generator_duality_battery_crw_at_any_mu():
+    # at s = 0 every mu term of the p generator vanishes, so the CRW pairs with any mu
+    torus, stencil = _geom(L=8)
+    gap = generator_duality_battery("crw", [(0.0, mu) for mu in (-1.0, 0.0, 0.5, 2.0)],
+                                    300, torus, stencil, seed=9)
+    assert gap < 1e-10
+
+
+@pytest.mark.parametrize("s, mu, regime, want, kind, transform", [
+    (1.0, 2.0, "auto", "dbarw", DBARW(branch_rate=0.5), sigma_of_p),
+    (0.0, 2.0, "auto", "dbarw", DBARW(branch_rate=0.0), sigma_of_p),
+    (0.0, 0.5, "auto", "crw", CRW(), None),
+    (0.0, -0.5, "auto", "crw", CRW(), None),
+    (0.0, -0.5, "bcrw", "bcrw", BCRW(s=0.0, mu=-0.5), None),
+    (-1.0, -0.5, "auto", "bcrw", BCRW(s=-1.0, mu=-0.5), None),
+])
+def test_pairing_resolves_the_regime_walker_and_field(s, mu, regime, want, kind, transform):
+    got = pairing(s, mu, regime)
+    assert got[:3] == (want, kind, transform)
+    torus, stencil = _geom(L=5)
+    v = np.linspace(-0.9, 0.9, 5) if transform is not None else np.linspace(0.1, 0.9, 5)
+    counts = {0: 2, 3: 1}
+    assert got[3](v, counts, torus, stencil) == pytest.approx(
+        gen_walker_on_H(v, counts, kind, torus, stencil), abs=1e-12)
+
+
+@pytest.mark.parametrize("s, mu, regime, message", [
+    (1.0, 0.5, "dbarw", "the DBARW pairing needs mu = 2"),
+    (0.5, -0.5, "crw", "the CRW pairing needs s = 0"),
+    (0.5, -0.5, "bcrw", "BCRW needs a finite s <= 0"),
+    (-1.0, 0.5, "auto", "BCRW needs mu in"),
+    (0.4, 0.3, "auto", "BCRW needs a finite s <= 0"),
+    (-1.0, -0.5, "voter", "unknown regime 'voter'"),
+])
+def test_pairing_refuses_a_regime_without_a_walker(s, mu, regime, message):
+    with pytest.raises(ValueError, match=message):
+        pairing(s, mu, regime)
+
+
 def test_generator_duality_battery_rejects_unknown():
     torus, stencil = _geom()
     with pytest.raises(ValueError):
-        generator_duality_battery("voter", [1.0], 10, torus, stencil, seed=0)
+        generator_duality_battery("voter", [(1.0, 2.0)], 10, torus, stencil, seed=0)
 
 
 def test_moment_duality_mc_neutral_quick():
