@@ -39,7 +39,7 @@ from .harness import (RunConfig, check_grid, check_horizon, load_config_file, re
 from .kernel import (Kernel, complete_kernel, config_all, config_bernoulli, config_indicator,
                      explicit_kernel, torus_kernel)
 from .lattice import Stencil, Torus
-from .meanfield import density_rhs, equilibrium, integrate_ode, meanfield_comparator
+from .meanfield import bind_density_rhs, equilibrium, integrate_ode, meanfield_comparator
 from .momdual import coexistence_probe, extinction_probe, generator_duality_battery, moment_duality_mc
 from .rng import derive_stream
 from .spin import SPIN_CHUNK, NPParams, simulate_gillespie
@@ -318,8 +318,8 @@ def cmd_meanfield(cfg: RunConfig) -> dict:
     if stride < 1:
         raise ValueError(f"run.stride must be at least 1, got {stride}")
     n_vertices = cfg.opt("run", "compare_n", 0, int)
-    ts, xs = integrate_ode(lambda x: density_rhs(x, p.lam, p.alpha01, p.alpha10), [p0], horizon,
-                           dt=dt, self_check=True)
+    ts, xs = integrate_ode(bind_density_rhs(p.lam, p.alpha01, p.alpha10), [p0], horizon, dt=dt,
+                           self_check=True)
     rows = [(ts[i], xs[i, 0]) for i in range(0, len(ts), stride)]
     if rows[-1][0] != ts[-1]:
         rows.append((ts[-1], xs[-1, 0]))
@@ -389,6 +389,8 @@ def cmd_walker_run(cfg: RunConfig) -> dict:
 
 def cmd_moment_check(cfg: RunConfig) -> dict:
     params = _build_diffusion(cfg)
+    if params.noise_n != 1.0:  # every walker dual pairs with the N = 1 diffusion
+        raise ValueError(f"model.noise_n must be 1 for moment-check, got {params.noise_n}")
     regime = cfg.opt("run", "regime", "auto")
     grid = _parse_grid(cfg, "grid", [0.25, 0.5])
     xi0 = _parse_counts(cfg, params.torus.n_sites, [(0, 2)])

@@ -29,12 +29,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
 from .harness import check_grid, check_horizon, replicate_map
 from .kernel import Kernel, config_bernoulli, config_indicator
-from .spin import (SPIN_CHUNK, EventLog, EventTable, NPParams, _pack_rows, _unpack_rows,
+from .spin import (CELLS, SPIN_CHUNK, EventLog, EventTable, NPParams, _pack_rows, _unpack_rows,
                    replay_forward, sample_event_log)
 from .stats import MCEstimate, two_sample_z
 
@@ -52,16 +53,15 @@ __all__ = [
 ]
 
 
-def _fold_dual(rows: list[int], log: EventLog, lo: int, hi: int, step: int) -> None:
-    """In place: apply the transposed updates of events lo..hi-1 to packed site rows.
+def _fold_dual(rows: list[int], events) -> None:
+    """In place: apply the transposed updates of ``events`` to packed site rows.
 
-    ``step`` -1 replays the stretch backwards (a log prefix, for
-    :func:`replay_dual`); 1 runs it forwards (a fresh dual).  An event reads
+    The events are (x, y, z) triples: :func:`replay_dual` passes a log
+    prefix backwards, a fresh dual its own log forwards.  An event reads
     its focal row first and skips when it is 0: XOR with 0 and zeroing a 0
     change nothing, and fresh duals are sparse.
     """
-    xs, ys, zs = (col[lo:hi][::step].tolist() for col in (log.xa, log.ya, log.za))
-    for x, y, z in zip(xs, ys, zs):
+    for x, y, z in events:
         if rows[x]:
             rows[y] ^= rows[x]
             if z < 0:
@@ -78,7 +78,8 @@ def replay_dual(xi0: np.ndarray, log: EventLog, t: float) -> np.ndarray:
     shape and dtype.
     """
     rows = _pack_rows(xi0)
-    _fold_dual(rows, log, 0, log.count_up_to(t), -1)
+    upto = log.count_up_to(t)
+    _fold_dual(rows, zip(*(reversed(col[:upto]) for col in log.columns)))
     return _unpack_rows(rows, xi0)
 
 
@@ -93,20 +94,21 @@ def simulate_dual_fresh(p: NPParams, k: Kernel, B, grid, rng: np.random.Generato
 
     Samples one log on [0, max(grid)] and returns the dual at each sorted
     grid time, after every event up to it: shape (len(grid), n), uint8.
-    The dual's site rows are packed once and folded one grid stretch at a
-    time; each stretch is copied out into its output row.
+    The dual's sites are one list of 0/1 ints, folded over the log's
+    stretches between grid times in one pass; a copy is taken at the end of
+    each stretch, and the copies become one array at the end.
     """
     grid = check_grid(grid, "grid")
     log = sample_event_log(p, k, grid[-1], rng, table=table)
-    rows = _pack_rows(config_indicator(k.n, B))
-    out = np.empty((len(grid), k.n), dtype=np.uint8)
+    rows = config_indicator(k.n, B).tolist()
+    events = zip(*log.columns)
+    snaps: list[int] = []
     done = 0
-    for j, g in enumerate(grid):
-        upto = log.count_up_to(g)
-        _fold_dual(rows, log, done, upto, 1)
+    for upto in log.times.searchsorted(grid, side="right").tolist():
+        _fold_dual(rows, islice(events, upto - done))
         done = upto
-        out[j] = rows
-    return out
+        snaps += rows
+    return np.frombuffer(bytearray(snaps), dtype=np.uint8).reshape(len(grid), k.n)
 
 
 def dual_sizes_fresh(p: NPParams, k: Kernel, B, grid, reps: int,
@@ -114,9 +116,12 @@ def dual_sizes_fresh(p: NPParams, k: Kernel, B, grid, reps: int,
     """|xi_t| for fresh duals at each sorted grid time; shape (reps, len(grid))."""
     if table is None:
         table = EventTable.build(p, k)
+    group = max(1, CELLS // (len(grid) * k.n))  # duals held at once: CELLS cells, or one
     sizes = np.empty((reps, len(grid)), dtype=np.int64)
-    for r in range(reps):
-        sizes[r] = simulate_dual_fresh(p, k, B, grid, rng, table=table).sum(axis=1)
+    for lo in range(0, reps, group):
+        duals = [simulate_dual_fresh(p, k, B, grid, rng, table=table)
+                 for _ in range(min(group, reps - lo))]
+        sizes[lo:lo + len(duals)] = np.concatenate(duals).sum(axis=1).reshape(len(duals), -1)
     return sizes
 
 

@@ -240,7 +240,9 @@ def replicate_map(work, reps: int, seed: int, role: str, chunk: int, threads: in
 
 
 def format_float(x) -> str:
-    """Floats at 17 significant digits (round-trip exact for float64)."""
+    """Floats at 17 significant digits (round-trip exact for float64); anything else by str."""
+    if type(x) is int:  # the common cell, a count or an index, first
+        return str(x)
     if isinstance(x, (float, np.floating)):
         return format(float(x), ".17g")
     return str(x)
@@ -250,8 +252,7 @@ def write_csv(path: str | Path, header: list[str], rows) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_float(v) for v in row))
+    lines += [",".join(map(format_float, row)) for row in rows]
     path.write_text("\n".join(lines) + "\n")
     return path
 

@@ -29,7 +29,7 @@ from .harness import check_horizon
 from .spin import NPParams, complete_count_rates, simulate_complete_counts
 
 __all__ = [
-    "density_rhs",
+    "bind_density_rhs",
     "equilibrium",
     "integrate_ode",
     "ComparatorReport",
@@ -39,20 +39,21 @@ __all__ = [
 ODE_CHECK_TOL = 1e-8  # terminal gap allowed between the dt and dt/2 runs of integrate_ode
 
 
-def density_rhs(p0, lam: float, a01: float, a10: float):
-    """dp0/dt of the reduced frequency ODE (vectorized in p0).
+def bind_density_rhs(lam: float, a01: float, a10: float):
+    """The reduced frequency ODE's right-hand side p0 -> dp0/dt, its constants bound once.
 
-    A Python float is evaluated in float arithmetic and returns a float;
-    IEEE arithmetic rounds each operation the same way in both.
+    A = 1 - lam a01 and A + B, B = lam - a10, are computed here, not at each
+    evaluation.  The function takes a Python float, which it returns as a
+    float, or a float64 array; IEEE arithmetic rounds each operation the
+    same way in both.
     """
-    scalar = isinstance(p0, float)
-    if not scalar:
-        p0 = np.asarray(p0, dtype=np.float64)
     A = 1.0 - lam * a01
-    B = lam - a10
-    F = p0 * (1.0 - p0) * (A - p0 * (A + B))
-    out = F / (lam * (1.0 - p0) + p0)
-    return float(out) if scalar or out.ndim == 0 else out
+    A_plus_B = A + (lam - a10)
+
+    def rhs(p0):
+        return p0 * (1.0 - p0) * (A - p0 * A_plus_B) / (lam * (1.0 - p0) + p0)
+
+    return rhs
 
 
 def equilibrium(lam: float, a01: float, a10: float) -> float:
@@ -150,7 +151,7 @@ def meanfield_comparator(n_vertices: int, p: NPParams, density0: float, horizon:
     ones = int(round(n_vertices * density0))
     up, down = complete_count_rates(p, n_vertices)
 
-    rhs = lambda x: density_rhs(x, p.lam, p.alpha01, p.alpha10)
+    rhs = bind_density_rhs(p.lam, p.alpha01, p.alpha10)
     ts, xs = integrate_ode(rhs, [1.0 - density0], horizon, dt=dt)
     ode_ones = 1.0 - xs[:, 0]
 

@@ -241,9 +241,14 @@ def moment_duality_mc(params: DiffusionParams, p0: np.ndarray, xi0: dict[int, in
     :func:`pairing`.  The forward run is always repeated at dt/2, and both
     runs are z-tested against the dual and against each other.  ``threads``
     reaches all three ensembles.  An ``xi0`` site off the torus or a total
-    above ``cap``, a ``p0`` value outside [0, 1], and a regime without a
-    walker at (s, mu) are refused before anything is simulated.
+    above ``cap``, a ``p0`` value outside [0, 1], a regime without a
+    walker at (s, mu) and a ``noise_n`` other than 1 are refused before
+    anything is simulated: every walker pairs with the N = 1 diffusion,
+    since its pair rate is c(c - 1)/2.
     """
+    if params.noise_n != 1.0:
+        raise ValueError(f"the walker duals pair with the noise_n = 1 diffusion only, "
+                         f"got noise_n = {params.noise_n}")
     count_row(xi0, params.torus, cap)
     p0 = np.asarray(p0, dtype=np.float64)
     if not ((p0 >= 0.0) & (p0 <= 1.0)).all():  # a NaN fails too

@@ -39,6 +39,8 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -140,12 +142,19 @@ def flip_rates_all(p: NPParams, eta: np.ndarray, f1: np.ndarray) -> np.ndarray:
 # -- event logs --------------------------------------------------------------
 
 
+def _increasing(times: np.ndarray) -> bool:
+    """Whether the times strictly increase (a NaN breaks the order)."""
+    return bool((times[1:] > times[:-1]).all())
+
+
 @dataclass(frozen=True, eq=False)
 class EventLog:
     """Columnar Poisson event log on [0, horizon], times strictly increasing.
 
     Event i has focal site ``xa[i]``, source ``ya[i]`` and second source
-    ``za[i]``, which is -1 for a voter event.
+    ``za[i]``, which is -1 for a voter event.  A log is read, never
+    written: the folds read its site columns as Python lists from
+    :attr:`columns`, which converts them on first use.
     """
 
     horizon: float
@@ -155,13 +164,26 @@ class EventLog:
     za: np.ndarray
 
     def __post_init__(self):
-        if len(self.times) and not (np.diff(self.times) > 0).all():
+        if len(self.times) and not _increasing(self.times):
             raise ValueError("event times must be strictly increasing")
-        if len(self.times) and (self.times[0] <= 0 or self.times[-1] > self.horizon):
+        if len(self.times) and not (self.times[0] > 0 and self.times[-1] <= self.horizon):
             raise ValueError("event times must lie in (0, horizon]")
+
+    @classmethod
+    def _sampled(cls, horizon: float, times: np.ndarray, xa: np.ndarray, ya: np.ndarray,
+                 za: np.ndarray) -> "EventLog":
+        """A log whose times :func:`sample_event_log` has checked; skips the second check."""
+        log = object.__new__(cls)
+        log.__dict__.update(horizon=horizon, times=times, xa=xa, ya=ya, za=za)
+        return log
 
     def __len__(self) -> int:
         return len(self.times)
+
+    @cached_property
+    def columns(self) -> tuple[list[int], list[int], list[int]]:
+        """``xa``, ``ya`` and ``za`` as Python lists."""
+        return self.xa.tolist(), self.ya.tolist(), self.za.tolist()
 
     def count_up_to(self, t: float) -> int:
         """Number of events with time <= t; a t outside [0, horizon] is refused."""
@@ -240,7 +262,8 @@ def sample_event_log(p: NPParams, k: Kernel, horizon: float, rng: np.random.Gene
     and types are iid proportional to their rates, drawn by inverting the
     table's cdf (the draws ``rng.choice(..., p=rates / total_rate)`` makes).
     Ties in the sorted times (probability zero, but floats) are resolved by
-    redrawing.
+    redrawing.  The times are checked here once, and the log is not
+    checked again.
     """
     horizon = check_horizon(horizon, "horizon")
     if table is None:
@@ -248,10 +271,13 @@ def sample_event_log(p: NPParams, k: Kernel, horizon: float, rng: np.random.Gene
     total = table.total_rate
     count = int(rng.poisson(total * horizon)) if total > 0 and horizon > 0 else 0
     times = np.sort(rng.random(count) * horizon)
-    while count > 1 and not (np.diff(times) > 0).all():
+    while count > 1 and not _increasing(times):
         times = np.sort(rng.random(count) * horizon)
+    # a uniform below 1 keeps every time within the horizon, but 0.0 is a uniform too
+    if count and not times[0] > 0.0:
+        raise ValueError("event times must lie in (0, horizon]")
     which = table.cdf.searchsorted(rng.random(count), side="right")
-    return EventLog(horizon, times, table.xa[which], table.ya[which], table.za[which])
+    return EventLog._sampled(horizon, times, table.xa[which], table.ya[which], table.za[which])
 
 
 def _pack_rows(cols: np.ndarray) -> list[int]:
@@ -285,15 +311,14 @@ def _unpack_rows(rows: list[int], like: np.ndarray) -> np.ndarray:
     return bits.astype(like.dtype).reshape(like.shape)
 
 
-def _fold_forward(rows: list[int], log: EventLog, upto: int) -> None:
-    """In place: run the first ``upto`` log events over packed site rows.
+def _fold_forward(rows: list[int], events) -> None:
+    """In place: run ``events``, (x, y, z) triples in time order, over packed site rows.
 
     Each event touches the focal row only: a voter event copies its source
     row, an annihilation event XORs both source rows in, so one int
     operation updates every packed column at once.
     """
-    xs, ys, zs = (col[:upto].tolist() for col in (log.xa, log.ya, log.za))
-    for x, y, z in zip(xs, ys, zs):
+    for x, y, z in events:
         if z < 0:
             rows[x] = rows[y]
         else:
@@ -308,7 +333,7 @@ def replay_forward(eta0: np.ndarray, log: EventLog, t: float) -> np.ndarray:
     only.  Returns a fresh array of eta0's shape and dtype.
     """
     rows = _pack_rows(eta0)
-    _fold_forward(rows, log, log.count_up_to(t))
+    _fold_forward(rows, islice(zip(*log.columns), log.count_up_to(t)))
     return _unpack_rows(rows, eta0)
 
 

@@ -21,7 +21,7 @@ from ipsd.exact import (build_generator_dual, build_generator_from_events,
                         semigroup_apply)
 from ipsd.kernel import complete_kernel, config_indicator, torus_kernel
 from ipsd.lattice import Stencil, Torus
-from ipsd.meanfield import equilibrium, density_rhs, integrate_ode, meanfield_comparator
+from ipsd.meanfield import equilibrium, bind_density_rhs, integrate_ode, meanfield_comparator
 from ipsd.momdual import (coexistence_probe, extinction_probe,
                           generator_duality_battery, moment_duality_mc)
 from ipsd.rng import derive_stream
@@ -188,7 +188,7 @@ def test_criterion_06_meanfield_equilibrium():
         a01 = float(rng.uniform(0.0, 0.5 / lam))
         a10 = float(rng.uniform(0.0, 0.5 * lam))
         target = equilibrium(lam, a01, a10)
-        rhs = lambda x: density_rhs(x, lam, a01, a10)
+        rhs = bind_density_rhs(lam, a01, a10)
         for x0 in (0.3, 0.7):
             _, xs = integrate_ode(rhs, [x0], 200.0, dt=0.01)
             worst = max(worst, abs(float(xs[-1, 0]) - target))

@@ -991,6 +991,15 @@ def test_moment_check_checks_the_generator_of_the_crw_pairing_it_runs(tmp_path, 
     assert isinstance(report["generator_gap"], float) and report["generator_gap"] < 1e-10
 
 
+@pytest.mark.parametrize("noise_n", ["4", "0.5"])
+def test_moment_check_refuses_a_noise_n_other_than_one_by_key_before_any_ensemble(
+        tmp_path, monkeypatch, noise_n):
+    # every walker dual pairs with the N = 1 diffusion; at model.noise_n=4 all
+    # three ensembles ran and wrote z = -22.4 and -30.3 beside a generator gap of 4.4e-16
+    _refused_before_any_engine(tmp_path, monkeypatch, "moment-check", "model.noise_n", noise_n,
+                               f"^model.noise_n must be 1 for moment-check, got {float(noise_n)}$")
+
+
 WALKER_COMMANDS = [
     ["walker-run", "--reps", "1100", "--set", "walker.kind=dbarw", "--set", "walker.branch_rate=0.5",
      "--set", "lattice.L=6", "--set", "run.xi0=0:2", "--set", "run.t=1", "--set", "run.grid=0.5,1",

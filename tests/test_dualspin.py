@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
-from ipsd import harness
+from ipsd import dualspin, harness
 from ipsd.dualspin import (ZBDistribution, bernoulli_parity_identity, dual_sizes_fresh,
                            evug_statistic, limit_formula, parity_duality_mc, parity_overlap,
                            replay_dual, replay_dual_batch, simulate_dual_fresh)
 from ipsd.exact import _dual_event_target
+from ipsd.harness import check_grid, check_horizon
 from ipsd.kernel import complete_kernel, config_indicator, explicit_kernel, torus_kernel
 from ipsd.rng import derive_stream
-from ipsd.spin import EventLog, NPParams, replay_forward, sample_event_log
+from ipsd.spin import EventLog, EventTable, NPParams, replay_forward, sample_event_log
 from test_spin import _one_event, _state_after
 
 
@@ -204,6 +205,188 @@ def test_fresh_dual_gives_the_reference_bits_on_an_unsorted_grid(k, alpha):
         _reference_fold_dual(want, log, range(done, upto))
         done = upto
         assert np.array_equal(row, want)
+
+
+# -- same bits as the sampler and fresh dual that checked and converted a log repeatedly --
+
+
+def _reference_sample_event_log(p, k, horizon, rng, table=None):
+    """The sampler that checked its times twice: by np.diff in its tie loop, then in the log."""
+    horizon = check_horizon(horizon, "horizon")
+    if table is None:
+        table = EventTable.build(p, k)
+    total = table.total_rate
+    count = int(rng.poisson(total * horizon)) if total > 0 and horizon > 0 else 0
+    times = np.sort(rng.random(count) * horizon)
+    while count > 1 and not (np.diff(times) > 0).all():
+        times = np.sort(rng.random(count) * horizon)
+    which = table.cdf.searchsorted(rng.random(count), side="right")
+    return EventLog(horizon, times, table.xa[which], table.ya[which], table.za[which])
+
+
+def _reference_simulate_dual_fresh(p, k, B, grid, rng, table=None):
+    """The fresh dual that found each grid stretch by count_up_to and filled its output row by row.
+
+    Each stretch runs through the per-event numpy loop of the packed fold.
+    """
+    grid = check_grid(grid, "grid")
+    log = _reference_sample_event_log(p, k, grid[-1], rng, table=table)
+    rows = config_indicator(k.n, B)
+    out = np.empty((len(grid), k.n), dtype=np.uint8)
+    done = 0
+    for j, g in enumerate(grid):
+        upto = log.count_up_to(g)
+        _reference_fold_dual(rows, log, range(done, upto))
+        done = upto
+        out[j] = rows
+    return out
+
+
+def _reference_dual_sizes_fresh(p, k, B, grid, reps, rng, table=None):
+    """The sizes summed by numpy, one replicate at a time."""
+    if table is None:
+        table = EventTable.build(p, k)
+    sizes = np.empty((reps, len(grid)), dtype=np.int64)
+    for r in range(reps):
+        sizes[r] = _reference_simulate_dual_fresh(p, k, B, grid, rng, table=table).sum(axis=1)
+    return sizes
+
+
+GATE_KERNELS = [pytest.param(torus_kernel(1, 10), id="torus-1-10"), *FOLD_KERNELS,
+                pytest.param(complete_kernel(60), id="complete-60")]
+
+
+def _assert_same_log(got, want):
+    assert got.horizon == want.horizon
+    for name in ("times", "xa", "ya", "za"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def _assert_same_next_draw(rng_got, rng_want):
+    assert rng_got.random() == rng_want.random()
+
+
+def _gate_grid(p, k, seed):
+    """A grid on [0, 3], unsorted, holding t = 0 and an event time (twice) of its own log."""
+    log = _reference_sample_event_log(p, k, 3.0, derive_stream(seed, "gate"))
+    assert len(log) > 0
+    hit = float(log.times[len(log) // 2])
+    return [3.0, hit, 0.0, float(log.times[0]), hit]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.7])
+@pytest.mark.parametrize("k", GATE_KERNELS)
+def test_sampled_logs_give_the_reference_bits(k, alpha):
+    p = NPParams.symmetric(alpha)
+    table = EventTable.build(p, k)
+    got_rng, want_rng = derive_stream(41, "gate"), derive_stream(41, "gate")
+    for horizon in (3.0, 0.0, 0.5, 3.0):
+        got = sample_event_log(p, k, horizon, got_rng, table=table)
+        want = _reference_sample_event_log(p, k, horizon, want_rng, table=table)
+        _assert_same_log(got, want)
+        assert got.columns == (want.xa.tolist(), want.ya.tolist(), want.za.tolist())
+        assert len(got) or horizon < 3.0
+    _assert_same_next_draw(got_rng, want_rng)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.7])
+@pytest.mark.parametrize("k", GATE_KERNELS)
+def test_fresh_duals_give_the_reference_bits(k, alpha):
+    p = NPParams.symmetric(alpha)
+    table = EventTable.build(p, k)
+    B = [0, 3]
+    got_rng, want_rng = derive_stream(41, "gate"), derive_stream(41, "gate")
+    for grid in (_gate_grid(p, k, 41), [0.0], [1.0, 0.25], [0.0, 0.0]):
+        got = simulate_dual_fresh(p, k, B, grid, got_rng, table=table)
+        want = _reference_simulate_dual_fresh(p, k, B, grid, want_rng, table=table)
+        assert got.dtype == want.dtype == np.uint8 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    _assert_same_next_draw(got_rng, want_rng)
+
+
+@pytest.mark.parametrize("cells", [None, 1])
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.7])
+@pytest.mark.parametrize("k", GATE_KERNELS)
+def test_fresh_dual_sizes_give_the_reference_bits(monkeypatch, k, alpha, cells):
+    # cells = 1 sums each replicate on its own, as a kernel too big to hold a chunk's duals does
+    if cells is not None:
+        monkeypatch.setattr(dualspin, "CELLS", cells)
+    p = NPParams.symmetric(alpha)
+    grid = _gate_grid(p, k, 42)
+    got_rng, want_rng = derive_stream(42, "gate"), derive_stream(42, "gate")
+    got = dual_sizes_fresh(p, k, [1, 2, 4], grid, 7, got_rng)
+    want = _reference_dual_sizes_fresh(p, k, [1, 2, 4], grid, 7, want_rng)
+    assert got.dtype == want.dtype == np.int64 and got.shape == want.shape == (7, len(grid))
+    assert got.tobytes() == want.tobytes()
+    _assert_same_next_draw(got_rng, want_rng)
+    assert dual_sizes_fresh(p, k, [1], grid, 0, got_rng).shape == (0, len(grid))
+
+
+class _TiedFirstTimes:
+    """A generator whose first ``random(count)`` draws hold a tie, and whose ``random`` may
+    return 0.0 there instead; every other draw comes from the wrapped generator."""
+
+    def __init__(self, rng, zero=False):
+        self.rng = rng
+        self.zero = zero
+        self.first = True
+
+    def poisson(self, lam):
+        return self.rng.poisson(lam)
+
+    def random(self, size=None):
+        u = self.rng.random(size)
+        if self.first and size:
+            self.first = False
+            u[size // 2] = 0.0 if self.zero else u[0]
+        return u
+
+
+@pytest.mark.parametrize("k", GATE_KERNELS)
+def test_a_tie_in_the_sampled_times_is_redrawn_as_the_reference_redraws_it(k):
+    p = NPParams.symmetric(0.3)
+    got_rng = _TiedFirstTimes(derive_stream(43, "gate"))
+    want_rng = _TiedFirstTimes(derive_stream(43, "gate"))
+    got = sample_event_log(p, k, 3.0, got_rng)
+    want = _reference_sample_event_log(p, k, 3.0, want_rng)
+    assert not got_rng.first and len(got) > 2
+    _assert_same_log(got, want)
+    assert (np.diff(got.times) > 0).all()
+    # the redraw took a second set of times before the types were drawn
+    skipped = derive_stream(43, "gate")
+    skipped.poisson(EventTable.build(p, k).total_rate * 3.0)
+    skipped.random(len(got))
+    assert np.array_equal(np.sort(skipped.random(len(got)) * 3.0), got.times)
+    _assert_same_next_draw(got_rng.rng, want_rng.rng)
+
+
+def test_a_sampled_time_of_zero_is_refused_as_the_reference_refuses_it():
+    p = NPParams.symmetric(0.3)
+    k = torus_kernel(1, 10)
+    for sampler in (sample_event_log, _reference_sample_event_log):
+        with pytest.raises(ValueError, match=r"^event times must lie in \(0, horizon\]$"):
+            sampler(p, k, 3.0, _TiedFirstTimes(derive_stream(44, "gate"), zero=True))
+
+
+@pytest.mark.parametrize("times, message", [
+    ([0.5, 0.5], "be strictly increasing"),
+    ([0.5, 0.9, 0.7], "be strictly increasing"),
+    ([0.5, np.nan], "be strictly increasing"),
+    ([0.0, 0.5], r"lie in \(0, horizon\]"),
+    ([-0.5, 0.5], r"lie in \(0, horizon\]"),
+    ([0.5, 1.5], r"lie in \(0, horizon\]"),
+    ([np.nan], r"lie in \(0, horizon\]"),
+])
+def test_a_hand_built_log_refuses_times_out_of_order_or_out_of_range(times, message):
+    # the sampler checks its own times once; a log built by hand keeps every check
+    n = len(times)
+    with pytest.raises(ValueError, match=f"^event times must {message}"):
+        EventLog(1.0, np.array(times), np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64),
+                 np.full(n, -1, dtype=np.int64))
+    ok = EventLog(1.0, np.array([0.5, 1.0]), np.zeros(2, dtype=np.int64),
+                  np.ones(2, dtype=np.int64), np.full(2, -1, dtype=np.int64))
+    assert len(ok) == 2 and ok.columns == ([0, 0], [1, 1], [-1, -1])
 
 
 @pytest.mark.parametrize("replay", [replay_forward, replay_dual])

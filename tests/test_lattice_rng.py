@@ -332,6 +332,28 @@ def test_write_csv_deterministic(tmp_path):
     assert float(text[2].split(",")[1]) == 1.0 / 3.0  # full precision round trip
 
 
+def _reference_write_csv(path, header, rows):
+    """The writer that formatted each cell through a generator and the float check first."""
+    def cell(x):
+        if isinstance(x, (float, np.floating)):
+            return format(float(x), ".17g")
+        return str(x)
+
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(cell(v) for v in row))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_write_csv_gives_the_reference_bytes(tmp_path):
+    rows = [(0, 0.1, 3), (-7, 1.0 / 3.0, 2**70), (True, False, None), (np.int64(5), np.uint8(255),
+            np.float32(0.1)), (np.float64(-0.0), float("nan"), float("inf")), ("x", 1e-300, -1),
+            (), (np.bool_(True), 12345.678901234567, 10**18)]
+    write_csv(tmp_path / "got.csv", ["a", "b", "c"], iter(rows))
+    _reference_write_csv(tmp_path / "want.csv", ["a", "b", "c"], rows)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 def test_write_json_payload(tmp_path):
     cfg = _mk_cfg()
     est = MCEstimate(mean=0.5, stderr=0.01, reps=100)

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ipsd.meanfield import density_rhs, equilibrium, integrate_ode, meanfield_comparator
+from ipsd.meanfield import bind_density_rhs, equilibrium, integrate_ode, meanfield_comparator
 from ipsd.rng import derive_stream
 from ipsd.spin import NPParams, complete_count_rates, simulate_complete_counts
 
@@ -39,11 +39,12 @@ def test_density_rhs_signs():
     # the density toward the equilibrium from either side
     lam, a01, a10 = 1.0, 0.8, 0.4
     eq = equilibrium(lam, a01, a10)
-    assert density_rhs(0.0, lam, a01, a10) == 0.0
-    assert density_rhs(1.0, lam, a01, a10) == 0.0
-    assert abs(density_rhs(eq, lam, a01, a10)) < 1e-15
-    assert density_rhs(eq - 0.1, lam, a01, a10) > 0
-    assert density_rhs(eq + 0.1, lam, a01, a10) < 0
+    rhs = bind_density_rhs(lam, a01, a10)
+    assert rhs(0.0) == 0.0
+    assert rhs(1.0) == 0.0
+    assert abs(rhs(eq)) < 1e-15
+    assert rhs(eq - 0.1) > 0
+    assert rhs(eq + 0.1) < 0
 
 
 def test_lv_density_reduction():
@@ -100,8 +101,8 @@ def _loop_rk4(rhs, x0, horizon, step):
 
 
 @pytest.mark.parametrize("rhs", [
-    lambda x: density_rhs(x, 1.0, 0.5, 0.5),
-    lambda x: density_rhs(x, 1.3, 0.2, 0.6),
+    bind_density_rhs(1.0, 0.5, 0.5),
+    bind_density_rhs(1.3, 0.2, 0.6),
     lambda x: -x,
 ], ids=["density-symmetric", "density-asymmetric", "decay"])
 @pytest.mark.parametrize("horizon, dt", [(3.0, 1e-3), (0.55, 0.1), (150.0, 0.05)])
@@ -133,11 +134,34 @@ def test_integrate_ode_state_shapes():
 
 def test_density_rhs_float_matches_array():
     grid = np.linspace(0.0, 1.0, 101)
-    vec = density_rhs(grid, 1.3, 0.2, 0.6)
+    rhs = bind_density_rhs(1.3, 0.2, 0.6)
+    vec = rhs(grid)
     for p0, v in zip(grid.tolist(), vec):
-        out = density_rhs(p0, 1.3, 0.2, 0.6)
+        out = rhs(p0)
         assert type(out) is float and out == v
-        assert density_rhs(np.float64(p0), 1.3, 0.2, 0.6) == v
+        assert rhs(np.float64(p0)) == v
+
+
+def _reference_density_rhs(p0, lam, a01, a10):
+    """The right-hand side that recomputed A and A + B at each evaluation."""
+    A = 1.0 - lam * a01
+    B = lam - a10
+    F = p0 * (1.0 - p0) * (A - p0 * (A + B))
+    return F / (lam * (1.0 - p0) + p0)
+
+
+@pytest.mark.parametrize("lam, a01, a10", [(1.0, 0.5, 0.5), (1.3, 0.2, 0.6), (0.8, 1.1, 0.05)])
+def test_bound_density_rhs_gives_the_reference_bits(lam, a01, a10):
+    rhs = bind_density_rhs(lam, a01, a10)
+    grid = np.linspace(-0.1, 1.1, 121)
+    assert rhs(grid).tobytes() == _reference_density_rhs(grid, lam, a01, a10).tobytes()
+    for p0 in grid.tolist():
+        assert rhs(p0) == _reference_density_rhs(p0, lam, a01, a10)
+    # one run with its self-check, as meanfield steps it, against the per-evaluation formula
+    _, got = integrate_ode(rhs, [0.3], 150.0, dt=0.05, self_check=True)
+    _, want = integrate_ode(lambda x: _reference_density_rhs(x, lam, a01, a10), [0.3], 150.0,
+                            dt=0.05, self_check=True)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_density_ode_converges_to_equilibrium():
@@ -146,7 +170,7 @@ def test_density_ode_converges_to_equilibrium():
     lam, a01, a10 = 1.0, 0.8, 0.4
     eq = equilibrium(lam, a01, a10)
     for p0 in (0.05, 0.5, 0.95):
-        ts, xs = integrate_ode(lambda x: density_rhs(x, lam, a01, a10), [p0], 150.0, dt=0.01)
+        ts, xs = integrate_ode(bind_density_rhs(lam, a01, a10), [p0], 150.0, dt=0.01)
         assert abs(xs[-1, 0] - eq) < 1e-7
 
 

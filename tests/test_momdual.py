@@ -240,6 +240,25 @@ def test_moment_duality_mc_refuses_an_off_torus_site_before_simulating(monkeypat
         moment_duality_mc(params, np.full(8, 0.5), {site: 2}, [0.05], 20, 1)
 
 
+@pytest.mark.parametrize("noise_n", [4.0, 0.5])
+@pytest.mark.parametrize("s, mu", [(1.0, 2.0), (0.0, 0.0), (-1.0, -0.5)])
+def test_moment_duality_mc_refuses_a_noise_n_other_than_one_before_simulating(monkeypatch,
+                                                                              noise_n, s, mu):
+    # every walker pairs with the N = 1 diffusion; at noise_n = 4 all three
+    # ensembles ran and gave z = -22.4 and -30.3
+    _forbid_simulation(monkeypatch)
+    monkeypatch.setattr(harness, "derive_stream", _never_draw)
+    torus, stencil = _geom(L=8)
+    params = DiffusionParams(torus=torus, stencil=stencil, s=s, mu=mu, noise_n=noise_n, dt=0.01)
+    with pytest.raises(ValueError, match=f"^the walker duals pair with the noise_n = 1 diffusion "
+                                         f"only, got noise_n = {noise_n}$"):
+        moment_duality_mc(params, np.full(8, 0.5), {0: 2}, [0.05], 20, 1)
+
+
+def _never_draw(*args, **kwargs):
+    raise AssertionError("drew before the input check")
+
+
 @pytest.mark.parametrize("site", [4, -2])
 def test_extinction_probe_refuses_an_off_torus_site_before_simulating(monkeypatch, site):
     _forbid_simulation(monkeypatch)
