@@ -232,7 +232,8 @@ def cmd_dual_run(cfg: RunConfig) -> dict:
     grid = _parse_grid(cfg, "grid", [horizon], horizon)
     B = _parse_sites(cfg, "b", k.n)
     cap = _parse_cap(cfg, 10)
-    sizes, rows = evug_statistic(p, k, B, grid, cap, cfg.reps, cfg.seed, "dual-run", cfg.threads)
+    sizes, rows, log_events = evug_statistic(p, k, B, grid, cap, cfg.reps, cfg.seed, "dual-run",
+                                             cfg.threads)
     write_csv(cfg.out / "dual_sizes.csv", ["replicate", "t", "size"],
               [(r, t, int(sizes[r, j])) for r in range(cfg.reps) for j, t in enumerate(grid)])
     write_csv(cfg.out / "dual_survival.csv", ["t", "estimate", "stderr", "reps"],
@@ -241,7 +242,7 @@ def cmd_dual_run(cfg: RunConfig) -> dict:
     zb = ZBDistribution.from_samples(sizes[:, -1], cap=cap)
     return {"rows": rows, "cap": cap,
             "terminal_size_atoms": {int(s): float(q) for s, q in zip(zb.sizes, zb.probs)},
-            "terminal_overflow_mass": zb.infinite_mass}
+            "terminal_overflow_mass": zb.infinite_mass, "log_events": log_events}
 
 
 def cmd_parity_check(cfg: RunConfig) -> dict:
@@ -259,7 +260,8 @@ def cmd_parity_check(cfg: RunConfig) -> dict:
     write_csv(cfg.out / "parity_mc.csv", ["t", "estimate", "stderr", "reps"],
               [(horizon, est.mean, est.stderr, est.reps) for est in (mc["forward"], mc["dual"])])
     return {"violations": mc["violations"], "forward": mc["forward"], "dual_chain": mc["dual"],
-            "z": mc["z"], "passed": mc["violations"] == 0 and abs(mc["z"]) < 4.0}
+            "z": mc["z"], "passed": mc["violations"] == 0 and abs(mc["z"]) < 4.0,
+            "log_events": mc["log_events"]}
 
 
 def _exact_kernel(tok: str) -> tuple[str, int, partial]:

@@ -23,6 +23,8 @@ The ensembles :func:`parity_duality_mc`, :func:`evug_statistic` and
 :func:`bernoulli_parity_identity` take a master seed and a role and run a
 chunk worker through :func:`ipsd.harness.replicate_map`, ``SPIN_CHUNK``
 replicates per stream, so each result is the same for any worker count.
+A chunk's fresh duals come in batches, one :func:`simulate_dual_fresh`
+call and one event log each.
 """
 
 from __future__ import annotations
@@ -88,41 +90,71 @@ def replay_dual_batch(cols0: np.ndarray, log: EventLog, t: float) -> np.ndarray:
     return replay_dual(np.asarray(cols0, dtype=np.uint8), log, t)
 
 
-def simulate_dual_fresh(p: NPParams, k: Kernel, B, grid, rng: np.random.Generator,
-                        table: EventTable | None = None) -> np.ndarray:
-    """Fresh dual chain from 1_B: own event log, transposed updates, forward order.
+def simulate_dual_fresh(p: NPParams, k: Kernel, B, grid, reps: int, rng: np.random.Generator,
+                        table: EventTable | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``reps`` fresh dual chains from 1_B: transposed updates, forward order, one shared log.
 
-    Samples one log on [0, max(grid)] and returns the dual at each sorted
-    grid time, after every event up to it: shape (len(grid), n), uint8.
-    The dual's sites are one list of 0/1 ints, folded over the log's
-    stretches between grid times in one pass; a copy is taken at the end of
-    each stretch, and the copies become one array at the end.
+    With T = max(grid), samples one log on [0, reps*T]; replicate i runs
+    over the events of its own window (i*T, (i+1)*T] and records the dual
+    at i*T + g for each sorted grid time g, after every event up to it.  A
+    Poisson process has independent increments and iid marks, so each
+    window is a fresh log on [0, T]; the bounds i*T + g are floats, so a
+    bound may move by one ulp of reps*T.  Each window starts at the last
+    bound of the one before, so the windows partition the log's events.
+
+    Returns the duals, shape (reps, len(grid), n), uint8, and the events of
+    each window, shape (reps,), int64, which sum to the length of the log.
     """
     grid = check_grid(grid, "grid")
-    log = sample_event_log(p, k, grid[-1], rng, table=table)
-    rows = config_indicator(k.n, B).tolist()
+    stops = np.add.outer(np.arange(reps) * grid[-1], grid)
+    log = sample_event_log(p, k, stops[-1, -1] if reps else 0.0, rng, table=table)
+    # a bound never lies before the one before it, whatever the rounding
+    bounds = np.maximum.accumulate(log.times.searchsorted(stops.ravel(), side="right"))
+    start = config_indicator(k.n, B).tolist()
     events = zip(*log.columns)
+    ends = bounds.tolist()
     snaps: list[int] = []
     done = 0
-    for upto in log.times.searchsorted(grid, side="right").tolist():
-        _fold_dual(rows, islice(events, upto - done))
-        done = upto
-        snaps += rows
-    return np.frombuffer(bytearray(snaps), dtype=np.uint8).reshape(len(grid), k.n)
+    for i in range(0, len(ends), len(grid)):
+        rows = start.copy()
+        for upto in ends[i:i + len(grid)]:
+            _fold_dual(rows, islice(events, upto - done))
+            done = upto
+            snaps += rows
+    duals = np.frombuffer(bytearray(snaps), dtype=np.uint8).reshape(reps, len(grid), k.n)
+    return duals, np.diff(bounds[len(grid) - 1::len(grid)], prepend=0)
 
 
-def dual_sizes_fresh(p: NPParams, k: Kernel, B, grid, reps: int,
-                     rng: np.random.Generator, table: EventTable | None = None) -> np.ndarray:
-    """|xi_t| for fresh duals at each sorted grid time; shape (reps, len(grid))."""
+def _fresh_batches(p: NPParams, k: Kernel, B, grid, reps: int, rng: np.random.Generator,
+                   table: EventTable):
+    """Yield (first replicate, duals, window events) for ``reps`` fresh duals, batch by batch.
+
+    A batch is one :func:`simulate_dual_fresh` call.  It holds at most
+    CELLS snapshot cells and at most CELLS // 16 expected log events, or
+    one replicate.
+    """
+    grid = check_grid(grid, "grid")
+    per_rep = table.total_rate * grid[-1]  # expected events of one window
+    size = CELLS // (len(grid) * k.n)
+    if per_rep > 0:
+        size = min(size, CELLS // 16 / per_rep)
+    size = max(1, int(size))
+    for lo in range(0, reps, size):
+        yield (lo, *simulate_dual_fresh(p, k, B, grid, min(size, reps - lo), rng, table=table))
+
+
+def dual_sizes_fresh(p: NPParams, k: Kernel, B, grid, reps: int, rng: np.random.Generator,
+                     table: EventTable | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """|xi_t| for fresh duals at each sorted grid time, shape (reps, len(grid)), and the
+    events of each replicate's log window, shape (reps,)."""
     if table is None:
         table = EventTable.build(p, k)
-    group = max(1, CELLS // (len(grid) * k.n))  # duals held at once: CELLS cells, or one
     sizes = np.empty((reps, len(grid)), dtype=np.int64)
-    for lo in range(0, reps, group):
-        duals = [simulate_dual_fresh(p, k, B, grid, rng, table=table)
-                 for _ in range(min(group, reps - lo))]
-        sizes[lo:lo + len(duals)] = np.concatenate(duals).sum(axis=1).reshape(len(duals), -1)
-    return sizes
+    events = np.empty(reps, dtype=np.int64)
+    for lo, duals, held in _fresh_batches(p, k, B, grid, reps, rng, table):
+        sizes[lo:lo + len(duals)] = duals.sum(axis=2)
+        events[lo:lo + len(duals)] = held
+    return sizes, events
 
 
 # -- parity -------------------------------------------------------------------
@@ -138,16 +170,19 @@ def _parity_chunk(p, k, A, B, grid, table, size, rng):
     fwd = np.empty((size, len(grid)), dtype=np.int64)
     dual = np.empty((size, len(grid)), dtype=np.int64)
     dualmc = np.empty(size, dtype=np.int64)
+    events = np.empty(size, dtype=np.int64)
     etaA = config_indicator(k.n, A)
     indB = config_indicator(k.n, B)
     for i in range(size):
         log = sample_event_log(p, k, horizon, rng, table=table)
+        events[i] = len(log)
         for j, t in enumerate(grid):
             fwd[i, j] = parity_overlap(replay_forward(etaA, log, t), indB)
             dual[i, j] = parity_overlap(replay_dual(indB, log, t), etaA)
-        xi = simulate_dual_fresh(p, k, B, [horizon], rng, table=table)[-1]
-        dualmc[i] = parity_overlap(xi, etaA)
-    return fwd, dual, dualmc
+    for lo, duals, held in _fresh_batches(p, k, B, [horizon], size, rng, table):
+        dualmc[lo:lo + len(duals)] = (duals[:, -1] & etaA).sum(axis=1) & 1
+        events[lo:lo + len(duals)] += held
+    return fwd, dual, dualmc, events
 
 
 def parity_duality_mc(p: NPParams, k: Kernel, A, B, t: float, reps: int, master_seed: int,
@@ -159,16 +194,17 @@ def parity_duality_mc(p: NPParams, k: Kernel, A, B, t: float, reps: int, master_
     (``pathwise_forward``, ``pathwise_dual``; they differ in ``violations``
     entries), then runs a fresh dual chain to t (``fresh_dual``).  The
     ``forward`` and ``dual`` estimates of P(odd) at t are compared by ``z``.
-    ``times`` holds the two recording times.
+    ``times`` holds the two recording times, ``log_events`` the events of
+    every log sampled, shared and fresh.
     """
     t = check_horizon(t, "t")
     times = [t / 2.0, t]
     work = partial(_parity_chunk, p, k, A, B, times, EventTable.build(p, k))
-    fwd, dual, fresh = replicate_map(work, reps, master_seed, role, SPIN_CHUNK, threads)
+    fwd, dual, fresh, events = replicate_map(work, reps, master_seed, role, SPIN_CHUNK, threads)
     lhs = MCEstimate.from_samples(fwd[:, -1].astype(float))
     rhs = MCEstimate.from_samples(fresh.astype(float))
     return {"times": times, "pathwise_forward": fwd, "pathwise_dual": dual, "fresh_dual": fresh,
-            "violations": int((fwd != dual).sum()),
+            "violations": int((fwd != dual).sum()), "log_events": int(events.sum()),
             "forward": lhs, "dual": rhs, "z": two_sample_z(lhs, rhs)}
 
 
@@ -180,8 +216,8 @@ def _bernoulli_chunk(p, k, B, t, table, size, rng):
         eta0 = config_bernoulli(k.n, 0.5, rng)
         log = sample_event_log(p, k, t, rng, table=table)
         direct[i] = parity_overlap(replay_forward(eta0, log, t), indB)
-        xi = simulate_dual_fresh(p, k, B, [t], rng, table=table)[-1]
-        alive[i] = 1.0 if xi.any() else 0.0
+    for lo, duals, _ in _fresh_batches(p, k, B, [t], size, rng, table):
+        alive[lo:lo + len(duals)] = duals[:, -1].any(axis=1)
     return direct, alive
 
 
@@ -261,24 +297,25 @@ def limit_formula(u: float, zb: ZBDistribution) -> float:
 
 
 def evug_statistic(p: NPParams, k: Kernel, B, grid, cap: int, reps: int, master_seed: int,
-                   role: str, threads: int = 1) -> tuple[np.ndarray, list[dict]]:
+                   role: str, threads: int = 1) -> tuple[np.ndarray, list[dict], int]:
     """Fresh dual sizes along a time grid, with P(1 <= |xi_t| <= cap) and survival.
 
     Returns the (reps, len(grid)) size array, recorded at the sorted grid,
-    and one row per grid time with the window and survival estimates.  The
-    statistic separates eventual unboundedness from genuine survival: mass
-    escaping past ``cap`` is reported through the survival column.  A
-    ``cap`` below 1 leaves no window and is refused.
+    one row per grid time with the window and survival estimates, and the
+    events the duals' logs held.  The statistic separates eventual
+    unboundedness from genuine survival: mass escaping past ``cap`` is
+    reported through the survival column.  A ``cap`` below 1 leaves no
+    window and is refused.
     """
     grid = check_grid(grid, "grid")
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
     work = partial(dual_sizes_fresh, p, k, B, grid, table=EventTable.build(p, k))
-    sizes = replicate_map(work, reps, master_seed, role, SPIN_CHUNK, threads)
+    sizes, events = replicate_map(work, reps, master_seed, role, SPIN_CHUNK, threads)
     rows = []
     for j, t in enumerate(grid):
         alive = sizes[:, j] >= 1
         window = MCEstimate.from_samples((alive & (sizes[:, j] <= cap)).astype(float))
         rows.append({"t": float(t), "window": window,
                      "survival": MCEstimate.from_samples(alive.astype(float))})
-    return sizes, rows
+    return sizes, rows, int(events.sum())

@@ -261,21 +261,19 @@ def sample_event_log(p: NPParams, k: Kernel, horizon: float, rng: np.random.Gene
     Event count is Poisson(total_rate * horizon), times are sorted uniforms,
     and types are iid proportional to their rates, drawn by inverting the
     table's cdf (the draws ``rng.choice(..., p=rates / total_rate)`` makes).
-    Ties in the sorted times (probability zero, but floats) are resolved by
-    redrawing.  The times are checked here once, and the log is not
-    checked again.
+    Ties in the sorted times and a time of 0 (probability zero, but floats)
+    are resolved by redrawing every time.  The times are checked here once,
+    and the log is not checked again.
     """
     horizon = check_horizon(horizon, "horizon")
     if table is None:
         table = EventTable.build(p, k)
     total = table.total_rate
     count = int(rng.poisson(total * horizon)) if total > 0 and horizon > 0 else 0
-    times = np.sort(rng.random(count) * horizon)
-    while count > 1 and not _increasing(times):
-        times = np.sort(rng.random(count) * horizon)
     # a uniform below 1 keeps every time within the horizon, but 0.0 is a uniform too
-    if count and not times[0] > 0.0:
-        raise ValueError("event times must lie in (0, horizon]")
+    times = np.sort(rng.random(count) * horizon)
+    while count and not (times[0] > 0.0 and _increasing(times)):
+        times = np.sort(rng.random(count) * horizon)
     which = table.cdf.searchsorted(rng.random(count), side="right")
     return EventLog._sampled(horizon, times, table.xa[which], table.ya[which], table.za[which])
 

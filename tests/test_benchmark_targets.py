@@ -88,11 +88,11 @@ def test_the_fresh_dual_unit_cost_is_measured():
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        xi = dualspin.simulate_dual_fresh(NPParams.symmetric(0.3), torus_kernel(1, 6), [0, 3],
-                                          [1.0, 4.0], derive_stream(5, "tracer-fresh"))
+        xi, _ = dualspin.simulate_dual_fresh(NPParams.symmetric(0.3), torus_kernel(1, 6), [0, 3],
+                                             [1.0, 4.0], 3, derive_stream(5, "tracer-fresh"))
     finally:
         tracer.uninstall()
-    assert xi.shape == (2, 6)
+    assert xi.shape == (3, 2, 6)
     names = [span[1] for span in tracer.spans]
     assert names.count("simulate_dual_fresh") == 1 and names.count("sample_event_log") == 1
     metrics = tracing.layer_metrics(tracer.spans)

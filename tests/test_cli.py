@@ -244,14 +244,14 @@ def test_dual_run_output_does_not_depend_on_threads(tmp_path):
 SPIN_DUAL_DIGESTS = [
     (["dual-run", "--set", "kernel.d=1", "--set", "kernel.L=8", "--set", "params.alpha=0.4",
       "--set", "run.B=0,3", "--set", "run.T=3", "--set", "run.grid=1,3", "--set", "run.cap=6"],
-     {"dual-run.json": "09c5dd8c23d4ef465b1beacbeaae7958b8a97e8fd1133065130dcbe52f00dfc4",
-      "dual_sizes.csv": "9c35ed321adef8a470e6652b644d16d2f0d88b54c6422332e83178c10a127711",
-      "dual_survival.csv": "b3dedc28a210fc3eb555864e01cb17378ade559142bad5671159d3d2916a1ff9"}),
+     {"dual-run.json": "5a8fcbd75c6750083c11665b15e921b2969fc1008dab6ebe43b9d8cc27137ac4",
+      "dual_sizes.csv": "744d19e310a12f32126bb061a572dfa6e81ca4aee3a0cc3bcb38ab727c45a598",
+      "dual_survival.csv": "b469561aae905f1d70a3f6d6531065a26251917970f53b55f71c015693fe847a"}),
     (["parity-check", "--set", "kernel.d=2", "--set", "kernel.L=3", "--set", "params.alpha=0.3",
       "--set", "run.A=0,4", "--set", "run.B=1,5,8", "--set", "run.T=2"],
-     {"parity-check.json": "0104a61195970e2bbc2645e98500bf3632cc4db1f8fc9fba66f5ef2955cd0491",
-      "parity_mc.csv": "fdc8f07786fc0bf30ddee6faa4870663cc2d7bea9cc05da56e7a8ae36bdb9a20",
-      "parity_pathwise.csv": "cf95582988ff557020489376f9bd9057291861d53fc13893427fe07cd6194a22"}),
+     {"parity-check.json": "1a06ddb424dd59dfdec7418ef085990ca1b2836d44eecdb3a256e598b1e75a67",
+      "parity_mc.csv": "7d8b96eff8ccdca35fae2b53a22aad6e7c005aa5f929a8cc9a0fdc7c31c17a52",
+      "parity_pathwise.csv": "26ae0001f4137976101faf60bcaa2fa4d7e683159910d8f6fee6808e37fb3b9d"}),
 ]
 
 

@@ -132,13 +132,13 @@ def test_config_output_is_byte_identical_at_one_and_two_threads(tmp_path, monkey
 # 300 reps (two chunks): a replay change that moves one bit of output fails here
 REPLAY_DIGESTS = {
     "dual-run": {
-        "dual-run.json": "3f5a59b760c9fd05a94382ec9e327fa78078a9e192d83d698a114a2bb7a91467",
-        "dual_sizes.csv": "33a6985a6242d8ffc934ab4f5418d104158c0dc520b7d804c76cb750ab37194c",
-        "dual_survival.csv": "4152e736acfb4b4f7f39d4e9ba7a4eb7db791587fd10de6c3622654814ec4dc6"},
+        "dual-run.json": "1da46e26c1c24e4258a9b69d02a57942d0563b9b984613a7f69bc6e356c41b33",
+        "dual_sizes.csv": "5ee3b7b865189c74423068f51e1cd3d1be6aa83a666a268c311ff4882ea740a9",
+        "dual_survival.csv": "9554442646c6da99c1721f93e105f7601d9923176f35bf4484ca865b04251816"},
     "parity-check": {
-        "parity-check.json": "15bd893eb80b963c1585c1ecea70281272e76d0619dcae87046074340540244c",
-        "parity_mc.csv": "47334314144c8f8ea1e9ee118d62366dcc773962275e4122626611b2cf420c31",
-        "parity_pathwise.csv": "d35d8a14cc6818385cc0ff40374682cd1e517ee7e7a2ed0a42fe1b7082c5cd41"},
+        "parity-check.json": "5ebfc95a64f04f38ed46b3af35d0c21987d5c9c72345361ad1b95524121908bb",
+        "parity_mc.csv": "559e512f10a46eb793aefe2edfde50f05e0dad72f42f1144d6d1d9335623227f",
+        "parity_pathwise.csv": "43643e2d53c5d16deb5e36a87f101c811c9911875c870bd0b59b3952c835acd2"},
 }
 
 
@@ -234,13 +234,13 @@ BENCHMARK_DIGESTS = {
         "walker-run.json": "97c3d70d8164a873c94774e7fe5b9ff5cce70f791535ab9bb5b9ac496317e693",
         "walker_sizes.csv": "651e3461539e86a8a5dcec61d4df6a18394c5ab558d4789699c1cd5a0fac0c6c"},
     "spin-torus/dual-run": {
-        "dual-run.json": "9a93c5623152a887b99aaaf693e0ff82432d7282ea627e3286e41fa689bb5cd8",
-        "dual_sizes.csv": "daf059ce5e5b55e547e95c8114d4d2852ff45990436da9f1c3a750964272169d",
-        "dual_survival.csv": "fc9f0cc6733a3c9d9e9b885b9b37e947cdb89c598de99d297157eddc225fbe0c"},
+        "dual-run.json": "1296968b0395f36992463db172f436b9e75fc3798c0fee9b2124b10d29c020d7",
+        "dual_sizes.csv": "fa9bad21869ef28e48068d3055958a3035fc7ea8af94f77b0cc241d970c92bc3",
+        "dual_survival.csv": "39271a109f2c01a8443e2df07659171a5fd6c72444dbe50ac23762cd39b15fb6"},
     "spin-torus/parity-check": {
-        "parity-check.json": "552b3d78622411c27a2113ee53b2491a1dc3a7df11f10dc09604520d1b72059b",
-        "parity_mc.csv": "91c6bf0276b99fe0d605edb070b10aee1c3f96761d116400517b3f4424366258",
-        "parity_pathwise.csv": "5faa9569eb2d53f45ad9d9306564806a5f5275dad814dcf7a44ee6cf7f68291d"},
+        "parity-check.json": "c1365e07032f26d96601290edb3e31341e867f35e66ceeedc7e8c7ca5ccde19e",
+        "parity_mc.csv": "845bb2f7e470ebbc0dba47ee7542e7c4c70e5310b0615f459656b270195d03eb",
+        "parity_pathwise.csv": "f5bd1c2d18f16a1de078c3cdc39a9fdd08132a4af42f10728275c7fdc9a22777"},
     "spin-torus/spin-run": {
         "spin-run.json": "2c813b75b996dfae3fb68f01fada1ddf2f79d2200f61d27a81ca3117a3bfd908",
         "spin_density.csv": "544b2f8a63c25c5b85ddcddc5e99a7427a2d7498a9503c7b8c08158ae03d2060"},

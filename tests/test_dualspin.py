@@ -7,12 +7,13 @@ from ipsd import dualspin, harness
 from ipsd.dualspin import (ZBDistribution, bernoulli_parity_identity, dual_sizes_fresh,
                            evug_statistic, limit_formula, parity_duality_mc, parity_overlap,
                            replay_dual, replay_dual_batch, simulate_dual_fresh)
-from ipsd.exact import _dual_event_target
+from ipsd.exact import _dual_event_target, build_generator_dual, semigroup_apply
 from ipsd.harness import check_grid, check_horizon
 from ipsd.kernel import complete_kernel, config_indicator, explicit_kernel, torus_kernel
 from ipsd.rng import derive_stream
 from ipsd.spin import EventLog, EventTable, NPParams, replay_forward, sample_event_log
-from test_spin import _one_event, _state_after
+from test_spin import _config_to_state, _one_event, _state_after
+from test_walkers import _chi2_gof, _chi2_sf
 
 
 def test_parity_helpers():
@@ -49,8 +50,8 @@ def test_dual_size_parity_is_conserved():
     k = torus_kernel(2, 3)
     rng = derive_stream(11, "dual-parity")
     for B, want in [([0], 1), ([0, 4], 0), ([1, 2, 5], 1)]:
-        for xi in simulate_dual_fresh(p, k, B, [1.5, 3.0, 6.0], rng):
-            assert int(xi.sum()) % 2 == want
+        duals, _ = simulate_dual_fresh(p, k, B, [1.5, 3.0, 6.0], 4, rng)
+        assert (duals.sum(axis=2, dtype=np.int64) % 2 == want).all()
 
 
 def test_replay_dual_reverses_event_order():
@@ -103,22 +104,21 @@ def test_annihilation_only_dual_never_dies():
     # dual stays nonempty forever.
     p = NPParams.symmetric(0.0)
     k = torus_kernel(2, 4)
-    rng = derive_stream(13, "dual-alive")
-    for _ in range(10):
-        xi = simulate_dual_fresh(p, k, [3, 7], [25.0], rng)[-1]
-        assert int(xi.sum()) >= 1
+    duals, _ = simulate_dual_fresh(p, k, [3, 7], [25.0], 10, derive_stream(13, "dual-alive"))
+    assert (duals[:, -1].sum(axis=1, dtype=np.int64) >= 1).all()
 
 
 def test_simulate_dual_fresh_records_the_sorted_grid_on_one_log():
-    # the rows are the transposed updates of one log on [0, max(grid)], run
-    # forwards to each sorted grid time; the same stream gives the same log
+    # one replicate's window is the whole log on [0, max(grid)], run forwards
+    # to each sorted grid time; the same stream gives the same log
     p = NPParams.symmetric(0.4)
     k = torus_kernel(1, 6)
-    got = simulate_dual_fresh(p, k, [0, 3], [2.0, 0.5, 1.0], derive_stream(17, "fresh-grid"))
+    got, events = simulate_dual_fresh(p, k, [0, 3], [2.0, 0.5, 1.0], 1,
+                                      derive_stream(17, "fresh-grid"))
     log = sample_event_log(p, k, 2.0, derive_stream(17, "fresh-grid"))
-    assert got.shape == (3, 6) and got.dtype == np.uint8
-    assert len(log) > 0
-    for row, t in zip(got, [0.5, 1.0, 2.0]):
+    assert got.shape == (1, 3, 6) and got.dtype == np.uint8
+    assert len(log) > 0 and events.tolist() == [len(log)]
+    for row, t in zip(got[0], [0.5, 1.0, 2.0]):
         want = _state_after(config_indicator(6, [0, 3]), log, 0, log.count_up_to(t),
                             _dual_event_target)
         assert np.array_equal(row, want)
@@ -195,19 +195,26 @@ def test_packed_replays_give_the_reference_bits(k, alpha):
 @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.7])
 @pytest.mark.parametrize("k", FOLD_KERNELS)
 def test_fresh_dual_gives_the_reference_bits_on_an_unsorted_grid(k, alpha):
+    # three replicates on one log of [0, 9]: replicate i runs from 1_B over its
+    # own window, each stretch through the per-event numpy fold
     p = NPParams.symmetric(alpha)
-    got = simulate_dual_fresh(p, k, [0, 3], [3.0, 0.5, 1.5], derive_stream(33, "fold-fresh"))
-    log = sample_event_log(p, k, 3.0, derive_stream(33, "fold-fresh"))
-    want = config_indicator(k.n, [0, 3])
+    got, events = simulate_dual_fresh(p, k, [0, 3], [3.0, 0.5, 1.5], 3,
+                                      derive_stream(33, "fold-fresh"))
+    log = sample_event_log(p, k, 9.0, derive_stream(33, "fold-fresh"))
     done = 0
-    for row, t in zip(got, [0.5, 1.5, 3.0]):
-        upto = log.count_up_to(t)
-        _reference_fold_dual(want, log, range(done, upto))
-        done = upto
-        assert np.array_equal(row, want)
+    for i in range(3):
+        want = config_indicator(k.n, [0, 3])
+        lo = done
+        for row, t in zip(got[i], [0.5, 1.5, 3.0]):
+            upto = log.count_up_to(i * 3.0 + t)
+            _reference_fold_dual(want, log, range(done, upto))
+            done = upto
+            assert np.array_equal(row, want)
+        assert events[i] == done - lo
+    assert done == len(log)
 
 
-# -- same bits as the sampler and fresh dual that checked and converted a log repeatedly --
+# -- same bits as the sampler that checked a log twice --------------------------------
 
 
 def _reference_sample_event_log(p, k, horizon, rng, table=None):
@@ -225,7 +232,7 @@ def _reference_sample_event_log(p, k, horizon, rng, table=None):
 
 
 def _reference_simulate_dual_fresh(p, k, B, grid, rng, table=None):
-    """The fresh dual that found each grid stretch by count_up_to and filled its output row by row.
+    """One fresh dual on a log of its own, each grid stretch found by count_up_to.
 
     Each stretch runs through the per-event numpy loop of the packed fold.
     """
@@ -242,14 +249,41 @@ def _reference_simulate_dual_fresh(p, k, B, grid, rng, table=None):
     return out
 
 
-def _reference_dual_sizes_fresh(p, k, B, grid, reps, rng, table=None):
-    """The sizes summed by numpy, one replicate at a time."""
+def _reference_fresh_batch(p, k, B, grid, reps, rng, table=None):
+    """``reps`` fresh duals on one reference log of [0, reps T], replicate i on (i T, (i + 1) T].
+
+    Each bound i T + g is found by count_up_to, each stretch runs through the
+    per-event numpy fold; one replicate is :func:`_reference_simulate_dual_fresh`.
+    """
+    grid = check_grid(grid, "grid")
+    T = float(grid[-1])
+    log = _reference_sample_event_log(p, k, reps * T if reps else 0.0, rng, table=table)
+    out = np.empty((reps, len(grid), k.n), dtype=np.uint8)
+    events = np.zeros(reps, dtype=np.int64)
+    done = 0
+    for i in range(reps):
+        rows = config_indicator(k.n, B)
+        lo = done
+        for j, g in enumerate(grid):
+            upto = max(done, log.count_up_to(i * T + g))
+            _reference_fold_dual(rows, log, range(done, upto))
+            done = upto
+            out[i, j] = rows
+        events[i] = done - lo
+    return out, events
+
+
+def _reference_dual_sizes_fresh(p, k, B, grid, reps, size, rng, table=None):
+    """The sizes summed by numpy, ``size`` replicates to a reference batch."""
     if table is None:
         table = EventTable.build(p, k)
     sizes = np.empty((reps, len(grid)), dtype=np.int64)
-    for r in range(reps):
-        sizes[r] = _reference_simulate_dual_fresh(p, k, B, grid, rng, table=table).sum(axis=1)
-    return sizes
+    events = np.empty(reps, dtype=np.int64)
+    for lo in range(0, reps, size):
+        duals, held = _reference_fresh_batch(p, k, B, grid, min(size, reps - lo), rng, table)
+        sizes[lo:lo + len(duals)] = duals.sum(axis=2)
+        events[lo:lo + len(duals)] = held
+    return sizes, events
 
 
 GATE_KERNELS = [pytest.param(torus_kernel(1, 10), id="torus-1-10"), *FOLD_KERNELS,
@@ -293,15 +327,22 @@ def test_sampled_logs_give_the_reference_bits(k, alpha):
 @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.7])
 @pytest.mark.parametrize("k", GATE_KERNELS)
 def test_fresh_duals_give_the_reference_bits(k, alpha):
+    # one replicate is the one-log-per-dual reference, bit for bit; four share
+    # one log as the reference batch shares it
     p = NPParams.symmetric(alpha)
     table = EventTable.build(p, k)
     B = [0, 3]
     got_rng, want_rng = derive_stream(41, "gate"), derive_stream(41, "gate")
     for grid in (_gate_grid(p, k, 41), [0.0], [1.0, 0.25], [0.0, 0.0]):
-        got = simulate_dual_fresh(p, k, B, grid, got_rng, table=table)
+        got, events = simulate_dual_fresh(p, k, B, grid, 1, got_rng, table=table)
         want = _reference_simulate_dual_fresh(p, k, B, grid, want_rng, table=table)
-        assert got.dtype == want.dtype == np.uint8 and got.shape == want.shape
+        assert got.dtype == want.dtype == np.uint8 and got.shape == (1, *want.shape)
+        assert got[0].tobytes() == want.tobytes()
+        got, events = simulate_dual_fresh(p, k, B, grid, 4, got_rng, table=table)
+        want, held = _reference_fresh_batch(p, k, B, grid, 4, want_rng, table=table)
+        assert got.dtype == want.dtype and got.shape == want.shape == (4, len(grid), k.n)
         assert got.tobytes() == want.tobytes()
+        assert events.dtype == held.dtype == np.int64 and events.tolist() == held.tolist()
     _assert_same_next_draw(got_rng, want_rng)
 
 
@@ -309,18 +350,22 @@ def test_fresh_duals_give_the_reference_bits(k, alpha):
 @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.7])
 @pytest.mark.parametrize("k", GATE_KERNELS)
 def test_fresh_dual_sizes_give_the_reference_bits(monkeypatch, k, alpha, cells):
-    # cells = 1 sums each replicate on its own, as a kernel too big to hold a chunk's duals does
+    # the default budget holds all 7 replicates in one batch; cells = 1 gives
+    # each replicate a log of its own, as a kernel too big to hold a batch does
+    size = 7
     if cells is not None:
         monkeypatch.setattr(dualspin, "CELLS", cells)
+        size = 1
     p = NPParams.symmetric(alpha)
     grid = _gate_grid(p, k, 42)
     got_rng, want_rng = derive_stream(42, "gate"), derive_stream(42, "gate")
-    got = dual_sizes_fresh(p, k, [1, 2, 4], grid, 7, got_rng)
-    want = _reference_dual_sizes_fresh(p, k, [1, 2, 4], grid, 7, want_rng)
+    got, events = dual_sizes_fresh(p, k, [1, 2, 4], grid, 7, got_rng)
+    want, held = _reference_dual_sizes_fresh(p, k, [1, 2, 4], grid, 7, size, want_rng)
     assert got.dtype == want.dtype == np.int64 and got.shape == want.shape == (7, len(grid))
-    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == want.tobytes() and events.tolist() == held.tolist()
     _assert_same_next_draw(got_rng, want_rng)
-    assert dual_sizes_fresh(p, k, [1], grid, 0, got_rng).shape == (0, len(grid))
+    sizes, events = dual_sizes_fresh(p, k, [1], grid, 0, got_rng)
+    assert sizes.shape == (0, len(grid)) and events.shape == (0,)
 
 
 class _TiedFirstTimes:
@@ -361,12 +406,170 @@ def test_a_tie_in_the_sampled_times_is_redrawn_as_the_reference_redraws_it(k):
     _assert_same_next_draw(got_rng.rng, want_rng.rng)
 
 
-def test_a_sampled_time_of_zero_is_refused_as_the_reference_refuses_it():
+def test_a_sampled_time_of_zero_is_redrawn_where_the_reference_refuses_it():
     p = NPParams.symmetric(0.3)
     k = torus_kernel(1, 10)
-    for sampler in (sample_event_log, _reference_sample_event_log):
-        with pytest.raises(ValueError, match=r"^event times must lie in \(0, horizon\]$"):
-            sampler(p, k, 3.0, _TiedFirstTimes(derive_stream(44, "gate"), zero=True))
+    with pytest.raises(ValueError, match=r"^event times must lie in \(0, horizon\]$"):
+        _reference_sample_event_log(p, k, 3.0, _TiedFirstTimes(derive_stream(44, "gate"), zero=True))
+    rng = _TiedFirstTimes(derive_stream(44, "gate"), zero=True)
+    got = sample_event_log(p, k, 3.0, rng)
+    assert not rng.first and len(got) > 2
+    assert got.times[0] > 0.0 and (np.diff(got.times) > 0).all()
+    # the redraw took a second set of times before the types were drawn
+    table = EventTable.build(p, k)
+    skipped = derive_stream(44, "gate")
+    skipped.poisson(table.total_rate * 3.0)
+    skipped.random(len(got))
+    assert np.array_equal(np.sort(skipped.random(len(got)) * 3.0), got.times)
+    which = table.cdf.searchsorted(skipped.random(len(got)), side="right")
+    assert np.array_equal(table.xa[which], got.xa) and np.array_equal(table.za[which], got.za)
+    _assert_same_next_draw(rng.rng, skipped)
+
+
+# -- fresh duals by the batch: the law of each window, and the windows themselves -----
+
+LAW_KERNELS = [pytest.param(torus_kernel(1, 6), id="torus-1-6"),
+               pytest.param(torus_kernel(2, 3), id="torus-2-3"),
+               pytest.param(complete_kernel(5), id="complete-5")]
+LAW_B = [0, 3]
+
+
+def _exact_size_laws(p, k, B, grid):
+    """P(|xi_g| = m) for m = 0..n at each grid time, from the dual generator's semigroup."""
+    sizes = np.array([bin(s).count("1") for s in range(1 << k.n)])
+    by_size = (sizes[:, None] == np.arange(k.n + 1)).astype(np.float64)
+    gen = build_generator_dual(p, k)
+    start = _config_to_state(config_indicator(k.n, B))
+    return [semigroup_apply(gen, g, by_size)[start] for g in grid]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.7])
+@pytest.mark.parametrize("k", LAW_KERNELS)
+def test_fresh_dual_sizes_follow_the_exact_law_at_each_grid_time(k, alpha):
+    # 4000 replicates share one log: every window but the first starts past t = 0
+    p = NPParams.symmetric(alpha)
+    grid, reps = [0.25, 0.75, 2.0], 4000
+    sizes, _ = dual_sizes_fresh(p, k, LAW_B, grid, reps, derive_stream(51, "law"))
+    for j, law in enumerate(_exact_size_laws(p, k, LAW_B, grid)):
+        observed = np.bincount(sizes[:, j], minlength=k.n + 1)
+        stat, df = _chi2_gof(observed, law, reps)
+        assert df >= 1 and _chi2_sf(stat, df) > 1e-3, (grid[j], stat, df, observed, reps * law)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.7])
+@pytest.mark.parametrize("k", LAW_KERNELS)
+def test_fresh_dual_joint_sizes_match_the_one_log_per_dual_sampler(k, alpha):
+    # the joint law of (|xi_0.5|, |xi_2|) against a dual on a log of its own
+    p = NPParams.symmetric(alpha)
+    table = EventTable.build(p, k)
+    grid, reps, width = [0.5, 2.0], 3000, k.n + 1
+    got, _ = dual_sizes_fresh(p, k, LAW_B, grid, reps, derive_stream(52, "law"), table=table)
+    rng = derive_stream(53, "law")
+    want = np.array([_reference_simulate_dual_fresh(p, k, LAW_B, grid, rng, table=table)
+                     .sum(axis=1) for _ in range(reps)])
+    a = np.bincount(got[:, 0] * width + got[:, 1], minlength=width * width)
+    b = np.bincount(want[:, 0] * width + want[:, 1], minlength=width * width)
+    keep = (a + b) >= 10  # pool the sparse pairs into one cell
+    a = np.append(a[keep], a[~keep].sum())
+    b = np.append(b[keep], b[~keep].sum())
+    a, b = a[a + b > 0], b[a + b > 0]
+    stat = float(((a - b) ** 2 / (a + b)).sum())  # homogeneity chi-square, equal sample sizes
+    assert len(a) >= 3 and _chi2_sf(stat, len(a) - 1) > 1e-3, (stat, a, b)
+
+
+def _spy_logs(monkeypatch) -> list:
+    """The logs dualspin samples from here on, in order."""
+    logs = []
+
+    def spy(*args, **kwargs):
+        logs.append(sample_event_log(*args, **kwargs))
+        return logs[-1]
+
+    monkeypatch.setattr(dualspin, "sample_event_log", spy)
+    return logs
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.7])
+@pytest.mark.parametrize("k", LAW_KERNELS)
+def test_each_fresh_dual_runs_its_own_window_of_the_batch_log(monkeypatch, k, alpha):
+    # replicate i folds the events in (i T, (i + 1) T] from 1_B, by the exact
+    # dual targets; the windows' counts partition the log
+    logs = _spy_logs(monkeypatch)
+    p = NPParams.symmetric(alpha)
+    grid, reps, T = [1.5, 0.0, 0.5, 1.5], 7, 1.5
+    duals, events = simulate_dual_fresh(p, k, LAW_B, grid, reps, derive_stream(54, "windows"))
+    (log,) = logs
+    assert duals.shape == (reps, len(grid), k.n) and duals.dtype == np.uint8
+    assert events.dtype == np.int64 and log.horizon == reps * T
+    assert int(events.sum()) == len(log) > reps
+    start = config_indicator(k.n, LAW_B)
+    lo = 0
+    for i in range(reps):
+        for row, g in zip(duals[i], sorted(grid)):
+            upto = log.count_up_to(i * T + g)
+            assert np.array_equal(row, _state_after(start, log, lo, upto, _dual_event_target))
+        assert events[i] == upto - lo
+        lo = upto
+
+
+def test_an_event_on_a_bound_falls_in_the_earlier_stretch(monkeypatch):
+    # three windows of T = 1 on the grid 0, 0.5, 1 from B = {0}; each event at
+    # a bound belongs to the stretch, and the window, that ends there
+    times = [0.5, 1.0, 1.5, 2.0, 3.0]
+    xa, ya, za = [0, 0, 0, 1, 0], [1, 2, 1, 3, 3], [-1, -1, 2, -1, -1]
+
+    def hand_built(p, k, horizon, rng, table=None):
+        assert horizon == 3.0
+        return EventLog(horizon, np.array(times), np.array(xa), np.array(ya), np.array(za))
+
+    monkeypatch.setattr(dualspin, "sample_event_log", hand_built)
+    duals, events = simulate_dual_fresh(NPParams.symmetric(0.3), torus_kernel(1, 4), [0],
+                                        [1.0, 0.0, 0.5], 3, derive_stream(55, "bounds"))
+    sets = [[np.flatnonzero(row).tolist() for row in rows] for rows in duals]
+    # the voter event (0; 2) at t = 1 meets an empty focal site in window 0;
+    # in window 1 it would have moved the dual to {2}
+    assert sets == [[[0], [1], [1]], [[0], [0, 1, 2], [0, 2, 3]], [[0], [0], [3]]]
+    assert events.tolist() == [2, 2, 1]
+
+
+def test_fresh_duals_keep_the_sorted_grid_and_start_from_1_B_at_horizon_0():
+    p = NPParams.symmetric(0.4)
+    k = torus_kernel(1, 6)
+    got = simulate_dual_fresh(p, k, LAW_B, [2.0, 0.5, 1.0], 5, derive_stream(17, "fresh-grid"))
+    want = simulate_dual_fresh(p, k, LAW_B, [0.5, 1.0, 2.0], 5, derive_stream(17, "fresh-grid"))
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tolist() == want[1].tolist()
+    start = config_indicator(k.n, LAW_B)
+    rng = derive_stream(56, "horizon-0")
+    for grid in ([0.0], [0.0, 0.0]):
+        duals, events = simulate_dual_fresh(p, k, LAW_B, grid, 4, rng)
+        assert duals.shape == (4, len(grid), k.n) and (duals == start).all()
+        assert events.tolist() == [0, 0, 0, 0]
+    _assert_same_next_draw(rng, derive_stream(56, "horizon-0"))  # horizon 0 draws nothing
+    duals, events = simulate_dual_fresh(p, k, LAW_B, [1.0], 0, rng)
+    assert duals.shape == (0, 1, k.n) and events.shape == (0,)
+    sizes, events = dual_sizes_fresh(p, k, LAW_B, [1.0], 0, rng)
+    assert sizes.shape == (0, 1) and events.shape == (0,)
+
+
+# torus_kernel(1, 6) at alpha = 0.3 has total rate 2.85, so a replicate to t = 2
+# expects 5.7 events; 300 cells allow 300 // 18 = 16 replicates by snapshot cells
+# on the grid below, and int(300 // 16 / 5.7) = 3 by expected events
+@pytest.mark.parametrize("cells, per_log", [(1, [1] * 7), (300, [3, 3, 1])])
+def test_a_small_cells_budget_splits_a_chunk_into_several_logs(monkeypatch, cells, per_log):
+    monkeypatch.setattr(dualspin, "CELLS", cells)
+    logs = _spy_logs(monkeypatch)
+    p = NPParams.symmetric(0.3)
+    k = torus_kernel(1, 6)
+    assert EventTable.build(p, k).total_rate == pytest.approx(2.85)
+    sizes, events = dual_sizes_fresh(p, k, LAW_B, [0.5, 1.0, 2.0], 7, derive_stream(57, "cells"))
+    assert [log.horizon / 2.0 for log in logs] == per_log
+    assert sizes.shape == (7, 3) and (sizes[:, 0] >= 0).all() and events.shape == (7,)
+    assert int(events.sum()) == sum(len(log) for log in logs)
+    # parity-check's chunk: one shared log per replicate, then the fresh batches
+    logs.clear()
+    mc = parity_duality_mc(p, k, [1], LAW_B, 2.0, 7, 58, "cells")
+    assert [log.horizon / 2.0 for log in logs] == [1] * 7 + per_log
+    assert mc["fresh_dual"].shape == (7,) and mc["log_events"] == sum(len(log) for log in logs)
 
 
 @pytest.mark.parametrize("times, message", [
@@ -418,8 +621,8 @@ def test_dual_sizes_fresh_grid():
     p = NPParams.symmetric(0.4)
     k = torus_kernel(1, 6)
     rng = derive_stream(14, "dual-sizes")
-    sizes = dual_sizes_fresh(p, k, [0, 2], [0.5, 1.0, 2.0], 50, rng)
-    assert sizes.shape == (50, 3)
+    sizes, events = dual_sizes_fresh(p, k, [0, 2], [0.5, 1.0, 2.0], 50, rng)
+    assert sizes.shape == (50, 3) and events.shape == (50,) and events.sum() > 0
     assert np.all(sizes % 2 == 0)  # |B| = 2: parity conserved
     assert np.all(sizes >= 0)
 
@@ -506,8 +709,9 @@ def test_limit_formula_zero_size_atom():
 def test_evug_statistic_rows():
     p = NPParams.symmetric(0.2)
     k = torus_kernel(1, 6)
-    _, rows = evug_statistic(p, k, [0, 3], [1.0, 2.0], cap=8, reps=200, master_seed=17,
-                             role="dual-evug")
+    _, rows, events = evug_statistic(p, k, [0, 3], [1.0, 2.0], cap=8, reps=200, master_seed=17,
+                                     role="dual-evug")
+    assert events > 0
     assert [r["t"] for r in rows] == [1.0, 2.0]
     for r in rows:
         assert 0.0 <= r["window"].mean <= r["survival"].mean <= 1.0
@@ -529,9 +733,9 @@ def test_evug_statistic_labels_an_unsorted_grid_in_time_order():
     p = NPParams.symmetric(0.3)
     k = torus_kernel(1, 10)
     args = dict(cap=12, reps=400, master_seed=1, role="x")
-    unsorted_sizes, unsorted = evug_statistic(p, k, [0, 3], [8.0, 0.001], **args)
-    ordered_sizes, ordered = evug_statistic(p, k, [0, 3], [0.001, 8.0], **args)
-    assert unsorted == ordered
+    unsorted_sizes, unsorted, unsorted_events = evug_statistic(p, k, [0, 3], [8.0, 0.001], **args)
+    ordered_sizes, ordered, ordered_events = evug_statistic(p, k, [0, 3], [0.001, 8.0], **args)
+    assert unsorted == ordered and unsorted_events == ordered_events
     assert np.array_equal(unsorted_sizes, ordered_sizes)
     assert [r["t"] for r in unsorted] == [0.001, 8.0]
     # the empty dual is absorbing: survival cannot grow with time

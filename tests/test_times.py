@@ -93,7 +93,7 @@ HORIZON_ENTRIES = {
                                                       h, np.ones(8)),
 }
 GRID_ENTRIES = {
-    "simulate_dual_fresh": lambda g, rng: simulate_dual_fresh(_P, _K, [1], g, rng),
+    "simulate_dual_fresh": lambda g, rng: simulate_dual_fresh(_P, _K, [1], g, 4, rng),
     "evug_statistic": lambda g, rng: evug_statistic(_P, _K, [1], g, 10, 4, 1, "c"),
     "walker_samples": lambda g, rng: walker_samples(CRW(), {0: 2}, _TORUS, _STENCIL, g, 10, 4,
                                                     rng),
