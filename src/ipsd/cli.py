@@ -23,6 +23,7 @@ import argparse
 import configparser
 import itertools
 import sys
+from collections.abc import Callable
 from functools import partial
 from pathlib import Path
 
@@ -40,16 +41,21 @@ from .kernel import (Kernel, complete_kernel, config_all, config_bernoulli, conf
                      explicit_kernel, torus_kernel)
 from .lattice import Stencil, Torus
 from .meanfield import bind_density_rhs, equilibrium, integrate_ode, meanfield_comparator
-from .momdual import coexistence_probe, extinction_probe, generator_duality_battery, moment_duality_mc
+from .momdual import (_check_coexist_args, _check_extinct_args, coexistence_probe,
+                      extinction_probe, generator_duality_battery, moment_duality_mc, pairing)
 from .rng import derive_stream
 from .spin import SPIN_CHUNK, NPParams, simulate_gillespie
 from .stats import MCEstimate, wilson_lower
-from .walkers import BCRW, CRW, DBARW, walker_ensemble
+from .walkers import BCRW, CRW, DBARW, count_row, walker_ensemble
 
 
 # -- config plumbing -----------------------------------------------------------
 # Each cast below names the form it reads in its docstring, which a refusal
-# quotes (harness._cast); every value is read by key before any engine runs.
+# quotes (harness._cast).  A subcommand reads and checks every value by key,
+# then returns its run, a function of no arguments: no engine runs and no
+# file is written until every value is read.
+
+Run = Callable[[], dict]
 
 
 def _parse_sites(cfg: RunConfig, key: str, n_sites: int) -> list[int]:
@@ -210,58 +216,71 @@ def _site_and_mean(site, fields):
 # -- subcommands ----------------------------------------------------------------
 
 
-def cmd_spin_run(cfg: RunConfig) -> dict:
+def cmd_spin_run(cfg: RunConfig) -> Run:
     p = _build_params(cfg)
     k = _build_kernel(cfg)
     horizon = _parse_horizon(cfg, 10.0)
     grid = _parse_grid(cfg, "grid", [horizon * j / 20.0 for j in range(21)], horizon)
     init = cfg.opt("run", "init", 0.5, partial(_spin_init, k.n))
-    dens, terminal, flips = replicate_map(partial(_spin_chunk, p, k, init, horizon, grid),
-                                          cfg.reps, cfg.seed, "spin-run", SPIN_CHUNK, cfg.threads)
-    rows = [(r, t, dens[r, j]) for r in range(cfg.reps) for j, t in enumerate(grid)]
-    write_csv(cfg.out / "spin_density.csv", ["replicate", "time", "density"], rows)
-    est = MCEstimate.from_samples(terminal)
-    return {"terminal_density": est, "kernel_sites": k.n, "horizon": horizon,
-            "flips": int(flips.sum())}
+
+    def run() -> dict:
+        dens, terminal, flips = replicate_map(partial(_spin_chunk, p, k, init, horizon, grid),
+                                              cfg.reps, cfg.seed, "spin-run", SPIN_CHUNK,
+                                              cfg.threads)
+        rows = [(r, t, dens[r, j]) for r in range(cfg.reps) for j, t in enumerate(grid)]
+        write_csv(cfg.out / "spin_density.csv", ["replicate", "time", "density"], rows)
+        est = MCEstimate.from_samples(terminal)
+        return {"terminal_density": est, "kernel_sites": k.n, "horizon": horizon,
+                "flips": int(flips.sum())}
+    return run
 
 
-def cmd_dual_run(cfg: RunConfig) -> dict:
+def cmd_dual_run(cfg: RunConfig) -> Run:
     p = _build_params(cfg)
     k = _build_kernel(cfg)
     horizon = _parse_horizon(cfg, 10.0)
     grid = _parse_grid(cfg, "grid", [horizon], horizon)
     B = _parse_sites(cfg, "b", k.n)
     cap = _parse_cap(cfg, 10)
-    sizes, rows, log_events = evug_statistic(p, k, B, grid, cap, cfg.reps, cfg.seed, "dual-run",
-                                             cfg.threads)
-    write_csv(cfg.out / "dual_sizes.csv", ["replicate", "t", "size"],
-              [(r, t, int(sizes[r, j])) for r in range(cfg.reps) for j, t in enumerate(grid)])
-    write_csv(cfg.out / "dual_survival.csv", ["t", "estimate", "stderr", "reps"],
-              [(row["t"], row["survival"].mean, row["survival"].stderr, row["survival"].reps)
-               for row in rows])
-    zb = ZBDistribution.from_samples(sizes[:, -1], cap=cap)
-    return {"rows": rows, "cap": cap,
-            "terminal_size_atoms": {int(s): float(q) for s, q in zip(zb.sizes, zb.probs)},
-            "terminal_overflow_mass": zb.infinite_mass, "log_events": log_events}
+
+    def run() -> dict:
+        sizes, rows, log_events = evug_statistic(p, k, B, grid, cap, cfg.reps, cfg.seed,
+                                                 "dual-run", cfg.threads)
+        write_csv(cfg.out / "dual_sizes.csv", ["replicate", "t", "size"],
+                  [(r, t, int(sizes[r, j])) for r in range(cfg.reps) for j, t in enumerate(grid)])
+        write_csv(cfg.out / "dual_survival.csv", ["t", "estimate", "stderr", "reps"],
+                  [(row["t"], row["survival"].mean, row["survival"].stderr, row["survival"].reps)
+                   for row in rows])
+        zb = ZBDistribution.from_samples(sizes[:, -1], cap=cap)
+        return {"rows": rows, "cap": cap,
+                "terminal_size_atoms": {int(s): float(q) for s, q in zip(zb.sizes, zb.probs)},
+                "terminal_overflow_mass": zb.infinite_mass, "log_events": log_events}
+    return run
 
 
-def cmd_parity_check(cfg: RunConfig) -> dict:
+def cmd_parity_check(cfg: RunConfig) -> Run:
     p = _build_params(cfg)
     k = _build_kernel(cfg)
     horizon = _parse_horizon(cfg, 5.0)
     A = _parse_sites(cfg, "a", k.n)
     B = _parse_sites(cfg, "b", k.n)
-    mc = parity_duality_mc(p, k, A, B, horizon, cfg.reps, cfg.seed, "parity-check", cfg.threads)
-    fwd, dual = mc["pathwise_forward"], mc["pathwise_dual"]
-    rows = [(r, t, int(fwd[r, j]), int(dual[r, j]))
-            for r in range(cfg.reps) for j, t in enumerate(mc["times"])]
-    write_csv(cfg.out / "parity_pathwise.csv",
-              ["replicate", "t", "parity_forward", "parity_dual"], rows)
-    write_csv(cfg.out / "parity_mc.csv", ["t", "estimate", "stderr", "reps"],
-              [(horizon, est.mean, est.stderr, est.reps) for est in (mc["forward"], mc["dual"])])
-    return {"violations": mc["violations"], "forward": mc["forward"], "dual_chain": mc["dual"],
-            "z": mc["z"], "passed": mc["violations"] == 0 and abs(mc["z"]) < 4.0,
-            "log_events": mc["log_events"]}
+
+    def run() -> dict:
+        mc = parity_duality_mc(p, k, A, B, horizon, cfg.reps, cfg.seed, "parity-check",
+                               cfg.threads)
+        fwd, dual = mc["pathwise_forward"], mc["pathwise_dual"]
+        rows = [(r, t, int(fwd[r, j]), int(dual[r, j]))
+                for r in range(cfg.reps) for j, t in enumerate(mc["times"])]
+        write_csv(cfg.out / "parity_pathwise.csv",
+                  ["replicate", "t", "parity_forward", "parity_dual"], rows)
+        write_csv(cfg.out / "parity_mc.csv", ["t", "estimate", "stderr", "reps"],
+                  [(horizon, est.mean, est.stderr, est.reps)
+                   for est in (mc["forward"], mc["dual"])])
+        return {"violations": mc["violations"], "forward": mc["forward"],
+                "dual_chain": mc["dual"], "z": mc["z"],
+                "passed": mc["violations"] == 0 and abs(mc["z"]) < 4.0,
+                "log_events": mc["log_events"]}
+    return run
 
 
 def _exact_kernel(tok: str) -> tuple[str, int, partial]:
@@ -275,7 +294,7 @@ def _exact_kernel(tok: str) -> tuple[str, int, partial]:
     raise ValueError(tok)
 
 
-def cmd_exact_check(cfg: RunConfig) -> dict:
+def cmd_exact_check(cfg: RunConfig) -> Run:
     alphas = _parse_grid(cfg, "alphas", [0.0, 0.3, 0.7])
     tgrid = _parse_grid(cfg, "tgrid", [0.1, 1.0, 5.0])
     default = [_exact_kernel(tok) for tok in ("torus:1:3", "torus:1:4", "complete:3", "complete:4")]
@@ -290,25 +309,28 @@ def cmd_exact_check(cfg: RunConfig) -> dict:
         raise ValueError(f"run.tgrid projects {work:.4g} multiply-adds of uniformization series "
                          f"over run.kernels and run.alphas; the limit is {MAX_FK_WORK:.4g}")
     kernels = [(tok, build()) for tok, _, build in parsed]
-    battery = []
-    max_gap = 0.0
-    max_res = 0.0
-    for name, k in kernels:
-        for alpha in alphas:
-            p = NPParams.symmetric(alpha)
-            g_np = build_generator_np(p, k)
-            g_ev = build_generator_from_events(p, k)
-            gap = float(np.abs(g_np.matrix - g_ev.matrix).max())
-            g_dual = build_generator_dual(p, k)
-            res = max(feynman_kac_check(g_np, g_dual, t) for t in tgrid)
-            battery.append({"kernel": name, "alpha": alpha,
-                            "generator_gap": gap, "fk_residual": res})
-            max_gap = max(max_gap, gap)
-            max_res = max(max_res, res)
-    return {"max_generator_gap": max_gap, "max_fk_residual": max_res, "battery": battery}
+
+    def run() -> dict:
+        battery = []
+        max_gap = 0.0
+        max_res = 0.0
+        for name, k in kernels:
+            for alpha in alphas:
+                p = NPParams.symmetric(alpha)
+                g_np = build_generator_np(p, k)
+                g_ev = build_generator_from_events(p, k)
+                gap = float(np.abs(g_np.matrix - g_ev.matrix).max())
+                g_dual = build_generator_dual(p, k)
+                res = max(feynman_kac_check(g_np, g_dual, t) for t in tgrid)
+                battery.append({"kernel": name, "alpha": alpha,
+                                "generator_gap": gap, "fk_residual": res})
+                max_gap = max(max_gap, gap)
+                max_res = max(max_res, res)
+        return {"max_generator_gap": max_gap, "max_fk_residual": max_res, "battery": battery}
+    return run
 
 
-def cmd_meanfield(cfg: RunConfig) -> dict:
+def cmd_meanfield(cfg: RunConfig) -> Run:
     p = _build_params(cfg)
     p0 = _parse_p0(cfg)
     horizon = _parse_horizon(cfg, 50.0)
@@ -320,24 +342,29 @@ def cmd_meanfield(cfg: RunConfig) -> dict:
     if stride < 1:
         raise ValueError(f"run.stride must be at least 1, got {stride}")
     n_vertices = cfg.opt("run", "compare_n", 0, int)
-    ts, xs = integrate_ode(bind_density_rhs(p.lam, p.alpha01, p.alpha10), [p0], horizon, dt=dt,
-                           self_check=True)
-    rows = [(ts[i], xs[i, 0]) for i in range(0, len(ts), stride)]
-    if rows[-1][0] != ts[-1]:
-        rows.append((ts[-1], xs[-1, 0]))
-    write_csv(cfg.out / "meanfield_path.csv", ["t", "p0"], rows)
-    eq = equilibrium(p.lam, p.alpha01, p.alpha10)
-    payload = {"equilibrium": eq, "terminal": float(xs[-1, 0]),
-               "terminal_gap": abs(float(xs[-1, 0]) - eq)}
-    if n_vertices:
-        rep = meanfield_comparator(n_vertices, p, 1.0 - p0, compare_t, cfg.reps,
-                                   derive_stream(cfg.seed, "meanfield-compare"))
-        payload["comparator_median_sup"] = rep.median
-        payload["comparator_jumps"] = rep.jumps
-    return payload
+    if n_vertices and n_vertices < 2:
+        raise ValueError(f"run.compare_n must be 0 (no comparison) or at least 2, got {n_vertices}")
+
+    def run() -> dict:
+        ts, xs = integrate_ode(bind_density_rhs(p.lam, p.alpha01, p.alpha10), [p0], horizon,
+                               dt=dt, self_check=True)
+        rows = [(ts[i], xs[i, 0]) for i in range(0, len(ts), stride)]
+        if rows[-1][0] != ts[-1]:
+            rows.append((ts[-1], xs[-1, 0]))
+        write_csv(cfg.out / "meanfield_path.csv", ["t", "p0"], rows)
+        eq = equilibrium(p.lam, p.alpha01, p.alpha10)
+        payload = {"equilibrium": eq, "terminal": float(xs[-1, 0]),
+                   "terminal_gap": abs(float(xs[-1, 0]) - eq)}
+        if n_vertices:
+            rep = meanfield_comparator(n_vertices, p, 1.0 - p0, compare_t, cfg.reps,
+                                       derive_stream(cfg.seed, "meanfield-compare"))
+            payload["comparator_median_sup"] = rep.median
+            payload["comparator_jumps"] = rep.jumps
+        return payload
+    return run
 
 
-def cmd_diffusion_run(cfg: RunConfig) -> dict:
+def cmd_diffusion_run(cfg: RunConfig) -> Run:
     params = _build_diffusion(cfg)
     horizon = _parse_horizon(cfg, 1.0)
     grid = _parse_grid(cfg, "grid", [horizon * j / 10.0 for j in range(1, 11)], horizon)
@@ -348,22 +375,25 @@ def cmd_diffusion_run(cfg: RunConfig) -> dict:
     site = cfg.opt("run", "site", 0, int)
     if not 0 <= site < params.torus.n_sites:
         raise ValueError(f"run.site must lie in [0, {params.torus.n_sites}), got {site}")
-    p0 = (np.full(params.torus.shape, init) if init is not None
-          else derive_stream(cfg.seed, "diffusion-init").random(params.torus.shape))
-    vals = ensemble_observable(params, p0, grid, partial(_site_and_mean, site),
-                               cfg.reps, cfg.seed, "diffusion-site", cfg.threads)
-    rows = []
-    report = []
-    for j, t in enumerate(grid):
-        site_vals, mean_vals = vals[j]
-        het = float(((site_vals > kappa) & (site_vals < 1.0 - kappa)).mean())
-        rows.append((t, float(mean_vals.mean()), float(site_vals.var(ddof=1)), het))
-        report.append({"t": t, "mean_p": rows[-1][1], "var_p": rows[-1][2], "het_stat": het})
-    write_csv(cfg.out / "diffusion_summary.csv", ["t", "mean_p", "var_p", "het_stat"], rows)
-    return {"rows": report, "site": site, "kappa": kappa}
+
+    def run() -> dict:
+        p0 = (np.full(params.torus.shape, init) if init is not None
+              else derive_stream(cfg.seed, "diffusion-init").random(params.torus.shape))
+        vals = ensemble_observable(params, p0, grid, partial(_site_and_mean, site),
+                                   cfg.reps, cfg.seed, "diffusion-site", cfg.threads)
+        rows = []
+        report = []
+        for j, t in enumerate(grid):
+            site_vals, mean_vals = vals[j]
+            het = float(((site_vals > kappa) & (site_vals < 1.0 - kappa)).mean())
+            rows.append((t, float(mean_vals.mean()), float(site_vals.var(ddof=1)), het))
+            report.append({"t": t, "mean_p": rows[-1][1], "var_p": rows[-1][2], "het_stat": het})
+        write_csv(cfg.out / "diffusion_summary.csv", ["t", "mean_p", "var_p", "het_stat"], rows)
+        return {"rows": report, "site": site, "kappa": kappa}
+    return run
 
 
-def cmd_walker_run(cfg: RunConfig) -> dict:
+def cmd_walker_run(cfg: RunConfig) -> Run:
     torus, stencil = _build_lattice(cfg)
     kind_name = cfg.opt("walker", "kind", "crw")
     if kind_name == "crw":
@@ -378,51 +408,68 @@ def cmd_walker_run(cfg: RunConfig) -> dict:
     horizon = _parse_horizon(cfg, 10.0)
     grid = _parse_grid(cfg, "grid", [horizon], horizon)
     cap = _parse_cap(cfg, 100000)
-    runs = walker_ensemble(kind, xi0, torus, stencil, grid, cap, cfg.reps, cfg.seed,
-                           "walker-run", cfg.threads)
-    rows = [(r, t, int(runs.sizes[r, j]), int(runs.observed[r, j]))
-            for r in range(cfg.reps) for j, t in enumerate(grid)]
-    write_csv(cfg.out / "walker_sizes.csv", ["replicate", "t", "total", "occupied_sites"], rows)
-    surv = MCEstimate.from_samples(runs.alive)
-    return {"survival": surv, "survival_lcb99": wilson_lower(int(runs.alive.sum()), cfg.reps, 0.99),
-            "cap_fraction": float(runs.capped.mean()), "kind": kind_name,
-            "walker_events": int(runs.events.sum())}
+    count_row(xi0, torus, cap)  # a start over the cap is refused here
+
+    def run() -> dict:
+        runs = walker_ensemble(kind, xi0, torus, stencil, grid, cap, cfg.reps, cfg.seed,
+                               "walker-run", cfg.threads)
+        rows = [(r, t, int(runs.sizes[r, j]), int(runs.observed[r, j]))
+                for r in range(cfg.reps) for j, t in enumerate(grid)]
+        write_csv(cfg.out / "walker_sizes.csv", ["replicate", "t", "total", "occupied_sites"],
+                  rows)
+        surv = MCEstimate.from_samples(runs.alive)
+        return {"survival": surv,
+                "survival_lcb99": wilson_lower(int(runs.alive.sum()), cfg.reps, 0.99),
+                "cap_fraction": float(runs.capped.mean()), "kind": kind_name,
+                "walker_events": int(runs.events.sum())}
+    return run
 
 
-def cmd_moment_check(cfg: RunConfig) -> dict:
+def cmd_moment_check(cfg: RunConfig) -> Run:
     params = _build_diffusion(cfg)
     if params.noise_n != 1.0:  # every walker dual pairs with the N = 1 diffusion
         raise ValueError(f"model.noise_n must be 1 for moment-check, got {params.noise_n}")
-    regime = cfg.opt("run", "regime", "auto")
+    # "auto" resolved, and a regime without a walker dual refused, while reading
+    regime = pairing(params.s, params.mu, cfg.opt("run", "regime", "auto"))[0]
     grid = _parse_grid(cfg, "grid", [0.25, 0.5])
     xi0 = _parse_counts(cfg, params.torus.n_sites, [(0, 2)])
     p0 = np.full(params.torus.shape, _parse_p0(cfg))
     cap = _parse_cap(cfg, 100000)
-    rows = moment_duality_mc(params, p0, xi0, grid, cfg.reps, cfg.seed, regime=regime, cap=cap,
-                             threads=cfg.threads)
-    ok = all(abs(r["z"]) < 4.0 and abs(r["z_half"]) < 4.0 for r in rows)
-    gap = generator_duality_battery(rows[0]["regime"], [(params.s, params.mu)], 200, params.torus,
-                                    params.stencil, cfg.seed)
-    return {"rows": rows, "passed": ok, "generator_gap": gap,
-            "walker_events": rows[0]["walker_events"]}
+    count_row(xi0, params.torus, cap)  # a start over the cap is refused here
+
+    def run() -> dict:
+        rows = moment_duality_mc(params, p0, xi0, grid, cfg.reps, cfg.seed, regime=regime,
+                                 cap=cap, threads=cfg.threads)
+        ok = all(abs(r["z"]) < 4.0 and abs(r["z_half"]) < 4.0 for r in rows)
+        gap = generator_duality_battery(regime, [(params.s, params.mu)], 200,
+                                        params.torus, params.stencil, cfg.seed)
+        return {"rows": rows, "passed": ok, "generator_gap": gap,
+                "walker_events": rows[0]["walker_events"]}
+    return run
 
 
-def cmd_coexist_probe(cfg: RunConfig) -> dict:
-    torus, stencil = _build_lattice(cfg)
-    rep = coexistence_probe(
-        s=cfg.opt("model", "s", cast=float), torus=torus, stencil=stencil,
-        master_seed=cfg.seed,
-        t_het=_parse_horizon(cfg, 10.0, "t_het"),
-        horizon_surv=_parse_horizon(cfg, 50.0, "t_surv"),
-        kappa=cfg.opt("run", "kappa", 0.1, float),
-        reps_het=cfg.opt("run", "reps_het", cfg.reps, int),
-        reps_surv=cfg.opt("run", "reps_surv", cfg.reps, int),
-        cap=_parse_cap(cfg, 2000),
-        dt=cfg.opt("model", "dt", 1e-3, float), threads=cfg.threads)
+def _probe_report(probe) -> dict:
+    """Run a probe whose arguments are all read; its report, with its verdict."""
+    rep = probe()
     return {**vars(rep), "passed": rep.passed}
 
 
-def cmd_extinct_probe(cfg: RunConfig) -> dict:
+def cmd_coexist_probe(cfg: RunConfig) -> Run:
+    torus, stencil = _build_lattice(cfg)
+    args = dict(s=cfg.opt("model", "s", cast=float), torus=torus,
+                t_het=_parse_horizon(cfg, 10.0, "t_het"),
+                horizon_surv=_parse_horizon(cfg, 50.0, "t_surv"),
+                kappa=cfg.opt("run", "kappa", 0.1, float),
+                reps_het=cfg.opt("run", "reps_het", cfg.reps, int),
+                reps_surv=cfg.opt("run", "reps_surv", cfg.reps, int),
+                cap=_parse_cap(cfg, 2000))
+    dt = cfg.opt("model", "dt", 1e-3, float)
+    _check_coexist_args(**args)
+    return partial(_probe_report, partial(coexistence_probe, **args, stencil=stencil,
+                                          master_seed=cfg.seed, dt=dt, threads=cfg.threads))
+
+
+def cmd_extinct_probe(cfg: RunConfig) -> Run:
     torus, stencil = _build_lattice(cfg)
     # default margin 0.1: the weak Euler scheme overestimates the forward
     # moment at late grid times (by about 0.006 at t = 10 in the shipped
@@ -430,19 +477,19 @@ def cmd_extinct_probe(cfg: RunConfig) -> dict:
     eps = cfg.opt("run", "eps", 0.1, float)
     if not 0.0 < eps < 1.0:  # a NaN fails too
         raise ValueError(f"run.eps must lie in (0, 1), got {eps}")
-    rep = extinction_probe(
-        s=cfg.opt("model", "s", cast=float), mu=cfg.opt("model", "mu", cast=float),
-        torus=torus, stencil=stencil,
-        p0_value=_parse_p0(cfg, 1.0 - eps),
-        xi0=_parse_counts(cfg, torus.n_sites, [(0, 1)]),
-        eps=eps,
-        grid=_parse_grid(cfg, "grid", [1.0, 2.0, 5.0, 10.0]),
-        reps_fwd=cfg.opt("run", "reps_fwd", cfg.reps, int),
-        reps_dual=cfg.opt("run", "reps_dual", cfg.reps, int),
-        master_seed=cfg.seed,
-        cap=_parse_cap(cfg, 400),
-        dt=cfg.opt("model", "dt", 1e-3, float), threads=cfg.threads)
-    return {**vars(rep), "passed": rep.passed}
+    args = dict(s=cfg.opt("model", "s", cast=float), mu=cfg.opt("model", "mu", cast=float),
+                torus=torus,
+                p0_value=_parse_p0(cfg, 1.0 - eps),
+                xi0=_parse_counts(cfg, torus.n_sites, [(0, 1)]),
+                eps=eps,
+                grid=_parse_grid(cfg, "grid", [1.0, 2.0, 5.0, 10.0]),
+                reps_fwd=cfg.opt("run", "reps_fwd", cfg.reps, int),
+                reps_dual=cfg.opt("run", "reps_dual", cfg.reps, int),
+                cap=_parse_cap(cfg, 400))
+    dt = cfg.opt("model", "dt", 1e-3, float)
+    _check_extinct_args(**args)
+    return partial(_probe_report, partial(extinction_probe, **args, stencil=stencil,
+                                          master_seed=cfg.seed, dt=dt, threads=cfg.threads))
 
 
 _COMMANDS = {
@@ -467,13 +514,15 @@ def _values(chunk: str) -> list[str]:
     return values
 
 
-def cmd_sweep(cfg: RunConfig) -> dict:
+def cmd_sweep(cfg: RunConfig) -> Run:
     """Repeat a subcommand over the Cartesian product of value lists.
 
     ``vary`` names one or more section.key entries, comma-separated;
     ``values`` holds one comma-separated list per key, the lists separated
     by ";".  Points run in row-major order of ``vary`` (the last key varies
-    fastest) and are labelled by their values joined with ";".
+    fastest) and are labelled by their values joined with ";".  Every
+    point's configuration is merged and read, with the checks each
+    subcommand makes while reading, before the first point runs.
     """
     target = cfg.opt("sweep", "over")
     if target not in _COMMANDS:
@@ -486,10 +535,8 @@ def cmd_sweep(cfg: RunConfig) -> dict:
     if len(lists) != len(names):
         raise ValueError(f"sweep.values has {len(lists)} value lists for {len(names)} "
                          f"sweep.vary keys")
-    reports = []
-    csv_rows = []
+    points = []
     for point in itertools.product(*lists):
-        label = ";".join(point)
         sub_options = {s: dict(kv) for s, kv in cfg.options.items()}
         for name, val in zip(names, point):
             section, key = name.split(".", 1)
@@ -498,14 +545,22 @@ def cmd_sweep(cfg: RunConfig) -> dict:
         subdir = ",".join(f"{name.replace('.', '_')}={val}" for name, val in zip(names, point))
         sub = RunConfig(subcommand=target, seed=cfg.seed, reps=cfg.reps,
                         out=cfg.out / subdir, threads=cfg.threads, options=sub_options)
-        payload = _COMMANDS[target](sub)
-        write_json(sub.out / f"{target}.json", payload, sub)
-        reports.append({"value": label, "report": payload})
-        for path, num in _numeric_leaves(payload):
-            csv_rows.append((label, path, num))
-    write_csv(cfg.out / "sweep.csv", ["value", "metric", "metric_value"], csv_rows)
-    return {"over": target, "vary": cfg.opt("sweep", "vary"),
-            "values": [r["value"] for r in reports], "reports": reports}
+        points.append((";".join(point), sub, _COMMANDS[target](sub)))
+    vary = cfg.opt("sweep", "vary")
+
+    def run() -> dict:
+        reports = []
+        csv_rows = []
+        for label, sub, run_point in points:
+            payload = run_point()
+            write_json(sub.out / f"{target}.json", payload, sub)
+            reports.append({"value": label, "report": payload})
+            for path, num in _numeric_leaves(payload):
+                csv_rows.append((label, path, num))
+        write_csv(cfg.out / "sweep.csv", ["value", "metric", "metric_value"], csv_rows)
+        return {"over": target, "vary": vary, "values": [r["value"] for r in reports],
+                "reports": reports}
+    return run
 
 
 def _numeric_leaves(obj, prefix=""):
@@ -567,7 +622,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cfg = _merge_config(args)
     fn = cmd_sweep if cfg.subcommand == "sweep" else _COMMANDS[cfg.subcommand]
-    payload = fn(cfg)
+    payload = fn(cfg)()
     path = write_json(cfg.out / f"{cfg.subcommand}.json", payload, cfg)
     print(f"wrote {path}")
     return 0

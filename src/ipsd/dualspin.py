@@ -23,8 +23,13 @@ The ensembles :func:`parity_duality_mc`, :func:`evug_statistic` and
 :func:`bernoulli_parity_identity` take a master seed and a role and run a
 chunk worker through :func:`ipsd.harness.replicate_map`, ``SPIN_CHUNK``
 replicates per stream, so each result is the same for any worker count.
-A chunk's fresh duals come in batches, one :func:`simulate_dual_fresh`
-call and one event log each.
+A chunk samples its logs by the batch: one event log on [0, reps*T] per
+batch, cut into one window of length T per replicate (:func:`_window_log`).
+Fresh duals run forward over their windows (:func:`simulate_dual_fresh`);
+the pathwise parities replay each shared window once forward
+(:func:`ipsd.spin.replay_forward_batch`) and once in reverse
+(:func:`replay_dual_batch`), both given the windows' bounds, recording
+every recording time on the way.
 """
 
 from __future__ import annotations
@@ -36,9 +41,9 @@ from itertools import islice
 import numpy as np
 
 from .harness import check_grid, check_horizon, replicate_map
-from .kernel import Kernel, config_bernoulli, config_indicator
+from .kernel import Kernel, config_indicator
 from .spin import (CELLS, SPIN_CHUNK, EventLog, EventTable, NPParams, _pack_rows, _unpack_rows,
-                   replay_forward, sample_event_log)
+                   _windows, replay_forward_batch, sample_event_log)
 from .stats import MCEstimate, two_sample_z
 
 __all__ = [
@@ -46,7 +51,6 @@ __all__ = [
     "replay_dual_batch",
     "simulate_dual_fresh",
     "dual_sizes_fresh",
-    "parity_overlap",
     "parity_duality_mc",
     "bernoulli_parity_identity",
     "ZBDistribution",
@@ -85,9 +89,60 @@ def replay_dual(xi0: np.ndarray, log: EventLog, t: float) -> np.ndarray:
     return _unpack_rows(rows, xi0)
 
 
-def replay_dual_batch(cols0: np.ndarray, log: EventLog, t: float) -> np.ndarray:
-    """replay_dual over column-stacked configurations of shape (n_sites, m)."""
-    return replay_dual(np.asarray(cols0, dtype=np.uint8), log, t)
+def replay_dual_batch(cols0: np.ndarray, log: EventLog, t: float,
+                      bounds: np.ndarray) -> np.ndarray:
+    """replay_dual over consecutive windows of the events with time <= t, one per column.
+
+    ``cols0`` and ``bounds`` are as for :func:`ipsd.spin.replay_forward_batch`:
+    record j of column i runs, in reverse, the events of window i up to
+    the first bounds[i, j].  One reverse fold per window gives every
+    record: from the last stretch to the first, stretch j sets the column
+    in bit j of the site rows and folds its events back over every bit at
+    once, so bit j ends as record j.  The windows run last to first over
+    one reversed event iterator, which first skips the events after t.
+    Returns the records, uint8 of shape (n_sites, m, k).
+    """
+    starts, stretches, (m, k, n) = _windows(cols0, log, t, bounds)
+    ends = [0, *(stretch[-1] for stretch in stretches)]
+    back = islice(zip(*map(reversed, log.columns)), len(log) - ends[-1], None)
+    packed: list[list[int]] = []
+    for lo, stretch, col in zip(reversed(ends[:-1]), reversed(stretches), reversed(starts)):
+        edges = [lo, *stretch]
+        rows = [0] * n
+        for j in reversed(range(k)):
+            rows = [row | b << j for row, b in zip(rows, col)]
+            _fold_dual(rows, islice(back, edges[j + 1] - edges[j]))
+        packed.append(rows)
+    flat = [row for rows in reversed(packed) for row in rows]
+    bits = _unpack_rows(flat, np.empty((m * n, k), dtype=np.uint8))
+    return bits.reshape(m, n, k).transpose(1, 0, 2)
+
+
+def _window_log(p: NPParams, k: Kernel, grid: list[float], reps: int, rng: np.random.Generator,
+                table: EventTable | None) -> tuple[EventLog, np.ndarray]:
+    """One log on [0, reps*T], T = grid[-1], cut into ``reps`` windows of length T.
+
+    ``grid`` is sorted.  Returns the log and the bounds, shape
+    (reps, len(grid)): entry (i, j) is the number of events with time <=
+    i*T + grid[j].  A Poisson process has independent increments and iid
+    marks, so the events of window (i*T, (i+1)*T], shifted by i*T, are a
+    fresh log on [0, T]; the bounds i*T + g are floats, so a bound may move
+    by one ulp of reps*T.  Each window starts at the last bound of the one
+    before, so the windows partition the log's events.
+    """
+    stops = np.add.outer(np.arange(reps) * grid[-1], grid)
+    log = sample_event_log(p, k, stops[-1, -1] if reps else 0.0, rng, table=table)
+    # a bound never lies before the one before it, whatever the rounding
+    bounds = np.maximum.accumulate(log.times.searchsorted(stops.ravel(), side="right"))
+    return log, bounds.reshape(stops.shape)
+
+
+def _batch_size(table: EventTable, horizon: float, most: float) -> int:
+    """Replicates per batch log: at most ``most`` and CELLS // 16 expected events, or one."""
+    per_rep = table.total_rate * horizon  # expected events of one window
+    if per_rep > 0:
+        most = min(most, CELLS // 16 / per_rep)
+    return max(1, int(most))
 
 
 def simulate_dual_fresh(p: NPParams, k: Kernel, B, grid, reps: int, rng: np.random.Generator,
@@ -95,34 +150,27 @@ def simulate_dual_fresh(p: NPParams, k: Kernel, B, grid, reps: int, rng: np.rand
     """``reps`` fresh dual chains from 1_B: transposed updates, forward order, one shared log.
 
     With T = max(grid), samples one log on [0, reps*T]; replicate i runs
-    over the events of its own window (i*T, (i+1)*T] and records the dual
-    at i*T + g for each sorted grid time g, after every event up to it.  A
-    Poisson process has independent increments and iid marks, so each
-    window is a fresh log on [0, T]; the bounds i*T + g are floats, so a
-    bound may move by one ulp of reps*T.  Each window starts at the last
-    bound of the one before, so the windows partition the log's events.
+    over the events of its own window (i*T, (i+1)*T] (see :func:`_window_log`)
+    and records the dual at i*T + g for each sorted grid time g, after
+    every event up to it.
 
     Returns the duals, shape (reps, len(grid), n), uint8, and the events of
     each window, shape (reps,), int64, which sum to the length of the log.
     """
     grid = check_grid(grid, "grid")
-    stops = np.add.outer(np.arange(reps) * grid[-1], grid)
-    log = sample_event_log(p, k, stops[-1, -1] if reps else 0.0, rng, table=table)
-    # a bound never lies before the one before it, whatever the rounding
-    bounds = np.maximum.accumulate(log.times.searchsorted(stops.ravel(), side="right"))
+    log, bounds = _window_log(p, k, grid, reps, rng, table)
     start = config_indicator(k.n, B).tolist()
     events = zip(*log.columns)
-    ends = bounds.tolist()
     snaps: list[int] = []
     done = 0
-    for i in range(0, len(ends), len(grid)):
+    for stretch in bounds.tolist():
         rows = start.copy()
-        for upto in ends[i:i + len(grid)]:
+        for upto in stretch:
             _fold_dual(rows, islice(events, upto - done))
             done = upto
             snaps += rows
     duals = np.frombuffer(bytearray(snaps), dtype=np.uint8).reshape(reps, len(grid), k.n)
-    return duals, np.diff(bounds[len(grid) - 1::len(grid)], prepend=0)
+    return duals, np.diff(bounds[:, -1], prepend=0)
 
 
 def _fresh_batches(p: NPParams, k: Kernel, B, grid, reps: int, rng: np.random.Generator,
@@ -134,11 +182,7 @@ def _fresh_batches(p: NPParams, k: Kernel, B, grid, reps: int, rng: np.random.Ge
     one replicate.
     """
     grid = check_grid(grid, "grid")
-    per_rep = table.total_rate * grid[-1]  # expected events of one window
-    size = CELLS // (len(grid) * k.n)
-    if per_rep > 0:
-        size = min(size, CELLS // 16 / per_rep)
-    size = max(1, int(size))
+    size = _batch_size(table, grid[-1], CELLS // (len(grid) * k.n))
     for lo in range(0, reps, size):
         yield (lo, *simulate_dual_fresh(p, k, B, grid, min(size, reps - lo), rng, table=table))
 
@@ -160,39 +204,42 @@ def dual_sizes_fresh(p: NPParams, k: Kernel, B, grid, reps: int, rng: np.random.
 # -- parity -------------------------------------------------------------------
 
 
-def parity_overlap(a: np.ndarray, b: np.ndarray) -> int:
-    """<a, b> mod 2 for two 0/1 configurations."""
-    return int(np.bitwise_and(a, b).sum()) & 1
+def _parities(records: np.ndarray, sites) -> np.ndarray:
+    """<1_sites, record> mod 2, as int64, of every record in an (n_sites, ...) array."""
+    return (records[sites].sum(axis=0) & 1).astype(np.int64)
 
 
 def _parity_chunk(p, k, A, B, grid, table, size, rng):
-    horizon = grid[-1]
-    fwd = np.empty((size, len(grid)), dtype=np.int64)
-    dual = np.empty((size, len(grid)), dtype=np.int64)
-    dualmc = np.empty(size, dtype=np.int64)
-    events = np.empty(size, dtype=np.int64)
+    """Pathwise parities on the windows of batch logs, then the chunk's fresh duals."""
     etaA = config_indicator(k.n, A)
     indB = config_indicator(k.n, B)
-    for i in range(size):
-        log = sample_event_log(p, k, horizon, rng, table=table)
-        events[i] = len(log)
-        for j, t in enumerate(grid):
-            fwd[i, j] = parity_overlap(replay_forward(etaA, log, t), indB)
-            dual[i, j] = parity_overlap(replay_dual(indB, log, t), etaA)
-    for lo, duals, held in _fresh_batches(p, k, B, [horizon], size, rng, table):
+    fwd, dual, events = [], [], []
+    batch = _batch_size(table, grid[-1], size)
+    for lo in range(0, size, batch):
+        n = min(batch, size - lo)
+        log, bounds = _window_log(p, k, grid, n, rng, table)
+        fwd.append(_parities(replay_forward_batch(np.tile(etaA[:, None], n), log, log.horizon,
+                                                  bounds), B))
+        dual.append(_parities(replay_dual_batch(np.tile(indB[:, None], n), log, log.horizon,
+                                                bounds), A))
+        events.append(np.diff(bounds[:, -1], prepend=0))
+    events = np.concatenate(events)
+    dualmc = np.empty(size, dtype=np.int64)
+    for lo, duals, held in _fresh_batches(p, k, B, [grid[-1]], size, rng, table):
         dualmc[lo:lo + len(duals)] = (duals[:, -1] & etaA).sum(axis=1) & 1
         events[lo:lo + len(duals)] += held
-    return fwd, dual, dualmc, events
+    return np.concatenate(fwd), np.concatenate(dual), dualmc, events
 
 
 def parity_duality_mc(p: NPParams, k: Kernel, A, B, t: float, reps: int, master_seed: int,
                       role: str, threads: int = 1) -> dict:
     """Pathwise and distributional parity duality from one ensemble.
 
-    Each replicate samples one log on [0, t] and records, at t/2 and t, the
-    forward parity <1_B, eta^A> and the replayed dual's <xi^B, 1_A>
-    (``pathwise_forward``, ``pathwise_dual``; they differ in ``violations``
-    entries), then runs a fresh dual chain to t (``fresh_dual``).  The
+    Each replicate has a shared log on [0, t], its window of a batch log,
+    and records, at t/2 and t, the forward parity <1_B, eta^A> and the
+    replayed dual's <xi^B, 1_A> (``pathwise_forward``, ``pathwise_dual``;
+    they differ in ``violations`` entries).  It then runs a fresh dual
+    chain to t (``fresh_dual``) on a window of a later batch log.  The
     ``forward`` and ``dual`` estimates of P(odd) at t are compared by ``z``.
     ``times`` holds the two recording times, ``log_events`` the events of
     every log sampled, shared and fresh.
@@ -209,16 +256,17 @@ def parity_duality_mc(p: NPParams, k: Kernel, A, B, t: float, reps: int, master_
 
 
 def _bernoulli_chunk(p, k, B, t, table, size, rng):
-    indB = config_indicator(k.n, B)
-    direct = np.empty(size)
-    alive = np.empty(size)
-    for i in range(size):
-        eta0 = config_bernoulli(k.n, 0.5, rng)
-        log = sample_event_log(p, k, t, rng, table=table)
-        direct[i] = parity_overlap(replay_forward(eta0, log, t), indB)
+    """Forward parities from Bernoulli(1/2) starts, one per window, then the fresh duals."""
+    direct, alive = [], np.empty(size)
+    batch = _batch_size(table, t, size)
+    for lo in range(0, size, batch):
+        n = min(batch, size - lo)
+        starts = rng.random((n, k.n)) < 0.5  # Bernoulli(1/2) each
+        log, bounds = _window_log(p, k, [t], n, rng, table)
+        direct.append(_parities(replay_forward_batch(starts.T, log, log.horizon, bounds), B))
     for lo, duals, _ in _fresh_batches(p, k, B, [t], size, rng, table):
         alive[lo:lo + len(duals)] = duals[:, -1].any(axis=1)
-    return direct, alive
+    return np.concatenate(direct)[:, 0].astype(float), alive
 
 
 def bernoulli_parity_identity(p: NPParams, k: Kernel, B, t: float, reps: int,

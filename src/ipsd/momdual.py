@@ -308,6 +308,21 @@ def _check_reps(**reps: int) -> None:
                              f"needs a standard error")
 
 
+def _check_coexist_args(s: float, torus: Torus, t_het: float, horizon_surv: float,
+                        kappa: float, reps_het: int, reps_surv: int,
+                        cap: int) -> tuple[float, float]:
+    """Refuse what :func:`coexistence_probe` refuses; returns the checked horizons."""
+    if s <= 0:
+        raise ValueError("the coexistence probe is for s > 0")
+    if not 0.0 < kappa < 0.5:
+        raise ValueError(f"kappa must lie in (0, 1/2), got {kappa}")
+    t_het = check_horizon(t_het, "t_het")
+    horizon_surv = check_horizon(horizon_surv, "horizon_surv")
+    _check_reps(reps_het=reps_het, reps_surv=reps_surv)
+    count_row({0: 2}, torus, cap)
+    return t_het, horizon_surv
+
+
 def coexistence_probe(s: float, torus: Torus, stencil: Stencil, master_seed: int,
                       t_het: float = 10.0, horizon_surv: float = 50.0,
                       kappa: float = 0.1, reps_het: int = 800, reps_surv: int = 500,
@@ -323,15 +338,9 @@ def coexistence_probe(s: float, torus: Torus, stencil: Stencil, master_seed: int
     vanishes beyond its error bars.  A ``cap`` below the two starting
     particles is refused before anything is simulated.
     """
-    if s <= 0:
-        raise ValueError("the coexistence probe is for s > 0")
-    if not 0.0 < kappa < 0.5:
-        raise ValueError(f"kappa must lie in (0, 1/2), got {kappa}")
-    t_het = check_horizon(t_het, "t_het")
-    horizon_surv = check_horizon(horizon_surv, "horizon_surv")
-    _check_reps(reps_het=reps_het, reps_surv=reps_surv)
+    t_het, horizon_surv = _check_coexist_args(s, torus, t_het, horizon_surv, kappa, reps_het,
+                                              reps_surv, cap)
     xi0 = {0: 2}
-    count_row(xi0, torus, cap)
     params = DiffusionParams(torus=torus, stencil=stencil, s=s, mu=2.0, dt=dt)
     p0 = np.full(torus.shape, 0.5)
     vals = ensemble_observable(params, p0, [t_het], partial(field_moment, {0: 1}), reps_het,
@@ -369,6 +378,21 @@ class ExtinctionReport:
         return self.forward_below_bound and self.forward_decreasing and self.dual_decreasing
 
 
+def _check_extinct_args(s: float, mu: float, torus: Torus, p0_value: float,
+                        xi0: dict[int, int], eps: float, grid, reps_fwd: int, reps_dual: int,
+                        cap: int) -> list[float]:
+    """Refuse what :func:`extinction_probe` refuses; returns the checked grid."""
+    count_row(xi0, torus, cap)
+    if s >= 0 or not (-1.0 <= mu <= 0.0):
+        raise ValueError("the extinction probe needs s < 0 and mu in [-1, 0]")
+    if not (0.0 < eps < 1.0 and 0.0 <= p0_value < 1.0 - eps):
+        raise ValueError(f"need 0 < eps < 1 and 0 <= p0 < 1 - eps, got eps = {eps}, "
+                         f"p0 = {p0_value}")
+    grid = check_grid(grid, "grid")
+    _check_reps(reps_fwd=reps_fwd, reps_dual=reps_dual)
+    return grid
+
+
 def extinction_probe(s: float, mu: float, torus: Torus, stencil: Stencil,
                      p0_value: float, xi0: dict[int, int], eps: float, grid,
                      reps_fwd: int, reps_dual: int, master_seed: int,
@@ -383,14 +407,7 @@ def extinction_probe(s: float, mu: float, torus: Torus, stencil: Stencil,
     total above ``cap``, or a ``p0_value`` outside [0, 1 - eps), is refused
     before anything is simulated.
     """
-    count_row(xi0, torus, cap)
-    if s >= 0 or not (-1.0 <= mu <= 0.0):
-        raise ValueError("the extinction probe needs s < 0 and mu in [-1, 0]")
-    if not (0.0 < eps < 1.0 and 0.0 <= p0_value < 1.0 - eps):
-        raise ValueError(f"need 0 < eps < 1 and 0 <= p0 < 1 - eps, got eps = {eps}, "
-                         f"p0 = {p0_value}")
-    grid = check_grid(grid, "grid")
-    _check_reps(reps_fwd=reps_fwd, reps_dual=reps_dual)
+    grid = _check_extinct_args(s, mu, torus, p0_value, xi0, eps, grid, reps_fwd, reps_dual, cap)
     params = DiffusionParams(torus=torus, stencil=stencil, s=s, mu=mu, dt=dt)
     p0 = np.full(torus.shape, p0_value)
 

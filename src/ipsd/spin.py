@@ -278,6 +278,15 @@ def sample_event_log(p: NPParams, k: Kernel, horizon: float, rng: np.random.Gene
     return EventLog._sampled(horizon, times, table.xa[which], table.ya[which], table.za[which])
 
 
+def _zero_one(cols: np.ndarray) -> np.ndarray:
+    """The 0/1 entries of a column stack as bools; any other entry is refused by value."""
+    ones = cols == 1
+    if np.count_nonzero(ones) != np.count_nonzero(cols):
+        bad = cols[~ones & (cols != 0)][0]
+        raise ValueError(f"column-stacked replay takes 0/1 entries, got {bad}")
+    return ones
+
+
 def _pack_rows(cols: np.ndarray) -> list[int]:
     """Site rows of a configuration as Python ints, for the replay folds.
 
@@ -287,11 +296,7 @@ def _pack_rows(cols: np.ndarray) -> list[int]:
     """
     if cols.ndim == 1:
         return cols.tolist()
-    ones = cols == 1
-    if np.count_nonzero(ones) != np.count_nonzero(cols):
-        bad = cols[~ones & (cols != 0)][0]
-        raise ValueError(f"column-stacked replay takes 0/1 entries, got {bad}")
-    packed = np.packbits(ones.reshape(len(cols), -1), axis=1, bitorder="little")
+    packed = np.packbits(_zero_one(cols).reshape(len(cols), -1), axis=1, bitorder="little")
     width = packed.shape[1]
     raw = packed.tobytes()
     return [int.from_bytes(raw[i * width:(i + 1) * width], "little") for i in range(len(cols))]
@@ -335,9 +340,51 @@ def replay_forward(eta0: np.ndarray, log: EventLog, t: float) -> np.ndarray:
     return _unpack_rows(rows, eta0)
 
 
-def replay_forward_batch(cols0: np.ndarray, log: EventLog, t: float) -> np.ndarray:
-    """replay_forward over column-stacked configurations of shape (n_sites, m)."""
-    return replay_forward(np.asarray(cols0, dtype=np.uint8), log, t)
+def _windows(cols0, log: EventLog, t: float, bounds) -> tuple[list, list, tuple[int, int, int]]:
+    """The columns and bounds of a windowed batch replay as lists, after its checks, and
+    the (m, k, n_sites) shape of its records.
+
+    ``cols0`` is an (n_sites, m) stack of 0/1 entries and ``bounds`` an
+    (m, k) array of event counts, k >= 1, that never decrease along its
+    rows and end at ``log.count_up_to(t)``.
+    """
+    cols = np.asarray(cols0, dtype=np.uint8)
+    bounds = np.asarray(bounds)
+    if (cols.ndim != 2 or bounds.ndim != 2 or bounds.shape[:1] != cols.shape[1:]
+            or bounds.shape[1] < 1):
+        raise ValueError(f"a windowed replay takes an (n_sites, m) stack and (m, k >= 1) "
+                         f"bounds, got {cols.shape} and {bounds.shape}")
+    flat = bounds.ravel()
+    if len(flat) and not (flat[0] >= 0 and (flat[1:] >= flat[:-1]).all()
+                          and flat[-1] == log.count_up_to(t)):
+        raise ValueError(f"window bounds must rise from 0 to the {log.count_up_to(t)} events "
+                         f"up to t = {t}")
+    _zero_one(cols)
+    return cols.T.tolist(), bounds.tolist(), (*bounds.shape, len(cols))
+
+
+def replay_forward_batch(cols0: np.ndarray, log: EventLog, t: float,
+                         bounds: np.ndarray) -> np.ndarray:
+    """replay_forward over consecutive windows of the events with time <= t, one per column.
+
+    ``cols0`` is an (n_sites, m) stack of 0/1 starts and ``bounds`` an
+    (m, k) array of event counts: column i runs the events after the
+    first bounds[i - 1, -1] (from the first event, for i = 0) and is
+    recorded once the first bounds[i, j] have run, for each j.  The bounds
+    never decrease and end at ``log.count_up_to(t)``, so the windows split
+    those events and one pass over them records every column.  Returns the
+    records, uint8 of shape (n_sites, m, k).
+    """
+    starts, stretches, shape = _windows(cols0, log, t, bounds)
+    events = zip(*log.columns)
+    snaps: list[int] = []
+    done = 0
+    for rows, stretch in zip(starts, stretches):
+        for upto in stretch:
+            _fold_forward(rows, islice(events, upto - done))
+            done = upto
+            snaps += rows
+    return np.frombuffer(bytearray(snaps), dtype=np.uint8).reshape(shape).transpose(2, 0, 1)
 
 
 # -- Gillespie ----------------------------------------------------------------

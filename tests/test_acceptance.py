@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from ipsd.cli import main as cli_main
-from ipsd.dualspin import replay_dual_batch
+from ipsd.dualspin import replay_dual
 from ipsd.diffusion import DiffusionParams
 from ipsd.exact import (build_generator_dual, build_generator_from_events,
                         build_generator_np, parity_deviation, parity_deviation_enum,
@@ -25,8 +25,7 @@ from ipsd.meanfield import equilibrium, bind_density_rhs, integrate_ode, meanfie
 from ipsd.momdual import (coexistence_probe, extinction_probe,
                           generator_duality_battery, moment_duality_mc)
 from ipsd.rng import derive_stream
-from ipsd.spin import (EventTable, NPParams, flip_rates_all, replay_forward, replay_forward_batch,
-                       sample_event_log)
+from ipsd.spin import EventTable, NPParams, flip_rates_all, replay_forward, sample_event_log
 from ipsd.stats import MCEstimate
 from ipsd.walkers import BCRW, CRW, DBARW, simulate_walker
 
@@ -65,8 +64,8 @@ def test_criterion_01_pathwise_parity_duality():
             log = sample_event_log(p, k, horizon, derive_stream(MASTER, f"c1-log-{alpha}", i),
                                    table=table)
             for t in t_grid:
-                eta = replay_forward_batch(a_cols, log, t)
-                xi = replay_dual_batch(b_cols, log, t)
+                eta = replay_forward(a_cols, log, t)
+                xi = replay_dual(b_cols, log, t)
                 fwd = (eta * b_cols).sum(axis=0) & 1
                 dual = (xi * a_cols).sum(axis=0) & 1
                 violations += int((fwd != dual).sum())
@@ -162,7 +161,7 @@ def test_criterion_05_bernoulli_invariance():
         for ti, t in enumerate(t_grid):
             eta = replay_forward(eta0, log, t)
             hits[ti] += (b_cols.T @ eta) & 1
-            dead_duals += int((~replay_dual_batch(b_cols, log, t).any(axis=0)).sum())
+            dead_duals += int((~replay_dual(b_cols, log, t).any(axis=0)).sum())
     worst_z, worst_mean = 0.0, 0.5
     for ti in range(len(t_grid)):
         for j in range(10):

@@ -42,6 +42,9 @@ _PARITY = ["parity-check", "--config", str(CONFIGS / "parity-check.ini"), "--rep
     pytest.param(["coexist-probe"], KeyError, id="missing-key"),
     pytest.param(["spin-run", "--config", "{tmp}/repeated.ini"],
                  configparser.DuplicateOptionError, id="repeated-key"),
+    pytest.param(["sweep", "--config", str(CONFIGS / "sweep.ini"), "--reps", "2",
+                  "--set", "sweep.values=0.2,x", "--set", "run.T=1"], ValueError,
+                 id="swept-value"),
 ])
 def test_the_command_reports_a_refusal_as_one_line_without_a_traceback(tmp_path, argv, error):
     # main() raises, which the tests and the benchmark rely on; the command
@@ -249,9 +252,9 @@ SPIN_DUAL_DIGESTS = [
       "dual_survival.csv": "b469561aae905f1d70a3f6d6531065a26251917970f53b55f71c015693fe847a"}),
     (["parity-check", "--set", "kernel.d=2", "--set", "kernel.L=3", "--set", "params.alpha=0.3",
       "--set", "run.A=0,4", "--set", "run.B=1,5,8", "--set", "run.T=2"],
-     {"parity-check.json": "1a06ddb424dd59dfdec7418ef085990ca1b2836d44eecdb3a256e598b1e75a67",
-      "parity_mc.csv": "7d8b96eff8ccdca35fae2b53a22aad6e7c005aa5f929a8cc9a0fdc7c31c17a52",
-      "parity_pathwise.csv": "26ae0001f4137976101faf60bcaa2fa4d7e683159910d8f6fee6808e37fb3b9d"}),
+     {"parity-check.json": "52ae6bebb090b20aa5b62b2dc4b0b6582481ad94fd943a846e2aa6eb07331294",
+      "parity_mc.csv": "254c1eb7c61874e3e6f5ba960c847978bbce5cc1c6b41fc5ca773ae390c1f675",
+      "parity_pathwise.csv": "afceae1dcd7b718e824fcfd1bf365b10ce0bd4b4d3585dae7a4e362b42cb6add"}),
 ]
 
 
@@ -484,11 +487,44 @@ def test_a_malformed_list_or_spec_value_is_refused_by_key_before_any_engine_runs
 
 
 def test_a_value_in_a_swept_list_is_refused_by_its_key(tmp_path):
-    # the sweep reads each point's keys when it runs that point, so the 0.2
-    # point has run and written its report by then
+    # every point's keys are read before the first point runs, so the 0.2
+    # point writes nothing either
     with pytest.raises(ValueError, match="^params.alpha01 must be float, got 'x'$"):
         main(["sweep", "--config", str(CONFIGS / "sweep.ini"), "--seed", "3", "--reps", "2",
               "--out", str(tmp_path), "--set", "sweep.values=0.2,x", "--set", "run.T=1"])
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, vary, values, message", [
+    (["--set", "sweep.over=parity-check", "--config", str(CONFIGS / "parity-check.ini")],
+     "run.b", "1,99", r"^run.b must list distinct nonnegative sites < 16, got \[99\]$"),
+    (["--set", "sweep.over=moment-check", "--config", str(CONFIGS / "moment-check.ini")],
+     "run.regime", "auto,walkers", r"^unknown regime 'walkers'$"),
+    (["--set", "sweep.over=exact-check", "--config", str(CONFIGS / "exact-check.ini")],
+     "run.kernels", "torus:1:3,torus:1:20", r"^kernel torus:1:20 has 20 sites"),
+    (["--set", "sweep.over=coexist-probe", "--config", str(CONFIGS / "coexist-probe.ini")],
+     "run.kappa", "0.1,0.7", r"^kappa must lie in \(0, 1/2\), got 0.7$"),
+    (["--set", "sweep.over=extinct-probe", "--config", str(CONFIGS / "extinct-probe.ini")],
+     "model.mu", "-0.5,0.5", r"^the extinction probe needs s < 0 and mu in \[-1, 0\]$"),
+    (["--set", "sweep.over=walker-run", "--config", str(CONFIGS / "walker-run.ini")],
+     "run.cap", "10,1", r"^the initial walker total 2 exceeds the cap 1$"),
+    (["--set", "sweep.over=moment-check", "--config", str(CONFIGS / "moment-check.ini"),
+      "--set", "run.cap=2"], "run.xi0", "0:2,0:3", r"^the initial walker total 3 exceeds the cap 2$"),
+    (["--set", "sweep.over=meanfield", "--config", str(CONFIGS / "meanfield.ini")],
+     "run.compare_n", "0,1", r"^run.compare_n must be 0 \(no comparison\) or at least 2, got 1$"),
+])
+def test_a_sweep_refuses_a_late_point_before_any_point_runs(tmp_path, monkeypatch, argv, vary,
+                                                             values, message):
+    # the last point's value is refused by the check of its subcommand, and
+    # no point before it has derived a stream or written a file
+    def no_stream(*args, **kwargs):
+        raise AssertionError("a point ran before every point was read")
+
+    monkeypatch.setattr(harness, "derive_stream", no_stream)
+    with pytest.raises(ValueError, match=message):
+        main(["sweep", "--seed", "3", "--reps", "2", "--out", str(tmp_path), *argv,
+              "--set", f"sweep.vary={vary}", "--set", f"sweep.values={values}"])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_spin_run_refuses_its_initial_law_before_any_chunk_stream_is_derived(tmp_path,

@@ -136,9 +136,9 @@ REPLAY_DIGESTS = {
         "dual_sizes.csv": "5ee3b7b865189c74423068f51e1cd3d1be6aa83a666a268c311ff4882ea740a9",
         "dual_survival.csv": "9554442646c6da99c1721f93e105f7601d9923176f35bf4484ca865b04251816"},
     "parity-check": {
-        "parity-check.json": "5ebfc95a64f04f38ed46b3af35d0c21987d5c9c72345361ad1b95524121908bb",
-        "parity_mc.csv": "559e512f10a46eb793aefe2edfde50f05e0dad72f42f1144d6d1d9335623227f",
-        "parity_pathwise.csv": "43643e2d53c5d16deb5e36a87f101c811c9911875c870bd0b59b3952c835acd2"},
+        "parity-check.json": "a2cbaa0d61c91f77fde707e3d17fafdb779f6c94ba2f739b45c87bb4da32ce5f",
+        "parity_mc.csv": "b3ba9d68cf4c0134c624b27f933bd84142db34c2e0963aeef6419ac7919daf74",
+        "parity_pathwise.csv": "6c60dbd631bd2ad41dec5fc5c0edd2bc499e8d7f0448f8f130a888fffde8e200"},
 }
 
 
@@ -238,9 +238,9 @@ BENCHMARK_DIGESTS = {
         "dual_sizes.csv": "fa9bad21869ef28e48068d3055958a3035fc7ea8af94f77b0cc241d970c92bc3",
         "dual_survival.csv": "39271a109f2c01a8443e2df07659171a5fd6c72444dbe50ac23762cd39b15fb6"},
     "spin-torus/parity-check": {
-        "parity-check.json": "c1365e07032f26d96601290edb3e31341e867f35e66ceeedc7e8c7ca5ccde19e",
-        "parity_mc.csv": "845bb2f7e470ebbc0dba47ee7542e7c4c70e5310b0615f459656b270195d03eb",
-        "parity_pathwise.csv": "f5bd1c2d18f16a1de078c3cdc39a9fdd08132a4af42f10728275c7fdc9a22777"},
+        "parity-check.json": "11ce41b48715d4d239949aacc74a0e7df6f76d6ed108079dd0fa6c968df64a68",
+        "parity_mc.csv": "40520fe93ec90d78baf16dd0fd104734bae7049bb0f67bc9056f1f13cae47354",
+        "parity_pathwise.csv": "8d0a905a2858dfaf6ff38e2e0a5a2a5d5c43ddbb1c71c0cd34daf22f977cc8d8"},
     "spin-torus/spin-run": {
         "spin-run.json": "2c813b75b996dfae3fb68f01fada1ddf2f79d2200f61d27a81ca3117a3bfd908",
         "spin_density.csv": "544b2f8a63c25c5b85ddcddc5e99a7427a2d7498a9503c7b8c08158ae03d2060"},

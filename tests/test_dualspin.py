@@ -1,31 +1,39 @@
 """Dual chain for the spin system: pathwise identity, survival, size law."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from ipsd import dualspin, harness
 from ipsd.dualspin import (ZBDistribution, bernoulli_parity_identity, dual_sizes_fresh,
-                           evug_statistic, limit_formula, parity_duality_mc, parity_overlap,
-                           replay_dual, replay_dual_batch, simulate_dual_fresh)
+                           evug_statistic, limit_formula, parity_duality_mc, replay_dual,
+                           replay_dual_batch, simulate_dual_fresh)
 from ipsd.exact import _dual_event_target, build_generator_dual, semigroup_apply
-from ipsd.harness import check_grid, check_horizon
+from ipsd.harness import check_grid, check_horizon, replicate_map
 from ipsd.kernel import complete_kernel, config_indicator, explicit_kernel, torus_kernel
 from ipsd.rng import derive_stream
-from ipsd.spin import EventLog, EventTable, NPParams, replay_forward, sample_event_log
+from ipsd.spin import (SPIN_CHUNK, EventLog, EventTable, NPParams, replay_forward,
+                       replay_forward_batch, sample_event_log)
 from test_spin import _config_to_state, _one_event, _state_after
 from test_walkers import _chi2_gof, _chi2_sf
 
 
+def _parity_overlap(a: np.ndarray, b: np.ndarray) -> int:
+    """<a, b> mod 2 for two 0/1 configurations: the pathwise gates' side of each replay."""
+    return int(np.bitwise_and(a, b).sum()) & 1
+
+
 def test_parity_helpers():
     cfg = np.array([1, 0, 1, 1], dtype=np.uint8)
-    assert parity_overlap(cfg, config_indicator(4, [0])) == 1
-    assert parity_overlap(cfg, config_indicator(4, [0, 2])) == 0
-    assert parity_overlap(cfg, config_indicator(4, [0, 1, 3])) == 0
-    assert parity_overlap(cfg, config_indicator(4, [])) == 0
+    assert _parity_overlap(cfg, config_indicator(4, [0])) == 1
+    assert _parity_overlap(cfg, config_indicator(4, [0, 2])) == 0
+    assert _parity_overlap(cfg, config_indicator(4, [0, 1, 3])) == 0
+    assert _parity_overlap(cfg, config_indicator(4, [])) == 0
     other = np.array([1, 1, 0, 1], dtype=np.uint8)
-    assert parity_overlap(cfg, other) == 0  # overlap {0,3}: even
-    assert parity_overlap(cfg, np.array([0, 0, 1, 1], dtype=np.uint8)) == 0
-    assert parity_overlap(cfg, np.array([0, 0, 0, 1], dtype=np.uint8)) == 1
+    assert _parity_overlap(cfg, other) == 0  # overlap {0,3}: even
+    assert _parity_overlap(cfg, np.array([0, 0, 1, 1], dtype=np.uint8)) == 0
+    assert _parity_overlap(cfg, np.array([0, 0, 0, 1], dtype=np.uint8)) == 1
 
 
 def test_one_event_dual_hand_cases():
@@ -68,14 +76,14 @@ def test_replay_dual_reverses_event_order():
     assert list(replay_forward(xi0, log, 2.0)) == [0, 0, 0]
 
 
-def test_replay_dual_batch_matches_columns():
+def test_a_stacked_dual_replay_matches_its_columns():
     p = NPParams.symmetric(0.6)
     k = torus_kernel(1, 5)
     rng = derive_stream(13, "dual-batch")
     log = sample_event_log(p, k, 4.0, rng)
     cols0 = (rng.random((k.n, 6)) < 0.5).astype(np.uint8)
     for t in (0.0, 1.7, 4.0):
-        batched = replay_dual_batch(cols0, log, t)
+        batched = replay_dual(cols0, log, t)
         for j in range(6):
             assert np.array_equal(batched[:, j], replay_dual(cols0[:, j], log, t))
 
@@ -96,7 +104,7 @@ def test_pathwise_duality_exhaustive_small():
                 for B in subsets:
                     indB = config_indicator(4, B)
                     xi_t = replay_dual(indB, log, t)
-                    assert parity_overlap(eta_t, indB) == parity_overlap(xi_t, etaA)
+                    assert _parity_overlap(eta_t, indB) == _parity_overlap(xi_t, etaA)
 
 
 def test_annihilation_only_dual_never_dies():
@@ -190,6 +198,69 @@ def test_packed_replays_give_the_reference_bits(k, alpha):
             want = start.copy()
             _reference_fold_dual(want, log, reversed(range(upto)))
             assert np.array_equal(replay_dual(start, log, t), want)
+
+
+def _window_bounds(upto, m, k, rng):
+    """(m, k) event counts rising from 0 to ``upto``: a record before any event, an
+    empty window, and windows of different lengths."""
+    bounds = np.sort(rng.integers(0, upto + 1, m * k)).reshape(m, k)
+    bounds[0, 0] = 0
+    bounds[1] = bounds[0, -1]
+    bounds[-1, -1] = upto
+    return bounds
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.7])
+@pytest.mark.parametrize("k", FOLD_KERNELS)
+def test_windowed_batch_replays_give_the_reference_bits(k, alpha):
+    # column i runs the events after the first bounds[i - 1, -1]; record j
+    # stops at the first bounds[i, j], forward in time order and the dual in
+    # reverse from there back to the window's start
+    log = _fold_log(NPParams.symmetric(alpha), k, 31)
+    t = float(log.times[-2])  # the last event lies past every window
+    rng = derive_stream(37, "fold-windows")
+    bounds = _window_bounds(log.count_up_to(t), 6, 3, rng)
+    cols = rng.integers(0, 2, (k.n, 6), dtype=np.uint8)
+    before = cols.copy()
+    fwd = replay_forward_batch(cols, log, t, bounds)
+    dual = replay_dual_batch(cols, log, t, bounds)
+    assert fwd.shape == dual.shape == (k.n, 6, 3) and fwd.dtype == dual.dtype == np.uint8
+    assert np.array_equal(cols, before)
+    lo = 0
+    for i in range(6):
+        for j in range(3):
+            hi = int(bounds[i, j])
+            assert np.array_equal(fwd[:, i, j], _state_after(cols[:, i], log, lo, hi)), (i, j)
+            want = cols[:, i].copy()
+            _reference_fold_dual(want, log, reversed(range(lo, hi)))
+            assert np.array_equal(dual[:, i, j], want), (i, j)
+        lo = hi
+
+
+@pytest.mark.parametrize("replay", [replay_forward_batch, replay_dual_batch])
+@pytest.mark.parametrize("ndim, bounds, message", [
+    (2, [[0, 3], [3, 4]], "window bounds must rise from 0 to the 5 events up to t = 1.5$"),
+    (2, [[0, 3], [2, 5]], "window bounds must rise"),
+    (2, [[-1, 3], [3, 5]], "window bounds must rise"),
+    (2, [[0, 3], [3, 6]], "window bounds must rise"),
+    (2, [[0, 5]], r"a windowed replay takes an \(n_sites, m\) stack and \(m, k >= 1\) bounds, "
+                  r"got \(4, 2\) and \(1, 2\)$"),
+    (2, np.zeros((2, 0), dtype=np.int64), "a windowed replay takes"),
+    (1, [[0, 5]], "a windowed replay takes"),
+])
+def test_windowed_batch_replays_refuse_bounds_that_do_not_split_the_events_up_to_t(
+        replay, ndim, bounds, message):
+    times = [0.25, 0.5, 0.75, 1.0, 1.5, 1.75]
+    log = EventLog(2.0, np.array(times), np.zeros(6, dtype=np.int64),
+                   np.ones(6, dtype=np.int64), np.full(6, -1, dtype=np.int64))
+    cols = np.zeros((4, 2)[:ndim], dtype=np.uint8)
+    with pytest.raises(ValueError, match="^" + message):
+        replay(cols, log, 1.5, bounds)
+    cols = np.zeros((4, 2), dtype=np.uint8)
+    cols[3, 1] = 2
+    with pytest.raises(ValueError, match="0/1 entries, got 2"):
+        replay(cols, log, 1.5, [[0, 3], [3, 5]])
+    assert replay(cols.clip(0, 1), log, 1.5, [[0, 3], [3, 5]]).shape == (4, 2, 2)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.7])
@@ -565,11 +636,100 @@ def test_a_small_cells_budget_splits_a_chunk_into_several_logs(monkeypatch, cell
     assert [log.horizon / 2.0 for log in logs] == per_log
     assert sizes.shape == (7, 3) and (sizes[:, 0] >= 0).all() and events.shape == (7,)
     assert int(events.sum()) == sum(len(log) for log in logs)
-    # parity-check's chunk: one shared log per replicate, then the fresh batches
+    # parity-check's chunk: the shared batch logs, then the fresh batches, on one budget
     logs.clear()
     mc = parity_duality_mc(p, k, [1], LAW_B, 2.0, 7, 58, "cells")
-    assert [log.horizon / 2.0 for log in logs] == [1] * 7 + per_log
+    assert [log.horizon / 2.0 for log in logs] == per_log + per_log
     assert mc["fresh_dual"].shape == (7,) and mc["log_events"] == sum(len(log) for log in logs)
+
+
+# -- pathwise parity by the batch: each window against the single-log replays ---------
+
+
+def _window(log, i, T):
+    """Window i of a batch log, (i T, (i + 1) T], as a log of its own on [0, T]."""
+    lo, hi = log.count_up_to(i * T), log.count_up_to((i + 1) * T)
+    return EventLog(T, np.minimum(log.times[lo:hi] - i * T, T), log.xa[lo:hi], log.ya[lo:hi],
+                    log.za[lo:hi])
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.7])
+@pytest.mark.parametrize("k", LAW_KERNELS)
+def test_each_window_gives_the_parities_of_the_single_log_replays(monkeypatch, k, alpha):
+    # the chunk's pathwise parities at t/2 and t, window by window, are those
+    # of replay_forward and replay_dual on a log holding that window's events
+    logs = _spy_logs(monkeypatch)
+    p = NPParams.symmetric(alpha)
+    A, B, t, size = [0, 2], [1, 2, 4], 2.0, 40
+    table = EventTable.build(p, k)
+    fwd, dual, fresh, events = dualspin._parity_chunk(p, k, A, B, [t / 2, t], table, size,
+                                                      derive_stream(59, "parity-windows"))
+    shared, *fresh_logs = logs
+    assert shared.horizon == size * t and len(shared) > size
+    assert fwd.shape == dual.shape == (size, 2) and fresh.shape == events.shape == (size,)
+    assert int(events.sum()) == len(shared) + sum(len(log) for log in fresh_logs)
+    etaA, indB = config_indicator(k.n, A), config_indicator(k.n, B)
+    held = 0
+    for i in range(size):
+        window = _window(shared, i, t)
+        held += len(window)
+        for j, g in enumerate([t / 2, t]):
+            assert fwd[i, j] == _parity_overlap(replay_forward(etaA, window, g), indB), (i, j)
+            assert dual[i, j] == _parity_overlap(replay_dual(indB, window, g), etaA), (i, j)
+    assert held == len(shared)
+    assert (fwd == dual).all() and set(fwd.ravel().tolist()) == {0, 1}
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.7])
+@pytest.mark.parametrize("k", LAW_KERNELS)
+def test_each_bernoulli_window_folds_its_own_start(monkeypatch, k, alpha):
+    # the Bernoulli(1/2) starts are the chunk's first draws, one row per window
+    logs = _spy_logs(monkeypatch)
+    p = NPParams.symmetric(alpha)
+    B, t, size = [0, 3], 1.5, 30
+    direct, alive = dualspin._bernoulli_chunk(p, k, B, t, EventTable.build(p, k), size,
+                                              derive_stream(60, "bernoulli-windows"))
+    starts = (derive_stream(60, "bernoulli-windows").random((size, k.n)) < 0.5).astype(np.uint8)
+    shared = logs[0]
+    assert shared.horizon == size * t and direct.shape == alive.shape == (size,)
+    indB = config_indicator(k.n, B)
+    for i in range(size):
+        want = _parity_overlap(replay_forward(starts[i], _window(shared, i, t), t), indB)
+        assert direct[i] == want, i
+
+
+def _reference_parity_chunk(p, k, A, B, grid, table, size, rng):
+    """Pathwise parities as they were sampled before the batch: one log on [0, t] per
+    replicate, each time in ``grid`` replayed forward and in reverse from scratch."""
+    fwd = np.empty((size, len(grid)), dtype=np.int64)
+    dual = np.empty((size, len(grid)), dtype=np.int64)
+    etaA, indB = config_indicator(k.n, A), config_indicator(k.n, B)
+    for i in range(size):
+        log = sample_event_log(p, k, grid[-1], rng, table=table)
+        for j, t in enumerate(grid):
+            fwd[i, j] = _parity_overlap(replay_forward(etaA, log, t), indB)
+            dual[i, j] = _parity_overlap(replay_dual(indB, log, t), etaA)
+    return fwd, dual
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.7])
+@pytest.mark.parametrize("k", LAW_KERNELS)
+def test_batch_forward_parities_match_the_one_log_per_replicate_sampler(k, alpha):
+    # the joint law of the forward parities at (t/2, t): homogeneity chi-square
+    # of two equal samples, the batch windows against a log per replicate
+    p = NPParams.symmetric(alpha)
+    A, B, grid, reps = [0, 2], [1, 4], [0.75, 1.5], 3000
+    table = EventTable.build(p, k)
+    got = replicate_map(partial(dualspin._parity_chunk, p, k, A, B, grid, table), reps, 61,
+                        "parity-law", SPIN_CHUNK)[0]
+    want, want_dual = _reference_parity_chunk(p, k, A, B, grid, table, reps,
+                                              derive_stream(62, "parity-law"))
+    assert (want == want_dual).all()
+    a = np.bincount(got[:, 0] * 2 + got[:, 1], minlength=4)
+    b = np.bincount(want[:, 0] * 2 + want[:, 1], minlength=4)
+    a, b = a[a + b > 0], b[a + b > 0]
+    stat = float(((a - b) ** 2 / (a + b)).sum())
+    assert len(a) >= 2 and _chi2_sf(stat, len(a) - 1) > 1e-3, (stat, a, b)
 
 
 @pytest.mark.parametrize("times, message", [

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ipsd.diffusion import DiffusionParams, sigma_of_p
-from ipsd.dualspin import parity_overlap, replay_dual
+from ipsd.dualspin import replay_dual
 from ipsd.exact import _event_target
 from ipsd.kernel import (complete_kernel, config_bernoulli, config_indicator, frequency_of_ones,
                          torus_kernel)
@@ -15,6 +15,7 @@ from ipsd.spin import NPParams, flip_rate, replay_forward, sample_event_log
 from ipsd.stats import MCEstimate, wilson_lower, wilson_upper
 from ipsd.walkers import BCRW, CRW, DBARW, apply_transition, simulate_walker, walker_rates
 from test_diffusion import _mirror_params
+from test_dualspin import _parity_overlap
 from test_kernel import _local_frequency
 from test_spin import _config_to_state, _one_event
 
@@ -71,8 +72,8 @@ def test_pathwise_duality_property(k, alpha, seed, horizon):
         B = _subset(rng.integers(2 ** 31), k.n)
         t = float(rng.uniform(0, horizon))
         etaA = config_indicator(k.n, A)
-        lhs = parity_overlap(replay_forward(etaA, log, t), config_indicator(k.n, B))
-        rhs = parity_overlap(replay_dual(config_indicator(k.n, B), log, t), etaA)
+        lhs = _parity_overlap(replay_forward(etaA, log, t), config_indicator(k.n, B))
+        rhs = _parity_overlap(replay_dual(config_indicator(k.n, B), log, t), etaA)
         assert lhs == rhs
 
 

@@ -10,9 +10,8 @@ from ipsd.exact import _event_target, build_generator_np, semigroup_apply, state
 from ipsd.kernel import (complete_kernel, config_all, config_bernoulli, config_indicator,
                          explicit_kernel, frequency_of_ones, torus_kernel)
 from ipsd.spin import (MAX_TABLE_ROWS, EventLog, EventTable, NPParams, complete_count_rates,
-                       flip_rate, flip_rates_all, replay_forward,
-                       replay_forward_batch, sample_event_log, simulate_complete_counts,
-                       simulate_gillespie)
+                       flip_rate, flip_rates_all, replay_forward, sample_event_log,
+                       simulate_complete_counts, simulate_gillespie)
 from ipsd.rng import derive_stream
 from ipsd.stats import MCEstimate, two_sample_z
 from test_kernel import _dense_kernel, _local_frequency
@@ -290,14 +289,14 @@ def test_replay_forward_prefix_consistency():
     assert np.array_equal(rest, replay_forward(eta0, log, 5.0))
 
 
-def test_replay_forward_batch_matches_columns():
+def test_a_stacked_forward_replay_matches_its_columns():
     p = NPParams.symmetric(0.4)
     k = torus_kernel(2, 3)
     rng = derive_stream(4, "test-batch-fwd")
     log = sample_event_log(p, k, 3.0, rng)
     cols0 = (rng.random((k.n, 7)) < 0.5).astype(np.uint8)
     for t in (0.0, 1.2, 3.0):
-        batched = replay_forward_batch(cols0, log, t)
+        batched = replay_forward(cols0, log, t)
         for j in range(7):
             assert np.array_equal(batched[:, j], replay_forward(cols0[:, j], log, t))
     assert np.array_equal(cols0, (cols0 != 0).astype(np.uint8))  # input untouched

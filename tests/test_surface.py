@@ -16,8 +16,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "ipsd"
 
 # Public names nothing in src/ipsd reads, kept for a reader outside it.
 KEEP = {
-    "replay_forward_batch",  # bound by benchmark/tracing.py
-    "replay_dual_batch",  # bound by benchmark/tracing.py
+    "replay_forward",  # bound by benchmark/tracing.py; the stacked replay criteria 1 and 5 run
+    "replay_dual",  # bound by benchmark/tracing.py; the stacked replay criteria 1 and 5 run
     "density_path",  # SpinTrajectory method bound by benchmark/tracing.py
     "limit_formula",  # the dual's t -> oo limit, which no command checks yet
     "bernoulli_parity_identity",  # the Bernoulli-start identity, which no command checks yet
