@@ -35,8 +35,8 @@ from .dualspin import ZBDistribution, evug_statistic, parity_duality_mc
 from .exact import (MAX_EXACT_SITES, MAX_FK_WORK, build_generator_dual,
                     build_generator_from_events, build_generator_np, feynman_kac_check,
                     fk_check_work)
-from .harness import (RunConfig, check_grid, check_horizon, load_config_file, read_option,
-                      replicate_map, resolve_seed, write_csv, write_json)
+from .harness import (RunConfig, check_grid, check_horizon, format_float, load_config_file,
+                      read_option, replicate_map, resolve_seed, write_csv, write_json)
 from .kernel import (Kernel, complete_kernel, config_all, config_bernoulli, config_indicator,
                      explicit_kernel, torus_kernel)
 from .lattice import Stencil, Torus
@@ -213,6 +213,17 @@ def _site_and_mean(site, fields):
     return np.stack([flat[:, site], flat.mean(axis=1)], axis=1)
 
 
+def _replicate_table(reps: int, grid, *values) -> list:
+    """Columns replicate, time and ``values`` (reps, len(grid)) raveled; times formatted once."""
+    times = [format_float(t) for t in grid] * reps
+    return [np.repeat(np.arange(reps), len(grid)), times, *(v.ravel() for v in values)]
+
+
+def _estimate_columns(ts, ests) -> list:
+    """Columns t, estimate, stderr and reps of a table of MCEstimates at the times ``ts``."""
+    return [list(ts), [e.mean for e in ests], [e.stderr for e in ests], [e.reps for e in ests]]
+
+
 # -- subcommands ----------------------------------------------------------------
 
 
@@ -227,8 +238,8 @@ def cmd_spin_run(cfg: RunConfig) -> Run:
         dens, terminal, flips = replicate_map(partial(_spin_chunk, p, k, init, horizon, grid),
                                               cfg.reps, cfg.seed, "spin-run", SPIN_CHUNK,
                                               cfg.threads)
-        rows = [(r, t, dens[r, j]) for r in range(cfg.reps) for j, t in enumerate(grid)]
-        write_csv(cfg.out / "spin_density.csv", ["replicate", "time", "density"], rows)
+        write_csv(cfg.out / "spin_density.csv", ["replicate", "time", "density"],
+                  _replicate_table(cfg.reps, grid, dens))
         est = MCEstimate.from_samples(terminal)
         return {"terminal_density": est, "kernel_sites": k.n, "horizon": horizon,
                 "flips": int(flips.sum())}
@@ -247,10 +258,9 @@ def cmd_dual_run(cfg: RunConfig) -> Run:
         sizes, rows, log_events = evug_statistic(p, k, B, grid, cap, cfg.reps, cfg.seed,
                                                  "dual-run", cfg.threads)
         write_csv(cfg.out / "dual_sizes.csv", ["replicate", "t", "size"],
-                  [(r, t, int(sizes[r, j])) for r in range(cfg.reps) for j, t in enumerate(grid)])
+                  _replicate_table(cfg.reps, grid, sizes.astype(np.int64)))
         write_csv(cfg.out / "dual_survival.csv", ["t", "estimate", "stderr", "reps"],
-                  [(row["t"], row["survival"].mean, row["survival"].stderr, row["survival"].reps)
-                   for row in rows])
+                  _estimate_columns([row["t"] for row in rows], [row["survival"] for row in rows]))
         zb = ZBDistribution.from_samples(sizes[:, -1], cap=cap)
         return {"rows": rows, "cap": cap,
                 "terminal_size_atoms": {int(s): float(q) for s, q in zip(zb.sizes, zb.probs)},
@@ -268,14 +278,12 @@ def cmd_parity_check(cfg: RunConfig) -> Run:
     def run() -> dict:
         mc = parity_duality_mc(p, k, A, B, horizon, cfg.reps, cfg.seed, "parity-check",
                                cfg.threads)
-        fwd, dual = mc["pathwise_forward"], mc["pathwise_dual"]
-        rows = [(r, t, int(fwd[r, j]), int(dual[r, j]))
-                for r in range(cfg.reps) for j, t in enumerate(mc["times"])]
         write_csv(cfg.out / "parity_pathwise.csv",
-                  ["replicate", "t", "parity_forward", "parity_dual"], rows)
+                  ["replicate", "t", "parity_forward", "parity_dual"],
+                  _replicate_table(cfg.reps, mc["times"], mc["pathwise_forward"].astype(np.int64),
+                                   mc["pathwise_dual"].astype(np.int64)))
         write_csv(cfg.out / "parity_mc.csv", ["t", "estimate", "stderr", "reps"],
-                  [(horizon, est.mean, est.stderr, est.reps)
-                   for est in (mc["forward"], mc["dual"])])
+                  _estimate_columns([horizon] * 2, [mc["forward"], mc["dual"]]))
         return {"violations": mc["violations"], "forward": mc["forward"],
                 "dual_chain": mc["dual"], "z": mc["z"],
                 "passed": mc["violations"] == 0 and abs(mc["z"]) < 4.0,
@@ -348,10 +356,8 @@ def cmd_meanfield(cfg: RunConfig) -> Run:
     def run() -> dict:
         ts, xs = integrate_ode(bind_density_rhs(p.lam, p.alpha01, p.alpha10), [p0], horizon,
                                dt=dt, self_check=True)
-        rows = [(ts[i], xs[i, 0]) for i in range(0, len(ts), stride)]
-        if rows[-1][0] != ts[-1]:
-            rows.append((ts[-1], xs[-1, 0]))
-        write_csv(cfg.out / "meanfield_path.csv", ["t", "p0"], rows)
+        kept = sorted({*range(0, len(ts), stride), len(ts) - 1})  # each stride-th and the last
+        write_csv(cfg.out / "meanfield_path.csv", ["t", "p0"], [ts[kept], xs[kept, 0]])
         eq = equilibrium(p.lam, p.alpha01, p.alpha10)
         payload = {"equilibrium": eq, "terminal": float(xs[-1, 0]),
                    "terminal_gap": abs(float(xs[-1, 0]) - eq)}
@@ -381,14 +387,12 @@ def cmd_diffusion_run(cfg: RunConfig) -> Run:
               else derive_stream(cfg.seed, "diffusion-init").random(params.torus.shape))
         vals = ensemble_observable(params, p0, grid, partial(_site_and_mean, site),
                                    cfg.reps, cfg.seed, "diffusion-site", cfg.threads)
-        rows = []
-        report = []
-        for j, t in enumerate(grid):
-            site_vals, mean_vals = vals[j]
-            het = float(((site_vals > kappa) & (site_vals < 1.0 - kappa)).mean())
-            rows.append((t, float(mean_vals.mean()), float(site_vals.var(ddof=1)), het))
-            report.append({"t": t, "mean_p": rows[-1][1], "var_p": rows[-1][2], "het_stat": het})
-        write_csv(cfg.out / "diffusion_summary.csv", ["t", "mean_p", "var_p", "het_stat"], rows)
+        report = [{"t": t, "mean_p": float(mean_vals.mean()), "var_p": float(site_vals.var(ddof=1)),
+                   "het_stat": float(((site_vals > kappa) & (site_vals < 1.0 - kappa)).mean())}
+                  for t, (site_vals, mean_vals) in zip(grid, vals)]
+        header = ["t", "mean_p", "var_p", "het_stat"]
+        write_csv(cfg.out / "diffusion_summary.csv", header,
+                  [[row[key] for row in report] for key in header])
         return {"rows": report, "site": site, "kappa": kappa}
     return run
 
@@ -413,10 +417,9 @@ def cmd_walker_run(cfg: RunConfig) -> Run:
     def run() -> dict:
         runs = walker_ensemble(kind, xi0, torus, stencil, grid, cap, cfg.reps, cfg.seed,
                                "walker-run", cfg.threads)
-        rows = [(r, t, int(runs.sizes[r, j]), int(runs.observed[r, j]))
-                for r in range(cfg.reps) for j, t in enumerate(grid)]
         write_csv(cfg.out / "walker_sizes.csv", ["replicate", "t", "total", "occupied_sites"],
-                  rows)
+                  _replicate_table(cfg.reps, grid, runs.sizes.astype(np.int64),
+                                   runs.observed.astype(np.int64)))
         surv = MCEstimate.from_samples(runs.alive)
         return {"survival": surv,
                 "survival_lcb99": wilson_lower(int(runs.alive.sum()), cfg.reps, 0.99),
@@ -557,7 +560,8 @@ def cmd_sweep(cfg: RunConfig) -> Run:
             reports.append({"value": label, "report": payload})
             for path, num in _numeric_leaves(payload):
                 csv_rows.append((label, path, num))
-        write_csv(cfg.out / "sweep.csv", ["value", "metric", "metric_value"], csv_rows)
+        write_csv(cfg.out / "sweep.csv", ["value", "metric", "metric_value"],
+                  [[row[i] for row in csv_rows] for i in range(3)])
         return {"over": target, "vary": vary, "values": [r["value"] for r in reports],
                 "reports": reports}
     return run

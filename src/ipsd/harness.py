@@ -11,9 +11,9 @@ Conventions enforced here:
   and the per-chunk results are concatenated in chunk order.  Results are
   therefore a pure function of (config, seed) and independent of worker
   count.
-* CSV floats carry 17 significant digits; JSON reports embed the config
-  echo and the package version, and never embed wall-clock times or the
-  worker count.
+* CSV tables are written by the column, floats at 17 significant digits;
+  JSON reports embed the config echo and the package version, and never
+  embed wall-clock times or the worker count.
 * A time is valid where :func:`check_horizon` or :func:`check_grid` says
   so: every engine and the CLI run their horizons and time grids through
   them, so all refuse the same values in the same words.
@@ -25,6 +25,7 @@ headers.  CLI flags override file values.
 from __future__ import annotations
 
 import configparser
+import itertools
 import json
 import math
 import os
@@ -38,21 +39,9 @@ from . import __version__
 from .rng import derive_stream
 from .stats import MCEstimate
 
-__all__ = [
-    "SEED_ENV_VAR",
-    "check_horizon",
-    "check_grid",
-    "RunConfig",
-    "read_option",
-    "read_list",
-    "load_config_file",
-    "resolve_seed",
-    "parallel_map",
-    "replicate_map",
-    "format_float",
-    "write_csv",
-    "write_json",
-]
+__all__ = ["SEED_ENV_VAR", "check_horizon", "check_grid", "RunConfig", "read_option", "read_list",
+           "load_config_file", "resolve_seed", "parallel_map", "replicate_map", "format_float",
+           "write_csv", "write_json"]
 
 SEED_ENV_VAR = "IPSD_SEED"
 _MAX_SEED = 2**64 - 1
@@ -241,19 +230,36 @@ def replicate_map(work, reps: int, seed: int, role: str, chunk: int, threads: in
 
 def format_float(x) -> str:
     """Floats at 17 significant digits (round-trip exact for float64); anything else by str."""
-    if type(x) is int:  # the common cell, a count or an index, first
-        return str(x)
+    if type(x) is str:  # a cell formatted ahead, such as a table's grid time, first
+        return x
     if isinstance(x, (float, np.floating)):
         return format(float(x), ".17g")
     return str(x)
 
 
-def write_csv(path: str | Path, header: list[str], rows) -> Path:
+def _cells(col):
+    """A column's cells as :func:`format_float` writes them, a whole array at a time."""
+    kind = col.dtype.kind if isinstance(col, np.ndarray) else "O"
+    if kind in "iub":
+        return map(str, col.tolist())
+    if kind == "f":
+        return map(float.__format__, col.tolist(), itertools.repeat(".17g"))
+    return map(format_float, col)
+
+
+def write_csv(path: str | Path, header: list[str], columns) -> Path:
+    """Write ``columns``, one per ``header`` name and all of one length, as a CSV; its path.
+
+    Integer and bool arrays go by str, float arrays at 17 significant digits, any other
+    column cell by cell by :func:`format_float`: the bytes do not depend on a column's form.
+    """
     path = Path(path)
+    if len(columns) != len(header):
+        raise ValueError(f"{path.name}: {len(columns)} columns for {len(header)} header names")
+    rows = map(",".join, zip(*map(_cells, columns), strict=True))  # unequal lengths: ValueError
+    text = "\n".join([",".join(header), *rows]) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    lines += [",".join(map(format_float, row)) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(text)
     return path
 
 

@@ -56,12 +56,8 @@ class Stencil:
         if d < 1 or not 0.0 <= total_rate < np.inf:
             raise ValueError(f"need d >= 1 and a finite nonnegative rate, got d = {d} and "
                              f"rate {total_rate}")
-        disps = []
-        for axis in range(d):
-            for step in (1, -1):
-                v = [0] * d
-                v[axis] = step
-                disps.append(tuple(v))
+        disps = [tuple(step if i == axis else 0 for i in range(d))
+                 for axis in range(d) for step in (1, -1)]
         w = total_rate / (2 * d)
         return cls(tuple(disps), tuple(w for _ in disps))
 

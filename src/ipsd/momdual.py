@@ -22,6 +22,7 @@ mandatory dt-halving repeat on the diffusion side.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 
@@ -192,11 +193,7 @@ def pairing(s: float, mu: float, regime: str = "auto"):
 
 def _random_counts(rng: np.random.Generator, n_sites: int) -> dict[int, int]:
     total = int(rng.integers(1, BATTERY_MAX_TOTAL + 1))
-    sites = rng.integers(0, n_sites, size=total)
-    counts: dict[int, int] = {}
-    for x in sites:
-        counts[int(x)] = counts.get(int(x), 0) + 1
-    return counts
+    return dict(Counter(rng.integers(0, n_sites, size=total).tolist()))
 
 
 def generator_duality_battery(regime: str, param_list, n_pairs: int, torus: Torus,
@@ -420,17 +417,12 @@ def extinction_probe(s: float, mu: float, torus: Torus, stencil: Stencil,
         dual_vals = (1.0 - eps) ** np.ascontiguousarray(runs.sizes.T, dtype=np.float64)
 
     rows = []
-    below = True
     for gi, t in enumerate(grid):
         f = MCEstimate.from_samples(fwd[gi])
         d = MCEstimate.from_samples(dual_vals[gi])
-        z = two_sample_z(f, d)
-        rows.append({"t": float(t), "forward": f, "dual_bound": d, "z": z})
-        if z > 3.0:
-            below = False
-    fmeans = [r["forward"].mean for r in rows]
-    dmeans = [r["dual_bound"].mean for r in rows]
-    fdec = all(b < a for a, b in zip(fmeans, fmeans[1:]))
-    ddec = all(b < a for a, b in zip(dmeans, dmeans[1:]))
+        rows.append({"t": float(t), "forward": f, "dual_bound": d, "z": two_sample_z(f, d)})
+    below = not any(r["z"] > 3.0 for r in rows)
+    fdec, ddec = (all(b[key].mean < a[key].mean for a, b in zip(rows, rows[1:]))
+                  for key in ("forward", "dual_bound"))
     return ExtinctionReport(tuple(rows), below, fdec, ddec, float(runs.capped.mean()),
                             int(runs.events.sum()))

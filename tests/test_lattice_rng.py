@@ -321,11 +321,11 @@ def test_format_float_roundtrip():
 
 
 def test_write_csv_deterministic(tmp_path):
-    rows = [(0, 0.1), (1, 1.0 / 3.0)]
+    columns = [[0, 1], [0.1, 1.0 / 3.0]]
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"
-    write_csv(p1, ["i", "v"], rows)
-    write_csv(p2, ["i", "v"], rows)
+    assert write_csv(p1, ["i", "v"], columns) == p1
+    write_csv(p2, ["i", "v"], columns)
     assert p1.read_bytes() == p2.read_bytes()
     text = p1.read_text().splitlines()
     assert text[0] == "i,v"
@@ -348,10 +348,35 @@ def _reference_write_csv(path, header, rows):
 def test_write_csv_gives_the_reference_bytes(tmp_path):
     rows = [(0, 0.1, 3), (-7, 1.0 / 3.0, 2**70), (True, False, None), (np.int64(5), np.uint8(255),
             np.float32(0.1)), (np.float64(-0.0), float("nan"), float("inf")), ("x", 1e-300, -1),
-            (), (np.bool_(True), 12345.678901234567, 10**18)]
-    write_csv(tmp_path / "got.csv", ["a", "b", "c"], iter(rows))
-    _reference_write_csv(tmp_path / "want.csv", ["a", "b", "c"], rows)
-    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+            (np.bool_(True), 12345.678901234567, 10**18), (2**62, -0.0, "y")]
+    nan, inf = float("nan"), float("inf")
+    floats = [-0.0, nan, inf, -inf, 5e-324, 1e-300, 2.0**62, 0.1]
+    columns = [list(col) for col in zip(*rows)] + [
+        np.array([0, -1, 2**62, -2**62, 7, 2**63 - 1, -2**63, 10], dtype=np.int64),
+        np.array([0, 1, 255, 7, 128, 3, 9, 2], dtype=np.uint8),
+        np.array([True, False, True, True, False, False, True, False]),
+        np.array(floats, dtype=np.float32),
+        np.array(floats, dtype=np.float64),
+        np.tile([0.0, -0.0], 4),  # a grid column by the array, and formatted once per time
+        [format_float(t) for t in (0.0, -0.0)] * 4,
+    ]
+    header = [f"c{i}" for i in range(len(columns))]
+    write_csv(tmp_path / "got.csv", header, columns)
+    _reference_write_csv(tmp_path / "want.csv", header, zip(*columns))
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    assert got.splitlines()[2].endswith(b",-0,-0")  # both signs of zero survive
+
+
+def test_write_csv_refuses_a_ragged_table(tmp_path):
+    for columns in ([[1, 2], np.arange(3)], [np.arange(3), [1, 2]], [[0], [], [1]]):
+        with pytest.raises(ValueError, match="(longer|shorter) than argument"):
+            write_csv(tmp_path / "x.csv", ["a", "b", "c"][:len(columns)], columns)
+    with pytest.raises(ValueError, match="2 columns for 3 header names"):
+        write_csv(tmp_path / "x.csv", ["a", "b", "c"], [[1], [2]])
+    with pytest.raises(ValueError, match="2 columns for 1 header names"):
+        write_csv(tmp_path / "x.csv", ["a"], [[1], [2]])
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_write_json_payload(tmp_path):

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ipsd.diffusion import DiffusionParams, sigma_of_p
 from ipsd.dualspin import replay_dual
 from ipsd.exact import _event_target
+from ipsd.harness import format_float, write_csv
 from ipsd.kernel import (complete_kernel, config_bernoulli, config_indicator, frequency_of_ones,
                          torus_kernel)
 from ipsd.lattice import Stencil, Torus
@@ -17,6 +19,7 @@ from ipsd.walkers import BCRW, CRW, DBARW, apply_transition, simulate_walker, wa
 from test_diffusion import _mirror_params
 from test_dualspin import _parity_overlap
 from test_kernel import _local_frequency
+from test_lattice_rng import _reference_write_csv
 from test_spin import _config_to_state, _one_event
 
 
@@ -226,3 +229,38 @@ def test_annihilation_event_is_involution(seed):
     once = replay_forward(eta, log, 1.0)
     assert _config_to_state(once) == _event_target(_config_to_state(eta), 0, 2, 4)
     assert np.array_equal(replay_forward(once, log, 1.0), eta)
+
+
+# table writer ----------------------------------------------------------------------
+
+cells = st.one_of(st.integers(-2**70, 2**70), st.floats(), st.booleans(), st.none(),
+                  st.text("ab-", max_size=3))
+array_dtypes = st.sampled_from([np.int64, np.uint8, np.bool_, np.float32, np.float64])
+
+
+@st.composite
+def tables(draw):
+    """Columns of one length: lists of mixed cells, arrays, or grid times formatted once."""
+    n_rows = draw(st.integers(0, 12))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        form = draw(st.sampled_from(["list", "array", "grid"]))
+        if form == "list":
+            columns.append(draw(st.lists(cells, min_size=n_rows, max_size=n_rows)))
+        elif form == "array":
+            columns.append(draw(hnp.arrays(draw(array_dtypes), n_rows)))
+        else:
+            times = draw(st.lists(st.sampled_from([0.0, -0.0, 0.5, 1e-300, 2.0**62]),
+                                  min_size=1, max_size=3))
+            columns.append(([format_float(t) for t in times] * n_rows)[:n_rows])
+    return columns
+
+
+@given(tables())
+@settings(max_examples=80, deadline=None)
+def test_write_csv_gives_the_reference_bytes_on_random_tables(tmp_path_factory, columns):
+    tmp = tmp_path_factory.mktemp("csv")
+    header = [f"c{i}" for i in range(len(columns))]
+    write_csv(tmp / "got.csv", header, columns)
+    _reference_write_csv(tmp / "want.csv", header, zip(*columns))
+    assert (tmp / "got.csv").read_bytes() == (tmp / "want.csv").read_bytes()
