@@ -40,7 +40,8 @@ from .harness import (RunConfig, check_grid, check_horizon, format_float, load_c
 from .kernel import (Kernel, complete_kernel, config_all, config_bernoulli, config_indicator,
                      explicit_kernel, torus_kernel)
 from .lattice import Stencil, Torus
-from .meanfield import bind_density_rhs, equilibrium, integrate_ode, meanfield_comparator
+from .meanfield import (MAX_COMPARATOR_JUMPS, MAX_COMPARATOR_VERTICES, bind_density_rhs,
+                        comparator_jumps_bound, equilibrium, integrate_ode, meanfield_comparator)
 from .momdual import (_check_coexist_args, _check_extinct_args, coexistence_probe,
                       extinction_probe, generator_duality_battery, moment_duality_mc, pairing)
 from .rng import derive_stream
@@ -352,6 +353,13 @@ def cmd_meanfield(cfg: RunConfig) -> Run:
     n_vertices = cfg.opt("run", "compare_n", 0, int)
     if n_vertices and n_vertices < 2:
         raise ValueError(f"run.compare_n must be 0 (no comparison) or at least 2, got {n_vertices}")
+    if n_vertices > MAX_COMPARATOR_VERTICES:
+        raise ValueError(f"run.compare_n must be at most {MAX_COMPARATOR_VERTICES}, "
+                         f"got {n_vertices}")
+    work = comparator_jumps_bound(n_vertices, p, compare_t, cfg.reps)
+    if work > MAX_COMPARATOR_JUMPS:
+        raise ValueError(f"run.compare_n projects {work:.4g} count-chain jumps over "
+                         f"run.compare_t and run.reps; the limit is {MAX_COMPARATOR_JUMPS:.4g}")
 
     def run() -> dict:
         ts, xs = integrate_ode(bind_density_rhs(p.lam, p.alpha01, p.alpha10), [p0], horizon,
@@ -366,6 +374,7 @@ def cmd_meanfield(cfg: RunConfig) -> Run:
                                        derive_stream(cfg.seed, "meanfield-compare"))
             payload["comparator_median_sup"] = rep.median
             payload["comparator_jumps"] = rep.jumps
+            payload["comparator_steps"] = rep.steps
         return payload
     return run
 

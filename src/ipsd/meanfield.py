@@ -12,8 +12,9 @@ interior equilibrium is p0* = (1 - lam a01) / ((1 - lam a01) + (lam - a10)).
 The spin system on the complete graph converges to this flow as the number
 of vertices grows; :func:`meanfield_comparator` measures the gap.  It runs
 the lumped chain of the number of ones, which is exact because sites are
-exchangeable on the complete graph, at O(1) per jump and without an
-O(N^2) kernel.
+exchangeable on the complete graph, for all replicates in lockstep: O(1)
+per jump, O(N) memory for the rates, no O(N^2) kernel, and slices of
+replicates reduced to their sup-distances one at a time.
 The density fluctuates around the ODE path at the CLT scale, so the gap
 shrinks like N^{-1/2} in the number of vertices N and is never below a
 fixed bound at every N.
@@ -29,6 +30,9 @@ from .harness import check_horizon
 from .spin import NPParams, complete_count_rates, simulate_complete_counts
 
 __all__ = [
+    "MAX_COMPARATOR_VERTICES",
+    "MAX_COMPARATOR_JUMPS",
+    "comparator_jumps_bound",
     "bind_density_rhs",
     "equilibrium",
     "integrate_ode",
@@ -116,11 +120,29 @@ def integrate_ode(rhs, x0, horizon: float, dt: float = 1e-3, self_check: bool = 
     return ts, xs
 
 
+# the count chain's O(N) rate arrays take about 80 bytes per vertex while they are built
+MAX_COMPARATOR_VERTICES = 1 << 22
+# projected jumps of one comparator run; one run's path holds 16 bytes per jump
+MAX_COMPARATOR_JUMPS = 1 << 24
+
+
+def comparator_jumps_bound(n_vertices: int, p: NPParams, horizon: float, reps: int) -> float:
+    """Projected count-chain jumps of a comparator run, without building its rates.
+
+    A zero flips up at rate at most max(1, alpha01) and a one down at rate
+    at most max(1, alpha10), since lam f1 / (lam f1 + f0) and
+    f0 / (lam f1 + f0) are at most 1; so the count jumps at rate at most
+    N max(1, alpha01, alpha10).
+    """
+    return reps * n_vertices * horizon * max(1.0, p.alpha01, p.alpha10)
+
+
 @dataclass(frozen=True)
 class ComparatorReport:
     """Sup-distances between stochastic density paths and the ODE flow.
 
-    ``jumps`` is the number of count-chain jumps over all replicates.
+    ``jumps`` is the number of count-chain jumps over all replicates and
+    ``steps`` the number of lockstep steps that made them.
     """
 
     sup_distances: np.ndarray
@@ -128,6 +150,7 @@ class ComparatorReport:
     ode_times: np.ndarray
     ode_path: np.ndarray
     jumps: int
+    steps: int
 
 
 def meanfield_comparator(n_vertices: int, p: NPParams, density0: float, horizon: float,
@@ -136,10 +159,13 @@ def meanfield_comparator(n_vertices: int, p: NPParams, density0: float, horizon:
 
     ``density0`` is the initial density of ones; the chain starts from
     round(N * density0) ones.  Each replicate is an exact path of the count
-    chain (:func:`ipsd.spin.simulate_complete_counts`), all drawn in turn
-    from ``rng``.  Its piecewise-constant density-of-ones path is compared
-    in sup norm against 1 - p0(t), the ODE solution's density of ones, on
-    the merged time grid.
+    chain, all from one call of :func:`ipsd.spin.simulate_complete_counts`,
+    which steps them in lockstep on ``rng``.  Its piecewise-constant
+    density-of-ones path is compared in sup norm against 1 - p0(t), the ODE
+    solution's density of ones, on the merged time grid, one slice of
+    replicates at a time.  More than MAX_COMPARATOR_VERTICES vertices, or
+    more than MAX_COMPARATOR_JUMPS projected jumps
+    (:func:`comparator_jumps_bound`), are refused before any draw.
     """
     if n_vertices < 2:
         raise ValueError(f"the comparator needs at least 2 vertices, got {n_vertices}")
@@ -148,6 +174,14 @@ def meanfield_comparator(n_vertices: int, p: NPParams, density0: float, horizon:
     horizon = check_horizon(horizon, "horizon")
     if not (0.0 <= density0 <= 1.0):
         raise ValueError("density0 must lie in [0,1]")
+    if n_vertices > MAX_COMPARATOR_VERTICES:
+        raise ValueError(f"the comparator allows at most {MAX_COMPARATOR_VERTICES} vertices, "
+                         f"got {n_vertices}")
+    work = comparator_jumps_bound(n_vertices, p, horizon, reps)
+    if work > MAX_COMPARATOR_JUMPS:
+        raise ValueError(f"{reps} replicates of {n_vertices} vertices to horizon {horizon} "
+                         f"project {work:.4g} count-chain jumps; the limit is "
+                         f"{MAX_COMPARATOR_JUMPS:.4g}")
     ones = int(round(n_vertices * density0))
     up, down = complete_count_rates(p, n_vertices)
 
@@ -156,15 +190,17 @@ def meanfield_comparator(n_vertices: int, p: NPParams, density0: float, horizon:
     ode_ones = 1.0 - xs[:, 0]
 
     sups = np.empty(reps)
-    jumps = 0
-    for r in range(reps):
-        jt, counts = simulate_complete_counts(up, down, ones, horizon, rng)
-        jumps += len(jt) - 1
+    jumps = steps = done = 0
+    for times, counts, row_jumps in simulate_complete_counts(up, down, ones, horizon, reps, rng):
+        jumps += int(row_jumps.sum())
+        steps += times.shape[1] - 1
         jd = counts / n_vertices
-        # evaluate the step function on the ODE grid and the ODE on the jump grid
-        idx = np.searchsorted(jt, ts, side="right") - 1
-        gap_on_grid = np.abs(jd[idx] - ode_ones)
-        ode_at_jumps = 1.0 - np.interp(jt, ts, xs[:, 0])
-        gap_at_jumps = np.abs(jd - ode_at_jumps)
-        sups[r] = max(float(gap_on_grid.max()), float(gap_at_jumps.max()))
-    return ComparatorReport(sups, float(np.median(sups)), ts, ode_ones, jumps)
+        # the ODE on the jump grid; a row's repeated last entry repeats its last gap
+        gap_at_jumps = np.abs(jd - (1.0 - np.interp(times, ts, xs[:, 0]))).max(axis=1)
+        for r in range(len(jd)):
+            # the step function on the ODE grid
+            idx = np.searchsorted(times[r], ts, side="right") - 1
+            gap_on_grid = np.abs(jd[r, idx] - ode_ones).max()
+            sups[done + r] = max(float(gap_on_grid), float(gap_at_jumps[r]))
+        done += len(jd)
+    return ComparatorReport(sups, float(np.median(sups)), ts, ode_ones, jumps, steps)

@@ -30,8 +30,8 @@ many replicate runs at once as the rows of a (replicates x sites) matrix
 of states, local frequencies and flip rates; each step flips one site in
 every active row.  On the complete graph the sites are exchangeable, so
 the number of ones is itself a birth-death chain;
-:func:`simulate_complete_counts` runs it at O(1) per jump without building
-the O(n^2) kernel.
+:func:`simulate_complete_counts` steps many runs of it in lockstep, one
+jump per active run and step, without building the O(n^2) kernel.
 """
 
 from __future__ import annotations
@@ -389,7 +389,8 @@ def replay_forward_batch(cols0: np.ndarray, log: EventLog, t: float,
 
 # -- Gillespie ----------------------------------------------------------------
 
-# rows x sites cells of one lockstep slice; bounds the engine's memory on big kernels
+# cells of one lockstep slice, rows x sites for the spin engine and rows x expected
+# jumps for the count chain; bounds the engines' memory on big kernels
 CELLS = 1 << 22
 
 
@@ -556,35 +557,77 @@ def complete_count_rates(p: NPParams, n: int) -> tuple[np.ndarray, np.ndarray]:
     return up, down
 
 
+def _count_lockstep(up: np.ndarray, total: np.ndarray, k0: int, m: int, horizon: float,
+                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run m rows of the count chain from k0 together to the horizon.
+
+    Returns (times, counts, jumps): row r's path is times[r, :jumps[r] + 1]
+    and counts[r, :jumps[r] + 1], from (0, k0) on; past its last jump a row
+    repeats its last entry.  Column s holds the rows that jumped in step s.
+    """
+    times = np.full((64, m), np.nan)
+    counts = np.zeros((64, m), dtype=np.int64)
+    times[0], counts[0] = 0.0, k0
+    ids = np.arange(m)
+    t = np.zeros(m)
+    k = np.full(m, k0, dtype=np.int64)
+    step = 0
+    while True:
+        tot = total[k]
+        if not tot.all():  # an absorbing count retires without a draw
+            live = tot > 0.0
+            ids, t, k, tot = (a[live] for a in (ids, t, k, tot))
+            if not len(ids):
+                break
+        t += rng.standard_exponential(len(ids)) / tot
+        if t.max() > horizon:
+            live = t <= horizon
+            ids, t, k, tot = (a[live] for a in (ids, t, k, tot))
+            if not len(ids):
+                break
+        k += np.where(rng.random(len(ids)) * tot < up[k], 1, -1)
+        step += 1
+        if step == len(times):
+            times = np.concatenate([times, np.full(times.shape, np.nan)])
+            counts = np.concatenate([counts, np.zeros_like(counts)])
+        times[step, ids] = t
+        counts[step, ids] = k
+    times, counts = times[:step + 1].T, counts[:step + 1].T
+    jumps = np.count_nonzero(~np.isnan(times), axis=1) - 1  # a row jumps in every step it is active
+    past = np.arange(step + 1) > jumps[:, None]
+    rows = np.arange(m)
+    times = np.where(past, times[rows, jumps][:, None], times)
+    counts = np.where(past, counts[rows, jumps][:, None], counts)
+    return times, counts, jumps
+
+
 def simulate_complete_counts(up: np.ndarray, down: np.ndarray, k0: int, horizon: float,
-                             rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Exact simulation of the count of ones on the complete graph.
+                             reps: int, rng: np.random.Generator):
+    """Exact simulation of ``reps`` runs of the count of ones on the complete graph.
 
     ``up`` and ``down`` are the count chain's rates from
-    :func:`complete_count_rates`; the graph has n = len(up) - 1 vertices.
-    Each jump draws its holding time, then goes up with probability
-    up[k] / (up[k] + down[k]).  O(1) per jump, O(n) memory.
-    Returns (times, counts) with times[0] = 0; counts[i] holds until
-    times[i+1].  Stops early at an absorbing count.
+    :func:`complete_count_rates`; the graph has n = len(up) - 1 vertices and
+    every run starts from k0 ones.  The runs step in lockstep, in slices of
+    ``max(1, CELLS // J)`` rows drawn in turn from ``rng``, where
+    J = horizon * max(up + down) bounds the expected jumps of a run.  Each
+    step, every active row whose total rate is 0 retires without a draw;
+    every other draws one standard exponential for its clock, and retires
+    if the clock passes the horizon; every remaining row then draws one
+    uniform u and goes up if u * (up[k] + down[k]) < up[k], else down.
+    O(rows) per step, O(n) memory for the rates.
+
+    Returns an iterator over the slices, each drawn when it is reached: a
+    (times, counts, jumps) triple of shapes (m, S + 1), (m, S + 1) and (m,)
+    for a slice of m rows that took S steps.  Row r's path is
+    times[r, :jumps[r] + 1] and counts[r, :jumps[r] + 1], from (0, k0);
+    counts[r, i] holds until times[r, i + 1], and past its last jump a row
+    repeats its last entry.  A row stops early at an absorbing count.
     """
     n = len(up) - 1
     if not 0 <= k0 <= n:
         raise ValueError(f"initial count must lie in [0, {n}], got {k0}")
     horizon = check_horizon(horizon, "horizon")
-    # memoryview indexing yields Python floats without boxing all n + 1 rates
-    up_k = memoryview(up)
-    total_k = memoryview(up + down)
-    k = k0
-    t = 0.0
-    times, counts = [0.0], [k0]
-    while True:
-        total = total_k[k]
-        if total <= 0.0:
-            break
-        t += rng.exponential(1.0 / total)
-        if t > horizon:
-            break
-        k += 1 if rng.random() * total < up_k[k] else -1
-        times.append(t)
-        counts.append(k)
-    return np.array(times), np.array(counts, dtype=np.int64)
+    total = up + down
+    size = max(1, int(CELLS // max(1.0, horizon * float(total.max()))))
+    return (_count_lockstep(up, total, k0, min(size, reps - lo), horizon, rng)
+            for lo in range(0, reps, size))

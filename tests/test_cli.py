@@ -18,8 +18,9 @@ from ipsd.cli import _merge_config, build_parser, console, main
 from ipsd.diffusion import ensemble_observable
 from ipsd.exact import MAX_FK_WORK, fk_check_work
 from ipsd.lattice import Stencil
+from ipsd.meanfield import MAX_COMPARATOR_JUMPS, MAX_COMPARATOR_VERTICES, comparator_jumps_bound
 from ipsd.rng import derive_stream
-from ipsd.spin import SPIN_CHUNK, EventTable
+from ipsd.spin import SPIN_CHUNK, EventTable, NPParams
 from ipsd.walkers import walker_ensemble
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -45,6 +46,9 @@ _PARITY = ["parity-check", "--config", str(CONFIGS / "parity-check.ini"), "--rep
     pytest.param(["sweep", "--config", str(CONFIGS / "sweep.ini"), "--reps", "2",
                   "--set", "sweep.values=0.2,x", "--set", "run.T=1"], ValueError,
                  id="swept-value"),
+    pytest.param(["meanfield", "--config", str(CONFIGS / "meanfield.ini"), "--reps", "2",
+                  "--set", "run.compare_n=10000000000000"], ValueError,
+                 id="unbounded-compare-n"),
 ])
 def test_the_command_reports_a_refusal_as_one_line_without_a_traceback(tmp_path, argv, error):
     # main() raises, which the tests and the benchmark rely on; the command
@@ -153,6 +157,10 @@ def test_meanfield_reports_comparator_jumps(tmp_path):
           "--set", "run.compare_t=1"])
     report = json.loads((tmp_path / "meanfield.json").read_text())
     assert isinstance(report["comparator_jumps"], int) and report["comparator_jumps"] > 0
+    # the 4 replicates jump together, one jump each per lockstep step
+    steps = report["comparator_steps"]
+    assert isinstance(steps, int) and report["comparator_jumps"] <= 4 * steps
+    assert steps <= report["comparator_jumps"]
     assert 0.0 < report["comparator_median_sup"] < 1.0
 
 
@@ -752,6 +760,24 @@ def test_a_frequency_or_stride_out_of_range_is_refused_by_key_before_any_engine_
         tmp_path, monkeypatch, command, key, value, message):
     _refused_before_any_engine(tmp_path, monkeypatch, command, key, value,
                                f"^{key} {message} {value}$")
+
+
+@pytest.mark.parametrize("value, message", [
+    ("10000000000000", f"^run.compare_n must be at most {MAX_COMPARATOR_VERTICES}, "
+                       f"got 10000000000000$"),
+    (str(MAX_COMPARATOR_VERTICES + 1), f"^run.compare_n must be at most "
+                                       f"{MAX_COMPARATOR_VERTICES}, got "
+                                       f"{MAX_COMPARATOR_VERTICES + 1}$"),
+    # 2 replicates of 3 x 10^6 vertices to run.compare_t = 3 at alpha01 = 0.8
+    ("3000000", r"^run.compare_n projects 1.8e\+07 count-chain jumps over run.compare_t and "
+                r"run.reps; the limit is 1.678e\+07$"),
+])
+def test_an_unbounded_comparator_is_refused_by_key_before_any_engine_runs(tmp_path, monkeypatch,
+                                                                         value, message):
+    # unchecked, run.compare_n=10^13 wrote meanfield_path.csv, then died allocating
+    # the count chain's rate arrays
+    assert comparator_jumps_bound(3_000_000, NPParams(1.0, 0.8, 0.4), 3.0, 2) > MAX_COMPARATOR_JUMPS
+    _refused_before_any_engine(tmp_path, monkeypatch, "meanfield", "run.compare_n", value, message)
 
 
 @pytest.mark.parametrize("value", ["inf", "nan", "0", "-0.1"])

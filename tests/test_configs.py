@@ -151,9 +151,9 @@ def test_replay_driven_config_outputs_match_pinned_digests(tmp_path, name):
 
 
 # SHA-256 of every --out file of meanfield at --seed 13, 40 reps and run.T=5, with
-# the shipped comparator on: Python-float RK4 and count-chain draws, no BLAS
+# the shipped comparator on: Python-float RK4 and lockstep count-chain draws, no BLAS
 MEANFIELD_DIGESTS = {
-    "meanfield.json": "8492334cbee56ac196bc4e911ce8af66b8b217249b5eb1ab22431ba5c70e9b88",
+    "meanfield.json": "c66943c6fd61f79ccb48e1ce4b50e27f3fbb444e05736b3b61007099451620a9",
     "meanfield_path.csv": "f698406c4bb3e739a7b134f057e5dd5ee108ca2419ed601225af12c330e4c3d3",
 }
 

@@ -5,7 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ipsd.meanfield import bind_density_rhs, equilibrium, integrate_ode, meanfield_comparator
+from ipsd import spin
+from ipsd.meanfield import (MAX_COMPARATOR_JUMPS, MAX_COMPARATOR_VERTICES, bind_density_rhs,
+                            comparator_jumps_bound, equilibrium, integrate_ode,
+                            meanfield_comparator)
 from ipsd.rng import derive_stream
 from ipsd.spin import NPParams, complete_count_rates, simulate_complete_counts
 
@@ -183,16 +186,33 @@ def test_comparator_smoke():
     assert len(rep.sup_distances) == 40
 
 
-def test_comparator_counts_its_jumps():
-    # one count-chain path per replicate, drawn in turn from the caller's stream
+def _reference_sup(times, counts, n_vertices, ts, xs):
+    """Sup-distance of one count path from the ODE density of ones, on the merged time grid."""
+    jd = counts / n_vertices
+    idx = np.searchsorted(times, ts, side="right") - 1
+    gap_on_grid = np.abs(jd[idx] - (1.0 - xs[:, 0]))
+    gap_at_jumps = np.abs(jd - (1.0 - np.interp(times, ts, xs[:, 0])))
+    return max(float(gap_on_grid.max()), float(gap_at_jumps.max()))
+
+
+@pytest.mark.parametrize("cells", [spin.CELLS, 300])
+def test_comparator_counts_its_jumps(monkeypatch, cells):
+    # every replicate's path from one lockstep call on the caller's stream; at
+    # 300 cells the 5 replicates run in slices of 2
+    monkeypatch.setattr(spin, "CELLS", cells)
     p = NPParams.symmetric(0.5)
     rep = meanfield_comparator(60, p, 0.3, 1.0, 5, derive_stream(32, "mf-jumps"), dt=0.01)
-    rng = derive_stream(32, "mf-jumps")
     up, down = complete_count_rates(p, 60)
-    paths = [simulate_complete_counts(up, down, 18, 1.0, rng) for _ in range(5)]
-    assert rep.jumps == sum(len(times) - 1 for times, _ in paths) > 0
+    slices = list(simulate_complete_counts(up, down, 18, 1.0, 5, derive_stream(32, "mf-jumps")))
+    assert [len(jumps) for _, _, jumps in slices] == ([5] if cells == spin.CELLS else [2, 2, 1])
+    assert rep.jumps == sum(int(jumps.sum()) for _, _, jumps in slices) > 0
+    assert rep.steps == sum(int(jumps.max()) for _, _, jumps in slices)
+    ts, xs = integrate_ode(bind_density_rhs(p.lam, p.alpha01, p.alpha10), [0.7], 1.0, dt=0.01)
+    sups = [_reference_sup(times[r, :j + 1], counts[r, :j + 1], 60, ts, xs)
+            for times, counts, jumps in slices for r, j in enumerate(jumps)]
+    assert rep.sup_distances.tobytes() == np.array(sups).tobytes()
     again = meanfield_comparator(60, p, 0.3, 1.0, 5, derive_stream(32, "mf-jumps"), dt=0.01)
-    assert again.jumps == rep.jumps
+    assert (again.jumps, again.steps) == (rep.jumps, rep.steps)
     assert again.sup_distances.tobytes() == rep.sup_distances.tobytes()
 
 
@@ -208,6 +228,33 @@ def test_comparator_rejects_bad_inputs(n_vertices, reps, horizon, message):
     with pytest.raises(ValueError, match=message):
         meanfield_comparator(n_vertices, NPParams.symmetric(0.5), 0.3, horizon, reps,
                              derive_stream(33, "mf-bad"))
+
+
+def test_comparator_refuses_unbounded_work_before_any_draw():
+    # unchecked, N = 10^13 died allocating its rate arrays
+    p, rng = NPParams.symmetric(0.5), derive_stream(33, "mf-big")
+    state = rng.bit_generator.state
+    n = MAX_COMPARATOR_VERTICES + 1
+    with pytest.raises(ValueError, match=f"^the comparator allows at most "
+                                         f"{MAX_COMPARATOR_VERTICES} vertices, got {n}$"):
+        meanfield_comparator(n, p, 0.3, 1e-9, 1, rng)
+    # 2 x 10^6 vertices to t = 3: 4 x 6 x 10^6 jumps at most
+    assert comparator_jumps_bound(2_000_000, p, 3.0, 4) == 2.4e7 > MAX_COMPARATOR_JUMPS
+    with pytest.raises(ValueError, match=r"^4 replicates of 2000000 vertices to horizon 3.0 "
+                                         r"project 2.4e\+07 count-chain jumps; the limit is "
+                                         r"1.678e\+07$"):
+        meanfield_comparator(2_000_000, p, 0.3, 3.0, 4, rng)
+    assert rng.bit_generator.state == state
+
+
+def test_comparator_jump_bound_holds_the_rates():
+    # N max(1, alpha01, alpha10) bounds up[k] + down[k] at every k
+    for p in (NPParams.symmetric(0.5), NPParams(lam=1.5, alpha01=0.3, alpha10=0.6),
+              NPParams(lam=2.5, alpha01=1.2, alpha10=0.1), NPParams(lam=0.2, alpha01=3.0,
+                                                                     alpha10=2.0)):
+        for n in (2, 7, 100, 1001):
+            up, down = complete_count_rates(p, n)
+            assert (up + down).max() <= comparator_jumps_bound(n, p, 1.0, 1)
 
 
 @pytest.mark.parametrize("horizon", [np.inf, np.nan, -1.0])

@@ -531,20 +531,45 @@ def _chi2_sf_even(x, df):
     return float(np.exp(-x / 2.0) * acc)
 
 
+def _reference_simulate_complete_counts(up, down, k0, horizon, rng):
+    """One path of the count chain drawn jump by jump, the in-turn sampler the lockstep replaced.
+
+    Each jump draws its holding time, then goes up with probability
+    up[k] / (up[k] + down[k]).  Returns (times, counts) with times[0] = 0;
+    stops early at an absorbing count.
+    """
+    up_k, total_k = up.tolist(), (up + down).tolist()
+    k, t = k0, 0.0
+    times, counts = [0.0], [k0]
+    while total_k[k] > 0.0:
+        t += rng.exponential(1.0 / total_k[k])
+        if t > horizon:
+            break
+        k += 1 if rng.random() * total_k[k] < up_k[k] else -1
+        times.append(t)
+        counts.append(k)
+    return np.array(times), np.array(counts, dtype=np.int64)
+
+
+def _count_paths(slices):
+    """Each row's (times, counts) path, in row order, from simulate_complete_counts' slices."""
+    return [(times[r, :j + 1], counts[r, :j + 1])
+            for times, counts, jumps in slices for r, j in enumerate(jumps)]
+
+
 def test_count_chain_law_matches_exact_semigroup():
-    # law of k_t at N = 6 from 4000 paths against exp(tG) applied to the
-    # popcount-class indicators; 7 classes, so 6 degrees of freedom
+    # law of k_t at N = 6 from 4000 paths of one lockstep call against exp(tG)
+    # applied to the popcount-class indicators; 7 classes, so 6 degrees of freedom
     n, k0, t, reps = 6, 2, 0.8, 4000
     p = NPParams(lam=1.5, alpha01=0.3, alpha10=0.6)
     gen = build_generator_np(p, complete_kernel(n))
     law = semigroup_apply(gen, t, _popcount_projection(n))[(1 << k0) - 1]
     assert abs(law.sum() - 1.0) < 1e-12
-    rng = derive_stream(9, "test-count-law")
     up, down = complete_count_rates(p, n)
-    counts = np.zeros(n + 1)
-    for _ in range(reps):
-        times, ks = simulate_complete_counts(up, down, k0, t, rng)
-        counts[ks[-1]] += 1
+    [(times, ks, jumps)] = simulate_complete_counts(up, down, k0, t, reps,
+                                                    derive_stream(9, "test-count-law"))
+    assert ks.shape == (reps, jumps.max() + 1)
+    counts = np.bincount(ks[:, -1], minlength=n + 1)  # a row repeats its last count
     expected = reps * law
     assert expected.min() >= 5
     stat = float(((counts - expected) ** 2 / expected).sum())
@@ -552,17 +577,76 @@ def test_count_chain_law_matches_exact_semigroup():
     assert _chi2_sf_even(12.5916, 6) == pytest.approx(0.05, abs=1e-5)  # table value
 
 
+def _halfway_end_jumps(times, ks, t):
+    """(k at t/2, k at t, jump count) of one path on [0, t]."""
+    return ks[np.searchsorted(times, t / 2.0, side="right") - 1], ks[-1], len(times) - 1
+
+
+@pytest.mark.parametrize("p", LUMP_PARAMS, ids=["alpha0", "alpha0.3", "lam1.5", "lam2.5"])
+def test_count_chain_joint_law_matches_the_in_turn_sampler(p):
+    # joint law of (k at t/2, k at t, jumps up to t, 9 or more pooled) of the
+    # lockstep rows against paths drawn one after another, jump by jump
+    n, k0, t, reps = 6, 2, 0.8, 3000
+    up, down = complete_count_rates(p, n)
+    got = np.array([_halfway_end_jumps(times, ks, t) for times, ks in _count_paths(
+        simulate_complete_counts(up, down, k0, t, reps, derive_stream(11, "joint-lock")))])
+    rng = derive_stream(11, "joint-turn")
+    want = np.array([_halfway_end_jumps(*_reference_simulate_complete_counts(up, down, k0, t, rng),
+                                        t) for _ in range(reps)])
+    a, b = (np.bincount((x[:, 0] * (n + 1) + x[:, 1]) * 10 + np.minimum(x[:, 2], 9),
+                        minlength=(n + 1) ** 2 * 10) for x in (got, want))
+    keep = (a + b) >= 10  # pool the sparse cells into one
+    a = np.append(a[keep], a[~keep].sum())
+    b = np.append(b[keep], b[~keep].sum())
+    a, b = a[a + b > 0], b[a + b > 0]
+    stat = float(((a - b) ** 2 / (a + b)).sum())  # homogeneity chi-square, equal sample sizes
+    assert len(a) >= 10 and _chi2_sf(stat, len(a) - 1) > 1e-3, (stat, a, b)
+
+
 def test_count_chain_path_shape():
     up, down = complete_count_rates(NPParams.symmetric(0.4), 30)
-    times, ks = simulate_complete_counts(up, down, 9, 2.0, derive_stream(10, "test-count"))
-    assert times[0] == 0.0 and ks[0] == 9 and len(times) == len(ks) > 1
-    assert np.all(np.diff(times) > 0) and times[-1] <= 2.0
-    assert np.all(np.abs(np.diff(ks)) == 1) and ks.min() >= 0 and ks.max() <= 30
+    slices = list(simulate_complete_counts(up, down, 9, 2.0, 50, derive_stream(10, "test-count")))
+    paths = _count_paths(slices)
+    assert len(paths) == 50
+    for times, ks in paths:
+        assert times[0] == 0.0 and ks[0] == 9 and len(times) == len(ks) > 1
+        assert np.all(np.diff(times) > 0) and times[-1] <= 2.0
+        assert np.all(np.abs(np.diff(ks)) == 1) and ks.min() >= 0 and ks.max() <= 30
+    # past its last jump a row repeats its last entry, up to the slice's last step
+    for times, ks, jumps in slices:
+        assert times.shape == ks.shape == (len(jumps), jumps.max() + 1)
+        for r, j in enumerate(jumps):
+            assert (times[r, j:] == times[r, j]).all() and (ks[r, j:] == ks[r, j]).all()
     # absorbing counts stay put and draw nothing
     for k0 in (0, 30):
         rng = derive_stream(10, "test-count-abs")
-        times, ks = simulate_complete_counts(up, down, k0, 2.0, rng)
-        assert list(times) == [0.0] and list(ks) == [k0]
+        [(times, ks, jumps)] = simulate_complete_counts(up, down, k0, 2.0, 3, rng)
+        assert times.tolist() == [[0.0]] * 3 and ks.tolist() == [[k0]] * 3
+        assert jumps.tolist() == [0] * 3
         assert rng.random() == derive_stream(10, "test-count-abs").random()
     with pytest.raises(ValueError, match="initial count"):
-        simulate_complete_counts(up, down, 31, 2.0, derive_stream(10, "x"))
+        simulate_complete_counts(up, down, 31, 2.0, 1, derive_stream(10, "x"))
+    # the count absorbs at 0 or n: an absorbed row stops, the others step on
+    up, down = complete_count_rates(NPParams.symmetric(0.9), 4)
+    paths = _count_paths(simulate_complete_counts(up, down, 2, 5.0, 60, derive_stream(10, "abs")))
+    assert {0, 4} <= {ks[-1] for _, ks in paths}
+    for times, ks in paths:
+        assert np.all(np.diff(times) > 0) and times[-1] <= 5.0
+        assert np.all(np.abs(np.diff(ks)) == 1) and ks.min() >= 0 and ks.max() <= 4
+        assert not (set(ks[:-1].tolist()) & {0, 4})  # an absorbed row stops
+
+
+def test_count_chain_slices_draw_in_turn(monkeypatch):
+    # at 40 cells a slice holds 40 // J rows, J the bound on a row's expected
+    # jumps; each slice is drawn from where the stream stands when it is reached
+    monkeypatch.setattr(spin, "CELLS", 40)
+    up, down = complete_count_rates(NPParams.symmetric(0.4), 10)
+    size = int(40 // (1.5 * (up + down).max()))
+    assert size > 1
+    slices = simulate_complete_counts(up, down, 4, 1.5, 2 * size + 1, derive_stream(12, "slices"))
+    rng = derive_stream(12, "slices")
+    for m in (size, size, 1):
+        [want] = simulate_complete_counts(up, down, 4, 1.5, m, rng)
+        got = next(slices)
+        assert len(got[2]) == m and all(np.array_equal(x, y) for x, y in zip(got, want))
+    assert next(slices, None) is None

@@ -74,7 +74,7 @@ HORIZON_ENTRIES = {
     "simulate_gillespie": lambda h, rng: simulate_gillespie(_P, _K, np.zeros(4), h, rng),
     "sample_event_log": lambda h, rng: sample_event_log(_P, _K, h, rng),
     "simulate_complete_counts": lambda h, rng: simulate_complete_counts(
-        *complete_count_rates(_P, 10), 5, h, rng),
+        *complete_count_rates(_P, 10), 5, h, 4, rng),
     "parity_duality_mc": lambda h, rng: parity_duality_mc(_P, _K, [0], [1], h, 4, 1, "c"),
     "bernoulli_parity_identity": lambda h, rng: bernoulli_parity_identity(_P, _K, [1], h, 4, 1,
                                                                           "c"),
