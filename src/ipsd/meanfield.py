@@ -189,18 +189,23 @@ def meanfield_comparator(n_vertices: int, p: NPParams, density0: float, horizon:
     ts, xs = integrate_ode(rhs, [1.0 - density0], horizon, dt=dt)
     ode_ones = 1.0 - xs[:, 0]
 
-    sups = np.empty(reps)
-    jumps = steps = done = 0
+    ode_end = np.append(ode_ones, 0.0)  # reduceat may start a reduction at len(ts)
+    sups = []
+    jumps = steps = 0
     for times, counts, row_jumps in simulate_complete_counts(up, down, ones, horizon, reps, rng):
         jumps += int(row_jumps.sum())
         steps += times.shape[1] - 1
         jd = counts / n_vertices
         # the ODE on the jump grid; a row's repeated last entry repeats its last gap
         gap_at_jumps = np.abs(jd - (1.0 - np.interp(times, ts, xs[:, 0]))).max(axis=1)
-        for r in range(len(jd)):
-            # the step function on the ODE grid
-            idx = np.searchsorted(times[r], ts, side="right") - 1
-            gap_on_grid = np.abs(jd[r, idx] - ode_ones).max()
-            sups[done + r] = max(float(gap_on_grid), float(gap_at_jumps[r]))
-        done += len(jd)
+        # entry i of a row holds on the ODE grid points bounds[i] up to bounds[i + 1];
+        # its largest gap there is against the least or the largest of the ODE's values
+        bounds = np.empty((len(jd), jd.shape[1] + 1), dtype=np.int64)
+        bounds[:, :-1] = np.searchsorted(ts, times, side="left")
+        bounds[:, -1] = len(ts)
+        hi, lo = (ufunc.reduceat(ode_end, bounds.ravel()).reshape(bounds.shape)[:, :-1]
+                  for ufunc in (np.maximum, np.minimum))
+        gap_on_grid = np.where(bounds[:, :-1] < bounds[:, 1:], np.maximum(jd - lo, hi - jd), 0.0)
+        sups.append(np.maximum(gap_on_grid.max(axis=1), gap_at_jumps))
+    sups = np.concatenate(sups)
     return ComparatorReport(sups, float(np.median(sups)), ts, ode_ones, jumps, steps)

@@ -558,15 +558,17 @@ def complete_count_rates(p: NPParams, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _count_lockstep(up: np.ndarray, total: np.ndarray, k0: int, m: int, horizon: float,
-                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                    rng: np.random.Generator,
+                    steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run m rows of the count chain from k0 together to the horizon.
 
     Returns (times, counts, jumps): row r's path is times[r, :jumps[r] + 1]
     and counts[r, :jumps[r] + 1], from (0, k0) on; past its last jump a row
-    repeats its last entry.  Column s holds the rows that jumped in step s.
+    repeats its last entry.  The record holds ``steps`` steps at first and
+    doubles when a slice takes more.
     """
-    times = np.full((64, m), np.nan)
-    counts = np.zeros((64, m), dtype=np.int64)
+    times = np.full((steps + 1, m), np.nan)
+    counts = np.zeros((steps + 1, m), dtype=np.int64)
     times[0], counts[0] = 0.0, k0
     ids = np.arange(m)
     t = np.zeros(m)
@@ -593,7 +595,8 @@ def _count_lockstep(up: np.ndarray, total: np.ndarray, k0: int, m: int, horizon:
         times[step, ids] = t
         counts[step, ids] = k
     times, counts = times[:step + 1].T, counts[:step + 1].T
-    jumps = np.count_nonzero(~np.isnan(times), axis=1) - 1  # a row jumps in every step it is active
+    # a row jumps in every step it is active
+    jumps = np.count_nonzero(~np.isnan(times), axis=1) - 1
     past = np.arange(step + 1) > jumps[:, None]
     rows = np.arange(m)
     times = np.where(past, times[rows, jumps][:, None], times)
@@ -628,6 +631,8 @@ def simulate_complete_counts(up: np.ndarray, down: np.ndarray, k0: int, horizon:
         raise ValueError(f"initial count must lie in [0, {n}], got {k0}")
     horizon = check_horizon(horizon, "horizon")
     total = up + down
-    size = max(1, int(CELLS // max(1.0, horizon * float(total.max()))))
-    return (_count_lockstep(up, total, k0, min(size, reps - lo), horizon, rng)
+    bound = horizon * float(total.max())
+    size = max(1, int(CELLS // max(1.0, bound)))
+    steps = int(min(bound, CELLS)) + 1
+    return (_count_lockstep(up, total, k0, min(size, reps - lo), horizon, rng, steps)
             for lo in range(0, reps, size))

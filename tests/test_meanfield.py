@@ -216,6 +216,25 @@ def test_comparator_counts_its_jumps(monkeypatch, cells):
     assert again.sup_distances.tobytes() == rep.sup_distances.tobytes()
 
 
+@pytest.mark.parametrize("n_vertices, alpha, density0, horizon, reps, dt", [
+    (4, 0.9, 0.5, 3.0, 60, 0.05),  # rows absorb at 0 or 4 and repeat their last entry
+    (2, 0.5, 0.5, 0.37, 200, 0.05),  # one jump at most; the last ODE step is shortened
+    (200, 0.3, 0.8, 0.5, 30, 0.001),  # many jumps between two grid points
+])
+def test_comparator_sups_equal_the_per_row_evaluation(n_vertices, alpha, density0, horizon, reps,
+                                                      dt):
+    p = NPParams.symmetric(alpha)
+    rep = meanfield_comparator(n_vertices, p, density0, horizon, reps, derive_stream(35, "rows"),
+                               dt=dt)
+    up, down = complete_count_rates(p, n_vertices)
+    [(times, counts, jumps)] = simulate_complete_counts(
+        up, down, int(round(n_vertices * density0)), horizon, reps, derive_stream(35, "rows"))
+    ts, xs = integrate_ode(bind_density_rhs(1.0, alpha, alpha), [1.0 - density0], horizon, dt=dt)
+    sups = [_reference_sup(times[r, :j + 1], counts[r, :j + 1], n_vertices, ts, xs)
+            for r, j in enumerate(jumps)]
+    assert rep.sup_distances.tobytes() == np.array(sups).tobytes()
+
+
 @pytest.mark.parametrize("n_vertices, reps, horizon, message", [
     (1, 5, 1.0, "at least 2 vertices, got 1"),
     (0, 5, 1.0, "at least 2 vertices, got 0"),
