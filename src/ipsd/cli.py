@@ -40,8 +40,9 @@ from .harness import (RunConfig, check_grid, check_horizon, format_float, load_c
 from .kernel import (Kernel, complete_kernel, config_all, config_bernoulli, config_indicator,
                      explicit_kernel, torus_kernel)
 from .lattice import Stencil, Torus
-from .meanfield import (MAX_COMPARATOR_JUMPS, MAX_COMPARATOR_VERTICES, bind_density_rhs,
-                        comparator_jumps_bound, equilibrium, integrate_ode, meanfield_comparator)
+from .meanfield import (COMPARATOR_DT, MAX_COMPARATOR_JUMPS, MAX_COMPARATOR_VERTICES,
+                        MAX_ODE_STEPS, bind_density_rhs, comparator_jumps_bound, equilibrium,
+                        integrate_ode, meanfield_comparator, ode_steps_bound)
 from .momdual import (_check_coexist_args, _check_extinct_args, coexistence_probe,
                       extinction_probe, generator_duality_battery, moment_duality_mc, pairing)
 from .rng import derive_stream
@@ -347,6 +348,10 @@ def cmd_meanfield(cfg: RunConfig) -> Run:
     dt = cfg.opt("run", "dt", 1e-3, float)
     if not 0.0 < dt < np.inf:
         raise ValueError(f"run.dt must be finite and positive, got {dt}")
+    steps = ode_steps_bound(horizon, dt, self_check=True)
+    if steps > MAX_ODE_STEPS:
+        raise ValueError(f"run.t and run.dt project {steps:.4g} RK4 steps with the step-halving "
+                         f"check; the limit is {MAX_ODE_STEPS:.4g}")
     stride = cfg.opt("run", "stride", 100, int)
     if stride < 1:
         raise ValueError(f"run.stride must be at least 1, got {stride}")
@@ -360,6 +365,10 @@ def cmd_meanfield(cfg: RunConfig) -> Run:
     if work > MAX_COMPARATOR_JUMPS:
         raise ValueError(f"run.compare_n projects {work:.4g} count-chain jumps over "
                          f"run.compare_t and run.reps; the limit is {MAX_COMPARATOR_JUMPS:.4g}")
+    steps = ode_steps_bound(compare_t, COMPARATOR_DT)
+    if n_vertices and steps > MAX_ODE_STEPS:
+        raise ValueError(f"run.compare_t projects {steps:.4g} RK4 steps of the comparator's ODE "
+                         f"at dt = {COMPARATOR_DT}; the limit is {MAX_ODE_STEPS:.4g}")
 
     def run() -> dict:
         ts, xs = integrate_ode(bind_density_rhs(p.lam, p.alpha01, p.alpha10), [p0], horizon,

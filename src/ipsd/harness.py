@@ -29,7 +29,6 @@ import itertools
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -198,6 +197,10 @@ def parallel_map(fn, items, threads: int):
     items = list(items)
     if threads <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
+    # imported here: the pool's modules (multiprocessing, socket, logging) are most of
+    # the import time of a single-process run, which never needs them
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(threads, len(items))) as pool:
         return list(pool.map(fn, items))
 

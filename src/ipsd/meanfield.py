@@ -30,34 +30,50 @@ from .harness import check_horizon
 from .spin import NPParams, complete_count_rates, simulate_complete_counts
 
 __all__ = [
+    "MAX_ODE_STEPS",
+    "COMPARATOR_DT",
     "MAX_COMPARATOR_VERTICES",
     "MAX_COMPARATOR_JUMPS",
     "comparator_jumps_bound",
+    "DensityRHS",
     "bind_density_rhs",
     "equilibrium",
+    "ode_steps_bound",
     "integrate_ode",
     "ComparatorReport",
     "meanfield_comparator",
 ]
 
 ODE_CHECK_TOL = 1e-8  # terminal gap allowed between the dt and dt/2 runs of integrate_ode
+# projected RK4 steps of one integrate_ode call; the dt run keeps about 80 bytes per step
+# (its times and states as Python floats, then as arrays), the dt/2 run only its last state
+MAX_ODE_STEPS = 1 << 22
+COMPARATOR_DT = 1e-3  # the step of meanfield_comparator's ODE unless its caller passes one
 
 
-def bind_density_rhs(lam: float, a01: float, a10: float):
+@dataclass(frozen=True)
+class DensityRHS:
     """The reduced frequency ODE's right-hand side p0 -> dp0/dt, its constants bound once.
 
-    A = 1 - lam a01 and A + B, B = lam - a10, are computed here, not at each
-    evaluation.  The function takes a Python float, which it returns as a
-    float, or a float64 array; IEEE arithmetic rounds each operation the
-    same way in both.
+    ``A`` = 1 - lam a01 and ``A_plus_B`` = A + B, B = lam - a10, are
+    computed by :func:`bind_density_rhs`, not at each evaluation.  A call
+    takes a Python float, which it returns as a float, or a float64 array;
+    IEEE arithmetic rounds each operation the same way in both, and
+    :func:`integrate_ode` inlines the same operations.
     """
+
+    lam: float
+    A: float
+    A_plus_B: float
+
+    def __call__(self, p0):
+        return p0 * (1.0 - p0) * (self.A - p0 * self.A_plus_B) / (self.lam * (1.0 - p0) + p0)
+
+
+def bind_density_rhs(lam: float, a01: float, a10: float) -> DensityRHS:
+    """The density ODE's right-hand side for capacity ratio ``lam`` and strengths a01, a10."""
     A = 1.0 - lam * a01
-    A_plus_B = A + (lam - a10)
-
-    def rhs(p0):
-        return p0 * (1.0 - p0) * (A - p0 * A_plus_B) / (lam * (1.0 - p0) + p0)
-
-    return rhs
+    return DensityRHS(lam, A, A + (lam - a10))
 
 
 def equilibrium(lam: float, a01: float, a10: float) -> float:
@@ -73,51 +89,78 @@ def equilibrium(lam: float, a01: float, a10: float) -> float:
     return A / (A + B)
 
 
-def integrate_ode(rhs, x0, horizon: float, dt: float = 1e-3, self_check: bool = False):
-    """Fixed-step RK4 integration of dx/dt = rhs(x), vectorized in x.
+def ode_steps_bound(horizon: float, dt: float, self_check: bool = False) -> float:
+    """Projected RK4 steps of :func:`integrate_ode`: horizon/dt, three times that with the
+    dt/2 self-check (within one step of the count the loop takes at each step size)."""
+    return horizon / dt * (3.0 if self_check else 1.0)
 
-    Returns (times, states) including t=0; states has shape
-    (steps + 1,) + shape of x0.  The last step is shortened to land exactly
-    on the horizon.  A state with one component is stepped as a Python
-    float, so ``rhs`` then receives and returns floats; the states are the
-    same bits as on 1-element arrays.  With ``self_check`` the terminal
-    state is recomputed at half the step and must agree within
-    ODE_CHECK_TOL.  ``self_check`` stays fifth: benchmark/tracing.py reads
-    it by position.
+
+def _rk4(rhs: DensityRHS, x: float, horizon: float, step: float, keep: bool):
+    """RK4 on the density ODE from x at t = 0, each stage of ``rhs`` written out on floats.
+
+    Returns (times, states, last state), the lists holding every step when
+    ``keep`` and only the start otherwise.  Every operation is the one
+    ``rhs(p0)`` and the step formula make, in the same order, so the bits
+    are those of calling ``rhs``.  The last step is shortened to land
+    exactly on the horizon.
+    """
+    lam, A, AB = rhs.lam, rhs.A, rhs.A_plus_B
+    t, end = 0.0, horizon - 1e-15
+    ts, xs = [t], [x]
+    h = step
+    half, sixth = 0.5 * h, h / 6.0
+    while t < end:
+        if horizon - t < step:
+            h = horizon - t
+            half, sixth = 0.5 * h, h / 6.0
+        u = 1.0 - x
+        k1 = x * u * (A - x * AB) / (lam * u + x)
+        y = x + half * k1
+        u = 1.0 - y
+        k2 = y * u * (A - y * AB) / (lam * u + y)
+        y = x + half * k2
+        u = 1.0 - y
+        k3 = y * u * (A - y * AB) / (lam * u + y)
+        y = x + h * k3
+        u = 1.0 - y
+        k4 = y * u * (A - y * AB) / (lam * u + y)
+        x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += h
+        if keep:
+            ts.append(t)
+            xs.append(x)
+    return ts, xs, x
+
+
+def integrate_ode(rhs: DensityRHS, x0, horizon: float, dt: float = 1e-3, self_check: bool = False):
+    """Fixed-step RK4 integration of the density ODE dp0/dt = rhs(p0) from p0 = x0.
+
+    ``rhs`` comes from :func:`bind_density_rhs` and ``x0`` is one density,
+    a float or a one-element sequence.  Returns (times, states) including
+    t=0; states has shape (steps + 1,) + shape of x0.  The last step is
+    shortened to land exactly on the horizon.  With ``self_check`` the
+    terminal state is recomputed at half the step and must agree within
+    ODE_CHECK_TOL.  More than MAX_ODE_STEPS projected steps
+    (:func:`ode_steps_bound`) are refused before any step.  ``horizon``,
+    ``dt`` and ``self_check`` stay third to fifth: benchmark/tracing.py
+    reads them by position.
     """
     horizon = check_horizon(horizon, "horizon")
     if not 0.0 < dt < np.inf:  # an infinite step would cross any horizon in one step
         raise ValueError(f"dt must be finite and positive, got {dt}")
-    x_init, f = np.array(x0, dtype=np.float64), rhs
-    if x_init.size == 1:
-        x_init = x_init.item()
-    else:
-        f = lambda x: np.asarray(rhs(x))
-
-    def run(step):
-        x = x_init
-        t = 0.0
-        ts = [0.0]
-        xs = [x]
-        while t < horizon - 1e-15:
-            h = min(step, horizon - t)
-            k1 = f(x)
-            k2 = f(x + 0.5 * h * k1)
-            k3 = f(x + 0.5 * h * k2)
-            k4 = f(x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            t += h
-            ts.append(t)
-            xs.append(x)
-        return np.array(ts), np.array(xs).reshape((len(xs),) + np.shape(x0))
-
-    ts, xs = run(dt)
+    steps = ode_steps_bound(horizon, dt, self_check)
+    if steps > MAX_ODE_STEPS:
+        raise ValueError(f"horizon {horizon} at dt = {dt} projects {steps:.4g} RK4 steps; "
+                         f"the limit is {MAX_ODE_STEPS:.4g}")
+    x_init = np.array(x0, dtype=np.float64)
+    if x_init.size != 1:
+        raise ValueError(f"integrate_ode steps one density, got {x_init.size} components")
+    ts, xs, x = _rk4(rhs, x_init.item(), horizon, dt, keep=True)
     if self_check:
-        _, xs_half = run(dt / 2.0)
-        err = float(np.abs(xs[-1] - xs_half[-1]).max())
+        err = abs(x - _rk4(rhs, x_init.item(), horizon, dt / 2.0, keep=False)[2])
         if not err <= ODE_CHECK_TOL:  # a NaN fails too
             raise ArithmeticError(f"step-halving check failed: terminal gap {err:.3e}")
-    return ts, xs
+    return np.array(ts), np.array(xs).reshape((len(xs),) + x_init.shape)
 
 
 # the count chain's O(N) rate arrays take about 80 bytes per vertex while they are built
@@ -154,7 +197,8 @@ class ComparatorReport:
 
 
 def meanfield_comparator(n_vertices: int, p: NPParams, density0: float, horizon: float,
-                         reps: int, rng: np.random.Generator, dt: float = 1e-3) -> ComparatorReport:
+                         reps: int, rng: np.random.Generator,
+                         dt: float = COMPARATOR_DT) -> ComparatorReport:
     """Compare complete-graph density paths with the frequency ODE.
 
     ``density0`` is the initial density of ones; the chain starts from
@@ -163,9 +207,10 @@ def meanfield_comparator(n_vertices: int, p: NPParams, density0: float, horizon:
     which steps them in lockstep on ``rng``.  Its piecewise-constant
     density-of-ones path is compared in sup norm against 1 - p0(t), the ODE
     solution's density of ones, on the merged time grid, one slice of
-    replicates at a time.  More than MAX_COMPARATOR_VERTICES vertices, or
+    replicates at a time.  More than MAX_COMPARATOR_VERTICES vertices,
     more than MAX_COMPARATOR_JUMPS projected jumps
-    (:func:`comparator_jumps_bound`), are refused before any draw.
+    (:func:`comparator_jumps_bound`) or more than MAX_ODE_STEPS projected
+    ODE steps are refused before any draw.
     """
     if n_vertices < 2:
         raise ValueError(f"the comparator needs at least 2 vertices, got {n_vertices}")

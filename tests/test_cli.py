@@ -18,7 +18,8 @@ from ipsd.cli import _merge_config, build_parser, console, main
 from ipsd.diffusion import ensemble_observable
 from ipsd.exact import MAX_FK_WORK, fk_check_work
 from ipsd.lattice import Stencil
-from ipsd.meanfield import MAX_COMPARATOR_JUMPS, MAX_COMPARATOR_VERTICES, comparator_jumps_bound
+from ipsd.meanfield import (MAX_COMPARATOR_JUMPS, MAX_COMPARATOR_VERTICES, MAX_ODE_STEPS,
+                            comparator_jumps_bound, ode_steps_bound)
 from ipsd.rng import derive_stream
 from ipsd.spin import SPIN_CHUNK, EventTable, NPParams
 from ipsd.walkers import walker_ensemble
@@ -49,6 +50,10 @@ _PARITY = ["parity-check", "--config", str(CONFIGS / "parity-check.ini"), "--rep
     pytest.param(["meanfield", "--config", str(CONFIGS / "meanfield.ini"), "--reps", "2",
                   "--set", "run.compare_n=10000000000000"], ValueError,
                  id="unbounded-compare-n"),
+    pytest.param(["meanfield", "--config", str(CONFIGS / "meanfield.ini"), "--reps", "2",
+                  "--set", "run.T=1e6"], ValueError, id="unbounded-ode-steps"),
+    pytest.param(["sweep", "--config", str(CONFIGS / "sweep.ini"), "--reps", "2",
+                  "--set", "run.T=1e6"], ValueError, id="unbounded-ode-steps-in-a-sweep"),
 ])
 def test_the_command_reports_a_refusal_as_one_line_without_a_traceback(tmp_path, argv, error):
     # main() raises, which the tests and the benchmark rely on; the command
@@ -520,6 +525,8 @@ def test_a_value_in_a_swept_list_is_refused_by_its_key(tmp_path):
       "--set", "run.cap=2"], "run.xi0", "0:2,0:3", r"^the initial walker total 3 exceeds the cap 2$"),
     (["--set", "sweep.over=meanfield", "--config", str(CONFIGS / "meanfield.ini")],
      "run.compare_n", "0,1", r"^run.compare_n must be 0 \(no comparison\) or at least 2, got 1$"),
+    (["--set", "sweep.over=meanfield", "--config", str(CONFIGS / "meanfield.ini")],
+     "run.t", "1,1e6", r"^run.t and run.dt project 3e\+09 RK4 steps with the step-halving "),
 ])
 def test_a_sweep_refuses_a_late_point_before_any_point_runs(tmp_path, monkeypatch, argv, vary,
                                                              values, message):
@@ -778,6 +785,50 @@ def test_an_unbounded_comparator_is_refused_by_key_before_any_engine_runs(tmp_pa
     # the count chain's rate arrays
     assert comparator_jumps_bound(3_000_000, NPParams(1.0, 0.8, 0.4), 3.0, 2) > MAX_COMPARATOR_JUMPS
     _refused_before_any_engine(tmp_path, monkeypatch, "meanfield", "run.compare_n", value, message)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    # unchecked, run.T=1e6 would have kept 10^9 states and then run 2 x 10^9 more steps
+    ("run.t", "1e6", r"^run.t and run.dt project 3e\+09 RK4 steps with the step-halving "
+                     r"check; the limit is 4.194e\+06$"),
+    ("run.dt", "1e-6", r"^run.t and run.dt project 1.8e\+08 RK4 steps"),
+    ("run.compare_t", "5000", r"^run.compare_t projects 5e\+06 RK4 steps of the comparator's "
+                              r"ODE at dt = 0.001; the limit is 4.194e\+06$"),
+])
+def test_an_unbounded_ode_is_refused_by_key_before_any_engine_runs(tmp_path, monkeypatch, key,
+                                                                  value, message):
+    # configs/meanfield.ini runs to run.t = 60 at run.dt = 0.001 with the step-halving
+    # check, and its comparator (2 replicates of 100 vertices here) to run.compare_t = 3
+    _refused_before_any_engine(tmp_path, monkeypatch, "meanfield", key, value, message)
+
+
+def test_the_comparator_step_limit_holds_only_when_the_comparator_runs(tmp_path, monkeypatch):
+    assert ode_steps_bound(5000.0, 1e-3) > MAX_ODE_STEPS
+
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(cli, "integrate_ode", reached)
+    with pytest.raises(Reached):
+        main(["meanfield", "--config", str(CONFIGS / "meanfield.ini"), "--seed", "3",
+              "--reps", "2", "--out", str(tmp_path), "--set", "run.compare_t=5000",
+              "--set", "run.compare_n=0"])
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # a run at one thread never starts a pool, so the pool's modules load only
+    # when parallel_map starts one
+    src = str(Path(ipsd.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, ipsd.cli; print(sorted(m for m in sys.modules if m in "
+            "('concurrent.futures.process', 'multiprocessing')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("value", ["inf", "nan", "0", "-0.1"])

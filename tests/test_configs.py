@@ -11,6 +11,7 @@ from ipsd import cli, harness
 from ipsd.cli import _COMMANDS, main
 from ipsd.diffusion import ENSEMBLE_BATCH
 from ipsd.harness import load_config_file
+from ipsd.meanfield import MAX_ODE_STEPS, ode_steps_bound
 from ipsd.spin import SPIN_CHUNK
 from ipsd.walkers import WALKER_BATCH
 
@@ -291,6 +292,38 @@ def _unread_keys(monkeypatch, tmp_path, path: Path) -> set:
         main([path.stem, "--config", str(path), "--seed", "1", "--out", str(tmp_path)])
     keys = {(section, key) for section, kv in load_config_file(path).items() for key in kv}
     return keys - reads - _COMMON_KEYS
+
+
+def _command(path: Path) -> str:
+    options = load_config_file(path)
+    return options["sweep"]["over"] if "sweep" in options else path.stem
+
+
+ODE_CONFIGS = [path for path in sorted(CONFIGS.glob("*.ini"))
+               + sorted(BENCHMARK_CONFIGS.glob("*/*.ini")) if _command(path) == "meanfield"]
+
+
+@pytest.mark.parametrize("path", ODE_CONFIGS,
+                         ids=[str(p.relative_to(CONFIGS.parent)) for p in ODE_CONFIGS])
+def test_every_shipped_ode_run_is_far_under_the_step_limit(monkeypatch, tmp_path, path):
+    # the most, configs/meanfield.ini's 1.8e5 projected steps, is 4% of MAX_ODE_STEPS
+    projected = []
+
+    def spy(*args, **kwargs):
+        projected.append(ode_steps_bound(*args, **kwargs))
+        return projected[-1]
+
+    monkeypatch.setattr(cli, "ode_steps_bound", spy)
+
+    def reached(*args, **kwargs):
+        raise _EngineReached
+
+    for name in _ENGINES:
+        monkeypatch.setattr(cli, name, reached)
+    with pytest.raises(_EngineReached):
+        main(["sweep" if "sweep" in load_config_file(path) else path.stem, "--config", str(path),
+              "--seed", "1", "--out", str(tmp_path)])
+    assert projected and max(projected) <= MAX_ODE_STEPS / 20
 
 
 def test_the_stale_key_guard_covers_every_non_sweep_config():

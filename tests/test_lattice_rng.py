@@ -1,5 +1,6 @@
 """Torus geometry, migration stencils, seed derivation, stats, harness."""
 
+import concurrent.futures
 import hashlib
 import json
 import math
@@ -8,7 +9,6 @@ import re
 import numpy as np
 import pytest
 
-from ipsd import harness
 from ipsd.harness import (RunConfig, format_float, load_config_file, parallel_map,
                           replicate_map, resolve_seed, write_csv, write_json)
 from ipsd.lattice import Stencil, Torus
@@ -303,7 +303,8 @@ def test_parallel_map_starts_at_most_one_worker_per_item(monkeypatch, threads, i
         def map(self, fn, seq):
             return map(fn, seq)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    # parallel_map imports the pool from concurrent.futures when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     assert parallel_map(lambda x: x * x, range(items), threads) == [x * x for x in range(items)]
     assert started == pools
 

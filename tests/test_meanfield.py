@@ -1,14 +1,16 @@
 """Density ODE, its closed-form equilibrium, and the finite-system comparator."""
 
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from ipsd import spin
-from ipsd.meanfield import (MAX_COMPARATOR_JUMPS, MAX_COMPARATOR_VERTICES, bind_density_rhs,
-                            comparator_jumps_bound, equilibrium, integrate_ode,
-                            meanfield_comparator)
+from ipsd import meanfield
+from ipsd.meanfield import (MAX_COMPARATOR_JUMPS, MAX_COMPARATOR_VERTICES, MAX_ODE_STEPS,
+                            DensityRHS, bind_density_rhs, comparator_jumps_bound, equilibrium,
+                            integrate_ode, meanfield_comparator, ode_steps_bound)
 from ipsd.rng import derive_stream
 from ipsd.spin import NPParams, complete_count_rates, simulate_complete_counts
 
@@ -65,24 +67,90 @@ def test_lv_density_reduction():
     assert n0 / (n0 + n1) == pytest.approx(eq, abs=1e-12)
 
 
-def test_integrate_ode_exponential():
-    ts, xs = integrate_ode(lambda x: -x, [1.0], 1.0, dt=1e-3)
+# lam = 1 and a10 = 2 - a01 make A + B = 0, so the rhs is the logistic A p0 (1 - p0)
+LOGISTIC = (1.0, 0.0, 2.0)
+
+
+def _logistic(p0, t, rate=1.0):
+    return p0 * np.exp(rate * t) / (1.0 - p0 + p0 * np.exp(rate * t))
+
+
+def test_integrate_ode_logistic():
+    ts, xs = integrate_ode(bind_density_rhs(*LOGISTIC), [0.3], 1.0, dt=1e-3)
     assert ts[-1] == pytest.approx(1.0)
-    assert xs[-1, 0] == pytest.approx(np.exp(-1.0), abs=1e-10)
+    assert xs[-1, 0] == pytest.approx(_logistic(0.3, 1.0), abs=1e-12)
 
 
 def test_integrate_ode_partial_last_step():
     # horizon not a multiple of dt: the last step shortens to land exactly
-    ts, xs = integrate_ode(lambda x: -x, [1.0], 0.55, dt=0.1)
+    ts, xs = integrate_ode(bind_density_rhs(*LOGISTIC), [0.3], 0.55, dt=0.1)
     assert ts[-1] == pytest.approx(0.55, abs=1e-12)
-    assert xs[-1, 0] == pytest.approx(np.exp(-0.55), abs=1e-6)  # RK4 at dt=0.1
+    assert xs[-1, 0] == pytest.approx(_logistic(0.3, 0.55), abs=1e-7)  # RK4 at dt=0.1
 
 
 def test_integrate_ode_self_check_raises_on_instability():
-    # dt far beyond the stability limit of x' = -50x: the halved-step
-    # comparison must fail loudly instead of returning garbage.
-    with pytest.raises(ArithmeticError):
-        integrate_ode(lambda x: -50.0 * x, [1.0], 10.0, dt=0.5, self_check=True)
+    # the logistic at rate 50 with dt = 0.1, twice RK4's stability limit of
+    # about 2.8 / 50: the halved-step comparison must fail loudly instead of
+    # returning garbage
+    with pytest.raises(ArithmeticError, match="^step-halving check failed: terminal gap"):
+        integrate_ode(bind_density_rhs(1.0, -49.0, 51.0), [0.3], 10.0, dt=0.1, self_check=True)
+
+
+def _reference_integrate_ode(rhs, x0, horizon, dt, self_check=False):
+    """Reference: integrate_ode before its inlined loop, calling ``rhs`` on Python floats."""
+    x_init = np.array(x0, dtype=np.float64).item()
+
+    def run(step):
+        x = x_init
+        t = 0.0
+        ts = [0.0]
+        xs = [x]
+        while t < horizon - 1e-15:
+            h = min(step, horizon - t)
+            k1 = rhs(x)
+            k2 = rhs(x + 0.5 * h * k1)
+            k3 = rhs(x + 0.5 * h * k2)
+            k4 = rhs(x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            t += h
+            ts.append(t)
+            xs.append(x)
+        return np.array(ts), np.array(xs).reshape((len(xs),) + np.shape(x0))
+
+    ts, xs = run(dt)
+    if self_check:
+        _, xs_half = run(dt / 2.0)
+        err = float(np.abs(xs[-1] - xs_half[-1]).max())
+        if not err <= 1e-8:
+            raise ArithmeticError(f"step-halving check failed: terminal gap {err:.3e}")
+    return ts, xs
+
+
+@pytest.mark.parametrize("params, x0, horizon, dt", [
+    *[pytest.param((1.0, a01, 0.4), 0.3, 150.0, 0.05, id=f"sweep-alpha01={a01}")
+      for a01 in (0.2, 0.4, 0.6, 0.8)],
+    pytest.param((1.3, 0.2, 0.6), 0.3, 0.55, 0.1, id="shortened-last-step"),
+    pytest.param((1.0, 0.8, 0.4), 0.3, 60.0, 0.001, id="configs-meanfield"),
+    pytest.param((1.0, -49.0, 51.0), 0.3, 10.0, 0.1, id="self-check-fails"),
+])
+def test_integrate_ode_gives_the_reference_bits(params, x0, horizon, dt):
+    # the inlined loop against the loop that called the rhs: the same times,
+    # the same states, and the self-check passing or raising alike
+    rhs = bind_density_rhs(*params)
+    for start in (x0, [x0]):
+        ts, xs = integrate_ode(rhs, start, horizon, dt=dt)
+        ref_ts, ref_xs = _reference_integrate_ode(rhs, start, horizon, dt)
+        assert ts.tobytes() == ref_ts.tobytes()
+        assert xs.shape == ref_xs.shape and xs.dtype == ref_xs.dtype
+        assert xs.tobytes() == ref_xs.tobytes()
+    try:
+        _, want = _reference_integrate_ode(rhs, [x0], horizon, dt, self_check=True)
+    except ArithmeticError as err:
+        with pytest.raises(ArithmeticError, match=f"^{re.escape(str(err))}$"):
+            integrate_ode(rhs, [x0], horizon, dt=dt, self_check=True)
+    else:
+        _, got = integrate_ode(rhs, [x0], horizon, dt=dt, self_check=True)
+        assert got.tobytes() == want.tobytes()
 
 
 def _loop_rk4(rhs, x0, horizon, step):
@@ -106,8 +174,8 @@ def _loop_rk4(rhs, x0, horizon, step):
 @pytest.mark.parametrize("rhs", [
     bind_density_rhs(1.0, 0.5, 0.5),
     bind_density_rhs(1.3, 0.2, 0.6),
-    lambda x: -x,
-], ids=["density-symmetric", "density-asymmetric", "decay"])
+    bind_density_rhs(*LOGISTIC),
+], ids=["density-symmetric", "density-asymmetric", "logistic"])
 @pytest.mark.parametrize("horizon, dt", [(3.0, 1e-3), (0.55, 0.1), (150.0, 0.05)])
 def test_integrate_ode_float_path_matches_array_loop(rhs, horizon, dt):
     # a 1-component state is stepped as a Python float; the states must be
@@ -127,12 +195,52 @@ def test_integrate_ode_float_path_matches_array_loop(rhs, horizon, dt):
 
 
 def test_integrate_ode_state_shapes():
-    ts, xs = integrate_ode(lambda x: -x, 0.7, 1.0, dt=0.3)
+    rhs = bind_density_rhs(1.3, 0.2, 0.6)
+    ts, xs = integrate_ode(rhs, 0.7, 1.0, dt=0.3)
     assert xs.shape == (len(ts),)
-    assert xs.tobytes() == _loop_rk4(lambda x: -x, 0.7, 1.0, 0.3)[1].tobytes()
-    ts, xs = integrate_ode(lambda x: -x, [0.7, 0.2], 1.0, dt=0.3)
-    assert xs.shape == (len(ts), 2)
-    assert xs.tobytes() == _loop_rk4(lambda x: -x, [0.7, 0.2], 1.0, 0.3)[1].tobytes()
+    assert xs.tobytes() == _loop_rk4(rhs, 0.7, 1.0, 0.3)[1].tobytes()
+    ts, xs = integrate_ode(rhs, [0.7], 1.0, dt=0.3)
+    assert xs.shape == (len(ts), 1)
+    assert xs.tobytes() == _loop_rk4(rhs, [0.7], 1.0, 0.3)[1].tobytes()
+
+
+@pytest.mark.parametrize("x0", [[0.7, 0.2], [], [[0.7], [0.2]]])
+def test_integrate_ode_refuses_a_state_of_other_than_one_density(x0):
+    with pytest.raises(ValueError, match=f"^integrate_ode steps one density, got "
+                                         f"{np.size(x0)} components$"):
+        integrate_ode(bind_density_rhs(1.3, 0.2, 0.6), x0, 1.0, dt=0.3)
+
+
+def test_integrate_ode_refuses_a_run_over_the_step_limit_before_any_step(monkeypatch):
+    # unchecked, horizon 10^6 at dt = 10^-3 kept 10^9 states and then ran 2 x 10^9 more steps
+    def never(*args, **kwargs):
+        raise AssertionError("stepped before checking the step count")
+
+    monkeypatch.setattr(meanfield, "_rk4", never)
+    rhs = bind_density_rhs(1.0, 0.8, 0.4)
+    assert ode_steps_bound(1e6, 1e-3) == 1e9 and ode_steps_bound(1e6, 1e-3, True) == 3e9
+    with pytest.raises(ValueError, match=r"^horizon 1000000.0 at dt = 0.001 projects 3e\+09 RK4 "
+                                         r"steps; the limit is 4.194e\+06$"):
+        integrate_ode(rhs, [0.3], 1e6, 1e-3, self_check=True)
+    # the dt/2 self-check counts twice the steps of the dt run
+    horizon = 2e6 * 1e-3
+    assert ode_steps_bound(horizon, 1e-3) < MAX_ODE_STEPS < ode_steps_bound(horizon, 1e-3, True)
+    with pytest.raises(ValueError, match="projects 6e\\+06 RK4 steps"):
+        integrate_ode(rhs, [0.3], horizon, 1e-3, self_check=True)
+
+
+def test_integrate_ode_keeps_no_state_of_its_self_check():
+    # the dt run keeps about 81 bytes a step; the dt/2 run keeps only its last state
+    rhs = bind_density_rhs(1.0, 0.8, 0.4)
+    peaks = []
+    for self_check in (False, True):
+        tracemalloc.start()
+        try:
+            integrate_ode(rhs, [0.3], 20.0, 1e-3, self_check=self_check)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 100 * 20_000 and peaks[1] < 1.1 * peaks[0], peaks
 
 
 def test_density_rhs_float_matches_array():
@@ -160,10 +268,11 @@ def test_bound_density_rhs_gives_the_reference_bits(lam, a01, a10):
     assert rhs(grid).tobytes() == _reference_density_rhs(grid, lam, a01, a10).tobytes()
     for p0 in grid.tolist():
         assert rhs(p0) == _reference_density_rhs(p0, lam, a01, a10)
+    assert rhs == DensityRHS(lam, 1.0 - lam * a01, 1.0 - lam * a01 + (lam - a10))
     # one run with its self-check, as meanfield steps it, against the per-evaluation formula
     _, got = integrate_ode(rhs, [0.3], 150.0, dt=0.05, self_check=True)
-    _, want = integrate_ode(lambda x: _reference_density_rhs(x, lam, a01, a10), [0.3], 150.0,
-                            dt=0.05, self_check=True)
+    _, want = _reference_integrate_ode(lambda x: _reference_density_rhs(x, lam, a01, a10), [0.3],
+                                       150.0, 0.05, self_check=True)
     assert got.tobytes() == want.tobytes()
 
 
@@ -263,6 +372,9 @@ def test_comparator_refuses_unbounded_work_before_any_draw():
                                          r"project 2.4e\+07 count-chain jumps; the limit is "
                                          r"1.678e\+07$"):
         meanfield_comparator(2_000_000, p, 0.3, 3.0, 4, rng)
+    # 2 vertices to t = 5000 make 10^4 jumps at most, but 5 x 10^6 ODE steps at dt = 10^-3
+    with pytest.raises(ValueError, match=r"^horizon 5000.0 at dt = 0.001 projects 5e\+06 RK4 steps"):
+        meanfield_comparator(2, p, 0.3, 5000.0, 1, rng)
     assert rng.bit_generator.state == state
 
 
@@ -280,22 +392,22 @@ def test_comparator_jump_bound_holds_the_rates():
 def test_integrate_ode_refuses_a_horizon_that_is_not_finite_and_nonnegative(horizon):
     # unchecked, an infinite horizon never returned and a NaN one returned the start
     with pytest.raises(ValueError, match="horizon must be finite and nonnegative"):
-        integrate_ode(lambda x: -x, [1.0], horizon)
+        integrate_ode(bind_density_rhs(*LOGISTIC), [0.3], horizon)
 
 
 @pytest.mark.parametrize("dt", [np.inf, np.nan, 0.0, -0.1])
 def test_integrate_ode_refuses_a_step_that_is_not_finite_and_positive(dt):
-    # unchecked, dt = inf took one RK4 step over the whole horizon and returned
-    # 505741 for a state that decays from 1; the halved step, also infinite,
-    # took the same step, so the self-check passed
+    # unchecked, dt = inf took one RK4 step over the whole horizon (for x' = -x
+    # from 1 it returned 505741); the halved step, also infinite, took the
+    # same step, so the self-check passed
     with pytest.raises(ValueError, match=f"^dt must be finite and positive, got {dt}$"):
-        integrate_ode(lambda x: -x, [1.0], 60.0, dt=dt, self_check=True)
+        integrate_ode(bind_density_rhs(*LOGISTIC), [0.3], 60.0, dt=dt, self_check=True)
 
 
 def test_integrate_ode_self_check_fails_on_a_nan_state():
     # unchecked, the NaN terminal gap passed err > tol and meanfield wrote terminal: NaN
     with pytest.raises(ArithmeticError, match="step-halving check failed"):
-        integrate_ode(lambda x: -x, [np.nan], 1.0, self_check=True)
+        integrate_ode(bind_density_rhs(*LOGISTIC), [np.nan], 1.0, self_check=True)
 
 
 def test_comparator_keeps_no_quadratic_structure():
