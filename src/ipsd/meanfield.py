@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 ODE_CHECK_TOL = 1e-8  # terminal gap allowed between the dt and dt/2 runs of integrate_ode
-# projected RK4 steps of one integrate_ode call; the dt run keeps about 80 bytes per step
+# projected RK4 steps of one integrate_ode call; the dt run keeps about 81 bytes per step
 # (its times and states as Python floats, then as arrays), the dt/2 run only its last state
 MAX_ODE_STEPS = 1 << 22
 COMPARATOR_DT = 1e-3  # the step of meanfield_comparator's ODE unless its caller passes one
@@ -90,8 +90,11 @@ def equilibrium(lam: float, a01: float, a10: float) -> float:
 
 
 def ode_steps_bound(horizon: float, dt: float, self_check: bool = False) -> float:
-    """Projected RK4 steps of :func:`integrate_ode`: horizon/dt, three times that with the
-    dt/2 self-check (within one step of the count the loop takes at each step size)."""
+    """Projected RK4 steps of :func:`integrate_ode`, without stepping.
+
+    horizon/dt, within one step of the count the loop takes; with the dt/2
+    self-check, three times that.
+    """
     return horizon / dt * (3.0 if self_check else 1.0)
 
 
