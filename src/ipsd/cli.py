@@ -370,14 +370,21 @@ def cmd_meanfield(cfg: RunConfig) -> Run:
         raise ValueError(f"run.compare_t projects {steps:.4g} RK4 steps of the comparator's ODE "
                          f"at dt = {COMPARATOR_DT}; the limit is {MAX_ODE_STEPS:.4g}")
 
-    def run() -> dict:
+    eq = equilibrium(p.lam, p.alpha01, p.alpha10)
+    # the ODE has no draws, so it runs while reading: a step too coarse for
+    # RK4 is refused before any point of a sweep runs, and only the rows
+    # the CSV keeps are held until then
+    try:
         ts, xs = integrate_ode(bind_density_rhs(p.lam, p.alpha01, p.alpha10), [p0], horizon,
                                dt=dt, self_check=True)
-        kept = sorted({*range(0, len(ts), stride), len(ts) - 1})  # each stride-th and the last
-        write_csv(cfg.out / "meanfield_path.csv", ["t", "p0"], [ts[kept], xs[kept, 0]])
-        eq = equilibrium(p.lam, p.alpha01, p.alpha10)
-        payload = {"equilibrium": eq, "terminal": float(xs[-1, 0]),
-                   "terminal_gap": abs(float(xs[-1, 0]) - eq)}
+    except ArithmeticError as err:  # the step-halving check, or a division by zero off [0, 1]
+        raise ValueError(f"run.dt = {dt} is too coarse for RK4 on the density ODE: {err}") from None
+    kept = sorted({*range(0, len(ts), stride), len(ts) - 1})  # each stride-th and the last
+    path, terminal = [ts[kept], xs[kept, 0]], float(xs[-1, 0])
+
+    def run() -> dict:
+        write_csv(cfg.out / "meanfield_path.csv", ["t", "p0"], path)
+        payload = {"equilibrium": eq, "terminal": terminal, "terminal_gap": abs(terminal - eq)}
         if n_vertices:
             rep = meanfield_comparator(n_vertices, p, 1.0 - p0, compare_t, cfg.reps,
                                        derive_stream(cfg.seed, "meanfield-compare"))

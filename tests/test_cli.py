@@ -840,6 +840,35 @@ def test_a_step_that_is_not_finite_and_positive_is_refused_by_key_before_any_eng
                                f"run.dt must be finite and positive, got {float(value)}")
 
 
+@pytest.mark.parametrize("dt, cause", [("3", "step-halving check failed: terminal gap 2.530e-08"),
+                                       ("30", "float division by zero")])
+@pytest.mark.parametrize("command", ["meanfield", "sweep"])
+def test_a_step_too_coarse_for_the_ode_is_refused_by_key_as_one_line(tmp_path, capsys, command, dt,
+                                                                       cause):
+    # unchecked, run.dt=3 ended in the step-halving check's ArithmeticError and
+    # run.dt=30 in a ZeroDivisionError from the rhs once RK4 left [0, 1], both
+    # as tracebacks; the sweep's first point, at run.dt=0.01, passes and writes nothing
+    out = tmp_path / "out"
+    sets = ({"run.dt": dt} if command == "meanfield" else
+            {"sweep.over": "meanfield", "sweep.vary": "run.dt", "sweep.values": f"0.01,{dt}"})
+    argv = [command, "--config", str(CONFIGS / "meanfield.ini"), "--seed", "1", "--reps", "2",
+            "--out", str(out), "--set", "run.compare_n=0"]
+    assert console(argv + [arg for kv in sets.items() for arg in ("--set", "=".join(kv))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"ipsd: error: run.dt = {float(dt)} is too coarse for RK4 on the "
+                            f"density ODE: {cause}\n")
+    assert not out.exists()
+
+
+def test_a_model_outside_the_coexistence_window_is_refused_before_the_path_is_written(tmp_path):
+    # unchecked, meanfield at params.alpha10=2 wrote meanfield_path.csv and then refused
+    with pytest.raises(ValueError, match=r"^need 0 <= a10 < lam, got a10=2.0, lam=1.0$"):
+        main(["meanfield", "--config", str(CONFIGS / "meanfield.ini"), "--seed", "1", "--reps", "2",
+              "--out", str(tmp_path), "--set", "run.compare_n=0", "--set", "params.alpha10=2"])
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("command", ["spin-run", "dual-run", "parity-check", "diffusion-run",
                                      "walker-run", "moment-check", "meanfield", "exact-check"])
 def test_one_replicate_is_refused_before_any_engine_runs(tmp_path, monkeypatch, command):

@@ -12,7 +12,7 @@ import pytest
 
 from ipsd import diffusion
 from ipsd.cli import main
-from ipsd.diffusion import (DiffusionParams, _ensemble_chunk, drift_field, em_step,
+from ipsd.diffusion import (DiffusionParams, StepPlan, _ensemble_chunk, em_step,
                             ensemble_observable, sigma_of_p)
 from ipsd.exact import _uniformized
 from ipsd.lattice import Stencil, Torus
@@ -34,7 +34,7 @@ def test_drift_field_hand_values():
     # (p(x-1) + p(x+1))/2 - p(x); add s p(1-p)(1-mu p) for selection.
     p = _params(s=2.0, mu=0.5)
     field = np.array([0.1, 0.2, 0.3, 0.4])
-    out = drift_field(field, p)
+    out = _reference_drift_field(field, p)
     for x in range(4):
         mig = 0.5 * (field[(x - 1) % 4] + field[(x + 1) % 4]) - field[x]
         sel = 2.0 * field[x] * (1 - field[x]) * (1 - 0.5 * field[x])
@@ -45,10 +45,10 @@ def test_drift_field_batch_axes():
     p = _params(d=2, L=3)
     rng = np.random.default_rng(51)
     batch = rng.random((5, 3, 3))
-    out = drift_field(batch, p)
+    out = _reference_drift_field(batch, p)
     assert out.shape == (5, 3, 3)
     for i in range(5):
-        assert np.allclose(out[i], drift_field(batch[i], p))
+        assert np.allclose(out[i], _reference_drift_field(batch[i], p))
 
 
 def test_em_step_stays_in_unit_interval():
@@ -232,6 +232,40 @@ def test_ensemble_observable_refuses_a_bad_grid_before_any_step(monkeypatch, gri
         ensemble_observable(_params(), np.full(4, 0.5), grid, _flat_fields, 3, 1, "bad-grid")
 
 
+@pytest.mark.parametrize("bad", [1.5, -0.1, np.nan])
+def test_ensemble_observable_refuses_a_start_outside_the_unit_interval_before_any_step(monkeypatch,
+                                                                                      bad):
+    # the step takes no variance floor: f(1 - f) >= 0 holds because every
+    # field it reads is this start or a clip output
+    def never(*args, **kwargs):
+        raise AssertionError("stepped before checking p0")
+
+    monkeypatch.setattr(diffusion, "em_step", never)
+    p0 = np.full(4, 0.5)
+    p0[2] = bad
+    with pytest.raises(ValueError, match=rf"^p0 must lie in \[0, 1\] at every site, got {bad}$"):
+        ensemble_observable(_params(), p0, [0.1], _flat_fields, 3, 1, "bad-start")
+
+
+def test_em_step_without_a_plan_refuses_a_field_outside_the_unit_interval():
+    with pytest.raises(ValueError, match=r"^field must lie in \[0, 1\] at every site, got 1.5$"):
+        em_step(np.array([0.5, 1.5, 0.2, 0.1]), _params(), derive_stream(1, "bad-field"))
+
+
+@pytest.mark.parametrize("geometry, calls", [("ring8", 6), ("ring2", 6), ("torus3d", 18),
+                                             ("mirror-minus-first", 6), ("mirror-unequal", 8),
+                                             ("mirror-apart-2d", 16), ("mirror-then-jump", 10),
+                                             ("diagonal", 16)])
+def test_a_mirror_pair_is_derived_from_its_twin(geometry, calls):
+    # a computed term is 4 bound calls (flat and wrap subtract, weight, add) and
+    # a derived twin 2 (flat and wrap subtract); both buffers bind the same calls
+    torus, stencil = _GEOMETRIES[geometry]
+    plan = StepPlan((3,) + torus.shape, DiffusionParams(torus=torus, stencil=stencil))
+    assert [len(terms) for terms in plan.terms] == [calls, calls]
+    with pytest.raises(ValueError, match="one of its plan's field buffers"):
+        plan.terms_of(np.empty_like(plan.diff))
+
+
 # -- the allocating Euler-Maruyama step the buffered kernel replaced, kept as
 # its bit-for-bit reference (np.roll neighbours, a fresh array per operation,
 # and the noise signs read bit by bit off the raw words in a Python loop)
@@ -277,7 +311,11 @@ def _reference_chunk(params, p0, grid, size, rng):
 
 # (torus, stencil) cases: nearest neighbours on 1-d rings of 2, 8 and 16 sites
 # and on 2-d and 3-d tori, plus hand-built stencils with a jump of 2, a jump
-# past L (10 on 8 sites, which wraps to 2), a jump past L/2 and a diagonal
+# past L (10 on 8 sites, which wraps to 2), a jump past L/2 and a diagonal.
+# The mirror cases are pairs +e, -e the step derives from one computed term,
+# or must not: one listed -e first, one with unequal weights (computed), a
+# 2-d stencil whose pairs are not adjacent (computed), a pair of jumps of 3
+# followed by a computed jump, and a pair of jumps past L/2
 _GEOMETRIES = {
     "ring2": (Torus(1, 2), Stencil.nearest_neighbor(1, 1.0)),
     "ring8": (Torus(1, 8), Stencil.nearest_neighbor(1, 1.0)),
@@ -287,6 +325,11 @@ _GEOMETRIES = {
     "jump2": (Torus(1, 8), Stencil(((2,), (-1,), (-2,)), (0.3, 0.4, 0.3))),
     "jumpL": (Torus(1, 8), Stencil(((10,), (1,), (-5,)), (0.2, 0.5, 0.3))),
     "diagonal": (Torus(2, 4), Stencil(((1, 1), (0, -1), (2, 0), (-1, 3)), (0.4, 0.3, 0.2, 0.1))),
+    "mirror-minus-first": (Torus(1, 8), Stencil(((-1,), (1,)), (0.5, 0.5))),
+    "mirror-unequal": (Torus(1, 8), Stencil(((1,), (-1,)), (0.3, 0.7))),
+    "mirror-apart-2d": (Torus(2, 4), Stencil(((1, 0), (0, 1), (-1, 0), (0, -1)), (0.25,) * 4)),
+    "mirror-then-jump": (Torus(1, 8), Stencil(((3,), (-3,), (2,)), (0.3, 0.3, 0.4))),
+    "mirror-past-half": (Torus(1, 8), Stencil(((5,), (-5,)), (0.5, 0.5))),
 }
 _SELECTION = [(s, mu) for s in (0.0, 1.0, -1.0, 20.0) for mu in (0.0, 2.0, -0.5)]
 
@@ -313,10 +356,12 @@ def test_buffered_em_gives_the_reference_bits(geometry, s, mu, noise_n):
     start = np.broadcast_to(p0, (3,) + p0.shape).copy()
     want, field = start, start.copy()
     rng_ref, rng = derive_stream(72, "gate"), derive_stream(72, "gate")
-    spare, work = np.empty_like(field), [np.empty_like(field) for _ in range(4)]
+    plan = StepPlan(field.shape, params)
+    field, spare = plan.fields
+    field[...] = start
     for _ in range(200):
         want = _reference_em_step(want, params, rng_ref)
-        field, spare = em_step(field, params, rng, spare, work), field
+        field, spare = em_step(field, params, rng, spare, plan), field
     assert field.tobytes() == want.tobytes()
 
     grid = [0.1, 0.399]  # 50 steps, then 149 full ones and one of 1e-3
@@ -332,7 +377,6 @@ def test_em_step_allocates_its_buffers_when_none_are_given():
     got = em_step(field, params, derive_stream(75, "plain"))
     want = _reference_em_step(field, params, derive_stream(75, "plain"))
     assert got.tobytes() == want.tobytes()
-    assert drift_field(field, params).tobytes() == _reference_drift_field(field, params).tobytes()
 
 
 def _flat_view(fields):
@@ -354,18 +398,19 @@ def test_an_observable_may_return_a_view_of_the_fields():
 
 @pytest.mark.parametrize("noise_n", [1.0, 0.5])
 def test_each_increment_before_the_clip_is_plus_or_minus_the_standard_deviation(noise_n):
-    # em_step leaves the noise in its second work array: every entry is
+    # em_step leaves the noise in its plan's noise array: every entry is
     # +sd or -sd with sd = sqrt(max(f(1 - f)/N, 0) dt), signed by its bit;
     # 5 x 16 sites take one full raw word and 16 bits of a second
     params = _params(L=16, s=1.0, mu=2.0, noise_n=noise_n, dt=2e-3)
     field = np.stack([_gate_start(params.torus, 78 + i) for i in range(5)])
-    work = [np.empty_like(field) for _ in range(4)]
-    em_step(field, params, derive_stream(79, "signs"), np.empty_like(field), work)
+    plan = StepPlan(field.shape, params)
+    plan.fields[0][...] = field
+    em_step(plan.fields[0], params, derive_stream(79, "signs"), plan.fields[1], plan)
     sd = np.sqrt(np.maximum(field * (1.0 - field) / noise_n, 0.0) * params.dt)
     signs = _reference_signs(derive_stream(79, "signs"), field.shape)
     assert (signs > 0).any() and (signs < 0).any() and (sd == 0.0).any()
-    assert np.array_equal(np.abs(work[1]), sd)
-    assert work[1].tobytes() == (signs * sd).tobytes()
+    assert np.array_equal(np.abs(plan.noise), sd)
+    assert plan.noise.tobytes() == (signs * sd).tobytes()
 
 
 def test_diffusion_run_output_is_byte_identical_at_one_and_two_threads(tmp_path, monkeypatch):
