@@ -24,7 +24,7 @@ import configparser
 import itertools
 import sys
 from collections.abc import Callable
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,7 @@ from .harness import (RunConfig, check_grid, check_horizon, format_float, load_c
                       read_option, replicate_map, resolve_seed, write_csv, write_json)
 from .kernel import (Kernel, complete_kernel, config_all, config_bernoulli, config_indicator,
                      explicit_kernel, torus_kernel)
-from .lattice import Stencil, Torus
+from .lattice import Stencil, Torus, check_torus
 from .meanfield import (COMPARATOR_DT, MAX_COMPARATOR_JUMPS, MAX_COMPARATOR_VERTICES,
                         MAX_ODE_STEPS, bind_density_rhs, comparator_jumps_bound, equilibrium,
                         integrate_ode, meanfield_comparator, ode_steps_bound)
@@ -48,7 +48,7 @@ from .momdual import (_check_coexist_args, _check_extinct_args, coexistence_prob
 from .rng import derive_stream
 from .spin import SPIN_CHUNK, NPParams, simulate_gillespie
 from .stats import MCEstimate, wilson_lower
-from .walkers import BCRW, CRW, DBARW, count_row, walker_ensemble
+from .walkers import BCRW, CRW, DBARW, check_chunk_cells, count_row, walker_ensemble
 
 
 # -- config plumbing -----------------------------------------------------------
@@ -123,10 +123,17 @@ def _edge(tok: str) -> tuple[int, int, float]:
     return int(x), int(y), float(w)
 
 
+def _torus_size(cfg: RunConfig, section: str) -> tuple[int, int]:
+    """d and L of [section], the site count L^d refused by key before anything is built."""
+    d, L = cfg.opt(section, "d", 1, int), cfg.opt(section, "l", 8, int)
+    check_torus(d, L, (f"{section}.d", f"{section}.l"))
+    return d, L
+
+
 def _build_kernel(cfg: RunConfig) -> Kernel:
     ktype = cfg.opt("kernel", "type", "torus")
     if ktype == "torus":
-        return torus_kernel(cfg.opt("kernel", "d", 1, int), cfg.opt("kernel", "l", 8, int))
+        return torus_kernel(*_torus_size(cfg, "kernel"))
     if ktype == "complete":
         return complete_kernel(cfg.opt("kernel", "n", 8, int))
     if ktype == "explicit":
@@ -157,7 +164,7 @@ def _stencil(d: int, spec: str) -> Stencil:
 
 
 def _build_lattice(cfg: RunConfig) -> tuple[Torus, Stencil]:
-    torus = Torus(cfg.opt("lattice", "d", 1, int), cfg.opt("lattice", "l", 8, int))
+    torus = Torus(*_torus_size(cfg, "lattice"))
     return torus, cfg.opt("model", "m", Stencil.nearest_neighbor(torus.d),
                           partial(_stencil, torus.d))
 
@@ -348,10 +355,10 @@ def cmd_meanfield(cfg: RunConfig) -> Run:
     dt = cfg.opt("run", "dt", 1e-3, float)
     if not 0.0 < dt < np.inf:
         raise ValueError(f"run.dt must be finite and positive, got {dt}")
-    steps = ode_steps_bound(horizon, dt, self_check=True)
+    steps = ode_steps_bound(horizon, dt)
     if steps > MAX_ODE_STEPS:
-        raise ValueError(f"run.t and run.dt project {steps:.4g} RK4 steps with the step-halving "
-                         f"check; the limit is {MAX_ODE_STEPS:.4g}")
+        raise ValueError(f"run.t and run.dt project {steps:.4g} RK4 steps; the limit is "
+                         f"{MAX_ODE_STEPS:.4g}")
     stride = cfg.opt("run", "stride", 100, int)
     if stride < 1:
         raise ValueError(f"run.stride must be at least 1, got {stride}")
@@ -377,7 +384,7 @@ def cmd_meanfield(cfg: RunConfig) -> Run:
     try:
         ts, xs = integrate_ode(bind_density_rhs(p.lam, p.alpha01, p.alpha10), [p0], horizon,
                                dt=dt, self_check=True)
-    except ArithmeticError as err:  # the step-halving check, or a division by zero off [0, 1]
+    except ArithmeticError as err:  # the closed-form check, or a division by zero off [0, 1]
         raise ValueError(f"run.dt = {dt} is too coarse for RK4 on the density ODE: {err}") from None
     kept = sorted({*range(0, len(ts), stride), len(ts) - 1})  # each stride-th and the last
     path, terminal = [ts[kept], xs[kept, 0]], float(xs[-1, 0])
@@ -437,7 +444,9 @@ def cmd_walker_run(cfg: RunConfig) -> Run:
     horizon = _parse_horizon(cfg, 10.0)
     grid = _parse_grid(cfg, "grid", [horizon], horizon)
     cap = _parse_cap(cfg, 100000)
-    count_row(xi0, torus, cap)  # a start over the cap is refused here
+    # a start over the cap, or a chunk over MAX_CHUNK_CELLS, is refused here
+    count_row(xi0, torus, cap)
+    check_chunk_cells(cfg.reps, torus.n_sites, len(grid))
 
     def run() -> dict:
         runs = walker_ensemble(kind, xi0, torus, stencil, grid, cap, cfg.reps, cfg.seed,
@@ -463,7 +472,9 @@ def cmd_moment_check(cfg: RunConfig) -> Run:
     xi0 = _parse_counts(cfg, params.torus.n_sites, [(0, 2)])
     p0 = np.full(params.torus.shape, _parse_p0(cfg))
     cap = _parse_cap(cfg, 100000)
-    count_row(xi0, params.torus, cap)  # a start over the cap is refused here
+    # a start over the cap, or a chunk over MAX_CHUNK_CELLS, is refused here
+    count_row(xi0, params.torus, cap)
+    check_chunk_cells(cfg.reps, params.torus.n_sites, len(grid))
 
     def run() -> dict:
         rows = moment_duality_mc(params, p0, xi0, grid, cfg.reps, cfg.seed, regime=regime,
@@ -647,8 +658,14 @@ def _merge_config(args) -> RunConfig:
                      out=out, threads=threads, options=options)
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """:func:`build_parser`, built once per process: a parse leaves the parser as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     cfg = _merge_config(args)
     fn = cmd_sweep if cfg.subcommand == "sweep" else _COMMANDS[cfg.subcommand]
     payload = fn(cfg)()

@@ -16,7 +16,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Stencil", "Torus"]
+__all__ = ["MAX_TORUS_SITES", "check_torus", "Stencil", "Torus"]
+
+# a walker chunk's snapshot holds a cell per site (walkers.MAX_CHUNK_CELLS), and
+# the largest torus is 2^24 sites, so d is at most 24 and a stencil 48 tuples
+MAX_TORUS_SITES = 1 << 24
+
+
+def check_torus(d: int, L: int, keys: tuple[str, str] = ("d", "L")) -> int:
+    """The site count L^d of a torus, refused past MAX_TORUS_SITES before it is computed.
+
+    ``keys`` name d and L in a refusal.  L >= 2, so d above log2(MAX_TORUS_SITES)
+    is refused without forming the power.
+    """
+    kd, kl = keys
+    if d < 1 or L < 2:
+        raise ValueError(f"torus needs {kd} >= 1 and {kl} >= 2, got {kd} = {d} and {kl} = {L}")
+    if d >= MAX_TORUS_SITES.bit_length() or L**d > MAX_TORUS_SITES:
+        raise ValueError(f"{kl} = {L} and {kd} = {d} give {L}^{d} torus sites; the limit is "
+                         f"{MAX_TORUS_SITES}")
+    return L**d
 
 
 @dataclass(frozen=True)
@@ -70,8 +89,7 @@ class Torus:
     L: int
 
     def __post_init__(self):
-        if self.d < 1 or self.L < 2:
-            raise ValueError("torus needs d >= 1 and L >= 2")
+        check_torus(self.d, self.L)
 
     @property
     def n_sites(self) -> int:

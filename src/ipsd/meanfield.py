@@ -9,6 +9,9 @@ well-mixed population, to a single ODE for the frequency p0 of type 0::
 
 Inside the coexistence window (0 <= a10 < lam, 0 <= a01 < 1/lam) the unique
 interior equilibrium is p0* = (1 - lam a01) / ((1 - lam a01) + (lam - a10)).
+With A = 1 - lam a01, B = lam - a10 and S = A + B the flow is separable, and
+inside the window its path has the closed form of :func:`exact_path`, the
+exact oracle that :func:`integrate_ode`'s RK4 states are checked against.
 The spin system on the complete graph converges to this flow as the number
 of vertices grows; :func:`meanfield_comparator` measures the gap.  It runs
 the lumped chain of the number of ones, which is exact because sites are
@@ -39,15 +42,19 @@ __all__ = [
     "bind_density_rhs",
     "equilibrium",
     "ode_steps_bound",
+    "exact_path",
     "integrate_ode",
     "ComparatorReport",
     "meanfield_comparator",
 ]
 
-ODE_CHECK_TOL = 1e-8  # terminal gap allowed between the dt and dt/2 runs of integrate_ode
-# projected RK4 steps of one integrate_ode call; the dt run keeps about 81 bytes per step
-# (its times and states as Python floats, then as arrays), the dt/2 run only its last state
+ODE_CHECK_TOL = 1e-8  # largest gap allowed on the grid between RK4 and exact_path
+# projected RK4 steps of one integrate_ode call; it keeps about 81 bytes per step
+# (its times and states as Python floats, then as arrays)
 MAX_ODE_STEPS = 1 << 22
+EXACT_PATH_TOL = 1e-13  # a Newton step of exact_path that moves p no further has converged
+EXACT_PATH_BLOCK = 4096  # grid times solved together; bounds exact_path's temporaries
+_EPS = float(np.finfo(np.float64).eps)
 COMPARATOR_DT = 1e-3  # the step of meanfield_comparator's ODE unless its caller passes one
 
 
@@ -89,22 +96,88 @@ def equilibrium(lam: float, a01: float, a10: float) -> float:
     return A / (A + B)
 
 
-def ode_steps_bound(horizon: float, dt: float, self_check: bool = False) -> float:
-    """Projected RK4 steps of :func:`integrate_ode`, without stepping.
+def ode_steps_bound(horizon: float, dt: float) -> float:
+    """Projected RK4 steps of :func:`integrate_ode`: horizon/dt, within one of the loop's count."""
+    return horizon / dt
 
-    horizon/dt, within one step of the count the loop takes; with the dt/2
-    self-check, three times that.
+
+def _window(rhs: DensityRHS) -> tuple[float, float, float, float]:
+    """lam, A, B and S of ``rhs``, refused outside the coexistence window lam, A, B > 0."""
+    lam, A, S = rhs.lam, rhs.A, rhs.A_plus_B
+    B = S - A  # the rhs's own constants, so that A/S is where it vanishes
+    if not (lam > 0.0 and A > 0.0 and B > 0.0):  # a NaN fails too
+        raise ValueError(f"the closed form needs a model inside the coexistence window, "
+                         f"lam, A, B > 0; got lam = {lam}, A = {A}, B = {B}")
+    return lam, A, B, S
+
+
+def exact_path(rhs: DensityRHS, p0: float, times, guess=None) -> np.ndarray:
+    """The density ODE's path from p0 in [0, 1] at ``times`` >= 0, in closed form.
+
+    Inside the coexistence window, with g(p) = lam (1 - p) + p, p* = A/S and
+    c = g(p*) / (p* (1 - p*)) = S (lam/A + 1/B), separation of variables
+    gives the time to reach p::
+
+        t(p) = (lam/A) ln(p/p0) + (1/B) ln((1-p)/(1-p0)) - (c/S) ln|(A-Sp)/(A-Sp0)|
+
+    Below p*, let e^v = p/(A - Sp), so p = A/(S + e^-v) keeps its relative
+    precision near 0; the third term cancels and t = k (v - v0) + kb
+    ln((1 + B e^v)/(1 + B e^v0)), k = lam/A, kb = 1/B.  Above p* the same
+    holds for 1 - p, with A and B and with k and kb swapped.  t is convex
+    in v with slope in [k, k + kb], so v lies in [v0 + t/(k + kb), v0 + t/k]
+    and Newton steps from any start in that bracket stay in it.  ``guess``
+    (one density per time, such as RK4's states) starts them.  A time has
+    converged once a step moves p by at most EXACT_PATH_TOL or its residual
+    is at the rounding of t's terms; one that has not within 60 steps is an
+    ArithmeticError.  A start of 0, 1 or p* is a constant path.
     """
-    return horizon / dt * (3.0 if self_check else 1.0)
+    lam, A, B, S = _window(rhs)
+    times = np.asarray(times, dtype=np.float64)
+    side = A - S * p0  # the path keeps the sign of A - Sp
+    if p0 in (0.0, 1.0) or side == 0.0:
+        return np.full(times.shape, p0)
+    below = side > 0.0  # r is p below p*, 1 - p above, and a - S r = |A - Sp|
+    a, b, k, kb = (A, B, lam / A, 1.0 / B) if below else (B, A, 1.0 / B, lam / A)
+    v0, lnb = np.log((p0 if below else 1.0 - p0) / abs(side)), np.log(b)
+    soft0 = np.logaddexp(0.0, lnb + v0)  # ln(1 + b e^v0)
+    v_tol = 4.0 * S / a * EXACT_PATH_TOL  # r = a/(S + e^-v) moves at most a/(4S) per unit of v
+    out = np.empty(times.shape)
+    flat_t, flat_out = times.reshape(-1), out.reshape(-1)
+    starts = None if guess is None else np.asarray(guess, dtype=np.float64).reshape(-1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(0, flat_t.size, EXACT_PATH_BLOCK):
+            block = slice(i, i + EXACT_PATH_BLOCK)
+            tau = flat_t[block]
+            lo, hi = v0 + tau / (k + kb), v0 + tau / k
+            v = (lo + hi) / 2.0
+            if starts is not None:  # fmin and fmax put a NaN start at a bracket end
+                r = starts[block] if below else 1.0 - starts[block]
+                v = np.fmax(lo, np.fmin(hi, np.log(r / (a - S * r))))
+            for _ in range(60):
+                soft = np.logaddexp(0.0, lnb + v)
+                f = k * (v - v0) + kb * (soft - soft0) - tau
+                step = f / (k + kb * np.exp(lnb + v - soft))
+                v = v - step
+                done = ((np.abs(step) <= v_tol)
+                        | (np.abs(f) <= 8 * _EPS * (k * (np.abs(v) + abs(v0)) + kb * (soft + soft0)
+                                                    + tau)))
+                if done.all():
+                    break
+            else:
+                raise ArithmeticError(f"the closed form did not converge at "
+                                      f"{np.count_nonzero(~done)} of {tau.size} times")
+            r = a / (S + np.exp(-v))
+            flat_out[block] = r if below else 1.0 - r
+    out[times == 0.0] = p0
+    return out
 
 
-def _rk4(rhs: DensityRHS, x: float, horizon: float, step: float, keep: bool):
+def _rk4(rhs: DensityRHS, x: float, horizon: float, step: float):
     """RK4 on the density ODE from x at t = 0, each stage of ``rhs`` written out on floats.
 
-    Returns (times, states, last state), the lists holding every step when
-    ``keep`` and only the start otherwise.  Every operation is the one
-    ``rhs(p0)`` and the step formula make, in the same order, so the bits
-    are those of calling ``rhs``.  The last step is shortened to land
+    Returns the lists of times and states at every step.  Every operation
+    is the one ``rhs(p0)`` and the step formula make, in the same order, so
+    the bits are those of calling ``rhs``.  The last step is shortened to land
     exactly on the horizon.
     """
     lam, A, AB = rhs.lam, rhs.A, rhs.A_plus_B
@@ -129,10 +202,9 @@ def _rk4(rhs: DensityRHS, x: float, horizon: float, step: float, keep: bool):
         k4 = y * u * (A - y * AB) / (lam * u + y)
         x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t += h
-        if keep:
-            ts.append(t)
-            xs.append(x)
-    return ts, xs, x
+        ts.append(t)
+        xs.append(x)
+    return ts, xs
 
 
 def integrate_ode(rhs: DensityRHS, x0, horizon: float, dt: float = 1e-3, self_check: bool = False):
@@ -142,28 +214,34 @@ def integrate_ode(rhs: DensityRHS, x0, horizon: float, dt: float = 1e-3, self_ch
     a float or a one-element sequence.  Returns (times, states) including
     t=0; states has shape (steps + 1,) + shape of x0.  The last step is
     shortened to land exactly on the horizon.  With ``self_check`` the
-    terminal state is recomputed at half the step and must agree within
-    ODE_CHECK_TOL.  More than MAX_ODE_STEPS projected steps
-    (:func:`ode_steps_bound`) are refused before any step.  ``horizon``,
-    ``dt`` and ``self_check`` stay third to fifth: benchmark/tracing.py
-    reads them by position.
+    states must lie within ODE_CHECK_TOL of :func:`exact_path` at every
+    grid time, or an ArithmeticError is raised; RK4 steps once, and a model
+    outside the coexistence window is refused before any step.  More than
+    MAX_ODE_STEPS projected steps (:func:`ode_steps_bound`) are refused
+    before any step.  ``horizon``, ``dt`` and ``self_check`` stay third to
+    fifth: benchmark/tracing.py reads them by position.
     """
     horizon = check_horizon(horizon, "horizon")
     if not 0.0 < dt < np.inf:  # an infinite step would cross any horizon in one step
         raise ValueError(f"dt must be finite and positive, got {dt}")
-    steps = ode_steps_bound(horizon, dt, self_check)
+    steps = ode_steps_bound(horizon, dt)
     if steps > MAX_ODE_STEPS:
         raise ValueError(f"horizon {horizon} at dt = {dt} projects {steps:.4g} RK4 steps; "
                          f"the limit is {MAX_ODE_STEPS:.4g}")
     x_init = np.array(x0, dtype=np.float64)
     if x_init.size != 1:
         raise ValueError(f"integrate_ode steps one density, got {x_init.size} components")
-    ts, xs, x = _rk4(rhs, x_init.item(), horizon, dt, keep=True)
+    start = x_init.item()
     if self_check:
-        err = abs(x - _rk4(rhs, x_init.item(), horizon, dt / 2.0, keep=False)[2])
-        if not err <= ODE_CHECK_TOL:  # a NaN fails too
-            raise ArithmeticError(f"step-halving check failed: terminal gap {err:.3e}")
-    return np.array(ts), np.array(xs).reshape((len(xs),) + x_init.shape)
+        _window(rhs)
+        if not 0.0 <= start <= 1.0:  # a NaN fails too
+            raise ArithmeticError(f"closed-form check failed: the start {start} lies off [0, 1]")
+    ts, xs = (np.array(seq) for seq in _rk4(rhs, start, horizon, dt))
+    if self_check:
+        gap = np.abs(xs - exact_path(rhs, start, ts, guess=xs)).max()
+        if not gap <= ODE_CHECK_TOL:  # a NaN fails too
+            raise ArithmeticError(f"closed-form check failed: largest gap {gap:.3e} on the grid")
+    return ts, xs.reshape((len(xs),) + x_init.shape)
 
 
 # the count chain's O(N) rate arrays take about 80 bytes per vertex while they are built

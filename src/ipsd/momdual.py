@@ -33,8 +33,9 @@ from .harness import check_grid, check_horizon
 from .lattice import Stencil, Torus
 from .rng import derive_stream
 from .stats import MCEstimate, two_sample_z, wilson_lower, wilson_upper
-from .walkers import (BCRW, CRW, DBARW, DEFAULT_CAP, WalkerKind, apply_transition, count_row,
-                      survival_probability, walker_ensemble, walker_rates)
+from .walkers import (BCRW, CRW, DBARW, DEFAULT_CAP, WalkerKind, apply_transition,
+                      check_chunk_cells, count_row, survival_probability, walker_ensemble,
+                      walker_rates)
 
 __all__ = [
     "moment_eval",
@@ -251,6 +252,7 @@ def moment_duality_mc(params: DiffusionParams, p0: np.ndarray, xi0: dict[int, in
     if not ((p0 >= 0.0) & (p0 <= 1.0)).all():  # a NaN fails too
         raise ValueError("p0 must lie in [0, 1] at every site")
     grid = check_grid(grid, "grid")
+    check_chunk_cells(reps, params.torus.n_sites, len(grid))
     regime, kind, transform, _ = pairing(params.s, params.mu, regime)
     v0_flat = (p0 if transform is None else transform(p0)).reshape(-1)
 
@@ -317,6 +319,7 @@ def _check_coexist_args(s: float, torus: Torus, t_het: float, horizon_surv: floa
     horizon_surv = check_horizon(horizon_surv, "horizon_surv")
     _check_reps(reps_het=reps_het, reps_surv=reps_surv)
     count_row({0: 2}, torus, cap)
+    check_chunk_cells(reps_surv, torus.n_sites, 1)
     return t_het, horizon_surv
 
 
@@ -387,6 +390,7 @@ def _check_extinct_args(s: float, mu: float, torus: Torus, p0_value: float,
                          f"p0 = {p0_value}")
     grid = check_grid(grid, "grid")
     _check_reps(reps_fwd=reps_fwd, reps_dual=reps_dual)
+    check_chunk_cells(reps_dual, torus.n_sites, len(grid))
     return grid
 
 

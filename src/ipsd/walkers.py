@@ -46,6 +46,7 @@ __all__ = [
     "simulate_walker",
     "occupied_sites",
     "count_row",
+    "check_chunk_cells",
     "WalkerSamples",
     "walker_samples",
     "walker_ensemble",
@@ -326,13 +327,19 @@ def count_row(xi0: dict[int, int], torus: Torus, cap: int | None = None) -> np.n
     return row
 
 
+def check_chunk_cells(reps: int, n_sites: int, n_grid: int) -> None:
+    """Refuse an ensemble whose largest chunk, of min(reps, WALKER_BATCH) runs, would hold
+    more than MAX_CHUNK_CELLS snapshot cells: one per run, site and grid point."""
+    size = min(reps, WALKER_BATCH)
+    cells = size * n_sites * n_grid
+    if cells > MAX_CHUNK_CELLS:
+        raise ValueError(f"a walker chunk of {size} reps x {n_sites} sites x {n_grid} grid "
+                         f"points needs {cells} snapshot cells; the limit is {MAX_CHUNK_CELLS}")
+
+
 def _start_row(xi0: dict[int, int], torus: Torus, grid: list, cap: int, size: int) -> np.ndarray:
     """The initial count row, after the checks simulate_walker makes and a size bound."""
-    n = torus.n_sites
-    cells = size * n * len(grid)
-    if cells > MAX_CHUNK_CELLS:
-        raise ValueError(f"a walker chunk of {size} reps x {n} sites x {len(grid)} grid points "
-                         f"needs {cells} snapshot cells; the limit is {MAX_CHUNK_CELLS}")
+    check_chunk_cells(size, torus.n_sites, len(grid))
     return count_row(xi0, torus, cap)
 
 
@@ -476,6 +483,7 @@ def walker_ensemble(kind: WalkerKind, xi0: dict[int, int], torus: Torus, stencil
     """``reps`` walker runs in WALKER_BATCH chunks, one derived stream per chunk."""
     grid = check_grid(grid, "grid")  # refused before any chunk starts, as is a start over the cap
     count_row(xi0, torus, cap)
+    check_chunk_cells(reps, torus.n_sites, len(grid))
     work = partial(walker_samples, kind, xi0, torus, stencil, grid, cap, observe=observe)
     return WalkerSamples(*replicate_map(work, reps, master_seed, role, WALKER_BATCH, threads))
 

@@ -526,7 +526,12 @@ def test_a_value_in_a_swept_list_is_refused_by_its_key(tmp_path):
     (["--set", "sweep.over=meanfield", "--config", str(CONFIGS / "meanfield.ini")],
      "run.compare_n", "0,1", r"^run.compare_n must be 0 \(no comparison\) or at least 2, got 1$"),
     (["--set", "sweep.over=meanfield", "--config", str(CONFIGS / "meanfield.ini")],
-     "run.t", "1,1e6", r"^run.t and run.dt project 3e\+09 RK4 steps with the step-halving "),
+     "run.t", "1,1e6", r"^run.t and run.dt project 1e\+09 RK4 steps; the limit is "),
+    # unchecked, the L = 8 point ran and wrote its files before the chunk worker refused
+    (["--set", "sweep.over=walker-run", "--config", str(CONFIGS / "walker-run.ini"),
+      "--set", "lattice.d=2"], "lattice.L", "8,4096",
+     r"^a walker chunk of 2 reps x 16777216 sites x 3 grid points needs 100663296 snapshot "
+     r"cells; the limit is 16777216$"),
 ])
 def test_a_sweep_refuses_a_late_point_before_any_point_runs(tmp_path, monkeypatch, argv, vary,
                                                              values, message):
@@ -789,15 +794,14 @@ def test_an_unbounded_comparator_is_refused_by_key_before_any_engine_runs(tmp_pa
 
 @pytest.mark.parametrize("key, value, message", [
     # unchecked, run.T=1e6 would have kept 10^9 states and then run 2 x 10^9 more steps
-    ("run.t", "1e6", r"^run.t and run.dt project 3e\+09 RK4 steps with the step-halving "
-                     r"check; the limit is 4.194e\+06$"),
-    ("run.dt", "1e-6", r"^run.t and run.dt project 1.8e\+08 RK4 steps"),
+    ("run.t", "1e6", r"^run.t and run.dt project 1e\+09 RK4 steps; the limit is 4.194e\+06$"),
+    ("run.dt", "1e-6", r"^run.t and run.dt project 6e\+07 RK4 steps"),
     ("run.compare_t", "5000", r"^run.compare_t projects 5e\+06 RK4 steps of the comparator's "
                               r"ODE at dt = 0.001; the limit is 4.194e\+06$"),
 ])
 def test_an_unbounded_ode_is_refused_by_key_before_any_engine_runs(tmp_path, monkeypatch, key,
                                                                   value, message):
-    # configs/meanfield.ini runs to run.t = 60 at run.dt = 0.001 with the step-halving
+    # configs/meanfield.ini runs to run.t = 60 at run.dt = 0.001 with the closed-form
     # check, and its comparator (2 replicates of 100 vertices here) to run.compare_t = 3
     _refused_before_any_engine(tmp_path, monkeypatch, "meanfield", key, value, message)
 
@@ -816,6 +820,56 @@ def test_the_comparator_step_limit_holds_only_when_the_comparator_runs(tmp_path,
         main(["meanfield", "--config", str(CONFIGS / "meanfield.ini"), "--seed", "3",
               "--reps", "2", "--out", str(tmp_path), "--set", "run.compare_t=5000",
               "--set", "run.compare_n=0"])
+
+
+@pytest.mark.parametrize("command, section, sets", [
+    ("walker-run", "lattice", ()),
+    ("diffusion-run", "lattice", ()),
+    ("moment-check", "lattice", ()),
+    ("coexist-probe", "lattice", ()),
+    ("extinct-probe", "lattice", ()),
+    ("spin-run", "kernel", ()),
+    ("dual-run", "kernel", ()),
+    ("parity-check", "kernel", ("run.A=0", "run.B=1")),
+])
+@pytest.mark.parametrize("d", ["64", "100000"])
+def test_a_torus_over_the_site_limit_is_refused_by_key_before_any_stencil_is_built(
+        tmp_path, monkeypatch, command, section, sets, d):
+    # unchecked, d = 64 failed in numpy with "Maximum allowed dimension exceeded",
+    # which names no key, and d = 10^5 spent over 20 s building 2d stencil tuples of length d
+    def never(*args, **kwargs):
+        raise AssertionError("built a stencil before checking the torus")
+
+    monkeypatch.setattr(Stencil, "nearest_neighbor", classmethod(never))
+    _refused_before_any_engine(tmp_path, monkeypatch, command, f"{section}.d", d,
+                               f"^{section}.l = 8 and {section}.d = {d} give 8\\^{d} torus sites; "
+                               f"the limit is 16777216$", f"{section}.L=8", *sets)
+
+
+def test_main_parses_with_one_parser_and_keeps_no_state_between_calls(monkeypatch):
+    # rebuilt on every call, the parser cost 1.2-1.5 ms and left about 300 objects in
+    # reference cycles; built once, each call's --set values still reach only that call
+    parser = cli._parser()
+
+    def never():
+        raise AssertionError("rebuilt the parser")
+
+    class Read(Exception):
+        pass
+
+    seen = []
+
+    def read(cfg):
+        seen.append(cfg.options)
+        raise Read
+
+    monkeypatch.setattr(cli, "build_parser", never)
+    monkeypatch.setitem(cli._COMMANDS, "meanfield", read)
+    for sets in (["run.t=1", "params.alpha=0.3"], ["run.dt=0.5"], []):
+        with pytest.raises(Read):
+            main(["meanfield", "--seed", "3"] + [arg for kv in sets for arg in ("--set", kv)])
+    assert seen == [{"run": {"t": "1"}, "params": {"alpha": "0.3"}}, {"run": {"dt": "0.5"}}, {}]
+    assert cli._parser() is parser and parser.parse_args(["meanfield"]).set == []
 
 
 def test_importing_the_cli_loads_no_process_pool():
@@ -840,12 +894,13 @@ def test_a_step_that_is_not_finite_and_positive_is_refused_by_key_before_any_eng
                                f"run.dt must be finite and positive, got {float(value)}")
 
 
-@pytest.mark.parametrize("dt, cause", [("3", "step-halving check failed: terminal gap 2.530e-08"),
+@pytest.mark.parametrize("dt, cause", [("3", "closed-form check failed: largest gap 1.361e-05 "
+                                              "on the grid"),
                                        ("30", "float division by zero")])
 @pytest.mark.parametrize("command", ["meanfield", "sweep"])
 def test_a_step_too_coarse_for_the_ode_is_refused_by_key_as_one_line(tmp_path, capsys, command, dt,
                                                                        cause):
-    # unchecked, run.dt=3 ended in the step-halving check's ArithmeticError and
+    # unchecked, run.dt=3 ended in the self-check's ArithmeticError and
     # run.dt=30 in a ZeroDivisionError from the rhs once RK4 left [0, 1], both
     # as tracebacks; the sweep's first point, at run.dt=0.01, passes and writes nothing
     out = tmp_path / "out"

@@ -306,7 +306,7 @@ ODE_CONFIGS = [path for path in sorted(CONFIGS.glob("*.ini"))
 @pytest.mark.parametrize("path", ODE_CONFIGS,
                          ids=[str(p.relative_to(CONFIGS.parent)) for p in ODE_CONFIGS])
 def test_every_shipped_ode_run_is_far_under_the_step_limit(monkeypatch, tmp_path, path):
-    # the most, configs/meanfield.ini's 1.8e5 projected steps, is 4% of MAX_ODE_STEPS
+    # the most, configs/meanfield.ini's 6e4 projected steps, is 1.4% of MAX_ODE_STEPS
     projected = []
 
     def spy(*args, **kwargs):

@@ -11,7 +11,8 @@ import pytest
 
 from ipsd.harness import (RunConfig, format_float, load_config_file, parallel_map,
                           replicate_map, resolve_seed, write_csv, write_json)
-from ipsd.lattice import Stencil, Torus
+from ipsd.kernel import torus_kernel
+from ipsd.lattice import MAX_TORUS_SITES, Stencil, Torus, check_torus
 from ipsd.rng import derive_seed_words, derive_stream
 from ipsd.stats import MCEstimate, two_sample_z, wilson_lower, wilson_upper
 
@@ -391,3 +392,24 @@ def test_write_json_payload(tmp_path):
     assert data["s"] == [0, 2]
     assert data["config"]["seed"] == 1
     assert "version" in data
+
+
+def test_a_torus_over_the_site_limit_is_refused_before_its_power_is_formed(monkeypatch):
+    # L^d past 2^24 is refused; from d = 25 on without forming L^d, so that
+    # d = 10^18 is refused at once, and before torus_kernel builds a stencil
+    assert check_torus(24, 2) == Torus(24, 2).n_sites == MAX_TORUS_SITES == 1 << 24
+    assert check_torus(2, 4096) == MAX_TORUS_SITES
+    for d, L in [(2, 4097), (25, 2), (64, 8), (10**18, 2)]:
+        with pytest.raises(ValueError, match=f"^L = {L} and d = {d} give {L}\\^{d} torus sites; "
+                                             f"the limit is 16777216$"):
+            Torus(d, L)
+
+    def never(*args, **kwargs):
+        raise AssertionError("built a stencil before checking the torus")
+
+    monkeypatch.setattr(Stencil, "nearest_neighbor", classmethod(never))
+    with pytest.raises(ValueError, match="^L = 8 and d = 64 give"):
+        torus_kernel(64, 8)
+    with pytest.raises(ValueError, match="^torus needs lattice.d >= 1 and lattice.l >= 2, got "
+                                         "lattice.d = 0 and lattice.l = 8$"):
+        check_torus(0, 8, ("lattice.d", "lattice.l"))

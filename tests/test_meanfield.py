@@ -1,16 +1,21 @@
 """Density ODE, its closed-form equilibrium, and the finite-system comparator."""
 
+import itertools
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ipsd import spin
 from ipsd import meanfield
+from ipsd.harness import load_config_file
 from ipsd.meanfield import (MAX_COMPARATOR_JUMPS, MAX_COMPARATOR_VERTICES, MAX_ODE_STEPS,
-                            DensityRHS, bind_density_rhs, comparator_jumps_bound, equilibrium,
-                            integrate_ode, meanfield_comparator, ode_steps_bound)
+                            ODE_CHECK_TOL, DensityRHS, bind_density_rhs, comparator_jumps_bound,
+                            equilibrium, exact_path, integrate_ode, meanfield_comparator,
+                            ode_steps_bound)
 from ipsd.rng import derive_stream
 from ipsd.spin import NPParams, complete_count_rates, simulate_complete_counts
 
@@ -88,12 +93,15 @@ def test_integrate_ode_partial_last_step():
     assert xs[-1, 0] == pytest.approx(_logistic(0.3, 0.55), abs=1e-7)  # RK4 at dt=0.1
 
 
+# inside the window, lam = 0.02 makes the growth rate near p0 = 0 about A / lam = 50
+STIFF = (0.02, 0.0, 0.0)
+
+
 def test_integrate_ode_self_check_raises_on_instability():
-    # the logistic at rate 50 with dt = 0.1, twice RK4's stability limit of
-    # about 2.8 / 50: the halved-step comparison must fail loudly instead of
-    # returning garbage
-    with pytest.raises(ArithmeticError, match="^step-halving check failed: terminal gap"):
-        integrate_ode(bind_density_rhs(1.0, -49.0, 51.0), [0.3], 10.0, dt=0.1, self_check=True)
+    # rate 50 with dt = 0.1, beyond RK4's stability limit of about 2.8 / 50:
+    # the closed-form comparison must fail loudly instead of returning garbage
+    with pytest.raises(ArithmeticError, match="^closed-form check failed: largest gap"):
+        integrate_ode(bind_density_rhs(*STIFF), [0.001], 10.0, dt=0.1, self_check=True)
 
 
 def _reference_integrate_ode(rhs, x0, horizon, dt, self_check=False):
@@ -131,11 +139,12 @@ def _reference_integrate_ode(rhs, x0, horizon, dt, self_check=False):
       for a01 in (0.2, 0.4, 0.6, 0.8)],
     pytest.param((1.3, 0.2, 0.6), 0.3, 0.55, 0.1, id="shortened-last-step"),
     pytest.param((1.0, 0.8, 0.4), 0.3, 60.0, 0.001, id="configs-meanfield"),
-    pytest.param((1.0, -49.0, 51.0), 0.3, 10.0, 0.1, id="self-check-fails"),
+    pytest.param(STIFF, 0.001, 10.0, 0.1, id="self-check-fails"),
 ])
 def test_integrate_ode_gives_the_reference_bits(params, x0, horizon, dt):
     # the inlined loop against the loop that called the rhs: the same times,
-    # the same states, and the self-check passing or raising alike
+    # the same states, and the closed-form check passing or raising where the
+    # reference's step-halving check does
     rhs = bind_density_rhs(*params)
     for start in (x0, [x0]):
         ts, xs = integrate_ode(rhs, start, horizon, dt=dt)
@@ -145,8 +154,8 @@ def test_integrate_ode_gives_the_reference_bits(params, x0, horizon, dt):
         assert xs.tobytes() == ref_xs.tobytes()
     try:
         _, want = _reference_integrate_ode(rhs, [x0], horizon, dt, self_check=True)
-    except ArithmeticError as err:
-        with pytest.raises(ArithmeticError, match=f"^{re.escape(str(err))}$"):
+    except ArithmeticError:
+        with pytest.raises(ArithmeticError, match="^closed-form check failed: largest gap"):
             integrate_ode(rhs, [x0], horizon, dt=dt, self_check=True)
     else:
         _, got = integrate_ode(rhs, [x0], horizon, dt=dt, self_check=True)
@@ -185,9 +194,14 @@ def test_integrate_ode_float_path_matches_array_loop(rhs, horizon, dt):
     assert ts.tobytes() == ref_ts.tobytes()
     assert xs.shape == ref_xs.shape == (len(ref_ts), 1) and xs.dtype == ref_xs.dtype
     assert xs.tobytes() == ref_xs.tobytes()
-    # self_check compares against the half step and passes or raises as the loop says
+    # self_check passes or raises as the loop's step-halving says; the
+    # logistic lies outside the coexistence window, where it is refused
     gap = abs(ref_xs[-1, 0] - _loop_rk4(rhs, [0.3], horizon, dt / 2.0)[1][-1, 0])
-    if gap <= 1e-8:
+    if rhs.A_plus_B <= rhs.A:
+        with pytest.raises(ValueError, match="^the closed form needs a model inside the "
+                                             "coexistence window"):
+            integrate_ode(rhs, [0.3], horizon, dt=dt, self_check=True)
+    elif gap <= 1e-8:
         assert integrate_ode(rhs, [0.3], horizon, dt=dt, self_check=True)[1].tobytes() == xs.tobytes()
     else:
         with pytest.raises(ArithmeticError):
@@ -213,24 +227,30 @@ def test_integrate_ode_refuses_a_state_of_other_than_one_density(x0):
 
 def test_integrate_ode_refuses_a_run_over_the_step_limit_before_any_step(monkeypatch):
     # unchecked, horizon 10^6 at dt = 10^-3 kept 10^9 states and then ran 2 x 10^9 more steps
+    class Stepped(Exception):
+        pass
+
     def never(*args, **kwargs):
-        raise AssertionError("stepped before checking the step count")
+        raise Stepped
 
     monkeypatch.setattr(meanfield, "_rk4", never)
     rhs = bind_density_rhs(1.0, 0.8, 0.4)
-    assert ode_steps_bound(1e6, 1e-3) == 1e9 and ode_steps_bound(1e6, 1e-3, True) == 3e9
-    with pytest.raises(ValueError, match=r"^horizon 1000000.0 at dt = 0.001 projects 3e\+09 RK4 "
+    assert ode_steps_bound(1e6, 1e-3) == 1e9
+    with pytest.raises(ValueError, match=r"^horizon 1000000.0 at dt = 0.001 projects 1e\+09 RK4 "
                                          r"steps; the limit is 4.194e\+06$"):
         integrate_ode(rhs, [0.3], 1e6, 1e-3, self_check=True)
-    # the dt/2 self-check counts twice the steps of the dt run
+    # the closed-form check makes no RK4 steps, so the self-check adds none to the count
     horizon = 2e6 * 1e-3
-    assert ode_steps_bound(horizon, 1e-3) < MAX_ODE_STEPS < ode_steps_bound(horizon, 1e-3, True)
-    with pytest.raises(ValueError, match="projects 6e\\+06 RK4 steps"):
+    assert ode_steps_bound(horizon, 1e-3) < MAX_ODE_STEPS
+    with pytest.raises(Stepped):
         integrate_ode(rhs, [0.3], horizon, 1e-3, self_check=True)
+    with pytest.raises(ValueError, match="projects 5e\\+06 RK4 steps"):
+        integrate_ode(rhs, [0.3], 5e6 * 1e-3, 1e-3, self_check=True)
 
 
 def test_integrate_ode_keeps_no_state_of_its_self_check():
-    # the dt run keeps about 81 bytes a step; the dt/2 run keeps only its last state
+    # the dt run keeps about 81 bytes a step; the closed form is solved in
+    # blocks of EXACT_PATH_BLOCK times once the step lists are freed
     rhs = bind_density_rhs(1.0, 0.8, 0.4)
     peaks = []
     for self_check in (False, True):
@@ -241,6 +261,158 @@ def test_integrate_ode_keeps_no_state_of_its_self_check():
         finally:
             tracemalloc.stop()
     assert peaks[0] < 100 * 20_000 and peaks[1] < 1.1 * peaks[0], peaks
+
+
+# -- the closed form ----------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _closed_form_gaps(cases):
+    """Largest gap on the grid between exact_path, started from bracket midpoints, and RK4
+    at dt and at dt/2, over cases that share the horizon and dt.
+
+    Past 60 cases RK4 steps every model at once as arrays, each element as the
+    float path steps it; a numpy step costs about as much as 60 float steps.
+    """
+    [(horizon, dt)] = {case[2:] for case in cases}
+    rhs = [bind_density_rhs(*params) for params, *_ in cases]
+    x0 = [case[1] for case in cases]
+    stacked = DensityRHS(*(np.array([getattr(r, key) for r in rhs])
+                           for key in ("lam", "A", "A_plus_B")))
+    gaps = []
+    for step in (dt, dt / 2.0):
+        if len(cases) > 60:
+            ts, xs = _loop_rk4(stacked, x0, horizon, step)
+            runs = [(ts, xs[:, j]) for j in range(len(cases))]
+        else:
+            runs = [integrate_ode(r, x, horizon, dt=step) for r, x in zip(rhs, x0)]
+        gaps.append(max(float(np.abs(exact_path(r, x, ts) - xs.reshape(-1)).max())
+                        for r, x, (ts, xs) in zip(rhs, x0, runs)))
+    return gaps
+
+
+def _criterion_06_cases():
+    """Criterion 6's 20 models x 2 starts, drawn as tests/test_acceptance.py draws them."""
+    rng = derive_stream(20260819, "c6")
+    cases = []
+    for _ in range(20):
+        lam = float(rng.uniform(0.75, 1.5))
+        a01 = float(rng.uniform(0.0, 0.5 / lam))
+        a10 = float(rng.uniform(0.0, 0.5 * lam))
+        cases += [((lam, a01, a10), x0, 200.0, 0.01) for x0 in (0.3, 0.7)]
+    return cases
+
+
+def _sweep_cases(path):
+    """(params, p0, horizon, dt) of every point of a meanfield sweep config."""
+    options = load_config_file(path)
+    run, base = options["run"], options["params"]
+    names = [name.split(".", 1)[1] for name in options["sweep"]["vary"].split(",")]
+    lists = [[float(v) for v in values.split(",")]
+             for values in options["sweep"]["values"].split(";")]
+    cases = []
+    for point in itertools.product(*lists):
+        params = {**{k: float(v) for k, v in base.items()}, **dict(zip(names, point))}
+        cases.append(((params["lam"], params["alpha01"], params["alpha10"]), float(run["p0"]),
+                      float(run["t"]), float(run["dt"])))
+    return cases
+
+
+@pytest.mark.parametrize("cases", [
+    pytest.param(_criterion_06_cases(), id="criterion-06"),
+    pytest.param(_sweep_cases(ROOT / "benchmark/configs/complete-graph/sweep.ini"),
+                 id="benchmark-sweep"),
+    pytest.param(_sweep_cases(ROOT / "configs/meanfield-scan.ini"), id="meanfield-scan"),
+])
+def test_the_closed_form_agrees_with_rk4_at_dt_and_half_dt(cases):
+    assert len(cases) in (40, 4, 100)
+    assert max(_closed_form_gaps(cases)) <= ODE_CHECK_TOL / 10
+
+
+@given(st.floats(-2.0, 2.0), st.floats(0.0, 0.999), st.floats(0.0, 0.999), st.floats(0.0, 1.0),
+       st.sampled_from([1.0, 10.0]))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_the_closed_form_agrees_with_rk4_on_window_models(log_lam, u01, u10, x0, horizon):
+    # any model of the window, a01 = u01 / lam and a10 = u10 lam, from any start;
+    # a Newton solve from RK4's states finds the root a solve from midpoints finds
+    lam = float(np.exp(log_lam))
+    params = (lam, u01 / lam, u10 * lam)
+    assert max(_closed_form_gaps([(params, x0, horizon, 1e-3)])) <= ODE_CHECK_TOL / 10
+    rhs = bind_density_rhs(*params)
+    ts, xs = integrate_ode(rhs, [x0], horizon, dt=1e-3)
+    assert np.abs(exact_path(rhs, x0, ts, guess=xs[:, 0]) - exact_path(rhs, x0, ts)).max() < 1e-12
+
+
+@pytest.mark.parametrize("x0", [1e-300, 3.2e-31, 1e-9])
+@pytest.mark.parametrize("params", [(1.0, 0.0, 0.0), (0.3, 2.0, 0.1), (2.5, 0.1, 2.2)])
+def test_the_closed_form_keeps_its_precision_near_0_and_1(params, x0):
+    # p = A/(S + e^-v) keeps p's relative precision near 0, where RK4 keeps
+    # it too; an A - Sp = e^z variable gave 0.11 at t = 1 from 3.2e-31
+    rhs = bind_density_rhs(*params)
+    ts, xs = integrate_ode(rhs, [x0], 10.0, dt=1e-3)
+    exact = exact_path(rhs, x0, ts)
+    assert (np.abs(exact - xs[:, 0]) <= 1e-9 * xs[:, 0]).all()
+    assert (np.abs(exact_path(rhs, x0, ts, guess=xs[:, 0]) - exact) <= 1e-12 * exact).all()
+    # near 1 it keeps 1 - p's: 1 - p follows the density ODE of lam' = 1/lam,
+    # A' = B/lam and S' = S/lam, whose path from 1 - p0 lies below its p*
+    lam, S = rhs.lam, rhs.A_plus_B
+    mirror = exact_path(DensityRHS(1.0 / lam, (S - rhs.A) / lam, S / lam), 1.0 - (1.0 - x0), ts)
+    assert (np.abs(1.0 - exact_path(rhs, 1.0 - x0, ts) - mirror) <= 1e-12 * mirror + 1e-15).all()
+
+
+@pytest.mark.parametrize("x0", [0.0, 1.0, 0.5])
+def test_the_closed_form_holds_a_start_at_a_fixed_point(x0):
+    # the symmetric model has p* = A / (2A) = 1/2 exactly
+    rhs = bind_density_rhs(1.0, 0.5, 0.5)
+    assert rhs.A - rhs.A_plus_B * 0.5 == 0.0
+    assert exact_path(rhs, x0, [0.0, 1.0, 50.0]).tolist() == [x0] * 3
+    integrate_ode(rhs, [x0], 5.0, dt=0.1, self_check=True)
+
+
+def test_the_closed_form_at_t_0_is_the_start():
+    rhs = bind_density_rhs(1.3, 0.2, 0.6)
+    assert exact_path(rhs, 0.3, np.zeros(3)).tolist() == [0.3] * 3
+
+
+def test_a_time_the_closed_form_cannot_solve_is_an_arithmetic_error():
+    # no time is exempt: one NaN among the grid times fails the whole solve
+    rhs = bind_density_rhs(1.3, 0.2, 0.6)
+    with pytest.raises(ArithmeticError, match="^the closed form did not converge at 1 of 3 "
+                                              "times$"):
+        exact_path(rhs, 0.3, [0.0, 1.0, np.nan])
+
+
+@pytest.mark.parametrize("params", [LOGISTIC, (1.0, -49.0, 51.0), (1.0, 1.0, 0.4), (1.0, 0.5, 1.0),
+                                    (-1.0, 0.5, 0.5), (np.nan, 0.5, 0.5)])
+def test_the_self_check_refuses_a_model_outside_the_window_before_any_step(monkeypatch, params):
+    def never(*args, **kwargs):
+        raise AssertionError("stepped before checking the window")
+
+    monkeypatch.setattr(meanfield, "_rk4", never)
+    rhs = bind_density_rhs(*params)
+    with pytest.raises(ValueError, match="^the closed form needs a model inside the coexistence "
+                                         "window, lam, A, B > 0; got lam = "):
+        integrate_ode(rhs, [0.3], 1.0, dt=0.1, self_check=True)
+    with pytest.raises(ValueError, match="coexistence window"):
+        exact_path(rhs, 0.3, [1.0])
+
+
+def test_the_self_check_steps_rk4_once(monkeypatch):
+    calls = []
+    rk4 = meanfield._rk4
+
+    def spy(*args):
+        calls.append(args[3])
+        return rk4(*args)
+
+    monkeypatch.setattr(meanfield, "_rk4", spy)
+    rhs = bind_density_rhs(1.0, 0.8, 0.4)
+    ts, xs = integrate_ode(rhs, [0.3], 60.0, 1e-3, self_check=True)
+    assert calls == [1e-3]
+    monkeypatch.setattr(meanfield, "_rk4", rk4)
+    want = integrate_ode(rhs, [0.3], 60.0, 1e-3)
+    assert ts.tobytes() == want[0].tobytes() and xs.tobytes() == want[1].tobytes()
 
 
 def test_density_rhs_float_matches_array():
@@ -406,8 +578,9 @@ def test_integrate_ode_refuses_a_step_that_is_not_finite_and_positive(dt):
 
 def test_integrate_ode_self_check_fails_on_a_nan_state():
     # unchecked, the NaN terminal gap passed err > tol and meanfield wrote terminal: NaN
-    with pytest.raises(ArithmeticError, match="step-halving check failed"):
-        integrate_ode(bind_density_rhs(*LOGISTIC), [np.nan], 1.0, self_check=True)
+    with pytest.raises(ArithmeticError, match="^closed-form check failed: the start nan lies "
+                                              "off \\[0, 1\\]$"):
+        integrate_ode(bind_density_rhs(1.0, 0.8, 0.4), [np.nan], 1.0, self_check=True)
 
 
 def test_comparator_keeps_no_quadratic_structure():

@@ -313,3 +313,20 @@ def test_extinction_probe_refuses_one_replicate_before_simulating(monkeypatch, s
         extinction_probe(-1.0, -0.5, torus, stencil, p0_value=0.5, xi0={0: 1}, eps=0.1,
                          grid=[0.02], master_seed=1,
                          **{"reps_fwd": 8, "reps_dual": 8, side: 1})
+
+
+def test_every_walker_ensemble_is_refused_by_its_chunk_cells_before_simulating(monkeypatch):
+    # a chunk of min(reps, WALKER_BATCH) runs holds a snapshot cell per run, site
+    # and grid point; each caller refuses 2^25 of them before its first ensemble
+    _forbid_simulation(monkeypatch)
+    torus, stencil = Torus(1, 1 << 13), Stencil.nearest_neighbor(1)
+    params = DiffusionParams(torus=torus, stencil=stencil, s=0.0, mu=0.0, dt=0.01)
+    message = (r"^a walker chunk of 1024 reps x 8192 sites x 4 grid points needs 33554432 "
+               r"snapshot cells; the limit is 16777216$")
+    with pytest.raises(ValueError, match=message):
+        moment_duality_mc(params, np.full(1 << 13, 0.5), {0: 2}, [1, 2, 3, 4], 5000, 1)
+    with pytest.raises(ValueError, match=message):
+        extinction_probe(-1.0, -0.5, torus, stencil, 0.2, {0: 1}, 0.1, [1, 2, 3, 4], 20, 5000, 1)
+    with pytest.raises(ValueError, match=r"^a walker chunk of 1024 reps x 16777216 sites x 1 "
+                                         r"grid points needs 17179869184 snapshot cells"):
+        coexistence_probe(2.0, Torus(2, 1 << 12), Stencil.nearest_neighbor(2), 0, reps_surv=5000)

@@ -7,6 +7,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from ipsd import walkers
 from ipsd.exact import MAX_UNIFORM_MU, _poisson_series
 from ipsd.harness import replicate_map
 from ipsd.lattice import Stencil, Torus
@@ -510,3 +511,17 @@ def test_walker_samples_refuses_an_oversized_chunk():
     msg = _untouched(lambda rng: walker_samples(CRW(), {0: 2}, big, Stencil.nearest_neighbor(1),
                                                 [1, 2, 3, 4], 10, 1024, rng))
     assert "1024 reps x 8192 sites x 4 grid points" in msg and str(MAX_CHUNK_CELLS) in msg
+
+
+def test_walker_ensemble_refuses_an_oversized_chunk_before_any_chunk_runs(monkeypatch):
+    # the bound is that of the largest chunk, min(reps, WALKER_BATCH) runs
+    def never(*args, **kwargs):
+        raise AssertionError("ran a chunk before checking its cells")
+
+    monkeypatch.setattr(walkers, "replicate_map", never)
+    big = Torus(1, 1 << 13)
+    for reps, size in [(5000, 1024), (600, 600)]:
+        with pytest.raises(ValueError, match=f"^a walker chunk of {size} reps x 8192 sites x 4 "
+                                             f"grid points needs {size * 8192 * 4} snapshot"):
+            walker_ensemble(CRW(), {0: 2}, big, Stencil.nearest_neighbor(1), [1, 2, 3, 4], 10,
+                            reps, 1, "big")
