@@ -54,7 +54,6 @@ ODE_CHECK_TOL = 1e-8  # largest gap allowed on the grid between RK4 and exact_pa
 MAX_ODE_STEPS = 1 << 22
 EXACT_PATH_TOL = 1e-13  # a Newton step of exact_path that moves p no further has converged
 EXACT_PATH_BLOCK = 4096  # grid times solved together; bounds exact_path's temporaries
-_EPS = float(np.finfo(np.float64).eps)
 COMPARATOR_DT = 1e-3  # the step of meanfield_comparator's ODE unless its caller passes one
 
 
@@ -115,20 +114,16 @@ def exact_path(rhs: DensityRHS, p0: float, times, guess=None) -> np.ndarray:
     """The density ODE's path from p0 in [0, 1] at ``times`` >= 0, in closed form.
 
     Inside the coexistence window, with g(p) = lam (1 - p) + p, p* = A/S and
-    c = g(p*) / (p* (1 - p*)) = S (lam/A + 1/B), separation of variables
-    gives the time to reach p::
-
-        t(p) = (lam/A) ln(p/p0) + (1/B) ln((1-p)/(1-p0)) - (c/S) ln|(A-Sp)/(A-Sp0)|
-
-    Below p*, let e^v = p/(A - Sp), so p = A/(S + e^-v) keeps its relative
-    precision near 0; the third term cancels and t = k (v - v0) + kb
-    ln((1 + B e^v)/(1 + B e^v0)), k = lam/A, kb = 1/B.  Above p* the same
-    holds for 1 - p, with A and B and with k and kb swapped.  t is convex
-    in v with slope in [k, k + kb], so v lies in [v0 + t/(k + kb), v0 + t/k]
-    and Newton steps from any start in that bracket stay in it.  ``guess``
-    (one density per time, such as RK4's states) starts them.  A time has
-    converged once a step moves p by at most EXACT_PATH_TOL or its residual
-    is at the rounding of t's terms; one that has not within 60 steps is an
+    c = g(p*) / (p* (1 - p*)) = S (lam/A + 1/B), the time to reach p is
+    t(p) = (lam/A) ln(p/p0) + (1/B) ln((1-p)/(1-p0)) - (c/S) ln|(A-Sp)/(A-Sp0)|.
+    Below p*, e^v = p/(A - Sp) gives p = A/(S + e^-v), precise near 0, and
+    t = k (v - v0) + kb ln((1 + B e^v)/(1 + B e^v0)), k = lam/A, kb = 1/B;
+    above p* the same holds for 1 - p with A, B and k, kb swapped.  t is
+    convex in v with slope in [k, k + kb], so Newton steps from any start
+    in [v0 + t/(k + kb), v0 + t/k] stay there; ``guess`` (one density per
+    time, such as RK4's states) starts them.  A time has converged once a
+    step moves p by at most EXACT_PATH_TOL or its residual is at the
+    rounding of t's terms; one that has not within 60 steps is an
     ArithmeticError.  A start of 0, 1 or p* is a constant path.
     """
     lam, A, B, S = _window(rhs)
@@ -158,9 +153,8 @@ def exact_path(rhs: DensityRHS, p0: float, times, guess=None) -> np.ndarray:
                 f = k * (v - v0) + kb * (soft - soft0) - tau
                 step = f / (k + kb * np.exp(lnb + v - soft))
                 v = v - step
-                done = ((np.abs(step) <= v_tol)
-                        | (np.abs(f) <= 8 * _EPS * (k * (np.abs(v) + abs(v0)) + kb * (soft + soft0)
-                                                    + tau)))
+                noise = 2e-15 * (k * (np.abs(v) + abs(v0)) + kb * (soft + soft0) + tau)  # ~8 ulp
+                done = (np.abs(step) <= v_tol) | (np.abs(f) <= noise)
                 if done.all():
                     break
             else:
@@ -177,8 +171,8 @@ def _rk4(rhs: DensityRHS, x: float, horizon: float, step: float):
 
     Returns the lists of times and states at every step.  Every operation
     is the one ``rhs(p0)`` and the step formula make, in the same order, so
-    the bits are those of calling ``rhs``.  The last step is shortened to land
-    exactly on the horizon.
+    the bits are those of calling ``rhs``.  The last step is shortened to
+    land exactly on the horizon.
     """
     lam, A, AB = rhs.lam, rhs.A, rhs.A_plus_B
     t, end = 0.0, horizon - 1e-15
