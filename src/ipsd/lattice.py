@@ -23,8 +23,9 @@ __all__ = ["MAX_TORUS_SITES", "check_torus", "Stencil", "Torus"]
 MAX_TORUS_SITES = 1 << 24
 
 
-def check_torus(d: int, L: int, keys: tuple[str, str] = ("d", "L")) -> int:
-    """The site count L^d of a torus, refused past MAX_TORUS_SITES before it is computed.
+def check_torus(d: int, L: int, keys: tuple[str, str] = ("d", "L")) -> None:
+    """Refuse a torus of fewer than one dimension or two sites a side, or of more than
+    MAX_TORUS_SITES sites.
 
     ``keys`` name d and L in a refusal.  L >= 2, so d above log2(MAX_TORUS_SITES)
     is refused without forming the power.
@@ -35,7 +36,6 @@ def check_torus(d: int, L: int, keys: tuple[str, str] = ("d", "L")) -> int:
     if d >= MAX_TORUS_SITES.bit_length() or L**d > MAX_TORUS_SITES:
         raise ValueError(f"{kl} = {L} and {kd} = {d} give {L}^{d} torus sites; the limit is "
                          f"{MAX_TORUS_SITES}")
-    return L**d
 
 
 @dataclass(frozen=True)

@@ -397,8 +397,7 @@ def test_write_json_payload(tmp_path):
 def test_a_torus_over_the_site_limit_is_refused_before_its_power_is_formed(monkeypatch):
     # L^d past 2^24 is refused; from d = 25 on without forming L^d, so that
     # d = 10^18 is refused at once, and before torus_kernel builds a stencil
-    assert check_torus(24, 2) == Torus(24, 2).n_sites == MAX_TORUS_SITES == 1 << 24
-    assert check_torus(2, 4096) == MAX_TORUS_SITES
+    assert Torus(24, 2).n_sites == Torus(2, 4096).n_sites == MAX_TORUS_SITES == 1 << 24
     for d, L in [(2, 4097), (25, 2), (64, 8), (10**18, 2)]:
         with pytest.raises(ValueError, match=f"^L = {L} and d = {d} give {L}\\^{d} torus sites; "
                                              f"the limit is 16777216$"):
