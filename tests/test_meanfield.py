@@ -1,7 +1,6 @@
 """Density ODE, its closed-form equilibrium, and the finite-system comparator."""
 
 import itertools
-import re
 import tracemalloc
 from pathlib import Path
 
