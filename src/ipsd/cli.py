@@ -300,22 +300,35 @@ def cmd_parity_check(cfg: RunConfig) -> Run:
     return run
 
 
-def _exact_kernel(tok: str) -> tuple[str, int, partial]:
+def _exact_kernel(tok: str) -> tuple[str, list[int], partial]:
     """torus:d:L or complete:n with integer sizes"""
     kind, *dims = tok.split(":")
     dims = [int(size) for size in dims]
     if kind == "torus" and len(dims) == 2:
-        return tok, dims[1] ** dims[0], partial(torus_kernel, *dims)
+        return tok, dims, partial(torus_kernel, *dims)
     if kind == "complete" and len(dims) == 1:
-        return tok, dims[0], partial(complete_kernel, *dims)
+        return tok, dims, partial(complete_kernel, *dims)
     raise ValueError(tok)
+
+
+def _exact_sites(tok: str, dims: list[int], build: partial) -> tuple[str, int, partial]:
+    """A parsed run.kernels token with its site count, a torus's L^d bounded before it is
+    formed; outside the cast, whose refusal would name only the token's form."""
+    if len(dims) == 1:
+        return tok, dims[0], build
+    try:
+        check_torus(*dims)
+    except ValueError as err:
+        raise ValueError(f"run.kernels {tok}: {err}") from None
+    return tok, dims[1] ** dims[0], build
 
 
 def cmd_exact_check(cfg: RunConfig) -> Run:
     alphas = _parse_grid(cfg, "alphas", [0.0, 0.3, 0.7])
     tgrid = _parse_grid(cfg, "tgrid", [0.1, 1.0, 5.0])
     default = [_exact_kernel(tok) for tok in ("torus:1:3", "torus:1:4", "complete:3", "complete:4")]
-    parsed = cfg.opt_list("run", "kernels", default, _exact_kernel)
+    parsed = [_exact_sites(*kernel) for kernel in cfg.opt_list("run", "kernels", default,
+                                                                _exact_kernel)]
     # every kernel and the work budget are checked before any generator is built
     for tok, n, _ in parsed:
         if n > MAX_EXACT_SITES:

@@ -18,8 +18,10 @@ import numpy as np
 
 __all__ = ["MAX_TORUS_SITES", "check_torus", "Stencil", "Torus"]
 
-# a walker chunk's snapshot holds a cell per site (walkers.MAX_CHUNK_CELLS), and
-# the largest torus is 2^24 sites, so d is at most 24 and a stencil 48 tuples
+# every command that builds a torus builds its move table, 8 bytes per site and
+# displacement; d = 1's nearest-neighbour table peaks at 40 bytes a site while it is
+# built, 640 MiB at 2^24 sites, and a walker chunk's snapshot holds a cell per site
+# (walkers.MAX_CHUNK_CELLS).  So d is at most 24 and a stencil 48 tuples.
 MAX_TORUS_SITES = 1 << 24
 
 

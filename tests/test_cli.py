@@ -916,6 +916,16 @@ def test_a_step_too_coarse_for_the_ode_is_refused_by_key_as_one_line(tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dt", ["1", "2"])
+def test_a_step_the_step_halving_check_took_still_runs(tmp_path, dt):
+    # the dt/2 rerun accepted configs/meanfield.ini up to run.dt = 2; the path's
+    # largest gap to the closed form is then 1.3e-7 (dt = 1) and 2.4e-6 (dt = 2)
+    assert main(["meanfield", "--config", str(CONFIGS / "meanfield.ini"), "--seed", "1",
+                 "--reps", "2", "--out", str(tmp_path), "--set", "run.compare_n=0",
+                 "--set", f"run.dt={dt}"]) == 0
+    assert (tmp_path / "meanfield_path.csv").exists()
+
+
 def test_a_model_outside_the_coexistence_window_is_refused_before_the_path_is_written(tmp_path):
     # unchecked, meanfield at params.alpha10=2 wrote meanfield_path.csv and then refused
     with pytest.raises(ValueError, match=r"^need 0 <= a10 < lam, got a10=2.0, lam=1.0$"):
@@ -1056,6 +1066,15 @@ def test_exact_check_rejects_an_oversized_kernel_before_any_generator(tmp_path, 
     with pytest.raises(ValueError, match="torus:2:4 has 16 sites"):
         main(["exact-check", "--seed", "1", "--out", str(tmp_path),
               "--set", "run.kernels=torus:1:4,torus:2:4"])
+    # unchecked, L^d was formed first: d = 2 x 10^9 ran 14 s and ended in an
+    # integer-conversion error naming no key
+    for d in (64, 100_000, 2_000_000_000):
+        with pytest.raises(ValueError, match=f"^run.kernels torus:{d}:2: L = 2 and d = {d} give "
+                                             f"2\\^{d} torus sites; the limit is 16777216$"):
+            main(["exact-check", "--seed", "1", "--out", str(tmp_path),
+                  "--set", f"run.kernels=torus:1:4,torus:{d}:2"])
+    with pytest.raises(ValueError, match="^run.kernels torus:0:3: torus needs d >= 1 and L >= 2"):
+        main(["exact-check", "--seed", "1", "--out", str(tmp_path), "--set", "run.kernels=torus:0:3"])
     assert built == []
 
 

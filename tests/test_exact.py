@@ -11,7 +11,7 @@ from ipsd.exact import (MAX_EXACT_SITES, MAX_UNIFORM_MU, DenseGenerator, _dual_e
                         fk_check_terms, parity_deviation, parity_deviation_enum, parity_matrix,
                         semigroup_apply, state_to_config)
 from ipsd import exact
-from ipsd.cli import _exact_kernel
+from ipsd.cli import _exact_kernel, _exact_sites
 from ipsd.harness import load_config_file, read_list
 from ipsd.kernel import complete_kernel, explicit_kernel, torus_kernel
 from ipsd.rng import derive_stream
@@ -398,12 +398,13 @@ def test_fk_check_terms_bounds_the_series_terms_of_the_shipped_batteries(monkeyp
 
     monkeypatch.setattr(exact, "_poisson_series", lambda P, mu, v: series(P.view(Counted), mu, v))
     options = load_config_file(CONFIGS / "exact-check.ini")
-    kernels = read_list(options, "run", "kernels", cast=_exact_kernel)
+    kernels = [_exact_sites(*kernel)
+               for kernel in read_list(options, "run", "kernels", cast=_exact_kernel)]
     cases = [(kernel, alpha, t) for kernel in kernels
              for alpha in read_list(options, "run", "alphas", cast=float)
              for t in read_list(options, "run", "tgrid", cast=float)]
     # a horizon whose series runs as several steps
-    cases.append((_exact_kernel("torus:1:3"), 0.7, 400.0))
+    cases.append((_exact_sites(*_exact_kernel("torus:1:3")), 0.7, 400.0))
     for (tok, n, build), alpha, t in cases:
         p, k = NPParams.symmetric(alpha), build()
         products.clear()

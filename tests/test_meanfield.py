@@ -139,6 +139,14 @@ def _reference_integrate_ode(rhs, x0, horizon, dt, self_check=False):
     pytest.param((1.3, 0.2, 0.6), 0.3, 0.55, 0.1, id="shortened-last-step"),
     pytest.param((1.0, 0.8, 0.4), 0.3, 60.0, 0.001, id="configs-meanfield"),
     pytest.param(STIFF, 0.001, 10.0, 0.1, id="self-check-fails"),
+    # the step-halving check took configs/meanfield.ini up to run.dt = 2 (largest
+    # gap 2.4e-6) and the benchmark smoke test's sweep at run.dt = 0.5 (9.0e-7);
+    # it refused 2.5 on a terminal gap of 1.1e-8 and the benchmark's 0.3 on 1.4e-8
+    *[pytest.param((1.0, 0.8, 0.4), 0.3, 60.0, dt, id=f"configs-meanfield-dt={dt}")
+      for dt in (0.5, 1.0, 2.0, 2.5, 3.0, 5.0)],
+    *[pytest.param((1.0, a01, 0.4), 0.3, 150.0, 0.5, id=f"sweep-alpha01={a01}-dt=0.5")
+      for a01 in (0.2, 0.4, 0.6, 0.8)],
+    pytest.param((1.0, 0.5, 0.5), 0.7, 3.0, 0.3, id="benchmark-meanfield-dt=0.3"),
 ])
 def test_integrate_ode_gives_the_reference_bits(params, x0, horizon, dt):
     # the inlined loop against the loop that called the rhs: the same times,
@@ -154,11 +162,24 @@ def test_integrate_ode_gives_the_reference_bits(params, x0, horizon, dt):
     try:
         _, want = _reference_integrate_ode(rhs, [x0], horizon, dt, self_check=True)
     except ArithmeticError:
-        with pytest.raises(ArithmeticError, match="^closed-form check failed: largest gap"):
+        with pytest.raises(ArithmeticError, match="^closed-form check failed: (largest|terminal) "
+                                                  "gap"):
             integrate_ode(rhs, [x0], horizon, dt=dt, self_check=True)
     else:
         _, got = integrate_ode(rhs, [x0], horizon, dt=dt, self_check=True)
         assert got.tobytes() == want.tobytes()
+
+
+def test_the_self_check_refuses_a_path_the_step_halving_check_took():
+    # at dt = 10 both RK4 runs settle on p* by T = 200, so the terminal gap is
+    # 3e-12, but the path on the way is off by 0.19 at the grid's worst time
+    rhs = bind_density_rhs(1.0, 0.3, 0.8)
+    _reference_integrate_ode(rhs, [0.3], 200.0, 10.0, self_check=True)
+    with pytest.raises(ArithmeticError, match="^closed-form check failed: largest gap 1.928e-01 "
+                                              "on the grid$"):
+        integrate_ode(rhs, [0.3], 200.0, 10.0, self_check=True)
+    with pytest.raises(ArithmeticError, match="^closed-form check failed: terminal gap 1.522e-08$"):
+        integrate_ode(bind_density_rhs(1.0, 0.5, 0.5), [0.7], 3.0, 0.3, self_check=True)
 
 
 def _loop_rk4(rhs, x0, horizon, step):
